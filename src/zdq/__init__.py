@@ -40,11 +40,12 @@ from .quantizers import (
     HyperplaneQuantizer,
     FinitePartition,
     cell_mass,
+    cell_masses,
     enumerate_interval_candidates,
     enumerate_finite_partitions,
     quantizer_from_json,
 )
-from .costs import CostModel, optimal_reconstruction, stage_cost
+from .costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
 from .dp import (
     PolicyNode,
     PolicyTree,
@@ -111,12 +112,14 @@ __all__ = [
     "HyperplaneQuantizer",
     "FinitePartition",
     "cell_mass",
+    "cell_masses",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",
     "CostModel",
     "optimal_reconstruction",
     "stage_cost",
+    "stage_costs",
     "PolicyNode",
     "PolicyTree",
     "DPResult",

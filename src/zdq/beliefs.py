@@ -7,11 +7,20 @@ interpolant, so integrals against quantizer cells can be taken exactly
 even when a cell boundary falls between nodes. Finite chains carry a
 SimplexBelief, where everything is exact arithmetic.
 
+Cell masses and the moments behind stage costs come from a prefix
+table (cell_moments): the exact moments of orders 0..2 of the
+piecewise-linear density, accumulated node by node in coordinates
+centred on the belief mean. Any cell's moments are two table lookups
+plus a closed-form term for the partial segment at each cut, so all
+cells of a whole candidate set cost one table build and a few array
+operations.
+
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
-law. Restriction uses the same window weights as cell masses, so the law
-of total probability (summing the branch posteriors against the branch
-masses reproduces the one-step prediction) holds to machine precision.
+law. Restriction uses per-node window weights, which integrate the same
+piecewise-linear density exactly, so the law of total probability
+(summing the branch posteriors against the branch masses reproduces the
+one-step prediction) holds to rounding.
 """
 from __future__ import annotations
 
@@ -32,6 +41,7 @@ __all__ = [
     "ZeroMassSymbolError",
     "default_grid",
     "window_weights",
+    "cell_moments",
     "filter_update",
     "predict",
     "tv_distance",
@@ -88,6 +98,14 @@ class Grid:
         w.flags.writeable = False
         return w
 
+    @functools.cached_property
+    def moment_weights(self) -> tuple:
+        """Full-range window weights of degrees 0, 1, 2 (belief-independent)."""
+        out = tuple(window_weights(self, -math.inf, math.inf, k) for k in range(3))
+        for w in out:
+            w.flags.writeable = False
+        return out
+
 
 def default_grid(
     model: LinearGaussianSource,
@@ -139,36 +157,54 @@ def window_weights(grid: Grid, lo: float, hi: float, degree: int = 0) -> np.ndar
     return out
 
 
-def window_moments(grid: Grid, values: np.ndarray, lo: float, hi: float):
-    """Exact (mass, first, second) moments of the PL density over [lo, hi].
+_POWERS = np.arange(1, 5)
 
-    Fused single-pass equivalent of window_weights at degrees 0..2; used
-    by the stage-cost inner loops.
+
+def cell_moments(belief: "GridBelief", edges):
+    """Exact moments of orders 0..2 of the PL density over many cells.
+
+    edges is an (..., L + 1) array of nondecreasing cut points; cell i
+    is (edges[..., i], edges[..., i + 1]]. Cut points are clipped to the
+    grid, so -inf and +inf close the outer cells and repeated cut points
+    give empty cells.
+
+    On the segment starting at node j, the moments over the local
+    coordinate range [0, u] are polynomials in u of degree <= 4 whose
+    coefficients depend on the two node values. One prefix table holds
+    the whole-segment moments summed up to every node, so the moments
+    up to any cut are a table lookup plus that polynomial at the cut,
+    and a cell's moments are the difference at its two cuts.
+
+    Returns (moments, center): moments has shape (3, ..., L) and takes
+    the first and second moments about center, the belief mean, which
+    keeps m2 - m1^2 / m0 free of cancellation for beliefs far from 0.
     """
+    grid = belief.grid
     x = grid.nodes
     d = grid.spacing
-    a = max(lo, grid.lo)
-    b = min(hi, grid.hi)
-    if b <= a:
-        return 0.0, 0.0, 0.0
-    xl = x[:-1]
-    u0 = np.clip((a - xl) / d, 0.0, 1.0)
-    u1 = np.clip((b - xl) / d, 0.0, 1.0)
-    v_lo = values[:-1]
-    v_hi = values[1:]
-    s1 = u1 - u0
-    s2 = 0.5 * (u1 * u1 - u0 * u0)
-    s3 = (u1**3 - u0**3) / 3.0
-    s4 = 0.25 * (u1**4 - u0**4)
-    c_lo = s1 - s2
-    c_hi = s2
-    m0 = d * (v_lo @ c_lo + v_hi @ c_hi)
-    m1 = d * (v_lo @ (xl * c_lo + d * (s2 - s3)) + v_hi @ (xl * c_hi + d * s3))
-    m2 = d * (
-        v_lo @ (xl * xl * c_lo + 2.0 * xl * d * (s2 - s3) + d * d * (s3 - s4))
-        + v_hi @ (xl * xl * c_hi + 2.0 * xl * d * s3 + d * d * s4)
-    )
-    return float(m0), float(m1), float(m2)
+    center = belief.mean
+    y = x[:-1] - center
+    dv = d * belief.values[:-1]
+    ds = d * np.diff(belief.values)
+    # poly[k, p - 1] multiplies u^p in the order-k moment of a segment
+    poly = np.zeros((3, 4, grid.n_points - 1))
+    poly[0, 0] = dv
+    poly[0, 1] = 0.5 * ds
+    poly[1, 0] = y * dv
+    poly[1, 1] = 0.5 * (y * ds + d * dv)
+    poly[1, 2] = d * ds / 3.0
+    poly[2, 0] = y * poly[1, 0]
+    poly[2, 1] = y * (0.5 * y * ds + d * dv)
+    poly[2, 2] = d * (2.0 * y * ds + d * dv) / 3.0
+    poly[2, 3] = 0.25 * d * d * ds
+    table = np.zeros((3, grid.n_points))
+    np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
+    t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
+    j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
+    u = np.minimum((t - x[j]) / d, 1.0)
+    powers = u ** _POWERS.reshape((4,) + (1,) * u.ndim)
+    cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
+    return np.diff(cum, axis=-1), center
 
 
 @dataclass
@@ -238,7 +274,8 @@ class GridBelief:
 
     @property
     def std(self) -> float:
-        var = float(moment(self, 2)) - self.mean**2
+        mean = self.mean
+        var = float(moment(self, 2)) - mean**2
         return math.sqrt(max(var, 0.0))
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -436,8 +473,7 @@ def moment(belief, k: int) -> float:
         raise ValueError(f"moment order must be >= 0, got {k}")
     if isinstance(belief, GridBelief):
         if k <= 2:
-            w = window_weights(belief.grid, -math.inf, math.inf, k)
-            return float(w @ belief.values)
+            return float(belief.grid.moment_weights[k] @ belief.values)
         x = belief.grid.nodes
         return float(belief.grid.trapezoid_weights @ (x**k * belief.values))
     if isinstance(belief, SimplexBelief):

@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -33,6 +32,7 @@ from .config import (
     build_binning,
     build_candidates,
     build_cost,
+    build_grid,
     build_initial_belief,
     build_source,
     load_config,
@@ -60,7 +60,7 @@ from .infinite import (
 )
 from .oracles import brute_force_finite
 from .quantizers import enumerate_finite_partitions
-from .sources import FiniteChain
+from .sources import FiniteChain, LinearGaussianSource
 
 _EPS_MASS = 1e-12
 _ORACLE_GAP_TOL = 1e-12
@@ -91,7 +91,9 @@ def _canonical_json(obj) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}.part")
+    # created like open() creates files, so the mode follows the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -342,7 +344,8 @@ def _run_occupancy(cfg: dict, out_dir: str):
         initial_belief=initial,
     )
     hist = occupation_measure(res.log, binning)
-    residual = invariance_residual(hist, model, table)
+    grid = build_grid(cfg, model) if isinstance(model, LinearGaussianSource) else None
+    residual = invariance_residual(hist, model, table, grid=grid)
     _atomic_write(
         os.path.join(out_dir, "histogram.json"), _canonical_json(hist.to_json())
     )

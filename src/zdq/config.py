@@ -147,7 +147,40 @@ def _validate_cost(spec, path: str):
     return spec
 
 
-def _validate_quantizers(spec, path: str):
+# the explicit quantizer item type each source family can use
+_ITEM_TYPES = {"gaussian": "interval", "chain": "finite_partition"}
+
+
+def _validate_quantizer_item(item, path: str, source_kind: str):
+    item = _as_dict(item, path)
+    kind = _as_str(_require(item, "type", path), _join(path, "type"))
+    expected = _ITEM_TYPES[source_kind]
+    if kind != expected:
+        raise ConfigError(
+            _join(path, "type"),
+            f"a {source_kind} source takes {expected!r} items, got {kind!r}",
+        )
+    if kind == "interval":
+        _check_keys(item, {"type", "levels", "thresholds"}, path)
+        thresholds = _as_list(_require(item, "thresholds", path), _join(path, "thresholds"))
+        for i, t in enumerate(thresholds):
+            _as_number(t, _join(path, f"thresholds[{i}]"))
+        if "levels" in item:
+            levels = _as_int(item["levels"], _join(path, "levels"), 1)
+            if levels != len(thresholds) + 1:
+                raise ConfigError(
+                    _join(path, "levels"),
+                    f"must be len(thresholds) + 1 = {len(thresholds) + 1}, got {levels}",
+                )
+    else:
+        _check_keys(item, {"type", "levels", "assignment"}, path)
+        assignment = _as_list(_require(item, "assignment", path), _join(path, "assignment"))
+        for i, cell in enumerate(assignment):
+            _as_int(cell, _join(path, f"assignment[{i}]"), 1)
+        _as_int(_require(item, "levels", path), _join(path, "levels"), 1)
+
+
+def _validate_quantizers(spec, path: str, source_kind: str):
     spec = _as_dict(spec, path)
     kind = _as_str(_require(spec, "type", path), _join(path, "type"),
                    {"intervals", "partitions", "explicit"})
@@ -165,6 +198,8 @@ def _validate_quantizers(spec, path: str):
         items = _as_list(_require(spec, "items", path), _join(path, "items"))
         if not items:
             raise ConfigError(_join(path, "items"), "must be nonempty")
+        for i, item in enumerate(items):
+            _validate_quantizer_item(item, _join(path, f"items[{i}]"), source_kind)
     return spec
 
 
@@ -279,7 +314,7 @@ def validate_config(cfg: dict, task: str | None = None) -> dict:
         cfg["source"] = _validate_source(_require(cfg, "source", ""), "source")
         cfg["cost"] = _validate_cost(cfg.get("cost", {"kind": "quadratic"}), "cost")
         cfg["quantizers"] = _validate_quantizers(
-            _require(cfg, "quantizers", ""), "quantizers"
+            _require(cfg, "quantizers", ""), "quantizers", cfg["source"]["type"]
         )
         if "grid" in cfg:
             grid = _as_dict(cfg["grid"], "grid")
@@ -397,14 +432,27 @@ def build_candidates(cfg: dict, model):
         if not isinstance(model, FiniteChain):
             raise ConfigError("quantizers.type", "partition candidates need a chain source")
         return enumerate_finite_partitions(model.n_states, spec["levels"])
-    return [quantizer_from_json(item) for item in spec["items"]]
+    candidates = []
+    for i, item in enumerate(spec["items"]):
+        path = f"quantizers.items[{i}]"
+        try:
+            quantizer = quantizer_from_json(item)
+        except ValueError as e:
+            raise ConfigError(path, str(e))
+        if isinstance(model, FiniteChain) and quantizer.n_states != model.n_states:
+            raise ConfigError(
+                f"{path}.assignment",
+                f"expected {model.n_states} entries, got {quantizer.n_states}",
+            )
+        candidates.append(quantizer)
+    return candidates
 
 
 def build_initial_belief(cfg: dict, model):
     spec = cfg["initial_belief"]
-    if spec == "invariant":
-        return invariant_distribution(model)
     if isinstance(model, FiniteChain):
+        if spec == "invariant":
+            return invariant_distribution(model)
         if spec == "model":
             return SimplexBelief(model.initial.copy(), states=model.state_values)
         if "probabilities" not in spec:
@@ -417,6 +465,8 @@ def build_initial_belief(cfg: dict, model):
             )
         return SimplexBelief(probs, states=model.state_values)
     grid = build_grid(cfg, model)
+    if spec == "invariant":
+        return invariant_distribution(model, grid)
     if spec == "model":
         if model.init_std == 0.0:
             return GridBelief.point_mass(grid, model.init_mean)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, window_moments
+from .beliefs import GridBelief, SimplexBelief, cell_moments
+from .quantizers import interval_edges
 
-__all__ = ["CostModel", "optimal_reconstruction", "stage_cost"]
+__all__ = ["CostModel", "optimal_reconstruction", "stage_cost", "stage_costs"]
 
 _EPS_CELL = 1e-12
 
@@ -69,11 +70,6 @@ class CostModel:
         return float(self.table.max())
 
 
-def _cell_moments_grid(belief: GridBelief, quantizer, m: int):
-    lo, hi = quantizer.cell_interval(m)
-    return window_moments(belief.grid, belief.values, lo, hi)
-
-
 def _cell_moments_simplex(belief: SimplexBelief, quantizer, m: int):
     mask = quantizer.member_mask(m)
     if mask.shape != belief.probabilities.shape:
@@ -94,11 +90,14 @@ def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
     """
     if cost.kind == "quadratic":
         if isinstance(belief, GridBelief):
-            m0, m1, _ = _cell_moments_grid(belief, quantizer, m)
-        elif isinstance(belief, SimplexBelief):
-            m0, m1, _ = _cell_moments_simplex(belief, quantizer, m)
-        else:
+            moments, center = cell_moments(belief, np.array(quantizer.cell_interval(m)))
+            m0, m1 = moments[:2, 0]
+            if m0 <= _EPS_CELL:
+                raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
+            return float(center + m1 / m0)
+        if not isinstance(belief, SimplexBelief):
             raise TypeError(f"unsupported belief type {type(belief).__name__}")
+        m0, m1, _ = _cell_moments_simplex(belief, quantizer, m)
         if m0 <= _EPS_CELL:
             raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
         return m1 / m0
@@ -113,6 +112,22 @@ def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
     return int(np.argmin(r @ cost.table))
 
 
+def stage_costs(belief, quantizers, cost: CostModel) -> np.ndarray:
+    """Stage cost of every quantizer at one belief, as a length-K array.
+
+    Grid beliefs under quadratic cost take every cell of every candidate
+    from one prefix moment table (see beliefs.cell_moments); other
+    pairs go through stage_cost one candidate at a time. Entries match
+    stage_cost, so np.argmin keeps the first-candidate tie rule.
+    """
+    if isinstance(belief, GridBelief) and cost.kind == "quadratic":
+        (m0, m1, m2), _ = cell_moments(belief, interval_edges(quantizers))
+        live = m0 > _EPS_CELL
+        var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
+        return np.where(live, var, 0.0).sum(axis=1)
+    return np.array([stage_cost(belief, q, cost) for q in quantizers])
+
+
 def stage_cost(belief, quantizer, cost: CostModel) -> float:
     """Expected one-stage distortion under the best decoder.
 
@@ -121,15 +136,14 @@ def stage_cost(belief, quantizer, cost: CostModel) -> float:
     quadratic cost this is the mass-weighted conditional variance, which
     never exceeds the belief's second moment.
     """
+    if isinstance(belief, GridBelief) and cost.kind == "quadratic":
+        return float(stage_costs(belief, [quantizer], cost)[0])
     total = 0.0
     if cost.kind == "quadratic":
+        if not isinstance(belief, SimplexBelief):
+            raise TypeError(f"unsupported belief type {type(belief).__name__}")
         for m in range(1, quantizer.levels + 1):
-            if isinstance(belief, GridBelief):
-                m0, m1, m2 = _cell_moments_grid(belief, quantizer, m)
-            elif isinstance(belief, SimplexBelief):
-                m0, m1, m2 = _cell_moments_simplex(belief, quantizer, m)
-            else:
-                raise TypeError(f"unsupported belief type {type(belief).__name__}")
+            m0, m1, m2 = _cell_moments_simplex(belief, quantizer, m)
             if m0 <= _EPS_CELL:
                 continue
             total += max(m2 - m1 * m1 / m0, 0.0)

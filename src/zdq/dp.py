@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beliefs import filter_update
-from .costs import CostModel, stage_cost
-from .quantizers import cell_mass
+from .costs import CostModel, stage_cost, stage_costs
+from .quantizers import cell_mass, cell_masses
 
 __all__ = [
     "PolicyNode",
@@ -209,12 +209,13 @@ def solve_finite_horizon(
         terminal_next = t + 1 == horizon
         best_value = None
         best = None
+        stages = stage_costs(belief, candidates, cost).tolist()
+        masses = cell_masses(belief, candidates).tolist()
         for qid, quantizer in enumerate(candidates):
-            stage = stage_cost(belief, quantizer, cost)
+            stage = stages[qid]
             continuation = 0.0
             children = {}
-            for m in range(1, quantizer.levels + 1):
-                mass = cell_mass(belief, quantizer, m)
+            for m, mass in enumerate(masses[qid][: quantizer.levels], start=1):
                 if mass <= eps_prune:
                     continue
                 if terminal_next:
@@ -296,16 +297,10 @@ def expected_continuation(
 
 def greedy_policy_step(belief, candidates, cost: CostModel):
     """Quantizer minimizing the immediate stage cost (first on ties)."""
-    best = None
-    best_cost = None
-    for quantizer in candidates:
-        c = stage_cost(belief, quantizer, cost)
-        if best_cost is None or c < best_cost:
-            best_cost = c
-            best = quantizer
-    if best is None:
+    candidates = list(candidates)
+    if not candidates:
         raise ValueError("candidate set must be nonempty")
-    return best
+    return candidates[int(np.argmin(stage_costs(belief, candidates, cost)))]
 
 
 def exact_policy_value(
@@ -331,8 +326,7 @@ def exact_policy_value(
             return 0.0
         quantizer = select(t, belief)
         value = stage_cost(belief, quantizer, cost) / horizon
-        for m in range(1, quantizer.levels + 1):
-            mass = cell_mass(belief, quantizer, m)
+        for m, mass in enumerate(cell_masses(belief, [quantizer])[0].tolist(), start=1):
             if mass <= eps_prune:
                 continue
             value += mass * walk(filter_update(belief, model, quantizer, m), t + 1)

@@ -35,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import GridBelief, SimplexBelief, default_grid, filter_update
-from .costs import CostModel, optimal_reconstruction, stage_cost
+from .costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
-from .quantizers import cell_mass
+from .quantizers import cell_mass, cell_masses
 from .sources import FiniteChain, LinearGaussianSource, sample_next
 
 __all__ = [
@@ -177,13 +177,7 @@ class GreedyPolicy:
         return None
 
     def plan(self, state, t: int, belief, r: float) -> Plan:
-        best_id = None
-        best_cost = None
-        for qid, quantizer in enumerate(self.candidates):
-            c = stage_cost(belief, quantizer, self.cost)
-            if best_cost is None or c < best_cost:
-                best_cost = c
-                best_id = qid
+        best_id = int(np.argmin(stage_costs(belief, self.candidates, self.cost)))
         return Plan(best_id, self.candidates[best_id])
 
     def advance(self, state, t: int, symbol: int):
@@ -776,6 +770,7 @@ def invariance_residual(
     model,
     candidates,
     eps_mass: float = 1e-12,
+    grid=None,
 ) -> float:
     """Total variation defect of the histogram under the belief kernel.
 
@@ -785,15 +780,17 @@ def invariance_residual(
     belief-bin marginal. Near 0 for samples from an invariant regime.
     Bin representatives are the per-bin average logged beliefs when
     available (simplex logs); grid-feature histograms synthesize a
-    normal density at the bin center, which makes the check a
-    diagnostic rather than an exact statement there.
+    normal density at the bin center, on grid (default: the model's
+    default grid), which makes the check a diagnostic rather than an
+    exact statement there.
     """
     binning = histogram.binning
     counts = histogram.counts
     steps = histogram.steps
     marginal = counts.sum(axis=1) / steps
     pushed = np.zeros(binning.n_total)
-    grid = default_grid(model) if isinstance(model, LinearGaussianSource) else None
+    if grid is None and isinstance(model, LinearGaussianSource):
+        grid = default_grid(model)
     for b in np.flatnonzero(counts.sum(axis=1)):
         if histogram.belief_sums is not None:
             total = histogram.belief_sums[b].sum()
@@ -803,11 +800,12 @@ def invariance_residual(
         else:
             mean, std = binning.bin_center(b)
             rep = GridBelief.normal(grid, mean, std)
-        for k in np.flatnonzero(counts[b]):
+        used = np.flatnonzero(counts[b])
+        masses = cell_masses(rep, [candidates[k] for k in used]).tolist()
+        for k, row in zip(used, masses):
             weight = counts[b, k] / steps
             quantizer = candidates[k]
-            for m in range(1, quantizer.levels + 1):
-                mass = cell_mass(rep, quantizer, m)
+            for m, mass in enumerate(row[: quantizer.levels], start=1):
                 if mass <= eps_mass:
                     continue
                 nxt = filter_update(rep, model, quantizer, m)

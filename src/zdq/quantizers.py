@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, window_weights
+from .beliefs import GridBelief, SimplexBelief, cell_moments
 
 __all__ = [
     "IntervalQuantizer",
     "HyperplaneQuantizer",
     "FinitePartition",
     "cell_mass",
+    "cell_masses",
+    "interval_edges",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",
@@ -190,6 +192,39 @@ class FinitePartition:
         }
 
 
+def interval_edges(quantizers) -> np.ndarray:
+    """Cell boundaries of interval quantizers as a (K, L + 1) array.
+
+    Row k is (-inf, thresholds of quantizer k, +inf), padded with +inf up
+    to the largest level count L, so padded cells are empty. Lists may
+    mix level counts.
+    """
+    levels = max(q.levels for q in quantizers)
+    edges = np.full((len(quantizers), levels + 1), math.inf)
+    edges[:, 0] = -math.inf
+    for k, q in enumerate(quantizers):
+        edges[k, 1 : q.levels] = q.thresholds
+    return edges
+
+
+def cell_masses(belief, quantizers) -> np.ndarray:
+    """Belief mass of every cell of every quantizer, as a (K, L) array.
+
+    L is the largest level count; entries past a quantizer's own levels
+    are 0. Grid beliefs take all masses from one prefix moment table
+    (see beliefs.cell_moments); simplex beliefs sum per cell.
+    """
+    if isinstance(belief, GridBelief):
+        moments, _ = cell_moments(belief, interval_edges(quantizers))
+        return moments[0]
+    if isinstance(belief, SimplexBelief):
+        out = np.zeros((len(quantizers), max(q.levels for q in quantizers)))
+        for k, q in enumerate(quantizers):
+            out[k, : q.levels] = [cell_mass(belief, q, m) for m in range(1, q.levels + 1)]
+        return out
+    raise TypeError(f"unsupported belief type {type(belief).__name__}")
+
+
 def cell_mass(belief, quantizer, m: int) -> float:
     """Belief mass of cell m.
 
@@ -199,9 +234,8 @@ def cell_mass(belief, quantizer, m: int) -> float:
     sum exactly.
     """
     if isinstance(belief, GridBelief):
-        lo, hi = quantizer.cell_interval(m)
-        w = window_weights(belief.grid, lo, hi, 0)
-        return float(w @ belief.values)
+        moments, _ = cell_moments(belief, np.array(quantizer.cell_interval(m)))
+        return float(moments[0, 0])
     if isinstance(belief, SimplexBelief):
         mask = quantizer.member_mask(m)
         if mask.shape != belief.probabilities.shape:

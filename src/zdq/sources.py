@@ -159,21 +159,23 @@ def sample_next(model, x, rng: np.random.Generator):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def invariant_distribution(model):
+def invariant_distribution(model, grid=None):
     """Stationary distribution of the source.
 
-    Gaussian case: N(0, noise_std^2 / (1 - a^2)) sampled on the default
-    belief grid; requires |a| < 1 and noise_std > 0. Finite case: the
-    unique left eigenvector of the transition matrix for eigenvalue 1; a
-    chain without a unique stable stationary law (reducible, or with a
-    second unit-modulus eigenvalue) is rejected.
+    Gaussian case: N(0, noise_std^2 / (1 - a^2)) sampled on grid
+    (default: the model's default belief grid); requires |a| < 1 and
+    noise_std > 0. Finite case: the unique left eigenvector of the
+    transition matrix for eigenvalue 1; a chain without a unique stable
+    stationary law (reducible, or with a second unit-modulus eigenvalue)
+    is rejected.
     """
     if isinstance(model, LinearGaussianSource):
         model.require_noise()
         std = model.stationary_std  # raises when |a| >= 1
         from .beliefs import GridBelief, default_grid
 
-        grid = default_grid(model)
+        if grid is None:
+            grid = default_grid(model)
         return GridBelief.normal(grid, 0.0, std)
     if isinstance(model, FiniteChain):
         eigvals, eigvecs = np.linalg.eig(model.transition.T)

@@ -1,10 +1,13 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+import zdq.infinite
 from zdq.cli import main
-from zdq.config import ConfigError, validate_config
+from zdq.config import ConfigError, build_initial_belief, build_source, validate_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -24,6 +27,7 @@ CHAIN2 = {
     "transition": [[0.9, 0.1], [0.2, 0.8]],
     "initial": [0.5, 0.5],
 }
+AR1 = {"type": "gaussian", "a": 0.5, "noise_std": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,98 @@ def test_validate_discount_range():
     with pytest.raises(ConfigError) as exc:
         validate_config(doc)
     assert "discount" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "source, item, path",
+    [
+        (
+            AR1,
+            {"type": "hyperplane", "dim": 1, "levels": 2,
+             "hyperplanes": [{"i": 1, "j": 2, "normal": [1.0], "offset": 0.0}]},
+            "quantizers.items[0].type",
+        ),
+        (AR1, {"type": "voronoi", "levels": 2}, "quantizers.items[0].type"),
+        (AR1, {"type": "finite_partition", "assignment": [1, 2], "levels": 2},
+         "quantizers.items[0].type"),
+        (CHAIN2, {"type": "interval", "thresholds": [0.0]}, "quantizers.items[0].type"),
+        (AR1, {"type": "interval", "levels": 2}, "quantizers.items[0].thresholds"),
+        (CHAIN2, {"type": "finite_partition", "assignment": [1, 2]},
+         "quantizers.items[0].levels"),
+        (AR1, {"type": "interval", "thresholds": [1.0, 0.0]}, "quantizers.items[0]"),
+        (CHAIN2, {"type": "finite_partition", "assignment": [1, 2, 1], "levels": 2},
+         "quantizers.items[0].assignment"),
+    ],
+    ids=["hyperplane", "unknown-type", "partition-on-gaussian", "interval-on-chain",
+         "missing-thresholds", "missing-levels", "bad-thresholds", "wrong-size"],
+)
+def test_explicit_item_errors_exit_2(tmp_path, capsys, source, item, path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "task": "design",
+            "source": source,
+            "quantizers": {"type": "explicit", "items": [item]},
+            "horizon": 1,
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    assert main(["design", "--config", cfg]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def test_configured_grid_reaches_invariant_belief_and_residual(tmp_path, monkeypatch):
+    doc = validate_config(
+        {
+            "task": "occupancy",
+            "seed": 3,
+            "source": AR1,
+            "quantizers": {"type": "intervals", "levels": 2, "lo": -2, "hi": 2, "steps": 5},
+            "grid": {"n_points": 401},
+            "initial_belief": "invariant",
+            "horizon": 20,
+            "policy": {"type": "greedy"},
+            "binning": {"type": "grid_features"},
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    belief = build_initial_belief(doc, build_source(doc))
+    assert belief.grid.n_points == 401
+    # every belief the rollout and invariance_residual filter is on that grid
+    seen = set()
+    original = zdq.infinite.filter_update
+
+    def spy(belief, *args, **kwargs):
+        seen.add(belief.grid.n_points)
+        return original(belief, *args, **kwargs)
+
+    monkeypatch.setattr(zdq.infinite, "filter_update", spy)
+    cfg = write_config(tmp_path, doc)
+    assert main(["occupancy", "--config", cfg]) == 0
+    assert seen == {401}
+
+
+def test_artifact_modes_follow_umask(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "task": "design",
+            "source": CHAIN3,
+            "quantizers": {"type": "partitions", "levels": 2},
+            "horizon": 2,
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    old = os.umask(0o027)
+    try:
+        assert main(["design", "--config", cfg]) == 0
+    finally:
+        os.umask(old)
+    out = tmp_path / "out"
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == {
+        "results.json": 0o640, "policy_tree.json": 0o640, "policy_tree.csv": 0o640
+    }
 
 
 def test_validate_fills_defaults():
