@@ -37,7 +37,6 @@ from .beliefs import (
 )
 from .quantizers import (
     IntervalQuantizer,
-    HyperplaneQuantizer,
     FinitePartition,
     cell_mass,
     cell_masses,
@@ -52,7 +51,6 @@ from .dp import (
     DPResult,
     NodeBudgetExceeded,
     solve_finite_horizon,
-    expected_continuation,
     greedy_policy_step,
     exact_policy_value,
     bellman_residuals,
@@ -109,7 +107,6 @@ __all__ = [
     "moment",
     "check_S_membership",
     "IntervalQuantizer",
-    "HyperplaneQuantizer",
     "FinitePartition",
     "cell_mass",
     "cell_masses",
@@ -125,7 +122,6 @@ __all__ = [
     "DPResult",
     "NodeBudgetExceeded",
     "solve_finite_horizon",
-    "expected_continuation",
     "greedy_policy_step",
     "exact_policy_value",
     "bellman_residuals",

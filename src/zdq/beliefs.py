@@ -7,13 +7,15 @@ interpolant, so integrals against quantizer cells can be taken exactly
 even when a cell boundary falls between nodes. Finite chains carry a
 SimplexBelief, where everything is exact arithmetic.
 
-Cell masses and the moments behind stage costs come from a prefix
-table (cell_moments): the exact moments of orders 0..2 of the
+Every cell mass and every moment behind a stage cost comes from one
+method per belief family, cell_moments(quantizers), which returns the
+moments of orders 0..2 of every cell of a whole candidate set as (K, L)
+arrays. A grid belief builds a prefix table: the exact moments of the
 piecewise-linear density, accumulated node by node in coordinates
-centred on the belief mean. Any cell's moments are two table lookups
-plus a closed-form term for the partial segment at each cut, so all
-cells of a whole candidate set cost one table build and a few array
-operations.
+centred on the belief mean, so any cell's moments are two table lookups
+plus a closed-form term for the partial segment at each cut. A simplex
+belief multiplies its probabilities by each partition's cached 0/1
+membership matrix.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
@@ -41,7 +43,6 @@ __all__ = [
     "ZeroMassSymbolError",
     "default_grid",
     "window_weights",
-    "cell_moments",
     "filter_update",
     "predict",
     "tv_distance",
@@ -160,53 +161,6 @@ def window_weights(grid: Grid, lo: float, hi: float, degree: int = 0) -> np.ndar
 _POWERS = np.arange(1, 5)
 
 
-def cell_moments(belief: "GridBelief", edges):
-    """Exact moments of orders 0..2 of the PL density over many cells.
-
-    edges is an (..., L + 1) array of nondecreasing cut points; cell i
-    is (edges[..., i], edges[..., i + 1]]. Cut points are clipped to the
-    grid, so -inf and +inf close the outer cells and repeated cut points
-    give empty cells.
-
-    On the segment starting at node j, the moments over the local
-    coordinate range [0, u] are polynomials in u of degree <= 4 whose
-    coefficients depend on the two node values. One prefix table holds
-    the whole-segment moments summed up to every node, so the moments
-    up to any cut are a table lookup plus that polynomial at the cut,
-    and a cell's moments are the difference at its two cuts.
-
-    Returns (moments, center): moments has shape (3, ..., L) and takes
-    the first and second moments about center, the belief mean, which
-    keeps m2 - m1^2 / m0 free of cancellation for beliefs far from 0.
-    """
-    grid = belief.grid
-    x = grid.nodes
-    d = grid.spacing
-    center = belief.mean
-    y = x[:-1] - center
-    dv = d * belief.values[:-1]
-    ds = d * np.diff(belief.values)
-    # poly[k, p - 1] multiplies u^p in the order-k moment of a segment
-    poly = np.zeros((3, 4, grid.n_points - 1))
-    poly[0, 0] = dv
-    poly[0, 1] = 0.5 * ds
-    poly[1, 0] = y * dv
-    poly[1, 1] = 0.5 * (y * ds + d * dv)
-    poly[1, 2] = d * ds / 3.0
-    poly[2, 0] = y * poly[1, 0]
-    poly[2, 1] = y * (0.5 * y * ds + d * dv)
-    poly[2, 2] = d * (2.0 * y * ds + d * dv) / 3.0
-    poly[2, 3] = 0.25 * d * d * ds
-    table = np.zeros((3, grid.n_points))
-    np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
-    t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
-    j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
-    u = np.minimum((t - x[j]) / d, 1.0)
-    powers = u ** _POWERS.reshape((4,) + (1,) * u.ndim)
-    cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
-    return np.diff(cum, axis=-1), center
-
-
 @dataclass
 class GridBelief:
     """Density belief on a fixed grid, normalized to trapezoid integral 1."""
@@ -278,6 +232,59 @@ class GridBelief:
         var = float(moment(self, 2)) - mean**2
         return math.sqrt(max(var, 0.0))
 
+    def cell_moments(self, quantizers):
+        """Exact moments of orders 0..2 of the PL density over every cell.
+
+        quantizers are interval quantizers, possibly with mixed level
+        counts. Quantizer k cuts at (-inf, its thresholds, +inf), padded
+        with +inf up to the largest level count L, so padded cells are
+        empty. Cut points are clipped to the grid, so the infinities
+        close the outer cells.
+
+        On the segment starting at node j, the moments over the local
+        coordinate range [0, u] are polynomials in u of degree <= 4 whose
+        coefficients depend on the two node values. One prefix table holds
+        the whole-segment moments summed up to every node, so the moments
+        up to any cut are a table lookup plus that polynomial at the cut,
+        and a cell's moments are the difference at its two cuts.
+
+        Returns ((m0, m1, m2), center) with (K, L) moment arrays; the
+        first and second moments are taken about center, the belief mean,
+        which keeps m2 - m1^2 / m0 free of cancellation for beliefs far
+        from 0.
+        """
+        levels = max(q.levels for q in quantizers)
+        edges = np.full((len(quantizers), levels + 1), math.inf)
+        edges[:, 0] = -math.inf
+        for k, q in enumerate(quantizers):
+            edges[k, 1 : q.levels] = q.thresholds
+        grid = self.grid
+        x = grid.nodes
+        d = grid.spacing
+        center = self.mean
+        y = x[:-1] - center
+        dv = d * self.values[:-1]
+        ds = d * np.diff(self.values)
+        # poly[k, p - 1] multiplies u^p in the order-k moment of a segment
+        poly = np.zeros((3, 4, grid.n_points - 1))
+        poly[0, 0] = dv
+        poly[0, 1] = 0.5 * ds
+        poly[1, 0] = y * dv
+        poly[1, 1] = 0.5 * (y * ds + d * dv)
+        poly[1, 2] = d * ds / 3.0
+        poly[2, 0] = y * poly[1, 0]
+        poly[2, 1] = y * (0.5 * y * ds + d * dv)
+        poly[2, 2] = d * (2.0 * y * ds + d * dv) / 3.0
+        poly[2, 3] = 0.25 * d * d * ds
+        table = np.zeros((3, grid.n_points))
+        np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
+        t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
+        j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
+        u = np.minimum((t - x[j]) / d, 1.0)
+        powers = u ** _POWERS.reshape((4,) + (1,) * u.ndim)
+        cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
+        return np.diff(cum, axis=-1), center
+
     def sample(self, rng: np.random.Generator) -> float:
         """Inverse-CDF draw from the piecewise-linear density."""
         x = self.grid.nodes
@@ -348,6 +355,38 @@ class SimplexBelief:
         var = m2 - self.mean**2
         return math.sqrt(max(var, 0.0))
 
+    def restrict(self, membership: np.ndarray) -> np.ndarray:
+        """The probabilities restricted to cells given as 0/1 rows (..., n_states).
+
+        Raises ValueError when the rows cover another alphabet, before
+        any broadcast could hide it.
+        """
+        if membership.shape[-1] != self.n_states:
+            raise ValueError("partition and belief alphabet sizes differ")
+        return membership * self.probabilities
+
+    def cell_moments(self, quantizers):
+        """Moments of orders 0..2 of every cell of every partition.
+
+        Each partition's (levels, n_states) membership matrix restricts
+        the belief to all of its cells at once. The moments are computed
+        partition by partition, so a single-candidate read rounds exactly
+        like its entry in a batch, then padded with empty cells up to the
+        largest level count L. Returns ((m0, m1, m2), center) with (K, L)
+        arrays of raw moments, so center is 0.
+        """
+        s, s2 = self.states, self.states**2
+        moments = []
+        for q in quantizers:
+            r = self.restrict(q.membership[None])
+            moments.append((r.sum(axis=-1), r @ s, r @ s2))
+        if len(moments) == 1:
+            return moments[0], 0.0
+        out = np.zeros((3, len(quantizers), max(q.levels for q in quantizers)))
+        for k, (q, m) in enumerate(zip(quantizers, moments)):
+            out[:, k : k + 1, : q.levels] = m
+        return out, 0.0
+
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.n_states, p=self.probabilities))
 
@@ -414,10 +453,7 @@ def filter_update(belief, model, quantizer, symbol: int, eps_mass: float = EPS_M
     if isinstance(belief, SimplexBelief):
         if not isinstance(model, FiniteChain):
             raise TypeError("SimplexBelief filtering needs a FiniteChain")
-        mask = quantizer.member_mask(symbol)
-        if mask.shape != belief.probabilities.shape:
-            raise ValueError("partition and belief alphabet sizes differ")
-        r = belief.probabilities * mask
+        r = belief.restrict(quantizer.member_mask(symbol))
         mass = float(r.sum())
         if mass <= eps_mass:
             raise ZeroMassSymbolError(

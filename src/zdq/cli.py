@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .beliefs import SimplexBelief
+from .beliefs import EPS_MASS, SimplexBelief
 from .costs import CostModel
 from .config import (
     ConfigError,
@@ -40,6 +40,7 @@ from .config import (
 )
 from .dp import (
     DEFAULT_EPS_PRUNE,
+    DEFAULT_NODE_BUDGET,
     NodeBudgetExceeded,
     bellman_residuals,
     solve_finite_horizon,
@@ -62,7 +63,6 @@ from .oracles import brute_force_finite
 from .quantizers import enumerate_finite_partitions
 from .sources import FiniteChain, LinearGaussianSource
 
-_EPS_MASS = 1e-12
 _ORACLE_GAP_TOL = 1e-12
 
 
@@ -173,7 +173,7 @@ def _run_design(cfg: dict, out_dir: str):
             candidates,
             cost,
             cfg["horizon"],
-            node_budget=cfg.get("node_budget", 2_000_000),
+            node_budget=cfg.get("node_budget", DEFAULT_NODE_BUDGET),
         )
     except NodeBudgetExceeded as e:
         return 1, {
@@ -414,7 +414,7 @@ def main(argv=None) -> int:
         "config_sha256": _config_hash(cfg),
         "tolerances": {
             "eps_prune": DEFAULT_EPS_PRUNE,
-            "eps_mass": _EPS_MASS,
+            "eps_mass": EPS_MASS,
         },
         **payload,
         "timing": {"total_seconds": elapsed},

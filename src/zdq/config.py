@@ -12,7 +12,13 @@ import json
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, default_grid
+from .beliefs import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_SPAN_STDS,
+    GridBelief,
+    SimplexBelief,
+    default_grid,
+)
 from .costs import CostModel
 from .infinite import GridFeatureBinning, SimplexBinning
 from .quantizers import (
@@ -415,8 +421,8 @@ def build_grid(cfg: dict, model):
     spec = cfg.get("grid", {})
     return default_grid(
         model,
-        n_points=spec.get("n_points", 801),
-        span_stds=spec.get("span_stds", 8.0),
+        n_points=spec.get("n_points", DEFAULT_GRID_POINTS),
+        span_stds=spec.get("span_stds", DEFAULT_SPAN_STDS),
     )
 
 

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, cell_moments
-from .quantizers import interval_edges
+from .beliefs import EPS_MASS, SimplexBelief
+from .quantizers import _cell_slot
 
 __all__ = ["CostModel", "optimal_reconstruction", "stage_cost", "stage_costs"]
-
-_EPS_CELL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,18 @@ class CostModel:
         return float(self.table.max())
 
 
-def _cell_moments_simplex(belief: SimplexBelief, quantizer, m: int):
-    mask = quantizer.member_mask(m)
-    if mask.shape != belief.probabilities.shape:
-        raise ValueError("partition and belief alphabet sizes differ")
-    r = belief.probabilities * mask
-    m0 = float(r.sum())
-    m1 = float(r @ belief.states)
-    m2 = float(r @ (belief.states**2))
-    return m0, m1, m2
+def _tabular_cells(belief, quantizer, cost: CostModel) -> list:
+    """Restricted expected cost of every reconstruction, cell by cell.
+
+    Cells with (numerically) no mass give None. The belief must be a
+    simplex belief over the cost table's rows.
+    """
+    if not isinstance(belief, SimplexBelief):
+        raise TypeError("bounded tabular costs are defined on finite alphabets only")
+    restricted = belief.restrict(quantizer.membership)
+    if cost.table.shape[0] != belief.n_states:
+        raise ValueError("cost table rows must match the belief alphabet")
+    return [r @ cost.table if float(r.sum()) > EPS_MASS else None for r in restricted]
 
 
 def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
@@ -88,73 +89,39 @@ def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
     cell. Tabular: the column index minimizing the restricted expected
     cost, lowest index on ties. The cell must carry positive mass.
     """
+    i = _cell_slot(quantizer, m)
     if cost.kind == "quadratic":
-        if isinstance(belief, GridBelief):
-            moments, center = cell_moments(belief, np.array(quantizer.cell_interval(m)))
-            m0, m1 = moments[:2, 0]
-            if m0 <= _EPS_CELL:
-                raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
-            return float(center + m1 / m0)
-        if not isinstance(belief, SimplexBelief):
-            raise TypeError(f"unsupported belief type {type(belief).__name__}")
-        m0, m1, _ = _cell_moments_simplex(belief, quantizer, m)
-        if m0 <= _EPS_CELL:
+        (m0, m1, _), center = belief.cell_moments([quantizer])
+        if m0[0, i] <= EPS_MASS:
             raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
-        return m1 / m0
-    if not isinstance(belief, SimplexBelief):
-        raise TypeError("bounded tabular costs are defined on finite alphabets only")
-    mask = quantizer.member_mask(m)
-    r = belief.probabilities * mask
-    if float(r.sum()) <= _EPS_CELL:
+        return float(center + m1[0, i] / m0[0, i])
+    column_costs = _tabular_cells(belief, quantizer, cost)[i]
+    if column_costs is None:
         raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
-    if cost.table.shape[0] != belief.n_states:
-        raise ValueError("cost table rows must match the belief alphabet")
-    return int(np.argmin(r @ cost.table))
+    return int(np.argmin(column_costs))
 
 
 def stage_costs(belief, quantizers, cost: CostModel) -> np.ndarray:
     """Stage cost of every quantizer at one belief, as a length-K array.
 
-    Grid beliefs under quadratic cost take every cell of every candidate
-    from one prefix moment table (see beliefs.cell_moments); other
-    pairs go through stage_cost one candidate at a time. Entries match
-    stage_cost, so np.argmin keeps the first-candidate tie rule.
-    """
-    if isinstance(belief, GridBelief) and cost.kind == "quadratic":
-        (m0, m1, m2), _ = cell_moments(belief, interval_edges(quantizers))
-        live = m0 > _EPS_CELL
-        var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
-        return np.where(live, var, 0.0).sum(axis=1)
-    return np.array([stage_cost(belief, q, cost) for q in quantizers])
-
-
-def stage_cost(belief, quantizer, cost: CostModel) -> float:
-    """Expected one-stage distortion under the best decoder.
-
     Sums over cells the restricted expected cost at that cell's optimal
     reconstruction; cells with (numerically) no mass contribute 0. Under
     quadratic cost this is the mass-weighted conditional variance, which
-    never exceeds the belief's second moment.
+    never exceeds the belief's second moment, and every cell of every
+    candidate comes from one belief.cell_moments call. np.argmin over
+    the result keeps the first-candidate tie rule.
     """
-    if isinstance(belief, GridBelief) and cost.kind == "quadratic":
-        return float(stage_costs(belief, [quantizer], cost)[0])
-    total = 0.0
     if cost.kind == "quadratic":
-        if not isinstance(belief, SimplexBelief):
-            raise TypeError(f"unsupported belief type {type(belief).__name__}")
-        for m in range(1, quantizer.levels + 1):
-            m0, m1, m2 = _cell_moments_simplex(belief, quantizer, m)
-            if m0 <= _EPS_CELL:
-                continue
-            total += max(m2 - m1 * m1 / m0, 0.0)
-        return total
-    if not isinstance(belief, SimplexBelief):
-        raise TypeError("bounded tabular costs are defined on finite alphabets only")
-    if cost.table.shape[0] != belief.n_states:
-        raise ValueError("cost table rows must match the belief alphabet")
-    for m in range(1, quantizer.levels + 1):
-        r = belief.probabilities * quantizer.member_mask(m)
-        if float(r.sum()) <= _EPS_CELL:
-            continue
-        total += float(np.min(r @ cost.table))
-    return total
+        (m0, m1, m2), _ = belief.cell_moments(quantizers)
+        live = m0 > EPS_MASS
+        var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
+        return np.where(live, var, 0.0).sum(axis=1)
+    return np.array([
+        sum((float(np.min(c)) for c in _tabular_cells(belief, q, cost) if c is not None), 0.0)
+        for q in quantizers
+    ])
+
+
+def stage_cost(belief, quantizer, cost: CostModel) -> float:
+    """Expected one-stage distortion under the best decoder (see stage_costs)."""
+    return float(stage_costs(belief, [quantizer], cost)[0])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .beliefs import filter_update
 from .costs import CostModel, stage_cost, stage_costs
-from .quantizers import cell_mass, cell_masses
+from .quantizers import cell_masses
 
 __all__ = [
     "PolicyNode",
@@ -32,7 +32,6 @@ __all__ = [
     "DPResult",
     "NodeBudgetExceeded",
     "solve_finite_horizon",
-    "expected_continuation",
     "greedy_policy_step",
     "exact_policy_value",
     "bellman_residuals",
@@ -271,28 +270,6 @@ def solve_finite_horizon(
         nodes_evaluated=state["evals"],
     )
     return DPResult(value=tree.value, tree=tree)
-
-
-def expected_continuation(
-    belief, quantizer, next_values, eps_mass: float = DEFAULT_EPS_PRUNE
-) -> float:
-    """Expected continuation value: sum of branch mass times next value.
-
-    next_values maps symbols to continuation values and must cover every
-    symbol whose branch mass exceeds eps_mass; lighter branches
-    contribute 0.
-    """
-    total = 0.0
-    for m in range(1, quantizer.levels + 1):
-        mass = cell_mass(belief, quantizer, m)
-        if mass <= eps_mass:
-            continue
-        if m not in next_values:
-            raise ValueError(
-                f"next_values missing symbol {m} with branch mass {mass:.3g}"
-            )
-        total += mass * next_values[m]
-    return total
 
 
 def greedy_policy_step(belief, candidates, cost: CostModel):

@@ -34,10 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, default_grid, filter_update
+from .beliefs import EPS_MASS, GridBelief, SimplexBelief, default_grid, filter_update
 from .costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
-from .quantizers import cell_mass, cell_masses
+from .quantizers import cell_masses
 from .sources import FiniteChain, LinearGaussianSource, sample_next
 
 __all__ = [
@@ -590,10 +590,10 @@ def discounted_value_iteration(
     masses = np.zeros((G, K, levels))
     succ = np.zeros((G, K, levels), dtype=int)
     for i, belief in enumerate(beliefs):
+        stage[i] = stage_costs(belief, candidates, cost)
+        belief_masses = cell_masses(belief, candidates).tolist()
         for k, quantizer in enumerate(candidates):
-            stage[i, k] = stage_cost(belief, quantizer, cost)
-            for m in range(1, quantizer.levels + 1):
-                mass = cell_mass(belief, quantizer, m)
+            for m, mass in enumerate(belief_masses[k][: quantizer.levels], start=1):
                 if mass <= eps_prune:
                     continue
                 nxt = filter_update(belief, model, quantizer, m)
@@ -769,7 +769,7 @@ def invariance_residual(
     histogram: OccupationHistogram,
     model,
     candidates,
-    eps_mass: float = 1e-12,
+    eps_mass: float = EPS_MASS,
     grid=None,
 ) -> float:
     """Total variation defect of the histogram under the belief kernel.

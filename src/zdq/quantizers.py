@@ -2,28 +2,28 @@
 
 Cells are indexed 1..levels. Scalar quantizers are threshold quantizers
 with right-closed cells: cell m is (t_{m-1}, t_m], so a point sitting
-exactly on a threshold goes to the lower cell. Vector quantizers are
-given by one separating hyperplane per unordered cell pair; points on a
-hyperplane go to the lowest admissible cell. Finite-alphabet quantizers
-are plain partitions of the state set.
+exactly on a threshold goes to the lower cell. Finite-alphabet
+quantizers are plain partitions of the state set, with a cached 0/1
+membership matrix (one row per cell).
+
+Cell masses are read off the belief's own cell_moments method, which
+takes a whole candidate set at once; no function here looks at the
+belief's type.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, cell_moments
-
 __all__ = [
     "IntervalQuantizer",
-    "HyperplaneQuantizer",
     "FinitePartition",
     "cell_mass",
     "cell_masses",
-    "interval_edges",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",
@@ -57,8 +57,7 @@ class IntervalQuantizer:
 
     def cell_interval(self, m: int):
         """Cell m as the interval (lo, hi], with infinities at the ends."""
-        if not 1 <= m <= self.levels:
-            raise ValueError(f"cell index {m} out of range 1..{self.levels}")
+        _cell_slot(self, m)
         lo = self.thresholds[m - 2] if m >= 2 else -math.inf
         hi = self.thresholds[m - 1] if m <= self.levels - 1 else math.inf
         return lo, hi
@@ -71,79 +70,6 @@ class IntervalQuantizer:
             "type": "interval",
             "levels": self.levels,
             "thresholds": list(self.thresholds),
-        }
-
-
-@dataclass(frozen=True)
-class HyperplaneQuantizer:
-    """Convex-cell vector quantizer cut by pairwise separating hyperplanes.
-
-    hyperplanes maps each pair (i, j) with i < j to (normal, offset) with
-    a unit-norm normal; cell i lies on the side normal . x <= offset.
-    Supports classification and simulation; cell masses in dimension > 1
-    are out of scope.
-    """
-
-    dim: int
-    levels: int
-    hyperplanes: dict
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        planes = {}
-        expected = {
-            (i, j)
-            for i in range(1, self.levels + 1)
-            for j in range(i + 1, self.levels + 1)
-        }
-        if set(self.hyperplanes.keys()) != expected:
-            raise ValueError(
-                f"need one hyperplane per cell pair, expected {sorted(expected)}"
-            )
-        for (i, j), (normal, offset) in self.hyperplanes.items():
-            normal = np.asarray(normal, dtype=float)
-            if normal.shape != (self.dim,):
-                raise ValueError(f"normal for pair {(i, j)} must have shape ({self.dim},)")
-            if abs(float(np.linalg.norm(normal)) - 1.0) > 1e-9:
-                raise ValueError(f"normal for pair {(i, j)} must have unit norm")
-            normal.flags.writeable = False
-            planes[(i, j)] = (normal, float(offset))
-        object.__setattr__(self, "hyperplanes", planes)
-
-    def classify(self, x) -> int:
-        """Lowest cell whose every pairwise half-space constraint holds."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},), got {x.shape}")
-        for m in range(1, self.levels + 1):
-            ok = True
-            for (i, j), (normal, offset) in self.hyperplanes.items():
-                side = float(normal @ x)
-                if i == m and side > offset:
-                    ok = False
-                    break
-                if j == m and side < offset:
-                    ok = False
-                    break
-            if ok:
-                return m
-        raise ValueError(f"hyperplane arrangement leaves {x} with no admissible cell")
-
-    def describe(self) -> str:
-        return f"hyperplanes(dim={self.dim}, levels={self.levels})"
-
-    def to_json(self) -> dict:
-        return {
-            "type": "hyperplane",
-            "dim": self.dim,
-            "levels": self.levels,
-            "hyperplanes": [
-                {"i": i, "j": j, "normal": list(normal), "offset": offset}
-                for (i, j), (normal, offset) in sorted(self.hyperplanes.items())
-            ],
         }
 
 
@@ -175,11 +101,17 @@ class FinitePartition:
     def classify(self, state) -> int:
         return self.assignment[int(state)]
 
+    @functools.cached_property
+    def membership(self) -> np.ndarray:
+        """(levels, n_states) 0/1 matrix; row m - 1 marks the states of cell m."""
+        cells = np.arange(1, self.levels + 1)[:, None]
+        out = (cells == np.asarray(self.assignment)).astype(float)
+        out.flags.writeable = False
+        return out
+
     def member_mask(self, m: int) -> np.ndarray:
         """Indicator vector over states of membership in cell m."""
-        if not 1 <= m <= self.levels:
-            raise ValueError(f"cell index {m} out of range 1..{self.levels}")
-        return (np.asarray(self.assignment) == m).astype(float)
+        return self.membership[_cell_slot(self, m)]
 
     def describe(self) -> str:
         return "assignment=" + "".join(str(v) for v in self.assignment)
@@ -192,56 +124,26 @@ class FinitePartition:
         }
 
 
-def interval_edges(quantizers) -> np.ndarray:
-    """Cell boundaries of interval quantizers as a (K, L + 1) array.
-
-    Row k is (-inf, thresholds of quantizer k, +inf), padded with +inf up
-    to the largest level count L, so padded cells are empty. Lists may
-    mix level counts.
-    """
-    levels = max(q.levels for q in quantizers)
-    edges = np.full((len(quantizers), levels + 1), math.inf)
-    edges[:, 0] = -math.inf
-    for k, q in enumerate(quantizers):
-        edges[k, 1 : q.levels] = q.thresholds
-    return edges
+def _cell_slot(quantizer, m: int) -> int:
+    """Row of cell m (1-based) in per-cell arrays; raises when out of range."""
+    if not 1 <= m <= quantizer.levels:
+        raise ValueError(f"cell index {m} out of range 1..{quantizer.levels}")
+    return m - 1
 
 
 def cell_masses(belief, quantizers) -> np.ndarray:
     """Belief mass of every cell of every quantizer, as a (K, L) array.
 
     L is the largest level count; entries past a quantizer's own levels
-    are 0. Grid beliefs take all masses from one prefix moment table
-    (see beliefs.cell_moments); simplex beliefs sum per cell.
+    are 0. All masses come from one belief.cell_moments call.
     """
-    if isinstance(belief, GridBelief):
-        moments, _ = cell_moments(belief, interval_edges(quantizers))
-        return moments[0]
-    if isinstance(belief, SimplexBelief):
-        out = np.zeros((len(quantizers), max(q.levels for q in quantizers)))
-        for k, q in enumerate(quantizers):
-            out[k, : q.levels] = [cell_mass(belief, q, m) for m in range(1, q.levels + 1)]
-        return out
-    raise TypeError(f"unsupported belief type {type(belief).__name__}")
+    (m0, _, _), _ = belief.cell_moments(quantizers)
+    return m0
 
 
 def cell_mass(belief, quantizer, m: int) -> float:
-    """Belief mass of cell m.
-
-    Grid beliefs integrate the piecewise-linear density over the cell
-    interval exactly (boundary segments are split, so thresholds between
-    nodes and on nodes are both handled without bias). Simplex beliefs
-    sum exactly.
-    """
-    if isinstance(belief, GridBelief):
-        moments, _ = cell_moments(belief, np.array(quantizer.cell_interval(m)))
-        return float(moments[0, 0])
-    if isinstance(belief, SimplexBelief):
-        mask = quantizer.member_mask(m)
-        if mask.shape != belief.probabilities.shape:
-            raise ValueError("partition and belief alphabet sizes differ")
-        return float(belief.probabilities @ mask)
-    raise TypeError(f"unsupported belief type {type(belief).__name__}")
+    """Belief mass of cell m: one entry of cell_masses."""
+    return float(cell_masses(belief, [quantizer])[0, _cell_slot(quantizer, m)])
 
 
 def enumerate_interval_candidates(levels: int, lo: float, hi: float, steps: int):
@@ -304,10 +206,4 @@ def quantizer_from_json(data: dict):
         return IntervalQuantizer(tuple(data["thresholds"]))
     if kind == "finite_partition":
         return FinitePartition(tuple(data["assignment"]), int(data["levels"]))
-    if kind == "hyperplane":
-        planes = {
-            (int(h["i"]), int(h["j"])): (np.asarray(h["normal"], dtype=float), float(h["offset"]))
-            for h in data["hyperplanes"]
-        }
-        return HyperplaneQuantizer(int(data["dim"]), int(data["levels"]), planes)
     raise ValueError(f"unknown quantizer type {kind!r}")

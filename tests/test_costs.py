@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zdq.beliefs import Grid, GridBelief, SimplexBelief, moment
+from zdq.beliefs import Grid, GridBelief, SimplexBelief, filter_update, moment
 from zdq.costs import CostModel, optimal_reconstruction, stage_cost
-from zdq.quantizers import FinitePartition, IntervalQuantizer
+from zdq.quantizers import FinitePartition, IntervalQuantizer, cell_masses
 
 
 def std_normal_belief():
@@ -126,3 +126,22 @@ def test_stage_cost_tabular_needs_simplex():
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(TypeError):
         stage_cost(b, IntervalQuantizer((0.0,)), tab)
+
+
+def test_alphabet_mismatch_raises_on_every_path(two_state_chain):
+    # a one-state partition would broadcast over a two-state belief
+    b = SimplexBelief(np.array([0.3, 0.7]))
+    short = FinitePartition((1,), 1)
+    tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
+    quad = CostModel.quadratic()
+    calls = [
+        lambda: stage_cost(b, short, tab),
+        lambda: optimal_reconstruction(b, short, 1, tab),
+        lambda: stage_cost(b, short, quad),
+        lambda: optimal_reconstruction(b, short, 1, quad),
+        lambda: cell_masses(b, [FinitePartition((1, 2), 2), short]),
+        lambda: filter_update(b, two_state_chain, short, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="alphabet sizes differ"):
+            call()

@@ -8,7 +8,6 @@ from zdq.dp import (
     NodeBudgetExceeded,
     bellman_residuals,
     exact_policy_value,
-    expected_continuation,
     greedy_policy_step,
     solve_finite_horizon,
 )
@@ -139,15 +138,6 @@ def test_memoization_reuses_repeated_beliefs():
     init = SimplexBelief(np.array([0.5, 0.5]), states=iid.state_values)
     res = solve_finite_horizon(init, iid, cands, QUAD, horizon=6)
     assert res.tree.nodes_evaluated == 7
-
-
-def test_expected_continuation():
-    b = SimplexBelief(np.array([0.4, 0.6]))
-    sep = FinitePartition((1, 2), 2)
-    val = expected_continuation(b, sep, {1: 10.0, 2: 20.0})
-    assert abs(val - (0.4 * 10.0 + 0.6 * 20.0)) < 1e-15
-    with pytest.raises(ValueError):
-        expected_continuation(b, sep, {1: 10.0})
 
 
 def test_greedy_policy_step(two_state_chain):

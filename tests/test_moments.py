@@ -1,10 +1,11 @@
-"""The batched prefix-table kernel against a per-cell reference loop.
+"""Each belief family's cell_moments against a per-cell reference loop.
 
-The reference integrates every cell on its own with the public
-window_weights, the way stage costs and cell masses were computed
-before the prefix table existed. The batched path must agree with it to
-1e-12 and pick the same quantizer, first in order on exact ties; only
-candidates tied to rounding may swap.
+The reference integrates every cell on its own: grid cells with the
+public window_weights, the way stage costs and cell masses were computed
+before the prefix table existed, and simplex cells with one member_mask
+row at a time. The batched path must agree with it to 1e-12 and pick
+the same quantizer, first in order on exact ties; only candidates tied
+to rounding may swap.
 """
 import numpy as np
 import pytest
@@ -12,25 +13,40 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zdq.dp
-from zdq.beliefs import Grid, GridBelief, default_grid, filter_update, window_weights
+from conftest import random_chain
+from zdq.beliefs import (
+    Grid,
+    GridBelief,
+    SimplexBelief,
+    default_grid,
+    filter_update,
+    window_weights,
+)
 from zdq.costs import CostModel, stage_cost, stage_costs
 from zdq.dp import greedy_policy_step, solve_finite_horizon
 from zdq.infinite import GreedyPolicy
 from zdq.quantizers import (
+    FinitePartition,
     IntervalQuantizer,
     cell_mass,
     cell_masses,
+    enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import LinearGaussianSource, invariant_distribution, sample_next
+from zdq.sources import FiniteChain, LinearGaussianSource, invariant_distribution, sample_next
 
 QUAD = CostModel.quadratic()
 TOL = 1e-12
 EPS_CELL = 1e-12
 
 
-def reference_cell(belief, lo, hi):
-    return [float(window_weights(belief.grid, lo, hi, k) @ belief.values) for k in range(3)]
+def reference_cell(belief, q, m):
+    """Raw moments of orders 0..2 of cell m, integrated on its own."""
+    if isinstance(belief, GridBelief):
+        lo, hi = q.cell_interval(m)
+        return [float(window_weights(belief.grid, lo, hi, k) @ belief.values) for k in range(3)]
+    r = belief.probabilities * q.member_mask(m)
+    return [float(r.sum()), float(r @ belief.states), float(r @ belief.states**2)]
 
 
 def reference_stage_costs(belief, quantizers, cost=QUAD):
@@ -39,7 +55,7 @@ def reference_stage_costs(belief, quantizers, cost=QUAD):
     for q in quantizers:
         total = 0.0
         for m in range(1, q.levels + 1):
-            m0, m1, m2 = reference_cell(belief, *q.cell_interval(m))
+            m0, m1, m2 = reference_cell(belief, q, m)
             if m0 > EPS_CELL:
                 total += max(m2 - m1 * m1 / m0, 0.0)
         out.append(total)
@@ -50,8 +66,27 @@ def reference_cell_masses(belief, quantizers):
     out = np.zeros((len(quantizers), max(q.levels for q in quantizers)))
     for k, q in enumerate(quantizers):
         for m in range(1, q.levels + 1):
-            out[k, m - 1] = reference_cell(belief, *q.cell_interval(m))[0]
+            out[k, m - 1] = reference_cell(belief, q, m)[0]
     return out
+
+
+def assert_matches_reference(belief, quantizers):
+    costs = stage_costs(belief, quantizers, QUAD)
+    ref_costs = reference_stage_costs(belief, quantizers)
+    assert np.max(np.abs(costs - ref_costs)) <= TOL
+    best, ref_best = int(np.argmin(costs)), int(np.argmin(ref_costs))
+    # a mathematical tie (say, mirror-image cuts of a symmetric density)
+    # is split by rounding, differently on the two paths
+    assert best == ref_best or abs(ref_costs[best] - ref_costs[ref_best]) <= TOL
+    masses = cell_masses(belief, quantizers)
+    assert masses.shape == (len(quantizers), max(q.levels for q in quantizers))
+    assert np.max(np.abs(masses - reference_cell_masses(belief, quantizers))) <= TOL
+    # the single-candidate entry points read the batched calls
+    q = quantizers[0]
+    assert stage_cost(belief, q, QUAD) == costs[0]
+    assert [cell_mass(belief, q, m) for m in range(1, q.levels + 1)] == (
+        masses[0, : q.levels].tolist()
+    )
 
 
 @st.composite
@@ -79,23 +114,55 @@ def beliefs_and_candidates(draw):
 @settings(max_examples=300, deadline=None)
 @given(beliefs_and_candidates())
 def test_batched_kernel_matches_reference_loop(case):
-    belief, quantizers = case
-    costs = stage_costs(belief, quantizers, QUAD)
-    ref_costs = reference_stage_costs(belief, quantizers)
-    assert np.max(np.abs(costs - ref_costs)) <= TOL
-    best, ref_best = int(np.argmin(costs)), int(np.argmin(ref_costs))
-    # a mathematical tie (say, mirror-image cuts of a symmetric density)
-    # is split by rounding, differently on the two paths
-    assert best == ref_best or abs(ref_costs[best] - ref_costs[ref_best]) <= TOL
-    masses = cell_masses(belief, quantizers)
-    assert masses.shape == (len(quantizers), max(q.levels for q in quantizers))
-    assert np.max(np.abs(masses - reference_cell_masses(belief, quantizers))) <= TOL
-    # the single-candidate entry points read the same table
-    q = quantizers[0]
-    assert stage_cost(belief, q, QUAD) == costs[0]
-    assert [cell_mass(belief, q, m) for m in range(1, q.levels + 1)] == (
-        masses[0, : q.levels].tolist()
+    assert_matches_reference(*case)
+
+
+@st.composite
+def simplex_beliefs_and_partitions(draw):
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(st.just(0.0), st.just(1e-300), st.floats(0.0, 10.0))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    assume(weights.sum() > 0.0)
+    states = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    belief = SimplexBelief(weights / weights.sum(), states=np.array(states))
+
+    @st.composite
+    def partition(draw):
+        levels = draw(st.integers(1, 4))
+        cells = st.integers(1, levels)
+        return FinitePartition(tuple(draw(st.lists(cells, min_size=n, max_size=n))), levels)
+
+    return belief, draw(st.lists(partition(), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_beliefs_and_partitions(), st.integers(1, 3), st.data())
+def test_simplex_cell_moments_match_reference_loop(case, n_columns, data):
+    belief, partitions = case
+    (m0, m1, m2), center = belief.cell_moments(partitions)
+    assert center == 0.0
+    for k, q in enumerate(partitions):
+        ref = np.array([reference_cell(belief, q, m) for m in range(1, q.levels + 1)])
+        got = np.stack([m0[k], m1[k], m2[k]], axis=1)
+        assert np.max(np.abs(got[: q.levels] - ref)) <= TOL
+        assert not got[q.levels :].any()
+    assert_matches_reference(belief, partitions)
+    # tabular costs keep the per-cell arithmetic, bit for bit
+    entry = st.floats(0.0, 10.0)
+    table = data.draw(
+        st.lists(st.lists(entry, min_size=n_columns, max_size=n_columns),
+                 min_size=belief.n_states, max_size=belief.n_states)
     )
+    tab = CostModel.bounded_tabular(table)
+    expected = []
+    for q in partitions:
+        total = 0.0
+        for m in range(1, q.levels + 1):
+            r = belief.probabilities * q.member_mask(m)
+            if float(r.sum()) > EPS_CELL:
+                total += float(np.min(r @ tab.table))
+        expected.append(total)
+    assert stage_costs(belief, partitions, tab).tolist() == expected
 
 
 def test_duplicate_candidates_pick_the_first():
@@ -124,22 +191,45 @@ def test_duplicate_candidates_pick_the_first():
 
 def _a4_instance():
     src = LinearGaussianSource(0.0, 1.0)
-    return src, invariant_distribution(src), enumerate_interval_candidates(2, -2.0, 2.0, 41)
+    return src, invariant_distribution(src), enumerate_interval_candidates(2, -2.0, 2.0, 41), 2
 
 
 def _a6_instance():
     src = LinearGaussianSource(0.5, 1.0)
     init = GridBelief.normal(default_grid(src, n_points=301), 0.0, src.stationary_std)
-    return src, init, enumerate_interval_candidates(2, -2.0, 2.0, 11)
+    return src, init, enumerate_interval_candidates(2, -2.0, 2.0, 11), 2
 
 
-@pytest.mark.parametrize("instance", [_a4_instance, _a6_instance], ids=["A4", "A6"])
+def _rollout_chain_instance():
+    # the design behind the rollout-chain benchmark workload
+    src = FiniteChain(
+        np.array([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]]),
+        np.array([0.334, 0.333, 0.333]),
+        np.array([-1.0, 0.0, 1.0]),
+    )
+    init = SimplexBelief(src.initial.copy(), states=src.state_values)
+    return src, init, enumerate_finite_partitions(3, 2), 3
+
+
+def _a2_instance():
+    # A2's sixth instance: three states, horizon 3
+    rng = np.random.default_rng(102)
+    src = [random_chain(rng, 2 + trial % 2) for trial in range(6)][-1]
+    init = SimplexBelief(src.initial.copy(), states=src.state_values)
+    return src, init, enumerate_finite_partitions(3, 2), 3
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_a4_instance, _a6_instance, _rollout_chain_instance, _a2_instance],
+    ids=["A4", "A6", "rollout-chain", "A2"],
+)
 def test_dp_choices_match_reference_loop(monkeypatch, instance):
-    src, init, cands = instance()
-    batched = solve_finite_horizon(init, src, cands, QUAD, horizon=2).tree
+    src, init, cands, horizon = instance()
+    batched = solve_finite_horizon(init, src, cands, QUAD, horizon).tree
     monkeypatch.setattr(zdq.dp, "stage_costs", reference_stage_costs)
     monkeypatch.setattr(zdq.dp, "cell_masses", reference_cell_masses)
-    reference = solve_finite_horizon(init, src, cands, QUAD, horizon=2).tree
+    reference = solve_finite_horizon(init, src, cands, QUAD, horizon).tree
     assert batched.nodes_evaluated == reference.nodes_evaluated
     assert [n.quantizer_id for n in batched.nodes] == [n.quantizer_id for n in reference.nodes]
     assert max(abs(a.value - b.value) for a, b in zip(batched.nodes, reference.nodes)) <= TOL

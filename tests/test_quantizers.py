@@ -6,7 +6,6 @@ import pytest
 from zdq.beliefs import Grid, GridBelief, SimplexBelief
 from zdq.quantizers import (
     FinitePartition,
-    HyperplaneQuantizer,
     IntervalQuantizer,
     cell_mass,
     enumerate_finite_partitions,
@@ -42,18 +41,6 @@ def test_interval_quantizer_cells():
     assert q.cell_interval(3) == (1.0, math.inf)
     with pytest.raises(ValueError):
         q.cell_interval(4)
-
-
-def test_hyperplane_tie_goes_to_lowest_cell():
-    # one hyperplane splitting R^2; a point on it is admissible for both
-    q = HyperplaneQuantizer(
-        dim=2,
-        levels=2,
-        hyperplanes={(1, 2): (np.array([1.0, 0.0]), 0.0)},
-    )
-    assert q.classify(np.array([-0.5, 0.3])) == 1
-    assert q.classify(np.array([0.5, -0.2])) == 2
-    assert q.classify(np.array([0.0, 9.9])) == 1
 
 
 def test_finite_partition_basics():
@@ -128,9 +115,6 @@ def test_json_roundtrip():
     for q in (
         IntervalQuantizer((-0.5, 1.5)),
         FinitePartition((1, 2, 2), 2),
-        HyperplaneQuantizer(
-            dim=2, levels=2, hyperplanes={(1, 2): (np.array([0.6, 0.8]), 0.1)}
-        ),
     ):
         q2 = quantizer_from_json(q.to_json())
         assert type(q2) is type(q)
