@@ -101,6 +101,20 @@ def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
     return int(np.argmin(column_costs))
 
 
+def _stage_costs_from(moments, belief, quantizers, cost: CostModel) -> np.ndarray:
+    """stage_costs, given belief.cell_moments(quantizers)[0] (read only under
+    quadratic cost)."""
+    if cost.kind == "quadratic":
+        m0, m1, m2 = moments
+        live = m0 > EPS_MASS
+        var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
+        return np.where(live, var, 0.0).sum(axis=1)
+    return np.array([
+        sum((float(np.min(c)) for c in _tabular_cells(belief, q, cost) if c is not None), 0.0)
+        for q in quantizers
+    ])
+
+
 def stage_costs(belief, quantizers, cost: CostModel) -> np.ndarray:
     """Stage cost of every quantizer at one belief, as a length-K array.
 
@@ -111,15 +125,18 @@ def stage_costs(belief, quantizers, cost: CostModel) -> np.ndarray:
     candidate comes from one belief.cell_moments call. np.argmin over
     the result keeps the first-candidate tie rule.
     """
-    if cost.kind == "quadratic":
-        (m0, m1, m2), _ = belief.cell_moments(quantizers)
-        live = m0 > EPS_MASS
-        var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
-        return np.where(live, var, 0.0).sum(axis=1)
-    return np.array([
-        sum((float(np.min(c)) for c in _tabular_cells(belief, q, cost) if c is not None), 0.0)
-        for q in quantizers
-    ])
+    moments = belief.cell_moments(quantizers)[0] if cost.kind == "quadratic" else None
+    return _stage_costs_from(moments, belief, quantizers, cost)
+
+
+def _stage_costs_and_masses(belief, quantizers, cost: CostModel):
+    """stage_costs and quantizers.cell_masses from one cell_moments call.
+
+    The numbers are those of the two public calls, bit for bit; a grid
+    belief builds its prefix table once instead of twice.
+    """
+    moments, _ = belief.cell_moments(quantizers)
+    return _stage_costs_from(moments, belief, quantizers, cost), moments[0]
 
 
 def stage_cost(belief, quantizer, cost: CostModel) -> float:

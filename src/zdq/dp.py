@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beliefs import filter_update
-from .costs import CostModel, stage_cost, stage_costs
+from .costs import CostModel, _stage_costs_and_masses, stage_cost, stage_costs
 from .quantizers import cell_masses
 
 __all__ = [
@@ -208,8 +208,8 @@ def solve_finite_horizon(
         terminal_next = t + 1 == horizon
         best_value = None
         best = None
-        stages = stage_costs(belief, candidates, cost).tolist()
-        masses = cell_masses(belief, candidates).tolist()
+        stages, masses = _stage_costs_and_masses(belief, candidates, cost)
+        stages, masses = stages.tolist(), masses.tolist()
         for qid, quantizer in enumerate(candidates):
             stage = stages[qid]
             continuation = 0.0

@@ -16,10 +16,15 @@ start the pieced policy re-applies the time-0 rule at the restart
 belief (beliefs are reset there), and inside a block it follows the
 solved tree along the observed symbols.
 
-Second, rollouts simulate any policy against sampled source paths with
-encoder and decoder tracking beliefs independently (asserted
-byte-identical each step, as they share symbols and, for randomized
-policies, the common randomness stream).
+Second, rollouts simulate any policy against sampled source paths.
+The policies here are Markov in the decoder's belief, so the next
+belief is a pure function of the belief, the quantizer and the symbol,
+and encoder and decoder hold the same belief: one belief is tracked per
+path. A memo local to one rollout call, capped at _MEMO_CAP entries and
+cleared when full, filters and reconstructs each distinct (belief,
+quantizer, symbol) once. The tests check the logged path against a
+decoder that rebuilds it from the symbols and the shared randomness
+alone.
 
 Third, discounted value iteration solves the stationary fixed point on
 a finite belief grid with nearest-neighbor lookups, and occupation
@@ -35,7 +40,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import EPS_MASS, GridBelief, SimplexBelief, default_grid, filter_update
-from .costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
+from .costs import (
+    CostModel,
+    _stage_costs_and_masses,
+    optimal_reconstruction,
+    stage_cost,
+    stage_costs,
+)
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
 from .quantizers import cell_masses
 from .sources import FiniteChain, LinearGaussianSource, sample_next
@@ -141,7 +152,7 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
 
 class Plan(NamedTuple):
     """Quantizer choice for one step; reset_belief, when set, replaces the
-    tracked belief at both encoder and decoder before encoding."""
+    tracked belief (encoder's and decoder's alike) before encoding."""
 
     quantizer_id: int
     quantizer: object
@@ -392,6 +403,13 @@ class RolloutResult:
     log: TrajectoryLog | None
 
 
+# Entries a rollout's transition memo holds before it is cleared. A grid
+# entry keeps a belief key and a next belief of n_points floats each,
+# about 13 KB at 801 nodes, so a grid rollout's memo stays near 4 MB;
+# chain rollouts have far fewer distinct transitions than this.
+_MEMO_CAP = 256
+
+
 def _default_initial_belief(model):
     if isinstance(model, FiniteChain):
         return SimplexBelief(model.initial.copy(), states=model.state_values)
@@ -410,6 +428,16 @@ def _realized_cost(model, cost: CostModel, x, u) -> float:
     return cost.pointwise(x, u)
 
 
+def _memoized(memo: dict, key, compute):
+    """memo[key], computed on a miss; the memo is cleared when it is full."""
+    hit = memo.get(key)
+    if hit is None:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        hit = memo[key] = compute()
+    return hit
+
+
 def rollout(
     policy,
     model,
@@ -424,13 +452,28 @@ def rollout(
 
     Per path, the initial state is drawn from initial_belief (default:
     the model's own initial law), and each step classifies the true
-    state, reconstructs from the decoder belief, pays the realized cost,
-    then filters. Encoder and decoder update their beliefs independently
-    from the shared symbol; a byte mismatch raises (belief
-    desynchronization). Randomness is split per path from the root seed,
-    so results do not depend on path order. The trajectory log covers
-    path 0 and stores the belief-feedback stage cost alongside the
-    realized cost average.
+    state, reconstructs from the belief, pays the realized cost, then
+    filters. Randomness is split per path from the root seed, so results
+    do not depend on path order. The trajectory log covers path 0 and
+    stores the belief-feedback stage cost alongside the realized cost
+    average.
+
+    Encoder and decoder hold the same belief: the next belief is a pure
+    function of the belief, the quantizer and the symbol, all of which
+    the decoder knows (for randomized policies the quantizer also
+    depends on the shared per-step variate). So one belief is tracked per
+    path, and a memo local to this call maps (belief.key(), quantizer,
+    symbol) to the reconstruction and the next belief, and, for the
+    logged path, (belief.key(), quantizer) to the stage cost, mean and
+    std. Each distinct transition is filtered once; the results are
+    those of fresh calls, bit for bit. The memo is cleared whenever it
+    reaches _MEMO_CAP entries. The tests rebuild the logged path with a
+    decoder that sees only the symbols and the shared seed, and check it
+    against the log bit for bit.
+
+    As in the dynamic program, key() identifies a belief only within
+    one grid or one set of state values, so the beliefs a rollout tracks
+    (initial_belief and the policy's reset beliefs) must share one.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -445,14 +488,14 @@ def rollout(
     path_costs = np.zeros(n_paths)
     cesaro = None
     log = None
+    memo = {}
 
     for p in range(n_paths):
         src_stream, shared_stream = (
             np.random.default_rng(s) for s in path_seeds[p].spawn(2)
         )
         x = initial_belief.sample(src_stream)
-        enc = initial_belief
-        dec = initial_belief
+        belief = initial_belief
         state = policy.begin()
         logging_this = log_path and p == 0
         if logging_this:
@@ -462,37 +505,37 @@ def rollout(
             }
             syms = np.zeros(horizon, dtype=int)
             qids = np.zeros(horizon, dtype=int)
-            probs = np.zeros((horizon, enc.n_states)) if finite else None
+            probs = np.zeros((horizon, belief.n_states)) if finite else None
             realized_steps = np.zeros(horizon)
         total = 0.0
         for t in range(horizon):
             r = float(shared_stream.uniform())
-            plan = policy.plan(state, t, enc, r)
+            plan = policy.plan(state, t, belief, r)
             if plan.reset_belief is not None:
-                enc = plan.reset_belief
-                dec = plan.reset_belief
+                belief = plan.reset_belief
             quantizer = plan.quantizer
             symbol = quantizer.classify(x)
-            u = optimal_reconstruction(dec, quantizer, symbol, cost)
+            key = belief.key()
+            u, next_belief = _memoized(memo, (key, quantizer, symbol), lambda: (
+                optimal_reconstruction(belief, quantizer, symbol, cost),
+                filter_update(belief, model, quantizer, symbol),
+            ))
             realized = _realized_cost(model, cost, x, u)
             total += realized
             if logging_this:
+                stats = _memoized(memo, (key, quantizer), lambda: (
+                    stage_cost(belief, quantizer, cost), belief.mean, belief.std
+                ))
                 cols["x"][t] = model.state_values[x] if finite else x
                 cols["u"][t] = u
-                cols["stage"][t] = stage_cost(enc, quantizer, cost)
-                cols["mean"][t] = enc.mean
-                cols["std"][t] = enc.std
+                cols["stage"][t], cols["mean"][t], cols["std"][t] = stats
                 syms[t] = symbol
                 qids[t] = plan.quantizer_id
                 realized_steps[t] = realized
                 if probs is not None:
-                    probs[t] = enc.probabilities
-            nxt = sample_next(model, x, src_stream)
-            new_enc = filter_update(enc, model, quantizer, symbol)
-            new_dec = filter_update(dec, model, quantizer, symbol)
-            if new_enc.key() != new_dec.key():
-                raise RuntimeError(f"belief desynchronization at step {t}")
-            enc, dec, x = new_enc, new_dec, nxt
+                    probs[t] = belief.probabilities
+            x = sample_next(model, x, src_stream)
+            belief = next_belief
             state = policy.advance(state, t, symbol)
         path_costs[p] = total / horizon
         if logging_this:
@@ -590,8 +633,8 @@ def discounted_value_iteration(
     masses = np.zeros((G, K, levels))
     succ = np.zeros((G, K, levels), dtype=int)
     for i, belief in enumerate(beliefs):
-        stage[i] = stage_costs(belief, candidates, cost)
-        belief_masses = cell_masses(belief, candidates).tolist()
+        stage[i], belief_masses = _stage_costs_and_masses(belief, candidates, cost)
+        belief_masses = belief_masses.tolist()
         for k, quantizer in enumerate(candidates):
             for m, mass in enumerate(belief_masses[k][: quantizer.levels], start=1):
                 if mass <= eps_prune:
@@ -646,6 +689,16 @@ class SimplexBinning:
         p0 = float(belief.probabilities[0])
         return min(int(p0 * self.n_bins), self.n_bins - 1)
 
+    def log_bins(self, log: "TrajectoryLog") -> np.ndarray:
+        """bin_of of every logged belief, as one integer array."""
+        if log.probabilities is None:
+            raise ValueError("simplex binning needs a log of simplex beliefs")
+        if log.probabilities.shape[1] != 2:
+            raise ValueError("simplex binning supports 2-state chains")
+        # p0 >= 0, so the cast truncates like int()
+        bins = (log.probabilities[:, 0] * self.n_bins).astype(np.int64)
+        return np.minimum(bins, self.n_bins - 1)
+
     def to_json(self) -> dict:
         return {"type": "simplex", "n_bins": self.n_bins}
 
@@ -682,6 +735,17 @@ class GridFeatureBinning:
     def bin_of(self, belief) -> int:
         i, j = self._coords(belief.mean, belief.std)
         return i * self.n_std + j
+
+    def log_bins(self, log: "TrajectoryLog") -> np.ndarray:
+        """The bin of every logged (mean, std) pair, as _coords gives it."""
+        mean, std = log.belief_mean, log.belief_std
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("logged belief features must be finite")
+        # int() then a clip to [0, n - 1] equals that clip then a cast
+        span = self.mean_hi - self.mean_lo
+        i = np.clip((mean - self.mean_lo) / span * self.n_mean, 0, self.n_mean - 1)
+        j = np.clip(std / self.std_hi * self.n_std, 0, self.n_std - 1)
+        return i.astype(np.int64) * self.n_std + j.astype(np.int64)
 
     def bin_center(self, bin_id: int):
         i, j = divmod(bin_id, self.n_std)
@@ -742,20 +806,18 @@ def occupation_measure(log: TrajectoryLog, binning) -> OccupationHistogram:
     steps = len(log.t)
     if steps == 0:
         raise ValueError("trajectory log is empty")
-    n_q = int(log.quantizer_id.max()) + 1
-    counts = np.zeros((binning.n_total, n_q), dtype=np.int64)
+    probs = log.probabilities
+    if probs is not None and not (
+        np.all(probs >= 0.0) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
+    ):
+        raise ValueError("logged beliefs must be probability vectors")
+    bins = binning.log_bins(log)
+    counts = np.zeros((binning.n_total, int(log.quantizer_id.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (bins, log.quantizer_id), 1)
     belief_sums = None
-    if log.probabilities is not None:
-        belief_sums = np.zeros((binning.n_total, log.probabilities.shape[1]))
-    for idx in range(steps):
-        if log.probabilities is not None:
-            belief = SimplexBelief(log.probabilities[idx])
-            b = binning.bin_of(belief)
-            belief_sums[b] += log.probabilities[idx]
-        else:
-            b_i, b_j = binning._coords(log.belief_mean[idx], log.belief_std[idx])
-            b = b_i * binning.n_std + b_j
-        counts[b, int(log.quantizer_id[idx])] += 1
+    if probs is not None:
+        belief_sums = np.zeros((binning.n_total, probs.shape[1]))
+        np.add.at(belief_sums, bins, probs)
     return OccupationHistogram(
         binning=binning,
         counts=counts,

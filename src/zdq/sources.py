@@ -9,6 +9,7 @@ the transition density and its slope.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,13 +71,15 @@ class LinearGaussianSource:
         return self.noise_std / math.sqrt(1.0 - self.a * self.a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteChain:
     """Finite-alphabet Markov chain.
 
     transition is row-stochastic: transition[i, j] = P(next = j | now = i).
     initial is the time-0 distribution. state_values are the real numbers
     the states stand for under quadratic cost; they default to 0..n-1.
+    The chain keeps a read-only copy of transition, so the cached row_cdf
+    cannot go stale.
     """
 
     transition: np.ndarray
@@ -84,12 +87,15 @@ class FiniteChain:
     state_values: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.initial = np.asarray(self.initial, dtype=float)
-        P = self.transition
+        P = np.array(self.transition, dtype=float)
+        P.flags.writeable = False
+        object.__setattr__(self, "transition", P)
+        object.__setattr__(self, "initial", np.asarray(self.initial, dtype=float))
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition must be square, got shape {P.shape}")
         n = P.shape[0]
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(self.initial))):
+            raise ValueError("transition and initial entries must be finite")
         if np.any(P < 0.0):
             raise ValueError("transition entries must be >= 0")
         row_sums = P.sum(axis=1)
@@ -104,9 +110,11 @@ class FiniteChain:
         if np.any(self.initial < 0.0) or abs(self.initial.sum() - 1.0) > 1e-12:
             raise ValueError("initial must be a probability vector")
         if self.state_values is None:
-            self.state_values = np.arange(n, dtype=float)
+            object.__setattr__(self, "state_values", np.arange(n, dtype=float))
         else:
-            self.state_values = np.asarray(self.state_values, dtype=float)
+            object.__setattr__(
+                self, "state_values", np.asarray(self.state_values, dtype=float)
+            )
             if self.state_values.shape != (n,):
                 raise ValueError(
                     f"state_values must have shape ({n},), "
@@ -121,6 +129,22 @@ class FiniteChain:
     def strictly_positive(self) -> bool:
         """True when every one-step transition has positive probability."""
         return bool(np.all(self.transition > 0.0))
+
+    @functools.cached_property
+    def row_cdf(self) -> np.ndarray:
+        """Per-row normalized cumulative sums, as Generator.choice builds them.
+
+        Row i is transition[i].cumsum() divided by its last entry, so a
+        search of one uniform variate in it is exactly
+        Generator.choice(n_states, p=transition[i]).
+        """
+        out = np.empty_like(self.transition)
+        for i, row in enumerate(self.transition):
+            cdf = row.cumsum()
+            cdf /= cdf[-1]
+            out[i] = cdf
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -149,13 +173,14 @@ def sample_next(model, x, rng: np.random.Generator):
 
     The draw consumes exactly one variate from rng, so sequences are
     reproducible given the seed stream position. For a FiniteChain, x is
-    the current state index and the return value is the next index.
+    the current state index and the return value is the next index, drawn
+    by the algorithm of Generator.choice(n_states, p=row) on the cached
+    row_cdf, so both consume and return the same.
     """
     if isinstance(model, LinearGaussianSource):
         return model.a * x + model.noise_std * rng.standard_normal()
     if isinstance(model, FiniteChain):
-        row = model.transition[int(x)]
-        return int(rng.choice(model.n_states, p=row))
+        return int(model.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

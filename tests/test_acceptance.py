@@ -244,12 +244,12 @@ def test_a7_rollout_consistency(capfd):
     )
     dt = time.perf_counter() - t0
     gap = abs(rr.mean_cost - res.value)
-    ok = gap <= 3.0 * rr.stderr and dt < 60.0
+    ok = gap <= 3.0 * rr.stderr and dt < 10.0
     report(
         capfd,
         f"A7: {'PASS' if ok else 'FAIL'} Monte Carlo vs dp value: "
         f"mc={rr.mean_cost:.6f}, dp={res.value:.6f}, |gap|={gap:.2e} <= "
-        f"3se={3 * rr.stderr:.2e} at 10^4 paths in {dt:.1f}s (budget 60s)",
+        f"3se={3 * rr.stderr:.2e} at 10^4 paths in {dt:.1f}s (budget 10s)",
     )
     assert ok
 
@@ -344,12 +344,12 @@ def test_a10_occupation_diagnostics(capfd):
         marginals.append(hist.counts.sum(axis=1) / hist.steps)
     tv = float(np.abs(marginals[0] - marginals[1]).sum())
     dt = time.perf_counter() - t0
-    ok = max(residuals) < 0.1 and tv < 0.05 and dt < 60.0
+    ok = max(residuals) < 0.1 and tv < 0.05 and dt < 20.0
     report(
         capfd,
         f"A10: {'PASS' if ok else 'FAIL'} occupation at 10^5 steps: invariance "
         f"residuals {residuals[0]:.4f}, {residuals[1]:.4f} (tol 0.1); two-seed "
-        f"TV={tv:.4f} (tol 0.05) in {dt:.1f}s (budget 60s)",
+        f"TV={tv:.4f} (tol 0.05) in {dt:.1f}s (budget 20s)",
     )
     assert ok
 

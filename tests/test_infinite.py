@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from zdq.beliefs import SimplexBelief
-from zdq.costs import CostModel, stage_cost
+import zdq.infinite
+from zdq.beliefs import SimplexBelief, default_grid, filter_update
+from zdq.costs import CostModel, optimal_reconstruction, stage_cost
 from zdq.dp import solve_finite_horizon
 from zdq.infinite import (
     DiscountedVINotConverged,
@@ -23,10 +26,11 @@ from zdq.infinite import (
 )
 from zdq.quantizers import (
     FinitePartition,
+    IntervalQuantizer,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import invariant_distribution
+from zdq.sources import FiniteChain, invariant_distribution, sample_next
 
 QUAD = CostModel.quadratic()
 TAB = CostModel.bounded_tabular([[0.2, 1.0], [1.0, 0.1]])
@@ -301,14 +305,260 @@ def test_invariance_residual_under_stationary_policy(two_state_chain):
     assert resid < 0.05
 
 
-def test_encoder_decoder_stay_synchronized(two_state_chain):
-    # randomized policy relies on shared randomness; rollout asserts the
-    # tracked beliefs stay byte-identical, so completing is the check
-    cands = enumerate_finite_partitions(2, 2)
-    table = np.tile([0.3, 0.7], (20, 1))
-    policy = RandomizedStationaryPolicy(SimplexBinning(20), table, cands)
-    rr = rollout(
-        policy, two_state_chain, QUAD, horizon=300, n_paths=2, seed=11,
-        initial_belief=invariant_distribution(two_state_chain),
+# ---------------------------------------------------------------------------
+# rollout against the per-step loop and a symbols-only decoder
+
+LOG_COLUMNS = ("t", "x", "symbol", "u", "stage", "belief_mean", "belief_std",
+               "quantizer_id", "probabilities")
+
+
+def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belief):
+    """The per-step loop rollout ran before its transition memo.
+
+    Encoder and decoder beliefs are filtered separately at every step,
+    and chain draws go through Generator.choice. Returns the path costs
+    and path 0's log columns.
+    """
+    finite = isinstance(model, FiniteChain)
+    path_seeds = np.random.SeedSequence(seed).spawn(n_paths)
+    path_costs = np.zeros(n_paths)
+    rows = []
+    for p in range(n_paths):
+        src_stream, shared_stream = (np.random.default_rng(s) for s in path_seeds[p].spawn(2))
+        x = initial_belief.sample(src_stream)
+        enc = dec = initial_belief
+        state = policy.begin()
+        total = 0.0
+        for t in range(horizon):
+            r = float(shared_stream.uniform())
+            plan = policy.plan(state, t, enc, r)
+            if plan.reset_belief is not None:
+                enc = dec = plan.reset_belief
+            quantizer = plan.quantizer
+            symbol = quantizer.classify(x)
+            u = optimal_reconstruction(dec, quantizer, symbol, cost)
+            value = model.state_values[x] if finite else x
+            total += cost.pointwise(value if cost.kind == "quadratic" else x, u)
+            if p == 0:
+                rows.append((t, value, symbol, u, stage_cost(enc, quantizer, cost), enc.mean,
+                             enc.std, plan.quantizer_id, enc.probabilities if finite else None))
+            if finite:
+                nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
+            else:
+                nxt = sample_next(model, x, src_stream)
+            enc = filter_update(enc, model, quantizer, symbol)
+            dec = filter_update(dec, model, quantizer, symbol)
+            x = nxt
+            state = policy.advance(state, t, symbol)
+        path_costs[p] = total / horizon
+    columns = {name: np.array(col) for name, col in zip(LOG_COLUMNS, zip(*rows))}
+    if not finite:
+        columns["probabilities"] = None
+    return path_costs, columns
+
+
+def _rollout_chain_case(three_state_chain, two_state_chain, ar_source):
+    # the rollout-chain benchmark workload, at 200 paths
+    chain = FiniteChain(
+        three_state_chain.transition, [0.334, 0.333, 0.333], three_state_chain.state_values
     )
-    assert np.isfinite(rr.mean_cost)
+    init = SimplexBelief(chain.initial.copy(), states=chain.state_values)
+    tree = solve_finite_horizon(init, chain, enumerate_finite_partitions(3, 2), QUAD, 3).tree
+    return TreeReplayPolicy(tree), chain, QUAD, 12, 200, 0, init
+
+
+def _randomized_case(three_state_chain, two_state_chain, ar_source):
+    table = np.tile([0.3, 0.7], (20, 1))
+    policy = RandomizedStationaryPolicy(
+        SimplexBinning(20), table, enumerate_finite_partitions(2, 2)
+    )
+    init = invariant_distribution(two_state_chain)
+    return policy, two_state_chain, TAB, 300, 3, 11, init
+
+
+def _fixed_grid_past_cap_case(three_state_chain, two_state_chain, ar_source):
+    policy = FixedQuantizerPolicy(IntervalQuantizer((0.0,)))
+    init = invariant_distribution(ar_source)
+    return policy, ar_source, QUAD, zdq.infinite._MEMO_CAP + 44, 1, 12, init
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_rollout_chain_case, _randomized_case, _fixed_grid_past_cap_case],
+    ids=["rollout-chain", "randomized", "ar1-fixed-past-cap"],
+)
+def test_rollout_matches_reference_loop(
+    monkeypatch, case, three_state_chain, two_state_chain, ar_source
+):
+    policy, model, cost, horizon, n_paths, seed, init = case(
+        three_state_chain, two_state_chain, ar_source
+    )
+    ref_costs, ref_log = reference_rollout(policy, model, cost, horizon, n_paths, seed, init)
+    filtered = []
+
+    def counting_filter(*args):
+        filtered.append(args)
+        return filter_update(*args)
+
+    monkeypatch.setattr(zdq.infinite, "filter_update", counting_filter)
+    rr = rollout(policy, model, cost, horizon, n_paths, seed, initial_belief=init)
+    assert np.array_equal(rr.path_costs, ref_costs)
+    for name in LOG_COLUMNS:
+        got = getattr(rr.log, name)
+        if ref_log[name] is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, ref_log[name]), name
+    if isinstance(model, FiniteChain):
+        # each distinct transition is filtered once
+        assert len(filtered) <= 100 < horizon * n_paths
+    else:
+        # grid beliefs do not repeat: the memo reached its cap and was cleared
+        assert len(filtered) > zdq.infinite._MEMO_CAP
+
+
+def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief):
+    """A decoder that never sees the source: it rebuilds path 0's beliefs
+    from the logged symbols and the path's shared randomness, re-plans
+    with the policy, applies resets, and filters and reconstructs with
+    fresh calls."""
+    path_seed = np.random.SeedSequence(seed).spawn(n_paths)[0]
+    shared = np.random.default_rng(path_seed.spawn(2)[1])
+    belief, state = initial_belief, policy.begin()
+    out = {"quantizer_id": [], "u": [], "belief_mean": [], "probabilities": []}
+    for t, symbol in enumerate(log.symbol.tolist()):
+        plan = policy.plan(state, t, belief, float(shared.uniform()))
+        if plan.reset_belief is not None:
+            belief = plan.reset_belief
+        out["quantizer_id"].append(plan.quantizer_id)
+        out["u"].append(optimal_reconstruction(belief, plan.quantizer, symbol, cost))
+        out["belief_mean"].append(belief.mean)
+        out["probabilities"].append(getattr(belief, "probabilities", None))
+        belief = filter_update(belief, model, plan.quantizer, symbol)
+        state = policy.advance(state, t, symbol)
+    return out
+
+
+def test_encoder_decoder_stay_synchronized(three_state_chain, two_state_chain, ar_source):
+    chain_cands = enumerate_finite_partitions(3, 2)
+    chain_init = invariant_distribution(three_state_chain)
+    tree2 = solve_finite_horizon(chain_init, three_state_chain, chain_cands, QUAD, 2).tree
+    sched = piecing_schedule([2, 4, 8], 2)
+    pieced = build_pieced_policy(
+        [solve_finite_horizon(chain_init, three_state_chain, chain_cands, QUAD, T).tree
+         for T in sched.horizons],
+        sched,
+    )
+    randomized = RandomizedStationaryPolicy(
+        SimplexBinning(20), np.tile([0.3, 0.7], (20, 1)), enumerate_finite_partitions(2, 2)
+    )
+    greedy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD)
+    cases = [
+        # tree replay resets to the root belief every 2 steps
+        (TreeReplayPolicy(tree2), three_state_chain, QUAD, 9, 3, 5, chain_init),
+        (pieced, three_state_chain, QUAD, 30, 2, 2, chain_init),
+        (randomized, two_state_chain, QUAD, 300, 2, 11, invariant_distribution(two_state_chain)),
+        (greedy, ar_source, QUAD, 30, 2, 8, invariant_distribution(ar_source)),
+    ]
+    logs = []
+    for policy, model, cost, horizon, n_paths, seed, init in cases:
+        log = rollout(policy, model, cost, horizon, n_paths, seed, initial_belief=init).log
+        decoded = decode_from_symbols(policy, model, cost, log, seed, n_paths, init)
+        for name in ("quantizer_id", "u", "belief_mean"):
+            assert np.array_equal(decoded[name], getattr(log, name)), name
+        if log.probabilities is None:
+            assert all(p is None for p in decoded["probabilities"])
+        else:
+            assert np.array_equal(np.stack(decoded["probabilities"]), log.probabilities)
+        logs.append(log)
+    # the shared variate really mixes the randomized policy's quantizers
+    assert set(logs[2].quantizer_id.tolist()) == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# occupation measure against the per-step loop
+
+
+def reference_occupation(log, binning):
+    """The per-step loop occupation_measure ran before it was vectorized."""
+    counts = np.zeros((binning.n_total, int(log.quantizer_id.max()) + 1), dtype=np.int64)
+    belief_sums = None
+    if log.probabilities is not None:
+        belief_sums = np.zeros((binning.n_total, log.probabilities.shape[1]))
+    for idx in range(len(log.t)):
+        if log.probabilities is not None:
+            b = binning.bin_of(SimplexBelief(log.probabilities[idx]))
+            belief_sums[b] += log.probabilities[idx]
+        else:
+            b_i, b_j = binning._coords(log.belief_mean[idx], log.belief_std[idx])
+            b = b_i * binning.n_std + b_j
+        counts[b, int(log.quantizer_id[idx])] += 1
+    return counts, belief_sums
+
+
+def test_occupation_measure_matches_reference_loop(two_state_chain, ar_source):
+    chain_log = rollout(
+        RandomizedStationaryPolicy(
+            SimplexBinning(20), np.tile([0.4, 0.6], (20, 1)), enumerate_finite_partitions(2, 2)
+        ),
+        two_state_chain, QUAD, 400, 1, 3,
+        initial_belief=invariant_distribution(two_state_chain),
+    ).log
+    probs = chain_log.probabilities.copy()
+    probs[:3] = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]  # both edges and a bin boundary
+    chain_log = dataclasses.replace(chain_log, probabilities=probs)
+    grid = default_grid(ar_source)
+    grid_log = rollout(
+        GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD),
+        ar_source, QUAD, 60, 1, 4, initial_belief=invariant_distribution(ar_source),
+    ).log
+    mean, std = grid_log.belief_mean.copy(), grid_log.belief_std.copy()
+    # means and stds outside the binned range, on its edges, and negative
+    mean[:6] = [grid.lo - 50.0, grid.hi + 50.0, grid.lo, grid.hi, -1e300, 1e300]
+    std[:6] = [0.0, 1e300, 0.5 * (grid.hi - grid.lo), 100.0, 1e-300, 3.0]
+    grid_log = dataclasses.replace(grid_log, belief_mean=mean, belief_std=std)
+    for log, binning in (
+        (chain_log, SimplexBinning(50)),
+        (chain_log, SimplexBinning(7)),
+        (grid_log, GridFeatureBinning.for_grid(grid)),
+        (grid_log, GridFeatureBinning.for_grid(grid, n_mean=13, n_std=3)),
+    ):
+        hist = occupation_measure(log, binning)
+        counts, belief_sums = reference_occupation(log, binning)
+        assert hist.counts.dtype == counts.dtype
+        assert np.array_equal(hist.counts, counts)
+        if belief_sums is None:
+            assert hist.belief_sums is None
+        else:
+            assert np.array_equal(hist.belief_sums, belief_sums)
+        assert hist.steps == len(log.t)
+        assert hist.mean_stage_cost == float(log.stage.mean())
+
+
+def test_occupation_measure_rejects_bad_logs(two_state_chain, three_state_chain, ar_source):
+    log = rollout(
+        FixedQuantizerPolicy(FinitePartition((1, 2), 2)), two_state_chain, QUAD, 20, 1, 1
+    ).log
+    for bad in ([0.7, 0.7], [1.2, -0.2], [np.nan, 0.5]):
+        probs = log.probabilities.copy()
+        probs[5] = bad
+        with pytest.raises(ValueError):
+            occupation_measure(dataclasses.replace(log, probabilities=probs), SimplexBinning(10))
+    three = rollout(
+        FixedQuantizerPolicy(FinitePartition((1, 2, 2), 2)), three_state_chain, QUAD, 5, 1, 1
+    ).log
+    with pytest.raises(ValueError):
+        occupation_measure(three, SimplexBinning(10))
+    grid_log = rollout(
+        FixedQuantizerPolicy(IntervalQuantizer((0.0,))), ar_source, QUAD, 5, 1, 1,
+        initial_belief=invariant_distribution(ar_source),
+    ).log
+    with pytest.raises(ValueError):
+        occupation_measure(grid_log, SimplexBinning(10))
+    mean = grid_log.belief_mean.copy()
+    mean[2] = np.nan
+    with pytest.raises(ValueError):
+        occupation_measure(
+            dataclasses.replace(grid_log, belief_mean=mean),
+            GridFeatureBinning.for_grid(default_grid(ar_source)),
+        )

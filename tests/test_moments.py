@@ -22,7 +22,7 @@ from zdq.beliefs import (
     filter_update,
     window_weights,
 )
-from zdq.costs import CostModel, stage_cost, stage_costs
+from zdq.costs import CostModel, _stage_costs_and_masses, stage_cost, stage_costs
 from zdq.dp import greedy_policy_step, solve_finite_horizon
 from zdq.infinite import GreedyPolicy
 from zdq.quantizers import (
@@ -81,6 +81,9 @@ def assert_matches_reference(belief, quantizers):
     masses = cell_masses(belief, quantizers)
     assert masses.shape == (len(quantizers), max(q.levels for q in quantizers))
     assert np.max(np.abs(masses - reference_cell_masses(belief, quantizers))) <= TOL
+    # the DP's one-call helper gives both, bit for bit
+    both = _stage_costs_and_masses(belief, quantizers, QUAD)
+    assert np.array_equal(both[0], costs) and np.array_equal(both[1], masses)
     # the single-candidate entry points read the batched calls
     q = quantizers[0]
     assert stage_cost(belief, q, QUAD) == costs[0]
@@ -163,6 +166,7 @@ def test_simplex_cell_moments_match_reference_loop(case, n_columns, data):
                 total += float(np.min(r @ tab.table))
         expected.append(total)
     assert stage_costs(belief, partitions, tab).tolist() == expected
+    assert _stage_costs_and_masses(belief, partitions, tab)[0].tolist() == expected
 
 
 def test_duplicate_candidates_pick_the_first():
@@ -227,8 +231,14 @@ def _a2_instance():
 def test_dp_choices_match_reference_loop(monkeypatch, instance):
     src, init, cands, horizon = instance()
     batched = solve_finite_horizon(init, src, cands, QUAD, horizon).tree
-    monkeypatch.setattr(zdq.dp, "stage_costs", reference_stage_costs)
-    monkeypatch.setattr(zdq.dp, "cell_masses", reference_cell_masses)
+    monkeypatch.setattr(
+        zdq.dp,
+        "_stage_costs_and_masses",
+        lambda belief, cands, cost: (
+            reference_stage_costs(belief, cands, cost),
+            reference_cell_masses(belief, cands),
+        ),
+    )
     reference = solve_finite_horizon(init, src, cands, QUAD, horizon).tree
     assert batched.nodes_evaluated == reference.nodes_evaluated
     assert [n.quantizer_id for n in batched.nodes] == [n.quantizer_id for n in reference.nodes]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zdq.beliefs import GridBelief
 from zdq.sources import (
@@ -65,6 +67,46 @@ def test_chain_validation():
             np.array([0.5, 0.5]),
             np.array([1.0, 2.0, 3.0]),
         )
+    with pytest.raises(ValueError):
+        FiniteChain(np.array([[math.nan, 0.5], [0.2, 0.8]]), np.array([0.5, 0.5]))
+
+
+def test_chain_keeps_a_read_only_transition_copy():
+    P = np.array([[0.9, 0.1], [0.2, 0.8]])
+    chain = FiniteChain(P, np.array([0.5, 0.5]))
+    cdf = chain.row_cdf
+    P[0] = [0.1, 0.9]
+    assert chain.transition[0, 0] == 0.9
+    with pytest.raises(ValueError):
+        chain.transition[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        cdf[0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        chain.transition = P
+    assert np.array_equal(chain.row_cdf, [[0.9, 1.0], [0.2, 1.0]])
+
+
+@st.composite
+def row_stochastic(draw):
+    n = draw(st.integers(2, 5))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    rows = np.array(draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(np.all(rows.sum(axis=1) > 0.0))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_stochastic(), st.integers(0, 2**32 - 1))
+def test_sample_next_finite_matches_generator_choice(P, seed):
+    chain = FiniteChain(P, np.full(len(P), 1.0 / len(P)))
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = y = 0
+    for _ in range(10_000):
+        x = sample_next(chain, x, fast)
+        y = int(ref.choice(len(P), p=P[y]))
+        assert x == y
+    # both consumed the same variates
+    assert fast.random() == ref.random()
 
 
 def test_chain_defaults(two_state_chain):
