@@ -392,22 +392,20 @@ def validate_config(cfg: dict, task: str | None = None) -> dict:
 
 def build_source(cfg: dict):
     spec = cfg["source"]
-    if spec["type"] == "gaussian":
-        return LinearGaussianSource(
-            a=spec["a"],
-            noise_std=spec["noise_std"],
-            init_mean=spec.get("init_mean", 0.0),
-            init_std=spec.get("init_std", 1.0),
-        )
-    return FiniteChain(
-        transition=np.asarray(spec["transition"], dtype=float),
-        initial=np.asarray(spec["initial"], dtype=float),
-        state_values=(
-            np.asarray(spec["state_values"], dtype=float)
-            if "state_values" in spec
-            else None
-        ),
-    )
+    fields = {key: value for key, value in spec.items() if key != "type"}
+    if spec["type"] == "chain":
+        for key, value in fields.items():
+            try:
+                fields[key] = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"source.{key}", "expected a numeric array") from None
+    try:
+        if spec["type"] == "gaussian":
+            return LinearGaussianSource(**fields)
+        return FiniteChain(**fields)
+    except ValueError as e:
+        # the sources' messages start with the name of the field at fault
+        raise ConfigError(f"source.{str(e).split()[0]}", str(e)) from None
 
 
 def build_cost(cfg: dict) -> CostModel:
@@ -419,6 +417,10 @@ def build_cost(cfg: dict) -> CostModel:
 
 def build_grid(cfg: dict, model):
     spec = cfg.get("grid", {})
+    if abs(model.a) >= 1.0:
+        raise ConfigError(
+            "source.a", f"|a| = {abs(model.a)} >= 1: no stationary law for the grid to span"
+        )
     return default_grid(
         model,
         n_points=spec.get("n_points", DEFAULT_GRID_POINTS),
@@ -469,7 +471,10 @@ def build_initial_belief(cfg: dict, model):
                 "initial_belief.probabilities",
                 f"expected {model.n_states} entries, got {probs.shape}",
             )
-        return SimplexBelief(probs, states=model.state_values)
+        try:
+            return SimplexBelief(probs, states=model.state_values)
+        except ValueError as e:
+            raise ConfigError("initial_belief.probabilities", str(e)) from None
     grid = build_grid(cfg, model)
     if spec == "invariant":
         return invariant_distribution(model, grid)

@@ -3,7 +3,7 @@
 The design problem is a fully observed control problem whose state is
 the belief: each stage picks a quantizer from a candidate set, pays the
 per-stage distortion (normalized by the horizon), and the belief moves
-to the symbol-conditional posterior. The solver expands the
+to the symbol-conditional posterior. The solver searches the
 forward-reachable belief tree from the initial belief and computes
 
     J_T(belief) = 0
@@ -15,16 +15,61 @@ with branches of mass <= eps_prune skipped (they contribute 0 and their
 mass is reported). Ties pick the first candidate in enumeration order.
 Repeated beliefs are shared by exact byte equality of the belief vector;
 no tolerance-based merging is done.
+
+The search is an exact branch and bound. Every belief after the first
+stage is a convex combination of prediction columns: the transition
+rows of a chain, or the transition-kernel columns of a linear-Gaussian
+source normalized to integral 1. For a fixed quantizer the stage cost is
+a sum over cells of a minimum of linear functionals of the belief
+(quadratic: the mass-weighted conditional variance, min over u of
+m2 - 2 u m1 + u^2 m0; tabular: the least restricted column cost), so it
+is concave, and so is its minimum over the candidates. Its least value
+over the combinations therefore sits at a column, and that least value,
+the floor, bounds the stage cost of every later stage from below
+(Smallwood & Sondik 1973 use the same concavity for partially observed
+control). At a node at stage t < horizon - 1 the candidates are visited
+in stable order of stage cost, and the loop stops at the first one with
+
+    stage / horizon + (horizon - t - 1) * floor_share
+        > best value so far + PRUNE_MARGIN * max(best value, 1)
+
+because no later candidate can then reach the best value. floor_share is
+floor / horizon times 1 - horizon * levels * eps_prune: a node drops at
+most levels * eps_prune of its mass to eps_prune, so this much survives
+along every path for any eps_prune. PRUNE_MARGIN covers the rest:
+rounding in the floor (about 1e-16 relative), and the EPS_MASS rule,
+which counts a cell of mass <= EPS_MASS as 0 and so may lower a later
+stage cost below the concave bound by at most EPS_MASS times the cell's
+conditional variance (EPS_MASS * diameter^2 / 4 of the support, or the
+largest table entry) per cell; with EPS_MASS = 1e-12 that is covered up
+to levels * diameter^2 / 4 of about 10^6 times max(best value, 1).
+Pruned candidates could not have won, so the value of every node, and
+the chosen quantizer under the tie rule, are those of the exhaustive
+search bit for bit. At t = horizon - 1 the continuation is 0 and the
+choice is the first argmin of the batched stage costs.
+
+The search keeps the branches of every node it expands. The returned
+tree holds only the subtree the chosen policy reaches, and leaf beliefs
+are built for that subtree alone. nodes_evaluated counts every expanded
+node, leaves included, and candidates_pruned the candidates the bound
+skipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beliefs import filter_update
-from .costs import CostModel, _stage_costs_and_masses, stage_cost, stage_costs
+from .beliefs import GridBelief, SimplexBelief, column_cell_moments, filter_update
+from .costs import (
+    CostModel,
+    _stage_costs_and_masses,
+    _stage_costs_from,
+    stage_cost,
+    stage_costs,
+)
 from .quantizers import cell_masses
+from .sources import FiniteChain, LinearGaussianSource
 
 __all__ = [
     "PolicyNode",
@@ -39,6 +84,7 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_EPS_PRUNE = 1e-9
+PRUNE_MARGIN = 1e-6
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -82,14 +128,13 @@ class PolicyTree:
     root: int = 0
     max_discarded_mass: float = 0.0
     nodes_evaluated: int = 0
+    candidates_pruned: int = 0
 
     @property
     def value(self) -> float:
         return self.nodes[self.root].value
 
     def to_json(self, include_belief_values: bool = False) -> dict:
-        from .beliefs import GridBelief, SimplexBelief
-
         out_nodes = []
         for node in self.nodes:
             belief = node.belief
@@ -175,10 +220,12 @@ def solve_finite_horizon(
     """Optimal expected average distortion over the horizon, with its policy.
 
     candidates is the ordered quantizer set searched at every belief
-    node. The returned tree records the chosen quantizer, node value,
-    stage cost, and symbol branches (with probabilities) at every
-    reachable belief; values satisfy the recursion in the module
-    docstring to floating-point accuracy.
+    node. The search prunes candidates by the stage-cost floor (module
+    docstring). The returned tree holds the beliefs the chosen policy
+    reaches, with the chosen quantizer, node value, stage cost and
+    symbol branches (with probabilities) at each; values satisfy the
+    recursion in the module docstring to floating-point accuracy.
+    nodes_evaluated counts every belief node the search expanded.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -187,65 +234,102 @@ def solve_finite_horizon(
         raise ValueError("candidate set must be nonempty")
     _require_density_model(model)
 
-    nodes: list[PolicyNode] = []
+    if horizon > 1:
+        # every later stage pays at least the floor on the mass that no
+        # eps_prune drop removed; a node drops at most levels * eps_prune
+        levels = max(q.levels for q in candidates)
+        surviving = max(0.0, 1.0 - horizon * levels * eps_prune)
+        stage_floor = _stage_floor(initial_belief, model, candidates, cost) * surviving / horizon
+    searched: list[PolicyNode] = []
     memo: dict = {}
-    state = {"evals": 0}
+    state = {"evals": 0, "pruned": 0}
 
-    def solve(belief, t: int) -> int:
+    def expand() -> None:
+        state["evals"] += 1
+        if state["evals"] > node_budget:
+            raise _BudgetSentinel(state["evals"])
+
+    def search(belief, t: int) -> int:
+        # nodes at t < horizon; leaves are built on the policy path only
         key = (t, belief.key())
         hit = memo.get(key)
         if hit is not None:
             return hit
-        state["evals"] += 1
-        if state["evals"] > node_budget:
-            raise _BudgetSentinel(state["evals"])
-        node_id = len(nodes)
-        node = PolicyNode(node_id, t, belief, None, None, 0.0, 0.0)
-        nodes.append(node)
-        memo[key] = node_id
-        if t == horizon:
-            return node_id
-        terminal_next = t + 1 == horizon
-        best_value = None
-        best = None
+        expand()
+        node = PolicyNode(len(searched), t, belief, None, None, 0.0, 0.0)
+        searched.append(node)
+        memo[key] = node.node_id
         stages, masses = _stage_costs_and_masses(belief, candidates, cost)
-        stages, masses = stages.tolist(), masses.tolist()
-        for qid, quantizer in enumerate(candidates):
-            stage = stages[qid]
-            continuation = 0.0
-            children = {}
-            for m, mass in enumerate(masses[qid][: quantizer.levels], start=1):
-                if mass <= eps_prune:
-                    continue
-                if terminal_next:
-                    # leaves have value 0; defer materializing them until
-                    # the winning candidate is known
-                    children[m] = (mass, None)
-                else:
-                    child_id = solve(
-                        filter_update(belief, model, quantizer, m), t + 1
-                    )
-                    children[m] = (mass, child_id)
-                    continuation += mass * nodes[child_id].value
-            value = stage / horizon + continuation
-            if best_value is None or value < best_value:
-                best_value = value
-                best = (qid, quantizer, stage, children)
-        qid, quantizer, stage, children = best
-        if terminal_next:
-            children = {
-                m: (mass, solve(filter_update(belief, model, quantizer, m), t + 1))
-                for m, (mass, _) in children.items()
+        if t + 1 == horizon:
+            # leaves have value 0, so the value is the stage share alone
+            values = stages / horizon
+            qid = int(np.argmin(values))
+            node.value = float(values[qid])
+            node.children = {
+                m: (mass, None)
+                for m, mass in enumerate(masses[qid][: candidates[qid].levels].tolist(), 1)
+                if mass > eps_prune
             }
+        else:
+            future = (horizon - t - 1) * stage_floor
+            stages_list, masses = stages.tolist(), masses.tolist()
+            order = sorted(range(len(candidates)), key=stages_list.__getitem__)
+            qid = None
+            for rank, k in enumerate(order):
+                stage = stages_list[k]
+                if qid is not None and (
+                    stage / horizon + future
+                    > node.value + PRUNE_MARGIN * max(node.value, 1.0)
+                ):
+                    state["pruned"] += len(order) - rank
+                    break
+                quantizer = candidates[k]
+                continuation = 0.0
+                children = {}
+                for m, mass in enumerate(masses[k][: quantizer.levels], start=1):
+                    if mass <= eps_prune:
+                        continue
+                    child_id = search(filter_update(belief, model, quantizer, m), t + 1)
+                    children[m] = (mass, child_id)
+                    continuation += mass * searched[child_id].value
+                value = stage / horizon + continuation
+                # first in enumeration order among equal values
+                if qid is None or value < node.value or (value == node.value and k < qid):
+                    qid, node.value, node.children = k, value, children
         node.quantizer_id = qid
-        node.quantizer = quantizer
-        node.value = best_value
-        node.stage = stage
-        node.children = children
-        return node_id
+        node.quantizer = candidates[qid]
+        node.stage = float(stages[qid])
+        return node.node_id
+
+    nodes: list[PolicyNode] = []
+    emitted: dict = {}
+
+    def emit(node: PolicyNode) -> int:
+        # copy the policy subtree of the search into nodes, sharing
+        # repeated beliefs the way the search did
+        key = (node.t, node.belief.key())
+        hit = emitted.get(key)
+        if hit is not None:
+            return hit
+        out = replace(node, node_id=len(nodes), children={})
+        nodes.append(out)
+        emitted[key] = out.node_id
+        for m, (mass, child_id) in node.children.items():
+            if child_id is None:
+                leaf = filter_update(node.belief, model, node.quantizer, m)
+                child = emitted.get((horizon, leaf.key()))
+                if child is None:
+                    expand()
+                    child = len(nodes)
+                    nodes.append(PolicyNode(child, horizon, leaf, None, None, 0.0, 0.0))
+                    emitted[(horizon, leaf.key())] = child
+            else:
+                child = emit(searched[child_id])
+            out.children[m] = (mass, child)
+        return out.node_id
 
     try:
-        root = solve(initial_belief, 0)
+        root = emit(searched[search(initial_belief, 0)])
     except _BudgetSentinel as exc:
         bound = exact_policy_value(
             initial_belief,
@@ -268,8 +352,34 @@ def solve_finite_horizon(
         root=root,
         max_discarded_mass=discarded,
         nodes_evaluated=state["evals"],
+        candidates_pruned=state["pruned"],
     )
     return DPResult(value=tree.value, tree=tree)
+
+
+def _stage_floor(belief, model, candidates, cost: CostModel) -> float:
+    """Least stage cost of any candidate at any belief one filter step yields.
+
+    Such a belief is a convex combination of prediction columns: the
+    transition rows of a chain, or the kernel columns of a linear-Gaussian
+    source, each normalized to trapezoid integral 1. For one quantizer
+    the stage cost is concave in the belief, so its least value over
+    those combinations sits at a column. The grid columns are read in one
+    batch from their cumulative cell moments (beliefs.column_cell_moments).
+    """
+    if isinstance(belief, SimplexBelief) and isinstance(model, FiniteChain):
+        return min(
+            float(stage_costs(SimplexBelief(row, states=belief.states), candidates, cost).min())
+            for row in model.transition
+        )
+    if isinstance(belief, GridBelief) and isinstance(model, LinearGaussianSource):
+        return min(
+            float(_stage_costs_from(moments, None, candidates, cost).min())
+            for moments in column_cell_moments(model, belief.grid, candidates)
+        )
+    raise TypeError(
+        f"no filter for a {type(belief).__name__} under a {type(model).__name__}"
+    )
 
 
 def greedy_policy_step(belief, candidates, cost: CostModel):

@@ -94,8 +94,10 @@ class FiniteChain:
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition must be square, got shape {P.shape}")
         n = P.shape[0]
-        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(self.initial))):
-            raise ValueError("transition and initial entries must be finite")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("transition entries must be finite")
+        if not np.all(np.isfinite(self.initial)):
+            raise ValueError("initial entries must be finite")
         if np.any(P < 0.0):
             raise ValueError("transition entries must be >= 0")
         row_sums = P.sum(axis=1)

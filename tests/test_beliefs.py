@@ -138,6 +138,23 @@ def test_simplex_belief_validation_and_stats():
         SimplexBelief(np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize(
+    "probabilities",
+    [[math.nan, 0.5], [math.nan, math.nan], [math.inf, 0.0], [0.5, 0.5, -math.inf]],
+)
+def test_simplex_belief_rejects_non_finite(probabilities):
+    with pytest.raises(ValueError, match="finite"):
+        SimplexBelief(np.array(probabilities))
+
+
+def test_grid_belief_rejects_non_finite():
+    g = Grid(-1.0, 1.0, 5)
+    values = np.full(g.n_points, 0.5)
+    values[2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        GridBelief(g, values)
+
+
 def test_simplex_belief_sampling():
     b = SimplexBelief(np.array([0.3, 0.7]))
     rng = np.random.default_rng(6)

@@ -219,9 +219,62 @@ def test_design_task(tmp_path):
     assert results["status"] == "ok"
     assert results["value"] > 0.0
     assert results["bellman_residual_max"] < 1e-9
+    # four partitions at every expanded node, some of them pruned
+    assert 0 < results["candidates_pruned"] < 4 * results["nodes_evaluated"]
     tree = json.loads((tmp_path / "out" / "policy_tree.json").read_text())
     assert tree["nodes"][tree["root"]]["t"] == 0
     assert (tmp_path / "out" / "policy_tree.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["design", "rollout"])
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("transition", [[0.6, 0.5], [0.5, 0.5]], "source.transition"),
+        ("transition", [[0.5, "x"], [0.5, 0.5]], "source.transition"),
+        ("transition", [[1.0], [0.5, 0.5]], "source.transition"),
+        ("transition", [[1.5, -0.5], [0.5, 0.5]], "source.transition"),
+        ("initial", [0.7, 0.7], "source.initial"),
+        ("initial", [1.0, 0.0, 0.0], "source.initial"),
+        ("state_values", [0.0, 1.0, 2.0], "source.state_values"),
+        ("belief", [0.5, 0.6], "initial_belief.probabilities"),
+        ("belief", [float("nan"), 1.0], "initial_belief.probabilities"),
+    ],
+    ids=["row-sum", "not-a-number", "ragged", "negative", "initial-sum",
+         "initial-size", "state-values-size", "belief-sum", "belief-nan"],
+)
+def test_bad_chain_exits_2_with_field_path(tmp_path, capsys, task, field, value, path):
+    doc = {
+        "task": task,
+        "seed": 1,
+        "source": CHAIN2 if field == "belief" else dict(CHAIN2, **{field: value}),
+        "initial_belief": {"probabilities": value} if field == "belief" else "model",
+        "quantizers": {"type": "partitions", "levels": 2},
+        "horizon": 2,
+        "output_dir": str(tmp_path / "out"),
+    }
+    if task == "rollout":
+        doc.update(n_paths=10, policy={"type": "greedy"})
+    else:
+        del doc["seed"]
+    assert main([task, "--config", write_config(tmp_path, doc)]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("noise_std", -1.0), ("init_std", -0.5), ("a", float("nan")), ("a", 1.0), ("a", -1.5)],
+)
+def test_bad_gaussian_exits_2_with_field_path(tmp_path, capsys, field, value):
+    doc = {
+        "task": "design",
+        "source": dict(AR1, **{field: value}),
+        "quantizers": {"type": "intervals", "levels": 2, "lo": -1, "hi": 1, "steps": 3},
+        "horizon": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["design", "--config", write_config(tmp_path, doc)]) == 2
+    assert f"config error: source.{field}:" in capsys.readouterr().err
 
 
 def test_design_budget_exceeded(tmp_path):
