@@ -290,16 +290,32 @@ class GridBelief:
         cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
         return np.diff(cum, axis=-1), center
 
+    def inverse_cdf(self, v) -> np.ndarray:
+        """The draw sample(rng) makes when rng's next variate is v, for every v.
+
+        sample's uniform(0, c) is c times the generator's next uniform
+        variate on [0, 1), so a path can take that variate in bulk with
+        its others.
+        """
+        cum = self._cumulative_mass()
+        return np.array([self._invert(cum, cum[-1] * w) for w in np.asarray(v).tolist()])
+
     def sample(self, rng: np.random.Generator) -> float:
         """Inverse-CDF draw from the piecewise-linear density."""
+        cum = self._cumulative_mass()
+        return self._invert(cum, rng.uniform(0.0, cum[-1]))
+
+    def _cumulative_mass(self) -> np.ndarray:
+        v = self.values
+        seg = 0.5 * self.grid.spacing * (v[:-1] + v[1:])
+        return np.concatenate(([0.0], np.cumsum(seg)))
+
+    def _invert(self, cum: np.ndarray, target) -> float:
         x = self.grid.nodes
         d = self.grid.spacing
         v = self.values
-        seg = 0.5 * d * (v[:-1] + v[1:])
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        target = rng.uniform(0.0, cum[-1])
         p = int(np.searchsorted(cum, target, side="right") - 1)
-        p = min(max(p, 0), len(seg) - 1)
+        p = min(max(p, 0), len(cum) - 2)
         t = target - cum[p]
         v0, v1 = v[p], v[p + 1]
         slope = (v1 - v0) * d
@@ -393,6 +409,16 @@ class SimplexBelief:
         for k, (q, m) in enumerate(zip(quantizers, moments)):
             out[:, k : k + 1, : q.levels] = m
         return out, 0.0
+
+    def inverse_cdf(self, v) -> np.ndarray:
+        """The draw sample(rng) makes when rng's next variate is v, for every v.
+
+        Generator.choice(n_states, p=probabilities) counts the normalized
+        cumulative sums that are <= its one uniform variate.
+        """
+        cdf = self.probabilities.cumsum()
+        cdf /= cdf[-1]
+        return (cdf <= np.asarray(v)[:, None]).sum(axis=1)
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.n_states, p=self.probabilities))

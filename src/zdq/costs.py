@@ -16,7 +16,13 @@ import numpy as np
 from .beliefs import EPS_MASS, SimplexBelief
 from .quantizers import _cell_slot
 
-__all__ = ["CostModel", "optimal_reconstruction", "stage_cost", "stage_costs"]
+__all__ = [
+    "CostModel",
+    "cell_decisions",
+    "optimal_reconstruction",
+    "stage_cost",
+    "stage_costs",
+]
 
 
 @dataclass(frozen=True)
@@ -55,11 +61,22 @@ class CostModel:
     def bounded_tabular(cls, table) -> "CostModel":
         return cls("bounded_tabular", np.asarray(table, dtype=float))
 
-    def pointwise(self, x, u) -> float:
-        """Realized cost of reconstructing state x as u."""
+    def pointwise(self, x, u):
+        """Realized cost of reconstructing state x as u, elementwise on arrays.
+
+        Squares are taken with Python's float power (libm pow), one value
+        at a time: numpy's vectorized square rounds about one input in a
+        thousand differently, and realized costs keep the scalar rounding.
+        """
         if self.kind == "quadratic":
-            return float((x - u) ** 2)
-        return float(self.table[int(x), int(u)])
+            if np.ndim(x) == 0 and np.ndim(u) == 0:
+                return float((x - u) ** 2)
+            # a chain's differences take few values: square each once
+            distinct, inverse = np.unique(np.subtract(x, u, dtype=float), return_inverse=True)
+            return np.array([v**2 for v in distinct.tolist()])[inverse]
+        if np.ndim(x) == 0 and np.ndim(u) == 0:
+            return float(self.table[int(x), int(u)])
+        return self.table[np.asarray(x, dtype=int), np.asarray(u, dtype=int)]
 
     @property
     def bound(self) -> float:
@@ -89,16 +106,33 @@ def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
     cell. Tabular: the column index minimizing the restricted expected
     cost, lowest index on ties. The cell must carry positive mass.
     """
-    i = _cell_slot(quantizer, m)
-    if cost.kind == "quadratic":
-        (m0, m1, _), center = belief.cell_moments([quantizer])
-        if m0[0, i] <= EPS_MASS:
-            raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
-        return float(center + m1[0, i] / m0[0, i])
-    column_costs = _tabular_cells(belief, quantizer, cost)[i]
-    if column_costs is None:
+    u = cell_decisions(belief, [quantizer], cost)[1][0, _cell_slot(quantizer, m)]
+    if np.isnan(u):
         raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
-    return int(np.argmin(column_costs))
+    return float(u) if cost.kind == "quadratic" else int(u)
+
+
+def cell_decisions(belief, quantizers, cost: CostModel):
+    """Stage cost of every quantizer and best decoder output of every cell.
+
+    Returns (stages, recon): stages is stage_costs(belief, quantizers,
+    cost), and recon[k, m - 1] is optimal_reconstruction(belief,
+    quantizers[k], m, cost) bit for bit, or NaN where that cell carries
+    no mass (padded cells included). Under quadratic cost both come from
+    one belief.cell_moments call; tabular outputs are column indices.
+    """
+    if cost.kind == "quadratic":
+        moments, center = belief.cell_moments(quantizers)
+        m0, m1, _ = moments
+        live = m0 > EPS_MASS
+        recon = np.where(live, center + m1 / np.where(live, m0, 1.0), np.nan)
+        return _stage_costs_from(moments, belief, quantizers, cost), recon
+    recon = np.full((len(quantizers), max(q.levels for q in quantizers)), np.nan)
+    for k, q in enumerate(quantizers):
+        for i, column_costs in enumerate(_tabular_cells(belief, q, cost)):
+            if column_costs is not None:
+                recon[k, i] = np.argmin(column_costs)
+    return _stage_costs_from(None, belief, quantizers, cost), recon
 
 
 def _stage_costs_from(moments, belief, quantizers, cost: CostModel) -> np.ndarray:

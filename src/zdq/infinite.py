@@ -19,12 +19,20 @@ solved tree along the observed symbols.
 Second, rollouts simulate any policy against sampled source paths.
 The policies here are Markov in the decoder's belief, so the next
 belief is a pure function of the belief, the quantizer and the symbol,
-and encoder and decoder hold the same belief: one belief is tracked per
-path. A memo local to one rollout call, capped at _MEMO_CAP entries and
-cleared when full, filters and reconstructs each distinct (belief,
-quantizer, symbol) once. The tests check the logged path against a
-decoder that rebuilds it from the symbols and the shared randomness
-alone.
+and encoder and decoder hold the same belief. Under a deterministic
+policy that belief is a function of the symbol history, so across
+paths only a few beliefs exist at each step. The rollout therefore
+steps all paths in lockstep over arrays: source states, ids into a
+table of interned beliefs, and the policy's state (tree node ids).
+Policies plan for all paths at once, with their Python work done once
+per distinct belief or per step, and each distinct (belief, quantizer,
+symbol) is filtered and reconstructed once while it stays in the
+table. The table is compacted to the live beliefs whenever it holds
+_MEMO_CAP of them. Path p keeps the seed streams of
+SeedSequence(seed).spawn(n_paths)[p].spawn(2), drawn in blocks of
+steps. The tests check the rollout against a per-path, per-step
+reference loop and the logged path against a decoder that rebuilds it
+from the symbols and the shared randomness alone.
 
 Third, discounted value iteration solves the stationary fixed point on
 a finite belief grid with nearest-neighbor lookups, and occupation
@@ -33,6 +41,7 @@ invariance of the belief transition kernel can be measured.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,16 +49,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import EPS_MASS, GridBelief, SimplexBelief, default_grid, filter_update
-from .costs import (
-    CostModel,
-    _stage_costs_and_masses,
-    optimal_reconstruction,
-    stage_cost,
-    stage_costs,
-)
+from .costs import CostModel, _stage_costs_and_masses, cell_decisions
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
-from .quantizers import cell_masses
-from .sources import FiniteChain, LinearGaussianSource, sample_next
+from .quantizers import cell_masses, stacked_classifier
+from .sources import FiniteChain, LinearGaussianSource, state_paths, step_variates
 
 __all__ = [
     "PiecingSchedule",
@@ -73,6 +76,8 @@ __all__ = [
     "occupation_measure",
     "invariance_residual",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -148,99 +153,153 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
 
 # ---------------------------------------------------------------------------
 # rollout policies
+#
+# A policy acts on all paths of a rollout at once. begin(n_paths) gives
+# the per-path policy state (an array, or None). plan(state, t, ids,
+# beliefs, r) gets every path's belief id (beliefs[id] is the belief) and,
+# for policies with shared_randomness, every path's shared variate r; it
+# returns a Plan whose quantizer_ids index the policy's quantizers list.
+# advance(state, t, symbols) moves the state along every path's symbol.
 
 
 class Plan(NamedTuple):
-    """Quantizer choice for one step; reset_belief, when set, replaces the
-    tracked belief (encoder's and decoder's alike) before encoding."""
+    """Quantizer choice for one step, for every path.
 
-    quantizer_id: int
-    quantizer: object
+    reset_belief, when set, replaces every path's tracked belief
+    (encoder's and decoder's alike) before encoding; resets depend on t
+    only. decisions hands over the cell_decisions rows the policy already
+    computed, as (belief id, quantizer id, stage cost, reconstructions).
+    """
+
+    quantizer_ids: np.ndarray
     reset_belief: object = None
+    decisions: tuple = ()
 
 
-class FixedQuantizerPolicy:
+class _Policy:
+    """Defaults of a policy without per-path state or shared randomness."""
+
+    shared_randomness = False
+
+    def begin(self, n_paths: int):
+        return None
+
+    def advance(self, state, t: int, symbols: np.ndarray):
+        return state
+
+
+class FixedQuantizerPolicy(_Policy):
     """Applies one quantizer forever."""
 
     def __init__(self, quantizer):
         self.quantizer = quantizer
+        self.quantizers = [quantizer]
 
-    def begin(self):
-        return None
-
-    def plan(self, state, t: int, belief, r: float) -> Plan:
-        return Plan(0, self.quantizer)
-
-    def advance(self, state, t: int, symbol: int):
-        return state
+    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
+        return Plan(np.zeros(len(ids), dtype=np.intp))
 
 
-class GreedyPolicy:
-    """Minimizes the immediate stage cost at every step."""
+class GreedyPolicy(_Policy):
+    """Minimizes the immediate stage cost at every step.
+
+    Each distinct belief of a step is decided once, and its cell
+    decisions go to the rollout with the plan, so a grid belief builds
+    one prefix table per step.
+    """
 
     def __init__(self, candidates, cost: CostModel):
         self.candidates = list(candidates)
         if not self.candidates:
             raise ValueError("candidate set must be nonempty")
         self.cost = cost
+        self.quantizers = self.candidates
 
-    def begin(self):
-        return None
+    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        picks, decisions = [], []
+        for b in distinct.tolist():
+            stages, recon = cell_decisions(beliefs[b], self.candidates, self.cost)
+            k = int(np.argmin(stages))
+            picks.append(k)
+            decisions.append((b, k, stages[k], recon[k]))
+        return Plan(np.array(picks)[inverse], decisions=tuple(decisions))
 
-    def plan(self, state, t: int, belief, r: float) -> Plan:
-        best_id = int(np.argmin(stage_costs(belief, self.candidates, self.cost)))
-        return Plan(best_id, self.candidates[best_id])
 
-    def advance(self, state, t: int, symbol: int):
-        return state
+def _tree_tables(trees):
+    """The quantizers of solved trees and, per tree, node arrays.
+
+    Returns (quantizers, tables): quantizers[i] is the quantizer behind
+    quantizer id i (None for ids no node uses), and each table is
+    (qid, child) with qid[node] the node's quantizer id (-1 at leaves)
+    and child[node, m - 1] the child after symbol m (-1 where pruned).
+    """
+    by_id, tables = {}, []
+    for tree in trees:
+        levels = max(n.quantizer.levels for n in tree.nodes if n.quantizer is not None)
+        qid = np.full(len(tree.nodes), -1, dtype=np.intp)
+        child = np.full((len(tree.nodes), levels), -1, dtype=np.intp)
+        for i, node in enumerate(tree.nodes):
+            if node.quantizer is None:
+                continue
+            if by_id.setdefault(node.quantizer_id, node.quantizer) != node.quantizer:
+                raise ValueError(
+                    f"policies disagree on quantizer id {node.quantizer_id}"
+                )
+            qid[i] = node.quantizer_id
+            for m, (_, c) in node.children.items():
+                child[i, m - 1] = c
+        tables.append((qid, child))
+    quantizers = [by_id.get(i) for i in range(max(by_id) + 1)]
+    return quantizers, tables
 
 
-class TreeReplayPolicy:
+def _descend(child, nodes, t: int, symbols):
+    """Next node of every path; a symbol the tree pruned raises."""
+    nxt = child[nodes, symbols - 1]
+    pruned = np.flatnonzero(nxt < 0)
+    if pruned.size:
+        raise RuntimeError(
+            f"symbol {symbols[pruned[0]]} at t={t} was pruned from the policy tree"
+        )
+    return nxt
+
+
+class TreeReplayPolicy(_Policy):
     """Replays a solved policy tree, restarting at the root each block.
 
     At the start of every horizon-length block the tracked belief is
     reset to the tree's root belief: this is exactly a one-segment
     pieced policy, and over a single block it reproduces the designed
-    policy verbatim.
+    policy verbatim. The state is every path's node id.
     """
 
     def __init__(self, tree: PolicyTree):
         self.tree = tree
+        self.quantizers, ((self._qid, self._child),) = _tree_tables([tree])
 
-    def begin(self):
-        return self.tree.root
+    def begin(self, n_paths: int):
+        return np.full(n_paths, self.tree.root)
 
-    def _effective(self, state, t: int):
-        node = self.tree.nodes[state]
+    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         if t % self.tree.horizon == 0:
-            return self.tree.nodes[self.tree.root], True
-        return node, False
+            root = self.tree.root
+            return Plan(np.full(len(ids), self._qid[root]), self.tree.nodes[root].belief)
+        return Plan(self._qid[state])
 
-    def plan(self, state, t: int, belief, r: float) -> Plan:
-        node, at_start = self._effective(state, t)
-        return Plan(
-            node.quantizer_id,
-            node.quantizer,
-            reset_belief=node.belief if at_start else None,
-        )
-
-    def advance(self, state, t: int, symbol: int):
-        node, _ = self._effective(state, t)
-        child = node.children.get(symbol)
-        if child is None:
-            raise RuntimeError(
-                f"symbol {symbol} at t={t} was pruned from the policy tree"
-            )
-        return child[1]
+    def advance(self, state, t: int, symbols):
+        nodes = self.tree.root if t % self.tree.horizon == 0 else state
+        return _descend(self._child, nodes, t, symbols)
 
 
-class PiecedPolicy:
+class PiecedPolicy(_Policy):
     """Glues finite-horizon policies per a piecing schedule.
 
     Segment k repeats the T_k-horizon tree n_k times; each repetition
     starts by applying the tree's time-0 quantizer at the restart belief
     (the tracked belief is reset there). Beyond the last scheduled
-    segment the final segment's policy keeps repeating.
+    segment the final segment's policy keeps repeating. The state is
+    every path's node id in the current segment's tree; the segment
+    depends on t only.
     """
 
     def __init__(self, schedule: PiecingSchedule, trees, restart_belief):
@@ -263,51 +322,44 @@ class PiecedPolicy:
                     "schedule/solution mismatch: policy not solved from the "
                     "restart belief"
                 )
+        self.quantizers, self._tables = _tree_tables(self.trees)
 
     def _segment(self, t: int):
+        """(segment, whether t starts one of its blocks)."""
         b = self.schedule.boundaries
-        for k in range(self.schedule.k_max):
-            if t < b[k]:
-                return k, b[k - 1] if k > 0 else 0
-        # past the schedule: keep repeating the last segment
-        k = self.schedule.k_max - 1
-        return k, b[k - 1] if k > 0 else 0
+        k = next((k for k in range(self.schedule.k_max) if t < b[k]), None)
+        if k is None:
+            # past the schedule: keep repeating the last segment
+            k = self.schedule.k_max - 1
+        start = b[k - 1] if k > 0 else 0
+        return k, (t - start) % self.trees[k].horizon == 0
 
-    def _effective(self, state, t: int):
-        k, start = self._segment(t)
-        tree = self.trees[k]
-        if (t - start) % tree.horizon == 0:
-            return k, tree.nodes[tree.root], True
-        return k, tree.nodes[state[1]], False
+    def begin(self, n_paths: int):
+        return np.full(n_paths, self.trees[0].root)
 
-    def begin(self):
-        return (0, self.trees[0].root)
+    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
+        k, at_start = self._segment(t)
+        qid = self._tables[k][0]
+        if at_start:
+            return Plan(np.full(len(ids), qid[self.trees[k].root]), self.restart_belief)
+        return Plan(qid[state])
 
-    def plan(self, state, t: int, belief, r: float) -> Plan:
-        _, node, at_start = self._effective(state, t)
-        return Plan(
-            node.quantizer_id,
-            node.quantizer,
-            reset_belief=self.restart_belief if at_start else None,
-        )
-
-    def advance(self, state, t: int, symbol: int):
-        k, node, _ = self._effective(state, t)
-        child = node.children.get(symbol)
-        if child is None:
-            raise RuntimeError(
-                f"symbol {symbol} at t={t} was pruned from the policy tree"
-            )
-        return (k, child[1])
+    def advance(self, state, t: int, symbols):
+        k, at_start = self._segment(t)
+        nodes = self.trees[k].root if at_start else state
+        return _descend(self._tables[k][1], nodes, t, symbols)
 
 
-class RandomizedStationaryPolicy:
+class RandomizedStationaryPolicy(_Policy):
     """Stationary policy mixing candidate quantizers by belief bin.
 
-    table[bin] is a probability row over candidate ids; the draw uses
-    the shared per-step uniform variate r, so encoder and decoder make
-    the same choice without extra communication.
+    table[bin] is a probability row over candidate ids; each path draws
+    with its shared per-step uniform variate r, so encoder and decoder
+    make the same choice without extra communication. Each distinct
+    belief of a step is binned once.
     """
+
+    shared_randomness = True
 
     def __init__(self, binning, table, candidates):
         self.binning = binning
@@ -324,18 +376,14 @@ class RandomizedStationaryPolicy:
         if np.max(np.abs(self.table.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("table rows must sum to 1 within 1e-12")
         self._cum = np.cumsum(self.table, axis=1)
+        self.quantizers = self.candidates
 
-    def begin(self):
-        return None
-
-    def plan(self, state, t: int, belief, r: float) -> Plan:
-        row = self._cum[self.binning.bin_of(belief)]
-        qid = int(np.searchsorted(row, r, side="right"))
-        qid = min(qid, len(self.candidates) - 1)
-        return Plan(qid, self.candidates[qid])
-
-    def advance(self, state, t: int, symbol: int):
-        return state
+    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        bins = np.array([self.binning.bin_of(beliefs[b]) for b in distinct.tolist()])
+        # the count of row entries <= r is searchsorted(side="right")
+        picks = (self._cum[bins[inverse]] <= r[:, None]).sum(axis=1)
+        return Plan(np.minimum(picks, len(self.candidates) - 1))
 
 
 def build_pieced_policy(dp_solutions, schedule: PiecingSchedule) -> PiecedPolicy:
@@ -403,11 +451,20 @@ class RolloutResult:
     log: TrajectoryLog | None
 
 
-# Entries a rollout's transition memo holds before it is cleared. A grid
-# entry keeps a belief key and a next belief of n_points floats each,
-# about 13 KB at 801 nodes, so a grid rollout's memo stays near 4 MB;
-# chain rollouts have far fewer distinct transitions than this.
+# Beliefs a rollout's table holds before it drops all but the live
+# ones. An 801-node grid belief is about 13 KB with its key, so a grid
+# rollout's table stays near 4 MB plus its live beliefs; chain rollouts
+# have far fewer distinct beliefs than this.
 _MEMO_CAP = 256
+
+# Entries (paths x steps, times the states of a chain) per draw block.
+# A path's generator is rebuilt from its saved state at each later block,
+# so a block should span most rollouts; its arrays take about 32 bytes
+# per path and step.
+_DRAW_BLOCK = 1 << 17
+
+# Entries (paths x steps) whose realized costs are taken at once.
+_CHUNK = 1 << 12
 
 
 def _default_initial_belief(model):
@@ -421,21 +478,228 @@ def _default_initial_belief(model):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _realized_cost(model, cost: CostModel, x, u) -> float:
-    # quadratic cost on a finite chain compares state values, not indices
-    if isinstance(model, FiniteChain) and cost.kind == "quadratic":
-        return cost.pointwise(model.state_values[x], u)
-    return cost.pointwise(x, u)
+class _PathStreams:
+    """One seed stream of every path, drawn a block of steps at a time.
+
+    Path p's generator is default_rng(SeedSequence(seed, spawn_key=(p,
+    j))): the j-th child of the p-th child of SeedSequence(seed). Only
+    one generator lives at a time; between blocks each path keeps its
+    bit generator's state.
+    """
+
+    def __init__(self, seed: int, n_paths: int, j: int):
+        self.seed, self.n_paths, self.j = seed, n_paths, j
+        self.states = None
+        self._resumed = np.random.default_rng(0)
+
+    def fill(self, out: np.ndarray, draw, keep: bool) -> np.ndarray:
+        """draw(generator of path p, out[p]) for every path p; keep says
+        whether later blocks follow."""
+        states = []
+        for p in range(self.n_paths):
+            if self.states is None:
+                g = np.random.default_rng(
+                    np.random.SeedSequence(self.seed, spawn_key=(p, self.j))
+                )
+            else:
+                g = self._resumed
+                g.bit_generator.state = self.states[p]
+            draw(g, out[p])
+            if keep:
+                states.append(g.bit_generator.state)
+        self.states = states
+        return out
 
 
-def _memoized(memo: dict, key, compute):
-    """memo[key], computed on a miss; the memo is cleared when it is full."""
-    hit = memo.get(key)
-    if hit is None:
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        hit = memo[key] = compute()
-    return hit
+class _BeliefTable:
+    """The interned beliefs of one rollout and the transitions between them.
+
+    beliefs[b] is the belief with id b, one per distinct key(). A
+    transition is the flat key (b * n_quantizers + q) * width + m of
+    belief id b, quantizer id q and symbol m (width = levels + 1, so a
+    symbol indexes its column and column 0 is unused); for it
+      recon.flat[key]   the optimal reconstruction, NaN for a dead cell;
+      succ.flat[key]    id of the filtered next belief, -1 until filtered;
+    and stage[b, q] is the stage cost, NaN until decided. Each transition is
+    filtered once while its belief stays in the table; compact() drops
+    every belief but the live ones.
+    """
+
+    def __init__(self, model, cost: CostModel, quantizers):
+        self.model = model
+        self.cost = cost
+        self.quantizers = quantizers
+        self.width = 1 + max(q.levels for q in quantizers if q is not None)
+        self.beliefs, self.ids = [], {}
+        self._alloc(16)
+        self.filter_calls = self.clears = self.peak = 0
+
+    def _alloc(self, capacity: int) -> None:
+        shape = (capacity, len(self.quantizers))
+        self.stage = np.full(shape, np.nan)
+        self.recon = np.full(shape + (self.width,), np.nan)
+        self.succ = np.full(shape + (self.width,), -1, dtype=np.intp)
+
+    def intern(self, belief) -> int:
+        key = belief.key()
+        b = self.ids.get(key)
+        if b is None:
+            b = self.ids[key] = len(self.beliefs)
+            self.beliefs.append(belief)
+            self.peak = max(self.peak, len(self.beliefs))
+            if b == len(self.stage):
+                old = (self.stage, self.recon, self.succ)
+                self._alloc(2 * b)
+                for new, kept in zip((self.stage, self.recon, self.succ), old):
+                    new[:b] = kept
+        return b
+
+    def compact(self, ids: np.ndarray) -> np.ndarray:
+        """Keep only the beliefs in ids; returns ids renumbered."""
+        live, ids = np.unique(ids, return_inverse=True)
+        self.beliefs = [self.beliefs[b] for b in live.tolist()]
+        self.ids = {belief.key(): b for b, belief in enumerate(self.beliefs)}
+        self._alloc(max(16, 2 * len(self.beliefs)))
+        self.clears += 1
+        return ids
+
+    def decide(self, b: int, q: int, stage: float, recon: np.ndarray) -> None:
+        self.stage[b, q] = stage
+        self.recon[b, q, 1 : 1 + len(recon)] = recon
+
+    def keys(self, ids, qids, symbols):
+        return (ids * len(self.quantizers) + qids) * self.width + symbols
+
+    def successors(self, keys):
+        """Next belief id of every transition key, filling the missing ones."""
+        nxt = self.succ.take(keys)
+        if nxt.min() < 0:
+            for key in np.unique(keys[nxt < 0]).tolist():
+                self._fill(key)
+            nxt = self.succ.take(keys)
+        return nxt
+
+    def _fill(self, key: int) -> None:
+        bq, m = divmod(key, self.width)
+        b, q = divmod(bq, len(self.quantizers))
+        belief, quantizer = self.beliefs[b], self.quantizers[q]
+        if np.isnan(self.stage[b, q]):
+            stages, recon = cell_decisions(belief, [quantizer], self.cost)
+            self.decide(b, q, stages[0], recon[0])
+        if np.isnan(self.recon[b, q, m]):
+            raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
+        self.filter_calls += 1
+        nxt = self.intern(filter_update(belief, self.model, quantizer, m))
+        self.succ[b, q, m] = nxt
+
+
+class _PathLog:
+    """Path 0's per-step columns, filled a range of steps at a time."""
+
+    def __init__(self, horizon: int, n_states: int | None):
+        self.cols = {
+            name: np.zeros(horizon)
+            for name in ("x", "u", "stage", "mean", "std", "realized")
+        }
+        self.symbol = np.zeros(horizon, dtype=int)
+        self.quantizer_id = np.zeros(horizon, dtype=int)
+        self.probs = None if n_states is None else np.zeros((horizon, n_states))
+
+    def transitions(self, steps: slice, keys, table: _BeliefTable) -> None:
+        """Columns read off the table: keys are path 0's transition keys."""
+        bq, self.symbol[steps] = np.divmod(keys, table.width)
+        b, self.quantizer_id[steps] = np.divmod(bq, len(table.quantizers))
+        self.cols["stage"][steps] = table.stage.take(bq)
+        distinct, inverse = np.unique(b, return_inverse=True)
+        beliefs = [table.beliefs[i] for i in distinct.tolist()]
+        stats = np.array([(belief.mean, belief.std) for belief in beliefs])
+        self.cols["mean"][steps], self.cols["std"][steps] = stats[inverse].T
+        if self.probs is not None:
+            self.probs[steps] = np.array([belief.probabilities for belief in beliefs])[inverse]
+
+    def trajectory(self) -> TrajectoryLog:
+        cols = self.cols
+        return TrajectoryLog(
+            t=np.arange(len(self.symbol)),
+            x=cols["x"],
+            symbol=self.symbol,
+            u=cols["u"],
+            stage=cols["stage"],
+            belief_mean=cols["mean"],
+            belief_std=cols["std"],
+            quantizer_id=self.quantizer_id,
+            probabilities=self.probs,
+        )
+
+
+class _Lockstep:
+    """All paths of one rollout, stepped together a block at a time.
+
+    Per path it keeps the belief id, the policy state and the running
+    total of realized costs; rollout hands it each block's source states.
+    """
+
+    def __init__(self, policy, model, cost: CostModel, initial_belief, n_paths: int, log):
+        self.policy, self.model, self.cost, self.log = policy, model, cost, log
+        self.finite = isinstance(model, FiniteChain)
+        self.table = _BeliefTable(model, cost, policy.quantizers)
+        self.classify = stacked_classifier(policy.quantizers)
+        self.ids = np.full(n_paths, self.table.intern(initial_belief))
+        self.state = policy.begin(n_paths)
+        self.total = np.zeros(n_paths)
+        self.groups = 0
+
+    def run(self, t0: int, xs: np.ndarray, shares) -> None:
+        """Steps t0 .. t0 + size - 1, given every path's states xs
+        (n_paths, size) and shared variates shares (or None)."""
+        table, policy = self.table, self.policy
+        keys = np.empty(xs.shape, dtype=np.intp)
+        u = np.empty(xs.shape)
+        settled = 0
+        for j in range(xs.shape[1]):
+            t = t0 + j
+            if len(table.beliefs) >= _MEMO_CAP:
+                self._settle(t0, keys, u, settled, j)
+                settled = j
+                self.ids = table.compact(self.ids)
+            r = None if shares is None else shares[:, j]
+            plan = policy.plan(self.state, t, self.ids, table.beliefs, r)
+            if plan.reset_belief is not None:
+                self.ids = np.full(len(self.ids), table.intern(plan.reset_belief))
+            for decision in plan.decisions:
+                table.decide(*decision)
+            symbols = self.classify(plan.quantizer_ids, xs[:, j])
+            keys[:, j] = table.keys(self.ids, plan.quantizer_ids, symbols)
+            self.ids = table.successors(keys[:, j])
+            self.state = policy.advance(self.state, t, symbols)
+        self._settle(t0, keys, u, settled, xs.shape[1])
+        self._account(t0, xs, keys, u)
+
+    def _settle(self, t0: int, keys, u, lo: int, hi: int) -> None:
+        # read steps lo .. hi - 1 off the table before it drops them
+        u[:, lo:hi] = self.table.recon.take(keys[:, lo:hi])
+        if self.log is not None:
+            self.log.transitions(slice(t0 + lo, t0 + hi), keys[0, lo:hi], self.table)
+
+    def _account(self, t0: int, xs, keys, u) -> None:
+        """Realized costs, totals, group counts and path 0's log columns,
+        in chunks of about _CHUNK entries."""
+        span = max(1, _CHUNK // len(xs))
+        for lo in range(0, xs.shape[1], span):
+            cols = slice(lo, lo + span)
+            states = xs[:, cols]
+            values = self.model.state_values[states] if self.finite else states
+            costed = values if self.cost.kind == "quadratic" else states
+            realized = self.cost.pointwise(costed, u[:, cols])
+            # a running sum along time adds each path's costs in step order
+            self.total = np.cumsum(np.column_stack([self.total, realized]), axis=1)[:, -1]
+            pairs = np.sort(keys[:, cols] // self.table.width, axis=0)
+            self.groups += pairs.shape[1] + np.count_nonzero(np.diff(pairs, axis=0))
+            if self.log is not None:
+                steps = slice(t0 + lo, t0 + lo + pairs.shape[1])
+                self.log.cols["x"][steps] = values[0]
+                self.log.cols["u"][steps] = u[0, cols]
+                self.log.cols["realized"][steps] = realized[0]
 
 
 def rollout(
@@ -453,23 +717,41 @@ def rollout(
     Per path, the initial state is drawn from initial_belief (default:
     the model's own initial law), and each step classifies the true
     state, reconstructs from the belief, pays the realized cost, then
-    filters. Randomness is split per path from the root seed, so results
-    do not depend on path order. The trajectory log covers path 0 and
-    stores the belief-feedback stage cost alongside the realized cost
-    average.
+    filters. The trajectory log covers path 0 and stores the
+    belief-feedback stage cost alongside the realized cost average.
 
-    Encoder and decoder hold the same belief: the next belief is a pure
-    function of the belief, the quantizer and the symbol, all of which
-    the decoder knows (for randomized policies the quantizer also
-    depends on the shared per-step variate). So one belief is tracked per
-    path, and a memo local to this call maps (belief.key(), quantizer,
-    symbol) to the reconstruction and the next belief, and, for the
-    logged path, (belief.key(), quantizer) to the stage cost, mean and
-    std. Each distinct transition is filtered once; the results are
-    those of fresh calls, bit for bit. The memo is cleared whenever it
-    reaches _MEMO_CAP entries. The tests rebuild the logged path with a
-    decoder that sees only the symbols and the shared seed, and check it
-    against the log bit for bit.
+    All paths advance in lockstep. Encoder and decoder hold the same
+    belief: the next belief is a pure function of the belief, the
+    quantizer and the symbol, all of which the decoder knows (for
+    randomized policies the quantizer also depends on the shared
+    per-step variate). So a path's belief is an id into a table of
+    interned beliefs, and a step reads every path's next belief id from
+    the table's (belief, quantizer, symbol) transitions, filling a
+    missing one with one optimal reconstruction and one filter_update;
+    the results are those of fresh calls, bit for bit. The policy's
+    Python work runs once per distinct belief or per step, never once
+    per path. The source states, the reconstructions, the realized
+    costs and the log are array operations over blocks of steps; each
+    path's total adds its step costs in time order, as a per-path loop
+    would.
+
+    Seed streams: path p draws its source from
+    SeedSequence(seed, spawn_key=(p, 0)) and its shared variates from
+    spawn_key (p, 1), the streams of SeedSequence(seed).spawn(n_paths)[p]
+    .spawn(2), so a path's results do not depend on the other paths. The
+    draws are taken in blocks of steps, which return the same numbers as
+    one draw per step; the shared stream is built only for policies with
+    shared_randomness.
+
+    Memory: a step that finds _MEMO_CAP beliefs in the table first
+    compacts it to the beliefs the paths hold, so the table never holds
+    more than _MEMO_CAP beliefs plus those live at one step; a block
+    holds at most _DRAW_BLOCK variates per stream (times the states of
+    a chain for its scan). One INFO log line reports deterministic
+    counters: paths, steps, (belief, quantizer) groups stepped, filter
+    calls, table clears and the most beliefs the table held. The tests
+    rebuild the logged path with a decoder that sees only the symbols
+    and the shared seed, and check it against the log bit for bit.
 
     As in the dynamic program, key() identifies a belief only within
     one grid or one set of state values, so the beliefs a rollout tracks
@@ -483,83 +765,60 @@ def rollout(
         initial_belief = _default_initial_belief(model)
     finite = isinstance(model, FiniteChain)
 
-    root = np.random.SeedSequence(seed)
-    path_seeds = root.spawn(n_paths)
-    path_costs = np.zeros(n_paths)
-    cesaro = None
-    log = None
-    memo = {}
+    n_states = initial_belief.n_states if finite else None
+    log = _PathLog(horizon, n_states) if log_path else None
+    paths = _Lockstep(policy, model, cost, initial_belief, n_paths, log)
+    source = _PathStreams(seed, n_paths, 0)
+    shared = _PathStreams(seed, n_paths, 1) if policy.shared_randomness else None
+    block = max(1, _DRAW_BLOCK // (n_paths * (n_states or 1)))
+    for t0 in range(0, horizon, block):
+        size = min(block, horizon - t0)
+        keep = t0 + size < horizon
 
-    for p in range(n_paths):
-        src_stream, shared_stream = (
-            np.random.default_rng(s) for s in path_seeds[p].spawn(2)
-        )
-        x = initial_belief.sample(src_stream)
-        belief = initial_belief
-        state = policy.begin()
-        logging_this = log_path and p == 0
-        if logging_this:
-            cols = {
-                name: np.zeros(horizon)
-                for name in ("x", "u", "stage", "mean", "std")
-            }
-            syms = np.zeros(horizon, dtype=int)
-            qids = np.zeros(horizon, dtype=int)
-            probs = np.zeros((horizon, belief.n_states)) if finite else None
-            realized_steps = np.zeros(horizon)
-        total = 0.0
-        for t in range(horizon):
-            r = float(shared_stream.uniform())
-            plan = policy.plan(state, t, belief, r)
-            if plan.reset_belief is not None:
-                belief = plan.reset_belief
-            quantizer = plan.quantizer
-            symbol = quantizer.classify(x)
-            key = belief.key()
-            u, next_belief = _memoized(memo, (key, quantizer, symbol), lambda: (
-                optimal_reconstruction(belief, quantizer, symbol, cost),
-                filter_update(belief, model, quantizer, symbol),
-            ))
-            realized = _realized_cost(model, cost, x, u)
-            total += realized
-            if logging_this:
-                stats = _memoized(memo, (key, quantizer), lambda: (
-                    stage_cost(belief, quantizer, cost), belief.mean, belief.std
-                ))
-                cols["x"][t] = model.state_values[x] if finite else x
-                cols["u"][t] = u
-                cols["stage"][t], cols["mean"][t], cols["std"][t] = stats
-                syms[t] = symbol
-                qids[t] = plan.quantizer_id
-                realized_steps[t] = realized
-                if probs is not None:
-                    probs[t] = belief.probabilities
-            x = sample_next(model, x, src_stream)
-            belief = next_belief
-            state = policy.advance(state, t, symbol)
-        path_costs[p] = total / horizon
-        if logging_this:
-            cesaro = np.cumsum(realized_steps) / np.arange(1, horizon + 1)
-            log = TrajectoryLog(
-                t=np.arange(horizon),
-                x=cols["x"],
-                symbol=syms,
-                u=cols["u"],
-                stage=cols["stage"],
-                belief_mean=cols["mean"],
-                belief_std=cols["std"],
-                quantizer_id=qids,
-                probabilities=probs,
-            )
+        def draw(g, row):
+            if t0 == 0:
+                # the initial state takes each source stream's first variate
+                row[0] = g.random()
+                row = row[1:]
+            step_variates(model, g, row)
 
+        v = source.fill(np.empty((n_paths, size + (t0 == 0))), draw, keep)
+        if t0 == 0:
+            x, v = initial_belief.inverse_cdf(v[:, 0]), v[:, 1:]
+        xs = np.column_stack([x, state_paths(model, x, v)])
+        shares = None
+        if shared is not None:
+            # uniform() is 0 + 1 times the generator's next random() variate
+            shares = shared.fill(np.empty((n_paths, size)), lambda g, row: g.random(out=row), keep)
+        paths.run(t0, xs[:, :-1], shares)
+        x = xs[:, -1]
+
+    table = paths.table
+    logger.info(
+        "rollout: %(paths)d paths, %(steps)d steps, %(groups)d groups stepped, "
+        "%(filter_calls)d filter calls, %(clears)d memo clears, "
+        "%(peak_beliefs)d beliefs at most",
+        {
+            "paths": n_paths,
+            "steps": horizon,
+            "groups": paths.groups,
+            "filter_calls": table.filter_calls,
+            "clears": table.clears,
+            "peak_beliefs": table.peak,
+        },
+    )
+    path_costs = paths.total / horizon
     mean_cost = float(path_costs.mean())
     stderr = float(path_costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    cesaro = np.zeros(0)
+    if log is not None:
+        cesaro = np.cumsum(log.cols["realized"]) / np.arange(1, horizon + 1)
     return RolloutResult(
         path_costs=path_costs,
         mean_cost=mean_cost,
         stderr=stderr,
-        cesaro=cesaro if cesaro is not None else np.zeros(0),
-        log=log,
+        cesaro=cesaro,
+        log=None if log is None else log.trajectory(),
     )
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "FinitePartition",
     "cell_mass",
     "cell_masses",
+    "stacked_classifier",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",
@@ -54,6 +55,17 @@ class IntervalQuantizer:
         if np.isscalar(x) or np.ndim(x) == 0:
             return int(idx)
         return idx.astype(int)
+
+    @staticmethod
+    def _stacked(quantizers):
+        # searchsorted(side="left") counts the thresholds below x; +inf
+        # pads the shorter rows and the unused ids
+        levels = max(q.levels for q in quantizers if q is not None)
+        cuts = np.full((len(quantizers), levels - 1), math.inf)
+        for k, q in enumerate(quantizers):
+            if q is not None:
+                cuts[k, : q.levels - 1] = q.thresholds
+        return lambda ids, x: 1 + (cuts[ids] < x[:, None]).sum(axis=1)
 
     def cell_interval(self, m: int):
         """Cell m as the interval (lo, hi], with infinities at the ends."""
@@ -101,6 +113,15 @@ class FinitePartition:
     def classify(self, state) -> int:
         return self.assignment[int(state)]
 
+    @staticmethod
+    def _stacked(quantizers):
+        n_states = next(q.n_states for q in quantizers if q is not None)
+        cells = np.ones((len(quantizers), n_states), dtype=np.intp)
+        for k, q in enumerate(quantizers):
+            if q is not None:
+                cells[k] = q.assignment
+        return lambda ids, states: cells[ids, states]
+
     @functools.cached_property
     def membership(self) -> np.ndarray:
         """(levels, n_states) 0/1 matrix; row m - 1 marks the states of cell m."""
@@ -129,6 +150,18 @@ def _cell_slot(quantizer, m: int) -> int:
     if not 1 <= m <= quantizer.levels:
         raise ValueError(f"cell index {m} out of range 1..{quantizer.levels}")
     return m - 1
+
+
+def stacked_classifier(quantizers):
+    """classify(ids, x): the cell of every x[i] under quantizers[ids[i]].
+
+    One array operation classifies a whole batch whatever mix of
+    quantizers it uses, with the result of each quantizer's own
+    classify. The quantizers share one family; None entries stand for
+    ids that are never asked for.
+    """
+    family = next(type(q) for q in quantizers if q is not None)
+    return family._stacked(quantizers)
 
 
 def cell_masses(belief, quantizers) -> np.ndarray:

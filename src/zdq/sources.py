@@ -22,6 +22,8 @@ __all__ = [
     "DensityBounds",
     "transition_density",
     "sample_next",
+    "step_variates",
+    "state_paths",
     "invariant_distribution",
     "density_bounds",
 ]
@@ -183,6 +185,50 @@ def sample_next(model, x, rng: np.random.Generator):
         return model.a * x + model.noise_std * rng.standard_normal()
     if isinstance(model, FiniteChain):
         return int(model.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
+    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def step_variates(model, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with the variates of len(out) successive sample_next calls.
+
+    One standard normal per step for a Gaussian source, one uniform on
+    [0, 1) for a chain; a bulk draw returns the same numbers as that many
+    single draws.
+    """
+    if isinstance(model, LinearGaussianSource):
+        return rng.standard_normal(out=out)
+    if isinstance(model, FiniteChain):
+        return rng.random(out=out)
+    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def state_paths(model, x0, v):
+    """States after each step of every path, as sample_next gives them.
+
+    x0 holds every path's state and v its (n_paths, steps) variates from
+    step_variates; returns the (n_paths, steps) states x_1 .. x_steps.
+    A Gaussian source runs its recursion step by step on all paths. A
+    chain first maps every (path, step, state) to its next state, the
+    same row_cdf search as sample_next, then composes those maps along
+    each path by a prefix scan, in log2(steps) array operations.
+    """
+    if isinstance(model, LinearGaussianSource):
+        out = np.empty(v.shape)
+        x = x0
+        for j in range(v.shape[1]):
+            x = out[:, j] = model.a * x + model.noise_std * v[:, j]
+        return out
+    if isinstance(model, FiniteChain):
+        # maps[p, j, i]: the state after step j of path p from state i
+        maps = np.empty(v.shape + (model.n_states,), np.min_scalar_type(model.n_states))
+        for i, row in enumerate(model.row_cdf):
+            maps[..., i] = row.searchsorted(v, side="right")
+        d = 1
+        while d < v.shape[1]:
+            # each map now covers steps j - 2d + 1 .. j, not j - d + 1 .. j
+            maps[:, d:] = np.take_along_axis(maps[:, d:], maps[:, :-d], axis=2)
+            d *= 2
+        return np.take_along_axis(maps, np.asarray(x0)[:, None, None], axis=2)[:, :, 0]
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

@@ -162,6 +162,25 @@ def test_simplex_belief_sampling():
     assert abs(draws.mean() - 0.7) < 0.02
 
 
+@pytest.mark.parametrize(
+    "belief",
+    [
+        SimplexBelief(np.array([0.3, 0.0, 0.2, 0.5])),
+        SimplexBelief(np.array([0.0, 1.0])),
+        GridBelief.normal(Grid(-4.0, 4.0, 41), 0.7, 1.1),
+        GridBelief.uniform(Grid(-1.0, 1.0, 21), -0.5, 0.25),
+    ],
+    ids=["simplex", "simplex-point", "grid-normal", "grid-uniform"],
+)
+def test_inverse_cdf_matches_sample(belief):
+    # sample(rng) takes one uniform variate from rng; inverse_cdf of that
+    # variate is the same draw
+    seeds = range(300)
+    variates = [np.random.default_rng(seed).random() for seed in seeds]
+    draws = [belief.sample(np.random.default_rng(seed)) for seed in seeds]
+    assert belief.inverse_cdf(variates).tolist() == draws
+
+
 # ---------------------------------------------------------------------------
 # filtering
 

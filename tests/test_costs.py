@@ -3,9 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from zdq.beliefs import Grid, GridBelief, SimplexBelief, filter_update, moment
-from zdq.costs import CostModel, optimal_reconstruction, stage_cost
-from zdq.quantizers import FinitePartition, IntervalQuantizer, cell_masses
+from zdq.beliefs import EPS_MASS, Grid, GridBelief, SimplexBelief, filter_update, moment
+from zdq.costs import (
+    CostModel,
+    cell_decisions,
+    optimal_reconstruction,
+    stage_cost,
+    stage_costs,
+)
+from zdq.quantizers import (
+    FinitePartition,
+    IntervalQuantizer,
+    cell_masses,
+    enumerate_finite_partitions,
+    enumerate_interval_candidates,
+)
 
 
 def std_normal_belief():
@@ -37,6 +49,63 @@ def test_pointwise():
     assert quad.pointwise(2.0, 0.5) == 2.25
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
     assert tab.pointwise(1, 0) == 1.0
+
+
+def test_pointwise_arrays_match_scalars():
+    rng = np.random.default_rng(0)
+    x, u = rng.normal(size=(50, 40)), rng.normal(size=(50, 40))
+    quad = CostModel.quadratic()
+    # the scalar square is libm pow, which numpy's vectorized square does
+    # not always match in the last bit
+    expected = [[quad.pointwise(a, b) for a, b in zip(xr, ur)] for xr, ur in zip(x.tolist(), u.tolist())]
+    assert quad.pointwise(x, u).tolist() == expected
+    tab = CostModel.bounded_tabular([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0]])
+    states, recon = np.array([[0, 1, 1], [1, 0, 0]]), np.array([[2.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    assert tab.pointwise(states, recon).tolist() == [[0.5, 1.0, 0.0], [2.0, 1.0, 0.0]]
+
+
+def reference_reconstruction(belief, quantizer, m, cost):
+    """optimal_reconstruction as written before cell_decisions: one cell at
+    a time, None for a dead cell."""
+    (m0, m1, _), center = belief.cell_moments([quantizer])
+    if cost.kind == "quadratic":
+        if m0[0, m - 1] <= EPS_MASS:
+            return None
+        return float(center + m1[0, m - 1] / m0[0, m - 1])
+    restricted = belief.restrict(quantizer.membership)[m - 1]
+    if float(restricted.sum()) <= EPS_MASS:
+        return None
+    return int(np.argmin(restricted @ cost.table))
+
+
+@pytest.mark.parametrize(
+    "belief, quantizers, cost",
+    [
+        (std_normal_belief(), enumerate_interval_candidates(3, -3.0, 9.0, 13), CostModel.quadratic()),
+        (
+            SimplexBelief(np.array([0.5, 0.0, 0.2, 0.3]), states=np.array([-2.0, 0.0, 0.5, 4.0])),
+            enumerate_finite_partitions(4, 3),
+            CostModel.quadratic(),
+        ),
+        (
+            SimplexBelief(np.array([0.0, 0.6, 0.4])),
+            enumerate_finite_partitions(3, 2),
+            CostModel.bounded_tabular([[0.0, 1.0, 0.3], [1.0, 0.0, 0.7], [0.2, 0.9, 0.0]]),
+        ),
+    ],
+    ids=["grid", "simplex", "tabular"],
+)
+def test_cell_decisions_match_reference(belief, quantizers, cost):
+    stages, recon = cell_decisions(belief, quantizers, cost)
+    assert stages.tolist() == stage_costs(belief, quantizers, cost).tolist()
+    for k, q in enumerate(quantizers):
+        for m in range(1, recon.shape[1] + 1):
+            expected = reference_reconstruction(belief, q, m, cost) if m <= q.levels else None
+            if expected is None:
+                assert math.isnan(recon[k, m - 1])
+            else:
+                assert recon[k, m - 1] == expected
+                assert optimal_reconstruction(belief, q, m, cost) == expected
 
 
 def test_reconstruction_half_normal():

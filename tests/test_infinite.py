@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -327,21 +328,22 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
         src_stream, shared_stream = (np.random.default_rng(s) for s in path_seeds[p].spawn(2))
         x = initial_belief.sample(src_stream)
         enc = dec = initial_belief
-        state = policy.begin()
+        state = policy.begin(1)
         total = 0.0
         for t in range(horizon):
             r = float(shared_stream.uniform())
-            plan = policy.plan(state, t, enc, r)
+            plan = policy.plan(state, t, np.array([0]), [enc], np.array([r]))
             if plan.reset_belief is not None:
                 enc = dec = plan.reset_belief
-            quantizer = plan.quantizer
+            quantizer_id = int(plan.quantizer_ids[0])
+            quantizer = policy.quantizers[quantizer_id]
             symbol = quantizer.classify(x)
             u = optimal_reconstruction(dec, quantizer, symbol, cost)
             value = model.state_values[x] if finite else x
             total += cost.pointwise(value if cost.kind == "quadratic" else x, u)
             if p == 0:
                 rows.append((t, value, symbol, u, stage_cost(enc, quantizer, cost), enc.mean,
-                             enc.std, plan.quantizer_id, enc.probabilities if finite else None))
+                             enc.std, quantizer_id, enc.probabilities if finite else None))
             if finite:
                 nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
             else:
@@ -349,7 +351,7 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
             enc = filter_update(enc, model, quantizer, symbol)
             dec = filter_update(dec, model, quantizer, symbol)
             x = nxt
-            state = policy.advance(state, t, symbol)
+            state = policy.advance(state, t, np.array([symbol]))
         path_costs[p] = total / horizon
     columns = {name: np.array(col) for name, col in zip(LOG_COLUMNS, zip(*rows))}
     if not finite:
@@ -382,13 +384,75 @@ def _fixed_grid_past_cap_case(three_state_chain, two_state_chain, ar_source):
     return policy, ar_source, QUAD, zdq.infinite._MEMO_CAP + 44, 1, 12, init
 
 
+def _pieced_chain_case(three_state_chain, two_state_chain, ar_source):
+    init = invariant_distribution(three_state_chain)
+    sched = piecing_schedule([2, 4, 8], 2)
+    cands = enumerate_finite_partitions(3, 2)
+    trees = [
+        solve_finite_horizon(init, three_state_chain, cands, QUAD, T).tree
+        for T in sched.horizons
+    ]
+    return build_pieced_policy(trees, sched), three_state_chain, QUAD, 30, 40, 2, init
+
+
+def _greedy_grid_case(three_state_chain, two_state_chain, ar_source):
+    policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD)
+    return policy, ar_source, QUAD, 40, 5, 8, invariant_distribution(ar_source)
+
+
+def _tabular_chain_case(three_state_chain, two_state_chain, ar_source):
+    policy = GreedyPolicy(enumerate_finite_partitions(2, 2), TAB)
+    return policy, two_state_chain, TAB, 50, 20, 4, invariant_distribution(two_state_chain)
+
+
+def _long_single_path_case(three_state_chain, two_state_chain, ar_source):
+    init = invariant_distribution(three_state_chain)
+    tree = solve_finite_horizon(
+        init, three_state_chain, enumerate_finite_partitions(3, 2), QUAD, 3
+    ).tree
+    return TreeReplayPolicy(tree), three_state_chain, QUAD, 2000, 1, 13, init
+
+
+def rollout_counters(caplog) -> dict:
+    """The counters of the last rollout's INFO line."""
+    records = [r for r in caplog.records if r.name == "zdq.infinite"]
+    return records[-1].args
+
+
+# (_DRAW_BLOCK, _CHUNK) small enough that a rollout spans many draw
+# blocks and cost chunks
+SMALL_BLOCKS = (48, 16)
+
+
 @pytest.mark.parametrize(
-    "case",
-    [_rollout_chain_case, _randomized_case, _fixed_grid_past_cap_case],
-    ids=["rollout-chain", "randomized", "ar1-fixed-past-cap"],
+    "case, blocks",
+    [
+        (_rollout_chain_case, None),
+        (_randomized_case, None),
+        (_fixed_grid_past_cap_case, None),
+        (_pieced_chain_case, None),
+        (_greedy_grid_case, None),
+        (_tabular_chain_case, None),
+        (_long_single_path_case, None),
+        (_randomized_case, SMALL_BLOCKS),
+        (_greedy_grid_case, SMALL_BLOCKS),
+        (_long_single_path_case, SMALL_BLOCKS),
+    ],
+    ids=[
+        "rollout-chain",
+        "randomized",
+        "ar1-fixed-past-cap",
+        "pieced-chain",
+        "greedy-grid",
+        "tabular-chain",
+        "one-path-2000-steps",
+        "randomized-small-blocks",
+        "greedy-grid-small-blocks",
+        "one-path-small-blocks",
+    ],
 )
 def test_rollout_matches_reference_loop(
-    monkeypatch, case, three_state_chain, two_state_chain, ar_source
+    monkeypatch, caplog, case, blocks, three_state_chain, two_state_chain, ar_source
 ):
     policy, model, cost, horizon, n_paths, seed, init = case(
         three_state_chain, two_state_chain, ar_source
@@ -396,11 +460,15 @@ def test_rollout_matches_reference_loop(
     ref_costs, ref_log = reference_rollout(policy, model, cost, horizon, n_paths, seed, init)
     filtered = []
 
-    def counting_filter(*args):
-        filtered.append(args)
-        return filter_update(*args)
+    def counting_filter(belief, model, quantizer, symbol):
+        filtered.append((belief.key(), quantizer, symbol))
+        return filter_update(belief, model, quantizer, symbol)
 
     monkeypatch.setattr(zdq.infinite, "filter_update", counting_filter)
+    if blocks is not None:
+        monkeypatch.setattr(zdq.infinite, "_DRAW_BLOCK", blocks[0])
+        monkeypatch.setattr(zdq.infinite, "_CHUNK", blocks[1])
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
     rr = rollout(policy, model, cost, horizon, n_paths, seed, initial_belief=init)
     assert np.array_equal(rr.path_costs, ref_costs)
     for name in LOG_COLUMNS:
@@ -409,12 +477,71 @@ def test_rollout_matches_reference_loop(
             assert got is None
         else:
             assert np.array_equal(got, ref_log[name]), name
-    if isinstance(model, FiniteChain):
+    counters = rollout_counters(caplog)
+    assert counters["filter_calls"] == len(filtered)
+    if counters["clears"] == 0:
         # each distinct transition is filtered once
+        assert len(set(filtered)) == len(filtered)
+    if isinstance(model, FiniteChain):
         assert len(filtered) <= 100 < horizon * n_paths
-    else:
-        # grid beliefs do not repeat: the memo reached its cap and was cleared
-        assert len(filtered) > zdq.infinite._MEMO_CAP
+    if case is _fixed_grid_past_cap_case:
+        # grid beliefs do not repeat: the table reached its cap and was cleared
+        assert len(filtered) > zdq.infinite._MEMO_CAP and counters["clears"] >= 1
+
+
+def test_pruned_symbol_raises(two_state_chain):
+    # a symbol of mass 1e-10 <= eps_prune is pruned from the tree, but its
+    # cell is live, so reconstruction and filtering go through first
+    sure = SimplexBelief(np.array([1.0 - 1e-10, 1e-10]))
+    tree = solve_finite_horizon(sure, two_state_chain, enumerate_finite_partitions(2, 2), QUAD, 2).tree
+    root = tree.nodes[tree.root]
+    assert root.quantizer == FinitePartition((1, 2), 2) and 2 not in root.children
+    starts_in_2 = SimplexBelief(np.array([0.0, 1.0]))
+    for run in (rollout, reference_rollout):
+        with pytest.raises(RuntimeError, match="^symbol 2 at t=0 was pruned from the policy tree$"):
+            run(TreeReplayPolicy(tree), two_state_chain, QUAD, 4, 3, 0, starts_in_2)
+
+
+@pytest.mark.parametrize(
+    "policy, horizon, n_paths",
+    [
+        (FixedQuantizerPolicy(IntervalQuantizer((0.0,))), zdq.infinite._MEMO_CAP + 44, 1),
+        (GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD), 80, 5),
+    ],
+    ids=["ar1-fixed-past-cap", "greedy-grid-5-paths"],
+)
+def test_rollout_table_stays_bounded(caplog, ar_source, policy, horizon, n_paths):
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
+    rollout(policy, ar_source, QUAD, horizon, n_paths, 3,
+            initial_belief=invariant_distribution(ar_source))
+    counters = rollout_counters(caplog)
+    # more distinct beliefs than the cap were made, and the table dropped them
+    assert counters["filter_calls"] > zdq.infinite._MEMO_CAP
+    assert counters["clears"] >= 1
+    # at most the cap plus the beliefs the paths move to in one step
+    assert counters["peak_beliefs"] <= zdq.infinite._MEMO_CAP + n_paths
+
+
+def test_rollout_logs_repeatable_counters(caplog, three_state_chain, two_state_chain, ar_source):
+    policy, model, cost, horizon, n_paths, seed, init = _rollout_chain_case(
+        three_state_chain, two_state_chain, ar_source
+    )
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
+    runs = []
+    for _ in range(2):
+        caplog.clear()
+        rollout(policy, model, cost, horizon, n_paths, seed, initial_belief=init)
+        (record,) = [r for r in caplog.records if r.name == "zdq.infinite"]
+        runs.append((record.getMessage(), record.args))
+    assert runs[0] == runs[1]
+    message, counters = runs[0]
+    assert message.startswith("rollout: 200 paths, 12 steps, ")
+    assert counters["paths"] == n_paths and counters["steps"] == horizon
+    assert horizon <= counters["groups"] <= horizon * n_paths
+    # the table holds the initial belief, the tree's root belief and the
+    # distinct filter outputs
+    assert counters["clears"] == 0
+    assert 0 < counters["peak_beliefs"] <= counters["filter_calls"] + 2
 
 
 def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief):
@@ -424,18 +551,20 @@ def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief)
     fresh calls."""
     path_seed = np.random.SeedSequence(seed).spawn(n_paths)[0]
     shared = np.random.default_rng(path_seed.spawn(2)[1])
-    belief, state = initial_belief, policy.begin()
+    belief, state = initial_belief, policy.begin(1)
     out = {"quantizer_id": [], "u": [], "belief_mean": [], "probabilities": []}
     for t, symbol in enumerate(log.symbol.tolist()):
-        plan = policy.plan(state, t, belief, float(shared.uniform()))
+        plan = policy.plan(state, t, np.array([0]), [belief], np.array([shared.uniform()]))
         if plan.reset_belief is not None:
             belief = plan.reset_belief
-        out["quantizer_id"].append(plan.quantizer_id)
-        out["u"].append(optimal_reconstruction(belief, plan.quantizer, symbol, cost))
+        quantizer_id = int(plan.quantizer_ids[0])
+        quantizer = policy.quantizers[quantizer_id]
+        out["quantizer_id"].append(quantizer_id)
+        out["u"].append(optimal_reconstruction(belief, quantizer, symbol, cost))
         out["belief_mean"].append(belief.mean)
         out["probabilities"].append(getattr(belief, "probabilities", None))
-        belief = filter_update(belief, model, plan.quantizer, symbol)
-        state = policy.advance(state, t, symbol)
+        belief = filter_update(belief, model, quantizer, symbol)
+        state = policy.advance(state, t, np.array([symbol]))
     return out
 
 

@@ -181,7 +181,7 @@ def test_duplicate_candidates_pick_the_first():
     costs = stage_costs(belief, cands, QUAD)
     assert costs[1] == costs[2] and int(np.argmin(costs)) == 1
     assert greedy_policy_step(belief, cands, QUAD) is cands[1]
-    assert GreedyPolicy(cands, QUAD).plan(None, 0, belief, 0.0).quantizer_id == 1
+    assert GreedyPolicy(cands, QUAD).plan(None, 0, np.array([0]), [belief], None).quantizer_ids[0] == 1
     # cuts at and past the grid end leave the belief unquantized, exactly
     blind = [IntervalQuantizer((grid.hi,)), IntervalQuantizer((20.0,)), IntervalQuantizer(())]
     blind_costs = stage_costs(belief, blind, QUAD)

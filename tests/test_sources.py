@@ -13,6 +13,8 @@ from zdq.sources import (
     density_bounds,
     invariant_distribution,
     sample_next,
+    state_paths,
+    step_variates,
     transition_density,
 )
 
@@ -107,6 +109,22 @@ def test_sample_next_finite_matches_generator_choice(P, seed):
         assert x == y
     # both consumed the same variates
     assert fast.random() == ref.random()
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_stochastic(), st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_state_paths_match_sample_next(P, n_paths, steps, seed):
+    chain = FiniteChain(P, np.full(len(P), 1.0 / len(P)))
+    for model, x0 in ((chain, np.arange(n_paths) % len(P)), (LinearGaussianSource(0.7, 1.3), np.linspace(-1.0, 2.0, n_paths))):
+        v = np.empty((n_paths, steps))
+        for p in range(n_paths):
+            step_variates(model, np.random.default_rng([seed, p]), v[p])
+        paths = state_paths(model, x0, v)
+        for p in range(n_paths):
+            rng, x = np.random.default_rng([seed, p]), x0[p].item()
+            for j in range(steps):
+                x = sample_next(model, x, rng)
+                assert paths[p, j] == x
 
 
 def test_chain_defaults(two_state_chain):
