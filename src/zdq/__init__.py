@@ -17,8 +17,6 @@ from .sources import (
     FiniteChain,
     DensityBounds,
     transition_density,
-    sample_next,
-    invariant_distribution,
     density_bounds,
 )
 from .beliefs import (
@@ -30,9 +28,6 @@ from .beliefs import (
     SMembershipReport,
     ZeroMassSymbolError,
     filter_update,
-    predict,
-    tv_distance,
-    moment,
     check_S_membership,
 )
 from .quantizers import (
@@ -91,8 +86,6 @@ __all__ = [
     "FiniteChain",
     "DensityBounds",
     "transition_density",
-    "sample_next",
-    "invariant_distribution",
     "density_bounds",
     "Grid",
     "default_grid",
@@ -102,9 +95,6 @@ __all__ = [
     "SMembershipReport",
     "ZeroMassSymbolError",
     "filter_update",
-    "predict",
-    "tv_distance",
-    "moment",
     "check_S_membership",
     "IntervalQuantizer",
     "FinitePartition",

@@ -1,11 +1,15 @@
-"""Belief states and the nonlinear filter.
+"""Belief states, their cell moments, and the shared filter entry point.
 
 A belief is the conditional law of the current source state given the
 symbols sent so far. Continuous sources carry a GridBelief: a density
 sampled on a fixed uniform grid and read as its piecewise-linear
 interpolant, so integrals against quantizer cells can be taken exactly
 even when a cell boundary falls between nodes. Finite chains carry a
-SimplexBelief, where everything is exact arithmetic.
+SimplexBelief, where everything is exact arithmetic. Each belief class
+answers for itself what the rest of the package reads off a belief:
+key(), mean and std, cell_moments, draws, its description in
+policy_tree.json (to_json) and its row in a rollout's trajectory log
+(log_row).
 
 Every cell mass and every moment behind a stage cost comes from one
 method per belief family, cell_moments(quantizers), which returns the
@@ -21,21 +25,22 @@ dynamic program's stage-cost floor reads.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
-law. Restriction uses per-node window weights, which integrate the same
-piecewise-linear density exactly, so the law of total probability
-(summing the branch posteriors against the branch masses reproduces the
-one-step prediction) holds to rounding.
+law. filter_update is the one entry point for every family: it checks
+that the belief is of the source's family and that the cell carries
+mass, and leaves the restriction and the push to the source class
+(sources.py). A grid restriction uses per-node window weights, which
+integrate the same piecewise-linear density exactly, so the law of total
+probability (summing the branch posteriors against the branch masses
+reproduces the one-step prediction) holds to rounding. This module
+imports nothing from sources.py; a source names its belief class.
 """
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .sources import FiniteChain, LinearGaussianSource
 
 __all__ = [
     "Grid",
@@ -47,13 +52,8 @@ __all__ = [
     "window_weights",
     "column_cell_moments",
     "filter_update",
-    "predict",
-    "tv_distance",
-    "moment",
     "check_S_membership",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_GRID_POINTS = 801
 DEFAULT_SPAN_STDS = 8.0
@@ -112,11 +112,12 @@ class Grid:
 
 
 def default_grid(
-    model: LinearGaussianSource,
+    model,
     n_points: int = DEFAULT_GRID_POINTS,
     span_stds: float = DEFAULT_SPAN_STDS,
 ) -> Grid:
-    """Grid covering +/- span_stds stationary standard deviations."""
+    """Grid covering +/- span_stds stationary standard deviations of a
+    linear-Gaussian source."""
     half = span_stds * model.stationary_std
     return Grid(-half, half, n_points)
 
@@ -229,13 +230,31 @@ class GridBelief:
 
     @property
     def mean(self) -> float:
-        return float(moment(self, 1))
+        """Exact first moment of the piecewise-linear density, consistent
+        with cell masses and stage costs."""
+        return float(self.grid.moment_weights[1] @ self.values)
 
     @property
     def std(self) -> float:
         mean = self.mean
-        var = float(moment(self, 2)) - mean**2
+        var = float(self.grid.moment_weights[2] @ self.values) - mean**2
         return math.sqrt(max(var, 0.0))
+
+    def to_json(self, include_values: bool = False) -> dict:
+        """Description of the belief in policy_tree.json."""
+        out = {
+            "type": "grid",
+            "mean": self.mean,
+            "std": self.std,
+            "n_points": self.grid.n_points,
+        }
+        if include_values:
+            out["values"] = self.values.tolist()
+        return out
+
+    def log_row(self) -> list:
+        """The belief's columns in a trajectory log: mean and std."""
+        return [self.mean, self.std]
 
     def cell_moments(self, quantizers):
         """Exact moments of orders 0..2 of the PL density over every cell.
@@ -378,6 +397,19 @@ class SimplexBelief:
         var = m2 - self.mean**2
         return math.sqrt(max(var, 0.0))
 
+    def to_json(self, include_values: bool = False) -> dict:
+        """Description of the belief in policy_tree.json (always in full)."""
+        return {
+            "type": "simplex",
+            "probabilities": self.probabilities.tolist(),
+            "states": self.states.tolist(),
+        }
+
+    def log_row(self) -> list:
+        """The belief's columns in a trajectory log: mean, std, then the
+        probabilities."""
+        return [self.mean, self.std, *self.probabilities.tolist()]
+
     def restrict(self, membership: np.ndarray) -> np.ndarray:
         """The probabilities restricted to cells given as 0/1 rows (..., n_states).
 
@@ -440,7 +472,7 @@ class SMembershipReport:
 
 
 @functools.lru_cache(maxsize=8)
-def _transition_kernel(model: LinearGaussianSource, grid: Grid) -> np.ndarray:
+def _transition_kernel(model, grid: Grid) -> np.ndarray:
     """Dense kernel K[j, i] = transition density at node j given node i."""
     model.require_noise()
     s = model.noise_std
@@ -455,7 +487,7 @@ _MOMENT_BLOCK = 1 << 18  # moment entries per block of column_cell_moments
 _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
 
 
-def column_cell_moments(model: LinearGaussianSource, grid: Grid, quantizers):
+def column_cell_moments(model, grid: Grid, quantizers):
     """Cell moments of every normalized transition-kernel column, in blocks.
 
     Column i is the one-step density from node i divided by its
@@ -491,103 +523,32 @@ def column_cell_moments(model: LinearGaussianSource, grid: Grid, quantizers):
         yield np.diff(cumulative[:, block], axis=2)
 
 
-def _restriction(belief: GridBelief, quantizer, symbol: int) -> np.ndarray:
-    lo, hi = quantizer.cell_interval(symbol)
-    return window_weights(belief.grid, lo, hi, 0) * belief.values
+def _check_pair(belief, model) -> None:
+    """Raise TypeError unless belief is of the family model's beliefs are."""
+    if not isinstance(belief, model.belief_type):
+        raise TypeError(
+            f"a {type(model).__name__} has {model.belief_type.__name__} beliefs, "
+            f"got a {type(belief).__name__}"
+        )
 
 
 def filter_update(belief, model, quantizer, symbol: int, eps_mass: float = EPS_MASS):
     """One filter step: condition on the decoded cell, then predict.
 
-    Returns the next-step belief. Raises ZeroMassSymbolError when the
-    cell mass does not exceed eps_mass; the caller must not condition on
-    a zero-probability symbol.
+    model.restrict gives the belief restricted to the cell and
+    model.push the renormalized one-step prediction of it. Returns the
+    next-step belief. Raises TypeError when belief is not of model's
+    family, and ZeroMassSymbolError when the cell mass does not exceed
+    eps_mass; the caller must not condition on a zero-probability symbol.
     """
-    if isinstance(belief, GridBelief):
-        if not isinstance(model, LinearGaussianSource):
-            raise TypeError("GridBelief filtering needs a LinearGaussianSource")
-        r = _restriction(belief, quantizer, symbol)
-        mass = float(r.sum())
-        if mass <= eps_mass:
-            raise ZeroMassSymbolError(
-                f"zero-probability symbol {symbol}: cell mass {mass} <= {eps_mass}"
-            )
-        K = _transition_kernel(model, belief.grid)
-        nz = np.flatnonzero(r)
-        i0, i1 = nz[0], nz[-1] + 1  # interval cells give contiguous support
-        raw = (K[:, i0:i1] @ r[i0:i1]) / mass
-        z = float(belief.grid.trapezoid_weights @ raw)
-        if z <= 0.0:
-            raise ZeroMassSymbolError(
-                f"zero-probability symbol {symbol}: predicted mass {z}"
-            )
-        logger.debug("filter renormalization drift %.3e", z - 1.0)
-        return GridBelief(belief.grid, raw / z)
-    if isinstance(belief, SimplexBelief):
-        if not isinstance(model, FiniteChain):
-            raise TypeError("SimplexBelief filtering needs a FiniteChain")
-        r = belief.restrict(quantizer.member_mask(symbol))
-        mass = float(r.sum())
-        if mass <= eps_mass:
-            raise ZeroMassSymbolError(
-                f"zero-probability symbol {symbol}: cell mass {mass} <= {eps_mass}"
-            )
-        post = (r @ model.transition) / mass
-        z = float(post.sum())
-        logger.debug("filter renormalization drift %.3e", z - 1.0)
-        return SimplexBelief(post / z, states=belief.states)
-    raise TypeError(f"unsupported belief type {type(belief).__name__}")
-
-
-def predict(belief, model):
-    """Push the belief one step through the transition law (no conditioning)."""
-    if isinstance(belief, GridBelief):
-        if not isinstance(model, LinearGaussianSource):
-            raise TypeError("GridBelief prediction needs a LinearGaussianSource")
-        K = _transition_kernel(model, belief.grid)
-        raw = K @ (belief.grid.trapezoid_weights * belief.values)
-        return GridBelief.from_unnormalized(belief.grid, raw)
-    if isinstance(belief, SimplexBelief):
-        if not isinstance(model, FiniteChain):
-            raise TypeError("SimplexBelief prediction needs a FiniteChain")
-        post = belief.probabilities @ model.transition
-        return SimplexBelief(post / post.sum(), states=belief.states)
-    raise TypeError(f"unsupported belief type {type(belief).__name__}")
-
-
-def tv_distance(b1, b2) -> float:
-    """Total variation distance (mass-difference convention, range [0, 2])."""
-    if isinstance(b1, GridBelief) and isinstance(b2, GridBelief):
-        if b1.grid != b2.grid:
-            raise ValueError("beliefs live on different grids")
-        return float(b1.grid.trapezoid_weights @ np.abs(b1.values - b2.values))
-    if isinstance(b1, SimplexBelief) and isinstance(b2, SimplexBelief):
-        if b1.n_states != b2.n_states:
-            raise ValueError("beliefs have different alphabet sizes")
-        return float(np.abs(b1.probabilities - b2.probabilities).sum())
-    raise TypeError(
-        f"mismatched belief types {type(b1).__name__}, {type(b2).__name__}"
-    )
-
-
-def moment(belief, k: int) -> float:
-    """k-th raw moment of the belief.
-
-    Grid beliefs integrate the piecewise-linear density exactly for
-    k <= 2, consistent with cell masses and stage costs (so the variance
-    bound on stage costs holds identically); higher orders fall back to
-    plain trapezoid on x^k * density.
-    """
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    if isinstance(belief, GridBelief):
-        if k <= 2:
-            return float(belief.grid.moment_weights[k] @ belief.values)
-        x = belief.grid.nodes
-        return float(belief.grid.trapezoid_weights @ (x**k * belief.values))
-    if isinstance(belief, SimplexBelief):
-        return float(belief.probabilities @ (belief.states**k))
-    raise TypeError(f"unsupported belief type {type(belief).__name__}")
+    _check_pair(belief, model)
+    r = model.restrict(belief, quantizer, symbol)
+    mass = float(r.sum())
+    if mass <= eps_mass:
+        raise ZeroMassSymbolError(
+            f"zero-probability symbol {symbol}: cell mass {mass} <= {eps_mass}"
+        )
+    return model.push(belief, r, mass)
 
 
 def check_S_membership(belief: GridBelief, bounds, tol: float = 0.0) -> SMembershipReport:

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .beliefs import EPS_MASS, SimplexBelief
+from .beliefs import EPS_MASS
 from .costs import CostModel
 from .config import (
     ConfigError,
@@ -32,7 +32,6 @@ from .config import (
     build_binning,
     build_candidates,
     build_cost,
-    build_grid,
     build_initial_belief,
     build_source,
     load_config,
@@ -61,7 +60,7 @@ from .infinite import (
 )
 from .oracles import brute_force_finite
 from .quantizers import enumerate_finite_partitions
-from .sources import FiniteChain, LinearGaussianSource
+from .sources import FiniteChain
 
 _ORACLE_GAP_TOL = 1e-12
 
@@ -245,7 +244,7 @@ def _run_oracle_check(cfg: dict, out_dir: str):
     levels = cfg.get("levels", 2)
     cost = CostModel.quadratic()
     candidates = enumerate_finite_partitions(chain.n_states, levels)
-    initial = SimplexBelief(chain.initial.copy(), states=chain.state_values)
+    initial = chain.initial_belief()
     dp_value = solve_finite_horizon(initial, chain, candidates, cost, horizon).value
     oracle_value = brute_force_finite(chain.initial, chain, levels, horizon, cost)
     gap = abs(dp_value - oracle_value)
@@ -345,8 +344,7 @@ def _run_occupancy(cfg: dict, out_dir: str):
         initial_belief=initial,
     )
     hist = occupation_measure(res.log, binning)
-    grid = build_grid(cfg, model) if isinstance(model, LinearGaussianSource) else None
-    residual = invariance_residual(hist, model, table, grid=grid)
+    residual = invariance_residual(hist, model, table)
     _atomic_write(
         os.path.join(out_dir, "histogram.json"), _canonical_json(hist.to_json())
     )

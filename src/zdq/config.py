@@ -12,13 +12,7 @@ import json
 
 import numpy as np
 
-from .beliefs import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_SPAN_STDS,
-    GridBelief,
-    SimplexBelief,
-    default_grid,
-)
+from .beliefs import DEFAULT_GRID_POINTS, DEFAULT_SPAN_STDS, GridBelief, SimplexBelief, default_grid
 from .costs import CostModel
 from .infinite import GridFeatureBinning, SimplexBinning
 from .quantizers import (
@@ -26,7 +20,7 @@ from .quantizers import (
     enumerate_interval_candidates,
     quantizer_from_json,
 )
-from .sources import FiniteChain, LinearGaussianSource, invariant_distribution
+from .sources import FiniteChain, LinearGaussianSource
 
 __all__ = ["ConfigError", "TASKS", "load_config", "validate_config"]
 
@@ -458,11 +452,13 @@ def build_candidates(cfg: dict, model):
 
 def build_initial_belief(cfg: dict, model):
     spec = cfg["initial_belief"]
-    if isinstance(model, FiniteChain):
-        if spec == "invariant":
-            return invariant_distribution(model)
-        if spec == "model":
-            return SimplexBelief(model.initial.copy(), states=model.state_values)
+    chain = isinstance(model, FiniteChain)
+    grid = None if chain else build_grid(cfg, model)
+    if spec == "invariant":
+        return model.invariant_distribution(grid)
+    if spec == "model":
+        return model.initial_belief(grid)
+    if chain:
         if "probabilities" not in spec:
             raise ConfigError("initial_belief", "chain sources take 'probabilities'")
         probs = np.asarray(spec["probabilities"], dtype=float)
@@ -475,13 +471,6 @@ def build_initial_belief(cfg: dict, model):
             return SimplexBelief(probs, states=model.state_values)
         except ValueError as e:
             raise ConfigError("initial_belief.probabilities", str(e)) from None
-    grid = build_grid(cfg, model)
-    if spec == "invariant":
-        return invariant_distribution(model, grid)
-    if spec == "model":
-        if model.init_std == 0.0:
-            return GridBelief.point_mass(grid, model.init_mean)
-        return GridBelief.normal(grid, model.init_mean, model.init_std)
     if "probabilities" in spec:
         raise ConfigError("initial_belief", "gaussian sources take {'mean', 'std'}")
     return GridBelief.normal(grid, spec["mean"], spec["std"])

@@ -25,10 +25,11 @@ a sum over cells of a minimum of linear functionals of the belief
 m2 - 2 u m1 + u^2 m0; tabular: the least restricted column cost), so it
 is concave, and so is its minimum over the candidates. Its least value
 over the combinations therefore sits at a column, and that least value,
-the floor, bounds the stage cost of every later stage from below
-(Smallwood & Sondik 1973 use the same concavity for partially observed
-control). At a node at stage t < horizon - 1 the candidates are visited
-in stable order of stage cost, and the loop stops at the first one with
+the floor (the source's stage_floor), bounds the stage cost of every
+later stage from below (Smallwood & Sondik 1973 use the same concavity
+for partially observed control). At a node at stage t < horizon - 1
+the candidates are visited in stable order of stage cost, and the loop
+stops at the first one with
 
     stage / horizon + (horizon - t - 1) * floor_share
         > best value so far + PRUNE_MARGIN * max(best value, 1)
@@ -60,16 +61,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, column_cell_moments, filter_update
-from .costs import (
-    CostModel,
-    _stage_costs_and_masses,
-    _stage_costs_from,
-    stage_cost,
-    stage_costs,
-)
+from .beliefs import _check_pair, filter_update
+from .costs import CostModel, _stage_costs_and_masses, stage_cost, stage_costs
 from .quantizers import cell_masses
-from .sources import FiniteChain, LinearGaussianSource
 
 __all__ = [
     "PolicyNode",
@@ -137,24 +131,6 @@ class PolicyTree:
     def to_json(self, include_belief_values: bool = False) -> dict:
         out_nodes = []
         for node in self.nodes:
-            belief = node.belief
-            if isinstance(belief, SimplexBelief):
-                bdesc = {
-                    "type": "simplex",
-                    "probabilities": belief.probabilities.tolist(),
-                    "states": belief.states.tolist(),
-                }
-            elif isinstance(belief, GridBelief):
-                bdesc = {
-                    "type": "grid",
-                    "mean": belief.mean,
-                    "std": belief.std,
-                    "n_points": belief.grid.n_points,
-                }
-                if include_belief_values:
-                    bdesc["values"] = belief.values.tolist()
-            else:
-                bdesc = {"type": type(belief).__name__}
             out_nodes.append(
                 {
                     "id": node.node_id,
@@ -169,7 +145,7 @@ class PolicyTree:
                         str(m): {"probability": p, "node": cid}
                         for m, (p, cid) in sorted(node.children.items())
                     },
-                    "belief": bdesc,
+                    "belief": node.belief.to_json(include_belief_values),
                 }
             )
         return {
@@ -202,12 +178,6 @@ class _BudgetSentinel(Exception):
         self.nodes_evaluated = nodes_evaluated
 
 
-def _require_density_model(model) -> None:
-    require = getattr(model, "require_noise", None)
-    if require is not None:
-        require()
-
-
 def solve_finite_horizon(
     initial_belief,
     model,
@@ -232,14 +202,14 @@ def solve_finite_horizon(
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")
-    _require_density_model(model)
+    _check_pair(initial_belief, model)
 
     if horizon > 1:
         # every later stage pays at least the floor on the mass that no
         # eps_prune drop removed; a node drops at most levels * eps_prune
         levels = max(q.levels for q in candidates)
         surviving = max(0.0, 1.0 - horizon * levels * eps_prune)
-        stage_floor = _stage_floor(initial_belief, model, candidates, cost) * surviving / horizon
+        stage_floor = model.stage_floor(initial_belief, candidates, cost) * surviving / horizon
     searched: list[PolicyNode] = []
     memo: dict = {}
     state = {"evals": 0, "pruned": 0}
@@ -357,31 +327,6 @@ def solve_finite_horizon(
     return DPResult(value=tree.value, tree=tree)
 
 
-def _stage_floor(belief, model, candidates, cost: CostModel) -> float:
-    """Least stage cost of any candidate at any belief one filter step yields.
-
-    Such a belief is a convex combination of prediction columns: the
-    transition rows of a chain, or the kernel columns of a linear-Gaussian
-    source, each normalized to trapezoid integral 1. For one quantizer
-    the stage cost is concave in the belief, so its least value over
-    those combinations sits at a column. The grid columns are read in one
-    batch from their cumulative cell moments (beliefs.column_cell_moments).
-    """
-    if isinstance(belief, SimplexBelief) and isinstance(model, FiniteChain):
-        return min(
-            float(stage_costs(SimplexBelief(row, states=belief.states), candidates, cost).min())
-            for row in model.transition
-        )
-    if isinstance(belief, GridBelief) and isinstance(model, LinearGaussianSource):
-        return min(
-            float(_stage_costs_from(moments, None, candidates, cost).min())
-            for moments in column_cell_moments(model, belief.grid, candidates)
-        )
-    raise TypeError(
-        f"no filter for a {type(belief).__name__} under a {type(model).__name__}"
-    )
-
-
 def greedy_policy_step(belief, candidates, cost: CostModel):
     """Quantizer minimizing the immediate stage cost (first on ties)."""
     candidates = list(candidates)
@@ -406,7 +351,7 @@ def exact_policy_value(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    _require_density_model(model)
+    _check_pair(initial_belief, model)
 
     def walk(belief, t: int) -> float:
         if t == horizon:

@@ -43,16 +43,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import EPS_MASS, GridBelief, SimplexBelief, default_grid, filter_update
+from .beliefs import EPS_MASS, GridBelief, SimplexBelief, _check_pair, default_grid, filter_update
 from .costs import CostModel, _stage_costs_and_masses, cell_decisions
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
 from .quantizers import cell_masses, stacked_classifier
-from .sources import FiniteChain, LinearGaussianSource, state_paths, step_variates
+from .sources import FiniteChain
 
 __all__ = [
     "PiecingSchedule",
@@ -467,17 +467,6 @@ _DRAW_BLOCK = 1 << 17
 _CHUNK = 1 << 12
 
 
-def _default_initial_belief(model):
-    if isinstance(model, FiniteChain):
-        return SimplexBelief(model.initial.copy(), states=model.state_values)
-    if isinstance(model, LinearGaussianSource):
-        grid = default_grid(model)
-        if model.init_std == 0.0:
-            return GridBelief.point_mass(grid, model.init_mean)
-        return GridBelief.normal(grid, model.init_mean, model.init_std)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 class _PathStreams:
     """One seed stream of every path, drawn a block of steps at a time.
 
@@ -594,16 +583,17 @@ class _BeliefTable:
 
 
 class _PathLog:
-    """Path 0's per-step columns, filled a range of steps at a time."""
+    """Path 0's per-step columns, filled a range of steps at a time.
 
-    def __init__(self, horizon: int, n_states: int | None):
-        self.cols = {
-            name: np.zeros(horizon)
-            for name in ("x", "u", "stage", "mean", "std", "realized")
-        }
+    rows holds every step's belief.log_row(): mean, std, then a simplex
+    belief's probabilities.
+    """
+
+    def __init__(self, horizon: int, initial_belief):
+        self.cols = {name: np.zeros(horizon) for name in ("x", "u", "stage", "realized")}
         self.symbol = np.zeros(horizon, dtype=int)
         self.quantizer_id = np.zeros(horizon, dtype=int)
-        self.probs = None if n_states is None else np.zeros((horizon, n_states))
+        self.rows = np.zeros((horizon, len(initial_belief.log_row())))
 
     def transitions(self, steps: slice, keys, table: _BeliefTable) -> None:
         """Columns read off the table: keys are path 0's transition keys."""
@@ -611,11 +601,7 @@ class _PathLog:
         b, self.quantizer_id[steps] = np.divmod(bq, len(table.quantizers))
         self.cols["stage"][steps] = table.stage.take(bq)
         distinct, inverse = np.unique(b, return_inverse=True)
-        beliefs = [table.beliefs[i] for i in distinct.tolist()]
-        stats = np.array([(belief.mean, belief.std) for belief in beliefs])
-        self.cols["mean"][steps], self.cols["std"][steps] = stats[inverse].T
-        if self.probs is not None:
-            self.probs[steps] = np.array([belief.probabilities for belief in beliefs])[inverse]
+        self.rows[steps] = np.array([table.beliefs[i].log_row() for i in distinct.tolist()])[inverse]
 
     def trajectory(self) -> TrajectoryLog:
         cols = self.cols
@@ -625,10 +611,10 @@ class _PathLog:
             symbol=self.symbol,
             u=cols["u"],
             stage=cols["stage"],
-            belief_mean=cols["mean"],
-            belief_std=cols["std"],
+            belief_mean=self.rows[:, 0].copy(),
+            belief_std=self.rows[:, 1].copy(),
             quantizer_id=self.quantizer_id,
-            probabilities=self.probs,
+            probabilities=self.rows[:, 2:].copy() if self.rows.shape[1] > 2 else None,
         )
 
 
@@ -641,7 +627,6 @@ class _Lockstep:
 
     def __init__(self, policy, model, cost: CostModel, initial_belief, n_paths: int, log):
         self.policy, self.model, self.cost, self.log = policy, model, cost, log
-        self.finite = isinstance(model, FiniteChain)
         self.table = _BeliefTable(model, cost, policy.quantizers)
         self.classify = stacked_classifier(policy.quantizers)
         self.ids = np.full(n_paths, self.table.intern(initial_belief))
@@ -688,7 +673,7 @@ class _Lockstep:
         for lo in range(0, xs.shape[1], span):
             cols = slice(lo, lo + span)
             states = xs[:, cols]
-            values = self.model.state_values[states] if self.finite else states
+            values = self.model.real_values(states)
             costed = values if self.cost.kind == "quadratic" else states
             realized = self.cost.pointwise(costed, u[:, cols])
             # a running sum along time adds each path's costs in step order
@@ -762,15 +747,14 @@ def rollout(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if initial_belief is None:
-        initial_belief = _default_initial_belief(model)
-    finite = isinstance(model, FiniteChain)
+        initial_belief = model.initial_belief()
+    _check_pair(initial_belief, model)
 
-    n_states = initial_belief.n_states if finite else None
-    log = _PathLog(horizon, n_states) if log_path else None
+    log = _PathLog(horizon, initial_belief) if log_path else None
     paths = _Lockstep(policy, model, cost, initial_belief, n_paths, log)
     source = _PathStreams(seed, n_paths, 0)
     shared = _PathStreams(seed, n_paths, 1) if policy.shared_randomness else None
-    block = max(1, _DRAW_BLOCK // (n_paths * (n_states or 1)))
+    block = max(1, _DRAW_BLOCK // (n_paths * model.scan_width))
     for t0 in range(0, horizon, block):
         size = min(block, horizon - t0)
         keep = t0 + size < horizon
@@ -780,12 +764,12 @@ def rollout(
                 # the initial state takes each source stream's first variate
                 row[0] = g.random()
                 row = row[1:]
-            step_variates(model, g, row)
+            model.step_variates(g, row)
 
         v = source.fill(np.empty((n_paths, size + (t0 == 0))), draw, keep)
         if t0 == 0:
             x, v = initial_belief.inverse_cdf(v[:, 0]), v[:, 1:]
-        xs = np.column_stack([x, state_paths(model, x, v)])
+        xs = np.column_stack([x, model.state_paths(x, v)])
         shares = None
         if shared is not None:
             # uniform() is 0 + 1 times the generator's next random() variate
@@ -958,19 +942,29 @@ class SimplexBinning:
         bins = (log.probabilities[:, 0] * self.n_bins).astype(np.int64)
         return np.minimum(bins, self.n_bins - 1)
 
+    def representative(self, b: int, histogram: "OccupationHistogram", model) -> SimplexBelief:
+        """The average logged belief of bin b."""
+        total = histogram.belief_sums[b].sum()
+        return SimplexBelief(histogram.belief_sums[b] / total, states=model.state_values)
+
     def to_json(self) -> dict:
         return {"type": "simplex", "n_bins": self.n_bins}
 
 
 @dataclass(frozen=True)
 class GridFeatureBinning:
-    """Bins density beliefs by (mean, standard deviation)."""
+    """Bins density beliefs by (mean, standard deviation).
+
+    grid, set by for_grid, is the grid the bins' representative beliefs
+    live on; it is not part of the binning's JSON description.
+    """
 
     mean_lo: float
     mean_hi: float
     std_hi: float
     n_mean: int = 50
     n_std: int = 20
+    grid: object = field(default=None, compare=False, repr=False)
 
     @classmethod
     def for_grid(cls, grid, n_mean: int = 50, n_std: int = 20):
@@ -980,6 +974,7 @@ class GridFeatureBinning:
             std_hi=0.5 * (grid.hi - grid.lo),
             n_mean=n_mean,
             n_std=n_std,
+            grid=grid,
         )
 
     @property
@@ -1011,6 +1006,12 @@ class GridFeatureBinning:
         mean = self.mean_lo + (i + 0.5) * (self.mean_hi - self.mean_lo) / self.n_mean
         std = (j + 0.5) * self.std_hi / self.n_std
         return mean, std
+
+    def representative(self, b: int, histogram: "OccupationHistogram", model) -> GridBelief:
+        """A normal density at bin b's center, on grid (default: the
+        model's default grid)."""
+        grid = default_grid(model) if self.grid is None else self.grid
+        return GridBelief.normal(grid, *self.bin_center(b))
 
     def to_json(self) -> dict:
         return {
@@ -1091,7 +1092,6 @@ def invariance_residual(
     model,
     candidates,
     eps_mass: float = EPS_MASS,
-    grid=None,
 ) -> float:
     """Total variation defect of the histogram under the belief kernel.
 
@@ -1099,28 +1099,18 @@ def invariance_residual(
     filter (branch by branch, weighted by branch mass) and compares the
     resulting belief-bin distribution with the histogram's own
     belief-bin marginal. Near 0 for samples from an invariant regime.
-    Bin representatives are the per-bin average logged beliefs when
-    available (simplex logs); grid-feature histograms synthesize a
-    normal density at the bin center, on grid (default: the model's
-    default grid), which makes the check a diagnostic rather than an
-    exact statement there.
+    The binning gives each bin's representative belief: the per-bin
+    average logged belief for simplex bins; grid-feature bins synthesize
+    a normal density at the bin center on the binning's grid, which
+    makes the check a diagnostic rather than an exact statement there.
     """
     binning = histogram.binning
     counts = histogram.counts
     steps = histogram.steps
     marginal = counts.sum(axis=1) / steps
     pushed = np.zeros(binning.n_total)
-    if grid is None and isinstance(model, LinearGaussianSource):
-        grid = default_grid(model)
     for b in np.flatnonzero(counts.sum(axis=1)):
-        if histogram.belief_sums is not None:
-            total = histogram.belief_sums[b].sum()
-            rep = SimplexBelief(
-                histogram.belief_sums[b] / total, states=model.state_values
-            )
-        else:
-            mean, std = binning.bin_center(b)
-            rep = GridBelief.normal(grid, mean, std)
+        rep = binning.representative(b, histogram, model)
         used = np.flatnonzero(counts[b])
         masses = cell_masses(rep, [candidates[k] for k in used]).tolist()
         for k, row in zip(used, masses):

@@ -1,32 +1,57 @@
-"""Markov source models.
+"""Markov source models, one class per family.
 
 Two families are supported: scalar linear-Gaussian sources
-x_{t+1} = a x_t + w_t with w_t ~ N(0, noise_std^2), and finite-alphabet
-Markov chains given by a row-stochastic transition matrix. Both expose
-the same small surface: a one-step transition law, a sampler, an
-invariant distribution, and (for the Gaussian family) uniform bounds on
-the transition density and its slope.
+x_{t+1} = a x_t + w_t with w_t ~ N(0, noise_std^2), whose beliefs are
+GridBeliefs, and finite-alphabet Markov chains given by a
+row-stochastic transition matrix, whose beliefs are SimplexBeliefs.
+Each class names its belief class (belief_type) and owns every operation
+that depends on the family, with the same names on both:
+
+- draws: sample_next (one step), step_variates (a path's variates in
+  bulk) and state_paths (every path's states from those variates);
+- beliefs: invariant_distribution and initial_belief, on a grid given
+  as an argument for the Gaussian family (default: its default grid);
+- the filter's family half: restrict (the belief restricted to a cell)
+  and push (the renormalized one-step prediction of a restriction),
+  which beliefs.filter_update runs around its shared checks;
+- stage_floor, the least stage cost at the prediction columns that
+  bounds the dynamic program's later stages;
+- real_values, the real numbers realized costs are taken at, and
+  scan_width, the entries state_paths holds per path and step.
+
+The Gaussian family also has uniform bounds on the transition density
+and its slope (density_bounds).
 """
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .beliefs import (
+    GridBelief,
+    SimplexBelief,
+    ZeroMassSymbolError,
+    _transition_kernel,
+    column_cell_moments,
+    default_grid,
+    window_weights,
+)
+from .costs import _stage_costs_from, stage_costs
+
 __all__ = [
     "LinearGaussianSource",
     "FiniteChain",
     "DensityBounds",
     "transition_density",
-    "sample_next",
-    "step_variates",
-    "state_paths",
-    "invariant_distribution",
     "density_bounds",
 ]
+
+logger = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -45,6 +70,9 @@ class LinearGaussianSource:
     noise_std: float
     init_mean: float = 0.0
     init_std: float = 1.0
+
+    belief_type = GridBelief
+    scan_width = 1
 
     def __post_init__(self) -> None:
         for name in ("a", "noise_std", "init_mean", "init_std"):
@@ -72,6 +100,74 @@ class LinearGaussianSource:
             )
         return self.noise_std / math.sqrt(1.0 - self.a * self.a)
 
+    def sample_next(self, x, rng: np.random.Generator):
+        """Draw x_{t+1} given x_t = x, consuming one standard normal of rng."""
+        return self.a * x + self.noise_std * rng.standard_normal()
+
+    def step_variates(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill out with the standard normals of len(out) sample_next calls."""
+        return rng.standard_normal(out=out)
+
+    def state_paths(self, x0, v) -> np.ndarray:
+        """States x_1 .. x_steps of every path, as sample_next gives them.
+
+        x0 holds every path's state and v its (n_paths, steps) variates
+        from step_variates; the recursion runs step by step on all paths.
+        """
+        out = np.empty(v.shape)
+        x = x0
+        for j in range(v.shape[1]):
+            x = out[:, j] = self.a * x + self.noise_std * v[:, j]
+        return out
+
+    def real_values(self, states):
+        """The real numbers states stand for: the states themselves."""
+        return states
+
+    def invariant_distribution(self, grid=None) -> GridBelief:
+        """N(0, noise_std^2 / (1 - a^2)) on grid (default: default_grid).
+
+        Requires |a| < 1 and noise_std > 0.
+        """
+        self.require_noise()
+        std = self.stationary_std  # raises when |a| >= 1
+        return GridBelief.normal(default_grid(self) if grid is None else grid, 0.0, std)
+
+    def initial_belief(self, grid=None) -> GridBelief:
+        """The time-0 law on grid (default: default_grid); init_std = 0 is
+        a point mass."""
+        if grid is None:
+            grid = default_grid(self)
+        if self.init_std == 0.0:
+            return GridBelief.point_mass(grid, self.init_mean)
+        return GridBelief.normal(grid, self.init_mean, self.init_std)
+
+    def restrict(self, belief: GridBelief, quantizer, symbol: int) -> np.ndarray:
+        """Per-node weights of the belief's density over cell symbol."""
+        lo, hi = quantizer.cell_interval(symbol)
+        return window_weights(belief.grid, lo, hi, 0) * belief.values
+
+    def push(self, belief: GridBelief, restricted: np.ndarray, mass: float) -> GridBelief:
+        """The restriction over its mass, pushed through the transition
+        kernel on the belief's grid and renormalized to integral 1."""
+        K = _transition_kernel(self, belief.grid)
+        nz = np.flatnonzero(restricted)
+        i0, i1 = nz[0], nz[-1] + 1  # interval cells give contiguous support
+        raw = (K[:, i0:i1] @ restricted[i0:i1]) / mass
+        z = float(belief.grid.trapezoid_weights @ raw)
+        if z <= 0.0:
+            raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")
+        logger.debug("filter renormalization drift %.3e", z - 1.0)
+        return GridBelief(belief.grid, raw / z)
+
+    def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
+        """Least stage cost over every normalized kernel column on the
+        belief's grid, read in one batch of cumulative cell moments."""
+        return min(
+            float(_stage_costs_from(moments, None, candidates, cost).min())
+            for moments in column_cell_moments(self, belief.grid, candidates)
+        )
+
 
 @dataclass(frozen=True)
 class FiniteChain:
@@ -87,6 +183,8 @@ class FiniteChain:
     transition: np.ndarray
     initial: np.ndarray
     state_values: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    belief_type = SimplexBelief
 
     def __post_init__(self) -> None:
         P = np.array(self.transition, dtype=float)
@@ -150,6 +248,85 @@ class FiniteChain:
         out.flags.writeable = False
         return out
 
+    @property
+    def scan_width(self) -> int:
+        """Entries state_paths holds per path and step: one per state."""
+        return self.n_states
+
+    def sample_next(self, x, rng: np.random.Generator) -> int:
+        """Next state index given state index x, consuming one uniform of
+        rng: the algorithm of Generator.choice(n_states, p=row) on the
+        cached row_cdf, so both consume and return the same."""
+        return int(self.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
+
+    def step_variates(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill out with the uniforms of len(out) sample_next calls."""
+        return rng.random(out=out)
+
+    def state_paths(self, x0, v) -> np.ndarray:
+        """States x_1 .. x_steps of every path, as sample_next gives them.
+
+        x0 holds every path's state and v its (n_paths, steps) variates
+        from step_variates. Every (path, step, state) is first mapped to
+        its next state, the same row_cdf search as sample_next; the maps
+        are then composed along each path by a prefix scan, in
+        log2(steps) array operations.
+        """
+        # maps[p, j, i]: the state after step j of path p from state i
+        maps = np.empty(v.shape + (self.n_states,), np.min_scalar_type(self.n_states))
+        for i, row in enumerate(self.row_cdf):
+            maps[..., i] = row.searchsorted(v, side="right")
+        d = 1
+        while d < v.shape[1]:
+            # each map now covers steps j - 2d + 1 .. j, not j - d + 1 .. j
+            maps[:, d:] = np.take_along_axis(maps[:, d:], maps[:, :-d], axis=2)
+            d *= 2
+        return np.take_along_axis(maps, np.asarray(x0)[:, None, None], axis=2)[:, :, 0]
+
+    def real_values(self, states):
+        """The state_values of state indices."""
+        return self.state_values[states]
+
+    def invariant_distribution(self, grid=None) -> SimplexBelief:
+        """The unique left eigenvector of the transition matrix for
+        eigenvalue 1 (grid is unused). A chain without a unique stable
+        stationary law (reducible, or with a second unit-modulus
+        eigenvalue) is rejected."""
+        eigvals, eigvecs = np.linalg.eig(self.transition.T)
+        unit = np.abs(eigvals - 1.0) < 1e-9
+        if unit.sum() != 1:
+            raise ValueError("no stable invariant distribution: reducible chain")
+        others = np.abs(eigvals[~unit])
+        if others.size and np.max(others) >= 1.0 - 1e-12:
+            raise ValueError(
+                "no stable invariant distribution: second unit-modulus eigenvalue"
+            )
+        v = np.abs(np.real(eigvecs[:, unit].ravel()))
+        return SimplexBelief(v / v.sum(), states=self.state_values)
+
+    def initial_belief(self, grid=None) -> SimplexBelief:
+        """The time-0 law (grid is unused)."""
+        return SimplexBelief(self.initial.copy(), states=self.state_values)
+
+    def restrict(self, belief: SimplexBelief, quantizer, symbol: int) -> np.ndarray:
+        """The belief's probabilities inside cell symbol, 0 elsewhere."""
+        return belief.restrict(quantizer.member_mask(symbol))
+
+    def push(self, belief: SimplexBelief, restricted: np.ndarray, mass: float) -> SimplexBelief:
+        """The restriction over its mass times the transition matrix,
+        renormalized to sum 1."""
+        post = (restricted @ self.transition) / mass
+        z = float(post.sum())
+        logger.debug("filter renormalization drift %.3e", z - 1.0)
+        return SimplexBelief(post / z, states=belief.states)
+
+    def stage_floor(self, belief: SimplexBelief, candidates, cost) -> float:
+        """Least stage cost over the transition rows as beliefs."""
+        return min(
+            float(stage_costs(SimplexBelief(row, states=belief.states), candidates, cost).min())
+            for row in self.transition
+        )
+
 
 @dataclass(frozen=True)
 class DensityBounds:
@@ -170,103 +347,6 @@ def transition_density(model: LinearGaussianSource, z: float, x: float) -> float
     s = model.noise_std
     u = (z - model.a * x) / s
     return math.exp(-0.5 * u * u) / (s * _SQRT_2PI)
-
-
-def sample_next(model, x, rng: np.random.Generator):
-    """Draw x_{t+1} given x_t = x from the model's one-step law.
-
-    The draw consumes exactly one variate from rng, so sequences are
-    reproducible given the seed stream position. For a FiniteChain, x is
-    the current state index and the return value is the next index, drawn
-    by the algorithm of Generator.choice(n_states, p=row) on the cached
-    row_cdf, so both consume and return the same.
-    """
-    if isinstance(model, LinearGaussianSource):
-        return model.a * x + model.noise_std * rng.standard_normal()
-    if isinstance(model, FiniteChain):
-        return int(model.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def step_variates(model, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out with the variates of len(out) successive sample_next calls.
-
-    One standard normal per step for a Gaussian source, one uniform on
-    [0, 1) for a chain; a bulk draw returns the same numbers as that many
-    single draws.
-    """
-    if isinstance(model, LinearGaussianSource):
-        return rng.standard_normal(out=out)
-    if isinstance(model, FiniteChain):
-        return rng.random(out=out)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def state_paths(model, x0, v):
-    """States after each step of every path, as sample_next gives them.
-
-    x0 holds every path's state and v its (n_paths, steps) variates from
-    step_variates; returns the (n_paths, steps) states x_1 .. x_steps.
-    A Gaussian source runs its recursion step by step on all paths. A
-    chain first maps every (path, step, state) to its next state, the
-    same row_cdf search as sample_next, then composes those maps along
-    each path by a prefix scan, in log2(steps) array operations.
-    """
-    if isinstance(model, LinearGaussianSource):
-        out = np.empty(v.shape)
-        x = x0
-        for j in range(v.shape[1]):
-            x = out[:, j] = model.a * x + model.noise_std * v[:, j]
-        return out
-    if isinstance(model, FiniteChain):
-        # maps[p, j, i]: the state after step j of path p from state i
-        maps = np.empty(v.shape + (model.n_states,), np.min_scalar_type(model.n_states))
-        for i, row in enumerate(model.row_cdf):
-            maps[..., i] = row.searchsorted(v, side="right")
-        d = 1
-        while d < v.shape[1]:
-            # each map now covers steps j - 2d + 1 .. j, not j - d + 1 .. j
-            maps[:, d:] = np.take_along_axis(maps[:, d:], maps[:, :-d], axis=2)
-            d *= 2
-        return np.take_along_axis(maps, np.asarray(x0)[:, None, None], axis=2)[:, :, 0]
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def invariant_distribution(model, grid=None):
-    """Stationary distribution of the source.
-
-    Gaussian case: N(0, noise_std^2 / (1 - a^2)) sampled on grid
-    (default: the model's default belief grid); requires |a| < 1 and
-    noise_std > 0. Finite case: the unique left eigenvector of the
-    transition matrix for eigenvalue 1; a chain without a unique stable
-    stationary law (reducible, or with a second unit-modulus eigenvalue)
-    is rejected.
-    """
-    if isinstance(model, LinearGaussianSource):
-        model.require_noise()
-        std = model.stationary_std  # raises when |a| >= 1
-        from .beliefs import GridBelief, default_grid
-
-        if grid is None:
-            grid = default_grid(model)
-        return GridBelief.normal(grid, 0.0, std)
-    if isinstance(model, FiniteChain):
-        eigvals, eigvecs = np.linalg.eig(model.transition.T)
-        unit = np.abs(eigvals - 1.0) < 1e-9
-        if unit.sum() != 1:
-            raise ValueError("no stable invariant distribution: reducible chain")
-        others = np.abs(eigvals[~unit])
-        if others.size and np.max(others) >= 1.0 - 1e-12:
-            raise ValueError(
-                "no stable invariant distribution: second unit-modulus eigenvalue"
-            )
-        v = np.real(eigvecs[:, unit].ravel())
-        v = np.abs(v)
-        pi = v / v.sum()
-        from .beliefs import SimplexBelief
-
-        return SimplexBelief(pi, states=model.state_values)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def density_bounds(model: LinearGaussianSource) -> DensityBounds:

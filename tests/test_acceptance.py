@@ -43,8 +43,6 @@ from zdq.sources import (
     FiniteChain,
     LinearGaussianSource,
     density_bounds,
-    invariant_distribution,
-    sample_next,
 )
 
 QUAD = CostModel.quadratic()
@@ -153,7 +151,7 @@ def test_a3_admissible_search_equals_dp(capfd):
 def test_a4_memoryless_recovery(capfd):
     src = LinearGaussianSource(0.0, 1.0)
     t0 = time.perf_counter()
-    init = invariant_distribution(src)
+    init = src.invariant_distribution()
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 41)
     res = solve_finite_horizon(init, src, cands, QUAD, horizon=2)
     dt = time.perf_counter() - t0
@@ -187,7 +185,7 @@ def test_a5_density_class_invariance(capfd):
         quantizer = greedy_policy_step(belief, cands, QUAD)
         symbol = quantizer.classify(x)
         belief = filter_update(belief, src, quantizer, symbol)
-        x = sample_next(src, x, rng)
+        x = src.sample_next(x, rng)
         rep = check_S_membership(belief, bounds, tol=tol)
         worst_density = max(worst_density, rep.max_density)
         worst_slope = max(worst_slope, rep.max_slope)
@@ -325,7 +323,7 @@ def test_a10_occupation_diagnostics(capfd):
     t0 = time.perf_counter()
     sep = FinitePartition((1, 2), 2)
     policy = FixedQuantizerPolicy(sep)
-    pi_star = invariant_distribution(TWO_STATE)
+    pi_star = TWO_STATE.invariant_distribution()
     binning = SimplexBinning(50)
     marginals = []
     residuals = []

@@ -32,7 +32,8 @@ from zdq.config import (
     validate_config,
 )
 from zdq.costs import CostModel, _stage_costs_from, stage_costs
-from zdq.dp import _stage_floor, bellman_residuals, solve_finite_horizon
+from zdq.dp import bellman_residuals, exact_policy_value, solve_finite_horizon
+from zdq.infinite import FixedQuantizerPolicy, rollout
 from zdq.quantizers import (
     FinitePartition,
     IntervalQuantizer,
@@ -40,7 +41,7 @@ from zdq.quantizers import (
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import FiniteChain, LinearGaussianSource, invariant_distribution
+from zdq.sources import FiniteChain, LinearGaussianSource
 
 QUAD = CostModel.quadratic()
 
@@ -80,7 +81,7 @@ def _a2_instances():
 
 def _a4_instance():
     src = LinearGaussianSource(0.0, 1.0)
-    return invariant_distribution(src), src, enumerate_interval_candidates(2, -2.0, 2.0, 41), QUAD, 2
+    return src.invariant_distribution(), src, enumerate_interval_candidates(2, -2.0, 2.0, 41), QUAD, 2
 
 
 def _a6_instances():
@@ -295,7 +296,7 @@ def test_chain_floor_bounds_every_posterior(seed, n, tabular):
     cost = CostModel.bounded_tabular(rng.random((n, 3))) if tabular else QUAD
     cands = enumerate_finite_partitions(n, 2)
     belief = SimplexBelief(rng.dirichlet(np.ones(n)), states=chain.state_values)
-    floor = _stage_floor(belief, chain, cands, cost)
+    floor = chain.stage_floor(belief, cands, cost)
     scale = float(cost.table.max()) if tabular else float(np.ptp(chain.state_values)) ** 2 / 4
     for q in cands:
         for m in range(1, q.levels + 1):
@@ -320,7 +321,7 @@ def test_grid_floor_bounds_every_posterior(a, noise, n_points, mean, std, cuts):
     grid = default_grid(src, n_points=n_points)
     belief = GridBelief.normal(grid, mean * src.stationary_std, std * src.stationary_std)
     cands = [IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))]
-    floor = _stage_floor(belief, src, cands, QUAD)
+    floor = src.stage_floor(belief, cands, QUAD)
     allowance = _dead_cell_allowance(len(cuts) + 1, grid.hi - grid.lo)
     for q in cands:
         for m in range(1, q.levels + 1):
@@ -354,16 +355,21 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
     )
     # raw moments about 0 lose digits in proportion to the squared range
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, grid.hi**2)
-    assert _stage_floor(GridBelief.normal(grid, 0.0, 1.0), src, cands, QUAD) == got.min()
+    assert src.stage_floor(GridBelief.normal(grid, 0.0, 1.0), cands, QUAD) == got.min()
 
 
 def test_floor_rejects_mismatched_models():
     chain = FiniteChain(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
     src = LinearGaussianSource(0.5, 1.0)
     grid_belief = GridBelief.normal(default_grid(src, n_points=41), 0.0, 1.0)
-    with pytest.raises(TypeError):
-        solve_finite_horizon(grid_belief, chain, [IntervalQuantizer((0.0,))], QUAD, 2)
-    with pytest.raises(TypeError):
-        solve_finite_horizon(
-            SimplexBelief(np.array([0.5, 0.5])), src, [FinitePartition((1, 2), 2)], QUAD, 2
-        )
+    simplex_belief = SimplexBelief(np.array([0.5, 0.5]))
+    interval, partition = IntervalQuantizer((0.0,)), FinitePartition((1, 2), 2)
+    for belief, model, q in ((grid_belief, chain, interval), (simplex_belief, src, partition)):
+        with pytest.raises(TypeError):
+            solve_finite_horizon(belief, model, [q], QUAD, 2)
+        with pytest.raises(TypeError):
+            filter_update(belief, model, q, 1)
+        with pytest.raises(TypeError):
+            exact_policy_value(belief, model, QUAD, 2, lambda t, b: q)
+        with pytest.raises(TypeError):
+            rollout(FixedQuantizerPolicy(q), model, QUAD, 2, 1, seed=0, initial_belief=belief)

@@ -31,7 +31,7 @@ from zdq.quantizers import (
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import FiniteChain, invariant_distribution, sample_next
+from zdq.sources import FiniteChain
 
 QUAD = CostModel.quadratic()
 TAB = CostModel.bounded_tabular([[0.2, 1.0], [1.0, 0.1]])
@@ -115,7 +115,7 @@ def test_rollout_log_columns(two_state_chain):
 
 def test_tree_replay_restarts_at_block_boundaries(three_state_chain):
     cands = enumerate_finite_partitions(3, 2)
-    init = invariant_distribution(three_state_chain)
+    init = three_state_chain.invariant_distribution()
     res = solve_finite_horizon(init, three_state_chain, cands, QUAD, horizon=2)
     rr = rollout(
         TreeReplayPolicy(res.tree),
@@ -135,7 +135,7 @@ def test_tree_replay_restarts_at_block_boundaries(three_state_chain):
 
 def test_pieced_policy_structure(three_state_chain):
     cands = enumerate_finite_partitions(3, 2)
-    init = invariant_distribution(three_state_chain)
+    init = three_state_chain.invariant_distribution()
     sched = piecing_schedule([2, 4, 8], 2)  # blocks: [0,2) then 4-blocks
     trees = [
         solve_finite_horizon(init, three_state_chain, cands, QUAD, horizon=T).tree
@@ -155,7 +155,7 @@ def test_pieced_policy_structure(three_state_chain):
 
 def test_pieced_policy_rejects_mismatched_solutions(three_state_chain):
     cands = enumerate_finite_partitions(3, 2)
-    init = invariant_distribution(three_state_chain)
+    init = three_state_chain.invariant_distribution()
     sched = piecing_schedule([2, 4, 8], 2)
     tree2 = solve_finite_horizon(init, three_state_chain, cands, QUAD, 2).tree
     with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ def test_randomized_policy_mixes(two_state_chain):
     policy = RandomizedStationaryPolicy(binning, table, cands)
     rr = rollout(
         policy, two_state_chain, QUAD, horizon=400, n_paths=1, seed=6,
-        initial_belief=invariant_distribution(two_state_chain),
+        initial_belief=two_state_chain.invariant_distribution(),
     )
     used = set(rr.log.quantizer_id.tolist())
     assert used == {0, 1}
@@ -205,7 +205,7 @@ def test_fixed_policy_gaussian(ar_source):
         horizon=15,
         n_paths=2,
         seed=8,
-        initial_belief=invariant_distribution(ar_source),
+        initial_belief=ar_source.invariant_distribution(),
     )
     assert np.isfinite(rr.mean_cost)
     assert rr.log.probabilities is None
@@ -284,7 +284,7 @@ def test_occupation_histogram_counts(two_state_chain):
     cands = enumerate_finite_partitions(2, 2)
     rr = rollout(
         GreedyPolicy(cands, TAB), two_state_chain, TAB, horizon=500, n_paths=1,
-        seed=9, initial_belief=invariant_distribution(two_state_chain),
+        seed=9, initial_belief=two_state_chain.invariant_distribution(),
     )
     hist = occupation_measure(rr.log, SimplexBinning(50))
     assert hist.counts.sum() == 500
@@ -299,7 +299,7 @@ def test_invariance_residual_under_stationary_policy(two_state_chain):
     sep = FinitePartition((1, 2), 2)
     rr = rollout(
         FixedQuantizerPolicy(sep), two_state_chain, QUAD, horizon=5000, n_paths=1,
-        seed=10, initial_belief=invariant_distribution(two_state_chain),
+        seed=10, initial_belief=two_state_chain.invariant_distribution(),
     )
     hist = occupation_measure(rr.log, SimplexBinning(50))
     resid = invariance_residual(hist, two_state_chain, [sep])
@@ -347,7 +347,7 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
             if finite:
                 nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
             else:
-                nxt = sample_next(model, x, src_stream)
+                nxt = model.sample_next(x, src_stream)
             enc = filter_update(enc, model, quantizer, symbol)
             dec = filter_update(dec, model, quantizer, symbol)
             x = nxt
@@ -374,18 +374,18 @@ def _randomized_case(three_state_chain, two_state_chain, ar_source):
     policy = RandomizedStationaryPolicy(
         SimplexBinning(20), table, enumerate_finite_partitions(2, 2)
     )
-    init = invariant_distribution(two_state_chain)
+    init = two_state_chain.invariant_distribution()
     return policy, two_state_chain, TAB, 300, 3, 11, init
 
 
 def _fixed_grid_past_cap_case(three_state_chain, two_state_chain, ar_source):
     policy = FixedQuantizerPolicy(IntervalQuantizer((0.0,)))
-    init = invariant_distribution(ar_source)
+    init = ar_source.invariant_distribution()
     return policy, ar_source, QUAD, zdq.infinite._MEMO_CAP + 44, 1, 12, init
 
 
 def _pieced_chain_case(three_state_chain, two_state_chain, ar_source):
-    init = invariant_distribution(three_state_chain)
+    init = three_state_chain.invariant_distribution()
     sched = piecing_schedule([2, 4, 8], 2)
     cands = enumerate_finite_partitions(3, 2)
     trees = [
@@ -397,16 +397,16 @@ def _pieced_chain_case(three_state_chain, two_state_chain, ar_source):
 
 def _greedy_grid_case(three_state_chain, two_state_chain, ar_source):
     policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD)
-    return policy, ar_source, QUAD, 40, 5, 8, invariant_distribution(ar_source)
+    return policy, ar_source, QUAD, 40, 5, 8, ar_source.invariant_distribution()
 
 
 def _tabular_chain_case(three_state_chain, two_state_chain, ar_source):
     policy = GreedyPolicy(enumerate_finite_partitions(2, 2), TAB)
-    return policy, two_state_chain, TAB, 50, 20, 4, invariant_distribution(two_state_chain)
+    return policy, two_state_chain, TAB, 50, 20, 4, two_state_chain.invariant_distribution()
 
 
 def _long_single_path_case(three_state_chain, two_state_chain, ar_source):
-    init = invariant_distribution(three_state_chain)
+    init = three_state_chain.invariant_distribution()
     tree = solve_finite_horizon(
         init, three_state_chain, enumerate_finite_partitions(3, 2), QUAD, 3
     ).tree
@@ -513,7 +513,7 @@ def test_pruned_symbol_raises(two_state_chain):
 def test_rollout_table_stays_bounded(caplog, ar_source, policy, horizon, n_paths):
     caplog.set_level(logging.INFO, logger="zdq.infinite")
     rollout(policy, ar_source, QUAD, horizon, n_paths, 3,
-            initial_belief=invariant_distribution(ar_source))
+            initial_belief=ar_source.invariant_distribution())
     counters = rollout_counters(caplog)
     # more distinct beliefs than the cap were made, and the table dropped them
     assert counters["filter_calls"] > zdq.infinite._MEMO_CAP
@@ -570,7 +570,7 @@ def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief)
 
 def test_encoder_decoder_stay_synchronized(three_state_chain, two_state_chain, ar_source):
     chain_cands = enumerate_finite_partitions(3, 2)
-    chain_init = invariant_distribution(three_state_chain)
+    chain_init = three_state_chain.invariant_distribution()
     tree2 = solve_finite_horizon(chain_init, three_state_chain, chain_cands, QUAD, 2).tree
     sched = piecing_schedule([2, 4, 8], 2)
     pieced = build_pieced_policy(
@@ -586,8 +586,8 @@ def test_encoder_decoder_stay_synchronized(three_state_chain, two_state_chain, a
         # tree replay resets to the root belief every 2 steps
         (TreeReplayPolicy(tree2), three_state_chain, QUAD, 9, 3, 5, chain_init),
         (pieced, three_state_chain, QUAD, 30, 2, 2, chain_init),
-        (randomized, two_state_chain, QUAD, 300, 2, 11, invariant_distribution(two_state_chain)),
-        (greedy, ar_source, QUAD, 30, 2, 8, invariant_distribution(ar_source)),
+        (randomized, two_state_chain, QUAD, 300, 2, 11, two_state_chain.invariant_distribution()),
+        (greedy, ar_source, QUAD, 30, 2, 8, ar_source.invariant_distribution()),
     ]
     logs = []
     for policy, model, cost, horizon, n_paths, seed, init in cases:
@@ -631,7 +631,7 @@ def test_occupation_measure_matches_reference_loop(two_state_chain, ar_source):
             SimplexBinning(20), np.tile([0.4, 0.6], (20, 1)), enumerate_finite_partitions(2, 2)
         ),
         two_state_chain, QUAD, 400, 1, 3,
-        initial_belief=invariant_distribution(two_state_chain),
+        initial_belief=two_state_chain.invariant_distribution(),
     ).log
     probs = chain_log.probabilities.copy()
     probs[:3] = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]  # both edges and a bin boundary
@@ -639,7 +639,7 @@ def test_occupation_measure_matches_reference_loop(two_state_chain, ar_source):
     grid = default_grid(ar_source)
     grid_log = rollout(
         GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD),
-        ar_source, QUAD, 60, 1, 4, initial_belief=invariant_distribution(ar_source),
+        ar_source, QUAD, 60, 1, 4, initial_belief=ar_source.invariant_distribution(),
     ).log
     mean, std = grid_log.belief_mean.copy(), grid_log.belief_std.copy()
     # means and stds outside the binned range, on its edges, and negative
@@ -680,7 +680,7 @@ def test_occupation_measure_rejects_bad_logs(two_state_chain, three_state_chain,
         occupation_measure(three, SimplexBinning(10))
     grid_log = rollout(
         FixedQuantizerPolicy(IntervalQuantizer((0.0,))), ar_source, QUAD, 5, 1, 1,
-        initial_belief=invariant_distribution(ar_source),
+        initial_belief=ar_source.invariant_distribution(),
     ).log
     with pytest.raises(ValueError):
         occupation_measure(grid_log, SimplexBinning(10))

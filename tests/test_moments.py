@@ -33,7 +33,7 @@ from zdq.quantizers import (
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import FiniteChain, LinearGaussianSource, invariant_distribution, sample_next
+from zdq.sources import FiniteChain, LinearGaussianSource
 
 QUAD = CostModel.quadratic()
 TOL = 1e-12
@@ -195,7 +195,7 @@ def test_duplicate_candidates_pick_the_first():
 
 def _a4_instance():
     src = LinearGaussianSource(0.0, 1.0)
-    return src, invariant_distribution(src), enumerate_interval_candidates(2, -2.0, 2.0, 41), 2
+    return src, src.invariant_distribution(), enumerate_interval_candidates(2, -2.0, 2.0, 41), 2
 
 
 def _a6_instance():
@@ -256,4 +256,4 @@ def test_greedy_choices_match_reference_loop_on_a5():
         quantizer = greedy_policy_step(belief, cands, QUAD)
         assert quantizer is cands[int(np.argmin(reference_stage_costs(belief, cands)))]
         belief = filter_update(belief, src, quantizer, quantizer.classify(x))
-        x = sample_next(src, x, rng)
+        x = src.sample_next(x, rng)

@@ -11,10 +11,6 @@ from zdq.sources import (
     FiniteChain,
     LinearGaussianSource,
     density_bounds,
-    invariant_distribution,
-    sample_next,
-    state_paths,
-    step_variates,
     transition_density,
 )
 
@@ -104,7 +100,7 @@ def test_sample_next_finite_matches_generator_choice(P, seed):
     fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     x = y = 0
     for _ in range(10_000):
-        x = sample_next(chain, x, fast)
+        x = chain.sample_next(x, fast)
         y = int(ref.choice(len(P), p=P[y]))
         assert x == y
     # both consumed the same variates
@@ -118,12 +114,12 @@ def test_state_paths_match_sample_next(P, n_paths, steps, seed):
     for model, x0 in ((chain, np.arange(n_paths) % len(P)), (LinearGaussianSource(0.7, 1.3), np.linspace(-1.0, 2.0, n_paths))):
         v = np.empty((n_paths, steps))
         for p in range(n_paths):
-            step_variates(model, np.random.default_rng([seed, p]), v[p])
-        paths = state_paths(model, x0, v)
+            model.step_variates(np.random.default_rng([seed, p]), v[p])
+        paths = model.state_paths(x0, v)
         for p in range(n_paths):
             rng, x = np.random.default_rng([seed, p]), x0[p].item()
             for j in range(steps):
-                x = sample_next(model, x, rng)
+                x = model.sample_next(x, rng)
                 assert paths[p, j] == x
 
 
@@ -135,12 +131,12 @@ def test_chain_defaults(two_state_chain):
 def test_sample_next_gaussian_deterministic():
     src = LinearGaussianSource(-0.8, 0.0)
     rng = np.random.default_rng(0)
-    assert sample_next(src, 2.0, rng) == -1.6
+    assert src.sample_next(2.0, rng) == -1.6
 
 
 def test_sample_next_gaussian_moments(ar_source):
     rng = np.random.default_rng(1)
-    draws = np.array([sample_next(ar_source, 1.0, rng) for _ in range(4000)])
+    draws = np.array([ar_source.sample_next(1.0, rng) for _ in range(4000)])
     assert abs(draws.mean() - 0.5) < 0.05
     assert abs(draws.std() - 1.0) < 0.05
 
@@ -148,17 +144,17 @@ def test_sample_next_gaussian_moments(ar_source):
 def test_sample_next_finite_respects_support():
     chain = FiniteChain(np.eye(2), np.array([0.5, 0.5]))
     rng = np.random.default_rng(2)
-    assert all(sample_next(chain, 1, rng) == 1 for _ in range(20))
+    assert all(chain.sample_next(1, rng) == 1 for _ in range(20))
 
 
 def test_sample_next_finite_frequencies(two_state_chain):
     rng = np.random.default_rng(3)
-    draws = np.array([sample_next(two_state_chain, 0, rng) for _ in range(5000)])
+    draws = np.array([two_state_chain.sample_next(0, rng) for _ in range(5000)])
     assert abs(draws.mean() - 0.1) < 0.02
 
 
 def test_invariant_two_state(two_state_chain):
-    pi = invariant_distribution(two_state_chain)
+    pi = two_state_chain.invariant_distribution()
     assert np.max(np.abs(pi.probabilities - [2 / 3, 1 / 3])) < 1e-12
     # fixed point of the transition
     pushed = pi.probabilities @ two_state_chain.transition
@@ -167,19 +163,19 @@ def test_invariant_two_state(two_state_chain):
 
 def test_invariant_rejects_degenerate_chains():
     with pytest.raises(ValueError):
-        invariant_distribution(FiniteChain(np.eye(2), np.array([0.5, 0.5])))
+        FiniteChain(np.eye(2), np.array([0.5, 0.5])).invariant_distribution()
     flip = FiniteChain(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        invariant_distribution(flip)
+        flip.invariant_distribution()
 
 
 def test_invariant_gaussian(ar_source):
-    pi = invariant_distribution(ar_source)
+    pi = ar_source.invariant_distribution()
     assert isinstance(pi, GridBelief)
     assert abs(pi.std - ar_source.stationary_std) < 1e-3
     assert abs(pi.mean) < 1e-12
     with pytest.raises(ValueError):
-        invariant_distribution(LinearGaussianSource(1.01, 1.0))
+        LinearGaussianSource(1.01, 1.0).invariant_distribution()
 
 
 def test_density_bounds_std_normal(iid_source):
