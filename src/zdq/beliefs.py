@@ -312,39 +312,41 @@ class GridBelief:
     def inverse_cdf(self, v) -> np.ndarray:
         """The draw sample(rng) makes when rng's next variate is v, for every v.
 
-        sample's uniform(0, c) is c times the generator's next uniform
-        variate on [0, 1), so a path can take that variate in bulk with
-        its others.
+        Each variate v is mapped to the point where the cumulative mass
+        of the piecewise-linear density reaches v times the total mass:
+        its segment by a search, its place in the segment by solving
+        d*(v0*u + (v1-v0)*u^2/2) = t for u in [0, 1].
         """
         cum = self._cumulative_mass()
-        return np.array([self._invert(cum, cum[-1] * w) for w in np.asarray(v).tolist()])
+        target = cum[-1] * np.asarray(v, dtype=float)
+        p = np.searchsorted(cum, target, side="right") - 1
+        p = np.minimum(np.maximum(p, 0), len(cum) - 2)
+        d = self.grid.spacing
+        t = target - cum[p]
+        v0 = self.values[p]
+        dv0 = d * v0
+        slope = (self.values[p + 1] - v0) * d
+        # the square is Python's float power (the C library's pow), as in
+        # the scalar solve of tests/reference_filter.py; dv0 * dv0 rounds
+        # differently on some inputs and would move those draws
+        square = np.array([w**2 for w in dv0.tolist()])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(
+                np.abs(slope) < 1e-300,
+                np.where(v0 > 0, t / dv0, 0.0),
+                (-dv0 + np.sqrt(np.maximum(square + 2.0 * slope * t, 0.0))) / slope,
+            )
+        return self.grid.nodes[p] + np.minimum(np.maximum(u, 0.0), 1.0) * d
 
     def sample(self, rng: np.random.Generator) -> float:
-        """Inverse-CDF draw from the piecewise-linear density."""
-        cum = self._cumulative_mass()
-        return self._invert(cum, rng.uniform(0.0, cum[-1]))
+        """Inverse-CDF draw from the piecewise-linear density, taking one
+        uniform variate of rng (uniform(0, c) is c times random())."""
+        return float(self.inverse_cdf([rng.random()])[0])
 
     def _cumulative_mass(self) -> np.ndarray:
         v = self.values
         seg = 0.5 * self.grid.spacing * (v[:-1] + v[1:])
         return np.concatenate(([0.0], np.cumsum(seg)))
-
-    def _invert(self, cum: np.ndarray, target) -> float:
-        x = self.grid.nodes
-        d = self.grid.spacing
-        v = self.values
-        p = int(np.searchsorted(cum, target, side="right") - 1)
-        p = min(max(p, 0), len(cum) - 2)
-        t = target - cum[p]
-        v0, v1 = v[p], v[p + 1]
-        slope = (v1 - v0) * d
-        # solve d*(v0*u + (v1-v0)*u^2/2) = t for u in [0, 1]
-        if abs(slope) < 1e-300:
-            u = t / (d * v0) if v0 > 0 else 0.0
-        else:
-            disc = (d * v0) ** 2 + 2.0 * slope * t
-            u = (-d * v0 + math.sqrt(max(disc, 0.0))) / slope
-        return float(x[p] + min(max(u, 0.0), 1.0) * d)
 
     def to_csv(self, path) -> None:
         data = np.column_stack([self.grid.nodes, self.values])
@@ -471,14 +473,25 @@ class SMembershipReport:
     passed: bool
 
 
+_KERNEL_ROWS = 64  # kernel rows built at once
+
+
 @functools.lru_cache(maxsize=8)
 def _transition_kernel(model, grid: Grid) -> np.ndarray:
-    """Dense kernel K[j, i] = transition density at node j given node i."""
+    """Dense kernel K[j, i] = transition density at node j given node i.
+
+    Built in blocks of rows by the same elementwise formula, so its
+    temporaries are a few blocks, not three full kernels.
+    """
     model.require_noise()
     s = model.noise_std
     x = grid.nodes
-    u = (x[:, None] - model.a * x[None, :]) / s
-    K = np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
+    ax = model.a * x[None, :]
+    norm = s * math.sqrt(2.0 * math.pi)
+    K = np.empty((grid.n_points, grid.n_points))
+    for j in range(0, grid.n_points, _KERNEL_ROWS):
+        u = (x[j : j + _KERNEL_ROWS, None] - ax) / s
+        K[j : j + _KERNEL_ROWS] = np.exp(-0.5 * u * u) / norm
     K.flags.writeable = False
     return K
 

@@ -8,8 +8,13 @@ value function table, schedule table, occupation histogram). Wall-clock
 times live under the separate "timing" key so that stripping it leaves
 a byte-reproducible document for a fixed config and seed.
 
+Diagnostics go to stderr through the zdq loggers at --log-level (a
+standard level name, default WARNING); at INFO a rollout reports its
+deterministic counters. The level changes no artifact.
+
 Exit codes: 0 success, 1 numerical or budget failure (results.json is
-still written, flagged by its status field), 2 configuration error.
+still written, flagged by its status field), 2 configuration error or a
+bad command line.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import sys
 import time
@@ -367,6 +373,35 @@ _RUNNERS = {
 }
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is when the record is
+    emitted, so repeated in-process runs follow a replaced stderr."""
+
+    def __init__(self):
+        # StreamHandler.__init__ would bind the stream once
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging(level: str) -> None:
+    """Send the zdq loggers' records at level and up to stderr; only the
+    zdq logger is touched, and it gets one handler however often main runs."""
+    log = logging.getLogger("zdq")
+    handler = next((h for h in log.handlers if isinstance(h, _StderrHandler)), None)
+    if handler is None:
+        handler = _StderrHandler()
+        log.addHandler(handler)
+    log.setLevel(level)
+    handler.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="zdq",
@@ -379,7 +414,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--budget", type=int, default=None, help="node budget override (design)"
     )
+    parser.add_argument(
+        "--log-level",
+        type=str.upper,
+        choices=_LOG_LEVELS,
+        default="WARNING",
+        help="least severity of the diagnostics written to stderr",
+    )
     args = parser.parse_args(argv)
+    _configure_logging(args.log_level)
 
     try:
         cfg = load_config(args.config)

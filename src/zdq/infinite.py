@@ -52,7 +52,7 @@ from .beliefs import EPS_MASS, GridBelief, SimplexBelief, _check_pair, default_g
 from .costs import CostModel, _stage_costs_and_masses, cell_decisions
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
 from .quantizers import cell_masses, stacked_classifier
-from .sources import FiniteChain
+from .sources import FiniteChain, _PathStreams
 
 __all__ = [
     "PiecingSchedule",
@@ -458,46 +458,13 @@ class RolloutResult:
 _MEMO_CAP = 256
 
 # Entries (paths x steps, times the states of a chain) per draw block.
-# A path's generator is rebuilt from its saved state at each later block,
-# so a block should span most rollouts; its arrays take about 32 bytes
-# per path and step.
+# Every block sets each path's saved state on one generator, so a block
+# should span most rollouts; its arrays take about 32 bytes per path and
+# step.
 _DRAW_BLOCK = 1 << 17
 
 # Entries (paths x steps) whose realized costs are taken at once.
 _CHUNK = 1 << 12
-
-
-class _PathStreams:
-    """One seed stream of every path, drawn a block of steps at a time.
-
-    Path p's generator is default_rng(SeedSequence(seed, spawn_key=(p,
-    j))): the j-th child of the p-th child of SeedSequence(seed). Only
-    one generator lives at a time; between blocks each path keeps its
-    bit generator's state.
-    """
-
-    def __init__(self, seed: int, n_paths: int, j: int):
-        self.seed, self.n_paths, self.j = seed, n_paths, j
-        self.states = None
-        self._resumed = np.random.default_rng(0)
-
-    def fill(self, out: np.ndarray, draw, keep: bool) -> np.ndarray:
-        """draw(generator of path p, out[p]) for every path p; keep says
-        whether later blocks follow."""
-        states = []
-        for p in range(self.n_paths):
-            if self.states is None:
-                g = np.random.default_rng(
-                    np.random.SeedSequence(self.seed, spawn_key=(p, self.j))
-                )
-            else:
-                g = self._resumed
-                g.bit_generator.state = self.states[p]
-            draw(g, out[p])
-            if keep:
-                states.append(g.bit_generator.state)
-        self.states = states
-        return out
 
 
 class _BeliefTable:
@@ -724,9 +691,13 @@ def rollout(
     SeedSequence(seed, spawn_key=(p, 0)) and its shared variates from
     spawn_key (p, 1), the streams of SeedSequence(seed).spawn(n_paths)[p]
     .spawn(2), so a path's results do not depend on the other paths. The
-    draws are taken in blocks of steps, which return the same numbers as
-    one draw per step; the shared stream is built only for policies with
-    shared_randomness.
+    streams are numpy's, bit for bit; only their construction is bulk:
+    every path's initial PCG64 state is computed over arrays of paths
+    (sources._PathStreams), not by one SeedSequence and Generator per
+    path. seed is any non-negative integer; a negative one raises
+    ValueError. The draws are taken in blocks of steps, which return the
+    same numbers as one draw per step; the shared stream is built only
+    for policies with shared_randomness.
 
     Memory: a step that finds _MEMO_CAP beliefs in the table first
     compacts it to the beliefs the paths hold, so the table never holds

@@ -20,13 +20,16 @@ that depends on the family, with the same names on both:
   scan_width, the entries state_paths holds per path and step.
 
 The Gaussian family also has uniform bounds on the transition density
-and its slope (density_bounds).
+and its slope (density_bounds). _PathStreams holds one seed stream of
+every rollout path, numpy's SeedSequence children, with their PCG64
+states computed over arrays of paths.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,3 +371,119 @@ def density_bounds(model: LinearGaussianSource) -> DensityBounds:
         options={"xatol": 1e-12},
     )
     return DensityBounds(sup_density=sup_density, slope_bound=-res.fun)
+
+
+# SeedSequence's hash constants and PCG64's multiplier, as numpy defines
+# them (numpy/random/bit_generator.pyx, pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Paths whose seed states are built in one array pass.
+_SEED_CHUNK = 256
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of uint32 words under hash constant h;
+    returns the mixed words and the next constant, h * mult."""
+    h_next = h * mult & _MASK32
+    value = (value ^ h) * h_next
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: list, h: int, word: np.ndarray) -> int:
+    """Mix one entropy word past the pool size into every pool word."""
+    for i in range(_POOL_SIZE):
+        m, h = _hashmix(word, h)
+        pool[i] = _mix(pool[i], m)
+    return h
+
+
+class _PathStreams:
+    """One seed stream of every path, drawn a block of steps at a time.
+
+    Path p's generator is default_rng(SeedSequence(seed, spawn_key=(p,
+    j))): the j-th child of the p-th child of SeedSequence(seed). Its
+    PCG64 state is computed here, a chunk of paths at a time, with
+    SeedSequence's uint32 mixing done over arrays of paths; only the
+    path's word of the entropy differs between paths. One Generator is
+    reused: each path's state is set on it, then drawn from, and kept
+    for the next block when one follows.
+    """
+
+    def __init__(self, seed: int, n_paths: int, j: int):
+        # SeedSequence's entropy words: the seed's little-endian uint32
+        # words, zero-padded to the pool size because a spawn key
+        # follows, then p's word (p < 2**32 for any path array that
+        # fits in memory) and j's word
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        words += [0] * (_POOL_SIZE - len(words))
+        entropy = [np.array([w], np.uint32) for w in words]
+        h = _INIT_A
+        pool = []
+        for w in entropy[:_POOL_SIZE]:
+            m, h = _hashmix(w, h)
+            pool.append(m)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    m, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], m)
+        for w in entropy[_POOL_SIZE:]:
+            h = _absorb(pool, h, w)
+        # the pool and hash constant every path's mixing continues from
+        self._pool, self._h = pool, h
+        self.n_paths, self.j = n_paths, j
+        self.states = None
+        self._generator = np.random.default_rng(0)
+
+    def _seeded(self, p0: int, p1: int) -> list:
+        """The initial bit generator states of paths p0 .. p1 - 1."""
+        pool = list(self._pool)
+        h = _absorb(pool, self._h, np.arange(p0, p1, dtype=np.uint32))
+        _absorb(pool, h, np.array([self.j], np.uint32))
+        # generate_state(4, uint64): 8 words read from the pool in turn
+        words = np.empty((p1 - p0, 2 * _POOL_SIZE), np.uint32)
+        h = _INIT_B
+        for i in range(2 * _POOL_SIZE):
+            words[:, i], h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
+        states = []
+        # PCG64 seeding: initstate and initseq are 128-bit, high word first
+        for s_hi, s_lo, q_hi, q_lo in words.astype("<u4").view("<u8").tolist():
+            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            states.append({
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            })
+        return states
+
+    def fill(self, out: np.ndarray, draw, keep: bool) -> np.ndarray:
+        """draw(generator of path p, out[p]) for every path p; keep says
+        whether later blocks follow."""
+        g = self._generator
+        states = []
+        for p0 in range(0, self.n_paths, _SEED_CHUNK):
+            p1 = min(p0 + _SEED_CHUNK, self.n_paths)
+            chunk = self._seeded(p0, p1) if self.states is None else self.states[p0:p1]
+            for p, state in enumerate(chunk, p0):
+                g.bit_generator.state = state
+                draw(g, out[p])
+                if keep:
+                    states.append(g.bit_generator.state)
+        self.states = states
+        return out

@@ -1,11 +1,15 @@
 """Reference belief operations that no task runs: the unconditioned
-one-step prediction and the total variation distance.
+one-step prediction, the total variation distance and the one-variate
+inverse CDF of a grid belief.
 
 The filter tests check filter_update against them, for example the law
 of total probability: the branch posteriors weighted by their cell
-masses sum to the prediction.
+masses sum to the prediction. GridBelief.inverse_cdf must equal
+invert_one on every variate, bit for bit.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,3 +37,24 @@ def tv_distance(b1, b2) -> float:
             raise ValueError("beliefs have different alphabet sizes")
         return float(np.abs(b1.probabilities - b2.probabilities).sum())
     raise TypeError(f"mismatched belief types {type(b1).__name__}, {type(b2).__name__}")
+
+
+def invert_one(belief: GridBelief, w: float) -> float:
+    """The inverse-CDF draw of a grid belief at one variate w in [0, 1),
+    one scalar segment solve, as GridBelief.sample made it before
+    inverse_cdf worked over arrays."""
+    v, x, d = belief.values, belief.grid.nodes, belief.grid.spacing
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * d * (v[:-1] + v[1:]))))
+    target = cum[-1] * w
+    p = int(np.searchsorted(cum, target, side="right") - 1)
+    p = min(max(p, 0), len(cum) - 2)
+    t = target - cum[p]
+    v0, v1 = v[p], v[p + 1]
+    slope = (v1 - v0) * d
+    # solve d*(v0*u + (v1-v0)*u^2/2) = t for u in [0, 1]
+    if abs(slope) < 1e-300:
+        u = t / (d * v0) if v0 > 0 else 0.0
+    else:
+        disc = (d * v0) ** 2 + 2.0 * slope * t
+        u = (-d * v0 + math.sqrt(max(disc, 0.0))) / slope
+    return float(x[p] + min(max(u, 0.0), 1.0) * d)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reference_filter import predict, tv_distance
+from reference_filter import invert_one, predict, tv_distance
 from zdq.beliefs import (
     Grid,
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
+    _transition_kernel,
     check_S_membership,
     default_grid,
     filter_update,
@@ -177,6 +180,48 @@ def test_inverse_cdf_matches_sample(belief):
     variates = [np.random.default_rng(seed).random() for seed in seeds]
     draws = [belief.sample(np.random.default_rng(seed)) for seed in seeds]
     assert belief.inverse_cdf(variates).tolist() == draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.5, 2.0]), st.floats(1e-3, 5.0)),
+        min_size=3,
+        max_size=40,
+    ).filter(any),
+    st.floats(-3.0, 0.0, exclude_max=True),
+    st.floats(0.1, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+# some variate here gives dv0 * dv0 != dv0 ** 2 in the segment solve
+@example(values=[4.43, 1.83, 0.41], lo=-1.0, width=2.0, seed=0)
+def test_grid_inverse_cdf_matches_scalar_inversion(values, lo, width, seed):
+    # flat segments (repeated values), zero-density nodes, the variate 0
+    # and every segment's start, plus random variates
+    belief = GridBelief.from_unnormalized(Grid(lo, lo + width, len(values)), values)
+    cum = belief._cumulative_mass()
+    starts = cum / cum[-1]
+    variates = np.concatenate(
+        ([0.0], starts[starts < 1.0], np.random.default_rng(seed).random(64))
+    )
+    got = belief.inverse_cdf(variates)
+    want = np.array([invert_one(belief, w) for w in variates.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, grid",
+    [(0.5, None), (0.9, None), (0.5, Grid(-3.0, 3.0, 130)), (-0.7, Grid(-2.0, 1.0, 50))],
+    ids=["a0.5-default", "a0.9-default", "130-nodes", "50-nodes"],
+)
+def test_transition_kernel_matches_one_shot_formula(a, grid):
+    # the kernel is built in row blocks; every entry is the one-shot formula's
+    model = LinearGaussianSource(a, 1.0)
+    grid = default_grid(model) if grid is None else grid
+    x, s = grid.nodes, model.noise_std
+    u = (x[:, None] - model.a * x[None, :]) / s
+    one_shot = np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
+    assert np.array_equal(_transition_kernel(model, grid), one_shot)
 
 
 # ---------------------------------------------------------------------------

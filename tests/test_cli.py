@@ -443,3 +443,36 @@ def test_results_are_reproducible(tmp_path):
     del a["timing"]
     del b["timing"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_log_level_reports_counters_and_leaves_results(tmp_path, capsys):
+    doc = {
+        "task": "rollout",
+        "seed": 3,
+        "source": CHAIN3,
+        "quantizers": {"type": "partitions", "levels": 2},
+        "horizon": 5,
+        "n_paths": 40,
+        "policy": {"type": "tree_replay", "design_horizon": 3},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg = write_config(tmp_path, doc)
+    results = set()
+    # repeated in-process runs add no second handler: one INFO line each
+    for level, lines in (("WARNING", 0), ("info", 1), ("DEBUG", 1), ("INFO", 1), ("ERROR", 0)):
+        assert main(["rollout", "--config", cfg, "--log-level", level]) == 0
+        err = capsys.readouterr().err.splitlines()
+        counters = [line for line in err if line.startswith("INFO zdq.infinite: rollout: 40 paths")]
+        assert len(counters) == lines, (level, err)
+        got = json.loads((tmp_path / "out" / "results.json").read_text())
+        del got["timing"]
+        results.add(json.dumps(got, sort_keys=True))
+    assert len(results) == 1
+
+
+def test_bad_log_level_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"task": "schedule", "horizons": [2, 4], "k_max": 1})
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "--config", cfg, "--log-level", "LOUD"])
+    assert exc.value.code == 2
+    assert "--log-level" in capsys.readouterr().err

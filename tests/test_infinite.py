@@ -378,6 +378,15 @@ def _randomized_case(three_state_chain, two_state_chain, ar_source):
     return policy, two_state_chain, TAB, 300, 3, 11, init
 
 
+def _multi_word_seed_case(three_state_chain, two_state_chain, ar_source):
+    # a seed of five 32-bit words, past SeedSequence's pool of four, on a
+    # policy that draws both streams
+    policy, model, cost, horizon, n_paths, _, init = _randomized_case(
+        three_state_chain, two_state_chain, ar_source
+    )
+    return policy, model, cost, 40, 6, 2**130 + 1, init
+
+
 def _fixed_grid_past_cap_case(three_state_chain, two_state_chain, ar_source):
     policy = FixedQuantizerPolicy(IntervalQuantizer((0.0,)))
     init = ar_source.invariant_distribution()
@@ -429,6 +438,7 @@ SMALL_BLOCKS = (48, 16)
     [
         (_rollout_chain_case, None),
         (_randomized_case, None),
+        (_multi_word_seed_case, None),
         (_fixed_grid_past_cap_case, None),
         (_pieced_chain_case, None),
         (_greedy_grid_case, None),
@@ -441,6 +451,7 @@ SMALL_BLOCKS = (48, 16)
     ids=[
         "rollout-chain",
         "randomized",
+        "multi-word-seed",
         "ar1-fixed-past-cap",
         "pieced-chain",
         "greedy-grid",

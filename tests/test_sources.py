@@ -10,6 +10,7 @@ from zdq.sources import (
     DensityBounds,
     FiniteChain,
     LinearGaussianSource,
+    _PathStreams,
     density_bounds,
     transition_density,
 )
@@ -192,3 +193,37 @@ def test_density_bounds_scaling():
     assert abs(b.sup_density - PHI0 / 2.0) < 1e-12
     phi1 = PHI0 * math.exp(-0.5)
     assert abs(b.slope_bound - phi1 / 4.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# rollout path streams
+
+
+def initial_states(seed, n_paths, j):
+    """Every path's bit generator state before its first draw."""
+    streams = _PathStreams(seed, n_paths, j)
+    streams.fill(np.empty((n_paths, 0)), lambda g, row: None, keep=True)
+    return streams.states
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1, np.uint64(2**64 - 1)]
+)
+@pytest.mark.parametrize("j", [0, 1])
+def test_path_streams_match_seed_sequence(seed, j):
+    # the bulk states are numpy's SeedSequence children's, for one-word,
+    # multi-word and past-the-pool seeds and paths up to 10**4
+    n_paths = 10**4 + 1
+    states = initial_states(seed, n_paths, j)
+    assert len(states) == n_paths
+    for p in [*range(300), *range(300, n_paths - 300, 97), *range(n_paths - 300, n_paths)]:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, j)))
+        assert states[p] == rng.bit_generator.state, p
+
+
+def test_path_streams_reject_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    for seed in (-1, -(2**40)):
+        with pytest.raises(ValueError, match="non-negative"):
+            _PathStreams(seed, 3, 0)
