@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,6 +192,11 @@ class GridBelief:
     def from_unnormalized(cls, grid: Grid, values: np.ndarray) -> "GridBelief":
         values = np.asarray(values, dtype=float)
         z = float(grid.trapezoid_weights @ values)
+        if z < sys.float_info.min and np.max(values, initial=0.0) > 0.0:
+            # a subnormal or underflowed mass loses the precision that
+            # dividing by it needs; rescale by the largest value first
+            values = values / np.max(values)
+            z = float(grid.trapezoid_weights @ values)
         if z <= 0.0:
             raise ValueError("cannot normalize: nonpositive total mass")
         return cls(grid, values / z)

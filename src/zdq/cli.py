@@ -8,8 +8,9 @@ value function table, schedule table, occupation histogram). Wall-clock
 times live under the separate "timing" key so that stripping it leaves
 a byte-reproducible document for a fixed config and seed.
 
-Diagnostics go to stderr through the zdq loggers at --log-level (a
-standard level name, default WARNING); at INFO a rollout reports its
+Diagnostics go to stderr through the zdq loggers at --log-level, a
+standard level name; without it the zdq logger keeps its level, WARNING
+unless an in-process caller set another. At INFO a rollout reports its
 deterministic counters. The level changes no artifact.
 
 Exit codes: 0 success, 1 numerical or budget failure (results.json is
@@ -19,6 +20,7 @@ bad command line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -376,30 +378,24 @@ _RUNNERS = {
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to sys.stderr as it is when the record is
-    emitted, so repeated in-process runs follow a replaced stderr."""
-
-    def __init__(self):
-        # StreamHandler.__init__ would bind the stream once
-        logging.Handler.__init__(self)
-        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-def _configure_logging(level: str) -> None:
-    """Send the zdq loggers' records at level and up to stderr; only the
-    zdq logger is touched, and it gets one handler however often main runs."""
+@contextlib.contextmanager
+def _stderr_logging(level):
+    """Write the zdq loggers' records to stderr while a run lasts, at
+    level if one is given. Only the zdq logger is touched, and its
+    handlers and level are put back afterwards, so repeated in-process
+    runs neither stack handlers nor keep a level."""
     log = logging.getLogger("zdq")
-    handler = next((h for h in log.handlers if isinstance(h, _StderrHandler)), None)
-    if handler is None:
-        handler = _StderrHandler()
-        log.addHandler(handler)
-    log.setLevel(level)
-    handler.setLevel(level)
+    saved = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    if level is not None:
+        log.setLevel(level)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved)
 
 
 def main(argv=None) -> int:
@@ -418,12 +414,15 @@ def main(argv=None) -> int:
         "--log-level",
         type=str.upper,
         choices=_LOG_LEVELS,
-        default="WARNING",
-        help="least severity of the diagnostics written to stderr",
+        default=None,
+        help="least severity of the diagnostics written to stderr (default WARNING)",
     )
     args = parser.parse_args(argv)
-    _configure_logging(args.log_level)
+    with _stderr_logging(args.log_level):
+        return _run(args)
 
+
+def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

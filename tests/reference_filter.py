@@ -1,11 +1,12 @@
 """Reference belief operations that no task runs: the unconditioned
-one-step prediction, the total variation distance and the one-variate
-inverse CDF of a grid belief.
+one-step prediction, the total variation distance, the one-variate
+inverse CDF of a grid belief and a one-draw sampler.
 
 The filter tests check filter_update against them, for example the law
 of total probability: the branch posteriors weighted by their cell
 masses sum to the prediction. GridBelief.inverse_cdf must equal
-invert_one on every variate, bit for bit.
+invert_one on every variate, bit for bit, and sample must draw what
+sample_one draws from the same Generator.
 """
 from __future__ import annotations
 
@@ -43,9 +44,28 @@ def invert_one(belief: GridBelief, w: float) -> float:
     """The inverse-CDF draw of a grid belief at one variate w in [0, 1),
     one scalar segment solve, as GridBelief.sample made it before
     inverse_cdf worked over arrays."""
+    cum = _cumulative_mass(belief)
+    return _solve_segment(belief, cum, cum[-1] * w)
+
+
+def sample_one(belief, rng: np.random.Generator):
+    """One draw of a belief from rng as sample made it before
+    inverse_cdf worked over arrays: a grid belief inverts
+    rng.uniform(0, total mass) by the scalar segment solve, a simplex
+    belief takes Generator.choice."""
+    if isinstance(belief, SimplexBelief):
+        return int(rng.choice(belief.n_states, p=belief.probabilities))
+    cum = _cumulative_mass(belief)
+    return _solve_segment(belief, cum, rng.uniform(0.0, cum[-1]))
+
+
+def _cumulative_mass(belief: GridBelief) -> np.ndarray:
+    v, d = belief.values, belief.grid.spacing
+    return np.concatenate(([0.0], np.cumsum(0.5 * d * (v[:-1] + v[1:]))))
+
+
+def _solve_segment(belief: GridBelief, cum: np.ndarray, target: float) -> float:
     v, x, d = belief.values, belief.grid.nodes, belief.grid.spacing
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * d * (v[:-1] + v[1:]))))
-    target = cum[-1] * w
     p = int(np.searchsorted(cum, target, side="right") - 1)
     p = min(max(p, 0), len(cum) - 2)
     t = target - cum[p]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_filter import invert_one, predict, tv_distance
+from reference_filter import invert_one, predict, sample_one, tv_distance
 from zdq.beliefs import (
     Grid,
     GridBelief,
@@ -97,6 +97,30 @@ def test_grid_belief_normalization_and_validation():
         GridBelief(g, np.ones(g.n_points))  # integrates to 16, not 1
 
 
+@pytest.mark.parametrize(
+    "hi, tiny, scaled",
+    [
+        (1.0, [0.0, 0.0, 5e-324], [0.0, 0.0, 1.0]),  # the mass underflows to 0
+        (3.0, [0.0, 0.0, 5e-324], [0.0, 0.0, 1.0]),  # rounds to 1 ulp, 0.75 too much
+        (3.0, [1e-310, 3e-310, 0.0, 2e-310], [1.0, 3.0, 0.0, 2.0]),
+    ],
+)
+def test_grid_belief_normalizes_a_subnormal_mass(hi, tiny, scaled):
+    # a total mass below the least normal float is rescaled by the
+    # largest value before it is divided by
+    g = Grid(0.0, hi, len(tiny))
+    b = GridBelief.from_unnormalized(g, np.array(tiny))
+    expected = GridBelief.from_unnormalized(g, np.array(scaled)).values
+    np.testing.assert_allclose(b.values, expected, rtol=1e-12, atol=0.0)
+    # a normal mass, however small, is divided by as it is
+    v = np.array(scaled) * 1e-300
+    assert np.array_equal(
+        GridBelief.from_unnormalized(g, v).values, v / float(g.trapezoid_weights @ v)
+    )
+    with pytest.raises(ValueError, match="nonpositive total mass"):
+        GridBelief.from_unnormalized(g, np.zeros(len(tiny)))
+
+
 def test_grid_belief_moments():
     b = std_normal_belief()
     assert abs(b.mean) < 1e-12
@@ -175,11 +199,13 @@ def test_simplex_belief_sampling():
 )
 def test_inverse_cdf_matches_sample(belief):
     # sample(rng) takes one uniform variate from rng; inverse_cdf of that
-    # variate is the same draw
+    # variate is the same draw, and both equal the reference draw, which
+    # takes uniform(0, total mass) or Generator.choice from rng
     seeds = range(300)
     variates = [np.random.default_rng(seed).random() for seed in seeds]
-    draws = [belief.sample(np.random.default_rng(seed)) for seed in seeds]
+    draws = [sample_one(belief, np.random.default_rng(seed)) for seed in seeds]
     assert belief.inverse_cdf(variates).tolist() == draws
+    assert [belief.sample(np.random.default_rng(seed)) for seed in seeds] == draws
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import stat
 
@@ -458,15 +459,21 @@ def test_log_level_reports_counters_and_leaves_results(tmp_path, capsys):
     }
     cfg = write_config(tmp_path, doc)
     results = set()
+    log = logging.getLogger("zdq")
+    handlers, level_before = list(log.handlers), log.level
     # repeated in-process runs add no second handler: one INFO line each
-    for level, lines in (("WARNING", 0), ("info", 1), ("DEBUG", 1), ("INFO", 1), ("ERROR", 0)):
-        assert main(["rollout", "--config", cfg, "--log-level", level]) == 0
+    runs = ((None, 0), ("WARNING", 0), ("info", 1), ("DEBUG", 1), ("INFO", 1), ("ERROR", 0))
+    for level, lines in runs:
+        flag = [] if level is None else ["--log-level", level]
+        assert main(["rollout", "--config", cfg, *flag]) == 0
         err = capsys.readouterr().err.splitlines()
         counters = [line for line in err if line.startswith("INFO zdq.infinite: rollout: 40 paths")]
         assert len(counters) == lines, (level, err)
         got = json.loads((tmp_path / "out" / "results.json").read_text())
         del got["timing"]
         results.add(json.dumps(got, sort_keys=True))
+        # each run puts the zdq logger's handlers and level back
+        assert (log.handlers, log.level) == (handlers, level_before)
     assert len(results) == 1
 
 

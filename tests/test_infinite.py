@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from reference_filter import sample_one
 import zdq.infinite
 from zdq.beliefs import SimplexBelief, default_grid, filter_update
 from zdq.costs import CostModel, optimal_reconstruction, stage_cost
@@ -326,7 +327,7 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
     rows = []
     for p in range(n_paths):
         src_stream, shared_stream = (np.random.default_rng(s) for s in path_seeds[p].spawn(2))
-        x = initial_belief.sample(src_stream)
+        x = sample_one(initial_belief, src_stream)
         enc = dec = initial_belief
         state = policy.begin(1)
         total = 0.0
