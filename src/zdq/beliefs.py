@@ -31,7 +31,10 @@ mass, and leaves the restriction and the push to the source class
 (sources.py). A grid restriction uses per-node window weights, which
 integrate the same piecewise-linear density exactly, so the law of total
 probability (summing the branch posteriors against the branch masses
-reproduces the one-step prediction) holds to rounding. This module
+reproduces the one-step prediction) holds to rounding. What depends on
+the grid and the quantizers only is built once and kept read-only: the
+cuts of a candidate set (_cut_table) and the window weights of a cell
+(_cell_weights), each in a bounded LRU cache. This module
 imports nothing from sources.py; a source names its belief class.
 """
 from __future__ import annotations
@@ -163,9 +166,6 @@ def window_weights(grid: Grid, lo: float, hi: float, degree: int = 0) -> np.ndar
     return out
 
 
-_POWERS = np.arange(1, 5)
-
-
 @dataclass
 class GridBelief:
     """Density belief on a fixed grid, normalized to trapezoid integral 1."""
@@ -276,18 +276,16 @@ class GridBelief:
         coefficients depend on the two node values. One prefix table holds
         the whole-segment moments summed up to every node, so the moments
         up to any cut are a table lookup plus that polynomial at the cut,
-        and a cell's moments are the difference at its two cuts.
+        and a cell's moments are the difference at its two cuts. The
+        segment ids of the cuts and the powers of their offsets depend on
+        the grid and the thresholds only; they are built once per grid and
+        candidate set (_cut_table), and only the table is built per call.
 
         Returns ((m0, m1, m2), center) with (K, L) moment arrays; the
         first and second moments are taken about center, the belief mean,
         which keeps m2 - m1^2 / m0 free of cancellation for beliefs far
         from 0.
         """
-        levels = max(q.levels for q in quantizers)
-        edges = np.full((len(quantizers), levels + 1), math.inf)
-        edges[:, 0] = -math.inf
-        for k, q in enumerate(quantizers):
-            edges[k, 1 : q.levels] = q.thresholds
         grid = self.grid
         x = grid.nodes
         d = grid.spacing
@@ -308,10 +306,7 @@ class GridBelief:
         poly[2, 3] = 0.25 * d * d * ds
         table = np.zeros((3, grid.n_points))
         np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
-        t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
-        j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
-        u = np.minimum((t - x[j]) / d, 1.0)
-        powers = u ** _POWERS.reshape((4,) + (1,) * u.ndim)
+        j, powers = _cut_table(grid, tuple(quantizers))
         cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
         return np.diff(cum, axis=-1), center
 
@@ -477,6 +472,50 @@ class SMembershipReport:
     sup_bound: float
     slope_bound: float
     passed: bool
+
+
+_POWERS = np.arange(1, 5)
+_CUT_TABLES = 64  # candidate sets whose cut tables are kept
+_CELL_WEIGHTS = 256  # cells whose window weights are kept
+
+
+@functools.lru_cache(maxsize=_CUT_TABLES)
+def _cut_table(grid: Grid, quantizers: tuple):
+    """Where every cut of a candidate set falls on the grid, for cell_moments.
+
+    Quantizer k cuts at (-inf, its thresholds, +inf), padded with +inf to
+    the largest level count L, and each cut is clipped to the grid.
+    Returns (j, powers): j (K, L + 1) is the segment holding each cut,
+    and powers (4, K, L + 1) the cut's local offset u in [0, 1] within
+    that segment raised to 1 .. 4. Both arrays are read-only.
+    """
+    levels = max(q.levels for q in quantizers)
+    edges = np.full((len(quantizers), levels + 1), math.inf)
+    edges[:, 0] = -math.inf
+    for k, q in enumerate(quantizers):
+        edges[k, 1 : q.levels] = q.thresholds
+    x = grid.nodes
+    t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
+    j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
+    u = np.minimum((t - x[j]) / grid.spacing, 1.0)
+    powers = u ** _POWERS.reshape((4,) + (1,) * u.ndim)
+    j.flags.writeable = powers.flags.writeable = False
+    return j, powers
+
+
+@functools.lru_cache(maxsize=_CELL_WEIGHTS)
+def _cell_weights(grid: Grid, lo: float, hi: float):
+    """window_weights(grid, lo, hi, 0) over its support, for a restriction.
+
+    Returns (start, w): w holds the entries start .. start + len(w) - 1,
+    read-only, and every other entry is 0 (w is empty for an empty cell).
+    """
+    w = window_weights(grid, lo, hi, 0)
+    nz = np.flatnonzero(w)
+    start, stop = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+    w = w[start:stop].copy()  # a copy, so the full array is freed
+    w.flags.writeable = False
+    return start, w
 
 
 _KERNEL_ROWS = 64  # kernel rows built at once

@@ -215,14 +215,12 @@ class GreedyPolicy(_Policy):
         self.quantizers = self.candidates
 
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
-        distinct, inverse = np.unique(ids, return_inverse=True)
-        picks, decisions = [], []
-        for b in distinct.tolist():
+        picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
+        for b in np.flatnonzero(np.bincount(ids)).tolist():
             stages, recon = cell_decisions(beliefs[b], self.candidates, self.cost)
-            k = int(np.argmin(stages))
-            picks.append(k)
+            k = picks[b] = int(np.argmin(stages))
             decisions.append((b, k, stages[k], recon[k]))
-        return Plan(np.array(picks)[inverse], decisions=tuple(decisions))
+        return Plan(picks[ids], decisions=tuple(decisions))
 
 
 def _tree_tables(trees):
@@ -379,10 +377,11 @@ class RandomizedStationaryPolicy(_Policy):
         self.quantizers = self.candidates
 
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
-        distinct, inverse = np.unique(ids, return_inverse=True)
-        bins = np.array([self.binning.bin_of(beliefs[b]) for b in distinct.tolist()])
+        bins = np.zeros(len(beliefs), dtype=np.intp)
+        for b in np.flatnonzero(np.bincount(ids)).tolist():
+            bins[b] = self.binning.bin_of(beliefs[b])
         # the count of row entries <= r is searchsorted(side="right")
-        picks = (self._cum[bins[inverse]] <= r[:, None]).sum(axis=1)
+        picks = (self._cum[bins[ids]] <= r[:, None]).sum(axis=1)
         return Plan(np.minimum(picks, len(self.candidates) - 1))
 
 
@@ -530,7 +529,7 @@ class _BeliefTable:
         """Next belief id of every transition key, filling the missing ones."""
         nxt = self.succ.take(keys)
         if nxt.min() < 0:
-            for key in np.unique(keys[nxt < 0]).tolist():
+            for key in sorted(set(keys[nxt < 0].tolist())):
                 self._fill(key)
             nxt = self.succ.take(keys)
         return nxt

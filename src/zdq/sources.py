@@ -39,10 +39,10 @@ from .beliefs import (
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
+    _cell_weights,
     _transition_kernel,
     column_cell_moments,
     default_grid,
-    window_weights,
 )
 from .costs import _stage_costs_from, stage_costs
 
@@ -146,9 +146,18 @@ class LinearGaussianSource:
         return GridBelief.normal(grid, self.init_mean, self.init_std)
 
     def restrict(self, belief: GridBelief, quantizer, symbol: int) -> np.ndarray:
-        """Per-node weights of the belief's density over cell symbol."""
+        """Per-node weights of the belief's density over cell symbol:
+        window_weights(grid, lo, hi, 0) * values, bit for bit.
+
+        The cell's window weights are kept per (grid, cell) over their
+        support only, so the product is taken there and the rest is 0.
+        """
         lo, hi = quantizer.cell_interval(symbol)
-        return window_weights(belief.grid, lo, hi, 0) * belief.values
+        start, w = _cell_weights(belief.grid, lo, hi)
+        out = np.zeros(belief.grid.n_points)
+        cell = slice(start, start + len(w))
+        np.multiply(w, belief.values[cell], out=out[cell])
+        return out
 
     def push(self, belief: GridBelief, restricted: np.ndarray, mass: float) -> GridBelief:
         """The restriction over its mass, pushed through the transition

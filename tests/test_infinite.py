@@ -6,8 +6,8 @@ import pytest
 
 from reference_filter import sample_one
 import zdq.infinite
-from zdq.beliefs import SimplexBelief, default_grid, filter_update
-from zdq.costs import CostModel, optimal_reconstruction, stage_cost
+from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
+from zdq.costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
 from zdq.dp import solve_finite_horizon
 from zdq.infinite import (
     DiscountedVINotConverged,
@@ -195,6 +195,65 @@ def test_randomized_policy_mixes(two_state_chain):
     )
     used = set(rr.log.quantizer_id.tolist())
     assert used == {0, 1}
+
+
+def _path_ids(n_paths):
+    # one path, or n_paths over the 3 beliefs 0, 2 and 3 (id 1 unused)
+    if n_paths == 1:
+        return np.array([2])
+    return np.random.default_rng(31).choice([0, 2, 3], size=n_paths)
+
+
+def _identities(calls, beliefs):
+    return [next(i for i, b in enumerate(beliefs) if b is c) for c in calls]
+
+
+@pytest.mark.parametrize("n_paths", [1, 2000])
+def test_greedy_plan_decides_each_distinct_belief_once(monkeypatch, ar_source, n_paths):
+    grid = default_grid(ar_source)
+    beliefs = [GridBelief.normal(grid, m, s) for m, s in [(-1.5, 0.4), (0.2, 1.0), (1.1, 0.7), (3.0, 0.5)]]
+    cands = enumerate_interval_candidates(2, -2.0, 2.0, 9)
+    ids = _path_ids(n_paths)
+    calls = []
+
+    def counted(belief, quantizers, cost, decide=zdq.infinite.cell_decisions):
+        calls.append(belief)
+        return decide(belief, quantizers, cost)
+
+    monkeypatch.setattr(zdq.infinite, "cell_decisions", counted)
+    plan = GreedyPolicy(cands, QUAD).plan(None, 0, ids, beliefs, None)
+    distinct = sorted(set(ids.tolist()))
+    assert _identities(calls, beliefs) == distinct
+    assert [d[0] for d in plan.decisions] == distinct
+    own = [int(np.argmin(stage_costs(beliefs[b], cands, QUAD))) for b in ids.tolist()]
+    assert plan.quantizer_ids.tolist() == own
+    assert n_paths == 1 or len(set(own)) == 3
+
+
+@pytest.mark.parametrize("n_paths", [1, 2000])
+def test_randomized_plan_bins_each_distinct_belief_once(monkeypatch, n_paths):
+    binning = SimplexBinning(10)
+    table = np.column_stack([np.linspace(0.0, 1.0, 10), np.linspace(1.0, 0.0, 10)])
+    policy = RandomizedStationaryPolicy(binning, table, enumerate_finite_partitions(2, 2))
+    beliefs = [SimplexBelief([p, 1.0 - p]) for p in (0.05, 0.5, 0.33, 0.95)]
+    ids = _path_ids(n_paths)
+    r = np.random.default_rng(32).random(n_paths)
+    calls = []
+
+    def counted(self, belief, bin_of=SimplexBinning.bin_of):
+        calls.append(belief)
+        return bin_of(self, belief)
+
+    monkeypatch.setattr(SimplexBinning, "bin_of", counted)
+    picks = policy.plan(None, 0, ids, beliefs, r).quantizer_ids
+    assert _identities(calls, beliefs) == sorted(set(ids.tolist()))
+    # each path's own draw: the count of its cumulative row entries <= r
+    rows = np.cumsum(table, axis=1)
+    own = [
+        min(int(np.searchsorted(rows[binning.bin_of(beliefs[b])], v, side="right")), 1)
+        for b, v in zip(ids.tolist(), r.tolist())
+    ]
+    assert picks.tolist() == own
 
 
 def test_fixed_policy_gaussian(ar_source):
