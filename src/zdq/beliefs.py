@@ -126,7 +126,7 @@ def default_grid(
     return Grid(-half, half, n_points)
 
 
-def window_weights(grid: Grid, lo: float, hi: float, degree: int = 0) -> np.ndarray:
+def window_weights(grid: Grid, lo, hi, degree: int = 0) -> np.ndarray:
     """Exact integration weights of x^degree over [lo, hi] for PL densities.
 
     Returns w such that w . values = integral over [lo, hi] of
@@ -134,17 +134,17 @@ def window_weights(grid: Grid, lo: float, hi: float, degree: int = 0) -> np.ndar
     values on the grid. Segments cut by the window are integrated over
     the covered part only, so cell boundaries need not sit on nodes.
     Summed over the cells of a partition these weights reproduce the
-    trapezoid weights exactly. degree in {0, 1, 2}.
+    trapezoid weights exactly. degree in {0, 1, 2}. lo and hi may be
+    arrays of one shape, which gives every window's weights at once, of
+    that shape plus (n_points,); each row is the one its scalar window
+    gives, bit for bit, and an empty window's row is 0.
     """
     if degree not in (0, 1, 2):
         raise ValueError(f"degree must be 0, 1, or 2, got {degree}")
     x = grid.nodes
     d = grid.spacing
-    a = max(lo, grid.lo)
-    b = min(hi, grid.hi)
-    out = np.zeros(grid.n_points)
-    if b <= a:
-        return out
+    a = np.maximum(lo, grid.lo)[..., None]
+    b = np.minimum(hi, grid.hi)[..., None]
     xl = x[:-1]
     # covered fraction of each segment, in local coordinate u in [0, 1]
     u0 = np.clip((a - xl) / d, 0.0, 1.0)
@@ -161,8 +161,10 @@ def window_weights(grid: Grid, lo: float, hi: float, degree: int = 0) -> np.ndar
         s4 = 0.25 * (u1**4 - u0**4)
         w_lo = xl * xl * w_lo + 2.0 * xl * d * (s2 - s3) + d * d * (s3 - s4)
         w_hi = xl * xl * w_hi + 2.0 * xl * d * s3 + d * d * s4
-    out[:-1] += d * w_lo
-    out[1:] += d * w_hi
+    out = np.zeros(np.broadcast(a, b).shape[:-1] + (grid.n_points,))
+    out[..., :-1] += d * w_lo
+    out[..., 1:] += d * w_hi
+    out[(b <= a)[..., 0]] = 0.0
     return out
 
 
@@ -187,6 +189,14 @@ class GridBelief:
         z = float(self.grid.trapezoid_weights @ self.values)
         if abs(z - 1.0) > 1e-9:
             raise ValueError(f"density must integrate to 1 within 1e-9, got {z}")
+
+    @classmethod
+    def _normalized(cls, grid: Grid, values: np.ndarray) -> "GridBelief":
+        """A belief of float values that pass __post_init__'s checks by
+        construction, built without running them again."""
+        belief = object.__new__(cls)
+        belief.grid, belief.values = grid, values
+        return belief
 
     @classmethod
     def from_unnormalized(cls, grid: Grid, values: np.ndarray) -> "GridBelief":
@@ -560,8 +570,8 @@ def column_cell_moments(model, grid: Grid, quantizers):
     cuts = sorted({t for q in quantizers for t in q.thresholds})
     points = [-math.inf, *cuts, math.inf]
     slot = {t: i for i, t in enumerate(points)}
-    weights = np.array(
-        [window_weights(grid, -math.inf, t, k) for k in range(3) for t in points]
+    weights = np.concatenate(
+        [window_weights(grid, -math.inf, np.array(points), k) for k in range(3)]
     )
     kernel = _transition_kernel(model, grid)
     # narrow products stay on one BLAS thread; on a 2-core Xeon the

@@ -457,9 +457,10 @@ class RolloutResult:
 _MEMO_CAP = 256
 
 # Entries (paths x steps, times the states of a chain) per draw block.
-# Every block sets each path's saved state on one generator, so a block
-# should span most rollouts; its arrays take about 32 bytes per path and
-# step.
+# Every block pays a few array passes per stream, and a Gaussian block
+# sets each path's state on one generator, so a block should span most
+# rollouts. Its arrays, the two uint64 words of each uniform's state
+# among them, take about 56 bytes per path and step.
 _DRAW_BLOCK = 1 << 17
 
 # Entries (paths x steps) whose realized costs are taken at once.
@@ -690,13 +691,16 @@ def rollout(
     SeedSequence(seed, spawn_key=(p, 0)) and its shared variates from
     spawn_key (p, 1), the streams of SeedSequence(seed).spawn(n_paths)[p]
     .spawn(2), so a path's results do not depend on the other paths. The
-    streams are numpy's, bit for bit; only their construction is bulk:
-    every path's initial PCG64 state is computed over arrays of paths
-    (sources._PathStreams), not by one SeedSequence and Generator per
-    path. seed is any non-negative integer; a negative one raises
-    ValueError. The draws are taken in blocks of steps, which return the
-    same numbers as one draw per step; the shared stream is built only
-    for policies with shared_randomness.
+    streams are numpy's, bit for bit, but held in bulk: every path's
+    PCG64 state is an entry of uint64 arrays (sources._PathStreams),
+    seeded and advanced over all paths at once, not one SeedSequence and
+    Generator per path. The initial states, a chain's steps and the
+    shared variates are uniforms drawn from those arrays; only Gaussian
+    steps go path by path, through the source's step_variates. seed is
+    any non-negative integer; a negative one raises ValueError. The
+    draws are taken in blocks of steps, which return the same numbers as
+    one draw per step; the shared stream is built only for policies with
+    shared_randomness.
 
     Memory: a step that finds _MEMO_CAP beliefs in the table first
     compacts it to the beliefs the paths hold, so the table never holds
@@ -725,25 +729,16 @@ def rollout(
     source = _PathStreams(seed, n_paths, 0)
     shared = _PathStreams(seed, n_paths, 1) if policy.shared_randomness else None
     block = max(1, _DRAW_BLOCK // (n_paths * model.scan_width))
+    # the initial state takes each source stream's first variate
+    x = initial_belief.inverse_cdf(source.random(out=np.empty((n_paths, 1)))[:, 0])
     for t0 in range(0, horizon, block):
         size = min(block, horizon - t0)
-        keep = t0 + size < horizon
-
-        def draw(g, row):
-            if t0 == 0:
-                # the initial state takes each source stream's first variate
-                row[0] = g.random()
-                row = row[1:]
-            model.step_variates(g, row)
-
-        v = source.fill(np.empty((n_paths, size + (t0 == 0))), draw, keep)
-        if t0 == 0:
-            x, v = initial_belief.inverse_cdf(v[:, 0]), v[:, 1:]
+        v = model.step_variates(source, np.empty((n_paths, size)))
         xs = np.column_stack([x, model.state_paths(x, v)])
         shares = None
         if shared is not None:
             # uniform() is 0 + 1 times the generator's next random() variate
-            shares = shared.fill(np.empty((n_paths, size)), lambda g, row: g.random(out=row), keep)
+            shares = shared.random(out=np.empty((n_paths, size)))
         paths.run(t0, xs[:, :-1], shares)
         x = xs[:, -1]
 

@@ -7,8 +7,9 @@ row-stochastic transition matrix, whose beliefs are SimplexBeliefs.
 Each class names its belief class (belief_type) and owns every operation
 that depends on the family, with the same names on both:
 
-- draws: sample_next (one step), step_variates (a path's variates in
-  bulk) and state_paths (every path's states from those variates);
+- draws: sample_next (one step), step_variates (a path's variates, or
+  every rollout path's, in bulk) and state_paths (every path's states
+  from those variates);
 - beliefs: invariant_distribution and initial_belief, on a grid given
   as an argument for the Gaussian family (default: its default grid);
 - the filter's family half: restrict (the belief restricted to a cell)
@@ -21,8 +22,11 @@ that depends on the family, with the same names on both:
 
 The Gaussian family also has uniform bounds on the transition density
 and its slope (density_bounds). _PathStreams holds one seed stream of
-every rollout path, numpy's SeedSequence children, with their PCG64
-states computed over arrays of paths.
+every rollout path, numpy's SeedSequence children: their PCG64 states
+are uint64 arrays over paths, seeded and drawn from with array
+arithmetic, bit for bit numpy's. A chain's uniforms come from those
+arrays in one pass over all paths; the Gaussian family's normals go
+path by path through one reused Generator.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ import functools
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,8 +112,10 @@ class LinearGaussianSource:
         """Draw x_{t+1} given x_t = x, consuming one standard normal of rng."""
         return self.a * x + self.noise_std * rng.standard_normal()
 
-    def step_variates(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill out with the standard normals of len(out) sample_next calls."""
+    def step_variates(self, rng, out: np.ndarray) -> np.ndarray:
+        """Fill out with the standard normals of sample_next calls: rng is
+        a Generator and out one path's variates, or a rollout's
+        _PathStreams and out (n_paths, steps)."""
         return rng.standard_normal(out=out)
 
     def state_paths(self, x0, v) -> np.ndarray:
@@ -170,6 +177,12 @@ class LinearGaussianSource:
         if z <= 0.0:
             raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")
         logger.debug("filter renormalization drift %.3e", z - 1.0)
+        if sys.float_info.min <= z < math.inf:
+            # a finite nonnegative product over a normal mass: raw / z is
+            # finite, nonnegative and integrates to 1 up to rounding
+            return GridBelief._normalized(belief.grid, raw / z)
+        # an overflowed kernel (a subnormal noise_std) or a subnormal
+        # mass, which loses the precision dividing by it needs
         return GridBelief(belief.grid, raw / z)
 
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
@@ -271,8 +284,10 @@ class FiniteChain:
         cached row_cdf, so both consume and return the same."""
         return int(self.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
 
-    def step_variates(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill out with the uniforms of len(out) sample_next calls."""
+    def step_variates(self, rng, out: np.ndarray) -> np.ndarray:
+        """Fill out with the uniforms of sample_next calls: rng is a
+        Generator and out one path's variates, or a rollout's _PathStreams
+        and out (n_paths, steps)."""
         return rng.random(out=out)
 
     def state_paths(self, x0, v) -> np.ndarray:
@@ -389,11 +404,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-# Paths whose seed states are built in one array pass.
-_SEED_CHUNK = 256
 
 
 def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A):
@@ -417,16 +430,44 @@ def _absorb(pool: list, h: int, word: np.ndarray) -> int:
     return h
 
 
+# 128-bit integers are held as (high, low) pairs of uint64 arrays, whose
+# arithmetic wraps modulo 2**64.
+
+
+def _add(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2**128; the low words' sum wraps below a_lo on a carry."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul(hi, lo, k: int):
+    """(hi, lo) * k mod 2**128 for a Python int k. The low word is the
+    low words' wrapped product; its carry into the high word is built
+    from 32-bit halves, whose products fit in 64 bits."""
+    k_hi, k_lo = k >> 64, k & _MASK64
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = k_lo & _MASK32, k_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + hi * k_lo + lo * k_hi, lo * k_lo
+
+
 class _PathStreams:
     """One seed stream of every path, drawn a block of steps at a time.
 
     Path p's generator is default_rng(SeedSequence(seed, spawn_key=(p,
-    j))): the j-th child of the p-th child of SeedSequence(seed). Its
-    PCG64 state is computed here, a chunk of paths at a time, with
-    SeedSequence's uint32 mixing done over arrays of paths; only the
-    path's word of the entropy differs between paths. One Generator is
-    reused: each path's state is set on it, then drawn from, and kept
-    for the next block when one follows.
+    j))): the j-th child of the p-th child of SeedSequence(seed). Every
+    path's PCG64 state and increment live in the uint64 arrays state and
+    inc, high words in row 0 and low words in row 1. They are seeded in
+    one pass over all paths: SeedSequence's uint32 mixing, where only the
+    path's word of the entropy differs between paths, then PCG64's
+    seeding in two-word arithmetic. random draws every path's uniforms
+    with the same arithmetic: the 128-bit LCG step, the XSL-RR output and
+    Generator.random's (out >> 11) * 2**-53, bit for bit numpy's.
+    standard_normal goes path by path through one reused Generator, whose
+    state is set from the arrays and read back, because numpy's normals
+    come from ziggurat tables it does not expose.
     """
 
     def __init__(self, seed: int, n_paths: int, j: int):
@@ -440,6 +481,7 @@ class _PathStreams:
         words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
         words += [0] * (_POOL_SIZE - len(words))
         entropy = [np.array([w], np.uint32) for w in words]
+        entropy += [np.arange(n_paths, dtype=np.uint32), np.array([j], np.uint32)]
         h = _INIT_A
         pool = []
         for w in entropy[:_POOL_SIZE]:
@@ -452,47 +494,69 @@ class _PathStreams:
                     pool[dst] = _mix(pool[dst], m)
         for w in entropy[_POOL_SIZE:]:
             h = _absorb(pool, h, w)
-        # the pool and hash constant every path's mixing continues from
-        self._pool, self._h = pool, h
-        self.n_paths, self.j = n_paths, j
-        self.states = None
-        self._generator = np.random.default_rng(0)
-
-    def _seeded(self, p0: int, p1: int) -> list:
-        """The initial bit generator states of paths p0 .. p1 - 1."""
-        pool = list(self._pool)
-        h = _absorb(pool, self._h, np.arange(p0, p1, dtype=np.uint32))
-        _absorb(pool, h, np.array([self.j], np.uint32))
         # generate_state(4, uint64): 8 words read from the pool in turn
-        words = np.empty((p1 - p0, 2 * _POOL_SIZE), np.uint32)
+        words = np.empty((n_paths, 2 * _POOL_SIZE), np.uint32)
         h = _INIT_B
         for i in range(2 * _POOL_SIZE):
             words[:, i], h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
-        states = []
-        # PCG64 seeding: initstate and initseq are 128-bit, high word first
-        for s_hi, s_lo, q_hi, q_lo in words.astype("<u4").view("<u8").tolist():
-            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-            states.append({
+        # PCG64 seeding: initstate and initseq are 128-bit, high word
+        # first; inc = initseq << 1 | 1, state = (inc + initstate) * M + inc
+        s_hi, s_lo, q_hi, q_lo = words.astype("<u4").view("<u8").astype(np.uint64).T
+        inc = ((q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1)
+        self.inc = np.array(inc)
+        self.state = np.array(_add(*_mul(*_add(*inc, s_hi, s_lo), _PCG_MULT), *inc))
+        self._generator = np.random.default_rng(0)
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        """Fill out, of shape (n_paths, n), with every path's next n
+        Generator.random() variates.
+
+        Column 0 is one LCG step past the saved state. Column m + i is m
+        steps past column i: mult * s + fac * inc, where mult = M**m and
+        fac = M**(m-1) + ... + 1, so the columns fill in log2(n) passes
+        over all paths.
+        """
+        n = out.shape[1]
+        if n == 0:
+            return out
+        # step-major words, so a pass reads and writes whole rows
+        hi = np.empty((n, out.shape[0]), np.uint64)
+        lo = np.empty((n, out.shape[0]), np.uint64)
+        inc_hi, inc_lo = self.inc
+        hi[0], lo[0] = _add(*_mul(*self.state, _PCG_MULT), inc_hi, inc_lo)
+        mult, fac, m = _PCG_MULT, 1, 1
+        while m < n:
+            k = min(m, n - m)
+            hi[m : m + k], lo[m : m + k] = _add(
+                *_mul(hi[:k], lo[:k], mult), *_mul(inc_hi, inc_lo, fac)
+            )
+            mult, fac, m = mult * mult & _MASK128, fac * (mult + 1) & _MASK128, 2 * m
+        self.state = np.array([hi[-1], lo[-1]])
+        # XSL-RR: the words' xor rotated right by the state's top 6 bits,
+        # in place, because fresh temporaries of this size cost page faults
+        x = np.bitwise_xor(hi, lo, out=lo)
+        rot = np.right_shift(hi, 58, out=hi)
+        right = x >> rot
+        rot = np.subtract(64, rot, out=rot)
+        rot &= 63
+        x <<= rot
+        x |= right
+        x >>= 11
+        return np.multiply(x.T, 2.0**-53, out=out)
+
+    def standard_normal(self, out: np.ndarray) -> np.ndarray:
+        """Fill out, of shape (n_paths, n), with every path's next n
+        Generator.standard_normal() variates, one path at a time."""
+        g = self._generator
+        incs = [i_hi << 64 | i_lo for i_hi, i_lo in self.inc.T.tolist()]
+        for p, (s_hi, s_lo) in enumerate(self.state.T.tolist()):
+            g.bit_generator.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
+                "state": {"state": s_hi << 64 | s_lo, "inc": incs[p]},
                 "has_uint32": 0,
                 "uinteger": 0,
-            })
-        return states
-
-    def fill(self, out: np.ndarray, draw, keep: bool) -> np.ndarray:
-        """draw(generator of path p, out[p]) for every path p; keep says
-        whether later blocks follow."""
-        g = self._generator
-        states = []
-        for p0 in range(0, self.n_paths, _SEED_CHUNK):
-            p1 = min(p0 + _SEED_CHUNK, self.n_paths)
-            chunk = self._seeded(p0, p1) if self.states is None else self.states[p0:p1]
-            for p, state in enumerate(chunk, p0):
-                g.bit_generator.state = state
-                draw(g, out[p])
-                if keep:
-                    states.append(g.bit_generator.state)
-        self.states = states
+            }
+            g.standard_normal(out=out[p])
+            s = g.bit_generator.state["state"]["state"]
+            self.state[:, p] = s >> 64, s & _MASK64
         return out

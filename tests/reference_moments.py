@@ -1,9 +1,12 @@
 """Reference grid moments that no task runs: GridBelief.cell_moments as
-it was before its cut tables were cached per grid and candidate set.
+it was before its cut tables were cached per grid and candidate set,
+and window_weights as it was before it took arrays of windows.
 
-Every call rebuilds the edge matrix, the clipped cuts, their segment ids
-and the powers of their local offsets. The cached route must return the
-same bytes as cell_moments below, on every belief and candidate set.
+Every cell_moments call rebuilds the edge matrix, the clipped cuts,
+their segment ids and the powers of their local offsets. The cached
+route must return the same bytes as cell_moments below, on every belief
+and candidate set, and every window of a broadcast window_weights call
+the bytes of the one-window window_weights below.
 """
 from __future__ import annotations
 
@@ -45,3 +48,32 @@ def cell_moments(belief, quantizers):
     powers = u ** np.arange(1, 5).reshape((4,) + (1,) * u.ndim)
     cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
     return np.diff(cum, axis=-1), center
+
+
+def window_weights(grid, lo: float, hi: float, degree: int = 0) -> np.ndarray:
+    """Exact weights of x^degree over one window [lo, hi], one window per call."""
+    x = grid.nodes
+    d = grid.spacing
+    a = max(lo, grid.lo)
+    b = min(hi, grid.hi)
+    out = np.zeros(grid.n_points)
+    if b <= a:
+        return out
+    xl = x[:-1]
+    u0 = np.clip((a - xl) / d, 0.0, 1.0)
+    u1 = np.clip((b - xl) / d, 0.0, 1.0)
+    s1 = u1 - u0
+    s2 = 0.5 * (u1 * u1 - u0 * u0)
+    w_lo = s1 - s2
+    w_hi = s2
+    if degree == 1:
+        s3 = (u1**3 - u0**3) / 3.0
+        w_lo, w_hi = xl * w_lo + d * (s2 - s3), xl * w_hi + d * s3
+    elif degree == 2:
+        s3 = (u1**3 - u0**3) / 3.0
+        s4 = 0.25 * (u1**4 - u0**4)
+        w_lo = xl * xl * w_lo + 2.0 * xl * d * (s2 - s3) + d * d * (s3 - s4)
+        w_hi = xl * xl * w_hi + 2.0 * xl * d * s3 + d * d * s4
+    out[:-1] += d * w_lo
+    out[1:] += d * w_hi
+    return out

@@ -1,4 +1,5 @@
-"""The per-grid caches behind grid cell moments and grid restrictions.
+"""The per-grid caches behind grid cell moments and grid restrictions,
+and the grid filter's and the floor's shortcuts past per-call work.
 
 GridBelief.cell_moments reads the segment ids and offset powers of a
 candidate set's cuts from _cut_table, kept per (grid, candidate set),
@@ -6,8 +7,13 @@ and LinearGaussianSource.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support. Both routes
 must return the bytes of the uncached computation: the frozen
 cell_moments of reference_moments.py, and window_weights times the
-density values.
+density values. column_cell_moments takes the window weights of all its
+cuts in one broadcast window_weights call, which must give the frozen
+one-window weights row by row; LinearGaussianSource.push builds its
+belief without GridBelief's checks, which its output must pass.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,11 +21,14 @@ from hypothesis import strategies as st
 
 import reference_moments
 from zdq.beliefs import (
+    EPS_MASS,
     Grid,
     GridBelief,
     _cell_weights,
     _cut_table,
+    _transition_kernel,
     default_grid,
+    filter_update,
     window_weights,
 )
 from zdq.quantizers import IntervalQuantizer, enumerate_interval_candidates
@@ -108,3 +117,65 @@ def test_caches_stay_at_their_bound(cache):
         else:
             cache(grid, t, 1.0)
     assert cache.cache_info().currsize == bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(densities_and_candidate_sets())
+def test_push_output_passes_the_belief_checks(case):
+    belief, cands = case
+    grid = belief.grid
+    for q in cands:
+        for m in range(1, q.levels + 1):
+            r = SOURCE.restrict(belief, q, m)
+            mass = float(r.sum())
+            if mass <= EPS_MASS:
+                continue
+            got = filter_update(belief, SOURCE, q, m)
+            # the checked constructor on the same values passes and keeps them
+            assert GridBelief(grid, got.values).values.tobytes() == got.values.tobytes()
+            # and they are the bytes push built through the checks before
+            nz = np.flatnonzero(r)
+            cell = slice(nz[0], nz[-1] + 1)
+            raw = (_transition_kernel(SOURCE, grid)[:, cell] @ r[cell]) / mass
+            expected = GridBelief(grid, raw / float(grid.trapezoid_weights @ raw))
+            assert got.values.tobytes() == expected.values.tobytes()
+
+
+def test_push_still_rejects_an_overflowed_kernel():
+    # a subnormal noise_std overflows the kernel to inf, and the product to
+    # inf and NaN; the checks that push skips for a normal mass catch it
+    source = LinearGaussianSource(0.5, 5e-324)
+    grid = Grid(-2.0, 2.0, 41)
+    belief = GridBelief.normal(grid, 0.0, 1.0)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="density values must be finite"):
+            with np.errstate(all="ignore"):
+                filter_update(belief, source, IntervalQuantizer((0.0,)), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GRIDS + (Grid(-1.0, 2.0, 3), Grid(0.25, 0.75, 17))),
+    st.lists(
+        st.one_of(
+            st.floats(-10.0, 10.0),
+            st.sampled_from([-math.inf, math.inf, -0.0, 0.0]),
+            st.integers(0, 2).map(lambda i: [-1.0, 0.25, 2.0][i]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)),
+)
+def test_window_weights_broadcast_matches_one_window_calls(grid, his, lo):
+    # grid ends and nodes, cuts off the grid, signed zeros and infinities
+    for t in (grid.lo, grid.hi, grid.nodes[1]):
+        his = his + [t]
+    for k in range(3):
+        rows = window_weights(grid, lo, np.array(his), k)
+        los = window_weights(grid, np.full(len(his), lo), np.array(his), k)
+        assert rows.shape == los.shape == (len(his), grid.n_points)
+        for row, lo_row, hi in zip(rows, los, his):
+            expected = reference_moments.window_weights(grid, lo, hi, k).tobytes()
+            assert row.tobytes() == lo_row.tobytes() == expected
+            assert window_weights(grid, lo, hi, k).tobytes() == expected

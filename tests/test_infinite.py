@@ -504,6 +504,7 @@ SMALL_BLOCKS = (48, 16)
         (_greedy_grid_case, None),
         (_tabular_chain_case, None),
         (_long_single_path_case, None),
+        (_rollout_chain_case, SMALL_BLOCKS),
         (_randomized_case, SMALL_BLOCKS),
         (_greedy_grid_case, SMALL_BLOCKS),
         (_long_single_path_case, SMALL_BLOCKS),
@@ -517,6 +518,7 @@ SMALL_BLOCKS = (48, 16)
         "greedy-grid",
         "tabular-chain",
         "one-path-2000-steps",
+        "rollout-chain-small-blocks",
         "randomized-small-blocks",
         "greedy-grid-small-blocks",
         "one-path-small-blocks",

@@ -199,26 +199,80 @@ def test_density_bounds_scaling():
 # rollout path streams
 
 
-def initial_states(seed, n_paths, j):
-    """Every path's bit generator state before its first draw."""
-    streams = _PathStreams(seed, n_paths, j)
-    streams.fill(np.empty((n_paths, 0)), lambda g, row: None, keep=True)
-    return streams.states
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1, np.uint64(2**64 - 1)]
 
 
-@pytest.mark.parametrize(
-    "seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1, np.uint64(2**64 - 1)]
-)
+def checked_paths(n_paths):
+    """The first and last 300 paths and every 97th one between."""
+    return [*range(300), *range(300, n_paths - 300, 97), *range(n_paths - 300, n_paths)]
+
+
+def generator_states(streams):
+    """Every path's bit generator state, rebuilt from the word arrays."""
+    assert streams.state.dtype == streams.inc.dtype == np.uint64
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for (s_hi, s_lo), (i_hi, i_lo) in zip(streams.state.T.tolist(), streams.inc.T.tolist())
+    ]
+
+
+def child_generator(seed, p, j):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, j)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("j", [0, 1])
 def test_path_streams_match_seed_sequence(seed, j):
     # the bulk states are numpy's SeedSequence children's, for one-word,
     # multi-word and past-the-pool seeds and paths up to 10**4
     n_paths = 10**4 + 1
-    states = initial_states(seed, n_paths, j)
+    states = generator_states(_PathStreams(seed, n_paths, j))
     assert len(states) == n_paths
-    for p in [*range(300), *range(300, n_paths - 300, 97), *range(n_paths - 300, n_paths)]:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, j)))
+    for p in checked_paths(n_paths):
+        assert states[p] == child_generator(seed, p, j).bit_generator.state, p
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("j", [0, 1])
+def test_path_stream_uniforms_match_generator_random(seed, j):
+    # blocks of 1, 2, 12, 0, 5 and 17 variates: one step, whole and partial
+    # doubling passes, and an empty block
+    n_paths = 10**4 + 1
+    streams = _PathStreams(seed, n_paths, j)
+    blocks = []
+    for n in (1, 2, 12, 0, 5, 17):
+        blocks.append(streams.random(out=np.empty((n_paths, n))))
+        assert streams.state.dtype == streams.inc.dtype == np.uint64
+    v = np.hstack(blocks)
+    states = generator_states(streams)
+    for p in checked_paths(n_paths):
+        rng = child_generator(seed, p, j)
+        assert np.array_equal(v[p], rng.random(v.shape[1])), p
         assert states[p] == rng.bit_generator.state, p
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_stream_gaussian_paths_match_generator(seed):
+    # a Gaussian rollout's draws: one uniform for the initial state, then
+    # the source's normals over blocks, then uniforms again
+    n_paths, model = 700, LinearGaussianSource(0.5, 1.0)
+    streams = _PathStreams(seed, n_paths, 0)
+    first = streams.random(out=np.empty((n_paths, 1)))
+    normals = np.hstack([model.step_variates(streams, np.empty((n_paths, n))) for n in (4, 1, 9)])
+    after = streams.random(out=np.empty((n_paths, 3)))
+    assert streams.state.dtype == streams.inc.dtype == np.uint64
+    for p in checked_paths(n_paths):
+        rng = child_generator(seed, p, 0)
+        assert first[p, 0] == rng.random()
+        assert np.array_equal(normals[p], rng.standard_normal(14)), p
+        assert np.array_equal(after[p], rng.random(3)), p
 
 
 def test_path_streams_reject_negative_seed():
