@@ -253,7 +253,7 @@ class GridBelief:
     @property
     def std(self) -> float:
         mean = self.mean
-        var = float(self.grid.moment_weights[2] @ self.values) - mean**2
+        var = float(self.grid.moment_weights[2] @ self.values) - mean * mean
         return math.sqrt(max(var, 0.0))
 
     def to_json(self, include_values: bool = False) -> dict:
@@ -337,15 +337,11 @@ class GridBelief:
         v0 = self.values[p]
         dv0 = d * v0
         slope = (self.values[p + 1] - v0) * d
-        # the square is Python's float power (the C library's pow), as in
-        # the scalar solve of tests/reference_filter.py; dv0 * dv0 rounds
-        # differently on some inputs and would move those draws
-        square = np.array([w**2 for w in dv0.tolist()])
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.where(
                 np.abs(slope) < 1e-300,
                 np.where(v0 > 0, t / dv0, 0.0),
-                (-dv0 + np.sqrt(np.maximum(square + 2.0 * slope * t, 0.0))) / slope,
+                (-dv0 + np.sqrt(np.maximum(dv0 * dv0 + 2.0 * slope * t, 0.0))) / slope,
             )
         return self.grid.nodes[p] + np.minimum(np.maximum(u, 0.0), 1.0) * d
 
@@ -358,10 +354,6 @@ class GridBelief:
         v = self.values
         seg = 0.5 * self.grid.spacing * (v[:-1] + v[1:])
         return np.concatenate(([0.0], np.cumsum(seg)))
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.grid.nodes, self.values])
-        np.savetxt(path, data, delimiter=",", header="grid_x,density", comments="")
 
 
 @dataclass
@@ -406,8 +398,8 @@ class SimplexBelief:
 
     @property
     def std(self) -> float:
-        m2 = float(self.probabilities @ (self.states**2))
-        var = m2 - self.mean**2
+        mean = self.mean
+        var = float(self.probabilities @ (self.states * self.states)) - mean * mean
         return math.sqrt(max(var, 0.0))
 
     def to_json(self, include_values: bool = False) -> dict:
@@ -443,7 +435,7 @@ class SimplexBelief:
         largest level count L. Returns ((m0, m1, m2), center) with (K, L)
         arrays of raw moments, so center is 0.
         """
-        s, s2 = self.states, self.states**2
+        s, s2 = self.states, self.states * self.states
         moments = []
         for q in quantizers:
             r = self.restrict(q.membership[None])
@@ -467,10 +459,6 @@ class SimplexBelief:
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.n_states, p=self.probabilities))
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.states, self.probabilities])
-        np.savetxt(path, data, delimiter=",", header="state,probability", comments="")
 
 
 @dataclass(frozen=True)

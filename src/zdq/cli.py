@@ -129,12 +129,11 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _build_policy(cfg: dict, model, cost, candidates, initial_belief):
-    """Returns (policy, table) where table[i] is the quantizer behind
-    quantizer id i in that policy's logs."""
+    """The rollout policy the config's policy section describes."""
     spec = cfg["policy"]
     kind = spec["type"]
     if kind == "greedy":
-        return GreedyPolicy(candidates, cost), list(candidates)
+        return GreedyPolicy(candidates, cost)
     if kind == "fixed":
         idx = spec["index"]
         if idx >= len(candidates):
@@ -142,26 +141,25 @@ def _build_policy(cfg: dict, model, cost, candidates, initial_belief):
                 "policy.index",
                 f"only {len(candidates)} candidates are enumerated, got index {idx}",
             )
-        return FixedQuantizerPolicy(candidates[idx]), [candidates[idx]]
+        return FixedQuantizerPolicy(candidates[idx])
     if kind == "tree_replay":
         res = solve_finite_horizon(
             initial_belief, model, candidates, cost, spec["design_horizon"]
         )
-        return TreeReplayPolicy(res.tree), list(candidates)
+        return TreeReplayPolicy(res.tree)
     if kind == "pieced":
         schedule = piecing_schedule(spec["horizons"], spec["k_max"])
         trees = [
             solve_finite_horizon(initial_belief, model, candidates, cost, T).tree
             for T in schedule.horizons
         ]
-        return build_pieced_policy(trees, schedule), list(candidates)
+        return build_pieced_policy(trees, schedule)
     binning = build_binning(spec["binning"], model, cfg)
     table = np.asarray(spec["table"], dtype=float)
     try:
-        policy = RandomizedStationaryPolicy(binning, table, candidates)
+        return RandomizedStationaryPolicy(binning, table, candidates)
     except ValueError as e:
         raise ConfigError("policy.table", str(e))
-    return policy, list(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,14 @@ def _run_design(cfg: dict, out_dir: str):
     _atomic_write(
         os.path.join(out_dir, "policy_tree.json"), _canonical_json(tree.to_json())
     )
-    csv_path = os.path.join(out_dir, "policy_tree.csv")
-    tmp_path = csv_path + ".part"
-    tree.to_csv(tmp_path)
-    os.replace(tmp_path, csv_path)
+    _write_csv(
+        os.path.join(out_dir, "policy_tree.csv"),
+        ["t", "node", "quantizer", "value"],
+        [
+            [n.t, n.node_id, "" if n.quantizer is None else n.quantizer.describe(), n.value]
+            for n in tree.nodes
+        ],
+    )
     residuals = np.asarray(bellman_residuals(tree))
     return 0, {
         "status": "ok",
@@ -215,7 +217,7 @@ def _run_rollout(cfg: dict, out_dir: str):
     cost = build_cost(cfg)
     candidates = build_candidates(cfg, model)
     initial = build_initial_belief(cfg, model)
-    policy, _ = _build_policy(cfg, model, cost, candidates, initial)
+    policy = _build_policy(cfg, model, cost, candidates, initial)
     res = rollout(
         policy,
         model,
@@ -340,7 +342,7 @@ def _run_occupancy(cfg: dict, out_dir: str):
     cost = build_cost(cfg)
     candidates = build_candidates(cfg, model)
     initial = build_initial_belief(cfg, model)
-    policy, table = _build_policy(cfg, model, cost, candidates, initial)
+    policy = _build_policy(cfg, model, cost, candidates, initial)
     binning = build_binning(cfg["binning"], model, cfg)
     res = rollout(
         policy,
@@ -352,7 +354,7 @@ def _run_occupancy(cfg: dict, out_dir: str):
         initial_belief=initial,
     )
     hist = occupation_measure(res.log, binning)
-    residual = invariance_residual(hist, model, table)
+    residual = invariance_residual(hist, model, policy.quantizers)
     _atomic_write(
         os.path.join(out_dir, "histogram.json"), _canonical_json(hist.to_json())
     )

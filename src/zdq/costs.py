@@ -64,16 +64,12 @@ class CostModel:
     def pointwise(self, x, u):
         """Realized cost of reconstructing state x as u, elementwise on arrays.
 
-        Squares are taken with Python's float power (libm pow), one value
-        at a time: numpy's vectorized square rounds about one input in a
-        thousand differently, and realized costs keep the scalar rounding.
+        The square is the product d * d, which IEEE 754 rounds correctly,
+        so realized costs have the same bits on every C library.
         """
         if self.kind == "quadratic":
-            if np.ndim(x) == 0 and np.ndim(u) == 0:
-                return float((x - u) ** 2)
-            # a chain's differences take few values: square each once
-            distinct, inverse = np.unique(np.subtract(x, u, dtype=float), return_inverse=True)
-            return np.array([v**2 for v in distinct.tolist()])[inverse]
+            d = np.subtract(x, u, dtype=float)
+            return d * d
         if np.ndim(x) == 0 and np.ndim(u) == 0:
             return float(self.table[int(x), int(u)])
         return self.table[np.asarray(x, dtype=int), np.asarray(u, dtype=int)]

@@ -62,8 +62,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beliefs import _check_pair, filter_update
-from .costs import CostModel, _stage_costs_and_masses, stage_cost, stage_costs
-from .quantizers import cell_masses
+from .costs import CostModel, _stage_costs_and_masses, stage_costs
 
 __all__ = [
     "PolicyNode",
@@ -156,15 +155,6 @@ class PolicyTree:
             "nodes_evaluated": self.nodes_evaluated,
             "nodes": out_nodes,
         }
-
-    def to_csv(self, path) -> None:
-        lines = ["t,node,quantizer,value"]
-        for node in self.nodes:
-            desc = "" if node.quantizer is None else node.quantizer.describe()
-            lines.append(f"{node.t},{node.node_id},{desc},{node.value!r}")
-        text = "\n".join(lines) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -357,8 +347,9 @@ def exact_policy_value(
         if t == horizon:
             return 0.0
         quantizer = select(t, belief)
-        value = stage_cost(belief, quantizer, cost) / horizon
-        for m, mass in enumerate(cell_masses(belief, [quantizer])[0].tolist(), start=1):
+        stages, masses = _stage_costs_and_masses(belief, [quantizer], cost)
+        value = float(stages[0]) / horizon
+        for m, mass in enumerate(masses[0].tolist(), start=1):
             if mass <= eps_prune:
                 continue
             value += mass * walk(filter_update(belief, model, quantizer, m), t + 1)

@@ -385,16 +385,14 @@ class RandomizedStationaryPolicy(_Policy):
         return Plan(np.minimum(picks, len(self.candidates) - 1))
 
 
-def build_pieced_policy(dp_solutions, schedule: PiecingSchedule) -> PiecedPolicy:
+def build_pieced_policy(trees, schedule: PiecingSchedule) -> PiecedPolicy:
     """Assemble the pieced policy from per-horizon solved trees.
 
-    dp_solutions holds one PolicyTree per scheduled horizon, each solved
-    from the same restart belief (normally the source's invariant
+    trees holds one PolicyTree per scheduled horizon, each solved from
+    the same restart belief (normally the source's invariant
     distribution); the trees' root beliefs must agree byte-exactly.
     """
-    trees = [
-        sol.tree if hasattr(sol, "tree") else sol for sol in dp_solutions
-    ]
+    trees = list(trees)
     if not trees:
         raise ValueError("need at least one solved policy")
     restart = trees[0].nodes[trees[0].root].belief

@@ -252,11 +252,6 @@ class FiniteChain:
     def n_states(self) -> int:
         return self.transition.shape[0]
 
-    @property
-    def strictly_positive(self) -> bool:
-        """True when every one-step transition has positive probability."""
-        return bool(np.all(self.transition > 0.0))
-
     @functools.cached_property
     def row_cdf(self) -> np.ndarray:
         """Per-row normalized cumulative sums, as Generator.choice builds them.
@@ -388,7 +383,7 @@ def density_bounds(model: LinearGaussianSource) -> DensityBounds:
     sup_density = 1.0 / (s * _SQRT_2PI)
 
     def neg_slope(z: float) -> float:
-        return -(abs(z) / (s * s)) * math.exp(-0.5 * (z / s) ** 2) / (s * _SQRT_2PI)
+        return -(abs(z) / (s * s)) * math.exp(-0.5 * (z / s) * (z / s)) / (s * _SQRT_2PI)
 
     res = minimize_scalar(
         neg_slope, bounds=(0.0, 8.0 * s), method="bounded",

@@ -6,7 +6,10 @@ The filter tests check filter_update against them, for example the law
 of total probability: the branch posteriors weighted by their cell
 masses sum to the prediction. GridBelief.inverse_cdf must equal
 invert_one on every variate, bit for bit, and sample must draw what
-sample_one draws from the same Generator.
+sample_one draws from the same Generator. The segment solve squares as
+the product x * x, the package's one rounding rule for squares; libm
+pow rounds some squares differently, and on another C library would
+move those draws.
 """
 from __future__ import annotations
 
@@ -75,6 +78,7 @@ def _solve_segment(belief: GridBelief, cum: np.ndarray, target: float) -> float:
     if abs(slope) < 1e-300:
         u = t / (d * v0) if v0 > 0 else 0.0
     else:
-        disc = (d * v0) ** 2 + 2.0 * slope * t
-        u = (-d * v0 + math.sqrt(max(disc, 0.0))) / slope
+        dv0 = d * v0
+        disc = dv0 * dv0 + 2.0 * slope * t
+        u = (-dv0 + math.sqrt(max(disc, 0.0))) / slope
     return float(x[p] + min(max(u, 0.0), 1.0) * d)

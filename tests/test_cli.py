@@ -224,7 +224,15 @@ def test_design_task(tmp_path):
     assert 0 < results["candidates_pruned"] < 4 * results["nodes_evaluated"]
     tree = json.loads((tmp_path / "out" / "policy_tree.json").read_text())
     assert tree["nodes"][tree["root"]]["t"] == 0
-    assert (tmp_path / "out" / "policy_tree.csv").exists()
+    # one row per tree node: t, node id, the quantizer (empty at leaves)
+    # and the node value at full precision
+    lines = (tmp_path / "out" / "policy_tree.csv").read_text().splitlines()
+    assert lines[0] == "t,node,quantizer,value"
+    assert len(lines) == len(tree["nodes"]) + 1
+    for line, node in zip(lines[1:], tree["nodes"]):
+        q = node["quantizer"]
+        desc = "" if q is None else "assignment=" + "".join(map(str, q["assignment"]))
+        assert line == f'{node["t"]},{node["id"]},{desc},{node["value"]!r}'
 
 
 @pytest.mark.parametrize("task", ["design", "rollout"])

@@ -55,10 +55,11 @@ def test_pointwise_arrays_match_scalars():
     rng = np.random.default_rng(0)
     x, u = rng.normal(size=(50, 40)), rng.normal(size=(50, 40))
     quad = CostModel.quadratic()
-    # the scalar square is libm pow, which numpy's vectorized square does
-    # not always match in the last bit
     expected = [[quad.pointwise(a, b) for a, b in zip(xr, ur)] for xr, ur in zip(x.tolist(), u.tolist())]
-    assert quad.pointwise(x, u).tolist() == expected
+    got = quad.pointwise(x, u)
+    assert got.shape == x.shape
+    assert got.tolist() == expected
+    assert np.array_equal(got, (x - u) * (x - u))
     tab = CostModel.bounded_tabular([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0]])
     states, recon = np.array([[0, 1, 1], [1, 0, 0]]), np.array([[2.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     assert tab.pointwise(states, recon).tolist() == [[0.5, 1.0, 0.0], [2.0, 1.0, 0.0]]

@@ -209,7 +209,7 @@ def test_discarded_mass_is_tracked(iid_source):
     assert mass_kept > 1.0 - 1e-6
 
 
-def test_policy_tree_serialization(three_state_chain, tmp_path):
+def test_policy_tree_serialization(three_state_chain):
     cands = enumerate_finite_partitions(3, 2)
     tree = solve_finite_horizon(
         uniform_belief(three_state_chain), three_state_chain, cands, QUAD, horizon=2
@@ -217,8 +217,3 @@ def test_policy_tree_serialization(three_state_chain, tmp_path):
     doc = tree.to_json()
     assert doc["horizon"] == 2
     assert doc["nodes"][doc["root"]]["t"] == 0
-    path = tmp_path / "tree.csv"
-    tree.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,node,quantizer,value"
-    assert len(lines) == len(tree.nodes) + 1

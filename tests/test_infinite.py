@@ -32,7 +32,7 @@ from zdq.quantizers import (
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import FiniteChain
+from zdq.sources import FiniteChain, LinearGaussianSource
 
 QUAD = CostModel.quadratic()
 TAB = CostModel.bounded_tabular([[0.2, 1.0], [1.0, 0.1]])
@@ -400,7 +400,8 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
             symbol = quantizer.classify(x)
             u = optimal_reconstruction(dec, quantizer, symbol, cost)
             value = model.state_values[x] if finite else x
-            total += cost.pointwise(value if cost.kind == "quadratic" else x, u)
+            d = value - u
+            total += d * d if cost.kind == "quadratic" else cost.pointwise(x, u)
             if p == 0:
                 rows.append((t, value, symbol, u, stage_cost(enc, quantizer, cost), enc.mean,
                              enc.std, quantizer_id, enc.probabilities if finite else None))
@@ -469,6 +470,13 @@ def _greedy_grid_case(three_state_chain, two_state_chain, ar_source):
     return policy, ar_source, QUAD, 40, 5, 8, ar_source.invariant_distribution()
 
 
+def _greedy_grid_a09_case(three_state_chain, two_state_chain, ar_source):
+    # every belief is new, so each path-step squares its own difference
+    model = LinearGaussianSource(0.9, 1.0)
+    policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 21), QUAD)
+    return policy, model, QUAD, 50, 20, 3, model.invariant_distribution()
+
+
 def _tabular_chain_case(three_state_chain, two_state_chain, ar_source):
     policy = GreedyPolicy(enumerate_finite_partitions(2, 2), TAB)
     return policy, two_state_chain, TAB, 50, 20, 4, two_state_chain.invariant_distribution()
@@ -502,6 +510,7 @@ SMALL_BLOCKS = (48, 16)
         (_fixed_grid_past_cap_case, None),
         (_pieced_chain_case, None),
         (_greedy_grid_case, None),
+        (_greedy_grid_a09_case, None),
         (_tabular_chain_case, None),
         (_long_single_path_case, None),
         (_rollout_chain_case, SMALL_BLOCKS),
@@ -516,6 +525,7 @@ SMALL_BLOCKS = (48, 16)
         "ar1-fixed-past-cap",
         "pieced-chain",
         "greedy-grid",
+        "greedy-grid-a0.9",
         "tabular-chain",
         "one-path-2000-steps",
         "rollout-chain-small-blocks",
