@@ -33,13 +33,11 @@ from .beliefs import (
 from .quantizers import (
     IntervalQuantizer,
     FinitePartition,
-    cell_mass,
-    cell_masses,
     enumerate_interval_candidates,
     enumerate_finite_partitions,
     quantizer_from_json,
 )
-from .costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
+from .costs import CostModel, cell_decisions
 from .dp import (
     PolicyNode,
     PolicyTree,
@@ -98,15 +96,11 @@ __all__ = [
     "check_S_membership",
     "IntervalQuantizer",
     "FinitePartition",
-    "cell_mass",
-    "cell_masses",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",
     "CostModel",
-    "optimal_reconstruction",
-    "stage_cost",
-    "stage_costs",
+    "cell_decisions",
     "PolicyNode",
     "PolicyTree",
     "DPResult",

@@ -7,21 +7,22 @@ interpolant, so integrals against quantizer cells can be taken exactly
 even when a cell boundary falls between nodes. Finite chains carry a
 SimplexBelief, where everything is exact arithmetic. Each belief class
 answers for itself what the rest of the package reads off a belief:
-key(), mean and std, cell_moments, draws, its description in
-policy_tree.json (to_json) and its row in a rollout's trajectory log
-(log_row).
+key(), mean and std, cell_moments, draws by inverse_cdf, its
+description in policy_tree.json (to_json) and its row in a rollout's
+trajectory log (log_row).
 
 Every cell mass and every moment behind a stage cost comes from one
 method per belief family, cell_moments(quantizers), which returns the
 moments of orders 0..2 of every cell of a whole candidate set as (K, L)
-arrays. A grid belief builds a prefix table: the exact moments of the
-piecewise-linear density, accumulated node by node in coordinates
-centred on the belief mean, so any cell's moments are two table lookups
-plus a closed-form term for the partial segment at each cut. A simplex
-belief multiplies its probabilities by each partition's cached 0/1
-membership matrix. column_cell_moments gives the same moments for every
-normalized column of a source's transition kernel at once, which the
-dynamic program's stage-cost floor reads.
+arrays; costs.cell_decisions turns them into stage costs, cell masses
+and reconstructions. A grid belief builds a prefix table: the exact
+moments of the piecewise-linear density, accumulated node by node in
+coordinates centred on the belief mean, so any cell's moments are two
+table lookups plus a closed-form term for the partial segment at each
+cut. A simplex belief multiplies its probabilities by each partition's
+cached 0/1 membership matrix. column_cell_moments gives the same
+moments for every normalized column of a source's transition kernel at
+once, which the dynamic program's stage-cost floor reads.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
@@ -321,7 +322,7 @@ class GridBelief:
         return np.diff(cum, axis=-1), center
 
     def inverse_cdf(self, v) -> np.ndarray:
-        """The draw sample(rng) makes when rng's next variate is v, for every v.
+        """The draw of the belief at every uniform variate v in [0, 1).
 
         Each variate v is mapped to the point where the cumulative mass
         of the piecewise-linear density reaches v times the total mass:
@@ -344,11 +345,6 @@ class GridBelief:
                 (-dv0 + np.sqrt(np.maximum(dv0 * dv0 + 2.0 * slope * t, 0.0))) / slope,
             )
         return self.grid.nodes[p] + np.minimum(np.maximum(u, 0.0), 1.0) * d
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """Inverse-CDF draw from the piecewise-linear density, taking one
-        uniform variate of rng (uniform(0, c) is c times random())."""
-        return float(self.inverse_cdf([rng.random()])[0])
 
     def _cumulative_mass(self) -> np.ndarray:
         v = self.values
@@ -448,17 +444,15 @@ class SimplexBelief:
         return out, 0.0
 
     def inverse_cdf(self, v) -> np.ndarray:
-        """The draw sample(rng) makes when rng's next variate is v, for every v.
+        """The state drawn at every uniform variate v in [0, 1).
 
-        Generator.choice(n_states, p=probabilities) counts the normalized
-        cumulative sums that are <= its one uniform variate.
+        This is the draw of Generator.choice(n_states, p=probabilities)
+        when v is its one uniform variate: the count of normalized
+        cumulative sums that are <= v.
         """
         cdf = self.probabilities.cumsum()
         cdf /= cdf[-1]
         return (cdf <= np.asarray(v)[:, None]).sum(axis=1)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.n_states, p=self.probabilities))
 
 
 @dataclass(frozen=True)

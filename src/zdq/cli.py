@@ -155,9 +155,8 @@ def _build_policy(cfg: dict, model, cost, candidates, initial_belief):
         ]
         return build_pieced_policy(trees, schedule)
     binning = build_binning(spec["binning"], model, cfg)
-    table = np.asarray(spec["table"], dtype=float)
     try:
-        return RandomizedStationaryPolicy(binning, table, candidates)
+        return RandomizedStationaryPolicy(binning, spec["table"], candidates)
     except ValueError as e:
         raise ConfigError("policy.table", str(e))
 

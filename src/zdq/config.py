@@ -9,6 +9,7 @@ produce identical results.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -88,6 +89,8 @@ def _as_int(value, path: str, minimum=None) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+        raise ConfigError(path, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -321,8 +324,8 @@ def validate_config(cfg: dict, task: str | None = None) -> dict:
             _check_keys(grid, {"n_points", "span_stds"}, "grid")
             if "n_points" in grid:
                 _as_int(grid["n_points"], "grid.n_points", 16)
-            if "span_stds" in grid:
-                _as_number(grid["span_stds"], "grid.span_stds")
+            if "span_stds" in grid and _as_number(grid["span_stds"], "grid.span_stds") <= 0:
+                raise ConfigError("grid.span_stds", f"must be > 0, got {grid['span_stds']}")
         if "initial_belief" in cfg:
             cfg["initial_belief"] = _validate_initial_belief(
                 cfg["initial_belief"], "initial_belief"
@@ -403,10 +406,20 @@ def build_source(cfg: dict):
 
 
 def build_cost(cfg: dict) -> CostModel:
-    spec = cfg["cost"]
+    """The cost model; a tabular one is checked against the chain that
+    build_source accepted."""
+    spec, source = cfg["cost"], cfg["source"]
     if spec["kind"] == "quadratic":
         return CostModel.quadratic()
-    return CostModel.bounded_tabular(spec["table"])
+    if source["type"] != "chain":
+        raise ConfigError("cost.kind", "bounded_tabular costs need a chain source")
+    try:
+        cost = CostModel.bounded_tabular(spec["table"])
+    except ValueError as e:
+        raise ConfigError("cost.table", str(e)) from None
+    if len(cost.table) != len(source["transition"]):
+        raise ConfigError("cost.table", f"needs one row per chain state, got {len(cost.table)}")
+    return cost
 
 
 def build_grid(cfg: dict, model):
@@ -415,6 +428,8 @@ def build_grid(cfg: dict, model):
         raise ConfigError(
             "source.a", f"|a| = {abs(model.a)} >= 1: no stationary law for the grid to span"
         )
+    if model.noise_std == 0.0:
+        raise ConfigError("source.noise_std", "must be > 0 for the grid to span the source")
     return default_grid(
         model,
         n_points=spec.get("n_points", DEFAULT_GRID_POINTS),
@@ -427,9 +442,12 @@ def build_candidates(cfg: dict, model):
     if spec["type"] == "intervals":
         if not isinstance(model, LinearGaussianSource):
             raise ConfigError("quantizers.type", "interval candidates need a gaussian source")
-        return enumerate_interval_candidates(
-            spec["levels"], spec["lo"], spec["hi"], spec["steps"]
-        )
+        try:
+            return enumerate_interval_candidates(
+                spec["levels"], spec["lo"], spec["hi"], spec["steps"]
+            )
+        except ValueError as e:
+            raise ConfigError("quantizers", str(e)) from None
     if spec["type"] == "partitions":
         if not isinstance(model, FiniteChain):
             raise ConfigError("quantizers.type", "partition candidates need a chain source")
@@ -473,7 +491,10 @@ def build_initial_belief(cfg: dict, model):
             raise ConfigError("initial_belief.probabilities", str(e)) from None
     if "probabilities" in spec:
         raise ConfigError("initial_belief", "gaussian sources take {'mean', 'std'}")
-    return GridBelief.normal(grid, spec["mean"], spec["std"])
+    try:
+        return GridBelief.normal(grid, spec["mean"], spec["std"])
+    except ValueError as e:  # a law so far off the grid that no mass lands on it
+        raise ConfigError("initial_belief", f"{e} on the grid [{grid.lo}, {grid.hi}]") from None
 
 
 def build_binning(spec: dict, model, cfg: dict):

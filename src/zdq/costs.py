@@ -6,6 +6,9 @@ mean, and the per-stage cost is the mass-weighted conditional variance
 summed over cells. Bounded tabular costs restrict to finite alphabets
 with a finite reconstruction set; the optimal reconstruction is then the
 cost-minimizing column index.
+
+cell_decisions is the one way from a belief and a candidate set to
+every stage cost, cell mass and reconstruction.
 """
 from __future__ import annotations
 
@@ -14,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import EPS_MASS, SimplexBelief
-from .quantizers import _cell_slot
 
-__all__ = [
-    "CostModel",
-    "cell_decisions",
-    "optimal_reconstruction",
-    "stage_cost",
-    "stage_costs",
-]
+__all__ = ["CostModel", "cell_decisions"]
 
 
 @dataclass(frozen=True)
@@ -95,80 +91,44 @@ def _tabular_cells(belief, quantizer, cost: CostModel) -> list:
     return [r @ cost.table if float(r.sum()) > EPS_MASS else None for r in restricted]
 
 
-def optimal_reconstruction(belief, quantizer, m: int, cost: CostModel):
-    """Best decoder output for cell m.
-
-    Quadratic: the conditional mean of the belief restricted to the
-    cell. Tabular: the column index minimizing the restricted expected
-    cost, lowest index on ties. The cell must carry positive mass.
-    """
-    u = cell_decisions(belief, [quantizer], cost)[1][0, _cell_slot(quantizer, m)]
-    if np.isnan(u):
-        raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
-    return float(u) if cost.kind == "quadratic" else int(u)
-
-
 def cell_decisions(belief, quantizers, cost: CostModel):
-    """Stage cost of every quantizer and best decoder output of every cell.
+    """(stages, masses, recon) of K quantizers with at most L cells.
 
-    Returns (stages, recon): stages is stage_costs(belief, quantizers,
-    cost), and recon[k, m - 1] is optimal_reconstruction(belief,
-    quantizers[k], m, cost) bit for bit, or NaN where that cell carries
-    no mass (padded cells included). Under quadratic cost both come from
-    one belief.cell_moments call; tabular outputs are column indices.
+    stages[k] is quantizers[k]'s expected one-stage distortion under the
+    best decoder: the restricted expected cost at each cell's optimal
+    reconstruction, summed over the cells of mass > EPS_MASS.
+    masses[k, m - 1] is cell m's belief mass (0 past the levels), and
+    recon[k, m - 1] its optimal reconstruction (NaN for a massless or
+    padded cell): the conditional mean under quadratic cost, where the
+    stage cost is the mass-weighted conditional variance; under a
+    tabular cost the least-cost column index, lowest on ties, with each
+    quantizer's cells walked once in order. All three come from one
+    belief.cell_moments call; np.argmin over stages keeps the
+    first-candidate tie rule.
     """
+    moments, center = belief.cell_moments(quantizers)
+    m0 = moments[0]
     if cost.kind == "quadratic":
-        moments, center = belief.cell_moments(quantizers)
-        m0, m1, _ = moments
         live = m0 > EPS_MASS
-        recon = np.where(live, center + m1 / np.where(live, m0, 1.0), np.nan)
-        return _stage_costs_from(moments, belief, quantizers, cost), recon
-    recon = np.full((len(quantizers), max(q.levels for q in quantizers)), np.nan)
+        recon = np.where(live, center + moments[1] / np.where(live, m0, 1.0), np.nan)
+        return _stage_costs_from(moments), m0, recon
+    stages = np.zeros(len(quantizers))
+    recon = np.full(m0.shape, np.nan)
     for k, q in enumerate(quantizers):
+        total = 0.0
         for i, column_costs in enumerate(_tabular_cells(belief, q, cost)):
             if column_costs is not None:
-                recon[k, i] = np.argmin(column_costs)
-    return _stage_costs_from(None, belief, quantizers, cost), recon
+                u = np.argmin(column_costs)
+                recon[k, i] = u
+                total += float(column_costs[u])
+        stages[k] = total
+    return stages, m0, recon
 
 
-def _stage_costs_from(moments, belief, quantizers, cost: CostModel) -> np.ndarray:
-    """stage_costs, given belief.cell_moments(quantizers)[0] (read only under
-    quadratic cost)."""
-    if cost.kind == "quadratic":
-        m0, m1, m2 = moments
-        live = m0 > EPS_MASS
-        var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
-        return np.where(live, var, 0.0).sum(axis=1)
-    return np.array([
-        sum((float(np.min(c)) for c in _tabular_cells(belief, q, cost) if c is not None), 0.0)
-        for q in quantizers
-    ])
-
-
-def stage_costs(belief, quantizers, cost: CostModel) -> np.ndarray:
-    """Stage cost of every quantizer at one belief, as a length-K array.
-
-    Sums over cells the restricted expected cost at that cell's optimal
-    reconstruction; cells with (numerically) no mass contribute 0. Under
-    quadratic cost this is the mass-weighted conditional variance, which
-    never exceeds the belief's second moment, and every cell of every
-    candidate comes from one belief.cell_moments call. np.argmin over
-    the result keeps the first-candidate tie rule.
-    """
-    moments = belief.cell_moments(quantizers)[0] if cost.kind == "quadratic" else None
-    return _stage_costs_from(moments, belief, quantizers, cost)
-
-
-def _stage_costs_and_masses(belief, quantizers, cost: CostModel):
-    """stage_costs and quantizers.cell_masses from one cell_moments call.
-
-    The numbers are those of the two public calls, bit for bit; a grid
-    belief builds its prefix table once instead of twice.
-    """
-    moments, _ = belief.cell_moments(quantizers)
-    return _stage_costs_from(moments, belief, quantizers, cost), moments[0]
-
-
-def stage_cost(belief, quantizer, cost: CostModel) -> float:
-    """Expected one-stage distortion under the best decoder (see stage_costs)."""
-    return float(stage_costs(belief, [quantizer], cost)[0])
+def _stage_costs_from(moments) -> np.ndarray:
+    """Quadratic stage cost of every quantizer from its cell moments
+    (m0, m1, m2), as cell_decisions computes it."""
+    m0, m1, m2 = moments
+    live = m0 > EPS_MASS
+    var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
+    return np.where(live, var, 0.0).sum(axis=1)

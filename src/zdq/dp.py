@@ -8,7 +8,7 @@ forward-reachable belief tree from the initial belief and computes
 
     J_T(belief) = 0
     J_t(belief) = min over candidates of
-        stage_cost(belief, Q) / horizon
+        c(belief, Q) / horizon
         + sum over symbols of branch_mass * J_{t+1}(posterior)
 
 with branches of mass <= eps_prune skipped (they contribute 0 and their
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beliefs import _check_pair, filter_update
-from .costs import CostModel, _stage_costs_and_masses, stage_costs
+from .costs import CostModel, cell_decisions
 
 __all__ = [
     "PolicyNode",
@@ -219,7 +219,7 @@ def solve_finite_horizon(
         node = PolicyNode(len(searched), t, belief, None, None, 0.0, 0.0)
         searched.append(node)
         memo[key] = node.node_id
-        stages, masses = _stage_costs_and_masses(belief, candidates, cost)
+        stages, masses, _ = cell_decisions(belief, candidates, cost)
         if t + 1 == horizon:
             # leaves have value 0, so the value is the stage share alone
             values = stages / horizon
@@ -322,7 +322,7 @@ def greedy_policy_step(belief, candidates, cost: CostModel):
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")
-    return candidates[int(np.argmin(stage_costs(belief, candidates, cost)))]
+    return candidates[int(np.argmin(cell_decisions(belief, candidates, cost)[0]))]
 
 
 def exact_policy_value(
@@ -347,7 +347,7 @@ def exact_policy_value(
         if t == horizon:
             return 0.0
         quantizer = select(t, belief)
-        stages, masses = _stage_costs_and_masses(belief, [quantizer], cost)
+        stages, masses, _ = cell_decisions(belief, [quantizer], cost)
         value = float(stages[0]) / horizon
         for m, mass in enumerate(masses[0].tolist(), start=1):
             if mass <= eps_prune:

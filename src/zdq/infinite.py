@@ -41,6 +41,7 @@ invariance of the belief transition kernel can be measured.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -49,9 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import EPS_MASS, GridBelief, SimplexBelief, _check_pair, default_grid, filter_update
-from .costs import CostModel, _stage_costs_and_masses, cell_decisions
+from .costs import CostModel, cell_decisions
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
-from .quantizers import cell_masses, stacked_classifier
+from .quantizers import stacked_classifier
 from .sources import FiniteChain, _PathStreams
 
 __all__ = [
@@ -135,7 +136,8 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
         numerator = max(k * Tnext, k * n_reps[-1] * Tprev)
         n_reps.append(-(-numerator // Tk))  # exact ceiling
     block_lengths = [n * T for n, T in zip(n_reps, horizons)]
-    boundaries = list(np.cumsum(block_lengths))
+    # Python ints: int64 would wrap around for block lengths near 2**63
+    boundaries = list(itertools.accumulate(block_lengths))
     for k in range(2, k_max + 1):
         if block_lengths[k - 1] < k * block_lengths[k - 2]:
             raise AssertionError("schedule invariant violated")
@@ -146,7 +148,7 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
         horizons=tuple(horizons[:k_max]),
         n_reps=tuple(n_reps),
         block_lengths=tuple(block_lengths),
-        boundaries=tuple(int(b) for b in boundaries),
+        boundaries=tuple(boundaries),
         ratios=ratios,
     )
 
@@ -217,7 +219,7 @@ class GreedyPolicy(_Policy):
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            stages, recon = cell_decisions(beliefs[b], self.candidates, self.cost)
+            stages, _, recon = cell_decisions(beliefs[b], self.candidates, self.cost)
             k = picks[b] = int(np.argmin(stages))
             decisions.append((b, k, stages[k], recon[k]))
         return Plan(picks[ids], decisions=tuple(decisions))
@@ -260,33 +262,6 @@ def _descend(child, nodes, t: int, symbols):
             f"symbol {symbols[pruned[0]]} at t={t} was pruned from the policy tree"
         )
     return nxt
-
-
-class TreeReplayPolicy(_Policy):
-    """Replays a solved policy tree, restarting at the root each block.
-
-    At the start of every horizon-length block the tracked belief is
-    reset to the tree's root belief: this is exactly a one-segment
-    pieced policy, and over a single block it reproduces the designed
-    policy verbatim. The state is every path's node id.
-    """
-
-    def __init__(self, tree: PolicyTree):
-        self.tree = tree
-        self.quantizers, ((self._qid, self._child),) = _tree_tables([tree])
-
-    def begin(self, n_paths: int):
-        return np.full(n_paths, self.tree.root)
-
-    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
-        if t % self.tree.horizon == 0:
-            root = self.tree.root
-            return Plan(np.full(len(ids), self._qid[root]), self.tree.nodes[root].belief)
-        return Plan(self._qid[state])
-
-    def advance(self, state, t: int, symbols):
-        nodes = self.tree.root if t % self.tree.horizon == 0 else state
-        return _descend(self._child, nodes, t, symbols)
 
 
 class PiecedPolicy(_Policy):
@@ -348,6 +323,21 @@ class PiecedPolicy(_Policy):
         return _descend(self._tables[k][1], nodes, t, symbols)
 
 
+class TreeReplayPolicy(PiecedPolicy):
+    """Replays a solved policy tree, restarting at the root each block.
+
+    The one-segment pieced policy: at the start of every horizon-length
+    block the tracked belief is reset to the tree's root belief, and
+    over a single block it reproduces the designed policy verbatim.
+    """
+
+    def __init__(self, tree: PolicyTree):
+        T = tree.horizon
+        super().__init__(
+            PiecingSchedule((T,), (1,), (T,), (T,), ()), [tree], tree.nodes[tree.root].belief
+        )
+
+
 class RandomizedStationaryPolicy(_Policy):
     """Stationary policy mixing candidate quantizers by belief bin.
 
@@ -369,6 +359,8 @@ class RandomizedStationaryPolicy(_Policy):
             )
         if self.table.shape[1] != len(self.candidates):
             raise ValueError("table columns must match the candidate count")
+        if not np.all(np.isfinite(self.table)):
+            raise ValueError("table entries must be finite")
         if np.any(self.table < 0.0):
             raise ValueError("table rows must be nonnegative")
         if np.max(np.abs(self.table.sum(axis=1) - 1.0)) > 1e-12:
@@ -538,7 +530,7 @@ class _BeliefTable:
         b, q = divmod(bq, len(self.quantizers))
         belief, quantizer = self.beliefs[b], self.quantizers[q]
         if np.isnan(self.stage[b, q]):
-            stages, recon = cell_decisions(belief, [quantizer], self.cost)
+            stages, _, recon = cell_decisions(belief, [quantizer], self.cost)
             self.decide(b, q, stages[0], recon[0])
         if np.isnan(self.recon[b, q, m]):
             raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
@@ -839,7 +831,7 @@ def discounted_value_iteration(
     masses = np.zeros((G, K, levels))
     succ = np.zeros((G, K, levels), dtype=int)
     for i, belief in enumerate(beliefs):
-        stage[i], belief_masses = _stage_costs_and_masses(belief, candidates, cost)
+        stage[i], belief_masses, _ = cell_decisions(belief, candidates, cost)
         belief_masses = belief_masses.tolist()
         for k, quantizer in enumerate(candidates):
             for m, mass in enumerate(belief_masses[k][: quantizer.levels], start=1):
@@ -997,9 +989,6 @@ class OccupationHistogram:
     mean_stage_cost: float
     belief_sums: np.ndarray | None = None  # per-bin summed simplex beliefs
 
-    def normalized(self) -> np.ndarray:
-        return self.counts / max(self.steps, 1)
-
     def to_json(self) -> dict:
         occupied = np.argwhere(self.counts > 0)
         return {
@@ -1075,7 +1064,7 @@ def invariance_residual(
     for b in np.flatnonzero(counts.sum(axis=1)):
         rep = binning.representative(b, histogram, model)
         used = np.flatnonzero(counts[b])
-        masses = cell_masses(rep, [candidates[k] for k in used]).tolist()
+        masses = rep.cell_moments([candidates[k] for k in used])[0][0].tolist()
         for k, row in zip(used, masses):
             weight = counts[b, k] / steps
             quantizer = candidates[k]

@@ -6,9 +6,9 @@ exactly on a threshold goes to the lower cell. Finite-alphabet
 quantizers are plain partitions of the state set, with a cached 0/1
 membership matrix (one row per cell).
 
-Cell masses are read off the belief's own cell_moments method, which
-takes a whole candidate set at once; no function here looks at the
-belief's type.
+Quantizers know their cells only; the mass and the moments of every
+cell come from the belief's own cell_moments method (through
+costs.cell_decisions), so no function here looks at a belief.
 """
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "IntervalQuantizer",
     "FinitePartition",
-    "cell_mass",
-    "cell_masses",
     "stacked_classifier",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
@@ -162,21 +160,6 @@ def stacked_classifier(quantizers):
     """
     family = next(type(q) for q in quantizers if q is not None)
     return family._stacked(quantizers)
-
-
-def cell_masses(belief, quantizers) -> np.ndarray:
-    """Belief mass of every cell of every quantizer, as a (K, L) array.
-
-    L is the largest level count; entries past a quantizer's own levels
-    are 0. All masses come from one belief.cell_moments call.
-    """
-    (m0, _, _), _ = belief.cell_moments(quantizers)
-    return m0
-
-
-def cell_mass(belief, quantizer, m: int) -> float:
-    """Belief mass of cell m: one entry of cell_masses."""
-    return float(cell_masses(belief, [quantizer])[0, _cell_slot(quantizer, m)])
 
 
 def enumerate_interval_candidates(levels: int, lo: float, hi: float, steps: int):

@@ -49,7 +49,7 @@ from .beliefs import (
     column_cell_moments,
     default_grid,
 )
-from .costs import _stage_costs_from, stage_costs
+from .costs import _stage_costs_from, cell_decisions
 
 __all__ = [
     "LinearGaussianSource",
@@ -186,10 +186,11 @@ class LinearGaussianSource:
         return GridBelief(belief.grid, raw / z)
 
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
-        """Least stage cost over every normalized kernel column on the
-        belief's grid, read in one batch of cumulative cell moments."""
+        """Least quadratic stage cost over every normalized kernel column
+        on the belief's grid, read in one batch of cumulative cell
+        moments (a grid belief has no tabular cost)."""
         return min(
-            float(_stage_costs_from(moments, None, candidates, cost).min())
+            float(_stage_costs_from(moments).min())
             for moments in column_cell_moments(self, belief.grid, candidates)
         )
 
@@ -345,7 +346,7 @@ class FiniteChain:
     def stage_floor(self, belief: SimplexBelief, candidates, cost) -> float:
         """Least stage cost over the transition rows as beliefs."""
         return min(
-            float(stage_costs(SimplexBelief(row, states=belief.states), candidates, cost).min())
+            float(cell_decisions(SimplexBelief(row, states=belief.states), candidates, cost)[0].min())
             for row in self.transition
         )
 

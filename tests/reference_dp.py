@@ -7,7 +7,7 @@ enumeration order. The branch-and-bound solver must reproduce its node
 values bit for bit and its choices on every policy path.
 """
 from zdq.beliefs import filter_update
-from zdq.costs import _stage_costs_and_masses
+from zdq.costs import cell_decisions
 from zdq.dp import DEFAULT_EPS_PRUNE, PolicyNode, PolicyTree
 
 
@@ -29,7 +29,7 @@ def exhaustive_solve(initial_belief, model, candidates, cost, horizon,
             return node.node_id
         terminal_next = t + 1 == horizon
         best_value = best = None
-        stages, masses = _stage_costs_and_masses(belief, candidates, cost)
+        stages, masses, _ = cell_decisions(belief, candidates, cost)
         stages, masses = list(stages), [list(row) for row in masses]
         for qid, quantizer in enumerate(candidates):
             stage = float(stages[qid])

@@ -5,8 +5,8 @@ inverse CDF of a grid belief and a one-draw sampler.
 The filter tests check filter_update against them, for example the law
 of total probability: the branch posteriors weighted by their cell
 masses sum to the prediction. GridBelief.inverse_cdf must equal
-invert_one on every variate, bit for bit, and sample must draw what
-sample_one draws from the same Generator. The segment solve squares as
+invert_one on every variate, bit for bit, and inverse_cdf of a
+Generator's next variate must be what sample_one draws from it. The segment solve squares as
 the product x * x, the package's one rounding rule for squares; libm
 pow rounds some squares differently, and on another C library would
 move those draws.
@@ -45,15 +45,13 @@ def tv_distance(b1, b2) -> float:
 
 def invert_one(belief: GridBelief, w: float) -> float:
     """The inverse-CDF draw of a grid belief at one variate w in [0, 1),
-    one scalar segment solve, as GridBelief.sample made it before
-    inverse_cdf worked over arrays."""
+    by one scalar segment solve."""
     cum = _cumulative_mass(belief)
     return _solve_segment(belief, cum, cum[-1] * w)
 
 
 def sample_one(belief, rng: np.random.Generator):
-    """One draw of a belief from rng as sample made it before
-    inverse_cdf worked over arrays: a grid belief inverts
+    """One draw of a belief from rng: a grid belief inverts
     rng.uniform(0, total mass) by the scalar segment solve, a simplex
     belief takes Generator.choice."""
     if isinstance(belief, SimplexBelief):

@@ -18,7 +18,8 @@ from zdq.beliefs import (
     filter_update,
     window_weights,
 )
-from zdq.quantizers import FinitePartition, IntervalQuantizer, cell_mass
+from zdq.costs import CostModel, cell_decisions
+from zdq.quantizers import FinitePartition, IntervalQuantizer
 from zdq.sources import FiniteChain, LinearGaussianSource, density_bounds
 
 
@@ -149,7 +150,7 @@ def test_grid_belief_keys_differ():
 def test_grid_belief_sampling():
     b = std_normal_belief()
     rng = np.random.default_rng(5)
-    draws = np.array([b.sample(rng) for _ in range(4000)])
+    draws = b.inverse_cdf(rng.random(4000))
     assert abs(draws.mean()) < 0.06
     assert abs(draws.std() - 1.0) < 0.06
 
@@ -184,7 +185,7 @@ def test_grid_belief_rejects_non_finite():
 def test_simplex_belief_sampling():
     b = SimplexBelief(np.array([0.3, 0.7]))
     rng = np.random.default_rng(6)
-    draws = np.array([b.sample(rng) for _ in range(5000)])
+    draws = b.inverse_cdf(rng.random(5000))
     assert abs(draws.mean() - 0.7) < 0.02
 
 
@@ -199,14 +200,12 @@ def test_simplex_belief_sampling():
     ids=["simplex", "simplex-point", "grid-normal", "grid-uniform"],
 )
 def test_inverse_cdf_matches_sample(belief):
-    # sample(rng) takes one uniform variate from rng; inverse_cdf of that
-    # variate is the same draw, and both equal the reference draw, which
-    # takes uniform(0, total mass) or Generator.choice from rng
+    # inverse_cdf of a generator's next uniform variate is the reference
+    # draw, which takes uniform(0, total mass) or Generator.choice from it
     seeds = range(300)
     variates = [np.random.default_rng(seed).random() for seed in seeds]
     draws = [sample_one(belief, np.random.default_rng(seed)) for seed in seeds]
     assert belief.inverse_cdf(variates).tolist() == draws
-    assert [belief.sample(np.random.default_rng(seed)) for seed in seeds] == draws
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,8 +301,8 @@ def test_filter_law_of_total_probability(ar_source):
     q = IntervalQuantizer((-0.5, 0.8))
     pred = predict(b, ar_source)
     mix = np.zeros_like(pred.values)
-    for m in (1, 2, 3):
-        mass = cell_mass(b, q, m)
+    masses = cell_decisions(b, [q], CostModel.quadratic())[1][0]
+    for m, mass in enumerate(masses, start=1):
         mix += mass * filter_update(b, ar_source, q, m).values
     assert float(trapezoid(np.abs(mix - pred.values), b.grid.nodes)) < 1e-12
 

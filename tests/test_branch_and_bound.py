@@ -31,13 +31,12 @@ from zdq.config import (
     build_source,
     validate_config,
 )
-from zdq.costs import CostModel, _stage_costs_from, stage_costs
+from zdq.costs import CostModel, _stage_costs_from, cell_decisions
 from zdq.dp import bellman_residuals, exact_policy_value, solve_finite_horizon
 from zdq.infinite import FixedQuantizerPolicy, rollout
 from zdq.quantizers import (
     FinitePartition,
     IntervalQuantizer,
-    cell_masses,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
@@ -189,9 +188,8 @@ def test_mirror_tie_keeps_the_first_candidate():
     assert node.quantizer_id == 1
     # the pin bites only if partition 3 comes first in stage order and
     # ties partition 1 exactly in value
-    stages = stage_costs(node.belief, cands, QUAD)
+    stages, masses, _ = cell_decisions(node.belief, cands, QUAD)
     assert stages[3] < stages[1]
-    masses = cell_masses(node.belief, cands)
     values = []
     for qid in (1, 3):
         continuation = 0.0
@@ -241,7 +239,7 @@ def test_simplex_stage_cost_is_concave(pair, lam, levels):
     cands = enumerate_finite_partitions(len(states), levels)
 
     def least(p):
-        return float(stage_costs(SimplexBelief(p, states=states), cands, QUAD).min())
+        return float(cell_decisions(SimplexBelief(p, states=states), cands, QUAD)[0].min())
 
     mix = lam * p1 + (1.0 - lam) * p2
     spread = float(states.max() - states.min())
@@ -277,7 +275,7 @@ def test_grid_stage_cost_is_concave(case, lam):
     mix = GridBelief.from_unnormalized(grid, lam * b1.values + (1.0 - lam) * b2.values)
 
     def least(b):
-        return float(stage_costs(b, cands, QUAD).min())
+        return float(cell_decisions(b, cands, QUAD)[0].min())
 
     rhs = lam * least(b1) + (1.0 - lam) * least(b2)
     allowance = _dead_cell_allowance(3, grid.hi - grid.lo)
@@ -303,7 +301,7 @@ def test_chain_floor_bounds_every_posterior(seed, n, tabular):
             if belief.restrict(q.member_mask(m)).sum() <= EPS_MASS:
                 continue
             post = filter_update(belief, chain, q, m)
-            least = float(stage_costs(post, cands, cost).min())
+            least = float(cell_decisions(post, cands, cost)[0].min())
             assert floor <= least + 1e-12 + 2 * EPS_MASS * scale
 
 
@@ -329,7 +327,7 @@ def test_grid_floor_bounds_every_posterior(a, noise, n_points, mean, std, cuts):
                 post = filter_update(belief, src, q, m)
             except ValueError:
                 continue  # a cell with no mass has no posterior
-            least = float(stage_costs(post, cands, QUAD).min())
+            least = float(cell_decisions(post, cands, QUAD)[0].min())
             assert floor <= least + 1e-12 + allowance
 
 
@@ -347,11 +345,11 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
     cands = [IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))]
     kernel = _transition_kernel(src, grid)
     ref = np.array([
-        stage_costs(GridBelief.from_unnormalized(grid, kernel[:, i]), cands, QUAD)
+        cell_decisions(GridBelief.from_unnormalized(grid, kernel[:, i]), cands, QUAD)[0]
         for i in range(n_points)
     ]).T
     got = np.concatenate(
-        [_stage_costs_from(m, None, cands, QUAD) for m in column_cell_moments(src, grid, cands)]
+        [_stage_costs_from(m) for m in column_cell_moments(src, grid, cands)]
     )
     # raw moments about 0 lose digits in proportion to the squared range
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, grid.hi**2)

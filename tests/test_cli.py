@@ -202,6 +202,17 @@ def test_schedule_task(tmp_path):
     lines = (tmp_path / "out" / "schedule.csv").read_text().splitlines()
     assert lines[0].startswith("k,horizon")
     assert len(lines) == 4
+    # boundaries past the int64 range stay exact: 10 + 3 * T_2 > 2**63 - 1
+    T2 = 3074457345618258602
+    huge = {"task": "schedule", "horizons": [10, T2, T2 + 1], "k_max": 2,
+            "output_dir": str(tmp_path / "huge")}
+    assert main(["schedule", "--config", write_config(tmp_path, huge, "huge.json")]) == 0
+    results = json.loads((tmp_path / "huge" / "results.json").read_text())
+    assert results["n_reps"] == [1, 3]
+    assert results["boundaries"] == [10, 10 + 3 * T2] and 10 + 3 * T2 > 2**63 - 1
+    assert results["ratios"] == [10 / (3 * T2)]
+    row = (tmp_path / "huge" / "schedule.csv").read_text().splitlines()[2]
+    assert row.split(",")[4] == str(10 + 3 * T2)
 
 
 def test_design_task(tmp_path):
@@ -248,16 +259,19 @@ def test_design_task(tmp_path):
         ("state_values", [0.0, 1.0, 2.0], "source.state_values"),
         ("belief", [0.5, 0.6], "initial_belief.probabilities"),
         ("belief", [float("nan"), 1.0], "initial_belief.probabilities"),
+        ("cost", [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], "cost.table"),
     ],
     ids=["row-sum", "not-a-number", "ragged", "negative", "initial-sum",
-         "initial-size", "state-values-size", "belief-sum", "belief-nan"],
+         "initial-size", "state-values-size", "belief-sum", "belief-nan",
+         "cost-table-rows"],
 )
 def test_bad_chain_exits_2_with_field_path(tmp_path, capsys, task, field, value, path):
     doc = {
         "task": task,
         "seed": 1,
-        "source": CHAIN2 if field == "belief" else dict(CHAIN2, **{field: value}),
+        "source": CHAIN2 if field in ("belief", "cost") else dict(CHAIN2, **{field: value}),
         "initial_belief": {"probabilities": value} if field == "belief" else "model",
+        "cost": {"kind": "bounded_tabular", "table": value} if field == "cost" else {"kind": "quadratic"},
         "quantizers": {"type": "partitions", "levels": 2},
         "horizon": 2,
         "output_dir": str(tmp_path / "out"),
@@ -270,20 +284,58 @@ def test_bad_chain_exits_2_with_field_path(tmp_path, capsys, task, field, value,
     assert f"config error: {path}:" in capsys.readouterr().err
 
 
+# the base of each config section that a gaussian case changes
+GAUSSIAN_SECTIONS = {
+    "quantizers": {"type": "intervals", "levels": 2, "lo": -1, "hi": 1, "steps": 3},
+    "initial_belief": {"mean": 0.0, "std": 0.1},
+    "cost": {"table": [[0.0, 1.0], [1.0, 0.0]]},
+    "grid": {},
+}
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("noise_std", -1.0), ("init_std", -0.5), ("a", float("nan")), ("a", 1.0), ("a", -1.5)],
+    [("noise_std", -1.0), ("init_std", -0.5), ("a", float("nan")), ("a", 1.0), ("a", -1.5),
+     ("noise_std", 0.0), ("grid.span_stds", 0), ("quantizers.lo", float("nan")),
+     ("initial_belief", {"mean": 1e6, "std": 0.1}), ("initial_belief.std", float("inf")),
+     ("cost.kind", "bounded_tabular")],
 )
 def test_bad_gaussian_exits_2_with_field_path(tmp_path, capsys, field, value):
     doc = {
         "task": "design",
-        "source": dict(AR1, **{field: value}),
-        "quantizers": {"type": "intervals", "levels": 2, "lo": -1, "hi": 1, "steps": 3},
+        "source": AR1,
+        "quantizers": GAUSSIAN_SECTIONS["quantizers"],
         "horizon": 1,
         "output_dir": str(tmp_path / "out"),
     }
+    section, _, key = field.rpartition(".")
+    if section:  # one field of a section, set on the section's base
+        doc[section] = dict(GAUSSIAN_SECTIONS[section], **{key: value})
+    elif field in GAUSSIAN_SECTIONS:  # a whole section
+        doc[field] = value
+    else:
+        doc["source"] = dict(AR1, **{field: value})
+        field = f"source.{field}"
     assert main(["design", "--config", write_config(tmp_path, doc)]) == 2
-    assert f"config error: source.{field}:" in capsys.readouterr().err
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_randomized_table_with_nan_exits_2(tmp_path, capsys):
+    # NaN passes both "< 0" and the row-sum check, so it is refused by name
+    doc = {
+        "task": "rollout",
+        "seed": 1,
+        "source": CHAIN2,
+        "quantizers": {"type": "partitions", "levels": 2},
+        "policy": {"type": "randomized", "binning": {"type": "simplex", "n_bins": 2},
+                   "table": [[0.5, 0.5], [float("nan"), 1.0]]},
+        "horizon": 2,
+        "n_paths": 3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["rollout", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: policy.table: table entries must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 def test_design_budget_exceeded(tmp_path):

@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import zdq.costs
 from zdq.beliefs import EPS_MASS, Grid, GridBelief, SimplexBelief, filter_update
-from zdq.costs import (
-    CostModel,
-    cell_decisions,
-    optimal_reconstruction,
-    stage_cost,
-    stage_costs,
-)
+from zdq.costs import CostModel, cell_decisions
+from zdq.infinite import _BeliefTable
 from zdq.quantizers import (
     FinitePartition,
     IntervalQuantizer,
-    cell_masses,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
@@ -22,6 +17,8 @@ from zdq.quantizers import (
 
 def std_normal_belief():
     return GridBelief.normal(Grid(-8.0, 8.0, 801), 0.0, 1.0)
+
+
 
 
 def test_cost_model_validation():
@@ -66,8 +63,8 @@ def test_pointwise_arrays_match_scalars():
 
 
 def reference_reconstruction(belief, quantizer, m, cost):
-    """optimal_reconstruction as written before cell_decisions: one cell at
-    a time, None for a dead cell."""
+    """The optimal reconstruction of cell m worked out one cell at a time,
+    None for a dead cell."""
     (m0, m1, _), center = belief.cell_moments([quantizer])
     if cost.kind == "quadratic":
         if m0[0, m - 1] <= EPS_MASS:
@@ -79,47 +76,83 @@ def reference_reconstruction(belief, quantizer, m, cost):
     return int(np.argmin(restricted @ cost.table))
 
 
-@pytest.mark.parametrize(
-    "belief, quantizers, cost",
-    [
-        (std_normal_belief(), enumerate_interval_candidates(3, -3.0, 9.0, 13), CostModel.quadratic()),
-        (
-            SimplexBelief(np.array([0.5, 0.0, 0.2, 0.3]), states=np.array([-2.0, 0.0, 0.5, 4.0])),
-            enumerate_finite_partitions(4, 3),
-            CostModel.quadratic(),
-        ),
-        (
-            SimplexBelief(np.array([0.0, 0.6, 0.4])),
-            enumerate_finite_partitions(3, 2),
-            CostModel.bounded_tabular([[0.0, 1.0, 0.3], [1.0, 0.0, 0.7], [0.2, 0.9, 0.0]]),
-        ),
-    ],
-    ids=["grid", "simplex", "tabular"],
-)
+def reference_stage_cost(belief, quantizer, cost):
+    """The stage cost summed cell by cell in Python floats: the
+    conditional variance of each live cell under quadratic cost, its
+    least restricted column cost under a tabular one."""
+    (m0, m1, m2), _ = belief.cell_moments([quantizer])
+    total = 0.0
+    for m in range(quantizer.levels):
+        if cost.kind == "quadratic":
+            if m0[0, m] > EPS_MASS:
+                total += max(m2[0, m] - m1[0, m] * m1[0, m] / m0[0, m], 0.0)
+            continue
+        restricted = belief.probabilities * quantizer.member_mask(m + 1)
+        if float(restricted.sum()) > EPS_MASS:
+            total += float(np.min(restricted @ cost.table))
+    return total
+
+
+CASES = [
+    (std_normal_belief(), enumerate_interval_candidates(3, -3.0, 9.0, 13), CostModel.quadratic()),
+    (
+        SimplexBelief(np.array([0.5, 0.0, 0.2, 0.3]), states=np.array([-2.0, 0.0, 0.5, 4.0])),
+        enumerate_finite_partitions(4, 3),
+        CostModel.quadratic(),
+    ),
+    (
+        SimplexBelief(np.array([0.0, 0.6, 0.4])),
+        enumerate_finite_partitions(3, 2),
+        CostModel.bounded_tabular([[0.0, 1.0, 0.3], [1.0, 0.0, 0.7], [0.2, 0.9, 0.0]]),
+    ),
+]
+
+
+@pytest.mark.parametrize("belief, quantizers, cost", CASES, ids=["grid", "simplex", "tabular"])
 def test_cell_decisions_match_reference(belief, quantizers, cost):
-    stages, recon = cell_decisions(belief, quantizers, cost)
-    assert stages.tolist() == stage_costs(belief, quantizers, cost).tolist()
+    stages, masses, recon = cell_decisions(belief, quantizers, cost)
+    assert masses.shape == recon.shape == (len(quantizers), max(q.levels for q in quantizers))
+    assert stages.tolist() == [reference_stage_cost(belief, q, cost) for q in quantizers]
+    assert masses.tolist() == belief.cell_moments(quantizers)[0][0].tolist()
     for k, q in enumerate(quantizers):
+        # one quantizer is one entry of the batch, bit for bit
+        alone = cell_decisions(belief, [q], cost)
+        assert alone[0].tolist() == [stages[k]]
+        assert alone[1][0].tolist() == masses[k, : q.levels].tolist()
+        assert not masses[k, q.levels :].any()
         for m in range(1, recon.shape[1] + 1):
             expected = reference_reconstruction(belief, q, m, cost) if m <= q.levels else None
             if expected is None:
                 assert math.isnan(recon[k, m - 1])
             else:
                 assert recon[k, m - 1] == expected
-                assert optimal_reconstruction(belief, q, m, cost) == expected
+                assert alone[2][0, m - 1] == expected
+
+
+def test_tabular_cell_decisions_walk_each_quantizer_once(monkeypatch):
+    belief, quantizers, cost = CASES[2]
+    calls = []
+
+    def counted(belief, quantizer, cost, walk=zdq.costs._tabular_cells):
+        calls.append(quantizer)
+        return walk(belief, quantizer, cost)
+
+    monkeypatch.setattr(zdq.costs, "_tabular_cells", counted)
+    cell_decisions(belief, quantizers, cost)
+    assert calls == quantizers
 
 
 def test_reconstruction_half_normal():
     b = std_normal_belief()
     q = IntervalQuantizer((0.0,))
-    u = optimal_reconstruction(b, q, 2, CostModel.quadratic())
+    u = cell_decisions(b, [q], CostModel.quadratic())[2][0, 1]
     assert abs(u - math.sqrt(2.0 / math.pi)) < 1e-4
 
 
 def test_reconstruction_simplex_quadratic():
     b = SimplexBelief(np.array([0.25, 0.25, 0.5]), states=np.array([-1.0, 0.0, 1.0]))
     p = FinitePartition((1, 1, 2), 2)
-    u = optimal_reconstruction(b, p, 1, CostModel.quadratic())
+    u = cell_decisions(b, [p], CostModel.quadratic())[2][0, 0]
     assert abs(u - (-0.5)) < 1e-15  # mean of {-1, 0} weighted (0.25, 0.25)
 
 
@@ -128,27 +161,33 @@ def test_reconstruction_tabular_argmin():
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
     blind = FinitePartition((1, 1), 1)
     # expected column costs tie at 0.5; lowest index wins
-    assert optimal_reconstruction(b, blind, 1, tab) == 0
+    assert cell_decisions(b, [blind], tab)[2][0, 0] == 0
 
 
-def test_reconstruction_zero_mass_raises():
+def test_reconstruction_zero_mass_raises(two_state_chain):
+    # a dead cell has no reconstruction: NaN in cell_decisions, and a
+    # rollout's belief table raises when a path reaches it
     b = SimplexBelief(np.array([1.0, 0.0]))
     sep = FinitePartition((1, 2), 2)
-    with pytest.raises(ValueError):
-        optimal_reconstruction(b, sep, 2, CostModel.quadratic())
+    quad = CostModel.quadratic()
+    assert math.isnan(cell_decisions(b, [sep], quad)[2][0, 1])
+    table = _BeliefTable(two_state_chain, quad, [sep])
+    key = table.keys(table.intern(b), 0, 2)
+    with pytest.raises(ValueError, match="carries no mass"):
+        table.successors(np.array([key]))
 
 
 def test_stage_cost_no_quantization_is_variance():
     b = std_normal_belief()
     q1 = IntervalQuantizer(())
-    c = stage_cost(b, q1, CostModel.quadratic())
+    c = cell_decisions(b, [q1], CostModel.quadratic())[0][0]
     assert abs(c - 1.0) < 1e-3
 
 
 def test_stage_cost_one_bit_normal():
     b = std_normal_belief()
     q = IntervalQuantizer((0.0,))
-    c = stage_cost(b, q, CostModel.quadratic())
+    c = cell_decisions(b, [q], CostModel.quadratic())[0][0]
     assert abs(c - (1.0 - 2.0 / math.pi)) < 1e-3
 
 
@@ -160,7 +199,7 @@ def test_stage_cost_never_exceeds_second_moment():
     for _ in range(10):
         cuts = np.sort(rng.uniform(-3.0, 3.0, size=2))
         q = IntervalQuantizer(tuple(cuts))
-        assert stage_cost(b, q, CostModel.quadratic()) <= m2 + 1e-12
+        assert cell_decisions(b, [q], CostModel.quadratic())[0][0] <= m2 + 1e-12
 
 
 def test_stage_cost_monotone_in_refinement():
@@ -168,7 +207,7 @@ def test_stage_cost_monotone_in_refinement():
     coarse = IntervalQuantizer((0.0,))
     fine = IntervalQuantizer((-0.7, 0.0, 0.7))
     quad = CostModel.quadratic()
-    assert stage_cost(b, fine, quad) <= stage_cost(b, coarse, quad) + 1e-12
+    assert cell_decisions(b, [fine], quad)[0][0] <= cell_decisions(b, [coarse], quad)[0][0] + 1e-12
 
 
 def test_stage_cost_simplex_quadratic():
@@ -176,8 +215,8 @@ def test_stage_cost_simplex_quadratic():
     blind = FinitePartition((1, 1), 1)
     sep = FinitePartition((1, 2), 2)
     quad = CostModel.quadratic()
-    assert abs(stage_cost(b, blind, quad) - 0.25) < 1e-15
-    assert stage_cost(b, sep, quad) == 0.0
+    assert abs(cell_decisions(b, [blind], quad)[0][0] - 0.25) < 1e-15
+    assert cell_decisions(b, [sep], quad)[0][0] == 0.0
 
 
 def test_stage_cost_tabular():
@@ -185,17 +224,17 @@ def test_stage_cost_tabular():
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
     blind = FinitePartition((1, 1), 1)
     # best single column: min(0.7, 0.3)
-    assert abs(stage_cost(b, blind, tab) - 0.3) < 1e-15
+    assert abs(cell_decisions(b, [blind], tab)[0][0] - 0.3) < 1e-15
     sep = FinitePartition((1, 2), 2)
-    assert stage_cost(b, sep, tab) == 0.0
-    assert stage_cost(b, blind, tab) <= tab.bound
+    assert cell_decisions(b, [sep], tab)[0][0] == 0.0
+    assert cell_decisions(b, [blind], tab)[0][0] <= tab.bound
 
 
 def test_stage_cost_tabular_needs_simplex():
     b = std_normal_belief()
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(TypeError):
-        stage_cost(b, IntervalQuantizer((0.0,)), tab)
+        cell_decisions(b, [IntervalQuantizer((0.0,))], tab)
 
 
 def test_alphabet_mismatch_raises_on_every_path(two_state_chain):
@@ -205,11 +244,9 @@ def test_alphabet_mismatch_raises_on_every_path(two_state_chain):
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.0]])
     quad = CostModel.quadratic()
     calls = [
-        lambda: stage_cost(b, short, tab),
-        lambda: optimal_reconstruction(b, short, 1, tab),
-        lambda: stage_cost(b, short, quad),
-        lambda: optimal_reconstruction(b, short, 1, quad),
-        lambda: cell_masses(b, [FinitePartition((1, 2), 2), short]),
+        lambda: cell_decisions(b, [short], tab),
+        lambda: cell_decisions(b, [short], quad),
+        lambda: cell_decisions(b, [FinitePartition((1, 2), 2), short], quad),
         lambda: filter_update(b, two_state_chain, short, 1),
     ]
     for call in calls:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_chain
 from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
-from zdq.costs import CostModel, stage_cost
+from zdq.costs import CostModel, cell_decisions
 from zdq.dp import (
     NodeBudgetExceeded,
     bellman_residuals,
@@ -15,7 +15,6 @@ from zdq.oracles import brute_force_finite
 from zdq.quantizers import (
     FinitePartition,
     IntervalQuantizer,
-    cell_mass,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
@@ -160,7 +159,7 @@ def test_exact_policy_value_blind_policy(two_state_chain):
     expected = 0.0
     b = init
     for _ in range(horizon):
-        expected += stage_cost(b, blind, QUAD) / horizon
+        expected += cell_decisions(b, [blind], QUAD)[0][0] / horizon
         b = filter_update(b, two_state_chain, blind, 1)
     assert abs(got - expected) < 1e-15
 
@@ -190,7 +189,7 @@ def test_continuous_one_step(iid_source):
     init = GridBelief.normal(grid, 0.0, 1.0)
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 11)
     res = solve_finite_horizon(init, iid_source, cands, QUAD, horizon=1)
-    best = min(stage_cost(init, q, QUAD) for q in cands)
+    best = cell_decisions(init, cands, QUAD)[0].min()
     assert abs(res.value - best) < 1e-12
     assert res.tree.nodes[res.tree.root].quantizer.thresholds == (0.0,)
 
@@ -202,10 +201,8 @@ def test_discarded_mass_is_tracked(iid_source):
     cands = [IntervalQuantizer((grid.hi - 1e-9,))]
     res = solve_finite_horizon(init, iid_source, cands, QUAD, horizon=2)
     assert res.tree.max_discarded_mass < 1e-9
-    mass_kept = sum(
-        cell_mass(init, cands[0], m) for m in (1, 2)
-        if cell_mass(init, cands[0], m) > 1e-9
-    )
+    masses = cell_decisions(init, cands, QUAD)[1][0]
+    mass_kept = masses[masses > 1e-9].sum()
     assert mass_kept > 1.0 - 1e-6
 
 

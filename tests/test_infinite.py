@@ -7,7 +7,7 @@ import pytest
 from reference_filter import sample_one
 import zdq.infinite
 from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
-from zdq.costs import CostModel, optimal_reconstruction, stage_cost, stage_costs
+from zdq.costs import CostModel, cell_decisions
 from zdq.dp import solve_finite_horizon
 from zdq.infinite import (
     DiscountedVINotConverged,
@@ -182,6 +182,11 @@ def test_randomized_policy_validation(two_state_chain):
         RandomizedStationaryPolicy(binning, good[:, :1], cands)
     with pytest.raises(ValueError):
         RandomizedStationaryPolicy(binning, good[:4], cands)
+    for bad in (np.nan, np.inf):
+        table = good.copy()
+        table[3] = [bad, 1.0]
+        with pytest.raises(ValueError, match="finite"):
+            RandomizedStationaryPolicy(binning, table, cands)
 
 
 def test_randomized_policy_mixes(two_state_chain):
@@ -225,7 +230,7 @@ def test_greedy_plan_decides_each_distinct_belief_once(monkeypatch, ar_source, n
     distinct = sorted(set(ids.tolist()))
     assert _identities(calls, beliefs) == distinct
     assert [d[0] for d in plan.decisions] == distinct
-    own = [int(np.argmin(stage_costs(beliefs[b], cands, QUAD))) for b in ids.tolist()]
+    own = [int(np.argmin(cell_decisions(beliefs[b], cands, QUAD)[0])) for b in ids.tolist()]
     assert plan.quantizer_ids.tolist() == own
     assert n_paths == 1 or len(set(own)) == 3
 
@@ -292,7 +297,7 @@ def test_vi_beta_zero_is_stage_minimum(two_state_chain):
     cands = enumerate_finite_partitions(2, 2)
     grid = simplex_belief_grid(two_state_chain, 101)
     res = discounted_value_iteration(grid, two_state_chain, 0.0, cands, TAB, tol=1e-12)
-    expected = np.array([min(stage_cost(b, q, TAB) for q in cands) for b in grid])
+    expected = np.array([min(cell_decisions(b, [q], TAB)[0][0] for q in cands) for b in grid])
     assert np.max(np.abs(res.values - expected)) < 1e-15
     assert res.residual == 0.0
 
@@ -398,12 +403,12 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
             quantizer_id = int(plan.quantizer_ids[0])
             quantizer = policy.quantizers[quantizer_id]
             symbol = quantizer.classify(x)
-            u = optimal_reconstruction(dec, quantizer, symbol, cost)
+            u = cell_decisions(dec, [quantizer], cost)[2][0, symbol - 1]
             value = model.state_values[x] if finite else x
             d = value - u
             total += d * d if cost.kind == "quadratic" else cost.pointwise(x, u)
             if p == 0:
-                rows.append((t, value, symbol, u, stage_cost(enc, quantizer, cost), enc.mean,
+                rows.append((t, value, symbol, u, cell_decisions(enc, [quantizer], cost)[0][0], enc.mean,
                              enc.std, quantizer_id, enc.probabilities if finite else None))
             if finite:
                 nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
@@ -643,7 +648,7 @@ def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief)
         quantizer_id = int(plan.quantizer_ids[0])
         quantizer = policy.quantizers[quantizer_id]
         out["quantizer_id"].append(quantizer_id)
-        out["u"].append(optimal_reconstruction(belief, quantizer, symbol, cost))
+        out["u"].append(cell_decisions(belief, [quantizer], cost)[2][0, symbol - 1])
         out["belief_mean"].append(belief.mean)
         out["probabilities"].append(getattr(belief, "probabilities", None))
         belief = filter_update(belief, model, quantizer, symbol)

@@ -22,14 +22,12 @@ from zdq.beliefs import (
     filter_update,
     window_weights,
 )
-from zdq.costs import CostModel, _stage_costs_and_masses, stage_cost, stage_costs
+from zdq.costs import CostModel, cell_decisions
 from zdq.dp import greedy_policy_step, solve_finite_horizon
 from zdq.infinite import GreedyPolicy
 from zdq.quantizers import (
     FinitePartition,
     IntervalQuantizer,
-    cell_mass,
-    cell_masses,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
@@ -71,25 +69,20 @@ def reference_cell_masses(belief, quantizers):
 
 
 def assert_matches_reference(belief, quantizers):
-    costs = stage_costs(belief, quantizers, QUAD)
+    costs, masses, _ = cell_decisions(belief, quantizers, QUAD)
     ref_costs = reference_stage_costs(belief, quantizers)
     assert np.max(np.abs(costs - ref_costs)) <= TOL
     best, ref_best = int(np.argmin(costs)), int(np.argmin(ref_costs))
     # a mathematical tie (say, mirror-image cuts of a symmetric density)
     # is split by rounding, differently on the two paths
     assert best == ref_best or abs(ref_costs[best] - ref_costs[ref_best]) <= TOL
-    masses = cell_masses(belief, quantizers)
     assert masses.shape == (len(quantizers), max(q.levels for q in quantizers))
     assert np.max(np.abs(masses - reference_cell_masses(belief, quantizers))) <= TOL
-    # the DP's one-call helper gives both, bit for bit
-    both = _stage_costs_and_masses(belief, quantizers, QUAD)
-    assert np.array_equal(both[0], costs) and np.array_equal(both[1], masses)
-    # the single-candidate entry points read the batched calls
+    # a single-candidate call reads the same entry of the batch
     q = quantizers[0]
-    assert stage_cost(belief, q, QUAD) == costs[0]
-    assert [cell_mass(belief, q, m) for m in range(1, q.levels + 1)] == (
-        masses[0, : q.levels].tolist()
-    )
+    stage, mass, _ = cell_decisions(belief, [q], QUAD)
+    assert stage[0] == costs[0]
+    assert mass[0, : q.levels].tolist() == masses[0, : q.levels].tolist()
 
 
 @st.composite
@@ -165,8 +158,7 @@ def test_simplex_cell_moments_match_reference_loop(case, n_columns, data):
             if float(r.sum()) > EPS_CELL:
                 total += float(np.min(r @ tab.table))
         expected.append(total)
-    assert stage_costs(belief, partitions, tab).tolist() == expected
-    assert _stage_costs_and_masses(belief, partitions, tab)[0].tolist() == expected
+    assert cell_decisions(belief, partitions, tab)[0].tolist() == expected
 
 
 def test_duplicate_candidates_pick_the_first():
@@ -178,13 +170,13 @@ def test_duplicate_candidates_pick_the_first():
         IntervalQuantizer((0.3,)),
         IntervalQuantizer((-2.0,)),
     ]
-    costs = stage_costs(belief, cands, QUAD)
+    costs = cell_decisions(belief, cands, QUAD)[0]
     assert costs[1] == costs[2] and int(np.argmin(costs)) == 1
     assert greedy_policy_step(belief, cands, QUAD) is cands[1]
     assert GreedyPolicy(cands, QUAD).plan(None, 0, np.array([0]), [belief], None).quantizer_ids[0] == 1
     # cuts at and past the grid end leave the belief unquantized, exactly
     blind = [IntervalQuantizer((grid.hi,)), IntervalQuantizer((20.0,)), IntervalQuantizer(())]
-    blind_costs = stage_costs(belief, blind, QUAD)
+    blind_costs = cell_decisions(belief, blind, QUAD)[0]
     assert blind_costs[0] == blind_costs[1] == blind_costs[2]
     src = LinearGaussianSource(0.5, 1.0)
     res = solve_finite_horizon(belief, src, cands, QUAD, horizon=2)
@@ -233,10 +225,11 @@ def test_dp_choices_match_reference_loop(monkeypatch, instance):
     batched = solve_finite_horizon(init, src, cands, QUAD, horizon).tree
     monkeypatch.setattr(
         zdq.dp,
-        "_stage_costs_and_masses",
+        "cell_decisions",
         lambda belief, cands, cost: (
             reference_stage_costs(belief, cands, cost),
             reference_cell_masses(belief, cands),
+            None,
         ),
     )
     reference = solve_finite_horizon(init, src, cands, QUAD, horizon).tree
@@ -251,7 +244,7 @@ def test_greedy_choices_match_reference_loop_on_a5():
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 21)
     belief = GridBelief.normal(default_grid(src), 0.0, src.stationary_std)
     rng = np.random.default_rng(105)
-    x = belief.sample(rng)
+    x = float(belief.inverse_cdf(rng.random(1))[0])
     for _ in range(100):
         quantizer = greedy_policy_step(belief, cands, QUAD)
         assert quantizer is cands[int(np.argmin(reference_stage_costs(belief, cands)))]

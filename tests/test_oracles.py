@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_chain
 from zdq.beliefs import Grid, GridBelief, SimplexBelief
-from zdq.costs import CostModel, stage_cost
+from zdq.costs import CostModel, cell_decisions
 from zdq.dp import solve_finite_horizon
 from zdq.oracles import (
     brute_force_finite,
@@ -103,7 +103,7 @@ def test_lloyd_max_single_level_is_variance():
     b = std_normal_belief()
     res = lloyd_max(b, 1)
     assert res.quantizer.levels == 1
-    assert abs(res.mse - stage_cost(b, res.quantizer, QUAD)) < 1e-9
+    assert abs(res.mse - cell_decisions(b, [res.quantizer], QUAD)[0][0]) < 1e-9
 
 
 def test_lloyd_max_dual_route_consistency():
@@ -111,19 +111,15 @@ def test_lloyd_max_dual_route_consistency():
     b = std_normal_belief()
     for levels in (2, 3):
         res = lloyd_max(b, levels)
-        assert abs(res.mse - stage_cost(b, res.quantizer, QUAD)) < 1e-9
+        assert abs(res.mse - cell_decisions(b, [res.quantizer], QUAD)[0][0]) < 1e-9
 
 
 def test_lloyd_max_is_fixed_point():
     # converged design: thresholds sit midway between neighboring
     # centroids, and centroids are the cell conditional means
-    from zdq.costs import optimal_reconstruction
-
     b = std_normal_belief()
     res = lloyd_max(b, 3)
-    centroids = [
-        optimal_reconstruction(b, res.quantizer, m, QUAD) for m in (1, 2, 3)
-    ]
+    centroids = cell_decisions(b, [res.quantizer], QUAD)[2][0].tolist()
     assert np.max(np.abs(np.asarray(centroids) - res.reconstructions)) < 1e-8
     mids = 0.5 * (np.asarray(centroids[:-1]) + np.asarray(centroids[1:]))
     assert np.max(np.abs(mids - np.asarray(res.quantizer.thresholds))) < 1e-8

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from zdq.beliefs import Grid, GridBelief, SimplexBelief
+from zdq.costs import CostModel, cell_decisions
 from zdq.quantizers import (
     FinitePartition,
     IntervalQuantizer,
-    cell_mass,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
     quantizer_from_json,
@@ -59,25 +59,26 @@ def test_finite_partition_basics():
 def test_cell_mass_grid_halves():
     b = GridBelief.normal(Grid(-8.0, 8.0, 801), 0.0, 1.0)
     q = IntervalQuantizer((0.0,))
-    m1 = cell_mass(b, q, 1)
+    m1, m2 = cell_decisions(b, [q], CostModel.quadratic())[1][0]
     # threshold exactly on a node: the halves are exact, not O(spacing)
     assert abs(m1 - 0.5) < 1e-6
-    assert abs(cell_mass(b, q, 2) - 0.5) < 1e-6
-    assert abs(m1 + cell_mass(b, q, 2) - 1.0) < 1e-9
+    assert abs(m2 - 0.5) < 1e-6
+    assert abs(m1 + m2 - 1.0) < 1e-9
 
 
 def test_cell_mass_grid_tail():
     b = GridBelief.normal(Grid(-8.0, 8.0, 801), 0.0, 1.0)
     q = IntervalQuantizer((1.0,))
     tail = 1.0 - 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
-    assert abs(cell_mass(b, q, 2) - tail) < 1e-4
+    assert abs(cell_decisions(b, [q], CostModel.quadratic())[1][0, 1] - tail) < 1e-4
 
 
 def test_cell_mass_simplex():
     b = SimplexBelief(np.array([0.2, 0.5, 0.3]))
     p = FinitePartition((1, 2, 1), 2)
-    assert abs(cell_mass(b, p, 1) - 0.5) < 1e-15
-    assert abs(cell_mass(b, p, 2) - 0.5) < 1e-15
+    m1, m2 = cell_decisions(b, [p], CostModel.quadratic())[1][0]
+    assert abs(m1 - 0.5) < 1e-15
+    assert abs(m2 - 0.5) < 1e-15
 
 
 def test_enumerate_interval_candidates_counts():
