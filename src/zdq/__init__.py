@@ -37,7 +37,7 @@ from .quantizers import (
     enumerate_finite_partitions,
     quantizer_from_json,
 )
-from .costs import CostModel, cell_decisions
+from .costs import CostModel, cell_decisions, greedy_decision
 from .dp import (
     PolicyNode,
     PolicyTree,
@@ -101,6 +101,7 @@ __all__ = [
     "quantizer_from_json",
     "CostModel",
     "cell_decisions",
+    "greedy_decision",
     "PolicyNode",
     "PolicyTree",
     "DPResult",

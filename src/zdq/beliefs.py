@@ -20,9 +20,16 @@ moments of the piecewise-linear density, accumulated node by node in
 coordinates centred on the belief mean, so any cell's moments are two
 table lookups plus a closed-form term for the partial segment at each
 cut. A simplex belief multiplies its probabilities by each partition's
-cached 0/1 membership matrix. column_cell_moments gives the same
-moments for every normalized column of a source's transition kernel at
-once, which the dynamic program's stage-cost floor reads.
+cached 0/1 membership matrix. A grid belief also has a cheaper, less
+exact route, cut_moments: node-local weights up to every distinct cut
+of a candidate set (CutWeights.local, node_moment_weights) times its
+values and their products with powers of (x - mean) give the
+cumulative moments about its mean at every cut, so a cell's moments
+are one product and a difference; costs.greedy_decision ranks
+candidates by it. column_cell_moments takes the product of the cut
+set's window weights of x^k (CutWeights.matrix) with the transition
+kernel: the moments of every normalized kernel column at once, which
+the dynamic program's stage-cost floor reads.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
@@ -34,8 +41,9 @@ integrate the same piecewise-linear density exactly, so the law of total
 probability (summing the branch posteriors against the branch masses
 reproduces the one-step prediction) holds to rounding. What depends on
 the grid and the quantizers only is built once and kept read-only: the
-cuts of a candidate set (_cut_table) and the window weights of a cell
-(_cell_weights), each in a bounded LRU cache. This module
+cuts of a candidate set (_cut_table), the weights up to them
+(_cut_weights) and the window weights of a cell (_cell_weights), each
+in a bounded LRU cache. This module
 imports nothing from sources.py; a source names its belief class.
 """
 from __future__ import annotations
@@ -55,6 +63,7 @@ __all__ = [
     "ZeroMassSymbolError",
     "default_grid",
     "window_weights",
+    "node_moment_weights",
     "column_cell_moments",
     "filter_update",
     "check_S_membership",
@@ -166,6 +175,45 @@ def window_weights(grid: Grid, lo, hi, degree: int = 0) -> np.ndarray:
     out[..., :-1] += d * w_lo
     out[..., 1:] += d * w_hi
     out[(b <= a)[..., 0]] = 0.0
+    return out
+
+
+def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
+    """Exact integration weights of (x - x_j)^m against node j's hat.
+
+    Returns w of shape (3,) + the shape of lo and hi + (n_points,) with
+    w[m] . values = sum over nodes j of values_j times the integral over
+    [lo, hi] of (x - x_j)^m phi_j(x) dx, m = 0, 1, 2, where phi_j is the
+    hat of node j, so that f = sum_j values_j phi_j is the
+    piecewise-linear density. Expanding (x - c)^k about each node gives
+    the moment of order k of f about any center c over [lo, hi] as
+      sum over m of binom(k, m) w[m] . ((x - c)^(k - m) values),
+    x the nodes: every term is nonnegative or of order spacing^m, so a
+    density far from 0 loses no digits to cancellation between
+    terms, as raw moments about 0 do. w[0] is window_weights(grid, lo,
+    hi, 0); rows are broadcast as in window_weights.
+    """
+    d = grid.spacing
+    xl = grid.nodes[:-1]
+    a = np.maximum(lo, grid.lo)[..., None]
+    b = np.minimum(hi, grid.hi)[..., None]
+    u0 = np.clip((a - xl) / d, 0.0, 1.0)
+    u1 = np.clip((b - xl) / d, 0.0, 1.0)
+    s1 = u1 - u0
+    s2 = 0.5 * (u1 * u1 - u0 * u0)
+    s3 = (u1**3 - u0**3) / 3.0
+    s4 = 0.25 * (u1**4 - u0**4)
+    # on a segment x = x_s + d u, so x - x_s = d u and x - x_{s+1} = d (u - 1)
+    pieces = (
+        (s1 - s2, s2),
+        (d * (s2 - s3), d * (s3 - s2)),
+        (d * d * (s3 - s4), d * d * (s4 - 2.0 * s3 + s2)),
+    )
+    out = np.zeros((3,) + np.broadcast(a, b).shape[:-1] + (grid.n_points,))
+    for w, (w_lo, w_hi) in zip(out, pieces):
+        w[..., :-1] += d * w_lo
+        w[..., 1:] += d * w_hi
+        w[(b <= a)[..., 0]] = 0.0
     return out
 
 
@@ -321,6 +369,49 @@ class GridBelief:
         cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
         return np.diff(cum, axis=-1), center
 
+    def cut_weights(self, quantizers, held=None):
+        """The CutWeights of quantizers on this belief's grid: held when
+        it is on this grid (a caller that holds the weights of one
+        candidate set skips hashing it), else the cached _cut_weights."""
+        if held is not None and (held.grid is self.grid or held.grid == self.grid):
+            return held
+        return _cut_weights(self.grid, tuple(quantizers))
+
+    def cut_moments(self, weights):
+        """Moments of orders 0..2 of every cell about the belief mean, from
+        one product.
+
+        With y = x - center at the nodes (center = mean), the product of
+        weights.local (node_moment_weights G_m up to every point) with the
+        columns v, y v and y^2 v of the values v gives the cumulative
+        moments about the center at every point,
+          C_0 = G_0 v,  C_1 = G_0 (y v) + G_1 v,
+          C_2 = G_0 (y^2 v) + 2 G_1 (y v) + G_2 v,
+        and a cell's moments are the difference at its two cuts. This is
+        cheaper than cell_moments' prefix table but less exact: a moment
+        from -inf carries the rounding of the whole sum up to its cut
+        (costs.greedy_decision bounds it). Returns ((m0, m1, m2), center,
+        spread) with (K, L) arrays, and spread the square root of C_2 at
+        +inf (the variance) plus the grid spacing: the scale the
+        product's order-1 sums are bounded by.
+        """
+        grid = self.grid
+        center = self.mean
+        y = grid.nodes - center
+        columns = np.empty((3, grid.n_points))
+        columns[0] = self.values
+        np.multiply(y, self.values, out=columns[1])
+        np.multiply(y, columns[1], out=columns[2])
+        g = columns @ weights.local.T
+        p = len(weights.points)
+        cumulative = np.empty(3 * p)
+        cumulative[:p] = g[0, :p]
+        np.add(g[1, :p], g[0, p : 2 * p], out=cumulative[p : 2 * p])
+        np.add(g[2, :p], 2.0 * g[1, p : 2 * p] + g[0, 2 * p :], out=cumulative[2 * p :])
+        lower, upper = weights.ends
+        spread = math.sqrt(max(cumulative[-1], 0.0)) + grid.spacing
+        return cumulative.take(upper) - cumulative.take(lower), center, spread
+
     def inverse_cdf(self, v) -> np.ndarray:
         """The draw of the belief at every uniform variate v in [0, 1).
 
@@ -443,6 +534,11 @@ class SimplexBelief:
             out[:, k : k + 1, : q.levels] = m
         return out, 0.0
 
+    def cut_weights(self, quantizers, held=None):
+        """None: a simplex belief's cell_moments is already one product
+        per partition, so it has no cheaper product route."""
+        return None
+
     def inverse_cdf(self, v) -> np.ndarray:
         """The state drawn at every uniform variate v in [0, 1).
 
@@ -495,6 +591,59 @@ def _cut_table(grid: Grid, quantizers: tuple):
     return j, powers
 
 
+class CutWeights:
+    """The weights up to every distinct cut of a candidate set on a grid.
+
+    The points are -inf, the distinct thresholds in increasing order and
+    +inf (P of them). slots[k, i] (K, L + 1) is the point of quantizer
+    k's cut i: -inf, its thresholds, then +inf up to the largest level
+    count L. ends (2, 3, K, L) indexes a flat array of cumulative
+    moments, order by order and point by point, at the lower and the
+    upper cut of every cell. Two matrices of shape (3 P, n_points), each
+    built on first use, stack their weights from -inf up to every point,
+    order by order:
+      matrix  window_weights of x^k, k = 0, 1, 2 (column_cell_moments);
+      local   node_moment_weights of orders 0, 1, 2 (cut_moments).
+    All arrays are read-only.
+    """
+
+    def __init__(self, grid: Grid, quantizers: tuple):
+        self.grid = grid
+        cuts = sorted({t for q in quantizers for t in q.thresholds})
+        self.points = np.array([-math.inf, *cuts, math.inf])
+        slot = {t: i for i, t in enumerate(self.points.tolist())}
+        levels = max(q.levels for q in quantizers)
+        slots = np.full((len(quantizers), levels + 1), len(self.points) - 1)
+        slots[:, 0] = 0
+        for k, q in enumerate(quantizers):
+            slots[k, 1 : q.levels] = [slot[t] for t in q.thresholds]
+        flat = len(self.points) * np.arange(3)[:, None, None] + slots
+        self.slots, self.ends = slots, np.stack([flat[..., :-1], flat[..., 1:]])
+        for a in (self.points, self.slots, self.ends):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        out = np.concatenate(
+            [window_weights(self.grid, -math.inf, self.points, k) for k in range(3)]
+        )
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def local(self) -> np.ndarray:
+        out = node_moment_weights(self.grid, -math.inf, self.points).reshape(-1, self.grid.n_points)
+        out.flags.writeable = False
+        return out
+
+
+@functools.lru_cache(maxsize=_CUT_TABLES)
+def _cut_weights(grid: Grid, quantizers: tuple) -> CutWeights:
+    """The candidate set's CutWeights on grid, for cut_moments and
+    column_cell_moments."""
+    return CutWeights(grid, quantizers)
+
+
 @functools.lru_cache(maxsize=_CELL_WEIGHTS)
 def _cell_weights(grid: Grid, lo: float, hi: float):
     """window_weights(grid, lo, hi, 0) over its support, for a restriction.
@@ -517,8 +666,9 @@ _KERNEL_ROWS = 64  # kernel rows built at once
 def _transition_kernel(model, grid: Grid) -> np.ndarray:
     """Dense kernel K[j, i] = transition density at node j given node i.
 
-    Built in blocks of rows by the same elementwise formula, so its
-    temporaries are a few blocks, not three full kernels.
+    Each block of rows is computed in place by the elementwise formula
+    u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm, so the one
+    temporary is a block of -0.5 * u.
     """
     model.require_noise()
     s = model.noise_std
@@ -526,9 +676,16 @@ def _transition_kernel(model, grid: Grid) -> np.ndarray:
     ax = model.a * x[None, :]
     norm = s * math.sqrt(2.0 * math.pi)
     K = np.empty((grid.n_points, grid.n_points))
+    half = np.empty((_KERNEL_ROWS, grid.n_points))
     for j in range(0, grid.n_points, _KERNEL_ROWS):
-        u = (x[j : j + _KERNEL_ROWS, None] - ax) / s
-        K[j : j + _KERNEL_ROWS] = np.exp(-0.5 * u * u) / norm
+        u = K[j : j + _KERNEL_ROWS]
+        h = half[: len(u)]
+        np.subtract(x[j : j + _KERNEL_ROWS, None], ax, out=u)
+        np.divide(u, s, out=u)
+        np.multiply(-0.5, u, out=h)
+        np.multiply(h, u, out=u)
+        np.exp(u, out=u)
+        np.divide(u, norm, out=u)
     K.flags.writeable = False
     return K
 
@@ -541,35 +698,26 @@ def column_cell_moments(model, grid: Grid, quantizers):
     """Cell moments of every normalized transition-kernel column, in blocks.
 
     Column i is the one-step density from node i divided by its
-    trapezoid integral. Each distinct cut gets the window weights of
-    orders 0..2 from -inf up to it; the product of that stacked weight
-    matrix with the kernel gives every column's cumulative moments at
-    every cut (the order-0 row at +inf is the trapezoid integral), and a
-    cell's moments are the difference at its two cuts. Yields
-    (m0, m1, m2) as raw-moment arrays of shape (k, L, n_points) for
-    consecutive blocks of k quantizers, padded like cell_moments.
+    trapezoid integral. The product W @ K of the candidate set's window
+    weights up to every cut (_cut_weights(...).matrix) with the kernel
+    gives every column's cumulative moments at every cut (the order-0
+    row at +inf is the trapezoid integral), and a cell's moments are the
+    difference at its two cuts. Yields (m0, m1, m2) as raw-moment arrays
+    of shape (k, L, n_points) for consecutive blocks of k quantizers,
+    padded like cell_moments.
     """
-    cuts = sorted({t for q in quantizers for t in q.thresholds})
-    points = [-math.inf, *cuts, math.inf]
-    slot = {t: i for i, t in enumerate(points)}
-    weights = np.concatenate(
-        [window_weights(grid, -math.inf, np.array(points), k) for k in range(3)]
-    )
+    weights = _cut_weights(grid, tuple(quantizers))
     kernel = _transition_kernel(model, grid)
     # narrow products stay on one BLAS thread; on a 2-core Xeon the
     # threaded 39 x 801 x 801 product took 30 ms, these 26 took 2 ms
     cumulative = np.hstack([
-        weights @ kernel[:, j : j + _PRODUCT_COLUMNS]
+        weights.matrix @ kernel[:, j : j + _PRODUCT_COLUMNS]
         for j in range(0, grid.n_points, _PRODUCT_COLUMNS)
-    ]).reshape(3, len(points), grid.n_points)
+    ]).reshape(3, -1, grid.n_points)
     cumulative /= cumulative[0, -1]
-    levels = max(q.levels for q in quantizers)
-    edges = np.full((len(quantizers), levels + 1), len(points) - 1)
-    edges[:, 0] = 0
-    for k, q in enumerate(quantizers):
-        edges[k, 1 : q.levels] = [slot[t] for t in q.thresholds]
-    n_blocks = -(-edges.size * grid.n_points // _MOMENT_BLOCK)
-    for block in np.array_split(edges, n_blocks):
+    slots = weights.slots
+    n_blocks = -(-slots.size * grid.n_points // _MOMENT_BLOCK)
+    for block in np.array_split(slots, n_blocks):
         yield np.diff(cumulative[:, block], axis=2)
 
 

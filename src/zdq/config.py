@@ -53,6 +53,8 @@ def load_config(path) -> dict:
         raise ConfigError("<file>", f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError("<file>", f"invalid JSON at line {e.lineno}: {e.msg}")
+    except ValueError as e:  # an integer past Python's digit limit for str -> int
+        raise ConfigError("<file>", f"unreadable JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     return cfg
@@ -91,7 +93,12 @@ def _as_number(value, path: str) -> float:
         raise ConfigError(path, f"expected a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
         raise ConfigError(path, f"must be finite, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # json reads integers of any size
+        raise ConfigError(
+            path, f"an integer of {value.bit_length()} bits is past the float range"
+        ) from None
 
 
 def _as_str(value, path: str, choices=None) -> str:
@@ -475,7 +482,14 @@ def build_initial_belief(cfg: dict, model):
     if spec == "invariant":
         return model.invariant_distribution(grid)
     if spec == "model":
-        return model.initial_belief(grid)
+        try:
+            return model.initial_belief(grid)
+        except ValueError as e:  # a time-0 law so far off the grid that no mass lands on it
+            raise ConfigError(
+                "source.init_mean",
+                f"N({model.init_mean}, {model.init_std}^2) puts no mass on the grid "
+                f"[{grid.lo}, {grid.hi}]: {e}",
+            ) from None
     if chain:
         if "probabilities" not in spec:
             raise ConfigError("initial_belief", "chain sources take 'probabilities'")

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beliefs import _check_pair, filter_update
-from .costs import CostModel, cell_decisions
+from .costs import CostModel, cell_decisions, greedy_decision
 
 __all__ = [
     "PolicyNode",
@@ -322,7 +322,7 @@ def greedy_policy_step(belief, candidates, cost: CostModel):
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")
-    return candidates[int(np.argmin(cell_decisions(belief, candidates, cost)[0]))]
+    return candidates[greedy_decision(belief, candidates, cost).k]
 
 
 def exact_policy_value(

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import EPS_MASS, GridBelief, SimplexBelief, _check_pair, default_grid, filter_update
-from .costs import CostModel, cell_decisions
+from .costs import CostModel, cell_decisions, greedy_decision
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
 from .quantizers import stacked_classifier
 from .sources import FiniteChain, _PathStreams
@@ -182,6 +182,8 @@ class _Policy:
     """Defaults of a policy without per-path state or shared randomness."""
 
     shared_randomness = False
+    # greedy decisions of the current rollout, by greedy_decision's route
+    product_decisions = exact_decisions = 0
 
     def begin(self, n_paths: int):
         return None
@@ -204,9 +206,12 @@ class FixedQuantizerPolicy(_Policy):
 class GreedyPolicy(_Policy):
     """Minimizes the immediate stage cost at every step.
 
-    Each distinct belief of a step is decided once, and its cell
-    decisions go to the rollout with the plan, so a grid belief builds
-    one prefix table per step.
+    Each distinct belief of a step is decided once by greedy_decision,
+    and its stage cost and reconstructions go to the rollout with the
+    plan. The policy holds its candidates' cut weights on the grid of
+    the beliefs it last saw, so a grid belief's decision is one product
+    with them unless greedy_decision sends it to the exact route.
+    begin() zeroes the counts of decisions by route.
     """
 
     def __init__(self, candidates, cost: CostModel):
@@ -215,13 +220,24 @@ class GreedyPolicy(_Policy):
             raise ValueError("candidate set must be nonempty")
         self.cost = cost
         self.quantizers = self.candidates
+        self._weights = None
+
+    def begin(self, n_paths: int):
+        self.product_decisions = self.exact_decisions = 0
+        return None
 
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            stages, _, recon = cell_decisions(beliefs[b], self.candidates, self.cost)
-            k = picks[b] = int(np.argmin(stages))
-            decisions.append((b, k, stages[k], recon[k]))
+            belief = beliefs[b]
+            self._weights = belief.cut_weights(self.candidates, self._weights)
+            k, stage, recon, exact = greedy_decision(
+                belief, self.candidates, self.cost, self._weights
+            )
+            picks[b] = k
+            decisions.append((b, k, stage, recon))
+            self.exact_decisions += exact
+            self.product_decisions += not exact
         return Plan(picks[ids], decisions=tuple(decisions))
 
 
@@ -698,8 +714,9 @@ def rollout(
     holds at most _DRAW_BLOCK variates per stream (times the states of
     a chain for its scan). One INFO log line reports deterministic
     counters: paths, steps, (belief, quantizer) groups stepped, filter
-    calls, table clears and the most beliefs the table held. The tests
-    rebuild the logged path with a decoder that sees only the symbols
+    calls, table clears, the most beliefs the table held, and the greedy
+    decisions taken by greedy_decision's product and exact routes. The
+    tests rebuild the logged path with a decoder that sees only the symbols
     and the shared seed, and check it against the log bit for bit.
 
     As in the dynamic program, key() identifies a belief only within
@@ -736,7 +753,8 @@ def rollout(
     logger.info(
         "rollout: %(paths)d paths, %(steps)d steps, %(groups)d groups stepped, "
         "%(filter_calls)d filter calls, %(clears)d memo clears, "
-        "%(peak_beliefs)d beliefs at most",
+        "%(peak_beliefs)d beliefs at most, %(product_decisions)d product and "
+        "%(exact_decisions)d exact greedy decisions",
         {
             "paths": n_paths,
             "steps": horizon,
@@ -744,6 +762,8 @@ def rollout(
             "filter_calls": table.filter_calls,
             "clears": table.clears,
             "peak_beliefs": table.peak,
+            "product_decisions": policy.product_decisions,
+            "exact_decisions": policy.exact_decisions,
         },
     )
     path_costs = paths.total / horizon

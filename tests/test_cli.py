@@ -298,7 +298,8 @@ GAUSSIAN_SECTIONS = {
     [("noise_std", -1.0), ("init_std", -0.5), ("a", float("nan")), ("a", 1.0), ("a", -1.5),
      ("noise_std", 0.0), ("grid.span_stds", 0), ("quantizers.lo", float("nan")),
      ("initial_belief", {"mean": 1e6, "std": 0.1}), ("initial_belief.std", float("inf")),
-     ("cost.kind", "bounded_tabular")],
+     ("cost.kind", "bounded_tabular"), ("init_mean", 1e6),
+     pytest.param("noise_std", 10**400, id="noise_std-401-digit-integer")],
 )
 def test_bad_gaussian_exits_2_with_field_path(tmp_path, capsys, field, value):
     doc = {
@@ -416,6 +417,14 @@ def test_unknown_key_exit_2(tmp_path, capsys):
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["design", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json refuses integers of more than 4300 digits with a ValueError
+    path = tmp_path / "config.json"
+    path.write_text('{"task": "design", "horizon": 1' + "0" * 5000 + "}")
+    assert main(["design", "--config", str(path)]) == 2
+    assert "config error: <file>: unreadable JSON" in capsys.readouterr().err
 
 
 def test_discounted_vi_task(tmp_path):

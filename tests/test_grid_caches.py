@@ -2,8 +2,10 @@
 and the grid filter's and the floor's shortcuts past per-call work.
 
 GridBelief.cell_moments reads the segment ids and offset powers of a
-candidate set's cuts from _cut_table, kept per (grid, candidate set),
-and LinearGaussianSource.restrict reads a cell's window weights from
+candidate set's cuts from _cut_table, and GridBelief.cut_moments and
+column_cell_moments the window weights up to every cut from
+_cut_weights, both kept per (grid, candidate set);
+LinearGaussianSource.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support. Both routes
 must return the bytes of the uncached computation: the frozen
 cell_moments of reference_moments.py, and window_weights times the
@@ -26,9 +28,11 @@ from zdq.beliefs import (
     GridBelief,
     _cell_weights,
     _cut_table,
+    _cut_weights,
     _transition_kernel,
     default_grid,
     filter_update,
+    node_moment_weights,
     window_weights,
 )
 from zdq.quantizers import IntervalQuantizer, enumerate_interval_candidates
@@ -89,7 +93,8 @@ def test_cached_arrays_are_read_only():
     cands = tuple(enumerate_interval_candidates(2, -2.0, 2.0, 5))
     j, powers = _cut_table(GRIDS[0], cands)
     _, w = _cell_weights(GRIDS[0], -1.0, 0.5)
-    for array in (j, powers, w):
+    weights = _cut_weights(GRIDS[0], cands)
+    for array in (j, powers, w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends):
         with pytest.raises(ValueError):
             array[...] = 0
 
@@ -104,15 +109,22 @@ def test_same_thresholds_on_two_grids_get_their_own_tables():
         belief = GridBelief.normal(grid, 0.3, 1.2)
         expected, _ = reference_moments.cell_moments(belief, cands)
         assert belief.cell_moments(cands)[0].tobytes() == expected.tobytes()
+    # weights held for one grid are not handed to a belief on the other
+    small, large = (_cut_weights(grid, tuple(cands)) for grid in GRIDS)
+    belief = GridBelief.normal(GRIDS[1], 0.3, 1.2)
+    assert belief.cut_weights(cands, small) is large
+    assert belief.cut_weights(cands, large) is large
 
 
-@pytest.mark.parametrize("cache", [_cut_table, _cell_weights], ids=["cut_table", "cell_weights"])
+@pytest.mark.parametrize(
+    "cache", [_cut_table, _cut_weights, _cell_weights], ids=["cut_table", "cut_weights", "cell_weights"]
+)
 def test_caches_stay_at_their_bound(cache):
     grid = Grid(-3.0, 3.0, 31)
     bound = cache.cache_info().maxsize
     for i in range(bound + 10):
         t = 1e-3 * i
-        if cache is _cut_table:
+        if cache is not _cell_weights:
             cache(grid, (IntervalQuantizer((t,)),))
         else:
             cache(grid, t, 1.0)
@@ -179,3 +191,32 @@ def test_window_weights_broadcast_matches_one_window_calls(grid, his, lo):
             expected = reference_moments.window_weights(grid, lo, hi, k).tobytes()
             assert row.tobytes() == lo_row.tobytes() == expected
             assert window_weights(grid, lo, hi, k).tobytes() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GRIDS + (Grid(-1.0, 2.0, 3),)),
+    st.lists(st.one_of(st.floats(-12.0, 12.0), st.sampled_from([-math.inf, math.inf])), min_size=2, max_size=2),
+    st.floats(-12.0, 12.0),
+)
+def test_node_moment_weights_give_moments_about_any_center(grid, window, center):
+    lo, hi = sorted(window)
+    w = node_moment_weights(grid, lo, np.array([hi]))[:, 0]
+    # order 0 is the window weights of degree 0, bit for bit
+    assert w[0].tobytes() == window_weights(grid, lo, hi, 0).tobytes()
+    values = np.exp(-0.5 * grid.nodes * grid.nodes) + 0.1
+    y = grid.nodes - center
+    about = [w[0] @ values, w[0] @ (y * values) + w[1] @ values,
+             w[0] @ (y * y * values) + 2.0 * w[1] @ (y * values) + w[2] @ values]
+    raw = [window_weights(grid, lo, hi, k) @ values for k in range(3)]
+    expected = [raw[0], raw[1] - center * raw[0], raw[2] - 2.0 * center * raw[1] + center * center * raw[0]]
+    scale = max(1.0, abs(center), grid.hi) ** 2
+    assert np.allclose(about, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_node_moment_weights_of_a_whole_hat():
+    # an interior hat is symmetric about its node: d, 0 and d^3 / 6
+    grid = GRIDS[0]
+    d, j = grid.spacing, grid.n_points // 2
+    w = node_moment_weights(grid, -math.inf, math.inf)
+    assert np.allclose(w[:, j], [d, 0.0, d**3 / 6.0], rtol=1e-14, atol=1e-18)

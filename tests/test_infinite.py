@@ -7,7 +7,7 @@ import pytest
 from reference_filter import sample_one
 import zdq.infinite
 from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
-from zdq.costs import CostModel, cell_decisions
+from zdq.costs import CostModel, cell_decisions, greedy_decision
 from zdq.dp import solve_finite_horizon
 from zdq.infinite import (
     DiscountedVINotConverged,
@@ -221,17 +221,18 @@ def test_greedy_plan_decides_each_distinct_belief_once(monkeypatch, ar_source, n
     ids = _path_ids(n_paths)
     calls = []
 
-    def counted(belief, quantizers, cost, decide=zdq.infinite.cell_decisions):
+    def counted(belief, quantizers, cost, weights=None, decide=zdq.infinite.greedy_decision):
         calls.append(belief)
-        return decide(belief, quantizers, cost)
+        return decide(belief, quantizers, cost, weights)
 
-    monkeypatch.setattr(zdq.infinite, "cell_decisions", counted)
+    monkeypatch.setattr(zdq.infinite, "greedy_decision", counted)
     plan = GreedyPolicy(cands, QUAD).plan(None, 0, ids, beliefs, None)
     distinct = sorted(set(ids.tolist()))
     assert _identities(calls, beliefs) == distinct
     assert [d[0] for d in plan.decisions] == distinct
-    own = [int(np.argmin(cell_decisions(beliefs[b], cands, QUAD)[0])) for b in ids.tolist()]
+    own = [greedy_decision(beliefs[b], cands, QUAD).k for b in ids.tolist()]
     assert plan.quantizer_ids.tolist() == own
+    assert own == [int(np.argmin(cell_decisions(beliefs[b], cands, QUAD)[0])) for b in ids.tolist()]
     assert n_paths == 1 or len(set(own)) == 3
 
 
@@ -378,6 +379,17 @@ LOG_COLUMNS = ("t", "x", "symbol", "u", "stage", "belief_mean", "belief_std",
                "quantizer_id", "probabilities")
 
 
+def decided(policy, belief, quantizer, cost):
+    """(stage cost, reconstructions) of a belief under the quantizer the
+    policy chose, from a fresh call: greedy_decision's for a greedy
+    policy, which hands them to the rollout, else cell_decisions'."""
+    if isinstance(policy, GreedyPolicy):
+        decision = greedy_decision(belief, policy.candidates, cost)
+        return decision.stage, decision.recon
+    stages, _, recon = cell_decisions(belief, [quantizer], cost)
+    return stages[0], recon[0]
+
+
 def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belief):
     """The per-step loop rollout ran before its transition memo.
 
@@ -403,12 +415,12 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
             quantizer_id = int(plan.quantizer_ids[0])
             quantizer = policy.quantizers[quantizer_id]
             symbol = quantizer.classify(x)
-            u = cell_decisions(dec, [quantizer], cost)[2][0, symbol - 1]
+            u = decided(policy, dec, quantizer, cost)[1][symbol - 1]
             value = model.state_values[x] if finite else x
             d = value - u
             total += d * d if cost.kind == "quadratic" else cost.pointwise(x, u)
             if p == 0:
-                rows.append((t, value, symbol, u, cell_decisions(enc, [quantizer], cost)[0][0], enc.mean,
+                rows.append((t, value, symbol, u, decided(policy, enc, quantizer, cost)[0], enc.mean,
                              enc.std, quantizer_id, enc.probabilities if finite else None))
             if finite:
                 nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
@@ -630,6 +642,31 @@ def test_rollout_logs_repeatable_counters(caplog, three_state_chain, two_state_c
     # distinct filter outputs
     assert counters["clears"] == 0
     assert 0 < counters["peak_beliefs"] <= counters["filter_calls"] + 2
+    # a tree replay makes no greedy decisions
+    assert counters["product_decisions"] == counters["exact_decisions"] == 0
+
+
+def test_rollout_counts_greedy_decisions_by_route(caplog):
+    model = LinearGaussianSource(0.9, 1.0)
+    init = model.invariant_distribution()
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
+    counted = []
+    # the occupancy benchmark's candidates, then three-level ones with
+    # mirror-image pairs that tie on the symmetric start
+    for levels in (2, 3):
+        policy = GreedyPolicy(enumerate_interval_candidates(levels, -4.0, 4.0, 21), QUAD)
+        runs = []
+        for _ in range(2):
+            caplog.clear()
+            rollout(policy, model, QUAD, 40, 3, 5, initial_belief=init)
+            runs.append(rollout_counters(caplog))
+        assert runs[0] == runs[1]
+        counters = runs[0]
+        # one decision per distinct belief of a step, its one group
+        assert counters["product_decisions"] + counters["exact_decisions"] == counters["groups"]
+        counted.append(counters)
+    assert counted[0]["product_decisions"] > 0
+    assert counted[1]["exact_decisions"] >= 1
 
 
 def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief):
@@ -648,7 +685,7 @@ def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief)
         quantizer_id = int(plan.quantizer_ids[0])
         quantizer = policy.quantizers[quantizer_id]
         out["quantizer_id"].append(quantizer_id)
-        out["u"].append(cell_decisions(belief, [quantizer], cost)[2][0, symbol - 1])
+        out["u"].append(decided(policy, belief, quantizer, cost)[1][symbol - 1])
         out["belief_mean"].append(belief.mean)
         out["probabilities"].append(getattr(belief, "probabilities", None))
         belief = filter_update(belief, model, quantizer, symbol)
