@@ -26,10 +26,14 @@ of a candidate set (CutWeights.local, node_moment_weights) times its
 values and their products with powers of (x - mean) give the
 cumulative moments about its mean at every cut, so a cell's moments
 are one product and a difference; costs.greedy_decision ranks
-candidates by it. column_cell_moments takes the product of the cut
-set's window weights of x^k (CutWeights.matrix) with the transition
-kernel: the moments of every normalized kernel column at once, which
-the dynamic program's stage-cost floor reads.
+candidates by it. _kernel_cut_moments is the product of the cut set's
+window weights of x^k (CutWeights.matrix) with the transition kernel,
+kept per source, grid and candidate set: times a restriction it gives
+the cumulative raw moments of that restriction's prediction at every
+cut. column_cell_moments reads from it the moments of every normalized
+kernel column at once, for the dynamic program's stage-cost floor, and
+the last-stage product of the sources (sources.py) those of every
+child of a belief.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
@@ -42,8 +46,9 @@ probability (summing the branch posteriors against the branch masses
 reproduces the one-step prediction) holds to rounding. What depends on
 the grid and the quantizers only is built once and kept read-only: the
 cuts of a candidate set (_cut_table), the weights up to them
-(_cut_weights) and the window weights of a cell (_cell_weights), each
-in a bounded LRU cache. This module
+(_cut_weights), their product with the kernel (_kernel_cut_moments) and
+the window weights of a cell (_cell_weights), each in a bounded LRU
+cache. This module
 imports nothing from sources.py; a source names its belief class.
 """
 from __future__ import annotations
@@ -602,7 +607,7 @@ class CutWeights:
     upper cut of every cell. Two matrices of shape (3 P, n_points), each
     built on first use, stack their weights from -inf up to every point,
     order by order:
-      matrix  window_weights of x^k, k = 0, 1, 2 (column_cell_moments);
+      matrix  window_weights of x^k, k = 0, 1, 2 (_kernel_cut_moments);
       local   node_moment_weights of orders 0, 1, 2 (cut_moments).
     All arrays are read-only.
     """
@@ -639,8 +644,8 @@ class CutWeights:
 
 @functools.lru_cache(maxsize=_CUT_TABLES)
 def _cut_weights(grid: Grid, quantizers: tuple) -> CutWeights:
-    """The candidate set's CutWeights on grid, for cut_moments and
-    column_cell_moments."""
+    """The candidate set's CutWeights on grid, for cut_moments,
+    _kernel_cut_moments and the last-stage product of the sources."""
     return CutWeights(grid, quantizers)
 
 
@@ -694,28 +699,44 @@ _MOMENT_BLOCK = 1 << 18  # moment entries per block of column_cell_moments
 _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
 
 
+@functools.lru_cache(maxsize=_CUT_TABLES)
+def _kernel_cut_moments(model, grid: Grid, quantizers: tuple) -> np.ndarray:
+    """W @ K, read-only: the candidate set's window weights up to every
+    cut (_cut_weights(...).matrix, (3 P, n_points)) times the transition
+    kernel, kept per (model, grid, candidate set).
+
+    Column i holds the raw moments of orders 0..2 of the one-step density
+    from node i up to every cut, order by order (the order-0 row at +inf
+    is its trapezoid integral); W @ K @ r does the same for the
+    prediction K r of any restriction r. The product is taken in blocks
+    of kernel columns: narrow products stay on one BLAS thread, and on a
+    2-core Xeon the threaded 39 x 801 x 801 product took 30 ms, these 26
+    took 2 ms.
+    """
+    weights = _cut_weights(grid, quantizers)
+    kernel = _transition_kernel(model, grid)
+    out = np.hstack([
+        weights.matrix @ kernel[:, j : j + _PRODUCT_COLUMNS]
+        for j in range(0, grid.n_points, _PRODUCT_COLUMNS)
+    ])
+    out.flags.writeable = False
+    return out
+
+
 def column_cell_moments(model, grid: Grid, quantizers):
     """Cell moments of every normalized transition-kernel column, in blocks.
 
     Column i is the one-step density from node i divided by its
-    trapezoid integral. The product W @ K of the candidate set's window
-    weights up to every cut (_cut_weights(...).matrix) with the kernel
-    gives every column's cumulative moments at every cut (the order-0
-    row at +inf is the trapezoid integral), and a cell's moments are the
+    trapezoid integral; _kernel_cut_moments gives every column's
+    cumulative moments at every cut, and a cell's moments are the
     difference at its two cuts. Yields (m0, m1, m2) as raw-moment arrays
     of shape (k, L, n_points) for consecutive blocks of k quantizers,
     padded like cell_moments.
     """
-    weights = _cut_weights(grid, tuple(quantizers))
-    kernel = _transition_kernel(model, grid)
-    # narrow products stay on one BLAS thread; on a 2-core Xeon the
-    # threaded 39 x 801 x 801 product took 30 ms, these 26 took 2 ms
-    cumulative = np.hstack([
-        weights.matrix @ kernel[:, j : j + _PRODUCT_COLUMNS]
-        for j in range(0, grid.n_points, _PRODUCT_COLUMNS)
-    ]).reshape(3, -1, grid.n_points)
-    cumulative /= cumulative[0, -1]
-    slots = weights.slots
+    quantizers = tuple(quantizers)
+    product = _kernel_cut_moments(model, grid, quantizers).reshape(3, -1, grid.n_points)
+    cumulative = product / product[0, -1]
+    slots = _cut_weights(grid, quantizers).slots
     n_blocks = -(-slots.size * grid.n_points // _MOMENT_BLOCK)
     for block in np.array_split(slots, n_blocks):
         yield np.diff(cumulative[:, block], axis=2)

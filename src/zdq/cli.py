@@ -205,6 +205,7 @@ def _run_design(cfg: dict, out_dir: str):
         "horizon": cfg["horizon"],
         "n_candidates": len(candidates),
         "nodes_evaluated": tree.nodes_evaluated,
+        "expansions_by_stage": tree.expansions_by_stage,
         "candidates_pruned": tree.candidates_pruned,
         "max_discarded_mass": tree.max_discarded_mass,
         "bellman_residual_max": float(residuals.max()) if residuals.size else 0.0,

@@ -49,14 +49,68 @@ the chosen quantizer under the tie rule, are those of the exhaustive
 search bit for bit. At t = horizon - 1 the continuation is 0 and the
 choice is the first argmin of the batched stage costs.
 
+At t = horizon - 2 the children are last-stage nodes, whose value is
+their least stage cost over horizon, and that cost is a minimum of
+functions linear in the parent's restricted density (the alpha vectors
+of Smallwood & Sondik). So the source's last_stage_costs gives the
+least stage cost L'(k, m) of every kept child, of mass p(k, m) >
+eps_prune, from one product, without building it, and with the exact
+stage s(k)
+
+    A(k) = s(k) + sum over kept m of p(k, m) L'(k, m)
+
+is horizon times candidate k's value up to the error of L'. The
+stage-order loop above searches the candidate of least stage exactly,
+as before. Of the other candidates, those the floor bound cannot rule
+out against its value v are costed in one product, and the loop, with
+its floor bound and tie rule unchanged, visits of them only those with
+
+    A(k) <= min(horizon * v + slack / 2, min over them of A + slack),
+    slack = max(PRUNE_MARGIN * max(1, M2), 2 E),
+
+and searches their children exactly. M2 is the largest E[x^2] of a kept
+child costed, and E the source's bound on |L'(k, m) - L(k, m)|, with L
+the least stage cost of the child built by filter_update. Where the
+floor bound already rules out every other candidate, nothing is costed.
+
+Half the slack is at least E, which bounds |A(k) - horizon * value(k)|
+(the masses sum to at most 1), and v is a value some candidate reaches,
+so every candidate left out has a value above the least one, never
+equal to it, and the node's value and choice stay bit for bit. E sums
+two terms over a child's <= levels cells:
+  - rounding: the product's cumulative moments about 0 come from two
+    sums of n terms each (n grid nodes), whose magnitudes add up to at
+    most 1, sqrt(M2) and M2 for orders 0, 1, 2 (order 1 by
+    Cauchy-Schwarz), so each is off by at most e = 2 n u (u = 2^-53) in
+    those units; the filter and the exact cell moments round less. A
+    cell's term m2 - m1^2 / m0 of mean mu is then off by at most about
+    2 e (sqrt(M2) + |mu|)^2 <= 8 e X^2, X the largest |grid node|,
+    because M2 <= X^2;
+  - EPS_MASS: a cell counts only above mass EPS_MASS; where the two
+    routes disagree, its mass is within e of EPS_MASS and its term is at
+    most its raw second moment, (EPS_MASS + e) X^2.
+So E = levels (9 e + EPS_MASS) X^2, about 2.6e-12 levels X^2 on an
+801-node grid, and the margin term sets the slack while levels X^2
+stays below about 1.9e5 max(1, M2). On a default grid (8 stationary
+stds) every child's E[x^2] is at least noise_std^2, so X^2 / M2 <=
+64 / (1 - a^2): for two levels the margin term covers 2 E up to
+a = 0.9996. Wider or finer grids, or a closer to 1, can take 2 E.
+Measured on the a = 0.5, 0.9 and 0.99 default grids, |L' - L| stayed
+below 2e-15 max(1, M2). A source or cost without the product
+(last_stage_costs returns None: a chain, or a tabular cost) takes the
+stage-order loop over every candidate.
+
 The search keeps the branches of every node it expands. The returned
 tree holds only the subtree the chosen policy reaches, and leaf beliefs
 are built for that subtree alone. nodes_evaluated counts every expanded
-node, leaves included, and candidates_pruned the candidates the bound
-skipped.
+node, leaves included, and expansions_by_stage splits that count by
+stage t = 0 .. horizon. candidates_pruned counts the candidates whose
+children were not searched: those the floor bound skipped and those the
+last-stage product left out.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,6 +176,7 @@ class PolicyTree:
     max_discarded_mass: float = 0.0
     nodes_evaluated: int = 0
     candidates_pruned: int = 0
+    expansions_by_stage: list = field(default_factory=list)
 
     @property
     def value(self) -> float:
@@ -180,12 +235,14 @@ def solve_finite_horizon(
     """Optimal expected average distortion over the horizon, with its policy.
 
     candidates is the ordered quantizer set searched at every belief
-    node. The search prunes candidates by the stage-cost floor (module
-    docstring). The returned tree holds the beliefs the chosen policy
-    reaches, with the chosen quantizer, node value, stage cost and
-    symbol branches (with probabilities) at each; values satisfy the
-    recursion in the module docstring to floating-point accuracy.
-    nodes_evaluated counts every belief node the search expanded.
+    node. The search prunes candidates by the stage-cost floor and, at
+    t = horizon - 2, by the last-stage product (module docstring). The
+    returned tree holds the beliefs the chosen policy reaches, with the
+    chosen quantizer, node value, stage cost and symbol branches (with
+    probabilities) at each; values satisfy the recursion in the module
+    docstring to floating-point accuracy. nodes_evaluated counts every
+    belief node the search expanded, and expansions_by_stage splits it
+    by stage.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -203,11 +260,50 @@ def solve_finite_horizon(
     searched: list[PolicyNode] = []
     memo: dict = {}
     state = {"evals": 0, "pruned": 0}
+    by_stage = [0] * (horizon + 1)
 
-    def expand() -> None:
+    def expand(t: int) -> None:
         state["evals"] += 1
+        by_stage[t] += 1
         if state["evals"] > node_budget:
             raise _BudgetSentinel(state["evals"])
+
+    def ruled_out(stage: float, future: float, best: float) -> bool:
+        # the floor bound (module docstring)
+        return stage / horizon + future > best + PRUNE_MARGIN * max(best, 1.0)
+
+    def branch(belief, k: int, mass_row: list, t: int):
+        # continuation value and children of candidate k at a node at t
+        quantizer = candidates[k]
+        continuation = 0.0
+        children = {}
+        for m, mass in enumerate(mass_row[: quantizer.levels], start=1):
+            if mass <= eps_prune:
+                continue
+            child_id = search(filter_update(belief, model, quantizer, m), t + 1)
+            children[m] = (mass, child_id)
+            continuation += mass * searched[child_id].value
+        return continuation, children
+
+    def contenders(belief, stages, masses, rest: list, future: float, best: float) -> list:
+        # rest (stage order) without the candidates whose last-stage
+        # product value cannot reach best (module docstring); those the
+        # floor bound rules out against best are left for the loop
+        head = list(itertools.takewhile(lambda k: not ruled_out(stages[k], future, best), rest))
+        if not head:
+            return rest
+        costed = np.zeros_like(masses, dtype=bool)
+        costed[head] = masses[head] > eps_prune
+        product = model.last_stage_costs(belief, candidates, cost, costed)
+        if product is None:
+            return rest
+        least, scale, error = product
+        approx = stages[head] + (masses[head] * least[head]).sum(axis=1)
+        slack = max(PRUNE_MARGIN * max(1.0, scale), 2.0 * error)
+        cut = min(horizon * best + 0.5 * slack, approx.min() + slack)
+        kept = [k for k, a in zip(head, approx.tolist()) if a <= cut]
+        state["pruned"] += len(head) - len(kept)
+        return kept + rest[len(head) :]
 
     def search(belief, t: int) -> int:
         # nodes at t < horizon; leaves are built on the policy path only
@@ -215,7 +311,7 @@ def solve_finite_horizon(
         hit = memo.get(key)
         if hit is not None:
             return hit
-        expand()
+        expand(t)
         node = PolicyNode(len(searched), t, belief, None, None, 0.0, 0.0)
         searched.append(node)
         memo[key] = node.node_id
@@ -232,29 +328,22 @@ def solve_finite_horizon(
             }
         else:
             future = (horizon - t - 1) * stage_floor
-            stages_list, masses = stages.tolist(), masses.tolist()
+            stages_list, masses_list = stages.tolist(), masses.tolist()
             order = sorted(range(len(candidates)), key=stages_list.__getitem__)
-            qid = None
-            for rank, k in enumerate(order):
+            qid, rest = order[0], order[1:]
+            continuation, node.children = branch(belief, qid, masses_list[qid], t)
+            node.value = stages_list[qid] / horizon + continuation
+            if t + 2 == horizon:
+                rest = contenders(belief, stages, masses, rest, future, node.value)
+            for rank, k in enumerate(rest):
                 stage = stages_list[k]
-                if qid is not None and (
-                    stage / horizon + future
-                    > node.value + PRUNE_MARGIN * max(node.value, 1.0)
-                ):
-                    state["pruned"] += len(order) - rank
+                if ruled_out(stage, future, node.value):
+                    state["pruned"] += len(rest) - rank
                     break
-                quantizer = candidates[k]
-                continuation = 0.0
-                children = {}
-                for m, mass in enumerate(masses[k][: quantizer.levels], start=1):
-                    if mass <= eps_prune:
-                        continue
-                    child_id = search(filter_update(belief, model, quantizer, m), t + 1)
-                    children[m] = (mass, child_id)
-                    continuation += mass * searched[child_id].value
+                continuation, children = branch(belief, k, masses_list[k], t)
                 value = stage / horizon + continuation
                 # first in enumeration order among equal values
-                if qid is None or value < node.value or (value == node.value and k < qid):
+                if value < node.value or (value == node.value and k < qid):
                     qid, node.value, node.children = k, value, children
         node.quantizer_id = qid
         node.quantizer = candidates[qid]
@@ -279,7 +368,7 @@ def solve_finite_horizon(
                 leaf = filter_update(node.belief, model, node.quantizer, m)
                 child = emitted.get((horizon, leaf.key()))
                 if child is None:
-                    expand()
+                    expand(horizon)
                     child = len(nodes)
                     nodes.append(PolicyNode(child, horizon, leaf, None, None, 0.0, 0.0))
                     emitted[(horizon, leaf.key())] = child
@@ -313,6 +402,7 @@ def solve_finite_horizon(
         max_discarded_mass=discarded,
         nodes_evaluated=state["evals"],
         candidates_pruned=state["pruned"],
+        expansions_by_stage=by_stage,
     )
     return DPResult(value=tree.value, tree=tree)
 

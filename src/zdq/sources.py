@@ -16,7 +16,10 @@ that depends on the family, with the same names on both:
   and push (the renormalized one-step prediction of a restriction),
   which beliefs.filter_update runs around its shared checks;
 - stage_floor, the least stage cost at the prediction columns that
-  bounds the dynamic program's later stages;
+  bounds the dynamic program's later stages, and last_stage_costs, the
+  least stage cost of every child of a belief from one product, with
+  which the dynamic program ranks candidates one stage before the last
+  (None on a chain);
 - real_values, the real numbers realized costs are taken at, and
   scan_width, the entries state_paths holds per path and step.
 
@@ -41,10 +44,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .beliefs import (
+    EPS_MASS,
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
     _cell_weights,
+    _cut_weights,
+    _kernel_cut_moments,
     _transition_kernel,
     column_cell_moments,
     default_grid,
@@ -62,6 +68,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_CHILD_COLUMNS = 16  # children per product in last_stage_costs
 
 
 @dataclass(frozen=True)
@@ -193,6 +200,47 @@ class LinearGaussianSource:
             float(_stage_costs_from(moments).min())
             for moments in column_cell_moments(self, belief.grid, candidates)
         )
+
+    def last_stage_costs(self, belief: GridBelief, candidates, cost, kept):
+        """Least quadratic stage cost of every kept child of the belief,
+        without building the children; None when nothing is kept.
+
+        kept (K, L) marks the children filter_update(belief, self,
+        candidates[k], m + 1) to cost. Their restrictions are the belief
+        times the differences of the order-0 window weights up to their
+        cells' two cuts (CutWeights.matrix), restrict's up to rounding.
+        The cached W K (_kernel_cut_moments) times them gives every
+        child's raw moments about 0 up to every cut, in blocks of
+        _CHILD_COLUMNS children so that each product stays on one BLAS
+        thread. Each child is normalized by its order-0 moment at +inf,
+        and its least stage cost over the candidates follows from its
+        cell moments as in stage_floor. Returns (least, scale, error):
+        least (K, L), 0 where not kept; scale the largest E[x^2] of a
+        kept child; error the bound of dp's module docstring on how far
+        least is from the cost of the child filter_update builds,
+        levels (9 e + EPS_MASS) X^2 with e = 2 n_points 2^-53 and X the
+        largest |grid node|.
+        """
+        if cost.kind != "quadratic" or not kept.any():
+            return None
+        candidates = tuple(candidates)
+        grid = belief.grid
+        weights = _cut_weights(grid, candidates)
+        product = _kernel_cut_moments(self, grid, candidates)
+        lower, upper = weights.slots[:, :-1][kept], weights.slots[:, 1:][kept]
+        restricted = (weights.matrix[upper] - weights.matrix[lower]) * belief.values
+        cumulative = np.hstack([
+            product @ restricted[j : j + _CHILD_COLUMNS].T
+            for j in range(0, len(restricted), _CHILD_COLUMNS)
+        ]).reshape(3, -1, len(restricted))
+        cumulative /= cumulative[0, -1]
+        stages = _stage_costs_from(np.diff(cumulative[:, weights.slots], axis=2))
+        least = np.zeros(kept.shape)
+        least[kept] = stages.min(axis=0)
+        x = max(abs(grid.lo), abs(grid.hi))
+        e = 2.0 * grid.n_points * 2.0**-53
+        error = max(q.levels for q in candidates) * (9.0 * e + EPS_MASS) * x * x
+        return least, float(cumulative[2, -1].max()), error
 
 
 @dataclass(frozen=True)
@@ -349,6 +397,14 @@ class FiniteChain:
             float(cell_decisions(SimplexBelief(row, states=belief.states), candidates, cost)[0].min())
             for row in self.transition
         )
+
+    def last_stage_costs(self, belief: SimplexBelief, candidates, cost, kept):
+        """None: a chain has no last-stage product, so the dynamic
+        program visits its candidates by the floor bound alone. On the
+        3-state chain design of the rollout-chain benchmark workload the
+        floor bound already leaves one candidate at every node one stage
+        before the last."""
+        return None
 
 
 @dataclass(frozen=True)
