@@ -17,23 +17,23 @@ moments of orders 0..2 of every cell of a whole candidate set as (K, L)
 arrays; costs.cell_decisions turns them into stage costs, cell masses
 and reconstructions. A grid belief builds a prefix table: the exact
 moments of the piecewise-linear density, accumulated node by node in
-coordinates centred on the belief mean, so any cell's moments are two
-table lookups plus a closed-form term for the partial segment at each
-cut. A simplex belief multiplies its probabilities by each partition's
-cached 0/1 membership matrix. A grid belief also has a cheaper, less
-exact route, cut_moments: node-local weights up to every distinct cut
-of a candidate set (CutWeights.local, node_moment_weights) times its
-values and their products with powers of (x - mean) give the
-cumulative moments about its mean at every cut, so a cell's moments
-are one product and a difference; costs.greedy_decision ranks
-candidates by it. _kernel_cut_moments is the product of the cut set's
-window weights of x^k (CutWeights.matrix) with the transition kernel,
-kept per source, grid and candidate set: times a restriction it gives
-the cumulative raw moments of that restriction's prediction at every
-cut. column_cell_moments reads from it the moments of every normalized
-kernel column at once, for the dynamic program's stage-cost floor, and
-the last-stage product of the sources (sources.py) those of every
-child of a belief.
+coordinates centred on the belief mean, so the moments up to a cut are
+a table lookup plus a closed-form term for the partial segment. A
+simplex belief multiplies its probabilities by each partition's cached
+0/1 membership matrix. A grid belief also has a cheaper, less exact
+route, cut_moments: node-local weights up to every distinct cut of a
+candidate set (CutWeights.local, node_moment_weights) times its values
+and their products with powers of (x - mean) give the cumulative
+moments about its mean at every cut, in one product;
+costs.greedy_decision ranks candidates by it. _kernel_cut_moments is
+the product of the cut set's window weights of x^k (CutWeights.matrix)
+with the transition kernel, kept per source, grid and candidate set:
+times a restriction it gives the cumulative raw moments of that
+restriction's prediction at every cut, from which the sources
+(sources.py) read the dynamic program's stage-cost floor and the
+last-stage costs of a belief's children. Every route takes its
+cumulative moments at the set's distinct cuts (CutWeights.points) and
+reads every cell off them by CutWeights.cells.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
@@ -45,11 +45,11 @@ integrate the same piecewise-linear density exactly, so the law of total
 probability (summing the branch posteriors against the branch masses
 reproduces the one-step prediction) holds to rounding. What depends on
 the grid and the quantizers only is built once and kept read-only: the
-cuts of a candidate set (_cut_table), the weights up to them
-(_cut_weights), their product with the kernel (_kernel_cut_moments) and
-the window weights of a cell (_cell_weights), each in a bounded LRU
-cache. This module
-imports nothing from sources.py; a source names its belief class.
+cuts of a candidate set and the weights up to them (_cut_weights), their
+product with the kernel (_kernel_cut_moments), the window weights of a
+cell (_cell_weights) and the transition kernel (_transition_kernel),
+each in a bounded LRU cache. This module imports nothing from
+sources.py; a source names its belief class.
 """
 from __future__ import annotations
 
@@ -69,7 +69,6 @@ __all__ = [
     "default_grid",
     "window_weights",
     "node_moment_weights",
-    "column_cell_moments",
     "filter_update",
     "check_S_membership",
 ]
@@ -341,9 +340,9 @@ class GridBelief:
         the whole-segment moments summed up to every node, so the moments
         up to any cut are a table lookup plus that polynomial at the cut,
         and a cell's moments are the difference at its two cuts. The
-        segment ids of the cuts and the powers of their offsets depend on
-        the grid and the thresholds only; they are built once per grid and
-        candidate set (_cut_table), and only the table is built per call.
+        segment ids and offset powers of the candidate set's distinct cut
+        points depend on the grid and the thresholds only
+        (CutWeights.segments); only the table is built per call.
 
         Returns ((m0, m1, m2), center) with (K, L) moment arrays; the
         first and second moments are taken about center, the belief mean,
@@ -370,9 +369,10 @@ class GridBelief:
         poly[2, 3] = 0.25 * d * d * ds
         table = np.zeros((3, grid.n_points))
         np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
-        j, powers = _cut_table(grid, tuple(quantizers))
-        cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
-        return np.diff(cum, axis=-1), center
+        weights = _cut_weights(grid, tuple(quantizers))
+        j, powers = weights.segments
+        cumulative = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
+        return weights.cells(cumulative.ravel()), center
 
     def cut_weights(self, quantizers, held=None):
         """The CutWeights of quantizers on this belief's grid: held when
@@ -413,9 +413,8 @@ class GridBelief:
         cumulative[:p] = g[0, :p]
         np.add(g[1, :p], g[0, p : 2 * p], out=cumulative[p : 2 * p])
         np.add(g[2, :p], 2.0 * g[1, p : 2 * p] + g[0, 2 * p :], out=cumulative[2 * p :])
-        lower, upper = weights.ends
         spread = math.sqrt(max(cumulative[-1], 0.0)) + grid.spacing
-        return cumulative.take(upper) - cumulative.take(lower), center, spread
+        return weights.cells(cumulative), center, spread
 
     def inverse_cdf(self, v) -> np.ndarray:
         """The draw of the belief at every uniform variate v in [0, 1).
@@ -567,49 +566,27 @@ class SMembershipReport:
     passed: bool
 
 
-_POWERS = np.arange(1, 5)
-_CUT_TABLES = 64  # candidate sets whose cut tables are kept
+_CUT_SETS = 64  # candidate sets whose CutWeights are kept
 _CELL_WEIGHTS = 256  # cells whose window weights are kept
 
 
-@functools.lru_cache(maxsize=_CUT_TABLES)
-def _cut_table(grid: Grid, quantizers: tuple):
-    """Where every cut of a candidate set falls on the grid, for cell_moments.
-
-    Quantizer k cuts at (-inf, its thresholds, +inf), padded with +inf to
-    the largest level count L, and each cut is clipped to the grid.
-    Returns (j, powers): j (K, L + 1) is the segment holding each cut,
-    and powers (4, K, L + 1) the cut's local offset u in [0, 1] within
-    that segment raised to 1 .. 4. Both arrays are read-only.
-    """
-    levels = max(q.levels for q in quantizers)
-    edges = np.full((len(quantizers), levels + 1), math.inf)
-    edges[:, 0] = -math.inf
-    for k, q in enumerate(quantizers):
-        edges[k, 1 : q.levels] = q.thresholds
-    x = grid.nodes
-    t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
-    j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
-    u = np.minimum((t - x[j]) / grid.spacing, 1.0)
-    powers = u ** _POWERS.reshape((4,) + (1,) * u.ndim)
-    j.flags.writeable = powers.flags.writeable = False
-    return j, powers
-
-
 class CutWeights:
-    """The weights up to every distinct cut of a candidate set on a grid.
+    """Where the cuts of a candidate set fall on a grid, and the weights
+    up to every distinct cut.
 
     The points are -inf, the distinct thresholds in increasing order and
     +inf (P of them). slots[k, i] (K, L + 1) is the point of quantizer
     k's cut i: -inf, its thresholds, then +inf up to the largest level
     count L. ends (2, 3, K, L) indexes a flat array of cumulative
     moments, order by order and point by point, at the lower and the
-    upper cut of every cell. Two matrices of shape (3 P, n_points), each
-    built on first use, stack their weights from -inf up to every point,
-    order by order:
-      matrix  window_weights of x^k, k = 0, 1, 2 (_kernel_cut_moments);
-      local   node_moment_weights of orders 0, 1, 2 (cut_moments).
-    All arrays are read-only.
+    upper cut of every cell, which cells reads. Built on first use:
+      segments  (j, powers): the segment j (P,) of each point clipped to
+                the grid, and powers (4, P) of its offset u in [0, 1]
+                there, u^1 .. u^4 (cell_moments);
+      matrix    window_weights of x^k, k = 0, 1, 2 (_kernel_cut_moments);
+      local     node_moment_weights of orders 0, 1, 2 (cut_moments);
+    both (3 P, n_points), from -inf up to every point. All arrays are
+    read-only.
     """
 
     def __init__(self, grid: Grid, quantizers: tuple):
@@ -627,6 +604,24 @@ class CutWeights:
         for a in (self.points, self.slots, self.ends):
             a.flags.writeable = False
 
+    def cells(self, cumulative) -> np.ndarray:
+        """Moments of every cell, (3, K, L) + trailing axes, from
+        cumulative moments at every point, (3 P,) + trailing axes: the
+        difference at each cell's two cuts."""
+        lower, upper = self.ends
+        return cumulative.take(upper, axis=0) - cumulative.take(lower, axis=0)
+
+    @functools.cached_property
+    def segments(self):
+        grid = self.grid
+        x = grid.nodes
+        t = np.minimum(np.maximum(self.points, grid.lo), grid.hi)
+        j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
+        u = np.minimum((t - x[j]) / grid.spacing, 1.0)
+        powers = u ** np.arange(1, 5)[:, None]
+        j.flags.writeable = powers.flags.writeable = False
+        return j, powers
+
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         out = np.concatenate(
@@ -642,10 +637,10 @@ class CutWeights:
         return out
 
 
-@functools.lru_cache(maxsize=_CUT_TABLES)
+@functools.lru_cache(maxsize=_CUT_SETS)
 def _cut_weights(grid: Grid, quantizers: tuple) -> CutWeights:
-    """The candidate set's CutWeights on grid, for cut_moments,
-    _kernel_cut_moments and the last-stage product of the sources."""
+    """The candidate set's CutWeights on grid, for both cell-moment
+    routes, _kernel_cut_moments and the products of the sources."""
     return CutWeights(grid, quantizers)
 
 
@@ -695,11 +690,10 @@ def _transition_kernel(model, grid: Grid) -> np.ndarray:
     return K
 
 
-_MOMENT_BLOCK = 1 << 18  # moment entries per block of column_cell_moments
 _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
 
 
-@functools.lru_cache(maxsize=_CUT_TABLES)
+@functools.lru_cache(maxsize=_CUT_SETS)
 def _kernel_cut_moments(model, grid: Grid, quantizers: tuple) -> np.ndarray:
     """W @ K, read-only: the candidate set's window weights up to every
     cut (_cut_weights(...).matrix, (3 P, n_points)) times the transition
@@ -721,25 +715,6 @@ def _kernel_cut_moments(model, grid: Grid, quantizers: tuple) -> np.ndarray:
     ])
     out.flags.writeable = False
     return out
-
-
-def column_cell_moments(model, grid: Grid, quantizers):
-    """Cell moments of every normalized transition-kernel column, in blocks.
-
-    Column i is the one-step density from node i divided by its
-    trapezoid integral; _kernel_cut_moments gives every column's
-    cumulative moments at every cut, and a cell's moments are the
-    difference at its two cuts. Yields (m0, m1, m2) as raw-moment arrays
-    of shape (k, L, n_points) for consecutive blocks of k quantizers,
-    padded like cell_moments.
-    """
-    quantizers = tuple(quantizers)
-    product = _kernel_cut_moments(model, grid, quantizers).reshape(3, -1, grid.n_points)
-    cumulative = product / product[0, -1]
-    slots = _cut_weights(grid, quantizers).slots
-    n_blocks = -(-slots.size * grid.n_points // _MOMENT_BLOCK)
-    for block in np.array_split(slots, n_blocks):
-        yield np.diff(cumulative[:, block], axis=2)
 
 
 def _check_pair(belief, model) -> None:

@@ -436,12 +436,14 @@ def _run(args) -> int:
                 raise ConfigError("node_budget", "--budget applies to the design task")
             cfg["node_budget"] = args.budget
         cfg = validate_config(cfg, task=args.task)
+        out_dir = cfg["output_dir"]
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:  # a file at the path or above it
+            raise ConfigError("output_dir", f"cannot create directory {out_dir}: {e.strerror}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
     try:

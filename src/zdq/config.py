@@ -51,6 +51,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {path}")
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ConfigError("<file>", f"cannot read config file {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ConfigError("<file>", f"invalid JSON at line {e.lineno}: {e.msg}")
     except ValueError as e:  # an integer past Python's digit limit for str -> int

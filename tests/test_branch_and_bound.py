@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import random_chain
 from reference_dp import exhaustive_solve
+from zdq import sources
 from zdq.beliefs import (
     EPS_MASS,
     Grid,
     GridBelief,
     SimplexBelief,
+    _cut_weights,
+    _kernel_cut_moments,
     _transition_kernel,
-    column_cell_moments,
     default_grid,
     filter_update,
 )
@@ -31,7 +33,7 @@ from zdq.config import (
     build_source,
     validate_config,
 )
-from zdq.costs import CostModel, _stage_costs_from, cell_decisions
+from zdq.costs import CostModel, cell_decisions
 from zdq.dp import bellman_residuals, exact_policy_value, solve_finite_horizon
 from zdq.infinite import FixedQuantizerPolicy, rollout
 from zdq.quantizers import (
@@ -348,12 +350,47 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
         cell_decisions(GridBelief.from_unnormalized(grid, kernel[:, i]), cands, QUAD)[0]
         for i in range(n_points)
     ]).T
-    got = np.concatenate(
-        [_stage_costs_from(m) for m in column_cell_moments(src, grid, cands)]
+    # one candidate at a time gives each candidate's stage at every column
+    got = np.array([
+        sources._least_stage_costs(_cut_weights(grid, (q,)), _kernel_cut_moments(src, grid, (q,)))
+        for q in cands
+    ])
+    least = sources._least_stage_costs(
+        _cut_weights(grid, tuple(cands)), _kernel_cut_moments(src, grid, tuple(cands))
     )
     # raw moments about 0 lose digits in proportion to the squared range
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, grid.hi**2)
-    assert src.stage_floor(GridBelief.normal(grid, 0.0, 1.0), cands, QUAD) == got.min()
+    assert np.max(np.abs(least - ref.min(axis=0))) <= 1e-12 * max(1.0, grid.hi**2)
+    assert src.stage_floor(GridBelief.normal(grid, 0.0, 1.0), cands, QUAD) == least.min()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(-0.95, 0.95),
+    st.integers(3, 11),
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3, unique=True),
+)
+def test_least_stage_costs_do_not_depend_on_the_column_blocks(a, sevens, cuts):
+    # kernel columns (the floor) and a belief's children (the last stage),
+    # in one block, in blocks of 1 and in blocks of 7 columns; with fewer
+    # than 8 cells a quantizer's cells are summed in order in every block
+    src = LinearGaussianSource(a, 1.0)
+    grid = default_grid(src, n_points=7 * sevens)
+    cands = tuple([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
+    weights = _cut_weights(grid, cands)
+    belief = GridBelief.normal(grid, 0.3 * src.stationary_std, src.stationary_std)
+    kept = belief.cell_moments(cands)[0][0] > EPS_MASS
+
+    def least_bytes():
+        columns = sources._least_stage_costs(weights, _kernel_cut_moments(src, grid, cands))
+        children = src.last_stage_costs(belief, cands, QUAD, kept)[0]
+        return columns.tobytes(), children.tobytes()
+
+    whole = least_bytes()
+    for width in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sources, "_MOMENT_BLOCK", width * weights.slots.size)
+            assert least_bytes() == whole
 
 
 def test_floor_rejects_mismatched_models():

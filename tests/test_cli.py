@@ -257,12 +257,15 @@ def test_design_task(tmp_path):
         ("initial", [0.7, 0.7], "source.initial"),
         ("initial", [1.0, 0.0, 0.0], "source.initial"),
         ("state_values", [0.0, 1.0, 2.0], "source.state_values"),
+        ("state_values", [float("nan"), 1.0], "source.state_values"),
+        ("state_values", [float("inf"), 1.0], "source.state_values"),
         ("belief", [0.5, 0.6], "initial_belief.probabilities"),
         ("belief", [float("nan"), 1.0], "initial_belief.probabilities"),
         ("cost", [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], "cost.table"),
     ],
     ids=["row-sum", "not-a-number", "ragged", "negative", "initial-sum",
-         "initial-size", "state-values-size", "belief-sum", "belief-nan",
+         "initial-size", "state-values-size", "state-values-nan",
+         "state-values-inf", "belief-sum", "belief-nan",
          "cost-table-rows"],
 )
 def test_bad_chain_exits_2_with_field_path(tmp_path, capsys, task, field, value, path):
@@ -417,6 +420,28 @@ def test_unknown_key_exit_2(tmp_path, capsys):
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["design", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    assert main(["design", "--config", str(tmp_path)]) == 2
+    assert "config error: <file>: cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("via", ["config", "--out"])
+def test_output_dir_on_a_file_exits_2(tmp_path, capsys, via, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out" if under else blocker)
+    doc = {"task": "schedule", "horizons": [2, 4], "k_max": 1}
+    if via == "config":
+        doc["output_dir"] = out
+    argv = ["schedule", "--config", write_config(tmp_path, doc)]
+    if via == "--out":
+        argv += ["--out", out]
+    assert main(argv) == 2
+    assert "config error: output_dir: cannot create directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
 
 
 def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):

@@ -2,14 +2,15 @@
 and the grid filter's and the floor's shortcuts past per-call work.
 
 GridBelief.cell_moments reads the segment ids and offset powers of a
-candidate set's cuts from _cut_table, and GridBelief.cut_moments and
-column_cell_moments the window weights up to every cut from
-_cut_weights, both kept per (grid, candidate set);
+candidate set's distinct cut points (CutWeights.segments), and
+GridBelief.cut_moments and the sources' products the weights up to
+every cut, all from the CutWeights of _cut_weights, kept per (grid,
+candidate set); every route reads its cells through CutWeights.cells.
 LinearGaussianSource.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support. Both routes
 must return the bytes of the uncached computation: the frozen
 cell_moments of reference_moments.py, and window_weights times the
-density values. column_cell_moments takes the window weights of all its
+density values. CutWeights.matrix takes the window weights of all its
 cuts in one broadcast window_weights call, which must give the frozen
 one-window weights row by row; LinearGaussianSource.push builds its
 belief without GridBelief's checks, which its output must pass.
@@ -27,7 +28,6 @@ from zdq.beliefs import (
     Grid,
     GridBelief,
     _cell_weights,
-    _cut_table,
     _cut_weights,
     _transition_kernel,
     default_grid,
@@ -69,7 +69,14 @@ def densities_and_candidate_sets(draw):
     )
     cands = draw(st.lists(quantizer, min_size=1, max_size=8))
     repeats = draw(st.lists(st.integers(0, len(cands) - 1), max_size=3))
-    return belief, cands + [cands[k] for k in repeats]
+    # cuts of one set at one point: signed zeros, and two cuts past a
+    # grid end, which both clip to it
+    shared = st.sampled_from(
+        [(-0.0, 0.0), (0.0, -0.0), (grid.lo - 1.0, grid.lo - 1e-9), (grid.hi + 1e-9, grid.hi + 1.0)]
+    )
+    pairs = draw(st.lists(shared, max_size=2))
+    cands += [cands[k] for k in repeats]
+    return belief, cands + [IntervalQuantizer((t,)) for pair in pairs for t in pair]
 
 
 @settings(max_examples=200, deadline=None)
@@ -77,7 +84,7 @@ def densities_and_candidate_sets(draw):
 def test_cached_routes_return_the_uncached_bytes(case):
     belief, cands = case
     expected, center = reference_moments.cell_moments(belief, cands)
-    # the first call may build the cut table, the second reads it
+    # the first call may build the cut segments, the second reads them
     for _ in range(2):
         got, got_center = belief.cell_moments(cands)
         assert got.shape == expected.shape
@@ -91,9 +98,9 @@ def test_cached_routes_return_the_uncached_bytes(case):
 
 def test_cached_arrays_are_read_only():
     cands = tuple(enumerate_interval_candidates(2, -2.0, 2.0, 5))
-    j, powers = _cut_table(GRIDS[0], cands)
     _, w = _cell_weights(GRIDS[0], -1.0, 0.5)
     weights = _cut_weights(GRIDS[0], cands)
+    j, powers = weights.segments
     for array in (j, powers, w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends):
         with pytest.raises(ValueError):
             array[...] = 0
@@ -101,7 +108,7 @@ def test_cached_arrays_are_read_only():
 
 def test_same_thresholds_on_two_grids_get_their_own_tables():
     cands = enumerate_interval_candidates(3, -2.0, 2.0, 7)
-    (j_small, _), (j_large, _) = (_cut_table(grid, tuple(cands)) for grid in GRIDS)
+    (j_small, _), (j_large, _) = (_cut_weights(grid, tuple(cands)).segments for grid in GRIDS)
     assert not np.array_equal(j_small, j_large)
     (_, w_small), (_, w_large) = (_cell_weights(grid, -1.0, 0.5) for grid in GRIDS)
     assert w_small.tobytes() != w_large.tobytes()
@@ -116,9 +123,7 @@ def test_same_thresholds_on_two_grids_get_their_own_tables():
     assert belief.cut_weights(cands, large) is large
 
 
-@pytest.mark.parametrize(
-    "cache", [_cut_table, _cut_weights, _cell_weights], ids=["cut_table", "cut_weights", "cell_weights"]
-)
+@pytest.mark.parametrize("cache", [_cut_weights, _cell_weights], ids=["cut_weights", "cell_weights"])
 def test_caches_stay_at_their_bound(cache):
     grid = Grid(-3.0, 3.0, 31)
     bound = cache.cache_info().maxsize
