@@ -33,6 +33,7 @@ from .beliefs import (
 from .quantizers import (
     IntervalQuantizer,
     FinitePartition,
+    CandidateSet,
     enumerate_interval_candidates,
     enumerate_finite_partitions,
     quantizer_from_json,
@@ -96,6 +97,7 @@ __all__ = [
     "check_S_membership",
     "IntervalQuantizer",
     "FinitePartition",
+    "CandidateSet",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",

@@ -12,21 +12,22 @@ description in policy_tree.json (to_json) and its row in a rollout's
 trajectory log (log_row).
 
 Every cell mass and every moment behind a stage cost comes from one
-method per belief family, cell_moments(quantizers), which returns the
-moments of orders 0..2 of every cell of a whole candidate set as (K, L)
-arrays; costs.cell_decisions turns them into stage costs, cell masses
-and reconstructions. A grid belief builds a prefix table: the exact
-moments of the piecewise-linear density, accumulated node by node in
-coordinates centred on the belief mean, so the moments up to a cut are
-a table lookup plus a closed-form term for the partial segment. A
-simplex belief multiplies its probabilities by each partition's cached
-0/1 membership matrix. A grid belief also has a cheaper, less exact
-route, cut_moments: node-local weights up to every distinct cut of a
-candidate set (CutWeights.local, node_moment_weights) times its values
-and their products with powers of (x - mean) give the cumulative
-moments about its mean at every cut, in one product;
-costs.greedy_decision ranks candidates by it. _kernel_cut_moments is
-the product of the cut set's window weights of x^k (CutWeights.matrix)
+method per belief family, cell_moments(candidates), which returns the
+moments of orders 0..2 of every cell of a whole candidate set (a
+quantizers.CandidateSet) as (K, L) arrays; costs.cell_decisions turns
+them into stage costs, cell masses and reconstructions. A grid belief
+builds a prefix table: the exact moments of the piecewise-linear
+density, accumulated node by node in coordinates centred on the belief
+mean, so the moments up to a cut are a table lookup plus a closed-form
+term for the partial segment. A simplex belief multiplies its
+probabilities by each partition's cached 0/1 membership matrix. A grid
+belief also has a cheaper, less exact route, cut_moments: node-local
+weights up to every distinct cut of a candidate set (CutWeights.local,
+node_moment_weights) times its values and their products with powers
+of (x - mean) give the cumulative moments about its mean at every cut,
+in one product; costs.greedy_decision ranks candidates by it (a
+simplex belief's cut_moments is None). _kernel_cut_moments is the
+product of the cut set's window weights of x^k (CutWeights.matrix)
 with the transition kernel, kept per source, grid and candidate set:
 times a restriction it gives the cumulative raw moments of that
 restriction's prediction at every cut, from which the sources
@@ -48,8 +49,9 @@ the grid and the quantizers only is built once and kept read-only: the
 cuts of a candidate set and the weights up to them (_cut_weights), their
 product with the kernel (_kernel_cut_moments), the window weights of a
 cell (_cell_weights) and the transition kernel (_transition_kernel),
-each in a bounded LRU cache. This module imports nothing from
-sources.py; a source names its belief class.
+each in a bounded LRU cache; the first two find a candidate set by the
+hash it took when built. This module imports nothing from sources.py;
+a source names its belief class.
 """
 from __future__ import annotations
 
@@ -325,14 +327,14 @@ class GridBelief:
         """The belief's columns in a trajectory log: mean and std."""
         return [self.mean, self.std]
 
-    def cell_moments(self, quantizers):
+    def cell_moments(self, candidates):
         """Exact moments of orders 0..2 of the PL density over every cell.
 
-        quantizers are interval quantizers, possibly with mixed level
-        counts. Quantizer k cuts at (-inf, its thresholds, +inf), padded
-        with +inf up to the largest level count L, so padded cells are
-        empty. Cut points are clipped to the grid, so the infinities
-        close the outer cells.
+        candidates is a CandidateSet of interval quantizers, possibly
+        with mixed level counts. Quantizer k cuts at (-inf, its
+        thresholds, +inf), padded with +inf up to the largest level count
+        L, so padded cells are empty. Cut points are clipped to the grid,
+        so the infinities close the outer cells.
 
         On the segment starting at node j, the moments over the local
         coordinate range [0, u] are polynomials in u of degree <= 4 whose
@@ -369,27 +371,19 @@ class GridBelief:
         poly[2, 3] = 0.25 * d * d * ds
         table = np.zeros((3, grid.n_points))
         np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
-        weights = _cut_weights(grid, tuple(quantizers))
+        weights = _cut_weights(grid, candidates)
         j, powers = weights.segments
         cumulative = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
         return weights.cells(cumulative.ravel()), center
 
-    def cut_weights(self, quantizers, held=None):
-        """The CutWeights of quantizers on this belief's grid: held when
-        it is on this grid (a caller that holds the weights of one
-        candidate set skips hashing it), else the cached _cut_weights."""
-        if held is not None and (held.grid is self.grid or held.grid == self.grid):
-            return held
-        return _cut_weights(self.grid, tuple(quantizers))
-
-    def cut_moments(self, weights):
-        """Moments of orders 0..2 of every cell about the belief mean, from
-        one product.
+    def cut_moments(self, candidates):
+        """Moments of orders 0..2 of every cell of a CandidateSet about the
+        belief mean, from one product.
 
         With y = x - center at the nodes (center = mean), the product of
-        weights.local (node_moment_weights G_m up to every point) with the
-        columns v, y v and y^2 v of the values v gives the cumulative
-        moments about the center at every point,
+        the set's CutWeights.local (node_moment_weights G_m up to every
+        point) with the columns v, y v and y^2 v of the values v gives
+        the cumulative moments about the center at every point,
           C_0 = G_0 v,  C_1 = G_0 (y v) + G_1 v,
           C_2 = G_0 (y^2 v) + 2 G_1 (y v) + G_2 v,
         and a cell's moments are the difference at its two cuts. This is
@@ -401,6 +395,7 @@ class GridBelief:
         product's order-1 sums are bounded by.
         """
         grid = self.grid
+        weights = _cut_weights(grid, candidates)
         center = self.mean
         y = grid.nodes - center
         columns = np.empty((3, grid.n_points))
@@ -516,7 +511,7 @@ class SimplexBelief:
             raise ValueError("partition and belief alphabet sizes differ")
         return membership * self.probabilities
 
-    def cell_moments(self, quantizers):
+    def cell_moments(self, candidates):
         """Moments of orders 0..2 of every cell of every partition.
 
         Each partition's (levels, n_states) membership matrix restricts
@@ -527,18 +522,13 @@ class SimplexBelief:
         arrays of raw moments, so center is 0.
         """
         s, s2 = self.states, self.states * self.states
-        moments = []
-        for q in quantizers:
+        out = np.zeros((3, len(candidates), candidates.levels))
+        for k, q in enumerate(candidates):
             r = self.restrict(q.membership[None])
-            moments.append((r.sum(axis=-1), r @ s, r @ s2))
-        if len(moments) == 1:
-            return moments[0], 0.0
-        out = np.zeros((3, len(quantizers), max(q.levels for q in quantizers)))
-        for k, (q, m) in enumerate(zip(quantizers, moments)):
-            out[:, k : k + 1, : q.levels] = m
+            out[:, k : k + 1, : q.levels] = r.sum(axis=-1), r @ s, r @ s2
         return out, 0.0
 
-    def cut_weights(self, quantizers, held=None):
+    def cut_moments(self, candidates):
         """None: a simplex belief's cell_moments is already one product
         per partition, so it has no cheaper product route."""
         return None
@@ -589,15 +579,14 @@ class CutWeights:
     read-only.
     """
 
-    def __init__(self, grid: Grid, quantizers: tuple):
+    def __init__(self, grid: Grid, candidates):
         self.grid = grid
-        cuts = sorted({t for q in quantizers for t in q.thresholds})
+        cuts = sorted({t for q in candidates for t in q.thresholds})
         self.points = np.array([-math.inf, *cuts, math.inf])
         slot = {t: i for i, t in enumerate(self.points.tolist())}
-        levels = max(q.levels for q in quantizers)
-        slots = np.full((len(quantizers), levels + 1), len(self.points) - 1)
+        slots = np.full((len(candidates), candidates.levels + 1), len(self.points) - 1)
         slots[:, 0] = 0
-        for k, q in enumerate(quantizers):
+        for k, q in enumerate(candidates):
             slots[k, 1 : q.levels] = [slot[t] for t in q.thresholds]
         flat = len(self.points) * np.arange(3)[:, None, None] + slots
         self.slots, self.ends = slots, np.stack([flat[..., :-1], flat[..., 1:]])
@@ -638,10 +627,10 @@ class CutWeights:
 
 
 @functools.lru_cache(maxsize=_CUT_SETS)
-def _cut_weights(grid: Grid, quantizers: tuple) -> CutWeights:
-    """The candidate set's CutWeights on grid, for both cell-moment
+def _cut_weights(grid: Grid, candidates) -> CutWeights:
+    """The CandidateSet's CutWeights on grid, for both cell-moment
     routes, _kernel_cut_moments and the products of the sources."""
-    return CutWeights(grid, quantizers)
+    return CutWeights(grid, candidates)
 
 
 @functools.lru_cache(maxsize=_CELL_WEIGHTS)
@@ -694,7 +683,7 @@ _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
 
 
 @functools.lru_cache(maxsize=_CUT_SETS)
-def _kernel_cut_moments(model, grid: Grid, quantizers: tuple) -> np.ndarray:
+def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
     """W @ K, read-only: the candidate set's window weights up to every
     cut (_cut_weights(...).matrix, (3 P, n_points)) times the transition
     kernel, kept per (model, grid, candidate set).
@@ -707,7 +696,7 @@ def _kernel_cut_moments(model, grid: Grid, quantizers: tuple) -> np.ndarray:
     2-core Xeon the threaded 39 x 801 x 801 product took 30 ms, these 26
     took 2 ms.
     """
-    weights = _cut_weights(grid, quantizers)
+    weights = _cut_weights(grid, candidates)
     kernel = _transition_kernel(model, grid)
     out = np.hstack([
         weights.matrix @ kernel[:, j : j + _PRODUCT_COLUMNS]

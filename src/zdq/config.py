@@ -17,6 +17,7 @@ from .beliefs import DEFAULT_GRID_POINTS, DEFAULT_SPAN_STDS, GridBelief, Simplex
 from .costs import CostModel
 from .infinite import GridFeatureBinning, SimplexBinning
 from .quantizers import (
+    CandidateSet,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
     quantizer_from_json,
@@ -474,7 +475,7 @@ def build_candidates(cfg: dict, model):
                 f"expected {model.n_states} entries, got {quantizer.n_states}",
             )
         candidates.append(quantizer)
-    return candidates
+    return CandidateSet(candidates)
 
 
 def build_initial_belief(cfg: dict, model):

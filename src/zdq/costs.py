@@ -13,7 +13,8 @@ the candidate of least stage cost: every cell moment is linear in the
 belief (the alpha-vector view of Smallwood & Sondik 1973), so a grid
 belief's candidates are ranked from one product of cached cut weights
 with its values, and cell_decisions is called only where that product
-cannot vouch for the answer.
+cannot vouch for the answer. Both take a CandidateSet or any sequence
+of quantizers, and sum a stage cost's cells in order (_sum_cells).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import EPS_MASS, SimplexBelief
+from .quantizers import CandidateSet
 
 __all__ = ["CostModel", "GreedyDecision", "cell_decisions", "greedy_decision"]
 
@@ -103,10 +105,10 @@ def _tabular_cells(belief, quantizer, cost: CostModel) -> list:
     return [r @ cost.table if float(r.sum()) > EPS_MASS else None for r in restricted]
 
 
-def cell_decisions(belief, quantizers, cost: CostModel):
-    """(stages, masses, recon) of K quantizers with at most L cells.
+def cell_decisions(belief, candidates, cost: CostModel):
+    """(stages, masses, recon) of K candidates with at most L cells.
 
-    stages[k] is quantizers[k]'s expected one-stage distortion under the
+    stages[k] is candidates[k]'s expected one-stage distortion under the
     best decoder: the restricted expected cost at each cell's optimal
     reconstruction, summed over the cells of mass > EPS_MASS.
     masses[k, m - 1] is cell m's belief mass (0 past the levels), and
@@ -118,15 +120,16 @@ def cell_decisions(belief, quantizers, cost: CostModel):
     belief.cell_moments call; np.argmin over stages keeps the
     first-candidate tie rule.
     """
-    moments, center = belief.cell_moments(quantizers)
+    candidates = CandidateSet.of(candidates)
+    moments, center = belief.cell_moments(candidates)
     m0 = moments[0]
     if cost.kind == "quadratic":
         live = m0 > EPS_MASS
         recon = np.where(live, center + moments[1] / np.where(live, m0, 1.0), np.nan)
         return _stage_costs_from(moments), m0, recon
-    stages = np.zeros(len(quantizers))
+    stages = np.zeros(len(candidates))
     recon = np.full(m0.shape, np.nan)
-    for k, q in enumerate(quantizers):
+    for k, q in enumerate(candidates):
         total = 0.0
         for i, column_costs in enumerate(_tabular_cells(belief, q, cost)):
             if column_costs is not None:
@@ -143,7 +146,18 @@ def _stage_costs_from(moments) -> np.ndarray:
     m0, m1, m2 = moments
     live = m0 > EPS_MASS
     var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
-    return np.where(live, var, 0.0).sum(axis=1)
+    return _sum_cells(np.where(live, var, 0.0))
+
+
+def _sum_cells(terms) -> np.ndarray:
+    """terms summed over axis 1, the cells, in order from cell 0.
+    .sum(axis=1) does the same for up to 7 cells or strided cells, but
+    adds 8 or more contiguous cells pairwise, so a (K, L) array and its
+    (K, L, C) blocks would round apart."""
+    total = terms[:, 0].copy()
+    for cell in range(1, terms.shape[1]):
+        total += terms[:, cell]
+    return total
 
 
 class GreedyDecision(NamedTuple):
@@ -157,18 +171,17 @@ class GreedyDecision(NamedTuple):
     exact: bool
 
 
-def greedy_decision(belief, quantizers, cost: CostModel, weights=None) -> GreedyDecision:
+def greedy_decision(belief, candidates, cost: CostModel) -> GreedyDecision:
     """The candidate of least stage cost, first on ties, as
-    np.argmin(cell_decisions(belief, quantizers, cost)[0]) picks it.
+    np.argmin(cell_decisions(belief, candidates, cost)[0]) picks it.
 
     A grid belief under quadratic cost takes the product route: its
-    cut_moments (one product with weights, the candidate set's
-    CutWeights; looked up when None) give every candidate's cell
-    moments about the belief mean, and from them its stage and
-    reconstructions. They are cell_decisions' within 1e-13 max(1,
-    |value|), not bit for bit. The route hands the belief to
-    cell_decisions, the exact route, when it cannot vouch for that or
-    for the choice.
+    cut_moments (one product with the candidate set's cached
+    CutWeights) give every candidate's cell moments about the belief
+    mean, and from them its stage and reconstructions. They are
+    cell_decisions' within 1e-13 max(1, |value|), not bit for bit. The
+    route hands the belief to cell_decisions, the exact route, when it
+    cannot vouch for that or for the choice.
 
     Error bound. An entry of the product sums n_points terms whose
     magnitudes add up to at most 1, s and s^2 for orders 0, 1, 2, with
@@ -191,16 +204,17 @@ def greedy_decision(belief, quantizers, cost: CostModel, weights=None) -> Greedy
       - a live cell of the winner, of mean mu, has mass below the floor
         e (s + |o|) / (1e-13 max(1, |mu|)), or a cell's mass is within
         e of EPS_MASS, where the routes may disagree on its liveness.
-    Simplex beliefs and tabular costs take the exact route.
+    Simplex beliefs (whose cut_moments is None) and tabular costs take
+    the exact route.
     """
+    candidates = CandidateSet.of(candidates)
     if cost.kind == "quadratic":
-        if weights is None:
-            weights = belief.cut_weights(quantizers)
-        if weights is not None:
-            decision = _product_decision(*belief.cut_moments(weights))
+        product = belief.cut_moments(candidates)
+        if product is not None:
+            decision = _product_decision(*product)
             if decision is not None:
                 return decision
-    stages, _, recon = cell_decisions(belief, quantizers, cost)
+    stages, _, recon = cell_decisions(belief, candidates, cost)
     k = int(np.argmin(stages))
     return GreedyDecision(k, stages[k], recon[k], True)
 
@@ -211,7 +225,7 @@ def _product_decision(moments, center: float, spread: float):
     m0, m1, m2 = moments
     live = m0 > EPS_MASS
     offset = m1 / np.where(live, m0, 1.0)
-    stages = (np.maximum(m2 - m1 * offset, 0.0) * live).sum(axis=1)
+    stages = _sum_cells(np.maximum(m2 - m1 * offset, 0.0) * live)
     k = int(stages.argmin())
     stage = float(stages[k])
     if len(stages) > 1:

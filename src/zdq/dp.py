@@ -117,6 +117,7 @@ import numpy as np
 
 from .beliefs import _check_pair, filter_update
 from .costs import CostModel, cell_decisions, greedy_decision
+from .quantizers import CandidateSet
 
 __all__ = [
     "PolicyNode",
@@ -235,10 +236,11 @@ def solve_finite_horizon(
     """Optimal expected average distortion over the horizon, with its policy.
 
     candidates is the ordered quantizer set searched at every belief
-    node. The search prunes candidates by the stage-cost floor and, at
-    t = horizon - 2, by the last-stage product (module docstring). The
-    returned tree holds the beliefs the chosen policy reaches, with the
-    chosen quantizer, node value, stage cost and symbol branches (with
+    node, a CandidateSet or any sequence of quantizers. The search
+    prunes candidates by the stage-cost floor and, at t = horizon - 2,
+    by the last-stage product (module docstring). The returned tree
+    holds the beliefs the chosen policy reaches, with the chosen
+    quantizer, node value, stage cost and symbol branches (with
     probabilities) at each; values satisfy the recursion in the module
     docstring to floating-point accuracy. nodes_evaluated counts every
     belief node the search expanded, and expansions_by_stage splits it
@@ -246,16 +248,13 @@ def solve_finite_horizon(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
+    candidates = CandidateSet.of(candidates)
     _check_pair(initial_belief, model)
 
     if horizon > 1:
         # every later stage pays at least the floor on the mass that no
         # eps_prune drop removed; a node drops at most levels * eps_prune
-        levels = max(q.levels for q in candidates)
-        surviving = max(0.0, 1.0 - horizon * levels * eps_prune)
+        surviving = max(0.0, 1.0 - horizon * candidates.levels * eps_prune)
         stage_floor = model.stage_floor(initial_belief, candidates, cost) * surviving / horizon
     searched: list[PolicyNode] = []
     memo: dict = {}
@@ -409,9 +408,6 @@ def solve_finite_horizon(
 
 def greedy_policy_step(belief, candidates, cost: CostModel):
     """Quantizer minimizing the immediate stage cost (first on ties)."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
     return candidates[greedy_decision(belief, candidates, cost).k]
 
 
@@ -437,7 +433,7 @@ def exact_policy_value(
         if t == horizon:
             return 0.0
         quantizer = select(t, belief)
-        stages, masses, _ = cell_decisions(belief, [quantizer], cost)
+        stages, masses, _ = cell_decisions(belief, CandidateSet((quantizer,)), cost)
         value = float(stages[0]) / horizon
         for m, mass in enumerate(masses[0].tolist(), start=1):
             if mass <= eps_prune:

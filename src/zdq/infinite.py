@@ -25,10 +25,11 @@ paths only a few beliefs exist at each step. The rollout therefore
 steps all paths in lockstep over arrays: source states, ids into a
 table of interned beliefs, and the policy's state (tree node ids).
 Policies plan for all paths at once, with their Python work done once
-per distinct belief or per step, and each distinct (belief, quantizer,
-symbol) is filtered and reconstructed once while it stays in the
-table. The table is compacted to the live beliefs whenever it holds
-_MEMO_CAP of them. Path p keeps the seed streams of
+per distinct belief or per step; their CandidateSet classifies every
+path in one call, and each distinct (belief, quantizer, symbol) is
+filtered and reconstructed once while it stays in the table. The
+table is compacted to the live beliefs whenever it holds _MEMO_CAP of
+them. Path p keeps the seed streams of
 SeedSequence(seed).spawn(n_paths)[p].spawn(2), drawn in blocks of
 steps. The tests check the rollout against a per-path, per-step
 reference loop and the logged path against a decoder that rebuilds it
@@ -52,7 +53,7 @@ import numpy as np
 from .beliefs import EPS_MASS, GridBelief, SimplexBelief, _check_pair, default_grid, filter_update
 from .costs import CostModel, cell_decisions, greedy_decision
 from .dp import DEFAULT_EPS_PRUNE, PolicyTree
-from .quantizers import stacked_classifier
+from .quantizers import CandidateSet
 from .sources import FiniteChain, _PathStreams
 
 __all__ = [
@@ -160,7 +161,8 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
 # the per-path policy state (an array, or None). plan(state, t, ids,
 # beliefs, r) gets every path's belief id (beliefs[id] is the belief) and,
 # for policies with shared_randomness, every path's shared variate r; it
-# returns a Plan whose quantizer_ids index the policy's quantizers list.
+# returns a Plan whose quantizer_ids index the policy's quantizers, a
+# CandidateSet.
 # advance(state, t, symbols) moves the state along every path's symbol.
 
 
@@ -197,7 +199,7 @@ class FixedQuantizerPolicy(_Policy):
 
     def __init__(self, quantizer):
         self.quantizer = quantizer
-        self.quantizers = [quantizer]
+        self.quantizers = CandidateSet((quantizer,))
 
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         return Plan(np.zeros(len(ids), dtype=np.intp))
@@ -208,19 +210,12 @@ class GreedyPolicy(_Policy):
 
     Each distinct belief of a step is decided once by greedy_decision,
     and its stage cost and reconstructions go to the rollout with the
-    plan. The policy holds its candidates' cut weights on the grid of
-    the beliefs it last saw, so a grid belief's decision is one product
-    with them unless greedy_decision sends it to the exact route.
-    begin() zeroes the counts of decisions by route.
+    plan. begin() zeroes the counts of decisions by route.
     """
 
     def __init__(self, candidates, cost: CostModel):
-        self.candidates = list(candidates)
-        if not self.candidates:
-            raise ValueError("candidate set must be nonempty")
+        self.candidates = self.quantizers = CandidateSet.of(candidates)
         self.cost = cost
-        self.quantizers = self.candidates
-        self._weights = None
 
     def begin(self, n_paths: int):
         self.product_decisions = self.exact_decisions = 0
@@ -229,11 +224,7 @@ class GreedyPolicy(_Policy):
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            belief = beliefs[b]
-            self._weights = belief.cut_weights(self.candidates, self._weights)
-            k, stage, recon, exact = greedy_decision(
-                belief, self.candidates, self.cost, self._weights
-            )
+            k, stage, recon, exact = greedy_decision(beliefs[b], self.candidates, self.cost)
             picks[b] = k
             decisions.append((b, k, stage, recon))
             self.exact_decisions += exact
@@ -244,28 +235,28 @@ class GreedyPolicy(_Policy):
 def _tree_tables(trees):
     """The quantizers of solved trees and, per tree, node arrays.
 
-    Returns (quantizers, tables): quantizers[i] is the quantizer behind
-    quantizer id i (None for ids no node uses), and each table is
-    (qid, child) with qid[node] the node's quantizer id (-1 at leaves)
-    and child[node, m - 1] the child after symbol m (-1 where pruned).
+    Returns (quantizers, tables): the CandidateSet quantizers holds the
+    quantizer of every id (the first used one at the ids no node uses),
+    and each table is (qid, child) with qid[node] the node's quantizer
+    id (-1 at leaves) and child[node, m - 1] the child after symbol m
+    (-1 where pruned).
     """
-    by_id, tables = {}, []
+    by_id = {}
+    for node in (n for tree in trees for n in tree.nodes if n.quantizer is not None):
+        if by_id.setdefault(node.quantizer_id, node.quantizer) != node.quantizer:
+            raise ValueError(f"policies disagree on quantizer id {node.quantizer_id}")
+    used = by_id[min(by_id)]
+    quantizers = CandidateSet(by_id.get(i, used) for i in range(max(by_id) + 1))
+    tables = []
     for tree in trees:
-        levels = max(n.quantizer.levels for n in tree.nodes if n.quantizer is not None)
         qid = np.full(len(tree.nodes), -1, dtype=np.intp)
-        child = np.full((len(tree.nodes), levels), -1, dtype=np.intp)
+        child = np.full((len(tree.nodes), quantizers.levels), -1, dtype=np.intp)
         for i, node in enumerate(tree.nodes):
-            if node.quantizer is None:
-                continue
-            if by_id.setdefault(node.quantizer_id, node.quantizer) != node.quantizer:
-                raise ValueError(
-                    f"policies disagree on quantizer id {node.quantizer_id}"
-                )
-            qid[i] = node.quantizer_id
-            for m, (_, c) in node.children.items():
-                child[i, m - 1] = c
+            if node.quantizer is not None:
+                qid[i] = node.quantizer_id
+                for m, (_, c) in node.children.items():
+                    child[i, m - 1] = c
         tables.append((qid, child))
-    quantizers = [by_id.get(i) for i in range(max(by_id) + 1)]
     return quantizers, tables
 
 
@@ -368,7 +359,7 @@ class RandomizedStationaryPolicy(_Policy):
     def __init__(self, binning, table, candidates):
         self.binning = binning
         self.table = np.asarray(table, dtype=float)
-        self.candidates = list(candidates)
+        self.candidates = self.quantizers = CandidateSet.of(candidates)
         if self.table.ndim != 2 or self.table.shape[0] != binning.n_total:
             raise ValueError(
                 f"table must have {binning.n_total} rows, got {self.table.shape}"
@@ -382,7 +373,6 @@ class RandomizedStationaryPolicy(_Policy):
         if np.max(np.abs(self.table.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("table rows must sum to 1 within 1e-12")
         self._cum = np.cumsum(self.table, axis=1)
-        self.quantizers = self.candidates
 
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         bins = np.zeros(len(beliefs), dtype=np.intp)
@@ -488,10 +478,8 @@ class _BeliefTable:
     """
 
     def __init__(self, model, cost: CostModel, quantizers):
-        self.model = model
-        self.cost = cost
-        self.quantizers = quantizers
-        self.width = 1 + max(q.levels for q in quantizers if q is not None)
+        self.model, self.cost, self.quantizers = model, cost, quantizers
+        self.width = 1 + quantizers.levels
         self.beliefs, self.ids = [], {}
         self._alloc(16)
         self.filter_calls = self.clears = self.peak = 0
@@ -546,7 +534,7 @@ class _BeliefTable:
         b, q = divmod(bq, len(self.quantizers))
         belief, quantizer = self.beliefs[b], self.quantizers[q]
         if np.isnan(self.stage[b, q]):
-            stages, _, recon = cell_decisions(belief, [quantizer], self.cost)
+            stages, _, recon = cell_decisions(belief, CandidateSet((quantizer,)), self.cost)
             self.decide(b, q, stages[0], recon[0])
         if np.isnan(self.recon[b, q, m]):
             raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
@@ -601,7 +589,6 @@ class _Lockstep:
     def __init__(self, policy, model, cost: CostModel, initial_belief, n_paths: int, log):
         self.policy, self.model, self.cost, self.log = policy, model, cost, log
         self.table = _BeliefTable(model, cost, policy.quantizers)
-        self.classify = stacked_classifier(policy.quantizers)
         self.ids = np.full(n_paths, self.table.intern(initial_belief))
         self.state = policy.begin(n_paths)
         self.total = np.zeros(n_paths)
@@ -626,7 +613,7 @@ class _Lockstep:
                 self.ids = np.full(len(self.ids), table.intern(plan.reset_belief))
             for decision in plan.decisions:
                 table.decide(*decision)
-            symbols = self.classify(plan.quantizer_ids, xs[:, j])
+            symbols = table.quantizers.classify(plan.quantizer_ids, xs[:, j])
             keys[:, j] = table.keys(self.ids, plan.quantizer_ids, symbols)
             self.ids = table.successors(keys[:, j])
             self.state = policy.advance(self.state, t, symbols)
@@ -840,16 +827,15 @@ def discounted_value_iteration(
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {beta}")
     beliefs = list(belief_grid)
-    candidates = list(candidates)
-    if not beliefs or not candidates:
-        raise ValueError("belief grid and candidate set must be nonempty")
+    candidates = CandidateSet.of(candidates)
+    if not beliefs:
+        raise ValueError("belief grid must be nonempty")
     G, K = len(beliefs), len(candidates)
     prob_matrix = np.stack([b.probabilities for b in beliefs])
 
-    levels = max(q.levels for q in candidates)
     stage = np.zeros((G, K))
-    masses = np.zeros((G, K, levels))
-    succ = np.zeros((G, K, levels), dtype=int)
+    masses = np.zeros((G, K, candidates.levels))
+    succ = np.zeros((G, K, candidates.levels), dtype=int)
     for i, belief in enumerate(beliefs):
         stage[i], belief_masses, _ = cell_decisions(belief, candidates, cost)
         belief_masses = belief_masses.tolist()
@@ -1076,6 +1062,7 @@ def invariance_residual(
     a normal density at the bin center on the binning's grid, which
     makes the check a diagnostic rather than an exact statement there.
     """
+    candidates = CandidateSet.of(candidates)
     binning = histogram.binning
     counts = histogram.counts
     steps = histogram.steps
@@ -1084,7 +1071,7 @@ def invariance_residual(
     for b in np.flatnonzero(counts.sum(axis=1)):
         rep = binning.representative(b, histogram, model)
         used = np.flatnonzero(counts[b])
-        masses = rep.cell_moments([candidates[k] for k in used])[0][0].tolist()
+        masses = rep.cell_moments(CandidateSet(candidates[k] for k in used))[0][0].tolist()
         for k, row in zip(used, masses):
             weight = counts[b, k] / steps
             quantizer = candidates[k]

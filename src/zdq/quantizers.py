@@ -6,6 +6,10 @@ exactly on a threshold goes to the lower cell. Finite-alphabet
 quantizers are plain partitions of the state set, with a cached 0/1
 membership matrix (one row per cell).
 
+The enumerations return a CandidateSet, the ordered set a design
+chooses from. It carries its level count, a batch classifier and a hash
+taken once, which the caches in beliefs.py keyed by a set read.
+
 Quantizers know their cells only; the mass and the moments of every
 cell come from the belief's own cell_moments method (through
 costs.cell_decisions), so no function here looks at a belief.
@@ -22,7 +26,7 @@ import numpy as np
 __all__ = [
     "IntervalQuantizer",
     "FinitePartition",
-    "stacked_classifier",
+    "CandidateSet",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
     "quantizer_from_json",
@@ -55,14 +59,11 @@ class IntervalQuantizer:
         return idx.astype(int)
 
     @staticmethod
-    def _stacked(quantizers):
-        # searchsorted(side="left") counts the thresholds below x; +inf
-        # pads the shorter rows and the unused ids
-        levels = max(q.levels for q in quantizers if q is not None)
-        cuts = np.full((len(quantizers), levels - 1), math.inf)
-        for k, q in enumerate(quantizers):
-            if q is not None:
-                cuts[k, : q.levels - 1] = q.thresholds
+    def _stacked(candidates):
+        # the thresholds below x, as searchsorted(side="left") counts; +inf pads
+        cuts = np.full((len(candidates), candidates.levels - 1), math.inf)
+        for k, q in enumerate(candidates):
+            cuts[k, : q.levels - 1] = q.thresholds
         return lambda ids, x: 1 + (cuts[ids] < x[:, None]).sum(axis=1)
 
     def cell_interval(self, m: int):
@@ -112,12 +113,8 @@ class FinitePartition:
         return self.assignment[int(state)]
 
     @staticmethod
-    def _stacked(quantizers):
-        n_states = next(q.n_states for q in quantizers if q is not None)
-        cells = np.ones((len(quantizers), n_states), dtype=np.intp)
-        for k, q in enumerate(quantizers):
-            if q is not None:
-                cells[k] = q.assignment
+    def _stacked(candidates):
+        cells = np.array([q.assignment for q in candidates], dtype=np.intp)
         return lambda ids, states: cells[ids, states]
 
     @functools.cached_property
@@ -150,16 +147,34 @@ def _cell_slot(quantizer, m: int) -> int:
     return m - 1
 
 
-def stacked_classifier(quantizers):
-    """classify(ids, x): the cell of every x[i] under quantizers[ids[i]].
-
-    One array operation classifies a whole batch whatever mix of
-    quantizers it uses, with the result of each quantizer's own
-    classify. The quantizers share one family; None entries stand for
-    ids that are never asked for.
+class CandidateSet(tuple):
+    """The ordered, nonempty candidate quantizers of one family: a tuple
+    that carries levels, the largest level count, and a batch classify.
+    Its order is the tie rule (the first candidate among equal costs
+    wins); its hash, the tuple's, is taken once, when the set is built.
     """
-    family = next(type(q) for q in quantizers if q is not None)
-    return family._stacked(quantizers)
+
+    def __new__(cls, quantizers):
+        self = super().__new__(cls, quantizers)
+        if not self:
+            raise ValueError("candidate set must be nonempty")
+        self.levels = max(q.levels for q in self)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @classmethod
+    def of(cls, candidates) -> "CandidateSet":
+        """candidates as a set: a set itself, any other sequence converted."""
+        return candidates if isinstance(candidates, cls) else cls(candidates)
+
+    @functools.cached_property
+    def classify(self):
+        """classify(ids, x): the cell of every x[i] under self[ids[i]], in
+        one array operation, as each candidate's own classify gives it."""
+        return type(self[0])._stacked(self)
 
 
 def enumerate_interval_candidates(levels: int, lo: float, hi: float, steps: int):
@@ -176,14 +191,14 @@ def enumerate_interval_candidates(levels: int, lo: float, hi: float, steps: int)
             f"steps = {steps} cannot support {levels - 1} distinct thresholds"
         )
     if levels == 1:
-        return [IntervalQuantizer(())]
+        return CandidateSet((IntervalQuantizer(()),))
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     points = np.linspace(lo, hi, steps)
-    return [
+    return CandidateSet(
         IntervalQuantizer(combo)
         for combo in itertools.combinations(points.tolist(), levels - 1)
-    ]
+    )
 
 
 def canonical_assignment(assignment) -> tuple:
@@ -213,7 +228,7 @@ def enumerate_finite_partitions(n_states: int, levels: int):
         canon = canonical_assignment(combo)
         if canon not in seen:
             seen[canon] = FinitePartition(canon, levels)
-    return list(seen.values())
+    return CandidateSet(seen.values())
 
 
 def quantizer_from_json(data: dict):

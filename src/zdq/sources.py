@@ -41,7 +41,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .beliefs import (
     EPS_MASS,
@@ -197,8 +196,8 @@ class LinearGaussianSource:
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
         """Least quadratic stage cost over every normalized kernel column
         on the belief's grid, read off the cached W K (_kernel_cut_moments)
-        by _least_stage_costs (a grid belief has no tabular cost)."""
-        candidates = tuple(candidates)
+        by _least_stage_costs (a grid belief has no tabular cost);
+        candidates is a CandidateSet."""
         weights = _cut_weights(belief.grid, candidates)
         product = _kernel_cut_moments(self, belief.grid, candidates)
         return float(_least_stage_costs(weights, product).min())
@@ -208,9 +207,10 @@ class LinearGaussianSource:
         without building the children; None when nothing is kept.
 
         kept (K, L) marks the children filter_update(belief, self,
-        candidates[k], m + 1) to cost. Their restrictions are the belief
-        times the differences of the order-0 window weights up to their
-        cells' two cuts (CutWeights.matrix), restrict's up to rounding.
+        candidates[k], m + 1) to cost, of the CandidateSet candidates.
+        Their restrictions are the belief times the differences of the
+        order-0 window weights up to their cells' two cuts
+        (CutWeights.matrix), restrict's up to rounding.
         The cached W K (_kernel_cut_moments) times them gives every
         child's raw moments about 0 up to every cut, in blocks of
         _CHILD_COLUMNS children so that each product stays on one BLAS
@@ -224,7 +224,6 @@ class LinearGaussianSource:
         """
         if cost.kind != "quadratic" or not kept.any():
             return None
-        candidates = tuple(candidates)
         grid = belief.grid
         weights = _cut_weights(grid, candidates)
         product = _kernel_cut_moments(self, grid, candidates)
@@ -239,7 +238,7 @@ class LinearGaussianSource:
         scale = float((cumulative[-1] / cumulative[len(weights.points) - 1]).max())
         x = max(abs(grid.lo), abs(grid.hi))
         e = 2.0 * grid.n_points * 2.0**-53
-        error = max(q.levels for q in candidates) * (9.0 * e + EPS_MASS) * x * x
+        error = candidates.levels * (9.0 * e + EPS_MASS) * x * x
         return least, scale, error
 
 
@@ -248,9 +247,7 @@ def _least_stage_costs(weights, cumulative) -> np.ndarray:
     weights (CutWeights) of every column of cumulative, (3 P, C) raw
     moments of orders 0..2 up to every point, once normalized by its
     order-0 entry at +inf. Columns go in blocks of about _MOMENT_BLOCK
-    cut entries; the result does not depend on the blocks while
-    quantizers have at most 7 cells (numpy sums 8 or more cells of a
-    one-column block pairwise)."""
+    cut entries; the result does not depend on the blocks."""
     p = len(weights.points)
     n_blocks = -(-cumulative.shape[1] * weights.slots.size // _MOMENT_BLOCK)
     return np.concatenate([
@@ -449,22 +446,20 @@ def transition_density(model: LinearGaussianSource, z: float, x: float) -> float
 def density_bounds(model: LinearGaussianSource) -> DensityBounds:
     """Uniform sup and slope bounds for the transition density family.
 
-    The sup is attained at the mean. The slope bound is the maximum of
-    |d/dz density| over z, found numerically to ~1e-10; by shift
-    invariance the conditioning state drops out.
+    By shift invariance the conditioning state drops out, so both are
+    bounds of the N(0, s^2) density f(z) = exp(-z^2 / (2 s^2)) / (s
+    sqrt(2 pi)), s = noise_std. The sup is f(0) = 1 / (s sqrt(2 pi)).
+    The slope is f'(z) = -(z / s^2) f(z), and
+      d/dz |f'(z)| = (1 - z^2 / s^2) f(z) / s^2   (z > 0)
+    vanishes only at z = s, one std from the mean, so the largest |f'|
+    is |f'(s)| = exp(-1/2) / (s^2 sqrt(2 pi)) = 1 / (s^2 sqrt(2 pi e)).
     """
     model.require_noise()
     s = model.noise_std
-    sup_density = 1.0 / (s * _SQRT_2PI)
-
-    def neg_slope(z: float) -> float:
-        return -(abs(z) / (s * s)) * math.exp(-0.5 * (z / s) * (z / s)) / (s * _SQRT_2PI)
-
-    res = minimize_scalar(
-        neg_slope, bounds=(0.0, 8.0 * s), method="bounded",
-        options={"xatol": 1e-12},
+    return DensityBounds(
+        sup_density=1.0 / (s * _SQRT_2PI),
+        slope_bound=1.0 / (s * s * math.sqrt(2.0 * math.pi * math.e)),
     )
-    return DensityBounds(sup_density=sup_density, slope_bound=-res.fun)
 
 
 # SeedSequence's hash constants and PCG64's multiplier, as numpy defines

@@ -37,6 +37,7 @@ from zdq.costs import CostModel, cell_decisions
 from zdq.dp import bellman_residuals, exact_policy_value, solve_finite_horizon
 from zdq.infinite import FixedQuantizerPolicy, rollout
 from zdq.quantizers import (
+    CandidateSet,
     FinitePartition,
     IntervalQuantizer,
     enumerate_finite_partitions,
@@ -320,7 +321,7 @@ def test_grid_floor_bounds_every_posterior(a, noise, n_points, mean, std, cuts):
     src = LinearGaussianSource(a, noise)
     grid = default_grid(src, n_points=n_points)
     belief = GridBelief.normal(grid, mean * src.stationary_std, std * src.stationary_std)
-    cands = [IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))]
+    cands = CandidateSet([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
     floor = src.stage_floor(belief, cands, QUAD)
     allowance = _dead_cell_allowance(len(cuts) + 1, grid.hi - grid.lo)
     for q in cands:
@@ -344,7 +345,7 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
     # reference: every normalized kernel column as its own GridBelief
     src = LinearGaussianSource(a, noise)
     grid = default_grid(src, n_points=n_points)
-    cands = [IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))]
+    cands = CandidateSet([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
     kernel = _transition_kernel(src, grid)
     ref = np.array([
         cell_decisions(GridBelief.from_unnormalized(grid, kernel[:, i]), cands, QUAD)[0]
@@ -352,12 +353,10 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
     ]).T
     # one candidate at a time gives each candidate's stage at every column
     got = np.array([
-        sources._least_stage_costs(_cut_weights(grid, (q,)), _kernel_cut_moments(src, grid, (q,)))
-        for q in cands
+        sources._least_stage_costs(_cut_weights(grid, one), _kernel_cut_moments(src, grid, one))
+        for one in (CandidateSet((q,)) for q in cands)
     ])
-    least = sources._least_stage_costs(
-        _cut_weights(grid, tuple(cands)), _kernel_cut_moments(src, grid, tuple(cands))
-    )
+    least = sources._least_stage_costs(_cut_weights(grid, cands), _kernel_cut_moments(src, grid, cands))
     # raw moments about 0 lose digits in proportion to the squared range
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, grid.hi**2)
     assert np.max(np.abs(least - ref.min(axis=0))) <= 1e-12 * max(1.0, grid.hi**2)
@@ -368,15 +367,15 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
 @given(
     st.floats(-0.95, 0.95),
     st.integers(3, 11),
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3, unique=True),
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=11, unique=True),
 )
 def test_least_stage_costs_do_not_depend_on_the_column_blocks(a, sevens, cuts):
     # kernel columns (the floor) and a belief's children (the last stage),
-    # in one block, in blocks of 1 and in blocks of 7 columns; with fewer
-    # than 8 cells a quantizer's cells are summed in order in every block
+    # in one block, in blocks of 1 and in blocks of 7 columns; a
+    # quantizer's cells, up to 12 of them, are summed in order in every block
     src = LinearGaussianSource(a, 1.0)
     grid = default_grid(src, n_points=7 * sevens)
-    cands = tuple([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
+    cands = CandidateSet([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
     weights = _cut_weights(grid, cands)
     belief = GridBelief.normal(grid, 0.3 * src.stationary_std, src.stationary_std)
     kept = belief.cell_moments(cands)[0][0] > EPS_MASS

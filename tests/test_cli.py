@@ -2,6 +2,8 @@ import json
 import logging
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -569,6 +571,15 @@ def test_log_level_reports_counters_and_leaves_results(tmp_path, capsys):
         # each run puts the zdq logger's handlers and level back
         assert (log.handlers, log.level) == (handlers, level_before)
     assert len(results) == 1
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test dependency only; a fresh interpreter that imports
+    # the CLI, and so every module it uses, must not import it
+    src = os.path.dirname(os.path.dirname(zdq.infinite.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, zdq.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_bad_log_level_exits_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ candidate set's distinct cut points (CutWeights.segments), and
 GridBelief.cut_moments and the sources' products the weights up to
 every cut, all from the CutWeights of _cut_weights, kept per (grid,
 candidate set); every route reads its cells through CutWeights.cells.
+The cache finds a set by the hash the CandidateSet took when built, so
+equal sets share an entry.
 LinearGaussianSource.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support. Both routes
 must return the bytes of the uncached computation: the frozen
@@ -35,7 +37,8 @@ from zdq.beliefs import (
     node_moment_weights,
     window_weights,
 )
-from zdq.quantizers import IntervalQuantizer, enumerate_interval_candidates
+from zdq.costs import CostModel
+from zdq.quantizers import CandidateSet, IntervalQuantizer, enumerate_interval_candidates
 from zdq.sources import LinearGaussianSource
 
 SOURCE = LinearGaussianSource(0.5, 1.0)
@@ -76,7 +79,7 @@ def densities_and_candidate_sets(draw):
     )
     pairs = draw(st.lists(shared, max_size=2))
     cands += [cands[k] for k in repeats]
-    return belief, cands + [IntervalQuantizer((t,)) for pair in pairs for t in pair]
+    return belief, CandidateSet(cands + [IntervalQuantizer((t,)) for pair in pairs for t in pair])
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,7 +100,7 @@ def test_cached_routes_return_the_uncached_bytes(case):
 
 
 def test_cached_arrays_are_read_only():
-    cands = tuple(enumerate_interval_candidates(2, -2.0, 2.0, 5))
+    cands = enumerate_interval_candidates(2, -2.0, 2.0, 5)
     _, w = _cell_weights(GRIDS[0], -1.0, 0.5)
     weights = _cut_weights(GRIDS[0], cands)
     j, powers = weights.segments
@@ -108,7 +111,7 @@ def test_cached_arrays_are_read_only():
 
 def test_same_thresholds_on_two_grids_get_their_own_tables():
     cands = enumerate_interval_candidates(3, -2.0, 2.0, 7)
-    (j_small, _), (j_large, _) = (_cut_weights(grid, tuple(cands)).segments for grid in GRIDS)
+    (j_small, _), (j_large, _) = (_cut_weights(grid, cands).segments for grid in GRIDS)
     assert not np.array_equal(j_small, j_large)
     (_, w_small), (_, w_large) = (_cell_weights(grid, -1.0, 0.5) for grid in GRIDS)
     assert w_small.tobytes() != w_large.tobytes()
@@ -116,11 +119,6 @@ def test_same_thresholds_on_two_grids_get_their_own_tables():
         belief = GridBelief.normal(grid, 0.3, 1.2)
         expected, _ = reference_moments.cell_moments(belief, cands)
         assert belief.cell_moments(cands)[0].tobytes() == expected.tobytes()
-    # weights held for one grid are not handed to a belief on the other
-    small, large = (_cut_weights(grid, tuple(cands)) for grid in GRIDS)
-    belief = GridBelief.normal(GRIDS[1], 0.3, 1.2)
-    assert belief.cut_weights(cands, small) is large
-    assert belief.cut_weights(cands, large) is large
 
 
 @pytest.mark.parametrize("cache", [_cut_weights, _cell_weights], ids=["cut_weights", "cell_weights"])
@@ -130,10 +128,41 @@ def test_caches_stay_at_their_bound(cache):
     for i in range(bound + 10):
         t = 1e-3 * i
         if cache is not _cell_weights:
-            cache(grid, (IntervalQuantizer((t,)),))
+            cache(grid, CandidateSet((IntervalQuantizer((t,)),)))
         else:
             cache(grid, t, 1.0)
     assert cache.cache_info().currsize == bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-8, 8), max_size=2, unique=True), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_equal_candidate_sets_share_one_cache_entry(cuts, random):
+    def build():
+        return CandidateSet(IntervalQuantizer(tuple(sorted(0.25 * c for c in q))) for q in cuts)
+
+    first, second = build(), build()
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert _cut_weights(GRIDS[0], first) is _cut_weights(GRIDS[0], second)
+    reordered = list(first)
+    random.shuffle(reordered)
+    assert (CandidateSet(reordered) == first) == (reordered == list(first))
+    with pytest.raises(ValueError, match="candidate set must be nonempty"):
+        CandidateSet([])
+
+
+def test_cache_lookups_hash_no_quantizer(monkeypatch):
+    cands = enumerate_interval_candidates(3, -2.0, 2.0, 11)
+    belief = GridBelief.normal(GRIDS[0], 0.3, 1.2)
+    belief.cell_moments(cands)
+    hashed = []
+    monkeypatch.setattr(IntervalQuantizer, "__hash__", lambda q: hashed.append(q) or 0)
+    belief.cell_moments(cands)
+    belief.cut_moments(cands)
+    SOURCE.stage_floor(belief, cands, CostModel.quadratic())
+    assert hashed == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -221,9 +221,9 @@ def test_greedy_plan_decides_each_distinct_belief_once(monkeypatch, ar_source, n
     ids = _path_ids(n_paths)
     calls = []
 
-    def counted(belief, quantizers, cost, weights=None, decide=zdq.infinite.greedy_decision):
+    def counted(belief, quantizers, cost, decide=zdq.infinite.greedy_decision):
         calls.append(belief)
-        return decide(belief, quantizers, cost, weights)
+        return decide(belief, quantizers, cost)
 
     monkeypatch.setattr(zdq.infinite, "greedy_decision", counted)
     plan = GreedyPolicy(cands, QUAD).plan(None, 0, ids, beliefs, None)

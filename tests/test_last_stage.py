@@ -25,7 +25,7 @@ from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
 from zdq.cli import main
 from zdq.costs import CostModel, cell_decisions
 from zdq.dp import PRUNE_MARGIN, solve_finite_horizon
-from zdq.quantizers import FinitePartition, IntervalQuantizer, enumerate_finite_partitions
+from zdq.quantizers import CandidateSet, FinitePartition, IntervalQuantizer, enumerate_finite_partitions
 from zdq.sources import LinearGaussianSource
 
 QUAD = CostModel.quadratic()
@@ -65,7 +65,7 @@ def chain_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 4))
     chain = random_chain(rng, n)
-    cands = enumerate_finite_partitions(n, draw(st.integers(2, min(n, 3))))
+    cands = list(enumerate_finite_partitions(n, draw(st.integers(2, min(n, 3)))))
     cands += draw(st.lists(st.sampled_from(cands), max_size=2))
     cost = CostModel.bounded_tabular(rng.random((n, 3))) if draw(st.booleans()) else QUAD
     init = SimplexBelief(chain.initial.copy(), states=chain.state_values)
@@ -95,6 +95,7 @@ def _half_slack(scale, error):
 @given(grid_instances())
 def test_grid_product_is_within_half_the_slack(instance):
     belief, src, cands, cost, _ = instance
+    cands = CandidateSet(cands)
     kept = cell_decisions(belief, cands, cost)[1] > 1e-9
     least, scale, error = src.last_stage_costs(belief, cands, cost, kept)
     exact = _exact_least(belief, src, cands, cost, kept)
@@ -106,14 +107,14 @@ def _wide_grid():
     # 400 stationary stds: X^2 = 1.6e5 against M2 near 1
     src = LinearGaussianSource(0.0, 1.0)
     belief = GridBelief.normal(default_grid(src, span_stds=400.0), 0.3, 1.5)
-    return belief, src, [IntervalQuantizer((c,)) for c in (-1.0, -0.5, 0.0, 0.4, 1.0)]
+    return belief, src, CandidateSet(IntervalQuantizer((c,)) for c in (-1.0, -0.5, 0.0, 0.4, 1.0))
 
 
 def _near_unit_root():
     src = LinearGaussianSource(0.9999, 1.0)
     std = src.stationary_std
     belief = GridBelief.normal(default_grid(src), 0.3 * std, 0.8 * std)
-    return belief, src, [IntervalQuantizer((c * std,)) for c in (-1.0, -0.5, 0.0, 0.4, 1.0)]
+    return belief, src, CandidateSet(IntervalQuantizer((c * std,)) for c in (-1.0, -0.5, 0.0, 0.4, 1.0))
 
 
 @pytest.mark.parametrize("instance", [_wide_grid, _near_unit_root], ids=["span-400", "a-0.9999"])
@@ -163,7 +164,7 @@ def test_chain_has_no_product():
 def test_product_declines_when_nothing_is_kept():
     src = LinearGaussianSource(0.5, 1.0)
     belief = src.invariant_distribution()
-    cands = [IntervalQuantizer((0.0,))]
+    cands = CandidateSet((IntervalQuantizer((0.0,)),))
     assert src.last_stage_costs(belief, cands, QUAD, np.zeros((1, 2), bool)) is None
 
 

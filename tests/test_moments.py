@@ -26,6 +26,7 @@ from zdq.costs import CostModel, cell_decisions
 from zdq.dp import greedy_policy_step, solve_finite_horizon
 from zdq.infinite import GreedyPolicy
 from zdq.quantizers import (
+    CandidateSet,
     FinitePartition,
     IntervalQuantizer,
     enumerate_finite_partitions,
@@ -135,7 +136,7 @@ def simplex_beliefs_and_partitions(draw):
 @given(simplex_beliefs_and_partitions(), st.integers(1, 3), st.data())
 def test_simplex_cell_moments_match_reference_loop(case, n_columns, data):
     belief, partitions = case
-    (m0, m1, m2), center = belief.cell_moments(partitions)
+    (m0, m1, m2), center = belief.cell_moments(CandidateSet(partitions))
     assert center == 0.0
     for k, q in enumerate(partitions):
         ref = np.array([reference_cell(belief, q, m) for m in range(1, q.levels + 1)])

@@ -6,12 +6,12 @@ import pytest
 from zdq.beliefs import Grid, GridBelief, SimplexBelief
 from zdq.costs import CostModel, cell_decisions
 from zdq.quantizers import (
+    CandidateSet,
     FinitePartition,
     IntervalQuantizer,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
     quantizer_from_json,
-    stacked_classifier,
 )
 
 
@@ -124,18 +124,18 @@ def test_json_roundtrip():
 
 
 def test_stacked_classifier_matches_classify():
-    intervals = [
+    intervals = CandidateSet([
         IntervalQuantizer((-1.0, 0.5)),
-        None,  # an id no one asks for
+        IntervalQuantizer((2.0,)),  # an id no one asks for
         IntervalQuantizer(()),
         IntervalQuantizer((0.0,)),
-    ]
+    ])
     x = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 0.75, 3.0] * 3)
     ids = np.array([0, 2, 3] * 7)
-    got = stacked_classifier(intervals)(ids, x)
+    got = intervals.classify(ids, x)
     assert got.tolist() == [intervals[k].classify(v) for k, v in zip(ids, x)]
     partitions = enumerate_finite_partitions(3, 3)
     states = np.array([0, 1, 2] * len(partitions))
     ids = np.repeat(np.arange(len(partitions)), 3)
-    got = stacked_classifier(partitions)(ids, states)
+    got = partitions.classify(ids, states)
     assert got.tolist() == [partitions[k].classify(s) for k, s in zip(ids, states)]
