@@ -52,7 +52,6 @@ from .dp import (
 from .infinite import (
     PiecingSchedule,
     piecing_schedule,
-    build_pieced_policy,
     FixedQuantizerPolicy,
     GreedyPolicy,
     TreeReplayPolicy,
@@ -114,7 +113,6 @@ __all__ = [
     "bellman_residuals",
     "PiecingSchedule",
     "piecing_schedule",
-    "build_pieced_policy",
     "FixedQuantizerPolicy",
     "GreedyPolicy",
     "TreeReplayPolicy",

@@ -62,6 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quantizers import CandidateSet
+
 __all__ = [
     "Grid",
     "GridBelief",
@@ -311,17 +313,14 @@ class GridBelief:
         var = float(self.grid.moment_weights[2] @ self.values) - mean * mean
         return math.sqrt(max(var, 0.0))
 
-    def to_json(self, include_values: bool = False) -> dict:
+    def to_json(self) -> dict:
         """Description of the belief in policy_tree.json."""
-        out = {
+        return {
             "type": "grid",
             "mean": self.mean,
             "std": self.std,
             "n_points": self.grid.n_points,
         }
-        if include_values:
-            out["values"] = self.values.tolist()
-        return out
 
     def log_row(self) -> list:
         """The belief's columns in a trajectory log: mean and std."""
@@ -330,10 +329,10 @@ class GridBelief:
     def cell_moments(self, candidates):
         """Exact moments of orders 0..2 of the PL density over every cell.
 
-        candidates is a CandidateSet of interval quantizers, possibly
-        with mixed level counts. Quantizer k cuts at (-inf, its
-        thresholds, +inf), padded with +inf up to the largest level count
-        L, so padded cells are empty. Cut points are clipped to the grid,
+        candidates is a sequence of interval quantizers, possibly with
+        mixed level counts, taken as a CandidateSet. Quantizer k cuts at
+        (-inf, its thresholds, +inf), padded with +inf up to the largest
+        level count L, so padded cells are empty. Cut points are clipped to the grid,
         so the infinities close the outer cells.
 
         On the segment starting at node j, the moments over the local
@@ -351,6 +350,7 @@ class GridBelief:
         which keeps m2 - m1^2 / m0 free of cancellation for beliefs far
         from 0.
         """
+        candidates = CandidateSet.of(candidates)
         grid = self.grid
         x = grid.nodes
         d = grid.spacing
@@ -377,8 +377,9 @@ class GridBelief:
         return weights.cells(cumulative.ravel()), center
 
     def cut_moments(self, candidates):
-        """Moments of orders 0..2 of every cell of a CandidateSet about the
-        belief mean, from one product.
+        """Moments of orders 0..2 of every cell of the candidates (any
+        sequence, taken as a CandidateSet) about the belief mean, from one
+        product.
 
         With y = x - center at the nodes (center = mean), the product of
         the set's CutWeights.local (node_moment_weights G_m up to every
@@ -395,7 +396,7 @@ class GridBelief:
         product's order-1 sums are bounded by.
         """
         grid = self.grid
-        weights = _cut_weights(grid, candidates)
+        weights = _cut_weights(grid, CandidateSet.of(candidates))
         center = self.mean
         y = grid.nodes - center
         columns = np.empty((3, grid.n_points))
@@ -488,8 +489,8 @@ class SimplexBelief:
         var = float(self.probabilities @ (self.states * self.states)) - mean * mean
         return math.sqrt(max(var, 0.0))
 
-    def to_json(self, include_values: bool = False) -> dict:
-        """Description of the belief in policy_tree.json (always in full)."""
+    def to_json(self) -> dict:
+        """Description of the belief in policy_tree.json, in full."""
         return {
             "type": "simplex",
             "probabilities": self.probabilities.tolist(),
@@ -518,9 +519,11 @@ class SimplexBelief:
         the belief to all of its cells at once. The moments are computed
         partition by partition, so a single-candidate read rounds exactly
         like its entry in a batch, then padded with empty cells up to the
-        largest level count L. Returns ((m0, m1, m2), center) with (K, L)
+        largest level count L. candidates is any sequence of partitions,
+        taken as a CandidateSet. Returns ((m0, m1, m2), center) with (K, L)
         arrays of raw moments, so center is 0.
         """
+        candidates = CandidateSet.of(candidates)
         s, s2 = self.states, self.states * self.states
         out = np.zeros((3, len(candidates), candidates.levels))
         for k, q in enumerate(candidates):
@@ -715,21 +718,21 @@ def _check_pair(belief, model) -> None:
         )
 
 
-def filter_update(belief, model, quantizer, symbol: int, eps_mass: float = EPS_MASS):
+def filter_update(belief, model, quantizer, symbol: int):
     """One filter step: condition on the decoded cell, then predict.
 
     model.restrict gives the belief restricted to the cell and
     model.push the renormalized one-step prediction of it. Returns the
     next-step belief. Raises TypeError when belief is not of model's
     family, and ZeroMassSymbolError when the cell mass does not exceed
-    eps_mass; the caller must not condition on a zero-probability symbol.
+    EPS_MASS; the caller must not condition on a zero-probability symbol.
     """
     _check_pair(belief, model)
     r = model.restrict(belief, quantizer, symbol)
     mass = float(r.sum())
-    if mass <= eps_mass:
+    if mass <= EPS_MASS:
         raise ZeroMassSymbolError(
-            f"zero-probability symbol {symbol}: cell mass {mass} <= {eps_mass}"
+            f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"
         )
     return model.push(belief, r, mass)
 

@@ -46,8 +46,8 @@ from .config import (
     validate_config,
 )
 from .dp import (
-    DEFAULT_EPS_PRUNE,
     DEFAULT_NODE_BUDGET,
+    EPS_PRUNE,
     NodeBudgetExceeded,
     bellman_residuals,
     solve_finite_horizon,
@@ -56,9 +56,9 @@ from .infinite import (
     DiscountedVINotConverged,
     FixedQuantizerPolicy,
     GreedyPolicy,
+    PiecedPolicy,
     RandomizedStationaryPolicy,
     TreeReplayPolicy,
-    build_pieced_policy,
     discounted_value_iteration,
     invariance_residual,
     occupation_measure,
@@ -153,7 +153,7 @@ def _build_policy(cfg: dict, model, cost, candidates, initial_belief):
             solve_finite_horizon(initial_belief, model, candidates, cost, T).tree
             for T in schedule.horizons
         ]
-        return build_pieced_policy(trees, schedule)
+        return PiecedPolicy(schedule, trees)
     binning = build_binning(spec["binning"], model, cfg)
     try:
         return RandomizedStationaryPolicy(binning, spec["table"], candidates)
@@ -458,7 +458,7 @@ def _run(args) -> int:
         "config": cfg,
         "config_sha256": _config_hash(cfg),
         "tolerances": {
-            "eps_prune": DEFAULT_EPS_PRUNE,
+            "eps_prune": EPS_PRUNE,
             "eps_mass": EPS_MASS,
         },
         **payload,

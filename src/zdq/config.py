@@ -521,7 +521,7 @@ def build_binning(spec: dict, model, cfg: dict):
         return SimplexBinning(spec.get("n_bins", 50))
     if not isinstance(model, LinearGaussianSource):
         raise ConfigError("binning.type", "grid_features binning needs a gaussian source")
-    return GridFeatureBinning.for_grid(
+    return GridFeatureBinning(
         build_grid(cfg, model),
         n_mean=spec.get("n_mean", 50),
         n_std=spec.get("n_std", 20),

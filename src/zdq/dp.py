@@ -11,7 +11,7 @@ forward-reachable belief tree from the initial belief and computes
         c(belief, Q) / horizon
         + sum over symbols of branch_mass * J_{t+1}(posterior)
 
-with branches of mass <= eps_prune skipped (they contribute 0 and their
+with branches of mass <= EPS_PRUNE skipped (they contribute 0 and their
 mass is reported). Ties pick the first candidate in enumeration order.
 Repeated beliefs are shared by exact byte equality of the belief vector;
 no tolerance-based merging is done.
@@ -35,15 +35,16 @@ stops at the first one with
         > best value so far + PRUNE_MARGIN * max(best value, 1)
 
 because no later candidate can then reach the best value. floor_share is
-floor / horizon times 1 - horizon * levels * eps_prune: a node drops at
-most levels * eps_prune of its mass to eps_prune, so this much survives
-along every path for any eps_prune. PRUNE_MARGIN covers the rest:
-rounding in the floor (about 1e-16 relative), and the EPS_MASS rule,
-which counts a cell of mass <= EPS_MASS as 0 and so may lower a later
-stage cost below the concave bound by at most EPS_MASS times the cell's
-conditional variance (EPS_MASS * diameter^2 / 4 of the support, or the
-largest table entry) per cell; with EPS_MASS = 1e-12 that is covered up
-to levels * diameter^2 / 4 of about 10^6 times max(best value, 1).
+floor / horizon times 1 - horizon * levels * EPS_PRUNE: a node drops at
+most levels * EPS_PRUNE of its mass by the EPS_PRUNE branch rule, so at
+least that share of the mass survives along every path. PRUNE_MARGIN
+covers the rest: rounding in the floor (about 1e-16 relative), and the
+EPS_MASS rule, which counts a cell of mass <= EPS_MASS as 0 and so may
+lower a later stage cost below the concave bound by at most EPS_MASS
+times the cell's conditional variance (EPS_MASS * diameter^2 / 4 of the
+support, or the largest table entry) per cell; with EPS_MASS = 1e-12
+that is covered up to levels * diameter^2 / 4 of about 10^6 times
+max(best value, 1).
 Pruned candidates could not have won, so the value of every node, and
 the chosen quantizer under the tie rule, are those of the exhaustive
 search bit for bit. At t = horizon - 1 the continuation is 0 and the
@@ -54,7 +55,7 @@ their least stage cost over horizon, and that cost is a minimum of
 functions linear in the parent's restricted density (the alpha vectors
 of Smallwood & Sondik). So the source's last_stage_costs gives the
 least stage cost L'(k, m) of every kept child, of mass p(k, m) >
-eps_prune, from one product, without building it, and with the exact
+EPS_PRUNE, from one product, without building it, and with the exact
 stage s(k)
 
     A(k) = s(k) + sum over kept m of p(k, m) L'(k, m)
@@ -131,7 +132,7 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_EPS_PRUNE = 1e-9
+EPS_PRUNE = 1e-9
 PRUNE_MARGIN = 1e-6
 
 
@@ -183,7 +184,7 @@ class PolicyTree:
     def value(self) -> float:
         return self.nodes[self.root].value
 
-    def to_json(self, include_belief_values: bool = False) -> dict:
+    def to_json(self) -> dict:
         out_nodes = []
         for node in self.nodes:
             out_nodes.append(
@@ -200,7 +201,7 @@ class PolicyTree:
                         str(m): {"probability": p, "node": cid}
                         for m, (p, cid) in sorted(node.children.items())
                     },
-                    "belief": node.belief.to_json(include_belief_values),
+                    "belief": node.belief.to_json(),
                 }
             )
         return {
@@ -231,7 +232,6 @@ def solve_finite_horizon(
     cost: CostModel,
     horizon: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    eps_prune: float = DEFAULT_EPS_PRUNE,
 ) -> DPResult:
     """Optimal expected average distortion over the horizon, with its policy.
 
@@ -253,8 +253,8 @@ def solve_finite_horizon(
 
     if horizon > 1:
         # every later stage pays at least the floor on the mass that no
-        # eps_prune drop removed; a node drops at most levels * eps_prune
-        surviving = max(0.0, 1.0 - horizon * candidates.levels * eps_prune)
+        # EPS_PRUNE drop removed; a node drops at most levels * EPS_PRUNE
+        surviving = max(0.0, 1.0 - horizon * candidates.levels * EPS_PRUNE)
         stage_floor = model.stage_floor(initial_belief, candidates, cost) * surviving / horizon
     searched: list[PolicyNode] = []
     memo: dict = {}
@@ -277,7 +277,7 @@ def solve_finite_horizon(
         continuation = 0.0
         children = {}
         for m, mass in enumerate(mass_row[: quantizer.levels], start=1):
-            if mass <= eps_prune:
+            if mass <= EPS_PRUNE:
                 continue
             child_id = search(filter_update(belief, model, quantizer, m), t + 1)
             children[m] = (mass, child_id)
@@ -292,7 +292,7 @@ def solve_finite_horizon(
         if not head:
             return rest
         costed = np.zeros_like(masses, dtype=bool)
-        costed[head] = masses[head] > eps_prune
+        costed[head] = masses[head] > EPS_PRUNE
         product = model.last_stage_costs(belief, candidates, cost, costed)
         if product is None:
             return rest
@@ -323,7 +323,7 @@ def solve_finite_horizon(
             node.children = {
                 m: (mass, None)
                 for m, mass in enumerate(masses[qid][: candidates[qid].levels].tolist(), 1)
-                if mass > eps_prune
+                if mass > EPS_PRUNE
             }
         else:
             future = (horizon - t - 1) * stage_floor
@@ -385,7 +385,6 @@ def solve_finite_horizon(
             cost,
             horizon,
             lambda t, b: greedy_policy_step(b, candidates, cost),
-            eps_prune=eps_prune,
         )
         raise NodeBudgetExceeded(exc.nodes_evaluated, node_budget, bound) from None
 
@@ -417,7 +416,6 @@ def exact_policy_value(
     cost: CostModel,
     horizon: int,
     select,
-    eps_prune: float = DEFAULT_EPS_PRUNE,
 ) -> float:
     """Exact expected average distortion of a given belief-feedback policy.
 
@@ -436,7 +434,7 @@ def exact_policy_value(
         stages, masses, _ = cell_decisions(belief, CandidateSet((quantizer,)), cost)
         value = float(stages[0]) / horizon
         for m, mass in enumerate(masses[0].tolist(), start=1):
-            if mass <= eps_prune:
+            if mass <= EPS_PRUNE:
                 continue
             value += mass * walk(filter_update(belief, model, quantizer, m), t + 1)
         return value

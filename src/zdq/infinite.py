@@ -45,21 +45,20 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import EPS_MASS, GridBelief, SimplexBelief, _check_pair, default_grid, filter_update
+from .beliefs import EPS_MASS, Grid, GridBelief, SimplexBelief, _check_pair, filter_update
 from .costs import CostModel, cell_decisions, greedy_decision
-from .dp import DEFAULT_EPS_PRUNE, PolicyTree
+from .dp import EPS_PRUNE, PolicyTree
 from .quantizers import CandidateSet
 from .sources import FiniteChain, _PathStreams
 
 __all__ = [
     "PiecingSchedule",
     "piecing_schedule",
-    "build_pieced_policy",
     "FixedQuantizerPolicy",
     "GreedyPolicy",
     "TreeReplayPolicy",
@@ -214,7 +213,7 @@ class GreedyPolicy(_Policy):
     """
 
     def __init__(self, candidates, cost: CostModel):
-        self.candidates = self.quantizers = CandidateSet.of(candidates)
+        self.quantizers = CandidateSet.of(candidates)
         self.cost = cost
 
     def begin(self, n_paths: int):
@@ -224,7 +223,7 @@ class GreedyPolicy(_Policy):
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            k, stage, recon, exact = greedy_decision(beliefs[b], self.candidates, self.cost)
+            k, stage, recon, exact = greedy_decision(beliefs[b], self.quantizers, self.cost)
             picks[b] = k
             decisions.append((b, k, stage, recon))
             self.exact_decisions += exact
@@ -274,24 +273,29 @@ def _descend(child, nodes, t: int, symbols):
 class PiecedPolicy(_Policy):
     """Glues finite-horizon policies per a piecing schedule.
 
-    Segment k repeats the T_k-horizon tree n_k times; each repetition
-    starts by applying the tree's time-0 quantizer at the restart belief
-    (the tracked belief is reset there). Beyond the last scheduled
-    segment the final segment's policy keeps repeating. The state is
-    every path's node id in the current segment's tree; the segment
-    depends on t only.
+    trees holds one PolicyTree per scheduled horizon, each solved from
+    the same restart belief (normally the source's invariant
+    distribution): the first tree's root belief, which every root must
+    match byte-exactly. Segment k repeats the T_k-horizon tree n_k
+    times; each repetition starts by applying the tree's time-0
+    quantizer at the restart belief (the tracked belief is reset there).
+    Beyond the last scheduled segment the final segment's policy keeps
+    repeating. The state is every path's node id in the current
+    segment's tree; the segment depends on t only.
     """
 
-    def __init__(self, schedule: PiecingSchedule, trees, restart_belief):
+    def __init__(self, schedule: PiecingSchedule, trees):
         self.schedule = schedule
         self.trees = list(trees)
-        self.restart_belief = restart_belief
+        if not self.trees:
+            raise ValueError("need at least one solved policy")
         if len(self.trees) != schedule.k_max:
             raise ValueError(
                 "schedule/solution mismatch: "
                 f"{schedule.k_max} segments but {len(self.trees)} policies"
             )
-        key = restart_belief.key()
+        self.restart = self.trees[0].nodes[self.trees[0].root].belief
+        key = self.restart.key()
         for tree, T in zip(self.trees, schedule.horizons):
             if tree.horizon != T:
                 raise ValueError(
@@ -321,7 +325,7 @@ class PiecedPolicy(_Policy):
         k, at_start = self._segment(t)
         qid = self._tables[k][0]
         if at_start:
-            return Plan(np.full(len(ids), qid[self.trees[k].root]), self.restart_belief)
+            return Plan(np.full(len(ids), qid[self.trees[k].root]), self.restart)
         return Plan(qid[state])
 
     def advance(self, state, t: int, symbols):
@@ -340,9 +344,7 @@ class TreeReplayPolicy(PiecedPolicy):
 
     def __init__(self, tree: PolicyTree):
         T = tree.horizon
-        super().__init__(
-            PiecingSchedule((T,), (1,), (T,), (T,), ()), [tree], tree.nodes[tree.root].belief
-        )
+        super().__init__(PiecingSchedule((T,), (1,), (T,), (T,), ()), [tree])
 
 
 class RandomizedStationaryPolicy(_Policy):
@@ -359,12 +361,12 @@ class RandomizedStationaryPolicy(_Policy):
     def __init__(self, binning, table, candidates):
         self.binning = binning
         self.table = np.asarray(table, dtype=float)
-        self.candidates = self.quantizers = CandidateSet.of(candidates)
+        self.quantizers = CandidateSet.of(candidates)
         if self.table.ndim != 2 or self.table.shape[0] != binning.n_total:
             raise ValueError(
                 f"table must have {binning.n_total} rows, got {self.table.shape}"
             )
-        if self.table.shape[1] != len(self.candidates):
+        if self.table.shape[1] != len(self.quantizers):
             raise ValueError("table columns must match the candidate count")
         if not np.all(np.isfinite(self.table)):
             raise ValueError("table entries must be finite")
@@ -380,21 +382,7 @@ class RandomizedStationaryPolicy(_Policy):
             bins[b] = self.binning.bin_of(beliefs[b])
         # the count of row entries <= r is searchsorted(side="right")
         picks = (self._cum[bins[ids]] <= r[:, None]).sum(axis=1)
-        return Plan(np.minimum(picks, len(self.candidates) - 1))
-
-
-def build_pieced_policy(trees, schedule: PiecingSchedule) -> PiecedPolicy:
-    """Assemble the pieced policy from per-horizon solved trees.
-
-    trees holds one PolicyTree per scheduled horizon, each solved from
-    the same restart belief (normally the source's invariant
-    distribution); the trees' root beliefs must agree byte-exactly.
-    """
-    trees = list(trees)
-    if not trees:
-        raise ValueError("need at least one solved policy")
-    restart = trees[0].nodes[trees[0].root].belief
-    return PiecedPolicy(schedule, trees, restart)
+        return Plan(np.minimum(picks, len(self.quantizers) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +431,7 @@ class RolloutResult:
     mean_cost: float
     stderr: float
     cesaro: np.ndarray  # running averages of realized cost, logged path
-    log: TrajectoryLog | None
+    log: TrajectoryLog
 
 
 # Beliefs a rollout's table holds before it drops all but the live
@@ -458,9 +446,6 @@ _MEMO_CAP = 256
 # rollouts. Its arrays, the two uint64 words of each uniform's state
 # among them, take about 56 bytes per path and step.
 _DRAW_BLOCK = 1 << 17
-
-# Entries (paths x steps) whose realized costs are taken at once.
-_CHUNK = 1 << 12
 
 
 class _BeliefTable:
@@ -544,39 +529,36 @@ class _BeliefTable:
 
 
 class _PathLog:
-    """Path 0's per-step columns, filled a range of steps at a time.
-
-    rows holds every step's belief.log_row(): mean, std, then a simplex
-    belief's probabilities.
-    """
+    """Path 0's TrajectoryLog (trajectory) and realized costs, filled a
+    range of steps at a time."""
 
     def __init__(self, horizon: int, initial_belief):
-        self.cols = {name: np.zeros(horizon) for name in ("x", "u", "stage", "realized")}
-        self.symbol = np.zeros(horizon, dtype=int)
-        self.quantizer_id = np.zeros(horizon, dtype=int)
-        self.rows = np.zeros((horizon, len(initial_belief.log_row())))
+        # log_row(): mean, std, then a simplex belief's probabilities
+        extra = len(initial_belief.log_row()) - 2
+        self.trajectory = TrajectoryLog(
+            t=np.arange(horizon),
+            x=np.zeros(horizon),
+            symbol=np.zeros(horizon, dtype=int),
+            u=np.zeros(horizon),
+            stage=np.zeros(horizon),
+            belief_mean=np.zeros(horizon),
+            belief_std=np.zeros(horizon),
+            quantizer_id=np.zeros(horizon, dtype=int),
+            probabilities=np.zeros((horizon, extra)) if extra else None,
+        )
+        self.realized = np.zeros(horizon)
 
     def transitions(self, steps: slice, keys, table: _BeliefTable) -> None:
         """Columns read off the table: keys are path 0's transition keys."""
-        bq, self.symbol[steps] = np.divmod(keys, table.width)
-        b, self.quantizer_id[steps] = np.divmod(bq, len(table.quantizers))
-        self.cols["stage"][steps] = table.stage.take(bq)
+        log = self.trajectory
+        bq, log.symbol[steps] = np.divmod(keys, table.width)
+        b, log.quantizer_id[steps] = np.divmod(bq, len(table.quantizers))
+        log.stage[steps] = table.stage.take(bq)
         distinct, inverse = np.unique(b, return_inverse=True)
-        self.rows[steps] = np.array([table.beliefs[i].log_row() for i in distinct.tolist()])[inverse]
-
-    def trajectory(self) -> TrajectoryLog:
-        cols = self.cols
-        return TrajectoryLog(
-            t=np.arange(len(self.symbol)),
-            x=cols["x"],
-            symbol=self.symbol,
-            u=cols["u"],
-            stage=cols["stage"],
-            belief_mean=self.rows[:, 0].copy(),
-            belief_std=self.rows[:, 1].copy(),
-            quantizer_id=self.quantizer_id,
-            probabilities=self.rows[:, 2:].copy() if self.rows.shape[1] > 2 else None,
-        )
+        rows = np.array([table.beliefs[i].log_row() for i in distinct.tolist()])[inverse]
+        log.belief_mean[steps], log.belief_std[steps] = rows[:, 0], rows[:, 1]
+        if log.probabilities is not None:
+            log.probabilities[steps] = rows[:, 2:]
 
 
 class _Lockstep:
@@ -623,28 +605,22 @@ class _Lockstep:
     def _settle(self, t0: int, keys, u, lo: int, hi: int) -> None:
         # read steps lo .. hi - 1 off the table before it drops them
         u[:, lo:hi] = self.table.recon.take(keys[:, lo:hi])
-        if self.log is not None:
-            self.log.transitions(slice(t0 + lo, t0 + hi), keys[0, lo:hi], self.table)
+        self.log.transitions(slice(t0 + lo, t0 + hi), keys[0, lo:hi], self.table)
 
     def _account(self, t0: int, xs, keys, u) -> None:
-        """Realized costs, totals, group counts and path 0's log columns,
-        in chunks of about _CHUNK entries."""
-        span = max(1, _CHUNK // len(xs))
-        for lo in range(0, xs.shape[1], span):
-            cols = slice(lo, lo + span)
-            states = xs[:, cols]
-            values = self.model.real_values(states)
-            costed = values if self.cost.kind == "quadratic" else states
-            realized = self.cost.pointwise(costed, u[:, cols])
-            # a running sum along time adds each path's costs in step order
-            self.total = np.cumsum(np.column_stack([self.total, realized]), axis=1)[:, -1]
-            pairs = np.sort(keys[:, cols] // self.table.width, axis=0)
-            self.groups += pairs.shape[1] + np.count_nonzero(np.diff(pairs, axis=0))
-            if self.log is not None:
-                steps = slice(t0 + lo, t0 + lo + pairs.shape[1])
-                self.log.cols["x"][steps] = values[0]
-                self.log.cols["u"][steps] = u[0, cols]
-                self.log.cols["realized"][steps] = realized[0]
+        """Realized costs, totals, group counts and path 0's log columns
+        of the block's steps."""
+        values = self.model.real_values(xs)
+        costed = values if self.cost.kind == "quadratic" else xs
+        realized = self.cost.pointwise(costed, u)
+        # a running sum along time adds each path's costs in step order
+        self.total = np.cumsum(np.column_stack([self.total, realized]), axis=1)[:, -1]
+        pairs = np.sort(keys // self.table.width, axis=0)
+        self.groups += pairs.shape[1] + np.count_nonzero(np.diff(pairs, axis=0))
+        steps = slice(t0, t0 + xs.shape[1])
+        self.log.trajectory.x[steps] = values[0]
+        self.log.trajectory.u[steps] = u[0]
+        self.log.realized[steps] = realized[0]
 
 
 def rollout(
@@ -655,7 +631,6 @@ def rollout(
     n_paths: int,
     seed: int,
     initial_belief=None,
-    log_path: bool = True,
 ) -> RolloutResult:
     """Monte Carlo rollout of a policy against sampled source paths.
 
@@ -699,12 +674,14 @@ def rollout(
     compacts it to the beliefs the paths hold, so the table never holds
     more than _MEMO_CAP beliefs plus those live at one step; a block
     holds at most _DRAW_BLOCK variates per stream (times the states of
-    a chain for its scan). One INFO log line reports deterministic
-    counters: paths, steps, (belief, quantizer) groups stepped, filter
-    calls, table clears, the most beliefs the table held, and the greedy
-    decisions taken by greedy_decision's product and exact routes. The
-    tests rebuild the logged path with a decoder that sees only the symbols
-    and the shared seed, and check it against the log bit for bit.
+    a chain for its scan), and its realized costs are taken in one pass,
+    so their arrays are bounded by _DRAW_BLOCK too. One INFO log line
+    reports deterministic counters: paths, steps, (belief, quantizer)
+    groups stepped, filter calls, table clears, the most beliefs the
+    table held, and the greedy decisions taken by greedy_decision's
+    product and exact routes. The tests rebuild the logged path with a
+    decoder that sees only the symbols and the shared seed, and check it
+    against the log bit for bit.
 
     As in the dynamic program, key() identifies a belief only within
     one grid or one set of state values, so the beliefs a rollout tracks
@@ -718,7 +695,7 @@ def rollout(
         initial_belief = model.initial_belief()
     _check_pair(initial_belief, model)
 
-    log = _PathLog(horizon, initial_belief) if log_path else None
+    log = _PathLog(horizon, initial_belief)
     paths = _Lockstep(policy, model, cost, initial_belief, n_paths, log)
     source = _PathStreams(seed, n_paths, 0)
     shared = _PathStreams(seed, n_paths, 1) if policy.shared_randomness else None
@@ -756,15 +733,12 @@ def rollout(
     path_costs = paths.total / horizon
     mean_cost = float(path_costs.mean())
     stderr = float(path_costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    cesaro = np.zeros(0)
-    if log is not None:
-        cesaro = np.cumsum(log.cols["realized"]) / np.arange(1, horizon + 1)
     return RolloutResult(
         path_costs=path_costs,
         mean_cost=mean_cost,
         stderr=stderr,
-        cesaro=cesaro,
-        log=None if log is None else log.trajectory(),
+        cesaro=np.cumsum(log.realized) / np.arange(1, horizon + 1),
+        log=log.trajectory,
     )
 
 
@@ -813,7 +787,6 @@ def discounted_value_iteration(
     cost: CostModel,
     tol: float = 1e-9,
     max_iter: int = 1000,
-    eps_prune: float = DEFAULT_EPS_PRUNE,
 ) -> DiscountedVIResult:
     """Fixed point of the discounted design recursion on a belief grid.
 
@@ -841,7 +814,7 @@ def discounted_value_iteration(
         belief_masses = belief_masses.tolist()
         for k, quantizer in enumerate(candidates):
             for m, mass in enumerate(belief_masses[k][: quantizer.levels], start=1):
-                if mass <= eps_prune:
+                if mass <= EPS_PRUNE:
                     continue
                 nxt = filter_update(belief, model, quantizer, m)
                 masses[i, k, m - 1] = mass
@@ -916,27 +889,27 @@ class SimplexBinning:
 class GridFeatureBinning:
     """Bins density beliefs by (mean, standard deviation).
 
-    grid, set by for_grid, is the grid the bins' representative beliefs
-    live on; it is not part of the binning's JSON description.
+    Means are binned over the grid's span and standard deviations over
+    [0, half of it]. grid is also the grid the bins' representative
+    beliefs live on; only its span is part of the binning's JSON
+    description.
     """
 
-    mean_lo: float
-    mean_hi: float
-    std_hi: float
+    grid: Grid
     n_mean: int = 50
     n_std: int = 20
-    grid: object = field(default=None, compare=False, repr=False)
 
-    @classmethod
-    def for_grid(cls, grid, n_mean: int = 50, n_std: int = 20):
-        return cls(
-            mean_lo=grid.lo,
-            mean_hi=grid.hi,
-            std_hi=0.5 * (grid.hi - grid.lo),
-            n_mean=n_mean,
-            n_std=n_std,
-            grid=grid,
-        )
+    @property
+    def mean_lo(self) -> float:
+        return self.grid.lo
+
+    @property
+    def mean_hi(self) -> float:
+        return self.grid.hi
+
+    @property
+    def std_hi(self) -> float:
+        return 0.5 * (self.grid.hi - self.grid.lo)
 
     @property
     def n_total(self) -> int:
@@ -969,10 +942,8 @@ class GridFeatureBinning:
         return mean, std
 
     def representative(self, b: int, histogram: "OccupationHistogram", model) -> GridBelief:
-        """A normal density at bin b's center, on grid (default: the
-        model's default grid)."""
-        grid = default_grid(model) if self.grid is None else self.grid
-        return GridBelief.normal(grid, *self.bin_center(b))
+        """A normal density at bin b's center, on grid."""
+        return GridBelief.normal(self.grid, *self.bin_center(b))
 
     def to_json(self) -> dict:
         return {
@@ -1045,12 +1016,7 @@ def occupation_measure(log: TrajectoryLog, binning) -> OccupationHistogram:
     )
 
 
-def invariance_residual(
-    histogram: OccupationHistogram,
-    model,
-    candidates,
-    eps_mass: float = EPS_MASS,
-) -> float:
+def invariance_residual(histogram: OccupationHistogram, model, candidates) -> float:
     """Total variation defect of the histogram under the belief kernel.
 
     Pushes each occupied (bin, quantizer) cell forward through the
@@ -1061,6 +1027,9 @@ def invariance_residual(
     average logged belief for simplex bins; grid-feature bins synthesize
     a normal density at the bin center on the binning's grid, which
     makes the check a diagnostic rather than an exact statement there.
+    A bin's cell masses are rows of the whole set's cell_moments: a
+    cell's moments do not depend on the other candidates of the set, so
+    every bin reads the one CutWeights of the set.
     """
     candidates = CandidateSet.of(candidates)
     binning = histogram.binning
@@ -1071,12 +1040,12 @@ def invariance_residual(
     for b in np.flatnonzero(counts.sum(axis=1)):
         rep = binning.representative(b, histogram, model)
         used = np.flatnonzero(counts[b])
-        masses = rep.cell_moments(CandidateSet(candidates[k] for k in used))[0][0].tolist()
+        masses = rep.cell_moments(candidates)[0][0][used].tolist()
         for k, row in zip(used, masses):
             weight = counts[b, k] / steps
             quantizer = candidates[k]
             for m, mass in enumerate(row[: quantizer.levels], start=1):
-                if mass <= eps_mass:
+                if mass <= EPS_MASS:
                     continue
                 nxt = filter_update(rep, model, quantizer, m)
                 pushed[binning.bin_of(nxt)] += weight * mass

@@ -51,12 +51,10 @@ class IntervalQuantizer:
     def levels(self) -> int:
         return len(self.thresholds) + 1
 
-    def classify(self, x):
-        """Cell index of x; x exactly on a threshold goes to the lower cell."""
-        idx = np.searchsorted(np.asarray(self.thresholds), x, side="left") + 1
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return int(idx)
-        return idx.astype(int)
+    def classify(self, x) -> int:
+        """Cell index of the point x; x exactly on a threshold goes to the
+        lower cell. A CandidateSet's classify takes arrays."""
+        return int(np.searchsorted(self.thresholds, x, side="left")) + 1
 
     @staticmethod
     def _stacked(candidates):

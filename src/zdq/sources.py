@@ -54,6 +54,7 @@ from .beliefs import (
     default_grid,
 )
 from .costs import _stage_costs_from, cell_decisions
+from .quantizers import CandidateSet
 
 __all__ = [
     "LinearGaussianSource",
@@ -197,7 +198,8 @@ class LinearGaussianSource:
         """Least quadratic stage cost over every normalized kernel column
         on the belief's grid, read off the cached W K (_kernel_cut_moments)
         by _least_stage_costs (a grid belief has no tabular cost);
-        candidates is a CandidateSet."""
+        candidates is any sequence, taken as a CandidateSet."""
+        candidates = CandidateSet.of(candidates)
         weights = _cut_weights(belief.grid, candidates)
         product = _kernel_cut_moments(self, belief.grid, candidates)
         return float(_least_stage_costs(weights, product).min())
@@ -207,7 +209,8 @@ class LinearGaussianSource:
         without building the children; None when nothing is kept.
 
         kept (K, L) marks the children filter_update(belief, self,
-        candidates[k], m + 1) to cost, of the CandidateSet candidates.
+        candidates[k], m + 1) to cost, of the candidates (any sequence,
+        taken as a CandidateSet).
         Their restrictions are the belief times the differences of the
         order-0 window weights up to their cells' two cuts
         (CutWeights.matrix), restrict's up to rounding.
@@ -224,6 +227,7 @@ class LinearGaussianSource:
         """
         if cost.kind != "quadratic" or not kept.any():
             return None
+        candidates = CandidateSet.of(candidates)
         grid = belief.grid
         weights = _cut_weights(grid, candidates)
         product = _kernel_cut_moments(self, grid, candidates)

@@ -8,11 +8,11 @@ values bit for bit and its choices on every policy path.
 """
 from zdq.beliefs import filter_update
 from zdq.costs import cell_decisions
-from zdq.dp import DEFAULT_EPS_PRUNE, PolicyNode, PolicyTree
+from zdq.dp import EPS_PRUNE, PolicyNode, PolicyTree
 
 
 def exhaustive_solve(initial_belief, model, candidates, cost, horizon,
-                     eps_prune=DEFAULT_EPS_PRUNE):
+                     eps_prune=EPS_PRUNE):
     """The whole reachable tree, every candidate expanded at every belief."""
     candidates = list(candidates)
     nodes = []

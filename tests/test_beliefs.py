@@ -19,7 +19,12 @@ from zdq.beliefs import (
     window_weights,
 )
 from zdq.costs import CostModel, cell_decisions
-from zdq.quantizers import FinitePartition, IntervalQuantizer
+from zdq.quantizers import (
+    FinitePartition,
+    IntervalQuantizer,
+    enumerate_finite_partitions,
+    enumerate_interval_candidates,
+)
 from zdq.sources import FiniteChain, LinearGaussianSource, density_bounds
 
 
@@ -382,3 +387,25 @@ def test_filter_outputs_stay_in_class(ar_source):
         out = filter_update(b, ar_source, q, m)
         rep = check_S_membership(out, bounds, tol=tol)
         assert rep.passed, (m, rep)
+
+
+def _bits(result) -> list:
+    return [np.asarray(part).tobytes() for part in (result if isinstance(result, tuple) else (result,))]
+
+
+def test_set_methods_take_a_list(ar_source, three_state_chain):
+    # a list of quantizers is taken as its CandidateSet, with the same bits
+    cands = enumerate_interval_candidates(3, -2.0, 2.0, 7)
+    grid_belief = GridBelief.normal(default_grid(ar_source), 0.3, 1.2)
+    kept = np.ones((len(cands), cands.levels), dtype=bool)
+    quad = CostModel.quadratic()
+    partitions = enumerate_finite_partitions(3, 2)
+    simplex = three_state_chain.invariant_distribution()
+    for method, given, extra in [
+        (grid_belief.cell_moments, cands, ()),
+        (grid_belief.cut_moments, cands, ()),
+        (simplex.cell_moments, partitions, ()),
+        (lambda c: ar_source.stage_floor(grid_belief, c, quad), cands, ()),
+        (lambda c, k: ar_source.last_stage_costs(grid_belief, c, quad, k), cands, (kept,)),
+    ]:
+        assert _bits(method(list(given), *extra)) == _bits(method(given, *extra))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from reference_filter import sample_one
+import zdq.beliefs
 import zdq.infinite
-from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
+from zdq.beliefs import EPS_MASS, GridBelief, SimplexBelief, default_grid, filter_update
 from zdq.costs import CostModel, cell_decisions, greedy_decision
 from zdq.dp import solve_finite_horizon
 from zdq.infinite import (
@@ -18,7 +19,6 @@ from zdq.infinite import (
     RandomizedStationaryPolicy,
     SimplexBinning,
     TreeReplayPolicy,
-    build_pieced_policy,
     discounted_value_iteration,
     invariance_residual,
     occupation_measure,
@@ -142,7 +142,7 @@ def test_pieced_policy_structure(three_state_chain):
         solve_finite_horizon(init, three_state_chain, cands, QUAD, horizon=T).tree
         for T in sched.horizons
     ]
-    policy = build_pieced_policy(trees, sched)
+    policy = PiecedPolicy(sched, trees)
     rr = rollout(
         policy, three_state_chain, QUAD, horizon=30, n_paths=1, seed=2,
         initial_belief=init,
@@ -160,15 +160,15 @@ def test_pieced_policy_rejects_mismatched_solutions(three_state_chain):
     sched = piecing_schedule([2, 4, 8], 2)
     tree2 = solve_finite_horizon(init, three_state_chain, cands, QUAD, 2).tree
     with pytest.raises(ValueError):
-        PiecedPolicy(sched, [tree2], init)  # wrong count
+        PiecedPolicy(sched, [tree2])  # wrong count
     with pytest.raises(ValueError):
-        PiecedPolicy(sched, [tree2, tree2], init)  # wrong horizon
+        PiecedPolicy(sched, [tree2, tree2])  # wrong horizon
     other = SimplexBelief(
         np.array([0.5, 0.25, 0.25]), states=three_state_chain.state_values
     )
-    tree4 = solve_finite_horizon(init, three_state_chain, cands, QUAD, 4).tree
+    tree4 = solve_finite_horizon(other, three_state_chain, cands, QUAD, 4).tree
     with pytest.raises(ValueError):
-        PiecedPolicy(sched, [tree2, tree4], other)  # wrong restart belief
+        PiecedPolicy(sched, [tree2, tree4])  # trees solved from different roots
 
 
 def test_randomized_policy_validation(two_state_chain):
@@ -339,7 +339,7 @@ def test_simplex_binning_edges():
 def test_grid_feature_binning_clips(ar_source):
     from zdq.beliefs import GridBelief, default_grid
 
-    binning = GridFeatureBinning.for_grid(default_grid(ar_source))
+    binning = GridFeatureBinning(default_grid(ar_source))
     b = GridBelief.normal(default_grid(ar_source), 0.0, 1.0)
     assert 0 <= binning.bin_of(b) < binning.n_total
     mean, std = binning.bin_center(binning.bin_of(b))
@@ -372,6 +372,40 @@ def test_invariance_residual_under_stationary_policy(two_state_chain):
     assert resid < 0.05
 
 
+def subset_invariance_residual(hist, model, cands) -> float:
+    """invariance_residual with each bin's cell masses read off a set of
+    only the candidates used in that bin."""
+    pushed = np.zeros(hist.binning.n_total)
+    for b in np.flatnonzero(hist.counts.sum(axis=1)):
+        rep = hist.binning.representative(b, hist, model)
+        used = np.flatnonzero(hist.counts[b])
+        masses = cell_decisions(rep, [cands[k] for k in used], QUAD)[1].tolist()
+        for k, row in zip(used, masses):
+            for m, mass in enumerate(row[: cands[k].levels], start=1):
+                if mass > EPS_MASS:
+                    nxt = filter_update(rep, model, cands[k], m)
+                    pushed[hist.binning.bin_of(nxt)] += hist.counts[b, k] / hist.steps * mass
+    return float(np.abs(hist.counts.sum(axis=1) / hist.steps - pushed).sum())
+
+
+@pytest.mark.parametrize("family", ["grid", "chain"])
+def test_invariance_residual_reads_one_cut_set(family, two_state_chain):
+    if family == "grid":
+        model, cands = LinearGaussianSource(0.9, 1.0), enumerate_interval_candidates(2, -4.0, 4.0, 21)
+        policy, binning = GreedyPolicy(cands, QUAD), GridFeatureBinning(default_grid(model))
+    else:
+        model, cands = two_state_chain, enumerate_finite_partitions(2, 2)
+        binning = SimplexBinning(10)
+        policy = RandomizedStationaryPolicy(binning, np.tile([0.4, 0.6], (10, 1)), cands)
+    log = rollout(policy, model, QUAD, 200, 1, 0, initial_belief=model.invariant_distribution()).log
+    hist = occupation_measure(log, binning)
+    zdq.beliefs._cut_weights.cache_clear()
+    resid = invariance_residual(hist, model, cands)
+    assert zdq.beliefs._cut_weights.cache_info().misses <= 1
+    # a cell's masses do not depend on the other candidates of its set
+    assert resid == subset_invariance_residual(hist, model, cands)
+
+
 # ---------------------------------------------------------------------------
 # rollout against the per-step loop and a symbols-only decoder
 
@@ -384,7 +418,7 @@ def decided(policy, belief, quantizer, cost):
     policy chose, from a fresh call: greedy_decision's for a greedy
     policy, which hands them to the rollout, else cell_decisions'."""
     if isinstance(policy, GreedyPolicy):
-        decision = greedy_decision(belief, policy.candidates, cost)
+        decision = greedy_decision(belief, policy.quantizers, cost)
         return decision.stage, decision.recon
     stages, _, recon = cell_decisions(belief, [quantizer], cost)
     return stages[0], recon[0]
@@ -479,7 +513,7 @@ def _pieced_chain_case(three_state_chain, two_state_chain, ar_source):
         solve_finite_horizon(init, three_state_chain, cands, QUAD, T).tree
         for T in sched.horizons
     ]
-    return build_pieced_policy(trees, sched), three_state_chain, QUAD, 30, 40, 2, init
+    return PiecedPolicy(sched, trees), three_state_chain, QUAD, 30, 40, 2, init
 
 
 def _greedy_grid_case(three_state_chain, two_state_chain, ar_source):
@@ -513,9 +547,8 @@ def rollout_counters(caplog) -> dict:
     return records[-1].args
 
 
-# (_DRAW_BLOCK, _CHUNK) small enough that a rollout spans many draw
-# blocks and cost chunks
-SMALL_BLOCKS = (48, 16)
+# a _DRAW_BLOCK small enough that a rollout spans many draw blocks
+SMALL_BLOCKS = 48
 
 
 @pytest.mark.parametrize(
@@ -566,8 +599,7 @@ def test_rollout_matches_reference_loop(
 
     monkeypatch.setattr(zdq.infinite, "filter_update", counting_filter)
     if blocks is not None:
-        monkeypatch.setattr(zdq.infinite, "_DRAW_BLOCK", blocks[0])
-        monkeypatch.setattr(zdq.infinite, "_CHUNK", blocks[1])
+        monkeypatch.setattr(zdq.infinite, "_DRAW_BLOCK", blocks)
     caplog.set_level(logging.INFO, logger="zdq.infinite")
     rr = rollout(policy, model, cost, horizon, n_paths, seed, initial_belief=init)
     assert np.array_equal(rr.path_costs, ref_costs)
@@ -590,7 +622,7 @@ def test_rollout_matches_reference_loop(
 
 
 def test_pruned_symbol_raises(two_state_chain):
-    # a symbol of mass 1e-10 <= eps_prune is pruned from the tree, but its
+    # a symbol of mass 1e-10 <= EPS_PRUNE is pruned from the tree, but its
     # cell is live, so reconstruction and filtering go through first
     sure = SimplexBelief(np.array([1.0 - 1e-10, 1e-10]))
     tree = solve_finite_horizon(sure, two_state_chain, enumerate_finite_partitions(2, 2), QUAD, 2).tree
@@ -698,10 +730,10 @@ def test_encoder_decoder_stay_synchronized(three_state_chain, two_state_chain, a
     chain_init = three_state_chain.invariant_distribution()
     tree2 = solve_finite_horizon(chain_init, three_state_chain, chain_cands, QUAD, 2).tree
     sched = piecing_schedule([2, 4, 8], 2)
-    pieced = build_pieced_policy(
+    pieced = PiecedPolicy(
+        sched,
         [solve_finite_horizon(chain_init, three_state_chain, chain_cands, QUAD, T).tree
          for T in sched.horizons],
-        sched,
     )
     randomized = RandomizedStationaryPolicy(
         SimplexBinning(20), np.tile([0.3, 0.7], (20, 1)), enumerate_finite_partitions(2, 2)
@@ -774,8 +806,8 @@ def test_occupation_measure_matches_reference_loop(two_state_chain, ar_source):
     for log, binning in (
         (chain_log, SimplexBinning(50)),
         (chain_log, SimplexBinning(7)),
-        (grid_log, GridFeatureBinning.for_grid(grid)),
-        (grid_log, GridFeatureBinning.for_grid(grid, n_mean=13, n_std=3)),
+        (grid_log, GridFeatureBinning(grid)),
+        (grid_log, GridFeatureBinning(grid, n_mean=13, n_std=3)),
     ):
         hist = occupation_measure(log, binning)
         counts, belief_sums = reference_occupation(log, binning)
@@ -814,5 +846,5 @@ def test_occupation_measure_rejects_bad_logs(two_state_chain, three_state_chain,
     with pytest.raises(ValueError):
         occupation_measure(
             dataclasses.replace(grid_log, belief_mean=mean),
-            GridFeatureBinning.for_grid(default_grid(ar_source)),
+            GridFeatureBinning(default_grid(ar_source)),
         )
