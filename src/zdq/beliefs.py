@@ -9,7 +9,10 @@ SimplexBelief, where everything is exact arithmetic. Each belief class
 answers for itself what the rest of the package reads off a belief:
 key(), mean and std, cell_moments, draws by inverse_cdf, its
 description in policy_tree.json (to_json) and its row in a rollout's
-trajectory log (log_row).
+trajectory log (log_row). A grid belief is one immutable buffer: its
+key() bytes, of which values is a read-only view, so a belief the
+dynamic program stores costs one copy of its values, and its mean and
+std are computed once.
 
 Every cell mass and every moment behind a stage cost comes from one
 method per belief family, cell_moments(candidates), which returns the
@@ -50,8 +53,14 @@ cuts of a candidate set and the weights up to them (_cut_weights), their
 product with the kernel (_kernel_cut_moments), the window weights of a
 cell (_cell_weights) and the transition kernel (_transition_kernel),
 each in a bounded LRU cache; the first two find a candidate set by the
-hash it took when built. This module imports nothing from sources.py;
-a source names its belief class.
+hash it took when built. A restriction is the entries on its cell's
+weight support, (start, part), and the kernel is column-major, so the
+push reads the cell's kernel columns as one contiguous block. W @ K
+multiplies row-major copies of the kernel's column blocks instead: on
+OpenBLAS a product with a column-major block took the threaded path in
+some processes, 100 times slower, and the copies keep the bytes of a
+row-major kernel's product. This module imports nothing from
+sources.py; a source names its belief class.
 """
 from __future__ import annotations
 
@@ -225,34 +234,46 @@ def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridBelief:
-    """Density belief on a fixed grid, normalized to trapezoid integral 1."""
+    """Density belief on a fixed grid, normalized to trapezoid integral 1.
+
+    The belief holds one buffer: the bytes of its values, which key()
+    returns, and values is a read-only view of them. It copies the array
+    it is built from, so the caller may go on to change that array.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_points,):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.grid.n_points,):
             raise ValueError(
                 f"values must have shape ({self.grid.n_points},), "
-                f"got {self.values.shape}"
+                f"got {values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
-        if np.any(self.values < 0.0):
+        if np.any(values < 0.0):
             raise ValueError("density values must be >= 0")
-        z = float(self.grid.trapezoid_weights @ self.values)
+        z = float(self.grid.trapezoid_weights @ values)
         if abs(z - 1.0) > 1e-9:
             raise ValueError(f"density must integrate to 1 within 1e-9, got {z}")
+        self._hold(values)
+
+    def _hold(self, values: np.ndarray) -> None:
+        key = values.tobytes()
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "values", np.frombuffer(key))
 
     @classmethod
     def _normalized(cls, grid: Grid, values: np.ndarray) -> "GridBelief":
         """A belief of float values that pass __post_init__'s checks by
         construction, built without running them again."""
         belief = object.__new__(cls)
-        belief.grid, belief.values = grid, values
+        object.__setattr__(belief, "grid", grid)
+        belief._hold(values)
         return belief
 
     @classmethod
@@ -298,16 +319,17 @@ class GridBelief:
         return cls(grid, values)
 
     def key(self) -> bytes:
-        """Byte-exact identity of the belief, for memoization."""
-        return self.values.tobytes()
+        """Byte-exact identity of the belief, for memoization: the
+        buffer values views, not a copy."""
+        return self._key
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
         """Exact first moment of the piecewise-linear density, consistent
         with cell masses and stage costs."""
         return float(self.grid.moment_weights[1] @ self.values)
 
-    @property
+    @functools.cached_property
     def std(self) -> float:
         mean = self.mean
         var = float(self.grid.moment_weights[2] @ self.values) - mean * mean
@@ -651,35 +673,37 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
     return start, w
 
 
-_KERNEL_ROWS = 64  # kernel rows built at once
+_KERNEL_COLUMNS = 64  # kernel columns built at once
 
 
 @functools.lru_cache(maxsize=8)
 def _transition_kernel(model, grid: Grid) -> np.ndarray:
-    """Dense kernel K[j, i] = transition density at node j given node i.
+    """Dense kernel K[j, i] = transition density at node j given node i,
+    column-major and read-only.
 
-    Each block of rows is computed in place by the elementwise formula
-    u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm, so the one
-    temporary is a block of -0.5 * u.
+    The columns from node i are one contiguous block, which a push reads
+    for its cell. K^T is built in blocks of rows, each in place by the
+    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm,
+    so the one temporary is a block of -0.5 * u; K is its transpose view.
     """
     model.require_noise()
     s = model.noise_std
     x = grid.nodes
-    ax = model.a * x[None, :]
+    ax = model.a * x
     norm = s * math.sqrt(2.0 * math.pi)
-    K = np.empty((grid.n_points, grid.n_points))
-    half = np.empty((_KERNEL_ROWS, grid.n_points))
-    for j in range(0, grid.n_points, _KERNEL_ROWS):
-        u = K[j : j + _KERNEL_ROWS]
+    KT = np.empty((grid.n_points, grid.n_points))
+    half = np.empty((_KERNEL_COLUMNS, grid.n_points))
+    for i in range(0, grid.n_points, _KERNEL_COLUMNS):
+        u = KT[i : i + _KERNEL_COLUMNS]
         h = half[: len(u)]
-        np.subtract(x[j : j + _KERNEL_ROWS, None], ax, out=u)
+        np.subtract(x[None, :], ax[i : i + _KERNEL_COLUMNS, None], out=u)
         np.divide(u, s, out=u)
         np.multiply(-0.5, u, out=h)
         np.multiply(h, u, out=u)
         np.exp(u, out=u)
         np.divide(u, norm, out=u)
-    K.flags.writeable = False
-    return K
+    KT.flags.writeable = False
+    return KT.T
 
 
 _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
@@ -697,12 +721,15 @@ def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
     prediction K r of any restriction r. The product is taken in blocks
     of kernel columns: narrow products stay on one BLAS thread, and on a
     2-core Xeon the threaded 39 x 801 x 801 product took 30 ms, these 26
-    took 2 ms.
+    took 2 ms. Each block is a row-major copy of the column-major
+    kernel's columns: times a column-major block, OpenBLAS took its
+    threaded path in some processes (about 200 ms against 2 ms), and
+    the copies give the bytes of a row-major kernel's product.
     """
     weights = _cut_weights(grid, candidates)
     kernel = _transition_kernel(model, grid)
     out = np.hstack([
-        weights.matrix @ kernel[:, j : j + _PRODUCT_COLUMNS]
+        weights.matrix @ np.ascontiguousarray(kernel[:, j : j + _PRODUCT_COLUMNS])
         for j in range(0, grid.n_points, _PRODUCT_COLUMNS)
     ])
     out.flags.writeable = False
@@ -721,20 +748,21 @@ def _check_pair(belief, model) -> None:
 def filter_update(belief, model, quantizer, symbol: int):
     """One filter step: condition on the decoded cell, then predict.
 
-    model.restrict gives the belief restricted to the cell and
-    model.push the renormalized one-step prediction of it. Returns the
-    next-step belief. Raises TypeError when belief is not of model's
-    family, and ZeroMassSymbolError when the cell mass does not exceed
-    EPS_MASS; the caller must not condition on a zero-probability symbol.
+    model.restrict gives the belief restricted to the cell, as the
+    entries (start, part) that can be nonzero, and model.push the
+    renormalized one-step prediction of it. Returns the next-step belief.
+    Raises TypeError when belief is not of model's family, and
+    ZeroMassSymbolError when the cell mass does not exceed EPS_MASS; the
+    caller must not condition on a zero-probability symbol.
     """
     _check_pair(belief, model)
-    r = model.restrict(belief, quantizer, symbol)
-    mass = float(r.sum())
+    start, part = model.restrict(belief, quantizer, symbol)
+    mass = float(part.sum())
     if mass <= EPS_MASS:
         raise ZeroMassSymbolError(
             f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"
         )
-    return model.push(belief, r, mass)
+    return model.push(belief, start, part, mass)
 
 
 def check_S_membership(belief: GridBelief, bounds, tol: float = 0.0) -> SMembershipReport:

@@ -12,9 +12,12 @@ that depends on the family, with the same names on both:
   from those variates);
 - beliefs: invariant_distribution and initial_belief, on a grid given
   as an argument for the Gaussian family (default: its default grid);
-- the filter's family half: restrict (the belief restricted to a cell)
-  and push (the renormalized one-step prediction of a restriction),
-  which beliefs.filter_update runs around its shared checks;
+- the filter's family half: restrict (the belief restricted to a cell,
+  as (start, part), the entries from start on that can be nonzero: a
+  grid cell's weight support, or every state of a chain) and push (the
+  renormalized one-step prediction of a restriction, through the kernel
+  columns or transition rows start .. start + len(part) - 1), which
+  beliefs.filter_update runs around its shared checks;
 - stage_floor, the least stage cost at the prediction columns that
   bounds the dynamic program's later stages, and last_stage_costs, the
   least stage cost of every child of a belief from one product, with
@@ -161,27 +164,28 @@ class LinearGaussianSource:
             return GridBelief.point_mass(grid, self.init_mean)
         return GridBelief.normal(grid, self.init_mean, self.init_std)
 
-    def restrict(self, belief: GridBelief, quantizer, symbol: int) -> np.ndarray:
-        """Per-node weights of the belief's density over cell symbol:
-        window_weights(grid, lo, hi, 0) * values, bit for bit.
+    def restrict(self, belief: GridBelief, quantizer, symbol: int):
+        """The belief's density over cell symbol as (start, part): the
+        per-node weights window_weights(grid, lo, hi, 0) * values, bit
+        for bit, are part at nodes start .. start + len(part) - 1 and 0
+        elsewhere.
 
         The cell's window weights are kept per (grid, cell) over their
-        support only, so the product is taken there and the rest is 0.
+        support only (_cell_weights), and part is their product with the
+        values there (empty for an empty cell).
         """
         lo, hi = quantizer.cell_interval(symbol)
         start, w = _cell_weights(belief.grid, lo, hi)
-        out = np.zeros(belief.grid.n_points)
-        cell = slice(start, start + len(w))
-        np.multiply(w, belief.values[cell], out=out[cell])
-        return out
+        return start, w * belief.values[start : start + len(w)]
 
-    def push(self, belief: GridBelief, restricted: np.ndarray, mass: float) -> GridBelief:
-        """The restriction over its mass, pushed through the transition
-        kernel on the belief's grid and renormalized to integral 1."""
+    def push(self, belief: GridBelief, start: int, part: np.ndarray, mass: float) -> GridBelief:
+        """The restriction (start, part) over its mass, pushed through the
+        transition kernel on the belief's grid and renormalized to
+        integral 1. The kernel is column-major, so the columns the
+        restriction reads, start .. start + len(part) - 1, are one
+        contiguous block."""
         K = _transition_kernel(self, belief.grid)
-        nz = np.flatnonzero(restricted)
-        i0, i1 = nz[0], nz[-1] + 1  # interval cells give contiguous support
-        raw = (K[:, i0:i1] @ restricted[i0:i1]) / mass
+        raw = (K[:, start : start + len(part)] @ part) / mass
         z = float(belief.grid.trapezoid_weights @ raw)
         if z <= 0.0:
             raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")
@@ -360,18 +364,23 @@ class FiniteChain:
         from step_variates. Every (path, step, state) is first mapped to
         its next state, the same row_cdf search as sample_next; the maps
         are then composed along each path by a prefix scan, in
-        log2(steps) array operations.
+        log2(steps) array operations. Each composition is one take on
+        the flat maps: the entry of path p, step j and state i is at
+        (p steps + j) n_states + i.
         """
+        n_paths, steps = v.shape
         # maps[p, j, i]: the state after step j of path p from state i
-        maps = np.empty(v.shape + (self.n_states,), np.min_scalar_type(self.n_states))
+        maps = np.empty((n_paths, steps, self.n_states), np.min_scalar_type(self.n_states))
         for i, row in enumerate(self.row_cdf):
             maps[..., i] = row.searchsorted(v, side="right")
+        flat = maps.reshape(-1)
+        offsets = self.n_states * np.arange(n_paths * steps).reshape(n_paths, steps, 1)
         d = 1
-        while d < v.shape[1]:
+        while d < steps:
             # each map now covers steps j - 2d + 1 .. j, not j - d + 1 .. j
-            maps[:, d:] = np.take_along_axis(maps[:, d:], maps[:, :-d], axis=2)
+            maps[:, d:] = flat.take(offsets[:, d:] + maps[:, :-d])
             d *= 2
-        return np.take_along_axis(maps, np.asarray(x0)[:, None, None], axis=2)[:, :, 0]
+        return flat.take(offsets[..., 0] + np.asarray(x0)[:, None])
 
     def real_values(self, states):
         """The state_values of state indices."""
@@ -398,14 +407,16 @@ class FiniteChain:
         """The time-0 law (grid is unused)."""
         return SimplexBelief(self.initial.copy(), states=self.state_values)
 
-    def restrict(self, belief: SimplexBelief, quantizer, symbol: int) -> np.ndarray:
-        """The belief's probabilities inside cell symbol, 0 elsewhere."""
-        return belief.restrict(quantizer.member_mask(symbol))
+    def restrict(self, belief: SimplexBelief, quantizer, symbol: int):
+        """The belief's probabilities inside cell symbol, 0 elsewhere, as
+        (start, part) = (0, every state's entry)."""
+        return 0, belief.restrict(quantizer.member_mask(symbol))
 
-    def push(self, belief: SimplexBelief, restricted: np.ndarray, mass: float) -> SimplexBelief:
-        """The restriction over its mass times the transition matrix,
+    def push(self, belief: SimplexBelief, start: int, part: np.ndarray, mass: float) -> SimplexBelief:
+        """The restriction (start, part) over its mass times the
+        transition matrix's rows start .. start + len(part) - 1,
         renormalized to sum 1."""
-        post = (restricted @ self.transition) / mass
+        post = (part @ self.transition[start : start + len(part)]) / mass
         z = float(post.sum())
         logger.debug("filter renormalization drift %.3e", z - 1.0)
         return SimplexBelief(post / z, states=belief.states)

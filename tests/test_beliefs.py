@@ -152,6 +152,35 @@ def test_grid_belief_keys_differ():
     assert b1.key() != b3.key()
 
 
+def test_grid_belief_holds_one_read_only_buffer(ar_source):
+    grid = default_grid(ar_source)
+    prior = GridBelief.normal(grid, 0.3, 1.2)
+    # the checked constructor and the filter's unchecked one
+    for b in (prior, filter_update(prior, ar_source, IntervalQuantizer((0.0,)), 2)):
+        key = b.key()
+        assert b.key() is key and b.values.base is key
+        assert b.values.tobytes() == key and not b.values.flags.writeable
+        with pytest.raises(ValueError):
+            b.values[0] = 0.0
+
+
+def test_grid_belief_caches_mean_and_std():
+    for b in (std_normal_belief(), GridBelief.normal(Grid(-3.0, 9.0, 301), 4.0, 0.7)):
+        mean = float(b.grid.moment_weights[1] @ b.values)
+        var = float(b.grid.moment_weights[2] @ b.values) - mean * mean
+        for _ in range(2):
+            assert b.mean == mean and b.std == math.sqrt(max(var, 0.0))
+
+
+def test_grid_belief_copies_the_array_it_is_built_from():
+    grid = Grid(-4.0, 4.0, 161)
+    values = GridBelief.normal(grid, 0.0, 1.0).values.copy()
+    b = GridBelief(grid, values)
+    key, mean = b.key(), b.mean
+    values[:] = 0.0
+    assert b.key() == key and b.values.tobytes() == key and b.mean == mean
+
+
 def test_grid_belief_sampling():
     b = std_normal_belief()
     rng = np.random.default_rng(5)
@@ -247,13 +276,18 @@ def test_grid_inverse_cdf_matches_scalar_inversion(values, lo, width, seed):
     ids=["a0.5-default", "a0.9-default", "130-nodes", "50-nodes"],
 )
 def test_transition_kernel_matches_one_shot_formula(a, grid):
-    # the kernel is built in row blocks; every entry is the one-shot formula's
+    # the kernel is built in column blocks; every entry is the one-shot
+    # formula's, and it is kept column-major and read-only
     model = LinearGaussianSource(a, 1.0)
     grid = default_grid(model) if grid is None else grid
     x, s = grid.nodes, model.noise_std
     u = (x[:, None] - model.a * x[None, :]) / s
     one_shot = np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
-    assert np.array_equal(_transition_kernel(model, grid), one_shot)
+    kernel = _transition_kernel(model, grid)
+    assert np.array_equal(kernel, one_shot)
+    assert kernel.flags.f_contiguous and not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ candidate set); every route reads its cells through CutWeights.cells.
 The cache finds a set by the hash the CandidateSet took when built, so
 equal sets share an entry.
 LinearGaussianSource.restrict reads a cell's window weights from
-_cell_weights, kept per (grid, cell) over their support. Both routes
-must return the bytes of the uncached computation: the frozen
-cell_moments of reference_moments.py, and window_weights times the
-density values. CutWeights.matrix takes the window weights of all its
+_cell_weights, kept per (grid, cell) over their support, and returns
+its product with the density values there. Both routes must return the
+bytes of the uncached computation: the frozen cell_moments of
+reference_moments.py, and window_weights times the density values, 0
+off the support. CutWeights.matrix takes the window weights of all its
 cuts in one broadcast window_weights call, which must give the frozen
 one-window weights row by row; LinearGaussianSource.push builds its
 belief without GridBelief's checks, which its output must pass.
@@ -27,10 +28,12 @@ from hypothesis import strategies as st
 import reference_moments
 from zdq.beliefs import (
     EPS_MASS,
+    _PRODUCT_COLUMNS,
     Grid,
     GridBelief,
     _cell_weights,
     _cut_weights,
+    _kernel_cut_moments,
     _transition_kernel,
     default_grid,
     filter_update,
@@ -96,7 +99,13 @@ def test_cached_routes_return_the_uncached_bytes(case):
         for m in range(1, q.levels + 1):
             lo, hi = q.cell_interval(m)
             reference = window_weights(belief.grid, lo, hi, 0) * belief.values
-            assert SOURCE.restrict(belief, q, m).tobytes() == reference.tobytes()
+            # part is the product on the cell's weight support, 0 elsewhere
+            start, part = SOURCE.restrict(belief, q, m)
+            support, w = _cell_weights(belief.grid, lo, hi)
+            assert (start, len(part)) == (support, len(w))
+            got = np.zeros(belief.grid.n_points)
+            got[start : start + len(part)] = part
+            assert got.tobytes() == reference.tobytes()
 
 
 def test_cached_arrays_are_read_only():
@@ -172,19 +181,32 @@ def test_push_output_passes_the_belief_checks(case):
     grid = belief.grid
     for q in cands:
         for m in range(1, q.levels + 1):
-            r = SOURCE.restrict(belief, q, m)
-            mass = float(r.sum())
+            start, part = SOURCE.restrict(belief, q, m)
+            mass = float(part.sum())
             if mass <= EPS_MASS:
                 continue
             got = filter_update(belief, SOURCE, q, m)
             # the checked constructor on the same values passes and keeps them
             assert GridBelief(grid, got.values).values.tobytes() == got.values.tobytes()
             # and they are the bytes push built through the checks before
-            nz = np.flatnonzero(r)
-            cell = slice(nz[0], nz[-1] + 1)
-            raw = (_transition_kernel(SOURCE, grid)[:, cell] @ r[cell]) / mass
+            cell = slice(start, start + len(part))
+            raw = (_transition_kernel(SOURCE, grid)[:, cell] @ part) / mass
             expected = GridBelief(grid, raw / float(grid.trapezoid_weights @ raw))
             assert got.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("levels, n_cands", [(2, 21), (3, 11)])
+def test_kernel_cut_moments_match_a_row_major_kernel(levels, n_cands):
+    # the blocks of the column-major kernel are multiplied as row-major
+    # copies, which gives the bytes of a row-major kernel's product
+    source = LinearGaussianSource(0.9, 1.0)
+    grid = default_grid(source)
+    cands = enumerate_interval_candidates(levels, -2.0, 2.0, n_cands)
+    matrix = _cut_weights(grid, cands).matrix
+    kernel = np.ascontiguousarray(_transition_kernel(source, grid))
+    width = _PRODUCT_COLUMNS
+    expected = np.hstack([matrix @ kernel[:, j : j + width] for j in range(0, grid.n_points, width)])
+    assert _kernel_cut_moments(source, grid, cands).tobytes() == expected.tobytes()
 
 
 def test_push_still_rejects_an_overflowed_kernel():

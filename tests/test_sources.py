@@ -124,6 +124,25 @@ def test_state_paths_match_sample_next(P, n_paths, steps, seed):
                 assert paths[p, j] == x
 
 
+@pytest.mark.parametrize("n_states", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(2000, 12), (1, 1000), (7, 33), (1, 1)])
+def test_state_paths_match_a_sequential_walk(n_states, shape):
+    # the prefix scan against one step at a time over all paths, at step
+    # counts that are and are not powers of two
+    rng = np.random.default_rng(n_states)
+    P = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) < 0.8)
+    P[:, 0] += 0.01
+    chain = FiniteChain(P / P.sum(axis=1, keepdims=True), np.full(n_states, 1.0 / n_states))
+    x0 = rng.integers(0, n_states, shape[0])
+    v = rng.random(shape)
+    walk = np.empty(shape, int)
+    x = x0
+    for j in range(shape[1]):
+        walk[:, j] = [chain.row_cdf[i].searchsorted(u, side="right") for i, u in zip(x, v[:, j])]
+        x = walk[:, j]
+    assert np.array_equal(chain.state_paths(x0, v), walk)
+
+
 def test_chain_defaults(two_state_chain):
     assert two_state_chain.n_states == 2
     assert np.array_equal(two_state_chain.state_values, [0.0, 1.0])
