@@ -53,14 +53,18 @@ cuts of a candidate set and the weights up to them (_cut_weights), their
 product with the kernel (_kernel_cut_moments), the window weights of a
 cell (_cell_weights) and the transition kernel (_transition_kernel),
 each in a bounded LRU cache; the first two find a candidate set by the
-hash it took when built. A restriction is the entries on its cell's
-weight support, (start, part), and the kernel is column-major, so the
-push reads the cell's kernel columns as one contiguous block. W @ K
-multiplies row-major copies of the kernel's column blocks instead: on
-OpenBLAS a product with a column-major block took the threaded path in
-some processes, 100 times slower, and the copies keep the bytes of a
-row-major kernel's product. This module imports nothing from
-sources.py; a source names its belief class.
+hash it took when built. The kernel is banded (_BandedKernel): it keeps
+each column's entries of at least 2^-60 of the column's largest, in
+column-major blocks of 64 columns over the union of their rows, and
+never holds the dense kernel. A restriction is the entries on its
+cell's weight support, (start, part), so the push reads the cell's
+columns as a run of blocks, one product of at most 64 columns per block
+added into that block's rows; no such product is wide enough for a
+threaded BLAS path, so a push gives the same bytes on any thread count.
+W @ K multiplies row-major copies of 32 of a block's columns at a time,
+over the block's rows only: on OpenBLAS a product with a column-major
+block took the threaded path in some processes, 100 times slower. This
+module imports nothing from sources.py; a source names its belief class.
 """
 from __future__ import annotations
 
@@ -234,13 +238,14 @@ def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridBelief:
     """Density belief on a fixed grid, normalized to trapezoid integral 1.
 
     The belief holds one buffer: the bytes of its values, which key()
     returns, and values is a read-only view of them. It copies the array
     it is built from, so the caller may go on to change that array.
+    == is identity; two beliefs compare by value through key().
     """
 
     grid: Grid
@@ -465,9 +470,13 @@ class GridBelief:
         return np.concatenate(([0.0], np.cumsum(seg)))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimplexBelief:
-    """Probability vector over a finite alphabet with real state values."""
+    """Probability vector over a finite alphabet with real state values.
+
+    == is identity; two beliefs compare by value through key(), the
+    bytes of their probabilities.
+    """
 
     probabilities: np.ndarray
     states: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -673,37 +682,77 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
     return start, w
 
 
-_KERNEL_COLUMNS = 64  # kernel columns built at once
+_KERNEL_COLUMNS = 64  # kernel columns per stored block
+# noise variances a band's squared radius reaches past its peak's squared
+# distance: an entry there is exp(-_BAND_VARIANCES / 2) = 2^-60 of the peak
+_BAND_VARIANCES = 120.0 * math.log(2.0)
+
+
+class _BandedKernel:
+    """The transition kernel K[j, i] = transition density at node j given
+    node i, holding only each column's band.
+
+    Column i is centred at c = a x_i; with d the distance from c to the
+    nearest node, where the column is largest, and s the noise std, its
+    band is the rows j with (x_j - c)^2 <= d^2 + 120 ln 2 s^2: the
+    entries at least 2^-60 of the column's largest. The band's ends come
+    in closed form from searchsorted, its radius widened by one part in
+    10^12 so that rounding at the threshold keeps an entry rather than
+    drops it. The columns are held in blocks of _KERNEL_COLUMNS:
+    blocks[b] is (r0, block), block the rows r0 .. r0 + len(block) - 1
+    of columns b _KERNEL_COLUMNS onward, the union of their bands, dense,
+    column-major and read-only. Each block is built in place by the
+    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm,
+    so every kept entry is the one-shot formula's bit for bit; the
+    dense kernel is never built.
+    """
+
+    def __init__(self, model, grid: Grid):
+        model.require_noise()
+        s = model.noise_std
+        x = grid.nodes
+        ax = model.a * x
+        norm = s * math.sqrt(2.0 * math.pi)
+        right = np.minimum(np.searchsorted(x, ax), grid.n_points - 1)
+        left = np.maximum(right - 1, 0)
+        d = np.minimum(np.abs(ax - x[right]), np.abs(ax - x[left]))
+        radius = np.sqrt(d * d + _BAND_VARIANCES * (s * s)) * (1.0 + 1e-12)
+        first = np.searchsorted(x, ax - radius, side="left")
+        stop = np.searchsorted(x, ax + radius, side="right")
+        blocks = []
+        for i in range(0, grid.n_points, _KERNEL_COLUMNS):
+            cols = slice(i, i + _KERNEL_COLUMNS)
+            r0, r1 = int(first[cols].min()), int(stop[cols].max())
+            u = np.subtract(x[None, r0:r1], ax[cols, None])
+            np.divide(u, s, out=u)
+            h = np.multiply(-0.5, u)
+            np.multiply(h, u, out=u)
+            np.exp(u, out=u)
+            np.divide(u, norm, out=u)
+            u.flags.writeable = False
+            blocks.append((r0, u.T))
+        self.n_points = grid.n_points
+        self.blocks = tuple(blocks)
+
+    def times(self, start: int, part: np.ndarray) -> np.ndarray:
+        """K[:, start : start + len(part)] @ part over the bands: block by
+        block, in increasing column order, each block's product added into
+        its rows. No product has more than _KERNEL_COLUMNS columns, so none
+        takes a threaded BLAS path."""
+        out = np.zeros(self.n_points)
+        stop = start + len(part)
+        for b in range(start // _KERNEL_COLUMNS, -(-stop // _KERNEL_COLUMNS)):
+            i = b * _KERNEL_COLUMNS
+            r0, block = self.blocks[b]
+            c0, c1 = max(start, i), min(stop, i + _KERNEL_COLUMNS)
+            out[r0 : r0 + len(block)] += block[:, c0 - i : c1 - i] @ part[c0 - start : c1 - start]
+        return out
 
 
 @functools.lru_cache(maxsize=8)
-def _transition_kernel(model, grid: Grid) -> np.ndarray:
-    """Dense kernel K[j, i] = transition density at node j given node i,
-    column-major and read-only.
-
-    The columns from node i are one contiguous block, which a push reads
-    for its cell. K^T is built in blocks of rows, each in place by the
-    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm,
-    so the one temporary is a block of -0.5 * u; K is its transpose view.
-    """
-    model.require_noise()
-    s = model.noise_std
-    x = grid.nodes
-    ax = model.a * x
-    norm = s * math.sqrt(2.0 * math.pi)
-    KT = np.empty((grid.n_points, grid.n_points))
-    half = np.empty((_KERNEL_COLUMNS, grid.n_points))
-    for i in range(0, grid.n_points, _KERNEL_COLUMNS):
-        u = KT[i : i + _KERNEL_COLUMNS]
-        h = half[: len(u)]
-        np.subtract(x[None, :], ax[i : i + _KERNEL_COLUMNS, None], out=u)
-        np.divide(u, s, out=u)
-        np.multiply(-0.5, u, out=h)
-        np.multiply(h, u, out=u)
-        np.exp(u, out=u)
-        np.divide(u, norm, out=u)
-    KT.flags.writeable = False
-    return KT.T
+def _transition_kernel(model, grid: Grid) -> _BandedKernel:
+    """The source's banded transition kernel on grid, read-only."""
+    return _BandedKernel(model, grid)
 
 
 _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
@@ -719,18 +768,18 @@ def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
     from node i up to every cut, order by order (the order-0 row at +inf
     is its trapezoid integral); W @ K @ r does the same for the
     prediction K r of any restriction r. The product is taken in blocks
-    of kernel columns: narrow products stay on one BLAS thread, and on a
-    2-core Xeon the threaded 39 x 801 x 801 product took 30 ms, these 26
-    took 2 ms. Each block is a row-major copy of the column-major
-    kernel's columns: times a column-major block, OpenBLAS took its
-    threaded path in some processes (about 200 ms against 2 ms), and
-    the copies give the bytes of a row-major kernel's product.
+    of _PRODUCT_COLUMNS kernel columns, each over its kernel block's rows
+    only (matrix[:, r0:r1]): narrow products stay on one BLAS thread,
+    and on a 2-core Xeon the threaded 39 x 801 x 801 product took 30 ms,
+    these 26 took 2 ms. Each block is a row-major copy of the kernel
+    block's columns: times a column-major block, OpenBLAS took its
+    threaded path in some processes (about 200 ms against 2 ms).
     """
-    weights = _cut_weights(grid, candidates)
-    kernel = _transition_kernel(model, grid)
+    matrix = _cut_weights(grid, candidates).matrix
     out = np.hstack([
-        weights.matrix @ np.ascontiguousarray(kernel[:, j : j + _PRODUCT_COLUMNS])
-        for j in range(0, grid.n_points, _PRODUCT_COLUMNS)
+        matrix[:, r0 : r0 + len(block)] @ np.ascontiguousarray(block[:, j : j + _PRODUCT_COLUMNS])
+        for r0, block in _transition_kernel(model, grid).blocks
+        for j in range(0, block.shape[1], _PRODUCT_COLUMNS)
     ])
     out.flags.writeable = False
     return out

@@ -181,11 +181,11 @@ class LinearGaussianSource:
     def push(self, belief: GridBelief, start: int, part: np.ndarray, mass: float) -> GridBelief:
         """The restriction (start, part) over its mass, pushed through the
         transition kernel on the belief's grid and renormalized to
-        integral 1. The kernel is column-major, so the columns the
-        restriction reads, start .. start + len(part) - 1, are one
-        contiguous block."""
-        K = _transition_kernel(self, belief.grid)
-        raw = (K[:, start : start + len(part)] @ part) / mass
+        integral 1. The kernel holds each column's band in blocks of
+        columns, so the columns the restriction reads, start .. start +
+        len(part) - 1, are a run of blocks, each multiplied over its own
+        rows (beliefs._BandedKernel.times)."""
+        raw = _transition_kernel(self, belief.grid).times(start, part) / mass
         z = float(belief.grid.trapezoid_weights @ raw)
         if z <= 0.0:
             raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")

@@ -23,8 +23,9 @@ from zdq.beliefs import GridBelief, SimplexBelief, _transition_kernel
 def predict(belief, model):
     """Push the belief one step through the transition law (no conditioning)."""
     if isinstance(belief, GridBelief):
-        K = _transition_kernel(model, belief.grid)
-        raw = K @ (belief.grid.trapezoid_weights * belief.values)
+        # the push's banded product over every column
+        weighted = belief.grid.trapezoid_weights * belief.values
+        raw = _transition_kernel(model, belief.grid).times(0, weighted)
         return GridBelief.from_unnormalized(belief.grid, raw)
     post = belief.probabilities @ model.transition
     return SimplexBelief(post / post.sum(), states=belief.states)

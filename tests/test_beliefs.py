@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+import zdq.beliefs
 from reference_filter import invert_one, predict, sample_one, tv_distance
 from zdq.beliefs import (
     Grid,
@@ -31,6 +35,32 @@ from zdq.sources import FiniteChain, LinearGaussianSource, density_bounds
 def std_normal_belief(n_points=801, span=8.0):
     grid = Grid(-span, span, n_points)
     return GridBelief.normal(grid, 0.0, 1.0)
+
+
+def one_shot_kernel(model, grid):
+    """The dense transition kernel K[j, i], by the elementwise formula."""
+    x, s = grid.nodes, model.noise_std
+    u = (x[:, None] - model.a * x[None, :]) / s
+    return np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
+
+
+def kernel_blocks(kernel):
+    """(rows, cols, block) of every block of a banded kernel: the slices
+    of the dense kernel that the block holds."""
+    i = 0
+    for r0, block in kernel.blocks:
+        yield slice(r0, r0 + len(block)), slice(i, i + block.shape[1]), block
+        i += block.shape[1]
+
+
+def assert_band_drops_only_tiny_entries(model, grid, one_shot):
+    # the blocks cover every column, and every entry they drop is at
+    # most 2^-60 of its column's largest
+    kept = np.zeros(one_shot.shape, dtype=bool)
+    for rows, cols, _ in kernel_blocks(_transition_kernel(model, grid)):
+        kept[rows, cols] = True
+    assert cols.stop == grid.n_points
+    assert np.all(np.where(kept, 0.0, one_shot) <= 2.0**-60 * one_shot.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +180,20 @@ def test_grid_belief_keys_differ():
     g = b1.grid
     b3 = GridBelief.normal(g, 0.1, 1.0)
     assert b1.key() != b3.key()
+
+
+def test_belief_equality_is_identity():
+    # == is identity, so it never compares the arrays (which raised);
+    # key() compares two beliefs by value
+    grid = Grid(-3.0, 3.0, 31)
+    pairs = [
+        (GridBelief.normal(grid, 0.0, 1.0), GridBelief.normal(grid, 0.0, 1.0)),
+        (SimplexBelief(np.array([0.25, 0.75])), SimplexBelief(np.array([0.25, 0.75]))),
+    ]
+    for belief, copy in pairs:
+        assert belief == belief
+        assert (belief == copy) is False and belief != copy
+        assert belief.key() == copy.key()
 
 
 def test_grid_belief_holds_one_read_only_buffer(ar_source):
@@ -276,18 +320,64 @@ def test_grid_inverse_cdf_matches_scalar_inversion(values, lo, width, seed):
     ids=["a0.5-default", "a0.9-default", "130-nodes", "50-nodes"],
 )
 def test_transition_kernel_matches_one_shot_formula(a, grid):
-    # the kernel is built in column blocks; every entry is the one-shot
-    # formula's, and it is kept column-major and read-only
+    # the kernel holds each column's band, in blocks of columns: every
+    # stored entry is the one-shot formula's, every dropped entry at most
+    # 2^-60 of its column's largest, and each block is column-major and
+    # read-only
     model = LinearGaussianSource(a, 1.0)
     grid = default_grid(model) if grid is None else grid
-    x, s = grid.nodes, model.noise_std
-    u = (x[:, None] - model.a * x[None, :]) / s
-    one_shot = np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
-    kernel = _transition_kernel(model, grid)
-    assert np.array_equal(kernel, one_shot)
-    assert kernel.flags.f_contiguous and not kernel.flags.writeable
-    with pytest.raises(ValueError):
-        kernel[0, 0] = 0.0
+    one_shot = one_shot_kernel(model, grid)
+    for rows, cols, block in kernel_blocks(_transition_kernel(model, grid)):
+        assert np.array_equal(block, one_shot[rows, cols])
+        assert block.flags.f_contiguous and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+    assert_band_drops_only_tiny_entries(model, grid, one_shot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([-0.7, 0.0, 0.5, 0.9, 0.99]),
+    st.sampled_from([0.3, 1.0, 2.5]),
+    st.one_of(
+        st.none(),
+        st.builds(
+            lambda lo, width, n: Grid(lo, lo + width, n),
+            st.floats(-30.0, 10.0),
+            st.floats(0.5, 40.0),
+            st.integers(3, 200),
+        ),
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_banded_push_matches_the_dense_product(a, noise, grid, seed, blind):
+    # the push's banded product against the dense kernel's, over random
+    # restrictions (start, part) and the full-width blind cell
+    model = LinearGaussianSource(a, noise)
+    grid = default_grid(model) if grid is None else grid
+    n = grid.n_points
+    rng = np.random.default_rng(seed)
+    start = 0 if blind else int(rng.integers(0, n))
+    stop = n if blind else int(rng.integers(start + 1, n + 1))
+    part = rng.random(stop - start)
+    one_shot = one_shot_kernel(model, grid)
+    assert_band_drops_only_tiny_entries(model, grid, one_shot)
+    dense = one_shot[:, start:stop] @ part
+    got = _transition_kernel(model, grid).times(start, part)
+    # a grid far from every column's centre underflows both to 0
+    deviation, scale = float(np.max(np.abs(got - dense))), float(dense.max())
+    target(deviation / scale if scale else 0.0, label="deviation over the dense result's largest entry")
+    assert deviation <= 1e-13 * scale
+
+
+def test_band_covers_the_default_grid_at_a_zero():
+    # at a = 0 every column is N(0, s^2), and the default grid's 8
+    # stationary stds lie within the band's 9.12 noise stds
+    model = LinearGaussianSource(0.0, 1.0)
+    grid = default_grid(model)
+    for r0, block in _transition_kernel(model, grid).blocks:
+        assert (r0, len(block)) == (0, grid.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +423,34 @@ def test_filter_update_zero_mass_symbol_raises(two_state_chain):
     sep = FinitePartition((1, 2), 2)
     with pytest.raises(ZeroMassSymbolError):
         filter_update(b, two_state_chain, sep, 2)
+
+
+WIDE_CELL_UPDATES = """
+import hashlib
+from zdq.beliefs import GridBelief, default_grid, filter_update
+from zdq.quantizers import IntervalQuantizer
+from zdq.sources import LinearGaussianSource
+source = LinearGaussianSource(0.5, 1.0)
+prior = GridBelief.normal(default_grid(source), 0.3, 1.2)
+for q in (IntervalQuantizer(()), IntervalQuantizer((5.0,))):
+    print(hashlib.sha256(filter_update(prior, source, q, 1).key()).hexdigest())
+"""
+
+
+def test_wide_cell_update_does_not_depend_on_blas_threads():
+    # a blind or lopsided cell reads every kernel column; no product of
+    # the push is wide enough for a threaded BLAS path, so one BLAS
+    # thread and the default count give the same bytes
+    src = os.path.dirname(os.path.dirname(zdq.beliefs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", WIDE_CELL_UPDATES], env=e, capture_output=True, text=True, check=True
+        ).stdout
+        for e in (env, dict(env, OPENBLAS_NUM_THREADS="1"))
+    ]
+    assert len(outputs[0].split()) == 2 and outputs[0] == outputs[1]
 
 
 def test_filter_law_of_total_probability(ar_source):

@@ -342,13 +342,14 @@ def test_grid_floor_bounds_every_posterior(a, noise, n_points, mean, std, cuts):
     st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4, unique=True),
 )
 def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
-    # reference: every normalized kernel column as its own GridBelief
+    # reference: every normalized kernel column as its own GridBelief,
+    # each read through the push's product of a one-entry restriction
     src = LinearGaussianSource(a, noise)
     grid = default_grid(src, n_points=n_points)
     cands = CandidateSet([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
     kernel = _transition_kernel(src, grid)
     ref = np.array([
-        cell_decisions(GridBelief.from_unnormalized(grid, kernel[:, i]), cands, QUAD)[0]
+        cell_decisions(GridBelief.from_unnormalized(grid, kernel.times(i, np.ones(1))), cands, QUAD)[0]
         for i in range(n_points)
     ]).T
     # one candidate at a time gives each candidate's stage at every column

@@ -189,23 +189,28 @@ def test_push_output_passes_the_belief_checks(case):
             # the checked constructor on the same values passes and keeps them
             assert GridBelief(grid, got.values).values.tobytes() == got.values.tobytes()
             # and they are the bytes push built through the checks before
-            cell = slice(start, start + len(part))
-            raw = (_transition_kernel(SOURCE, grid)[:, cell] @ part) / mass
+            raw = _transition_kernel(SOURCE, grid).times(start, part) / mass
             expected = GridBelief(grid, raw / float(grid.trapezoid_weights @ raw))
             assert got.values.tobytes() == expected.values.tobytes()
 
 
 @pytest.mark.parametrize("levels, n_cands", [(2, 21), (3, 11)])
 def test_kernel_cut_moments_match_a_row_major_kernel(levels, n_cands):
-    # the blocks of the column-major kernel are multiplied as row-major
-    # copies, which gives the bytes of a row-major kernel's product
+    # every _PRODUCT_COLUMNS columns of a kernel block are multiplied as
+    # a row-major copy over the block's rows, which gives the bytes of
+    # the band of a row-major kernel's product
     source = LinearGaussianSource(0.9, 1.0)
     grid = default_grid(source)
     cands = enumerate_interval_candidates(levels, -2.0, 2.0, n_cands)
     matrix = _cut_weights(grid, cands).matrix
-    kernel = np.ascontiguousarray(_transition_kernel(source, grid))
     width = _PRODUCT_COLUMNS
-    expected = np.hstack([matrix @ kernel[:, j : j + width] for j in range(0, grid.n_points, width)])
+    products = []
+    for r0, block in _transition_kernel(source, grid).blocks:
+        rows = np.ascontiguousarray(block)
+        for j in range(0, block.shape[1], width):
+            products.append(matrix[:, r0 : r0 + len(block)] @ rows[:, j : j + width])
+    expected = np.hstack(products)
+    assert expected.shape == (matrix.shape[0], grid.n_points)
     assert _kernel_cut_moments(source, grid, cands).tobytes() == expected.tobytes()
 
 
