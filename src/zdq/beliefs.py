@@ -54,10 +54,17 @@ product with the kernel (_kernel_cut_moments), the window weights of a
 cell (_cell_weights) and the transition kernel (_transition_kernel),
 each in a bounded LRU cache; the first two find a candidate set by the
 hash it took when built. The kernel is banded (_BandedKernel): it keeps
-each column's entries of at least 2^-60 of the column's largest, in
-column-major blocks of 64 columns over the union of their rows, and
-never holds the dense kernel. A restriction is the entries on its
-cell's weight support, (start, part), so the push reads the cell's
+each column's entries of at least TAIL = 2^-60 of the column's largest,
+in column-major blocks of 64 columns over the union of their rows, and
+never holds the dense kernel. A pushed belief follows the same rule: the
+push sets each tail of its product, the entries before the first and
+after the last one of at least TAIL of its largest, to 0, and the
+belief keeps the node range between as its support (any other belief's
+support is the extent of its nonzero values). Outside its support a
+belief is exactly 0, so what reads only the support is exact, not an
+approximation: mean, std and cut_moments sum over it, and a
+restriction is the entries on its cell's weight support within the
+belief's support, (start, part). The push reads the restriction's
 columns as a run of blocks, one product of at most 64 columns per block
 added into that block's rows; no such product is wide enough for a
 threaded BLAS path, so a push gives the same bytes on any thread count.
@@ -93,6 +100,9 @@ __all__ = [
 DEFAULT_GRID_POINTS = 801
 DEFAULT_SPAN_STDS = 8.0
 EPS_MASS = 1e-12
+# the least entry, relative to the largest, that a kernel column's band
+# and a pushed belief's support keep
+TAIL = 2.0**-60
 
 
 class ZeroMassSymbolError(ValueError):
@@ -246,10 +256,18 @@ class GridBelief:
     returns, and values is a read-only view of them. It copies the array
     it is built from, so the caller may go on to change that array.
     == is identity; two beliefs compare by value through key().
+
+    support = (lo, hi) is the node range outside which the values are 0:
+    the extent of the nonzero values. The filter's push trims its
+    product's tails below TAIL = 2^-60 of its largest entry to 0, the
+    kernel band's rule applied to the belief, and hands the belief that
+    range; every other constructor finds it from the values. mean, std,
+    cut_moments and the sources' restrict read the values on it only.
     """
 
     grid: Grid
     values: np.ndarray
+    support: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -265,20 +283,23 @@ class GridBelief:
         z = float(self.grid.trapezoid_weights @ values)
         if abs(z - 1.0) > 1e-9:
             raise ValueError(f"density must integrate to 1 within 1e-9, got {z}")
-        self._hold(values)
+        nz = np.flatnonzero(values)
+        self._hold(values, (int(nz[0]), int(nz[-1]) + 1))
 
-    def _hold(self, values: np.ndarray) -> None:
+    def _hold(self, values: np.ndarray, support: tuple) -> None:
         key = values.tobytes()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "values", np.frombuffer(key))
+        object.__setattr__(self, "support", support)
 
     @classmethod
-    def _normalized(cls, grid: Grid, values: np.ndarray) -> "GridBelief":
+    def _normalized(cls, grid: Grid, values: np.ndarray, support: tuple) -> "GridBelief":
         """A belief of float values that pass __post_init__'s checks by
-        construction, built without running them again."""
+        construction, 0 outside the node range support = (lo, hi), built
+        without running the checks again."""
         belief = object.__new__(cls)
         object.__setattr__(belief, "grid", grid)
-        belief._hold(values)
+        belief._hold(values, support)
         return belief
 
     @classmethod
@@ -331,13 +352,15 @@ class GridBelief:
     @functools.cached_property
     def mean(self) -> float:
         """Exact first moment of the piecewise-linear density, consistent
-        with cell masses and stage costs."""
-        return float(self.grid.moment_weights[1] @ self.values)
+        with cell masses and stage costs, summed over the support."""
+        lo, hi = self.support
+        return float(self.grid.moment_weights[1][lo:hi] @ self.values[lo:hi])
 
     @functools.cached_property
     def std(self) -> float:
+        lo, hi = self.support
         mean = self.mean
-        var = float(self.grid.moment_weights[2] @ self.values) - mean * mean
+        var = float(self.grid.moment_weights[2][lo:hi] @ self.values[lo:hi]) - mean * mean
         return math.sqrt(max(var, 0.0))
 
     def to_json(self) -> dict:
@@ -417,20 +440,24 @@ class GridBelief:
         and a cell's moments are the difference at its two cuts. This is
         cheaper than cell_moments' prefix table but less exact: a moment
         from -inf carries the rounding of the whole sum up to its cut
-        (costs.greedy_decision bounds it). Returns ((m0, m1, m2), center,
-        spread) with (K, L) arrays, and spread the square root of C_2 at
-        +inf (the variance) plus the grid spacing: the scale the
-        product's order-1 sums are bounded by.
+        (costs.greedy_decision bounds it). The values are 0 off the
+        support, so the product runs over the support's nodes only.
+        Returns ((m0, m1, m2), center, spread) with (K, L) arrays, and
+        spread the square root of C_2 at +inf (the variance) plus the
+        grid spacing: the scale the product's order-1 sums are bounded
+        by.
         """
         grid = self.grid
         weights = _cut_weights(grid, CandidateSet.of(candidates))
         center = self.mean
-        y = grid.nodes - center
-        columns = np.empty((3, grid.n_points))
-        columns[0] = self.values
-        np.multiply(y, self.values, out=columns[1])
+        lo, hi = self.support
+        values = self.values[lo:hi]
+        y = grid.nodes[lo:hi] - center
+        columns = np.empty((3, hi - lo))
+        columns[0] = values
+        np.multiply(y, values, out=columns[1])
         np.multiply(y, columns[1], out=columns[2])
-        g = columns @ weights.local.T
+        g = columns @ weights.local[:, lo:hi].T
         p = len(weights.points)
         cumulative = np.empty(3 * p)
         cumulative[:p] = g[0, :p]
@@ -684,8 +711,8 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
 
 _KERNEL_COLUMNS = 64  # kernel columns per stored block
 # noise variances a band's squared radius reaches past its peak's squared
-# distance: an entry there is exp(-_BAND_VARIANCES / 2) = 2^-60 of the peak
-_BAND_VARIANCES = 120.0 * math.log(2.0)
+# distance: an entry there is exp(-_BAND_VARIANCES / 2) = TAIL of the peak
+_BAND_VARIANCES = -2.0 * math.log(TAIL)
 
 
 class _BandedKernel:

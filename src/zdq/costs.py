@@ -183,17 +183,20 @@ def greedy_decision(belief, candidates, cost: CostModel) -> GreedyDecision:
     route hands the belief to cell_decisions, the exact route, when it
     cannot vouch for that or for the choice.
 
-    Error bound. An entry of the product sums n_points terms whose
-    magnitudes add up to at most 1, s and s^2 for orders 0, 1, 2, with
-    s the spread cut_moments returns (the belief's std plus the grid
-    spacing; order 1 by Cauchy-Schwarz). Taken as assumed here, a cell
-    moment, the difference of two entries, is off by at most e = 16 u
-    times that scale (u = 2^-53). On OpenBLAS, on the 801-node default
-    grids of a = 0.9 and 0.99 (filtered beliefs, normals and mixtures
-    of normals), cell moments were off by at most 5.6 u. The bound for
-    any summation order, 801 u, would vouch for nothing. So a live cell of
-    mass m0 whose mean is o off the belief mean gives, to first order
-    (the second is e / m0 of it), a stage term off by at most
+    Error bound. An entry of the product sums one term per node of the
+    belief's support, whose magnitudes add up to at most 1, s and s^2
+    for orders 0, 1, 2, with s the spread cut_moments returns (the
+    belief's std plus the grid spacing; order 1 by Cauchy-Schwarz).
+    Taken as assumed here, a cell moment, the difference of two entries,
+    is off by at most e = 16 u times that scale (u = 2^-53). On
+    OpenBLAS, with one thread or the default count, over the
+    occupancy-path beliefs and filtered beliefs of the a = 0.9 and 0.99
+    default grids, the cell moments of the product over a belief's
+    support were off by at most 4.8 u from moments taken in extended
+    precision (cell_moments' own prefix sums by up to 33 u). The bound
+    for any summation order, 801 u, would vouch for nothing. So a live
+    cell of mass m0 whose mean is o off the belief mean gives, to first
+    order (the second is e / m0 of it), a stage term off by at most
     e (s + |o|)^2 and a reconstruction off by e (s + |o|) / m0. A
     candidate's bound B is its live cells' sum, at most L e (s + O)^2
     with O the largest |o| of any cell. The exact route is taken when

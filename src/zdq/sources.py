@@ -14,9 +14,11 @@ that depends on the family, with the same names on both:
   as an argument for the Gaussian family (default: its default grid);
 - the filter's family half: restrict (the belief restricted to a cell,
   as (start, part), the entries from start on that can be nonzero: a
-  grid cell's weight support, or every state of a chain) and push (the
-  renormalized one-step prediction of a restriction, through the kernel
-  columns or transition rows start .. start + len(part) - 1), which
+  grid cell's weight support within the belief's support, or every
+  state of a chain) and push (the renormalized one-step prediction of a
+  restriction, through the kernel columns or transition rows start ..
+  start + len(part) - 1; a grid prediction's tails below
+  beliefs.TAIL of its largest entry are set to 0), which
   beliefs.filter_update runs around its shared checks;
 - stage_floor, the least stage cost at the prediction columns that
   bounds the dynamic program's later stages, and last_stage_costs, the
@@ -47,6 +49,7 @@ import numpy as np
 
 from .beliefs import (
     EPS_MASS,
+    TAIL,
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
@@ -171,32 +174,51 @@ class LinearGaussianSource:
         elsewhere.
 
         The cell's window weights are kept per (grid, cell) over their
-        support only (_cell_weights), and part is their product with the
-        values there (empty for an empty cell).
+        support only (_cell_weights). The values are 0 outside the
+        belief's support, so part is the product of both over the
+        intersection of the two node ranges (empty when it is empty).
         """
         lo, hi = quantizer.cell_interval(symbol)
         start, w = _cell_weights(belief.grid, lo, hi)
-        return start, w * belief.values[start : start + len(w)]
+        first = max(start, belief.support[0])
+        stop = max(first, min(start + len(w), belief.support[1]))
+        return first, w[first - start : stop - start] * belief.values[first:stop]
 
     def push(self, belief: GridBelief, start: int, part: np.ndarray, mass: float) -> GridBelief:
         """The restriction (start, part) over its mass, pushed through the
-        transition kernel on the belief's grid and renormalized to
-        integral 1. The kernel holds each column's band in blocks of
-        columns, so the columns the restriction reads, start .. start +
-        len(part) - 1, are a run of blocks, each multiplied over its own
-        rows (beliefs._BandedKernel.times)."""
-        raw = _transition_kernel(self, belief.grid).times(start, part) / mass
-        z = float(belief.grid.trapezoid_weights @ raw)
+        transition kernel on the belief's grid, trimmed to its support and
+        renormalized to integral 1.
+
+        The kernel holds each column's band in blocks of columns, so the
+        columns the restriction reads, start .. start + len(part) - 1,
+        are a run of blocks, each multiplied over its own rows
+        (beliefs._BandedKernel.times). Each tail of the product, the
+        entries before the first and after the last one of at least TAIL
+        (2^-60) of its largest, is set to 0: the kernel band's rule,
+        applied to the belief. The entries between are the belief's
+        support, the node range that restrict, this push and the
+        belief's own moments read.
+        """
+        grid = belief.grid
+        raw = _transition_kernel(self, grid).times(start, part) / mass
+        peak = raw[raw.argmax()]  # NaN if any entry is; faster than max
+        lo, hi = 0, len(raw)
+        if math.isfinite(peak):
+            kept = raw >= TAIL * peak
+            lo, hi = int(kept.argmax()), hi - int(kept[::-1].argmax())
+            raw[:lo] = 0.0
+            raw[hi:] = 0.0
+        z = float(grid.trapezoid_weights @ raw)
         if z <= 0.0:
             raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")
         logger.debug("filter renormalization drift %.3e", z - 1.0)
         if sys.float_info.min <= z < math.inf:
             # a finite nonnegative product over a normal mass: raw / z is
             # finite, nonnegative and integrates to 1 up to rounding
-            return GridBelief._normalized(belief.grid, raw / z)
+            return GridBelief._normalized(grid, raw / z, (lo, hi))
         # an overflowed kernel (a subnormal noise_std) or a subnormal
         # mass, which loses the precision dividing by it needs
-        return GridBelief(belief.grid, raw / z)
+        return GridBelief(grid, raw / z)
 
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
         """Least quadratic stage cost over every normalized kernel column

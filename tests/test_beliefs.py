@@ -12,18 +12,21 @@ from scipy.integrate import trapezoid
 import zdq.beliefs
 from reference_filter import invert_one, predict, sample_one, tv_distance
 from zdq.beliefs import (
+    TAIL,
     Grid,
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
+    _cut_weights,
     _transition_kernel,
     check_S_membership,
     default_grid,
     filter_update,
     window_weights,
 )
-from zdq.costs import CostModel, cell_decisions
+from zdq.costs import _PRODUCT_ERROR, CostModel, cell_decisions
 from zdq.quantizers import (
+    CandidateSet,
     FinitePartition,
     IntervalQuantizer,
     enumerate_finite_partitions,
@@ -378,6 +381,96 @@ def test_band_covers_the_default_grid_at_a_zero():
     grid = default_grid(model)
     for r0, block in _transition_kernel(model, grid).blocks:
         assert (r0, len(block)) == (0, grid.n_points)
+
+
+def nonzero_extent(values):
+    nz = np.flatnonzero(values)
+    return int(nz[0]), int(nz[-1]) + 1
+
+
+def full_grid_cut_moments(belief, candidates):
+    """GridBelief.cut_moments over every node, not only the support."""
+    grid, values = belief.grid, belief.values
+    weights = _cut_weights(grid, CandidateSet.of(candidates))
+    y = grid.nodes - belief.mean
+    g = np.stack([values, y * values, y * y * values]) @ weights.local.T
+    p = len(weights.points)
+    cumulative = np.concatenate(
+        [g[0, :p], g[1, :p] + g[0, p : 2 * p], g[2, :p] + (2.0 * g[1, p : 2 * p] + g[0, 2 * p :])]
+    )
+    return weights.cells(cumulative), math.sqrt(max(cumulative[-1], 0.0)) + grid.spacing
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([-0.7, 0.5, 0.9, 0.99]),
+    st.sampled_from([0.3, 1.0, 2.5]),
+    st.one_of(
+        st.none(),
+        st.builds(
+            lambda half, ratio, n: Grid(-half, ratio * half, n),
+            st.floats(1.0, 20.0),
+            st.floats(0.7, 1.4),
+            st.integers(3, 200),
+        ),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_pushed_beliefs_are_trimmed_to_their_support(a, noise, grid, seed):
+    # the push zeroes each tail of its product below TAIL of the largest
+    # entry and the belief keeps the node range between as its support;
+    # every constructor's support is the extent of the nonzero values
+    model = LinearGaussianSource(a, noise)
+    grid = default_grid(model) if grid is None else grid
+    rng = np.random.default_rng(seed)
+    span = grid.hi - grid.lo
+    belief = GridBelief.normal(grid, rng.uniform(grid.lo, grid.hi), rng.uniform(0.02, 0.5) * span)
+    values = rng.random(grid.n_points)
+    values[rng.integers(0, grid.n_points) :] = 0.0
+    values[: rng.integers(0, grid.n_points // 2)] = 0.0
+    inner = rng.integers(0, grid.n_points)
+    values[inner : inner + rng.integers(0, 5)] = 0.0  # zeros inside the extent
+    built = [belief, GridBelief.point_mass(grid, rng.uniform(grid.lo, grid.hi))]
+    built.append(GridBelief.uniform(grid, grid.lo + 0.3 * span, grid.hi - 0.3 * span))
+    if values.any():
+        built.append(GridBelief.from_unnormalized(grid, values))
+        built.append(GridBelief(grid, built[-1].values))
+    for b in built:
+        assert b.support == nonzero_extent(b.values)
+    kernel = _transition_kernel(model, grid)
+    e = _PRODUCT_ERROR
+    deviations = []
+    for _ in range(3):
+        q = IntervalQuantizer(tuple(sorted(rng.uniform(grid.lo, grid.hi, rng.integers(1, 3)))))
+        m = 1 + int(np.argmax(belief.cell_moments([q])[0][0, 0]))
+        try:
+            pushed = filter_update(belief, model, q, m)
+        except ZeroMassSymbolError:
+            break  # the restriction's columns all underflow on a coarse grid
+        values, (lo, hi) = pushed.values, pushed.support
+        assert (lo, hi) == nonzero_extent(values)
+        assert min(values[lo], values[hi - 1]) >= TAIL * values.max()
+        # the untrimmed product of the same restriction, renormalized
+        start, part = model.restrict(belief, q, m)
+        raw = kernel.times(start, part)
+        untrimmed = raw / float(grid.trapezoid_weights @ raw)
+        deviations.append(float(np.abs(values - untrimmed).max() / untrimmed.max()))
+        # the support's moments against the full grid's: each a sum of
+        # the same nonzero terms, so within the product route's error
+        mean_full = float(grid.moment_weights[1] @ values)
+        m2_full = float(grid.moment_weights[2] @ values)
+        a1 = float(np.abs(grid.moment_weights[1]) @ values)
+        assert abs(pushed.mean - mean_full) <= e * a1
+        assert abs(pushed.std**2 - (m2_full - mean_full**2)) <= 2.0 * e * (m2_full + abs(mean_full) * a1)
+        cands = [q, IntervalQuantizer((float(rng.uniform(grid.lo, grid.hi)),))]
+        moments, center, spread = pushed.cut_moments(cands)
+        expected, spread_full = full_grid_cut_moments(pushed, cands)
+        assert center == pushed.mean
+        assert abs(spread - spread_full) <= e * spread_full
+        for k in range(3):
+            assert np.all(np.abs(moments[k] - expected[k]) <= 2.0 * e * spread_full**k)
+        belief = pushed
+    assert max(deviations, default=0.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ The cache finds a set by the hash the CandidateSet took when built, so
 equal sets share an entry.
 LinearGaussianSource.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support, and returns
-its product with the density values there. Both routes must return the
-bytes of the uncached computation: the frozen cell_moments of
-reference_moments.py, and window_weights times the density values, 0
-off the support. CutWeights.matrix takes the window weights of all its
-cuts in one broadcast window_weights call, which must give the frozen
-one-window weights row by row; LinearGaussianSource.push builds its
-belief without GridBelief's checks, which its output must pass.
+its product with the density values there, within the belief's
+support. Both routes must return the bytes of the uncached computation:
+the frozen cell_moments of reference_moments.py, and window_weights
+times the density values, 0 off the support. CutWeights.matrix takes
+the window weights of all its cuts in one broadcast window_weights
+call, which must give the frozen one-window weights row by row;
+LinearGaussianSource.push sets its product's tails below TAIL of its
+largest entry to 0 and builds its belief without GridBelief's checks,
+which its output must pass.
 """
 import math
 
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 import reference_moments
 from zdq.beliefs import (
     EPS_MASS,
+    TAIL,
     _PRODUCT_COLUMNS,
     Grid,
     GridBelief,
@@ -99,10 +102,12 @@ def test_cached_routes_return_the_uncached_bytes(case):
         for m in range(1, q.levels + 1):
             lo, hi = q.cell_interval(m)
             reference = window_weights(belief.grid, lo, hi, 0) * belief.values
-            # part is the product on the cell's weight support, 0 elsewhere
+            # part is the product on the cell's weight support within the
+            # belief's support, 0 elsewhere
             start, part = SOURCE.restrict(belief, q, m)
-            support, w = _cell_weights(belief.grid, lo, hi)
-            assert (start, len(part)) == (support, len(w))
+            first, w = _cell_weights(belief.grid, lo, hi)
+            first, stop = max(first, belief.support[0]), min(first + len(w), belief.support[1])
+            assert (start, len(part)) == (first, max(stop - first, 0))
             got = np.zeros(belief.grid.n_points)
             got[start : start + len(part)] = part
             assert got.tobytes() == reference.tobytes()
@@ -188,10 +193,14 @@ def test_push_output_passes_the_belief_checks(case):
             got = filter_update(belief, SOURCE, q, m)
             # the checked constructor on the same values passes and keeps them
             assert GridBelief(grid, got.values).values.tobytes() == got.values.tobytes()
-            # and they are the bytes push built through the checks before
+            # and they are the bytes of the product, its tails below TAIL of
+            # its largest set to 0, built through the checks
             raw = _transition_kernel(SOURCE, grid).times(start, part) / mass
+            above = np.flatnonzero(raw >= TAIL * raw.max())
+            raw[: above[0]] = raw[above[-1] + 1 :] = 0.0
             expected = GridBelief(grid, raw / float(grid.trapezoid_weights @ raw))
             assert got.values.tobytes() == expected.values.tobytes()
+            assert got.support == expected.support == (above[0], above[-1] + 1)
 
 
 @pytest.mark.parametrize("levels, n_cands", [(2, 21), (3, 11)])

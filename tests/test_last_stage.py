@@ -25,7 +25,13 @@ from zdq.beliefs import GridBelief, SimplexBelief, default_grid, filter_update
 from zdq.cli import main
 from zdq.costs import CostModel, cell_decisions
 from zdq.dp import PRUNE_MARGIN, solve_finite_horizon
-from zdq.quantizers import CandidateSet, FinitePartition, IntervalQuantizer, enumerate_finite_partitions
+from zdq.quantizers import (
+    CandidateSet,
+    FinitePartition,
+    IntervalQuantizer,
+    enumerate_finite_partitions,
+    enumerate_interval_candidates,
+)
 from zdq.sources import LinearGaussianSource
 
 QUAD = CostModel.quadratic()
@@ -177,6 +183,17 @@ def test_design_ar1_takes_the_product_route():
     assert tree.expansions_by_stage[0] == 1
     assert tree.expansions_by_stage[-1] == len(tree.nodes) - sum(
         1 for n in tree.nodes if n.t < tree.horizon)
+
+
+def test_deep_ar1_design_keeps_its_value_and_expansions():
+    # a = 0.9, L = 2, T = 4, K = 21 from the invariant belief: the design
+    # whose pushed beliefs the push trims most (design-ar1's a = 0.5
+    # beliefs keep 770 to 801 of their 801 nodes)
+    src = LinearGaussianSource(0.9, 1.0)
+    cands = enumerate_interval_candidates(2, -2.0, 2.0, 21)
+    result = solve_finite_horizon(src.invariant_distribution(), src, cands, QUAD, 4)
+    assert abs(result.value - 1.067733242689243) <= 1e-12
+    assert list(result.tree.expansions_by_stage) == [1, 42, 1012, 2124, 16]
 
 
 def test_mirror_partitions_keep_the_first_on_a_tie():
