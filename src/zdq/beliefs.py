@@ -18,26 +18,21 @@ Every cell mass and every moment behind a stage cost comes from one
 method per belief family, cell_moments(candidates), which returns the
 moments of orders 0..2 of every cell of a whole candidate set (a
 quantizers.CandidateSet) as (K, L) arrays; costs.cell_decisions turns
-them into stage costs, cell masses and reconstructions. A grid belief
-builds a prefix table: the exact moments of the piecewise-linear
-density, accumulated node by node in coordinates centred on the belief
-mean, so the moments up to a cut are a table lookup plus a closed-form
-term for the partial segment. A simplex belief multiplies its
-probabilities by each partition's cached 0/1 membership matrix. A grid
-belief also has a cheaper, less exact route, cut_moments: node-local
-weights up to every distinct cut of a candidate set (CutWeights.local,
-node_moment_weights) times its values and their products with powers
-of (x - mean) give the cumulative moments about its mean at every cut,
-in one product; costs.greedy_decision ranks candidates by it (a
-simplex belief's cut_moments is None). _kernel_cut_moments is the
-product of the cut set's window weights of x^k (CutWeights.matrix)
+them into stage costs, cell masses and reconstructions. Every cell
+moment is linear in the belief, so a grid belief takes them all from
+one product: node-local weights up to every distinct cut of the set
+(CutWeights.local, node_moment_weights) times its values and their
+products with powers of (x - mean) give the cumulative moments about
+its mean at every cut. A simplex belief multiplies its probabilities by
+each partition's cached 0/1 membership matrix. _kernel_cut_moments is
+the product of the cut set's window weights of x^k (CutWeights.matrix)
 with the transition kernel, kept per source, grid and candidate set:
 times a restriction it gives the cumulative raw moments of that
 restriction's prediction at every cut, from which the sources
 (sources.py) read the dynamic program's stage-cost floor and the
-last-stage costs of a belief's children. Every route takes its
+last-stage costs of a belief's children. Both products take their
 cumulative moments at the set's distinct cuts (CutWeights.points) and
-reads every cell off them by CutWeights.cells.
+read every cell off them by CutWeights.cells.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
@@ -62,7 +57,7 @@ after the last one of at least TAIL of its largest, to 0, and the
 belief keeps the node range between as its support (any other belief's
 support is the extent of its nonzero values). Outside its support a
 belief is exactly 0, so what reads only the support is exact, not an
-approximation: mean, std and cut_moments sum over it, and a
+approximation: mean, std and cell_moments sum over it, and a
 restriction is the entries on its cell's weight support within the
 belief's support, (start, part). The push reads the restriction's
 columns as a run of blocks, one product of at most 64 columns per block
@@ -262,7 +257,7 @@ class GridBelief:
     product's tails below TAIL = 2^-60 of its largest entry to 0, the
     kernel band's rule applied to the belief, and hands the belief that
     range; every other constructor finds it from the values. mean, std,
-    cut_moments and the sources' restrict read the values on it only.
+    cell_moments and the sources' restrict read the values on it only.
     """
 
     grid: Grid
@@ -377,75 +372,32 @@ class GridBelief:
         return [self.mean, self.std]
 
     def cell_moments(self, candidates):
-        """Exact moments of orders 0..2 of the PL density over every cell.
+        """Moments of orders 0..2 of the PL density over every cell, about
+        the belief mean, from one product.
 
         candidates is a sequence of interval quantizers, possibly with
         mixed level counts, taken as a CandidateSet. Quantizer k cuts at
         (-inf, its thresholds, +inf), padded with +inf up to the largest
-        level count L, so padded cells are empty. Cut points are clipped to the grid,
-        so the infinities close the outer cells.
-
-        On the segment starting at node j, the moments over the local
-        coordinate range [0, u] are polynomials in u of degree <= 4 whose
-        coefficients depend on the two node values. One prefix table holds
-        the whole-segment moments summed up to every node, so the moments
-        up to any cut are a table lookup plus that polynomial at the cut,
-        and a cell's moments are the difference at its two cuts. The
-        segment ids and offset powers of the candidate set's distinct cut
-        points depend on the grid and the thresholds only
-        (CutWeights.segments); only the table is built per call.
-
-        Returns ((m0, m1, m2), center) with (K, L) moment arrays; the
-        first and second moments are taken about center, the belief mean,
-        which keeps m2 - m1^2 / m0 free of cancellation for beliefs far
-        from 0.
-        """
-        candidates = CandidateSet.of(candidates)
-        grid = self.grid
-        x = grid.nodes
-        d = grid.spacing
-        center = self.mean
-        y = x[:-1] - center
-        dv = d * self.values[:-1]
-        ds = d * np.diff(self.values)
-        # poly[k, p - 1] multiplies u^p in the order-k moment of a segment
-        poly = np.zeros((3, 4, grid.n_points - 1))
-        poly[0, 0] = dv
-        poly[0, 1] = 0.5 * ds
-        poly[1, 0] = y * dv
-        poly[1, 1] = 0.5 * (y * ds + d * dv)
-        poly[1, 2] = d * ds / 3.0
-        poly[2, 0] = y * poly[1, 0]
-        poly[2, 1] = y * (0.5 * y * ds + d * dv)
-        poly[2, 2] = d * (2.0 * y * ds + d * dv) / 3.0
-        poly[2, 3] = 0.25 * d * d * ds
-        table = np.zeros((3, grid.n_points))
-        np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
-        weights = _cut_weights(grid, candidates)
-        j, powers = weights.segments
-        cumulative = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
-        return weights.cells(cumulative.ravel()), center
-
-    def cut_moments(self, candidates):
-        """Moments of orders 0..2 of every cell of the candidates (any
-        sequence, taken as a CandidateSet) about the belief mean, from one
-        product.
-
-        With y = x - center at the nodes (center = mean), the product of
-        the set's CutWeights.local (node_moment_weights G_m up to every
-        point) with the columns v, y v and y^2 v of the values v gives
-        the cumulative moments about the center at every point,
+        level count L, so padded cells are empty. With y = x - center at
+        the nodes (center = mean), the product of the set's
+        CutWeights.local (node_moment_weights G_m up to every distinct cut
+        point, clipped to the grid) with the columns v, y v and y^2 v of
+        the values v gives the cumulative moments about the center at
+        every point,
           C_0 = G_0 v,  C_1 = G_0 (y v) + G_1 v,
           C_2 = G_0 (y^2 v) + 2 G_1 (y v) + G_2 v,
-        and a cell's moments are the difference at its two cuts. This is
-        cheaper than cell_moments' prefix table but less exact: a moment
-        from -inf carries the rounding of the whole sum up to its cut
-        (costs.greedy_decision bounds it). The values are 0 off the
-        support, so the product runs over the support's nodes only.
-        Returns ((m0, m1, m2), center, spread) with (K, L) arrays, and
-        spread the square root of C_2 at +inf (the variance) plus the
-        grid spacing: the scale the product's order-1 sums are bounded
-        by.
+        and a cell's moments are the difference at its two cuts. The
+        values are 0 off the support, so the product runs over the
+        support's nodes only, and each entry is a sum of at most n terms
+        (n nodes) whose magnitudes add up to at most 1, s and s^2 for
+        orders 0, 1, 2 (order 1 by Cauchy-Schwarz), s the belief's std
+        plus the grid spacing. tests/test_moments.py checks every cell
+        moment of order k within 16 u s^k (u = 2^-53) of the same sums
+        taken in extended precision.
+
+        Returns ((m0, m1, m2), center) with (K, L) moment arrays; moments
+        about the mean keep m2 - m1^2 / m0 free of cancellation for
+        beliefs far from 0.
         """
         grid = self.grid
         weights = _cut_weights(grid, CandidateSet.of(candidates))
@@ -463,8 +415,7 @@ class GridBelief:
         cumulative[:p] = g[0, :p]
         np.add(g[1, :p], g[0, p : 2 * p], out=cumulative[p : 2 * p])
         np.add(g[2, :p], 2.0 * g[1, p : 2 * p] + g[0, 2 * p :], out=cumulative[2 * p :])
-        spread = math.sqrt(max(cumulative[-1], 0.0)) + grid.spacing
-        return weights.cells(cumulative), center, spread
+        return weights.cells(cumulative), center
 
     def inverse_cdf(self, v) -> np.ndarray:
         """The draw of the belief at every uniform variate v in [0, 1).
@@ -589,11 +540,6 @@ class SimplexBelief:
             out[:, k : k + 1, : q.levels] = r.sum(axis=-1), r @ s, r @ s2
         return out, 0.0
 
-    def cut_moments(self, candidates):
-        """None: a simplex belief's cell_moments is already one product
-        per partition, so it has no cheaper product route."""
-        return None
-
     def inverse_cdf(self, v) -> np.ndarray:
         """The state drawn at every uniform variate v in [0, 1).
 
@@ -631,11 +577,8 @@ class CutWeights:
     count L. ends (2, 3, K, L) indexes a flat array of cumulative
     moments, order by order and point by point, at the lower and the
     upper cut of every cell, which cells reads. Built on first use:
-      segments  (j, powers): the segment j (P,) of each point clipped to
-                the grid, and powers (4, P) of its offset u in [0, 1]
-                there, u^1 .. u^4 (cell_moments);
       matrix    window_weights of x^k, k = 0, 1, 2 (_kernel_cut_moments);
-      local     node_moment_weights of orders 0, 1, 2 (cut_moments);
+      local     node_moment_weights of orders 0, 1, 2 (cell_moments);
     both (3 P, n_points), from -inf up to every point. All arrays are
     read-only.
     """
@@ -662,17 +605,6 @@ class CutWeights:
         return cumulative.take(upper, axis=0) - cumulative.take(lower, axis=0)
 
     @functools.cached_property
-    def segments(self):
-        grid = self.grid
-        x = grid.nodes
-        t = np.minimum(np.maximum(self.points, grid.lo), grid.hi)
-        j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
-        u = np.minimum((t - x[j]) / grid.spacing, 1.0)
-        powers = u ** np.arange(1, 5)[:, None]
-        j.flags.writeable = powers.flags.writeable = False
-        return j, powers
-
-    @functools.cached_property
     def matrix(self) -> np.ndarray:
         out = np.concatenate(
             [window_weights(self.grid, -math.inf, self.points, k) for k in range(3)]
@@ -689,8 +621,8 @@ class CutWeights:
 
 @functools.lru_cache(maxsize=_CUT_SETS)
 def _cut_weights(grid: Grid, candidates) -> CutWeights:
-    """The CandidateSet's CutWeights on grid, for both cell-moment
-    routes, _kernel_cut_moments and the products of the sources."""
+    """The CandidateSet's CutWeights on grid, for GridBelief.cell_moments,
+    _kernel_cut_moments and the products of the sources."""
     return CutWeights(grid, candidates)
 
 

@@ -9,16 +9,15 @@ cost-minimizing column index.
 
 cell_decisions is the one way from a belief and a candidate set to
 every stage cost, cell mass and reconstruction. greedy_decision picks
-the candidate of least stage cost: every cell moment is linear in the
-belief (the alpha-vector view of Smallwood & Sondik 1973), so a grid
-belief's candidates are ranked from one product of cached cut weights
-with its values, and cell_decisions is called only where that product
-cannot vouch for the answer. Both take a CandidateSet or any sequence
-of quantizers, and sum a stage cost's cells in order (_sum_cells).
+the candidate of least stage cost, the first argmin of cell_decisions'
+stages. Every cell moment is linear in the belief (the alpha-vector
+view of Smallwood & Sondik 1973), so a grid belief's cell moments come
+from one product of cached cut weights with its values. Both functions
+take a CandidateSet or any sequence of quantizers, and sum a stage
+cost's cells in order (_sum_cells).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,11 +27,6 @@ from .beliefs import EPS_MASS, SimplexBelief
 from .quantizers import CandidateSet
 
 __all__ = ["CostModel", "GreedyDecision", "cell_decisions", "greedy_decision"]
-
-# greedy_decision's product route; see its docstring
-_PRODUCT_ERROR = 16 * 2.0**-53  # e: a cell moment's error in units of its scale
-_NEAR_TIE = 1e-9  # the tie margin, in units of the spread squared
-_PRODUCT_TOLERANCE = 1e-13  # vouched error of a stage or reconstruction
 
 
 @dataclass(frozen=True)
@@ -161,95 +155,18 @@ def _sum_cells(terms) -> np.ndarray:
 
 
 class GreedyDecision(NamedTuple):
-    """A greedy choice: candidate k, its stage cost, its reconstructions
-    (L,) (NaN for a massless or padded cell), and whether cell_decisions
-    (the exact route) gave them."""
+    """A greedy choice: candidate k, its stage cost and its
+    reconstructions (L,) (NaN for a massless or padded cell)."""
 
     k: int
     stage: float
     recon: np.ndarray
-    exact: bool
 
 
 def greedy_decision(belief, candidates, cost: CostModel) -> GreedyDecision:
-    """The candidate of least stage cost, first on ties, as
-    np.argmin(cell_decisions(belief, candidates, cost)[0]) picks it.
-
-    A grid belief under quadratic cost takes the product route: its
-    cut_moments (one product with the candidate set's cached
-    CutWeights) give every candidate's cell moments about the belief
-    mean, and from them its stage and reconstructions. They are
-    cell_decisions' within 1e-13 max(1, |value|), not bit for bit. The
-    route hands the belief to cell_decisions, the exact route, when it
-    cannot vouch for that or for the choice.
-
-    Error bound. An entry of the product sums one term per node of the
-    belief's support, whose magnitudes add up to at most 1, s and s^2
-    for orders 0, 1, 2, with s the spread cut_moments returns (the
-    belief's std plus the grid spacing; order 1 by Cauchy-Schwarz).
-    Taken as assumed here, a cell moment, the difference of two entries,
-    is off by at most e = 16 u times that scale (u = 2^-53). On
-    OpenBLAS, with one thread or the default count, over the
-    occupancy-path beliefs and filtered beliefs of the a = 0.9 and 0.99
-    default grids, the cell moments of the product over a belief's
-    support were off by at most 4.8 u from moments taken in extended
-    precision (cell_moments' own prefix sums by up to 33 u). The bound
-    for any summation order, 801 u, would vouch for nothing. So a live
-    cell of mass m0 whose mean is o off the belief mean gives, to first
-    order (the second is e / m0 of it), a stage term off by at most
-    e (s + |o|)^2 and a reconstruction off by e (s + |o|) / m0. A
-    candidate's bound B is its live cells' sum, at most L e (s + O)^2
-    with O the largest |o| of any cell. The exact route is taken when
-      - the runner-up's stage is within delta + 2 L e (s + O)^2 of the
-        winner's, delta = 1e-9 s^2: a near tie, such as mirror-image
-        candidates of a symmetric belief, whose order rounding decides;
-      - the winner's B exceeds 1e-13 max(1, stage);
-      - a live cell of the winner, of mean mu, has mass below the floor
-        e (s + |o|) / (1e-13 max(1, |mu|)), or a cell's mass is within
-        e of EPS_MASS, where the routes may disagree on its liveness.
-    Simplex beliefs (whose cut_moments is None) and tabular costs take
-    the exact route.
-    """
-    candidates = CandidateSet.of(candidates)
-    if cost.kind == "quadratic":
-        product = belief.cut_moments(candidates)
-        if product is not None:
-            decision = _product_decision(*product)
-            if decision is not None:
-                return decision
+    """The candidate of least stage cost, first on ties: the first
+    np.argmin of cell_decisions(belief, candidates, cost)'s stages, with
+    its stage and reconstructions, bit for bit."""
     stages, _, recon = cell_decisions(belief, candidates, cost)
     k = int(np.argmin(stages))
-    return GreedyDecision(k, stages[k], recon[k], True)
-
-
-def _product_decision(moments, center: float, spread: float):
-    """greedy_decision from cell moments about center and the product's
-    spread, or None where the product route cannot vouch for it."""
-    m0, m1, m2 = moments
-    live = m0 > EPS_MASS
-    offset = m1 / np.where(live, m0, 1.0)
-    stages = _sum_cells(np.maximum(m2 - m1 * offset, 0.0) * live)
-    k = int(stages.argmin())
-    stage = float(stages[k])
-    if len(stages) > 1:
-        # no candidate's bound exceeds L cells at the farthest offset
-        far = spread + float(np.abs(offset).max())
-        gap = float(np.partition(stages, 1)[1]) - stage
-        if gap <= _NEAR_TIE * spread * spread + 2.0 * _PRODUCT_ERROR * m0.shape[1] * far * far:
-            return None
-    error, recon = 0.0, []
-    for mass, o in zip(m0[k].tolist(), offset[k].tolist()):
-        mu = center + o
-        if mass > EPS_MASS - _PRODUCT_ERROR and (
-            mass <= EPS_MASS + _PRODUCT_ERROR
-            or _PRODUCT_ERROR * (spread + abs(o)) > _PRODUCT_TOLERANCE * max(1.0, abs(mu)) * mass
-        ):
-            return None
-        if mass > EPS_MASS:
-            error += _PRODUCT_ERROR * (spread + abs(o)) * (spread + abs(o))
-            recon.append(mu)
-        else:
-            recon.append(math.nan)
-    if error > _PRODUCT_TOLERANCE * max(1.0, stage):
-        return None
-    return GreedyDecision(k, stages[k], np.array(recon), False)
+    return GreedyDecision(k, stages[k], recon[k])

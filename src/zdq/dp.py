@@ -83,13 +83,18 @@ two terms over a child's <= levels cells:
     sums of n terms each (n grid nodes), whose magnitudes add up to at
     most 1, sqrt(M2) and M2 for orders 0, 1, 2 (order 1 by
     Cauchy-Schwarz), so each is off by at most e = 2 n u (u = 2^-53) in
-    those units; the filter and the exact cell moments round less. A
-    cell's term m2 - m1^2 / m0 of mean mu is then off by at most about
-    2 e (sqrt(M2) + |mu|)^2 <= 8 e X^2, X the largest |grid node|,
-    because M2 <= X^2;
-  - EPS_MASS: a cell counts only above mass EPS_MASS; where the two
-    routes disagree, its mass is within e of EPS_MASS and its term is at
-    most its raw second moment, (EPS_MASS + e) X^2.
+    those units. The filter rounds less, and so do the built child's
+    cell moments: GridBelief.cell_moments takes each as the difference
+    of two sums of at most n terms about the child's mean, and
+    tests/test_moments.py measures their order-k error below
+    16 u (std + spacing)^k against sums in extended precision, where e
+    is 2 n u. A cell's term m2 - m1^2 / m0 of mean mu is then off by at
+    most about 2 e (sqrt(M2) + |mu|)^2 <= 8 e X^2, X the largest |grid
+    node|, because M2 <= X^2;
+  - EPS_MASS: a cell counts only above mass EPS_MASS; where the product
+    and the child's cell moments disagree on it, its mass is within e
+    of EPS_MASS and its term is at most its raw second moment,
+    (EPS_MASS + e) X^2.
 So E = levels (9 e + EPS_MASS) X^2, about 2.6e-12 levels X^2 on an
 801-node grid, and the margin term sets the slack while levels X^2
 stays below about 1.9e5 max(1, M2). On a default grid (8 stationary

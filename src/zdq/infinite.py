@@ -183,8 +183,6 @@ class _Policy:
     """Defaults of a policy without per-path state or shared randomness."""
 
     shared_randomness = False
-    # greedy decisions of the current rollout, by greedy_decision's route
-    product_decisions = exact_decisions = 0
 
     def begin(self, n_paths: int):
         return None
@@ -209,25 +207,19 @@ class GreedyPolicy(_Policy):
 
     Each distinct belief of a step is decided once by greedy_decision,
     and its stage cost and reconstructions go to the rollout with the
-    plan. begin() zeroes the counts of decisions by route.
+    plan.
     """
 
     def __init__(self, candidates, cost: CostModel):
         self.quantizers = CandidateSet.of(candidates)
         self.cost = cost
 
-    def begin(self, n_paths: int):
-        self.product_decisions = self.exact_decisions = 0
-        return None
-
     def plan(self, state, t: int, ids, beliefs, r) -> Plan:
         picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            k, stage, recon, exact = greedy_decision(beliefs[b], self.quantizers, self.cost)
+            k, stage, recon = greedy_decision(beliefs[b], self.quantizers, self.cost)
             picks[b] = k
             decisions.append((b, k, stage, recon))
-            self.exact_decisions += exact
-            self.product_decisions += not exact
         return Plan(picks[ids], decisions=tuple(decisions))
 
 
@@ -677,11 +669,10 @@ def rollout(
     a chain for its scan), and its realized costs are taken in one pass,
     so their arrays are bounded by _DRAW_BLOCK too. One INFO log line
     reports deterministic counters: paths, steps, (belief, quantizer)
-    groups stepped, filter calls, table clears, the most beliefs the
-    table held, and the greedy decisions taken by greedy_decision's
-    product and exact routes. The tests rebuild the logged path with a
-    decoder that sees only the symbols and the shared seed, and check it
-    against the log bit for bit.
+    groups stepped, filter calls, table clears and the most beliefs the
+    table held. The tests rebuild the logged path with a decoder that
+    sees only the symbols and the shared seed, and check it against the
+    log bit for bit.
 
     As in the dynamic program, key() identifies a belief only within
     one grid or one set of state values, so the beliefs a rollout tracks
@@ -717,8 +708,7 @@ def rollout(
     logger.info(
         "rollout: %(paths)d paths, %(steps)d steps, %(groups)d groups stepped, "
         "%(filter_calls)d filter calls, %(clears)d memo clears, "
-        "%(peak_beliefs)d beliefs at most, %(product_decisions)d product and "
-        "%(exact_decisions)d exact greedy decisions",
+        "%(peak_beliefs)d beliefs at most",
         {
             "paths": n_paths,
             "steps": horizon,
@@ -726,8 +716,6 @@ def rollout(
             "filter_calls": table.filter_calls,
             "clears": table.clears,
             "peak_beliefs": table.peak,
-            "product_decisions": policy.product_decisions,
-            "exact_decisions": policy.exact_decisions,
         },
     )
     path_costs = paths.total / horizon

@@ -3,6 +3,11 @@ import pytest
 
 from zdq.sources import FiniteChain, LinearGaussianSource
 
+# the largest error of a grid cell moment of order k, in units of
+# (std + spacing)^k of its belief, that the tests allow (u = 2^-53);
+# test_moments.py measures it against sums in extended precision
+MOMENT_ERROR = 16 * 2.0**-53
+
 
 @pytest.fixture
 def two_state_chain():

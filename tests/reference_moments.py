@@ -1,9 +1,9 @@
-"""Reference grid moments that no task runs: GridBelief.cell_moments as
-it was before its cut tables were cached per grid and candidate set,
-and window_weights as it was before it took arrays of windows.
+"""Reference grid moments that no task runs: GridBelief.cell_moments
+without its cached cut weights, and window_weights as it was before it
+took arrays of windows.
 
-Every cell_moments call rebuilds the edge matrix, the clipped cuts,
-their segment ids and the powers of their local offsets. The cached
+Every cell_moments call finds the distinct cut points, rebuilds their
+node_moment_weights and maps each quantizer's cuts to them. The cached
 route must return the same bytes as cell_moments below, on every belief
 and candidate set, and every window of a broadcast window_weights call
 the bytes of the one-window window_weights below.
@@ -14,40 +14,38 @@ import math
 
 import numpy as np
 
+from zdq.beliefs import node_moment_weights
 
-def cell_moments(belief, quantizers):
-    """((m0, m1, m2), center) of a grid belief, built from scratch."""
-    levels = max(q.levels for q in quantizers)
-    edges = np.full((len(quantizers), levels + 1), math.inf)
-    edges[:, 0] = -math.inf
-    for k, q in enumerate(quantizers):
-        edges[k, 1 : q.levels] = q.thresholds
+
+def cell_moments(belief, quantizers, dtype=float):
+    """((m0, m1, m2), center) of a grid belief, built from scratch: the
+    product of its values times powers of (x - mean) over its support
+    with the node moment weights up to every distinct cut. The sums are
+    taken in dtype: np.longdouble takes the same sums of the same float
+    inputs in extended precision, and the values are 0 off the support,
+    so those are the sums over every node."""
     grid = belief.grid
-    x = grid.nodes
-    d = grid.spacing
+    points = [-math.inf, *sorted({t for q in quantizers for t in q.thresholds}), math.inf]
+    local = node_moment_weights(grid, -math.inf, np.array(points)).reshape(-1, grid.n_points)
     center = belief.mean
-    y = x[:-1] - center
-    dv = d * belief.values[:-1]
-    ds = d * np.diff(belief.values)
-    # poly[k, p - 1] multiplies u^p in the order-k moment of a segment
-    poly = np.zeros((3, 4, grid.n_points - 1))
-    poly[0, 0] = dv
-    poly[0, 1] = 0.5 * ds
-    poly[1, 0] = y * dv
-    poly[1, 1] = 0.5 * (y * ds + d * dv)
-    poly[1, 2] = d * ds / 3.0
-    poly[2, 0] = y * poly[1, 0]
-    poly[2, 1] = y * (0.5 * y * ds + d * dv)
-    poly[2, 2] = d * (2.0 * y * ds + d * dv) / 3.0
-    poly[2, 3] = 0.25 * d * d * ds
-    table = np.zeros((3, grid.n_points))
-    np.cumsum(poly.sum(axis=1), axis=1, out=table[:, 1:])
-    t = np.minimum(np.maximum(edges, grid.lo), grid.hi)
-    j = np.minimum(np.searchsorted(x, t, side="right") - 1, grid.n_points - 2)
-    u = np.minimum((t - x[j]) / d, 1.0)
-    powers = u ** np.arange(1, 5).reshape((4,) + (1,) * u.ndim)
-    cum = table[:, j] + (poly[:, :, j] * powers).sum(axis=1)
-    return np.diff(cum, axis=-1), center
+    lo, hi = belief.support
+    values = belief.values[lo:hi].astype(dtype, copy=False)
+    y = grid.nodes[lo:hi].astype(dtype) - center
+    g = np.stack([values, y * values, y * (y * values)]) @ local[:, lo:hi].T.astype(dtype, copy=False)
+    p = len(points)
+    cum = np.stack([
+        g[0, :p],
+        g[1, :p] + g[0, p : 2 * p],
+        g[2, :p] + (2.0 * g[1, p : 2 * p] + g[0, 2 * p :]),
+    ])
+    # each quantizer's cuts as point indices, padded with +inf
+    slot = {t: i for i, t in enumerate(points)}
+    levels = max(q.levels for q in quantizers)
+    edges = np.full((len(quantizers), levels + 1), p - 1)
+    edges[:, 0] = 0
+    for k, q in enumerate(quantizers):
+        edges[k, 1 : q.levels] = [slot[t] for t in q.thresholds]
+    return np.diff(cum[:, edges], axis=-1), center
 
 
 def window_weights(grid, lo: float, hi: float, degree: int = 0) -> np.ndarray:

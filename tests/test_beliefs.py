@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+import reference_moments
 import zdq.beliefs
+from conftest import MOMENT_ERROR
 from reference_filter import invert_one, predict, sample_one, tv_distance
 from zdq.beliefs import (
     TAIL,
@@ -17,16 +19,14 @@ from zdq.beliefs import (
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
-    _cut_weights,
     _transition_kernel,
     check_S_membership,
     default_grid,
     filter_update,
     window_weights,
 )
-from zdq.costs import _PRODUCT_ERROR, CostModel, cell_decisions
+from zdq.costs import CostModel, cell_decisions
 from zdq.quantizers import (
-    CandidateSet,
     FinitePartition,
     IntervalQuantizer,
     enumerate_finite_partitions,
@@ -388,19 +388,6 @@ def nonzero_extent(values):
     return int(nz[0]), int(nz[-1]) + 1
 
 
-def full_grid_cut_moments(belief, candidates):
-    """GridBelief.cut_moments over every node, not only the support."""
-    grid, values = belief.grid, belief.values
-    weights = _cut_weights(grid, CandidateSet.of(candidates))
-    y = grid.nodes - belief.mean
-    g = np.stack([values, y * values, y * y * values]) @ weights.local.T
-    p = len(weights.points)
-    cumulative = np.concatenate(
-        [g[0, :p], g[1, :p] + g[0, p : 2 * p], g[2, :p] + (2.0 * g[1, p : 2 * p] + g[0, 2 * p :])]
-    )
-    return weights.cells(cumulative), math.sqrt(max(cumulative[-1], 0.0)) + grid.spacing
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([-0.7, 0.5, 0.9, 0.99]),
@@ -438,7 +425,7 @@ def test_pushed_beliefs_are_trimmed_to_their_support(a, noise, grid, seed):
     for b in built:
         assert b.support == nonzero_extent(b.values)
     kernel = _transition_kernel(model, grid)
-    e = _PRODUCT_ERROR
+    e = MOMENT_ERROR
     deviations = []
     for _ in range(3):
         q = IntervalQuantizer(tuple(sorted(rng.uniform(grid.lo, grid.hi, rng.integers(1, 3)))))
@@ -456,19 +443,20 @@ def test_pushed_beliefs_are_trimmed_to_their_support(a, noise, grid, seed):
         untrimmed = raw / float(grid.trapezoid_weights @ raw)
         deviations.append(float(np.abs(values - untrimmed).max() / untrimmed.max()))
         # the support's moments against the full grid's: each a sum of
-        # the same nonzero terms, so within the product route's error
+        # the same nonzero terms, so within the cell moments' error bound
         mean_full = float(grid.moment_weights[1] @ values)
         m2_full = float(grid.moment_weights[2] @ values)
         a1 = float(np.abs(grid.moment_weights[1]) @ values)
         assert abs(pushed.mean - mean_full) <= e * a1
         assert abs(pushed.std**2 - (m2_full - mean_full**2)) <= 2.0 * e * (m2_full + abs(mean_full) * a1)
         cands = [q, IntervalQuantizer((float(rng.uniform(grid.lo, grid.hi)),))]
-        moments, center, spread = pushed.cut_moments(cands)
-        expected, spread_full = full_grid_cut_moments(pushed, cands)
+        # and the cell moments against the same sums in extended precision
+        moments, center = pushed.cell_moments(cands)
+        exact, _ = reference_moments.cell_moments(pushed, cands, np.longdouble)
         assert center == pushed.mean
-        assert abs(spread - spread_full) <= e * spread_full
+        scale = pushed.std + grid.spacing
         for k in range(3):
-            assert np.all(np.abs(moments[k] - expected[k]) <= 2.0 * e * spread_full**k)
+            assert np.all(np.abs(moments[k] - exact[k]) <= e * scale**k)
         belief = pushed
     assert max(deviations, default=0.0) <= 1e-14
 
@@ -648,7 +636,6 @@ def test_set_methods_take_a_list(ar_source, three_state_chain):
     simplex = three_state_chain.invariant_distribution()
     for method, given, extra in [
         (grid_belief.cell_moments, cands, ()),
-        (grid_belief.cut_moments, cands, ()),
         (simplex.cell_moments, partitions, ()),
         (lambda c: ar_source.stage_floor(grid_belief, c, quad), cands, ()),
         (lambda c, k: ar_source.last_stage_costs(grid_belief, c, quad, k), cands, (kept,)),

@@ -1,21 +1,21 @@
 """The per-grid caches behind grid cell moments and grid restrictions,
 and the grid filter's and the floor's shortcuts past per-call work.
 
-GridBelief.cell_moments reads the segment ids and offset powers of a
-candidate set's distinct cut points (CutWeights.segments), and
-GridBelief.cut_moments and the sources' products the weights up to
-every cut, all from the CutWeights of _cut_weights, kept per (grid,
-candidate set); every route reads its cells through CutWeights.cells.
-The cache finds a set by the hash the CandidateSet took when built, so
-equal sets share an entry.
+GridBelief.cell_moments and the sources' products read the weights up
+to every distinct cut of a candidate set from the CutWeights of
+_cut_weights, kept per (grid, candidate set); every product reads its
+cells through CutWeights.cells. The cache finds a set by the hash the
+CandidateSet took when built, so equal sets share an entry.
 LinearGaussianSource.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support, and returns
 its product with the density values there, within the belief's
-support. Both routes must return the bytes of the uncached computation:
-the frozen cell_moments of reference_moments.py, and window_weights
-times the density values, 0 off the support. CutWeights.matrix takes
-the window weights of all its cuts in one broadcast window_weights
-call, which must give the frozen one-window weights row by row;
+support. cell_moments and restrict must return the bytes of the
+uncached computation: the cell_moments of reference_moments.py, which
+builds its cut points and their node_moment_weights on every call, and
+window_weights times the density values, 0 off the support.
+CutWeights.matrix takes the window weights of all its cuts in one
+broadcast window_weights call, which must give the frozen one-window
+weights row by row;
 LinearGaussianSource.push sets its product's tails below TAIL of its
 largest entry to 0 and builds its belief without GridBelief's checks,
 which its output must pass.
@@ -93,7 +93,7 @@ def densities_and_candidate_sets(draw):
 def test_cached_routes_return_the_uncached_bytes(case):
     belief, cands = case
     expected, center = reference_moments.cell_moments(belief, cands)
-    # the first call may build the cut segments, the second reads them
+    # the first call may build the cut weights, the second reads them
     for _ in range(2):
         got, got_center = belief.cell_moments(cands)
         assert got.shape == expected.shape
@@ -117,16 +117,15 @@ def test_cached_arrays_are_read_only():
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 5)
     _, w = _cell_weights(GRIDS[0], -1.0, 0.5)
     weights = _cut_weights(GRIDS[0], cands)
-    j, powers = weights.segments
-    for array in (j, powers, w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends):
+    for array in (w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends):
         with pytest.raises(ValueError):
             array[...] = 0
 
 
 def test_same_thresholds_on_two_grids_get_their_own_tables():
     cands = enumerate_interval_candidates(3, -2.0, 2.0, 7)
-    (j_small, _), (j_large, _) = (_cut_weights(grid, cands).segments for grid in GRIDS)
-    assert not np.array_equal(j_small, j_large)
+    local_small, local_large = (_cut_weights(grid, cands).local for grid in GRIDS)
+    assert not np.array_equal(local_small, local_large)
     (_, w_small), (_, w_large) = (_cell_weights(grid, -1.0, 0.5) for grid in GRIDS)
     assert w_small.tobytes() != w_large.tobytes()
     for grid in GRIDS:
@@ -174,7 +173,6 @@ def test_cache_lookups_hash_no_quantizer(monkeypatch):
     hashed = []
     monkeypatch.setattr(IntervalQuantizer, "__hash__", lambda q: hashed.append(q) or 0)
     belief.cell_moments(cands)
-    belief.cut_moments(cands)
     SOURCE.stage_floor(belief, cands, CostModel.quadratic())
     assert hashed == []
 

@@ -674,31 +674,6 @@ def test_rollout_logs_repeatable_counters(caplog, three_state_chain, two_state_c
     # distinct filter outputs
     assert counters["clears"] == 0
     assert 0 < counters["peak_beliefs"] <= counters["filter_calls"] + 2
-    # a tree replay makes no greedy decisions
-    assert counters["product_decisions"] == counters["exact_decisions"] == 0
-
-
-def test_rollout_counts_greedy_decisions_by_route(caplog):
-    model = LinearGaussianSource(0.9, 1.0)
-    init = model.invariant_distribution()
-    caplog.set_level(logging.INFO, logger="zdq.infinite")
-    counted = []
-    # the occupancy benchmark's candidates, then three-level ones with
-    # mirror-image pairs that tie on the symmetric start
-    for levels in (2, 3):
-        policy = GreedyPolicy(enumerate_interval_candidates(levels, -4.0, 4.0, 21), QUAD)
-        runs = []
-        for _ in range(2):
-            caplog.clear()
-            rollout(policy, model, QUAD, 40, 3, 5, initial_belief=init)
-            runs.append(rollout_counters(caplog))
-        assert runs[0] == runs[1]
-        counters = runs[0]
-        # one decision per distinct belief of a step, its one group
-        assert counters["product_decisions"] + counters["exact_decisions"] == counters["groups"]
-        counted.append(counters)
-    assert counted[0]["product_decisions"] > 0
-    assert counted[1]["exact_decisions"] >= 1
 
 
 def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief):

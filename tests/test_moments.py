@@ -1,19 +1,24 @@
-"""Each belief family's cell_moments against a per-cell reference loop.
+"""Each belief family's cell_moments against a per-cell reference loop,
+and the grid product's rounding against extended precision.
 
 The reference integrates every cell on its own: grid cells with the
-public window_weights, the way stage costs and cell masses were computed
-before the prefix table existed, and simplex cells with one member_mask
-row at a time. The batched path must agree with it to 1e-12 and pick
-the same quantizer, first in order on exact ties; only candidates tied
-to rounding may swap.
+public window_weights, as raw moments about 0, and simplex cells with
+one member_mask row at a time. The batched path must agree with it to
+1e-12 and pick the same quantizer, first in order on exact ties; only
+candidates tied to rounding may swap. A grid belief takes its cell
+moments from one product over its support, and each of order k must lie
+within MOMENT_ERROR (std + spacing)^k of the same sums taken in
+np.longdouble, on filtered beliefs and on narrow, far-off, mixed and
+symmetric ones.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
+import reference_moments
 import zdq.dp
-from conftest import random_chain
+from conftest import MOMENT_ERROR, random_chain
 from zdq.beliefs import (
     Grid,
     GridBelief,
@@ -251,3 +256,99 @@ def test_greedy_choices_match_reference_loop_on_a5():
         assert quantizer is cands[int(np.argmin(reference_stage_costs(belief, cands)))]
         belief = filter_update(belief, src, quantizer, quantizer.classify(x))
         x = src.sample_next(x, rng)
+
+
+# ---------------------------------------------------------------------------
+# grid cell moments against the same sums in extended precision
+
+# symmetric default grids: the benchmark's a = 0.9 one, a wide a = 0.99
+# one, and a 301-node one
+MOMENT_GRIDS = (
+    default_grid(LinearGaussianSource(0.9, 1.0)),
+    default_grid(LinearGaussianSource(0.99, 1.0)),
+    default_grid(LinearGaussianSource(0.5, 1.0), n_points=301),
+)
+
+
+def _normal_values(grid, mean, std):
+    u = (grid.nodes - mean) / std
+    return np.exp(-0.5 * u * u)
+
+
+@st.composite
+def greedy_cases(draw):
+    """A grid belief and a candidate set: far-off narrow normals, mixtures
+    and symmetric beliefs, with mirror-image candidates."""
+    grid = draw(st.sampled_from(MOMENT_GRIDS))
+    half = grid.hi
+    kind = draw(st.sampled_from(["filtered", "filtered", "normal", "mixture", "symmetric"]))
+    std = st.floats(0.5 * grid.spacing, 0.3 * half)
+    if kind == "filtered":
+        # shaped like a filtered belief: near the middle, and wide
+        values = _normal_values(
+            grid, draw(st.floats(-0.1 * half, 0.1 * half)), draw(st.floats(0.05 * half, 0.3 * half))
+        )
+    elif kind == "normal":
+        # a narrow one anywhere on the grid, out to its ends
+        values = _normal_values(grid, draw(st.floats(-0.97 * half, 0.97 * half)), draw(std))
+    elif kind == "mixture":
+        values = sum(
+            draw(st.floats(1e-6, 1.0))
+            * _normal_values(grid, draw(st.floats(-0.9 * half, 0.9 * half)), draw(std))
+            for _ in range(draw(st.integers(2, 3)))
+        )
+    else:
+        offset, spread = draw(st.floats(0.0, 0.6 * half)), draw(std)
+        values = _normal_values(grid, offset, spread) + _normal_values(grid, -offset, spread)
+    assume(grid.trapezoid_weights @ values > 1e-300)
+    belief = GridBelief.from_unnormalized(grid, values)
+    # thresholds on a grid symmetric about 0, and each quantizer's mirror
+    # image, so symmetric beliefs meet exact mirror ties
+    reach = draw(st.sampled_from([0.25, 0.5, 0.9])) * half
+    threshold = st.integers(-20, 20).map(lambda i: reach * i / 20)
+    thresholds = st.lists(threshold, min_size=1, max_size=2, unique=True).map(sorted)
+    cands = [IntervalQuantizer(tuple(t)) for t in draw(st.lists(thresholds, min_size=1, max_size=12))]
+    cands += [IntervalQuantizer(tuple(-x for x in reversed(q.thresholds))) for q in cands]
+    return belief, draw(st.permutations(cands))
+
+
+def moment_errors(belief, candidates):
+    """The largest error of belief.cell_moments of each order k, in units
+    of (std + spacing)^k, against the same sums in np.longdouble."""
+    moments, center = belief.cell_moments(candidates)
+    exact, exact_center = reference_moments.cell_moments(belief, candidates, np.longdouble)
+    assert center == exact_center
+    scale = belief.std + belief.grid.spacing
+    return [float(np.max(np.abs(moments[k] - exact[k]))) / scale**k for k in range(3)]
+
+
+extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="long double is no wider than double here"
+)
+
+
+@extended
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_grid_cell_moments_round_less_than_their_bound_on_filtered_beliefs(a, levels):
+    # 60 greedy filter steps along a path of the source, from its
+    # invariant belief on its default grid
+    src = LinearGaussianSource(a, 1.0)
+    cands = enumerate_interval_candidates(levels, -4.0, 4.0, 21)
+    belief = src.invariant_distribution()
+    rng = np.random.default_rng(int(100 * a) + levels)
+    x = float(belief.inverse_cdf(rng.random(1))[0])
+    for _ in range(60):
+        assert max(moment_errors(belief, cands)) <= MOMENT_ERROR
+        quantizer = greedy_policy_step(belief, cands, QUAD)
+        belief = filter_update(belief, src, quantizer, quantizer.classify(x))
+        x = src.sample_next(x, rng)
+
+
+@extended
+@settings(max_examples=500, deadline=None)
+@given(greedy_cases())
+def test_grid_cell_moments_round_less_than_their_bound(case):
+    worst = max(moment_errors(*case))
+    target(worst / MOMENT_ERROR)
+    assert worst <= MOMENT_ERROR
