@@ -13,6 +13,11 @@ standard level name; without it the zdq logger keeps its level, WARNING
 unless an in-process caller set another. At INFO a rollout reports its
 deterministic counters. The level changes no artifact.
 
+The config is parsed in full, every object the task runs built, before
+the output directory is made. So every config mistake, a source that
+does not fit its task included, exits 2 with its field path and leaves
+no output behind.
+
 Exit codes: 0 success, 1 numerical or budget failure (results.json is
 still written, flagged by its status field), 2 configuration error or a
 bad command line.
@@ -34,17 +39,7 @@ import numpy as np
 
 from .beliefs import EPS_MASS
 from .costs import CostModel
-from .config import (
-    ConfigError,
-    TASKS,
-    build_binning,
-    build_candidates,
-    build_cost,
-    build_initial_belief,
-    build_source,
-    load_config,
-    validate_config,
-)
+from .config import ConfigError, TASKS, load_config, validate_config
 from .dp import (
     DEFAULT_NODE_BUDGET,
     EPS_PRUNE,
@@ -54,17 +49,10 @@ from .dp import (
 )
 from .infinite import (
     DiscountedVINotConverged,
-    FixedQuantizerPolicy,
-    GreedyPolicy,
-    PiecedPolicy,
-    RandomizedStationaryPolicy,
-    TreeReplayPolicy,
     discounted_value_iteration,
     invariance_residual,
     occupation_measure,
-    piecing_schedule,
     rollout,
-    simplex_belief_grid,
 )
 from .oracles import brute_force_finite
 from .quantizers import enumerate_finite_partitions
@@ -77,23 +65,13 @@ _ORACLE_GAP_TOL = 1e-12
 # serialization helpers
 
 
-def _sanitize(obj):
-    """Convert numpy scalars/arrays to plain Python for JSON emission."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _plain(obj):
+    """A numpy scalar or array as the Python value json writes for it."""
+    return obj.tolist()
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -112,7 +90,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(_sanitize(cfg), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=_plain)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -125,57 +103,18 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# policies from config
+# task runners: each takes the parsed config, returns (exit_code, payload)
+# and writes its CSVs
 
 
-def _build_policy(cfg: dict, model, cost, candidates, initial_belief):
-    """The rollout policy the config's policy section describes."""
-    spec = cfg["policy"]
-    kind = spec["type"]
-    if kind == "greedy":
-        return GreedyPolicy(candidates, cost)
-    if kind == "fixed":
-        idx = spec["index"]
-        if idx >= len(candidates):
-            raise ConfigError(
-                "policy.index",
-                f"only {len(candidates)} candidates are enumerated, got index {idx}",
-            )
-        return FixedQuantizerPolicy(candidates[idx])
-    if kind == "tree_replay":
-        res = solve_finite_horizon(
-            initial_belief, model, candidates, cost, spec["design_horizon"]
-        )
-        return TreeReplayPolicy(res.tree)
-    if kind == "pieced":
-        schedule = piecing_schedule(spec["horizons"], spec["k_max"])
-        trees = [
-            solve_finite_horizon(initial_belief, model, candidates, cost, T).tree
-            for T in schedule.horizons
-        ]
-        return PiecedPolicy(schedule, trees)
-    binning = build_binning(spec["binning"], model, cfg)
-    try:
-        return RandomizedStationaryPolicy(binning, spec["table"], candidates)
-    except ValueError as e:
-        raise ConfigError("policy.table", str(e))
-
-
-# ---------------------------------------------------------------------------
-# task runners: each returns (exit_code, payload) and writes its CSVs
-
-
-def _run_design(cfg: dict, out_dir: str):
-    model = build_source(cfg)
-    cost = build_cost(cfg)
-    candidates = build_candidates(cfg, model)
-    initial = build_initial_belief(cfg, model)
+def _run_design(setup, out_dir: str):
+    cfg = setup.config
     try:
         res = solve_finite_horizon(
-            initial,
-            model,
-            candidates,
-            cost,
+            setup.initial_belief,
+            setup.source,
+            setup.candidates,
+            setup.cost,
             cfg["horizon"],
             node_budget=cfg.get("node_budget", DEFAULT_NODE_BUDGET),
         )
@@ -203,7 +142,7 @@ def _run_design(cfg: dict, out_dir: str):
         "status": "ok",
         "value": res.value,
         "horizon": cfg["horizon"],
-        "n_candidates": len(candidates),
+        "n_candidates": len(setup.candidates),
         "nodes_evaluated": tree.nodes_evaluated,
         "expansions_by_stage": tree.expansions_by_stage,
         "candidates_pruned": tree.candidates_pruned,
@@ -212,20 +151,16 @@ def _run_design(cfg: dict, out_dir: str):
     }
 
 
-def _run_rollout(cfg: dict, out_dir: str):
-    model = build_source(cfg)
-    cost = build_cost(cfg)
-    candidates = build_candidates(cfg, model)
-    initial = build_initial_belief(cfg, model)
-    policy = _build_policy(cfg, model, cost, candidates, initial)
+def _run_rollout(setup, out_dir: str):
+    cfg = setup.config
     res = rollout(
-        policy,
-        model,
-        cost,
+        setup.policy(),
+        setup.source,
+        setup.cost,
         horizon=cfg["horizon"],
         n_paths=cfg["n_paths"],
         seed=cfg["seed"],
-        initial_belief=initial,
+        initial_belief=setup.initial_belief,
     )
     buf = io.StringIO()
     res.log.to_csv(buf)
@@ -248,7 +183,8 @@ def _default_oracle_instance():
     return FiniteChain(transition, initial)
 
 
-def _run_oracle_check(cfg: dict, out_dir: str):
+def _run_oracle_check(setup, out_dir: str):
+    cfg = setup.config
     chain = _default_oracle_instance()
     horizon = cfg.get("horizon", 3)
     levels = cfg.get("levels", 2)
@@ -271,20 +207,15 @@ def _run_oracle_check(cfg: dict, out_dir: str):
     }
 
 
-def _run_discounted_vi(cfg: dict, out_dir: str):
-    model = build_source(cfg)
-    if not isinstance(model, FiniteChain):
-        raise ConfigError("source.type", "discounted-vi runs on chain sources")
-    cost = build_cost(cfg)
-    candidates = build_candidates(cfg, model)
-    grid = simplex_belief_grid(model, cfg["grid_points"])
+def _run_discounted_vi(setup, out_dir: str):
+    cfg = setup.config
     try:
         res = discounted_value_iteration(
-            grid,
-            model,
+            setup.belief_grid,
+            setup.source,
             cfg["discount"],
-            candidates,
-            cost,
+            setup.candidates,
+            setup.cost,
             tol=cfg["tol"],
             max_iter=cfg["max_iter"],
         )
@@ -314,8 +245,8 @@ def _run_discounted_vi(cfg: dict, out_dir: str):
     }
 
 
-def _run_schedule(cfg: dict, out_dir: str):
-    sched = piecing_schedule(cfg["horizons"], cfg["k_max"])
+def _run_schedule(setup, out_dir: str):
+    sched = setup.schedule
     rows = []
     for k in range(sched.k_max):
         ratio = "" if k == 0 else f"{sched.ratios[k - 1]:.12g}"
@@ -337,24 +268,19 @@ def _run_schedule(cfg: dict, out_dir: str):
     return 0, {"status": "ok", **sched.to_json()}
 
 
-def _run_occupancy(cfg: dict, out_dir: str):
-    model = build_source(cfg)
-    cost = build_cost(cfg)
-    candidates = build_candidates(cfg, model)
-    initial = build_initial_belief(cfg, model)
-    policy = _build_policy(cfg, model, cost, candidates, initial)
-    binning = build_binning(cfg["binning"], model, cfg)
+def _run_occupancy(setup, out_dir: str):
+    policy = setup.policy()
     res = rollout(
         policy,
-        model,
-        cost,
-        horizon=cfg["horizon"],
+        setup.source,
+        setup.cost,
+        horizon=setup.config["horizon"],
         n_paths=1,
-        seed=cfg["seed"],
-        initial_belief=initial,
+        seed=setup.config["seed"],
+        initial_belief=setup.initial_belief,
     )
-    hist = occupation_measure(res.log, binning)
-    residual = invariance_residual(hist, model, policy.quantizers)
+    hist = occupation_measure(res.log, setup.binning)
+    residual = invariance_residual(hist, setup.source, policy.quantizers)
     _atomic_write(
         os.path.join(out_dir, "histogram.json"), _canonical_json(hist.to_json())
     )
@@ -425,6 +351,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    started = time.perf_counter()
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -435,8 +362,8 @@ def _run(args) -> int:
             if args.task != "design":
                 raise ConfigError("node_budget", "--budget applies to the design task")
             cfg["node_budget"] = args.budget
-        cfg = validate_config(cfg, task=args.task)
-        out_dir = cfg["output_dir"]
+        setup = validate_config(cfg, task=args.task)
+        cfg, out_dir = setup.config, setup.config["output_dir"]
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as e:  # a file at the path or above it
@@ -445,12 +372,7 @@ def _run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    started = time.perf_counter()
-    try:
-        code, payload = _RUNNERS[args.task](cfg, out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    code, payload = _RUNNERS[args.task](setup, out_dir)
     elapsed = time.perf_counter() - started
 
     results = {

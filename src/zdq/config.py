@@ -1,30 +1,48 @@
-"""Experiment configuration: loading, validation, and object building.
+"""Experiment configuration: loading, and parsing into what a task runs.
 
-Configs are single JSON documents. Validation is strict: unknown keys
-are rejected with their field path, required keys are reported by
-path, and stochastic tasks must carry a seed. The goal is that a config
+Configs are single JSON documents. Each section is parsed once, by one
+function that checks its keys and types, builds the object it describes
+and reports any error of that build at the section's field path.
+Unknown keys are rejected with their field path, required keys are
+reported by path, and stochastic tasks must carry a seed. So every
+config mistake, a source that does not fit its task included, is a
+ConfigError before a task writes anything. The goal is that a config
 that validates always runs, and two textually identical configs always
 produce identical results.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import DEFAULT_GRID_POINTS, DEFAULT_SPAN_STDS, GridBelief, SimplexBelief, default_grid
+from .beliefs import GridBelief, SimplexBelief, default_grid
 from .costs import CostModel
-from .infinite import GridFeatureBinning, SimplexBinning
+from .dp import solve_finite_horizon
+from .infinite import (
+    FixedQuantizerPolicy,
+    GreedyPolicy,
+    GridFeatureBinning,
+    PiecedPolicy,
+    RandomizedStationaryPolicy,
+    SimplexBinning,
+    TreeReplayPolicy,
+    piecing_schedule,
+    simplex_belief_grid,
+)
 from .quantizers import (
     CandidateSet,
+    FinitePartition,
+    IntervalQuantizer,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
-    quantizer_from_json,
 )
 from .sources import FiniteChain, LinearGaussianSource
 
-__all__ = ["ConfigError", "TASKS", "load_config", "validate_config"]
+__all__ = ["ConfigError", "Setup", "TASKS", "load_config", "validate_config"]
 
 TASKS = (
     "design",
@@ -124,156 +142,284 @@ def _as_list(value, path: str) -> list:
     return value
 
 
+def _as_array(value, path: str) -> np.ndarray:
+    value = _as_list(value, path)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(path, "expected a numeric array") from None
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError reported at path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
+
+
 # ---------------------------------------------------------------------------
-# section validators
+# sections: each checks its keys and types and builds what it describes
 
 
-def _validate_source(spec, path: str):
+@dataclass
+class Setup:
+    """A parsed config: its normalized echo and what its task runs with.
+
+    Fields the task does not use stay None. policy() builds the rollout
+    policy; tree policies solve their designs only when it is called.
+    """
+
+    config: dict
+    source: object = None
+    cost: CostModel | None = None
+    candidates: CandidateSet | None = None
+    initial_belief: object = None
+    binning: object = None
+    schedule: object = None
+    belief_grid: list | None = None
+    policy: object = None
+
+
+# per source type: class, required and optional fields, and their check
+_SOURCES = {
+    "gaussian": (LinearGaussianSource, ("a", "noise_std"), ("init_mean", "init_std"), _as_number),
+    "chain": (FiniteChain, ("transition", "initial"), ("state_values",), _as_array),
+}
+
+
+def _source(spec, path: str):
     spec = _as_dict(spec, path)
-    kind = _as_str(_require(spec, "type", path), _join(path, "type"),
-                   {"gaussian", "chain"})
-    if kind == "gaussian":
-        _check_keys(spec, {"type", "a", "noise_std", "init_mean", "init_std"}, path)
-        _as_number(_require(spec, "a", path), _join(path, "a"))
-        _as_number(_require(spec, "noise_std", path), _join(path, "noise_std"))
-        for opt in ("init_mean", "init_std"):
-            if opt in spec:
-                _as_number(spec[opt], _join(path, opt))
-    else:
-        _check_keys(spec, {"type", "transition", "initial", "state_values"}, path)
-        _as_list(_require(spec, "transition", path), _join(path, "transition"))
-        _as_list(_require(spec, "initial", path), _join(path, "initial"))
-        if "state_values" in spec:
-            _as_list(spec["state_values"], _join(path, "state_values"))
-    return spec
+    kind = _as_str(_require(spec, "type", path), _join(path, "type"), set(_SOURCES))
+    family, required, optional, check = _SOURCES[kind]
+    _check_keys(spec, {"type", *required, *optional}, path)
+    fields = {key: check(_require(spec, key, path), _join(path, key)) for key in required}
+    fields.update((key, check(spec[key], _join(path, key))) for key in optional if key in spec)
+    try:
+        return family(**fields)
+    except ValueError as e:
+        # the sources' messages start with the name of the field at fault
+        raise ConfigError(_join(path, str(e).split()[0]), str(e)) from None
 
 
-def _validate_cost(spec, path: str):
+def _cost(spec, path: str, source) -> CostModel:
     spec = _as_dict(spec, path)
     kind = _as_str(_require(spec, "kind", path), _join(path, "kind"),
                    {"quadratic", "bounded_tabular"})
     if kind == "quadratic":
         _check_keys(spec, {"kind"}, path)
-    else:
-        _check_keys(spec, {"kind", "table"}, path)
-        _as_list(_require(spec, "table", path), _join(path, "table"))
-    return spec
+        return CostModel.quadratic()
+    _check_keys(spec, {"kind", "table"}, path)
+    table = _as_list(_require(spec, "table", path), _join(path, "table"))
+    if not isinstance(source, FiniteChain):
+        raise ConfigError(_join(path, "kind"), "bounded_tabular costs need a chain source")
+    cost = _build(_join(path, "table"), CostModel.bounded_tabular, table)
+    if len(cost.table) != source.n_states:
+        raise ConfigError(_join(path, "table"), f"needs one row per chain state, got {len(cost.table)}")
+    return cost
 
 
-# the explicit quantizer item type each source family can use
-_ITEM_TYPES = {"gaussian": "interval", "chain": "finite_partition"}
-
-
-def _validate_quantizer_item(item, path: str, source_kind: str):
+def _quantizer(item, path: str, source):
+    """One explicit candidate: an interval item for a gaussian source, a
+    finite_partition item for a chain."""
     item = _as_dict(item, path)
     kind = _as_str(_require(item, "type", path), _join(path, "type"))
-    expected = _ITEM_TYPES[source_kind]
+    chain = isinstance(source, FiniteChain)
+    expected = "finite_partition" if chain else "interval"
     if kind != expected:
         raise ConfigError(
             _join(path, "type"),
-            f"a {source_kind} source takes {expected!r} items, got {kind!r}",
+            f"a {'chain' if chain else 'gaussian'} source takes {expected!r} items, got {kind!r}",
         )
-    if kind == "interval":
-        _check_keys(item, {"type", "levels", "thresholds"}, path)
-        thresholds = _as_list(_require(item, "thresholds", path), _join(path, "thresholds"))
-        for i, t in enumerate(thresholds):
-            _as_number(t, _join(path, f"thresholds[{i}]"))
-        if "levels" in item:
-            levels = _as_int(item["levels"], _join(path, "levels"), 1)
-            if levels != len(thresholds) + 1:
-                raise ConfigError(
-                    _join(path, "levels"),
-                    f"must be len(thresholds) + 1 = {len(thresholds) + 1}, got {levels}",
-                )
-    else:
+    if chain:
         _check_keys(item, {"type", "levels", "assignment"}, path)
         assignment = _as_list(_require(item, "assignment", path), _join(path, "assignment"))
         for i, cell in enumerate(assignment):
             _as_int(cell, _join(path, f"assignment[{i}]"), 1)
-        _as_int(_require(item, "levels", path), _join(path, "levels"), 1)
+        levels = _as_int(_require(item, "levels", path), _join(path, "levels"), 1)
+        quantizer = _build(path, FinitePartition, tuple(assignment), levels)
+        if quantizer.n_states != source.n_states:
+            raise ConfigError(
+                _join(path, "assignment"),
+                f"expected {source.n_states} entries, got {quantizer.n_states}",
+            )
+        return quantizer
+    _check_keys(item, {"type", "levels", "thresholds"}, path)
+    thresholds = _as_list(_require(item, "thresholds", path), _join(path, "thresholds"))
+    for i, t in enumerate(thresholds):
+        _as_number(t, _join(path, f"thresholds[{i}]"))
+    if "levels" in item:
+        levels = _as_int(item["levels"], _join(path, "levels"), 1)
+        if levels != len(thresholds) + 1:
+            raise ConfigError(
+                _join(path, "levels"),
+                f"must be len(thresholds) + 1 = {len(thresholds) + 1}, got {levels}",
+            )
+    return _build(path, IntervalQuantizer, tuple(thresholds))
 
 
-def _validate_quantizers(spec, path: str, source_kind: str):
+def _candidates(spec, path: str, source) -> CandidateSet:
     spec = _as_dict(spec, path)
     kind = _as_str(_require(spec, "type", path), _join(path, "type"),
                    {"intervals", "partitions", "explicit"})
+    chain = isinstance(source, FiniteChain)
     if kind == "intervals":
         _check_keys(spec, {"type", "levels", "lo", "hi", "steps"}, path)
-        _as_int(_require(spec, "levels", path), _join(path, "levels"), 1)
-        _as_number(_require(spec, "lo", path), _join(path, "lo"))
-        _as_number(_require(spec, "hi", path), _join(path, "hi"))
-        _as_int(_require(spec, "steps", path), _join(path, "steps"), 1)
-    elif kind == "partitions":
+        levels = _as_int(_require(spec, "levels", path), _join(path, "levels"), 1)
+        lo = _as_number(_require(spec, "lo", path), _join(path, "lo"))
+        hi = _as_number(_require(spec, "hi", path), _join(path, "hi"))
+        steps = _as_int(_require(spec, "steps", path), _join(path, "steps"), 1)
+        if chain:
+            raise ConfigError(_join(path, "type"), "interval candidates need a gaussian source")
+        return _build(path, enumerate_interval_candidates, levels, lo, hi, steps)
+    if kind == "partitions":
         _check_keys(spec, {"type", "levels"}, path)
-        _as_int(_require(spec, "levels", path), _join(path, "levels"), 1)
-    else:
-        _check_keys(spec, {"type", "items"}, path)
-        items = _as_list(_require(spec, "items", path), _join(path, "items"))
-        if not items:
-            raise ConfigError(_join(path, "items"), "must be nonempty")
-        for i, item in enumerate(items):
-            _validate_quantizer_item(item, _join(path, f"items[{i}]"), source_kind)
-    return spec
+        levels = _as_int(_require(spec, "levels", path), _join(path, "levels"), 1)
+        if not chain:
+            raise ConfigError(_join(path, "type"), "partition candidates need a chain source")
+        return enumerate_finite_partitions(source.n_states, levels)
+    _check_keys(spec, {"type", "items"}, path)
+    items = _as_list(_require(spec, "items", path), _join(path, "items"))
+    if not items:
+        raise ConfigError(_join(path, "items"), "must be nonempty")
+    return CandidateSet(
+        _quantizer(item, _join(path, f"items[{i}]"), source) for i, item in enumerate(items)
+    )
 
 
-def _validate_initial_belief(spec, path: str):
+def _grid(spec, path: str, source):
+    """The grid of a gaussian source's beliefs; None for a chain."""
+    spec = _as_dict(spec, path)
+    _check_keys(spec, {"n_points", "span_stds"}, path)
+    if "n_points" in spec:
+        _as_int(spec["n_points"], _join(path, "n_points"), 16)
+    if "span_stds" in spec and _as_number(spec["span_stds"], _join(path, "span_stds")) <= 0:
+        raise ConfigError(_join(path, "span_stds"), f"must be > 0, got {spec['span_stds']}")
+    if isinstance(source, FiniteChain):
+        return None
+    if abs(source.a) >= 1.0:
+        raise ConfigError(
+            "source.a", f"|a| = {abs(source.a)} >= 1: no stationary law for the grid to span"
+        )
+    if source.noise_std == 0.0:
+        raise ConfigError("source.noise_std", "must be > 0 for the grid to span the source")
+    return default_grid(source, **spec)
+
+
+def _initial_belief(spec, path: str, source, grid):
+    """The time-0 belief. With source None the section is only checked:
+    discounted-vi values every belief of its grid instead."""
     if isinstance(spec, str):
         if spec not in ("model", "invariant"):
             raise ConfigError(path, f"must be 'model', 'invariant', or an object, got {spec!r}")
-        return spec
+        if source is None:
+            return None
+        if spec == "invariant":
+            return _build(path, source.invariant_distribution, grid)
+        try:
+            return source.initial_belief(grid)
+        except ValueError as e:  # a time-0 law so far off the grid that no mass lands on it
+            raise ConfigError(
+                "source.init_mean",
+                f"N({source.init_mean}, {source.init_std}^2) puts no mass on the grid "
+                f"[{grid.lo}, {grid.hi}]: {e}",
+            ) from None
     spec = _as_dict(spec, path)
     if "probabilities" in spec:
         _check_keys(spec, {"probabilities"}, path)
-        _as_list(spec["probabilities"], _join(path, "probabilities"))
-    else:
-        _check_keys(spec, {"mean", "std"}, path)
-        _as_number(_require(spec, "mean", path), _join(path, "mean"))
-        std = _as_number(_require(spec, "std", path), _join(path, "std"))
-        if std <= 0:
-            raise ConfigError(_join(path, "std"), f"must be > 0, got {std}")
-    return spec
+        probs_path = _join(path, "probabilities")
+        _as_list(spec["probabilities"], probs_path)
+        if source is None:
+            return None
+        if not isinstance(source, FiniteChain):
+            raise ConfigError(path, "gaussian sources take {'mean', 'std'}")
+        probs = _as_array(spec["probabilities"], probs_path)
+        if probs.shape != (source.n_states,):
+            raise ConfigError(probs_path, f"expected {source.n_states} entries, got {probs.shape}")
+        return _build(probs_path, SimplexBelief, probs, states=source.state_values)
+    _check_keys(spec, {"mean", "std"}, path)
+    mean = _as_number(_require(spec, "mean", path), _join(path, "mean"))
+    std = _as_number(_require(spec, "std", path), _join(path, "std"))
+    if std <= 0:
+        raise ConfigError(_join(path, "std"), f"must be > 0, got {std}")
+    if source is None:
+        return None
+    if isinstance(source, FiniteChain):
+        raise ConfigError(path, "chain sources take 'probabilities'")
+    try:
+        return GridBelief.normal(grid, mean, std)
+    except ValueError as e:  # a law so far off the grid that no mass lands on it
+        raise ConfigError(path, f"{e} on the grid [{grid.lo}, {grid.hi}]") from None
 
 
-def _validate_binning(spec, path: str):
+def _binning(spec, path: str, source, grid):
     spec = _as_dict(spec, path)
     kind = _as_str(_require(spec, "type", path), _join(path, "type"),
                    {"simplex", "grid_features"})
     if kind == "simplex":
         _check_keys(spec, {"type", "n_bins"}, path)
-        if "n_bins" in spec:
-            _as_int(spec["n_bins"], _join(path, "n_bins"), 2)
+        if not (isinstance(source, FiniteChain) and source.n_states == 2):
+            raise ConfigError(_join(path, "type"), "simplex binning needs a 2-state chain source")
+        make = SimplexBinning
     else:
         _check_keys(spec, {"type", "n_mean", "n_std"}, path)
-        for opt in ("n_mean", "n_std"):
-            if opt in spec:
-                _as_int(spec[opt], _join(path, opt), 2)
-    return spec
+        if not isinstance(source, LinearGaussianSource):
+            raise ConfigError(_join(path, "type"), "grid_features binning needs a gaussian source")
+        make = functools.partial(GridFeatureBinning, grid)
+    return make(**{
+        key: _as_int(value, _join(path, key), 2) for key, value in spec.items() if key != "type"
+    })
 
 
-def _validate_policy(spec, path: str):
+def _schedule(spec: dict, path: str):
+    """The piecing schedule of spec's horizons and k_max."""
+    horizons = _as_list(_require(spec, "horizons", path), _join(path, "horizons"))
+    for i, T in enumerate(horizons):
+        _as_int(T, _join(path, f"horizons[{i}]"), 1)
+    k_max = _as_int(_require(spec, "k_max", path), _join(path, "k_max"), 1)
+    return _build(_join(path, "horizons"), piecing_schedule, horizons, k_max)
+
+
+def _policy(spec, path: str, setup: Setup, grid):
+    """A function that returns the rollout policy the section describes.
+    Everything else is built now; tree policies solve their designs when
+    the function is called."""
     spec = _as_dict(spec, path)
     kind = _as_str(_require(spec, "type", path), _join(path, "type"),
                    {"greedy", "fixed", "tree_replay", "pieced", "randomized"})
+    candidates = setup.candidates
+
+    def tree(horizon):
+        return solve_finite_horizon(
+            setup.initial_belief, setup.source, candidates, setup.cost, horizon
+        ).tree
+
     if kind == "greedy":
         _check_keys(spec, {"type"}, path)
+        policy = GreedyPolicy(candidates, setup.cost)
     elif kind == "fixed":
         _check_keys(spec, {"type", "index"}, path)
-        _as_int(_require(spec, "index", path), _join(path, "index"), 0)
+        index = _as_int(_require(spec, "index", path), _join(path, "index"), 0)
+        if index >= len(candidates):
+            raise ConfigError(
+                _join(path, "index"),
+                f"only {len(candidates)} candidates are enumerated, got index {index}",
+            )
+        policy = FixedQuantizerPolicy(candidates[index])
     elif kind == "tree_replay":
         _check_keys(spec, {"type", "design_horizon"}, path)
-        _as_int(_require(spec, "design_horizon", path),
-                _join(path, "design_horizon"), 1)
+        horizon = _as_int(_require(spec, "design_horizon", path), _join(path, "design_horizon"), 1)
+        return lambda: TreeReplayPolicy(tree(horizon))
     elif kind == "pieced":
         _check_keys(spec, {"type", "horizons", "k_max"}, path)
-        horizons = _as_list(_require(spec, "horizons", path), _join(path, "horizons"))
-        for i, T in enumerate(horizons):
-            _as_int(T, _join(path, f"horizons[{i}]"), 1)
-        _as_int(_require(spec, "k_max", path), _join(path, "k_max"), 1)
+        schedule = _schedule(spec, path)
+        return lambda: PiecedPolicy(schedule, [tree(T) for T in schedule.horizons])
     else:
         _check_keys(spec, {"type", "table", "binning"}, path)
-        _as_list(_require(spec, "table", path), _join(path, "table"))
-        _validate_binning(_require(spec, "binning", path), _join(path, "binning"))
-    return spec
+        table = _as_list(_require(spec, "table", path), _join(path, "table"))
+        binning = _binning(_require(spec, "binning", path), _join(path, "binning"), setup.source, grid)
+        policy = _build(_join(path, "table"), RandomizedStationaryPolicy, binning, table, candidates)
+    return lambda: policy
 
 
 _COMMON_KEYS = {"task", "output_dir", "seed"}
@@ -292,13 +438,14 @@ _TASK_KEYS = {
 _NEEDS_MODEL = ("design", "rollout", "discounted-vi", "occupancy")
 
 
-def validate_config(cfg: dict, task: str | None = None) -> dict:
-    """Validate a config document and return it normalized.
+def validate_config(cfg: dict, task: str | None = None) -> Setup:
+    """Parse a config document into what its task runs with.
 
     task, when given, is the CLI subcommand and must match the config's
-    own task field if both are present. Normalization fills defaults
-    (output_dir, cost, grid sizes) so the echo in results.json is
-    self-contained.
+    own task field if both are present. The Setup's config is the
+    document normalized: defaults (output_dir, cost, initial_belief, and
+    discounted-vi's grid_points, tol and max_iter) are filled in, so the
+    echo in results.json is self-contained.
     """
     cfg = dict(cfg)
     cfg_task = cfg.get("task")
@@ -313,35 +460,27 @@ def validate_config(cfg: dict, task: str | None = None) -> dict:
 
     _check_keys(cfg, _TASK_KEYS[task], "")
 
-    if "output_dir" in cfg:
-        _as_str(cfg["output_dir"], "output_dir")
-    else:
-        cfg["output_dir"] = "."
+    _as_str(cfg.setdefault("output_dir", "."), "output_dir")
 
     if "seed" in cfg:
         _as_int(cfg["seed"], "seed", 0)
     elif task in STOCHASTIC_TASKS:
         raise ConfigError("seed", f"required key is missing (task {task!r} is stochastic)")
 
+    setup = Setup(cfg)
     if task in _NEEDS_MODEL:
-        cfg["source"] = _validate_source(_require(cfg, "source", ""), "source")
-        cfg["cost"] = _validate_cost(cfg.get("cost", {"kind": "quadratic"}), "cost")
-        cfg["quantizers"] = _validate_quantizers(
-            _require(cfg, "quantizers", ""), "quantizers", cfg["source"]["type"]
+        setup.source = source = _source(_require(cfg, "source", ""), "source")
+        if task == "discounted-vi" and not isinstance(source, FiniteChain):
+            raise ConfigError("source.type", "discounted-vi runs on chain sources")
+        cfg.setdefault("cost", {"kind": "quadratic"})
+        setup.cost = _cost(cfg["cost"], "cost", source)
+        setup.candidates = _candidates(_require(cfg, "quantizers", ""), "quantizers", source)
+        grid = _grid(cfg.get("grid", {}), "grid", source)
+        cfg.setdefault("initial_belief", "model")
+        setup.initial_belief = _initial_belief(
+            cfg["initial_belief"], "initial_belief",
+            None if task == "discounted-vi" else source, grid,
         )
-        if "grid" in cfg:
-            grid = _as_dict(cfg["grid"], "grid")
-            _check_keys(grid, {"n_points", "span_stds"}, "grid")
-            if "n_points" in grid:
-                _as_int(grid["n_points"], "grid.n_points", 16)
-            if "span_stds" in grid and _as_number(grid["span_stds"], "grid.span_stds") <= 0:
-                raise ConfigError("grid.span_stds", f"must be > 0, got {grid['span_stds']}")
-        if "initial_belief" in cfg:
-            cfg["initial_belief"] = _validate_initial_belief(
-                cfg["initial_belief"], "initial_belief"
-            )
-        else:
-            cfg["initial_belief"] = "model"
 
     if task == "design":
         _as_int(_require(cfg, "horizon", ""), "horizon", 1)
@@ -350,7 +489,7 @@ def validate_config(cfg: dict, task: str | None = None) -> dict:
     elif task == "rollout":
         _as_int(_require(cfg, "horizon", ""), "horizon", 1)
         _as_int(_require(cfg, "n_paths", ""), "n_paths", 1)
-        cfg["policy"] = _validate_policy(_require(cfg, "policy", ""), "policy")
+        setup.policy = _policy(_require(cfg, "policy", ""), "policy", setup, grid)
     elif task == "oracle-check":
         if "horizon" in cfg:
             _as_int(cfg["horizon"], "horizon", 1)
@@ -364,165 +503,20 @@ def validate_config(cfg: dict, task: str | None = None) -> dict:
         discount = _as_number(_require(cfg, "discount", ""), "discount")
         if not 0.0 <= discount < 1.0:
             raise ConfigError("discount", f"must lie in [0, 1), got {discount}")
-        if "grid_points" in cfg:
-            _as_int(cfg["grid_points"], "grid_points", 2)
-        else:
-            cfg["grid_points"] = 201
-        if "tol" in cfg:
-            tol = _as_number(cfg["tol"], "tol")
-            if tol <= 0:
-                raise ConfigError("tol", f"must be > 0, got {tol}")
-        else:
-            cfg["tol"] = 1e-9
-        if "max_iter" in cfg:
-            _as_int(cfg["max_iter"], "max_iter", 1)
-        else:
-            cfg["max_iter"] = 1000
+        _as_int(cfg.setdefault("grid_points", 201), "grid_points", 2)
+        tol = _as_number(cfg.setdefault("tol", 1e-9), "tol")
+        if tol <= 0:
+            raise ConfigError("tol", f"must be > 0, got {tol}")
+        _as_int(cfg.setdefault("max_iter", 1000), "max_iter", 1)
+        # belief grids span the simplex of a 2-state chain only
+        setup.belief_grid = _build(
+            "source.transition", simplex_belief_grid, source, cfg["grid_points"]
+        )
     elif task == "schedule":
-        horizons = _as_list(_require(cfg, "horizons", ""), "horizons")
-        for i, T in enumerate(horizons):
-            _as_int(T, f"horizons[{i}]", 1)
-        k_max = _as_int(_require(cfg, "k_max", ""), "k_max", 1)
-        if len(horizons) < k_max + 1:
-            raise ConfigError("horizons", f"need at least k_max + 1 = {k_max + 1} entries, got {len(horizons)}")
+        setup.schedule = _schedule(cfg, "")
     elif task == "occupancy":
         _as_int(_require(cfg, "horizon", ""), "horizon", 1)
-        cfg["policy"] = _validate_policy(_require(cfg, "policy", ""), "policy")
-        cfg["binning"] = _validate_binning(_require(cfg, "binning", ""), "binning")
+        setup.policy = _policy(_require(cfg, "policy", ""), "policy", setup, grid)
+        setup.binning = _binning(_require(cfg, "binning", ""), "binning", source, grid)
 
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# object building (assumes a validated config)
-
-
-def build_source(cfg: dict):
-    spec = cfg["source"]
-    fields = {key: value for key, value in spec.items() if key != "type"}
-    if spec["type"] == "chain":
-        for key, value in fields.items():
-            try:
-                fields[key] = np.asarray(value, dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigError(f"source.{key}", "expected a numeric array") from None
-    try:
-        if spec["type"] == "gaussian":
-            return LinearGaussianSource(**fields)
-        return FiniteChain(**fields)
-    except ValueError as e:
-        # the sources' messages start with the name of the field at fault
-        raise ConfigError(f"source.{str(e).split()[0]}", str(e)) from None
-
-
-def build_cost(cfg: dict) -> CostModel:
-    """The cost model; a tabular one is checked against the chain that
-    build_source accepted."""
-    spec, source = cfg["cost"], cfg["source"]
-    if spec["kind"] == "quadratic":
-        return CostModel.quadratic()
-    if source["type"] != "chain":
-        raise ConfigError("cost.kind", "bounded_tabular costs need a chain source")
-    try:
-        cost = CostModel.bounded_tabular(spec["table"])
-    except ValueError as e:
-        raise ConfigError("cost.table", str(e)) from None
-    if len(cost.table) != len(source["transition"]):
-        raise ConfigError("cost.table", f"needs one row per chain state, got {len(cost.table)}")
-    return cost
-
-
-def build_grid(cfg: dict, model):
-    spec = cfg.get("grid", {})
-    if abs(model.a) >= 1.0:
-        raise ConfigError(
-            "source.a", f"|a| = {abs(model.a)} >= 1: no stationary law for the grid to span"
-        )
-    if model.noise_std == 0.0:
-        raise ConfigError("source.noise_std", "must be > 0 for the grid to span the source")
-    return default_grid(
-        model,
-        n_points=spec.get("n_points", DEFAULT_GRID_POINTS),
-        span_stds=spec.get("span_stds", DEFAULT_SPAN_STDS),
-    )
-
-
-def build_candidates(cfg: dict, model):
-    spec = cfg["quantizers"]
-    if spec["type"] == "intervals":
-        if not isinstance(model, LinearGaussianSource):
-            raise ConfigError("quantizers.type", "interval candidates need a gaussian source")
-        try:
-            return enumerate_interval_candidates(
-                spec["levels"], spec["lo"], spec["hi"], spec["steps"]
-            )
-        except ValueError as e:
-            raise ConfigError("quantizers", str(e)) from None
-    if spec["type"] == "partitions":
-        if not isinstance(model, FiniteChain):
-            raise ConfigError("quantizers.type", "partition candidates need a chain source")
-        return enumerate_finite_partitions(model.n_states, spec["levels"])
-    candidates = []
-    for i, item in enumerate(spec["items"]):
-        path = f"quantizers.items[{i}]"
-        try:
-            quantizer = quantizer_from_json(item)
-        except ValueError as e:
-            raise ConfigError(path, str(e))
-        if isinstance(model, FiniteChain) and quantizer.n_states != model.n_states:
-            raise ConfigError(
-                f"{path}.assignment",
-                f"expected {model.n_states} entries, got {quantizer.n_states}",
-            )
-        candidates.append(quantizer)
-    return CandidateSet(candidates)
-
-
-def build_initial_belief(cfg: dict, model):
-    spec = cfg["initial_belief"]
-    chain = isinstance(model, FiniteChain)
-    grid = None if chain else build_grid(cfg, model)
-    if spec == "invariant":
-        return model.invariant_distribution(grid)
-    if spec == "model":
-        try:
-            return model.initial_belief(grid)
-        except ValueError as e:  # a time-0 law so far off the grid that no mass lands on it
-            raise ConfigError(
-                "source.init_mean",
-                f"N({model.init_mean}, {model.init_std}^2) puts no mass on the grid "
-                f"[{grid.lo}, {grid.hi}]: {e}",
-            ) from None
-    if chain:
-        if "probabilities" not in spec:
-            raise ConfigError("initial_belief", "chain sources take 'probabilities'")
-        probs = np.asarray(spec["probabilities"], dtype=float)
-        if probs.shape != (model.n_states,):
-            raise ConfigError(
-                "initial_belief.probabilities",
-                f"expected {model.n_states} entries, got {probs.shape}",
-            )
-        try:
-            return SimplexBelief(probs, states=model.state_values)
-        except ValueError as e:
-            raise ConfigError("initial_belief.probabilities", str(e)) from None
-    if "probabilities" in spec:
-        raise ConfigError("initial_belief", "gaussian sources take {'mean', 'std'}")
-    try:
-        return GridBelief.normal(grid, spec["mean"], spec["std"])
-    except ValueError as e:  # a law so far off the grid that no mass lands on it
-        raise ConfigError("initial_belief", f"{e} on the grid [{grid.lo}, {grid.hi}]") from None
-
-
-def build_binning(spec: dict, model, cfg: dict):
-    if spec["type"] == "simplex":
-        if not isinstance(model, FiniteChain):
-            raise ConfigError("binning.type", "simplex binning needs a chain source")
-        return SimplexBinning(spec.get("n_bins", 50))
-    if not isinstance(model, LinearGaussianSource):
-        raise ConfigError("binning.type", "grid_features binning needs a gaussian source")
-    return GridFeatureBinning(
-        build_grid(cfg, model),
-        n_mean=spec.get("n_mean", 50),
-        n_std=spec.get("n_std", 20),
-    )
+    return setup

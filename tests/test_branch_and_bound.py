@@ -26,13 +26,7 @@ from zdq.beliefs import (
     default_grid,
     filter_update,
 )
-from zdq.config import (
-    build_candidates,
-    build_cost,
-    build_initial_belief,
-    build_source,
-    validate_config,
-)
+from zdq.config import validate_config
 from zdq.costs import CostModel, cell_decisions
 from zdq.dp import bellman_residuals, exact_policy_value, solve_finite_horizon
 from zdq.infinite import FixedQuantizerPolicy, rollout
@@ -110,10 +104,9 @@ def _rollout_chain_instance():
 
 
 def _design_ar1_instance():
-    cfg = validate_config(dict(DESIGN_AR1), task="design")
-    model = build_source(cfg)
-    return (build_initial_belief(cfg, model), model, build_candidates(cfg, model),
-            build_cost(cfg), cfg["horizon"])
+    setup = validate_config(dict(DESIGN_AR1), task="design")
+    return (setup.initial_belief, setup.source, setup.candidates,
+            setup.cost, setup.config["horizon"])
 
 
 def _tabular_instance():

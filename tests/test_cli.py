@@ -10,7 +10,7 @@ import pytest
 
 import zdq.infinite
 from zdq.cli import main
-from zdq.config import ConfigError, build_initial_belief, build_source, validate_config
+from zdq.config import ConfigError, validate_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -125,7 +125,7 @@ def test_explicit_item_errors_exit_2(tmp_path, capsys, source, item, path):
 
 
 def test_configured_grid_reaches_invariant_belief_and_residual(tmp_path, monkeypatch):
-    doc = validate_config(
+    setup = validate_config(
         {
             "task": "occupancy",
             "seed": 3,
@@ -139,7 +139,7 @@ def test_configured_grid_reaches_invariant_belief_and_residual(tmp_path, monkeyp
             "output_dir": str(tmp_path / "out"),
         }
     )
-    belief = build_initial_belief(doc, build_source(doc))
+    belief = setup.initial_belief
     assert belief.grid.n_points == 401
     # every belief the rollout and invariance_residual filter is on that grid
     seen = set()
@@ -150,7 +150,7 @@ def test_configured_grid_reaches_invariant_belief_and_residual(tmp_path, monkeyp
         return original(belief, *args, **kwargs)
 
     monkeypatch.setattr(zdq.infinite, "filter_update", spy)
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, setup.config)
     assert main(["occupancy", "--config", cfg]) == 0
     assert seen == {401}
 
@@ -179,7 +179,7 @@ def test_artifact_modes_follow_umask(tmp_path):
 
 
 def test_validate_fills_defaults():
-    doc = validate_config({"task": "schedule", "horizons": [2, 4], "k_max": 1})
+    doc = validate_config({"task": "schedule", "horizons": [2, 4], "k_max": 1}).config
     assert doc["output_dir"] == "."
 
 
@@ -342,6 +342,54 @@ def test_randomized_table_with_nan_exits_2(tmp_path, capsys):
     assert main(["rollout", "--config", write_config(tmp_path, doc)]) == 2
     assert "config error: policy.table: table entries must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+REDUCIBLE = {"type": "chain", "transition": [[1.0, 0.0], [0.0, 1.0]], "initial": [0.5, 0.5]}
+PARTITIONS = {"type": "partitions", "levels": 2}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"task": "discounted-vi", "source": CHAIN3, "quantizers": PARTITIONS, "discount": 0.9},
+         "source.transition"),
+        ({"task": "occupancy", "seed": 0, "source": CHAIN3, "quantizers": PARTITIONS,
+          "policy": {"type": "greedy"}, "binning": {"type": "simplex"}, "horizon": 50},
+         "binning.type"),
+        ({"task": "rollout", "seed": 0, "source": CHAIN3, "quantizers": PARTITIONS,
+          "policy": {"type": "randomized", "binning": {"type": "simplex", "n_bins": 2},
+                     "table": [[0.25] * 4] * 2},
+          "horizon": 3, "n_paths": 2},
+         "policy.binning.type"),
+        ({"task": "schedule", "horizons": [3, 2, 5, 7], "k_max": 2}, "horizons"),
+        ({"task": "rollout", "seed": 0, "source": CHAIN3, "quantizers": PARTITIONS,
+          "policy": {"type": "pieced", "horizons": [1, 2], "k_max": 2},
+          "horizon": 3, "n_paths": 2},
+         "policy.horizons"),
+        ({"task": "design", "source": REDUCIBLE, "quantizers": PARTITIONS,
+          "initial_belief": "invariant", "horizon": 2},
+         "initial_belief"),
+        ({"task": "rollout", "seed": 0, "source": AR1,
+          "quantizers": {"type": "intervals", "levels": 2, "lo": -1, "hi": 1, "steps": 2},
+          "policy": {"type": "randomized", "binning": {"type": "simplex", "n_bins": 2},
+                     "table": [[0.5, 0.5]] * 2},
+          "horizon": 3, "n_paths": 2},
+         "policy.binning.type"),
+    ],
+    ids=["discounted-vi-3-states", "occupancy-simplex-3-states", "randomized-simplex-3-states",
+         "schedule-decreasing", "pieced-too-few-horizons", "invariant-reducible",
+         "randomized-simplex-gaussian"],
+)
+def test_library_checks_exit_2_before_any_output(tmp_path, capsys, doc, path):
+    # checks that only the library makes still name the field at fault,
+    # and the run stops before it makes its output directory
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(doc, output_dir=str(out)))
+    assert main([doc["task"], "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_design_budget_exceeded(tmp_path):

@@ -35,7 +35,6 @@ PROBE_CALLS = {"isinstance", "issubclass", "hasattr", "getattr"}
 # stands for every function of the module
 ALLOWED = {
     ("config.py", None): "config parsing checks that a config's parts fit its source",
-    ("cli.py", "_run_discounted_vi"): "discounted-vi runs on chain sources only",
     ("oracles.py", None): "the oracles stay independent of the solver on purpose",
     ("costs.py", "_tabular_cells"): "tabular costs are defined on finite alphabets only",
     ("beliefs.py", "check_S_membership"): "S-membership is defined for density beliefs",
