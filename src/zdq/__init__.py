@@ -12,127 +12,25 @@ policy piecing and discounted value iteration, and ships independent
 oracles plus a CLI for batch experiments.
 """
 
-from .sources import (
-    LinearGaussianSource,
-    FiniteChain,
-    DensityBounds,
-    transition_density,
-    density_bounds,
-)
-from .beliefs import (
-    Grid,
-    default_grid,
-    window_weights,
-    GridBelief,
-    SimplexBelief,
-    SMembershipReport,
-    ZeroMassSymbolError,
-    filter_update,
-    check_S_membership,
-)
-from .quantizers import (
-    IntervalQuantizer,
-    FinitePartition,
-    CandidateSet,
-    enumerate_interval_candidates,
-    enumerate_finite_partitions,
-    quantizer_from_json,
-)
-from .costs import CostModel, cell_decisions, greedy_decision
-from .dp import (
-    PolicyNode,
-    PolicyTree,
-    DPResult,
-    NodeBudgetExceeded,
-    solve_finite_horizon,
-    greedy_policy_step,
-    exact_policy_value,
-    bellman_residuals,
-)
-from .infinite import (
-    PiecingSchedule,
-    piecing_schedule,
-    FixedQuantizerPolicy,
-    GreedyPolicy,
-    TreeReplayPolicy,
-    PiecedPolicy,
-    RandomizedStationaryPolicy,
-    TrajectoryLog,
-    RolloutResult,
-    rollout,
-    simplex_belief_grid,
-    DiscountedVIResult,
-    DiscountedVINotConverged,
-    discounted_value_iteration,
-    SimplexBinning,
-    GridFeatureBinning,
-    OccupationHistogram,
-    occupation_measure,
-    invariance_residual,
-)
-from .oracles import (
-    brute_force_finite,
-    exhaustive_admissible_search,
-    LloydMaxResult,
-    lloyd_max,
-)
+from . import beliefs, costs, dp, infinite, oracles, quantizers, sources
+from .beliefs import *  # noqa: F403
+from .costs import *  # noqa: F403
+from .dp import *  # noqa: F403
+from .infinite import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .quantizers import *  # noqa: F403
+from .sources import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# every module's public names, listed once in its own __all__
 __all__ = [
-    "LinearGaussianSource",
-    "FiniteChain",
-    "DensityBounds",
-    "transition_density",
-    "density_bounds",
-    "Grid",
-    "default_grid",
-    "window_weights",
-    "GridBelief",
-    "SimplexBelief",
-    "SMembershipReport",
-    "ZeroMassSymbolError",
-    "filter_update",
-    "check_S_membership",
-    "IntervalQuantizer",
-    "FinitePartition",
-    "CandidateSet",
-    "enumerate_interval_candidates",
-    "enumerate_finite_partitions",
-    "quantizer_from_json",
-    "CostModel",
-    "cell_decisions",
-    "greedy_decision",
-    "PolicyNode",
-    "PolicyTree",
-    "DPResult",
-    "NodeBudgetExceeded",
-    "solve_finite_horizon",
-    "greedy_policy_step",
-    "exact_policy_value",
-    "bellman_residuals",
-    "PiecingSchedule",
-    "piecing_schedule",
-    "FixedQuantizerPolicy",
-    "GreedyPolicy",
-    "TreeReplayPolicy",
-    "PiecedPolicy",
-    "RandomizedStationaryPolicy",
-    "TrajectoryLog",
-    "RolloutResult",
-    "rollout",
-    "simplex_belief_grid",
-    "DiscountedVIResult",
-    "DiscountedVINotConverged",
-    "discounted_value_iteration",
-    "SimplexBinning",
-    "GridFeatureBinning",
-    "OccupationHistogram",
-    "occupation_measure",
-    "invariance_residual",
-    "brute_force_finite",
-    "exhaustive_admissible_search",
-    "LloydMaxResult",
-    "lloyd_max",
+    *sources.__all__,
+    *beliefs.__all__,
+    *quantizers.__all__,
+    *costs.__all__,
+    *dp.__all__,
+    *infinite.__all__,
+    *oracles.__all__,
     "__version__",
 ]

@@ -1,4 +1,5 @@
-"""Belief states, their cell moments, and the shared filter entry point.
+"""Belief states, their cell moments and restrictions, and the shared
+filter entry point.
 
 A belief is the conditional law of the current source state given the
 symbols sent so far. Continuous sources carry a GridBelief: a density
@@ -7,7 +8,8 @@ interpolant, so integrals against quantizer cells can be taken exactly
 even when a cell boundary falls between nodes. Finite chains carry a
 SimplexBelief, where everything is exact arithmetic. Each belief class
 answers for itself what the rest of the package reads off a belief:
-key(), mean and std, cell_moments, draws by inverse_cdf, its
+key(), mean and std, cell_moments, its restriction to a cell
+(restrict), draws by inverse_cdf, its
 description in policy_tree.json (to_json) and its row in a rollout's
 trajectory log (log_row). A grid belief is one immutable buffer: its
 key() bytes, of which values is a read-only view, so a belief the
@@ -23,50 +25,31 @@ moment is linear in the belief, so a grid belief takes them all from
 one product: node-local weights up to every distinct cut of the set
 (CutWeights.local, node_moment_weights) times its values and their
 products with powers of (x - mean) give the cumulative moments about
-its mean at every cut. A simplex belief multiplies its probabilities by
-each partition's cached 0/1 membership matrix. _kernel_cut_moments is
-the product of the cut set's window weights of x^k (CutWeights.matrix)
-with the transition kernel, kept per source, grid and candidate set:
-times a restriction it gives the cumulative raw moments of that
-restriction's prediction at every cut, from which the sources
-(sources.py) read the dynamic program's stage-cost floor and the
-last-stage costs of a belief's children. Both products take their
-cumulative moments at the set's distinct cuts (CutWeights.points) and
-read every cell off them by CutWeights.cells.
+its mean at every cut (CutWeights.points), and CutWeights.cells reads
+every cell off them. A simplex belief multiplies its probabilities by
+each partition's cached 0/1 membership matrix.
 
 The filter step is the usual two-stage update: restrict the belief to
 the decoded cell, renormalize, then push through the one-step transition
 law. filter_update is the one entry point for every family: it checks
-that the belief is of the source's family and that the cell carries
-mass, and leaves the restriction and the push to the source class
-(sources.py). A grid restriction uses per-node window weights, which
-integrate the same piecewise-linear density exactly, so the law of total
-probability (summing the branch posteriors against the branch masses
-reproduces the one-step prediction) holds to rounding. What depends on
-the grid and the quantizers only is built once and kept read-only: the
-cuts of a candidate set and the weights up to them (_cut_weights), their
-product with the kernel (_kernel_cut_moments), the window weights of a
-cell (_cell_weights) and the transition kernel (_transition_kernel),
-each in a bounded LRU cache; the first two find a candidate set by the
-hash it took when built. The kernel is banded (_BandedKernel): it keeps
-each column's entries of at least TAIL = 2^-60 of the column's largest,
-in column-major blocks of 64 columns over the union of their rows, and
-never holds the dense kernel. A pushed belief follows the same rule: the
-push sets each tail of its product, the entries before the first and
-after the last one of at least TAIL of its largest, to 0, and the
-belief keeps the node range between as its support (any other belief's
-support is the extent of its nonzero values). Outside its support a
-belief is exactly 0, so what reads only the support is exact, not an
-approximation: mean, std and cell_moments sum over it, and a
-restriction is the entries on its cell's weight support within the
-belief's support, (start, part). The push reads the restriction's
-columns as a run of blocks, one product of at most 64 columns per block
-added into that block's rows; no such product is wide enough for a
-threaded BLAS path, so a push gives the same bytes on any thread count.
-W @ K multiplies row-major copies of 32 of a block's columns at a time,
-over the block's rows only: on OpenBLAS a product with a column-major
-block took the threaded path in some processes, 100 times slower. This
-module imports nothing from sources.py; a source names its belief class.
+that the belief is of the source's family, takes the belief's
+restriction to the cell (restrict), checks that it carries mass, and
+leaves the push to the source class (sources.py), which holds the
+transition law. A restriction is (start, part), the entries from start
+on that can be nonzero: on a grid, the cell's weight support within the
+belief's support; on a simplex, every state. A grid restriction uses
+per-node window weights, which integrate the same piecewise-linear
+density exactly, so the law of total probability (summing the branch
+posteriors against the branch masses reproduces the one-step
+prediction) holds to rounding. What depends on the grid and the
+quantizers only is built once and kept read-only: the cuts of a
+candidate set and the weights up to them (_cut_weights, which finds a
+set by the hash it took when built) and the window weights of a cell
+(_cell_weights), each in a bounded LRU cache. Outside its support a
+grid belief is exactly 0, so what reads only the support is exact, not
+an approximation: mean, std, cell_moments and restrict sum over it.
+This module imports nothing from sources.py; a source names its belief
+class.
 """
 from __future__ import annotations
 
@@ -87,7 +70,6 @@ __all__ = [
     "ZeroMassSymbolError",
     "default_grid",
     "window_weights",
-    "node_moment_weights",
     "filter_update",
     "check_S_membership",
 ]
@@ -95,9 +77,6 @@ __all__ = [
 DEFAULT_GRID_POINTS = 801
 DEFAULT_SPAN_STDS = 8.0
 EPS_MASS = 1e-12
-# the least entry, relative to the largest, that a kernel column's band
-# and a pushed belief's support keep
-TAIL = 2.0**-60
 
 
 class ZeroMassSymbolError(ValueError):
@@ -253,11 +232,11 @@ class GridBelief:
     == is identity; two beliefs compare by value through key().
 
     support = (lo, hi) is the node range outside which the values are 0:
-    the extent of the nonzero values. The filter's push trims its
-    product's tails below TAIL = 2^-60 of its largest entry to 0, the
-    kernel band's rule applied to the belief, and hands the belief that
-    range; every other constructor finds it from the values. mean, std,
-    cell_moments and the sources' restrict read the values on it only.
+    the extent of the nonzero values. The filter's push (sources.py)
+    trims its product's tails below TAIL = 2^-60 of its largest entry to
+    0 and hands the belief the range between; every other constructor
+    finds it from the values. mean, std, cell_moments and restrict read
+    the values on it only.
     """
 
     grid: Grid
@@ -417,6 +396,22 @@ class GridBelief:
         np.add(g[2, :p], 2.0 * g[1, p : 2 * p] + g[0, 2 * p :], out=cumulative[2 * p :])
         return weights.cells(cumulative), center
 
+    def restrict(self, quantizer, symbol: int):
+        """The density over cell symbol as (start, part): the per-node
+        weights window_weights(grid, lo, hi, 0) * values, bit for bit,
+        are part at nodes start .. start + len(part) - 1 and 0 elsewhere.
+
+        The cell's window weights are kept per (grid, cell) over their
+        support only (_cell_weights). The values are 0 outside the
+        belief's support, so part is the product of both over the
+        intersection of the two node ranges (empty when it is empty).
+        """
+        lo, hi = quantizer.cell_interval(symbol)
+        start, w = _cell_weights(self.grid, lo, hi)
+        first = max(start, self.support[0])
+        stop = max(first, min(start + len(w), self.support[1]))
+        return first, w[first - start : stop - start] * self.values[first:stop]
+
     def inverse_cdf(self, v) -> np.ndarray:
         """The draw of the belief at every uniform variate v in [0, 1).
 
@@ -511,7 +506,12 @@ class SimplexBelief:
         probabilities."""
         return [self.mean, self.std, *self.probabilities.tolist()]
 
-    def restrict(self, membership: np.ndarray) -> np.ndarray:
+    def restrict(self, quantizer, symbol: int):
+        """The probabilities inside cell symbol, 0 elsewhere, as (start,
+        part) = (0, every state's entry)."""
+        return 0, self.restrict_cells(quantizer.member_mask(symbol))
+
+    def restrict_cells(self, membership: np.ndarray) -> np.ndarray:
         """The probabilities restricted to cells given as 0/1 rows (..., n_states).
 
         Raises ValueError when the rows cover another alphabet, before
@@ -536,7 +536,7 @@ class SimplexBelief:
         s, s2 = self.states, self.states * self.states
         out = np.zeros((3, len(candidates), candidates.levels))
         for k, q in enumerate(candidates):
-            r = self.restrict(q.membership[None])
+            r = self.restrict_cells(q.membership[None])
             out[:, k : k + 1, : q.levels] = r.sum(axis=-1), r @ s, r @ s2
         return out, 0.0
 
@@ -577,7 +577,7 @@ class CutWeights:
     count L. ends (2, 3, K, L) indexes a flat array of cumulative
     moments, order by order and point by point, at the lower and the
     upper cut of every cell, which cells reads. Built on first use:
-      matrix    window_weights of x^k, k = 0, 1, 2 (_kernel_cut_moments);
+      matrix    window_weights of x^k, k = 0, 1, 2 (sources' kernel products);
       local     node_moment_weights of orders 0, 1, 2 (cell_moments);
     both (3 P, n_points), from -inf up to every point. All arrays are
     read-only.
@@ -621,14 +621,14 @@ class CutWeights:
 
 @functools.lru_cache(maxsize=_CUT_SETS)
 def _cut_weights(grid: Grid, candidates) -> CutWeights:
-    """The CandidateSet's CutWeights on grid, for GridBelief.cell_moments,
-    _kernel_cut_moments and the products of the sources."""
+    """The CandidateSet's CutWeights on grid, for GridBelief.cell_moments
+    and the kernel products of the sources."""
     return CutWeights(grid, candidates)
 
 
 @functools.lru_cache(maxsize=_CELL_WEIGHTS)
 def _cell_weights(grid: Grid, lo: float, hi: float):
-    """window_weights(grid, lo, hi, 0) over its support, for a restriction.
+    """window_weights(grid, lo, hi, 0) over its support, for GridBelief.restrict.
 
     Returns (start, w): w holds the entries start .. start + len(w) - 1,
     read-only, and every other entry is 0 (w is empty for an empty cell).
@@ -639,109 +639,6 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
     w = w[start:stop].copy()  # a copy, so the full array is freed
     w.flags.writeable = False
     return start, w
-
-
-_KERNEL_COLUMNS = 64  # kernel columns per stored block
-# noise variances a band's squared radius reaches past its peak's squared
-# distance: an entry there is exp(-_BAND_VARIANCES / 2) = TAIL of the peak
-_BAND_VARIANCES = -2.0 * math.log(TAIL)
-
-
-class _BandedKernel:
-    """The transition kernel K[j, i] = transition density at node j given
-    node i, holding only each column's band.
-
-    Column i is centred at c = a x_i; with d the distance from c to the
-    nearest node, where the column is largest, and s the noise std, its
-    band is the rows j with (x_j - c)^2 <= d^2 + 120 ln 2 s^2: the
-    entries at least 2^-60 of the column's largest. The band's ends come
-    in closed form from searchsorted, its radius widened by one part in
-    10^12 so that rounding at the threshold keeps an entry rather than
-    drops it. The columns are held in blocks of _KERNEL_COLUMNS:
-    blocks[b] is (r0, block), block the rows r0 .. r0 + len(block) - 1
-    of columns b _KERNEL_COLUMNS onward, the union of their bands, dense,
-    column-major and read-only. Each block is built in place by the
-    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm,
-    so every kept entry is the one-shot formula's bit for bit; the
-    dense kernel is never built.
-    """
-
-    def __init__(self, model, grid: Grid):
-        model.require_noise()
-        s = model.noise_std
-        x = grid.nodes
-        ax = model.a * x
-        norm = s * math.sqrt(2.0 * math.pi)
-        right = np.minimum(np.searchsorted(x, ax), grid.n_points - 1)
-        left = np.maximum(right - 1, 0)
-        d = np.minimum(np.abs(ax - x[right]), np.abs(ax - x[left]))
-        radius = np.sqrt(d * d + _BAND_VARIANCES * (s * s)) * (1.0 + 1e-12)
-        first = np.searchsorted(x, ax - radius, side="left")
-        stop = np.searchsorted(x, ax + radius, side="right")
-        blocks = []
-        for i in range(0, grid.n_points, _KERNEL_COLUMNS):
-            cols = slice(i, i + _KERNEL_COLUMNS)
-            r0, r1 = int(first[cols].min()), int(stop[cols].max())
-            u = np.subtract(x[None, r0:r1], ax[cols, None])
-            np.divide(u, s, out=u)
-            h = np.multiply(-0.5, u)
-            np.multiply(h, u, out=u)
-            np.exp(u, out=u)
-            np.divide(u, norm, out=u)
-            u.flags.writeable = False
-            blocks.append((r0, u.T))
-        self.n_points = grid.n_points
-        self.blocks = tuple(blocks)
-
-    def times(self, start: int, part: np.ndarray) -> np.ndarray:
-        """K[:, start : start + len(part)] @ part over the bands: block by
-        block, in increasing column order, each block's product added into
-        its rows. No product has more than _KERNEL_COLUMNS columns, so none
-        takes a threaded BLAS path."""
-        out = np.zeros(self.n_points)
-        stop = start + len(part)
-        for b in range(start // _KERNEL_COLUMNS, -(-stop // _KERNEL_COLUMNS)):
-            i = b * _KERNEL_COLUMNS
-            r0, block = self.blocks[b]
-            c0, c1 = max(start, i), min(stop, i + _KERNEL_COLUMNS)
-            out[r0 : r0 + len(block)] += block[:, c0 - i : c1 - i] @ part[c0 - start : c1 - start]
-        return out
-
-
-@functools.lru_cache(maxsize=8)
-def _transition_kernel(model, grid: Grid) -> _BandedKernel:
-    """The source's banded transition kernel on grid, read-only."""
-    return _BandedKernel(model, grid)
-
-
-_PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
-
-
-@functools.lru_cache(maxsize=_CUT_SETS)
-def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
-    """W @ K, read-only: the candidate set's window weights up to every
-    cut (_cut_weights(...).matrix, (3 P, n_points)) times the transition
-    kernel, kept per (model, grid, candidate set).
-
-    Column i holds the raw moments of orders 0..2 of the one-step density
-    from node i up to every cut, order by order (the order-0 row at +inf
-    is its trapezoid integral); W @ K @ r does the same for the
-    prediction K r of any restriction r. The product is taken in blocks
-    of _PRODUCT_COLUMNS kernel columns, each over its kernel block's rows
-    only (matrix[:, r0:r1]): narrow products stay on one BLAS thread,
-    and on a 2-core Xeon the threaded 39 x 801 x 801 product took 30 ms,
-    these 26 took 2 ms. Each block is a row-major copy of the kernel
-    block's columns: times a column-major block, OpenBLAS took its
-    threaded path in some processes (about 200 ms against 2 ms).
-    """
-    matrix = _cut_weights(grid, candidates).matrix
-    out = np.hstack([
-        matrix[:, r0 : r0 + len(block)] @ np.ascontiguousarray(block[:, j : j + _PRODUCT_COLUMNS])
-        for r0, block in _transition_kernel(model, grid).blocks
-        for j in range(0, block.shape[1], _PRODUCT_COLUMNS)
-    ])
-    out.flags.writeable = False
-    return out
 
 
 def _check_pair(belief, model) -> None:
@@ -756,15 +653,16 @@ def _check_pair(belief, model) -> None:
 def filter_update(belief, model, quantizer, symbol: int):
     """One filter step: condition on the decoded cell, then predict.
 
-    model.restrict gives the belief restricted to the cell, as the
+    belief.restrict gives the belief restricted to the cell, as the
     entries (start, part) that can be nonzero, and model.push the
-    renormalized one-step prediction of it. Returns the next-step belief.
+    renormalized one-step prediction of it through the source's
+    transition law. Returns the next-step belief.
     Raises TypeError when belief is not of model's family, and
     ZeroMassSymbolError when the cell mass does not exceed EPS_MASS; the
     caller must not condition on a zero-probability symbol.
     """
     _check_pair(belief, model)
-    start, part = model.restrict(belief, quantizer, symbol)
+    start, part = belief.restrict(quantizer, symbol)
     mass = float(part.sum())
     if mass <= EPS_MASS:
         raise ZeroMassSymbolError(

@@ -26,7 +26,7 @@ import numpy as np
 from .beliefs import EPS_MASS, SimplexBelief
 from .quantizers import CandidateSet
 
-__all__ = ["CostModel", "GreedyDecision", "cell_decisions", "greedy_decision"]
+__all__ = ["CostModel", "cell_decisions", "greedy_decision"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _tabular_cells(belief, quantizer, cost: CostModel) -> list:
     """
     if not isinstance(belief, SimplexBelief):
         raise TypeError("bounded tabular costs are defined on finite alphabets only")
-    restricted = belief.restrict(quantizer.membership)
+    restricted = belief.restrict_cells(quantizer.membership)
     if cost.table.shape[0] != belief.n_states:
         raise ValueError("cost table rows must match the belief alphabet")
     return [r @ cost.table if float(r.sum()) > EPS_MASS else None for r in restricted]

@@ -8,7 +8,8 @@ membership matrix (one row per cell).
 
 The enumerations return a CandidateSet, the ordered set a design
 chooses from. It carries its level count, a batch classifier and a hash
-taken once, which the caches in beliefs.py keyed by a set read.
+taken once, which the caches keyed by a set, in beliefs.py and
+sources.py, read.
 
 Quantizers know their cells only; the mass and the moments of every
 cell come from the belief's own cell_moments method (through
@@ -29,7 +30,6 @@ __all__ = [
     "CandidateSet",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
-    "quantizer_from_json",
 ]
 
 
@@ -227,12 +227,3 @@ def enumerate_finite_partitions(n_states: int, levels: int):
         if canon not in seen:
             seen[canon] = FinitePartition(canon, levels)
     return CandidateSet(seen.values())
-
-
-def quantizer_from_json(data: dict):
-    kind = data.get("type")
-    if kind == "interval":
-        return IntervalQuantizer(tuple(data["thresholds"]))
-    if kind == "finite_partition":
-        return FinitePartition(tuple(data["assignment"]), int(data["levels"]))
-    raise ValueError(f"unknown quantizer type {kind!r}")

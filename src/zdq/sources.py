@@ -12,14 +12,11 @@ that depends on the family, with the same names on both:
   from those variates);
 - beliefs: invariant_distribution and initial_belief, on a grid given
   as an argument for the Gaussian family (default: its default grid);
-- the filter's family half: restrict (the belief restricted to a cell,
-  as (start, part), the entries from start on that can be nonzero: a
-  grid cell's weight support within the belief's support, or every
-  state of a chain) and push (the renormalized one-step prediction of a
-  restriction, through the kernel columns or transition rows start ..
-  start + len(part) - 1; a grid prediction's tails below
-  beliefs.TAIL of its largest entry are set to 0), which
-  beliefs.filter_update runs around its shared checks;
+- the filter's family half, push: the renormalized one-step prediction
+  of a restriction (start, part), which the belief gives (its restrict
+  method), through the kernel columns or transition rows start ..
+  start + len(part) - 1, run by beliefs.filter_update after its shared
+  checks;
 - stage_floor, the least stage cost at the prediction columns that
   bounds the dynamic program's later stages, and last_stage_costs, the
   least stage cost of every child of a belief from one product, with
@@ -27,6 +24,29 @@ that depends on the family, with the same names on both:
   (None on a chain);
 - real_values, the real numbers realized costs are taken at, and
   scan_width, the entries state_paths holds per path and step.
+
+The Gaussian family's transition kernel and its products live here,
+beside push, stage_floor and last_stage_costs, which read them. The
+kernel is banded (_BandedKernel, cached per source and grid by
+_transition_kernel): it keeps each column's entries of at least TAIL =
+2^-60 of the column's largest, in column-major blocks of 64 columns
+over the union of their rows, and never holds the dense kernel. A
+pushed belief follows the same rule: push sets each tail of its
+product, the entries before the first and after the last one of at
+least TAIL of its largest, to 0, and the belief keeps the node range
+between as its support. The push reads the restriction's columns as a
+run of blocks, one product of at most 64 columns per block added into
+that block's rows; no such product is wide enough for a threaded BLAS
+path, so a push gives the same bytes on any thread count.
+_kernel_cut_moments is the product W K of a candidate set's window
+weights of x^k up to every cut (beliefs.CutWeights.matrix) with the
+kernel, kept per source, grid and candidate set: times a restriction it
+gives the cumulative raw moments of that restriction's prediction at
+every cut, from which stage_floor and last_stage_costs read the
+stage-cost floor and the last-stage costs of a belief's children. W K
+multiplies row-major copies of 32 of a block's columns at a time, over
+the block's rows only: on OpenBLAS a product with a column-major block
+took the threaded path in some processes, 100 times slower.
 
 The Gaussian family also has uniform bounds on the transition density
 and its slope (density_bounds). _PathStreams holds one seed stream of
@@ -48,15 +68,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beliefs import (
+    _CUT_SETS,
     EPS_MASS,
-    TAIL,
+    Grid,
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
-    _cell_weights,
     _cut_weights,
-    _kernel_cut_moments,
-    _transition_kernel,
     default_grid,
 )
 from .costs import _stage_costs_from, cell_decisions
@@ -73,6 +91,16 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the least entry, relative to the largest, that a kernel column's band
+# and a pushed belief's support keep
+TAIL = 2.0**-60
+# noise variances a band's squared radius reaches past its peak's squared
+# distance: an entry there is exp(-_BAND_VARIANCES / 2) = TAIL of the peak
+_BAND_VARIANCES = -2.0 * math.log(TAIL)
+# columns per product, narrow enough that no kernel product takes a
+# threaded BLAS path
+_KERNEL_COLUMNS = 64  # kernel columns per stored block
+_PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
 _CHILD_COLUMNS = 16  # children per product in last_stage_costs
 # cut entries per block of _least_stage_costs; small blocks stay in cache (the
 # floor of 210 three-level candidates, 2-core Xeon: 7 ms, and 17 ms at 1 << 18)
@@ -167,23 +195,6 @@ class LinearGaussianSource:
             return GridBelief.point_mass(grid, self.init_mean)
         return GridBelief.normal(grid, self.init_mean, self.init_std)
 
-    def restrict(self, belief: GridBelief, quantizer, symbol: int):
-        """The belief's density over cell symbol as (start, part): the
-        per-node weights window_weights(grid, lo, hi, 0) * values, bit
-        for bit, are part at nodes start .. start + len(part) - 1 and 0
-        elsewhere.
-
-        The cell's window weights are kept per (grid, cell) over their
-        support only (_cell_weights). The values are 0 outside the
-        belief's support, so part is the product of both over the
-        intersection of the two node ranges (empty when it is empty).
-        """
-        lo, hi = quantizer.cell_interval(symbol)
-        start, w = _cell_weights(belief.grid, lo, hi)
-        first = max(start, belief.support[0])
-        stop = max(first, min(start + len(w), belief.support[1]))
-        return first, w[first - start : stop - start] * belief.values[first:stop]
-
     def push(self, belief: GridBelief, start: int, part: np.ndarray, mass: float) -> GridBelief:
         """The restriction (start, part) over its mass, pushed through the
         transition kernel on the belief's grid, trimmed to its support and
@@ -192,12 +203,11 @@ class LinearGaussianSource:
         The kernel holds each column's band in blocks of columns, so the
         columns the restriction reads, start .. start + len(part) - 1,
         are a run of blocks, each multiplied over its own rows
-        (beliefs._BandedKernel.times). Each tail of the product, the
-        entries before the first and after the last one of at least TAIL
-        (2^-60) of its largest, is set to 0: the kernel band's rule,
-        applied to the belief. The entries between are the belief's
-        support, the node range that restrict, this push and the
-        belief's own moments read.
+        (_BandedKernel.times). Each tail of the product, the entries
+        before the first and after the last one of at least TAIL (2^-60)
+        of its largest, is set to 0: the kernel band's rule, applied to
+        the belief. The entries between are the belief's support, the
+        node range that its restrict and moments read.
         """
         grid = belief.grid
         raw = _transition_kernel(self, grid).times(start, part) / mass
@@ -239,7 +249,7 @@ class LinearGaussianSource:
         taken as a CandidateSet).
         Their restrictions are the belief times the differences of the
         order-0 window weights up to their cells' two cuts
-        (CutWeights.matrix), restrict's up to rounding.
+        (CutWeights.matrix), GridBelief.restrict's up to rounding.
         The cached W K (_kernel_cut_moments) times them gives every
         child's raw moments about 0 up to every cut, in blocks of
         _CHILD_COLUMNS children so that each product stays on one BLAS
@@ -284,6 +294,100 @@ def _least_stage_costs(weights, cumulative) -> np.ndarray:
         _stage_costs_from(weights.cells(block / block[p - 1])).min(axis=0)
         for block in np.array_split(cumulative, n_blocks, axis=1)
     ])
+
+
+class _BandedKernel:
+    """The transition kernel K[j, i] = transition density at node j given
+    node i, holding only each column's band.
+
+    Column i is centred at c = a x_i; with d the distance from c to the
+    nearest node, where the column is largest, and s the noise std, its
+    band is the rows j with (x_j - c)^2 <= d^2 + 120 ln 2 s^2: the
+    entries at least 2^-60 of the column's largest. The band's ends come
+    in closed form from searchsorted, its radius widened by one part in
+    10^12 so that rounding at the threshold keeps an entry rather than
+    drops it. The columns are held in blocks of _KERNEL_COLUMNS:
+    blocks[b] is (r0, block), block the rows r0 .. r0 + len(block) - 1
+    of columns b _KERNEL_COLUMNS onward, the union of their bands, dense,
+    column-major and read-only. Each block is built in place by the
+    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm,
+    so every kept entry is the one-shot formula's bit for bit; the
+    dense kernel is never built.
+    """
+
+    def __init__(self, model, grid: Grid):
+        model.require_noise()
+        s = model.noise_std
+        x = grid.nodes
+        ax = model.a * x
+        norm = s * _SQRT_2PI
+        right = np.minimum(np.searchsorted(x, ax), grid.n_points - 1)
+        left = np.maximum(right - 1, 0)
+        d = np.minimum(np.abs(ax - x[right]), np.abs(ax - x[left]))
+        radius = np.sqrt(d * d + _BAND_VARIANCES * (s * s)) * (1.0 + 1e-12)
+        first = np.searchsorted(x, ax - radius, side="left")
+        stop = np.searchsorted(x, ax + radius, side="right")
+        blocks = []
+        for i in range(0, grid.n_points, _KERNEL_COLUMNS):
+            cols = slice(i, i + _KERNEL_COLUMNS)
+            r0, r1 = int(first[cols].min()), int(stop[cols].max())
+            u = np.subtract(x[None, r0:r1], ax[cols, None])
+            np.divide(u, s, out=u)
+            h = np.multiply(-0.5, u)
+            np.multiply(h, u, out=u)
+            np.exp(u, out=u)
+            np.divide(u, norm, out=u)
+            u.flags.writeable = False
+            blocks.append((r0, u.T))
+        self.n_points = grid.n_points
+        self.blocks = tuple(blocks)
+
+    def times(self, start: int, part: np.ndarray) -> np.ndarray:
+        """K[:, start : start + len(part)] @ part over the bands: block by
+        block, in increasing column order, each block's product added into
+        its rows. No product has more than _KERNEL_COLUMNS columns, so none
+        takes a threaded BLAS path."""
+        out = np.zeros(self.n_points)
+        stop = start + len(part)
+        for b in range(start // _KERNEL_COLUMNS, -(-stop // _KERNEL_COLUMNS)):
+            i = b * _KERNEL_COLUMNS
+            r0, block = self.blocks[b]
+            c0, c1 = max(start, i), min(stop, i + _KERNEL_COLUMNS)
+            out[r0 : r0 + len(block)] += block[:, c0 - i : c1 - i] @ part[c0 - start : c1 - start]
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _transition_kernel(model, grid: Grid) -> _BandedKernel:
+    """The source's banded transition kernel on grid, read-only."""
+    return _BandedKernel(model, grid)
+
+
+@functools.lru_cache(maxsize=_CUT_SETS)
+def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
+    """W @ K, read-only: the candidate set's window weights up to every
+    cut (_cut_weights(...).matrix, (3 P, n_points)) times the transition
+    kernel, kept per (model, grid, candidate set).
+
+    Column i holds the raw moments of orders 0..2 of the one-step density
+    from node i up to every cut, order by order (the order-0 row at +inf
+    is its trapezoid integral); W @ K @ r does the same for the
+    prediction K r of any restriction r. The product is taken in blocks
+    of _PRODUCT_COLUMNS kernel columns, each over its kernel block's rows
+    only (matrix[:, r0:r1]): narrow products stay on one BLAS thread,
+    and on a 2-core Xeon the threaded 39 x 801 x 801 product took 30 ms,
+    these 26 took 2 ms. Each block is a row-major copy of the kernel
+    block's columns: times a column-major block, OpenBLAS took its
+    threaded path in some processes (about 200 ms against 2 ms).
+    """
+    matrix = _cut_weights(grid, candidates).matrix
+    out = np.hstack([
+        matrix[:, r0 : r0 + len(block)] @ np.ascontiguousarray(block[:, j : j + _PRODUCT_COLUMNS])
+        for r0, block in _transition_kernel(model, grid).blocks
+        for j in range(0, block.shape[1], _PRODUCT_COLUMNS)
+    ])
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -428,11 +532,6 @@ class FiniteChain:
     def initial_belief(self, grid=None) -> SimplexBelief:
         """The time-0 law (grid is unused)."""
         return SimplexBelief(self.initial.copy(), states=self.state_values)
-
-    def restrict(self, belief: SimplexBelief, quantizer, symbol: int):
-        """The belief's probabilities inside cell symbol, 0 elsewhere, as
-        (start, part) = (0, every state's entry)."""
-        return 0, belief.restrict(quantizer.member_mask(symbol))
 
     def push(self, belief: SimplexBelief, start: int, part: np.ndarray, mass: float) -> SimplexBelief:
         """The restriction (start, part) over its mass times the

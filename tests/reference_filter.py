@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from zdq.beliefs import GridBelief, SimplexBelief, _transition_kernel
+from zdq.beliefs import GridBelief, SimplexBelief
+from zdq.sources import _transition_kernel
 
 
 def predict(belief, model):

@@ -14,12 +14,10 @@ import zdq.beliefs
 from conftest import MOMENT_ERROR
 from reference_filter import invert_one, predict, sample_one, tv_distance
 from zdq.beliefs import (
-    TAIL,
     Grid,
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
-    _transition_kernel,
     check_S_membership,
     default_grid,
     filter_update,
@@ -32,7 +30,13 @@ from zdq.quantizers import (
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import FiniteChain, LinearGaussianSource, density_bounds
+from zdq.sources import (
+    TAIL,
+    FiniteChain,
+    LinearGaussianSource,
+    _transition_kernel,
+    density_bounds,
+)
 
 
 def std_normal_belief(n_points=801, span=8.0):
@@ -438,7 +442,7 @@ def test_pushed_beliefs_are_trimmed_to_their_support(a, noise, grid, seed):
         assert (lo, hi) == nonzero_extent(values)
         assert min(values[lo], values[hi - 1]) >= TAIL * values.max()
         # the untrimmed product of the same restriction, renormalized
-        start, part = model.restrict(belief, q, m)
+        start, part = belief.restrict(q, m)
         raw = kernel.times(start, part)
         untrimmed = raw / float(grid.trapezoid_weights @ raw)
         deviations.append(float(np.abs(values - untrimmed).max() / untrimmed.max()))

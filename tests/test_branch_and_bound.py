@@ -21,8 +21,6 @@ from zdq.beliefs import (
     GridBelief,
     SimplexBelief,
     _cut_weights,
-    _kernel_cut_moments,
-    _transition_kernel,
     default_grid,
     filter_update,
 )
@@ -37,7 +35,7 @@ from zdq.quantizers import (
     enumerate_finite_partitions,
     enumerate_interval_candidates,
 )
-from zdq.sources import FiniteChain, LinearGaussianSource
+from zdq.sources import FiniteChain, LinearGaussianSource, _kernel_cut_moments, _transition_kernel
 
 QUAD = CostModel.quadratic()
 
@@ -294,7 +292,7 @@ def test_chain_floor_bounds_every_posterior(seed, n, tabular):
     scale = float(cost.table.max()) if tabular else float(np.ptp(chain.state_values)) ** 2 / 4
     for q in cands:
         for m in range(1, q.levels + 1):
-            if belief.restrict(q.member_mask(m)).sum() <= EPS_MASS:
+            if belief.restrict_cells(q.member_mask(m)).sum() <= EPS_MASS:
                 continue
             post = filter_update(belief, chain, q, m)
             least = float(cell_decisions(post, cands, cost)[0].min())

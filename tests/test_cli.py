@@ -105,9 +105,12 @@ def test_validate_discount_range():
         (AR1, {"type": "interval", "thresholds": [1.0, 0.0]}, "quantizers.items[0]"),
         (CHAIN2, {"type": "finite_partition", "assignment": [1, 2, 1], "levels": 2},
          "quantizers.items[0].assignment"),
+        (AR1, {"type": "interval", "thresholds": [0.0], "levels": 3},
+         "quantizers.items[0].levels"),
     ],
     ids=["hyperplane", "unknown-type", "partition-on-gaussian", "interval-on-chain",
-         "missing-thresholds", "missing-levels", "bad-thresholds", "wrong-size"],
+         "missing-thresholds", "missing-levels", "bad-thresholds", "wrong-size",
+         "wrong-interval-levels"],
 )
 def test_explicit_item_errors_exit_2(tmp_path, capsys, source, item, path):
     cfg = write_config(
@@ -122,6 +125,28 @@ def test_explicit_item_errors_exit_2(tmp_path, capsys, source, item, path):
     )
     assert main(["design", "--config", cfg]) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, quantizers",
+    [
+        (CHAIN3, {"type": "partitions", "levels": 2}),
+        (AR1, {"type": "intervals", "levels": 3, "lo": -1, "hi": 1, "steps": 3}),
+    ],
+    ids=["finite-partition-items", "interval-items-with-levels"],
+)
+def test_explicit_items_design_as_their_enumeration(tmp_path, source, quantizers):
+    # items holding an enumeration's to_json() dicts, in its order (an
+    # interval's with its levels), give the enumeration's design
+    doc = {"task": "design", "source": source, "quantizers": quantizers, "horizon": 2}
+    items = [q.to_json() for q in validate_config(doc).candidates]
+    trees = []
+    for name, spec in (("enumerated", quantizers), ("explicit", {"type": "explicit", "items": items})):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, dict(doc, quantizers=spec, output_dir=str(out)), f"{name}.json")
+        assert main(["design", "--config", cfg]) == 0
+        trees.append((out / "policy_tree.json").read_bytes())
+    assert trees[0] == trees[1]
 
 
 def test_configured_grid_reaches_invariant_belief_and_residual(tmp_path, monkeypatch):
@@ -522,6 +547,38 @@ def test_discounted_vi_task(tmp_path):
     assert results["residual"] < 1e-6
     lines = (tmp_path / "out" / "value_function.csv").read_text().splitlines()
     assert len(lines) == 102  # header + grid points
+
+
+DISCOUNTED_VI = {
+    "task": "discounted-vi",
+    "source": CHAIN2,
+    "quantizers": {"type": "partitions", "levels": 2},
+    "discount": 0.9,
+    "grid_points": 51,
+}
+
+
+@pytest.mark.parametrize(
+    "initial_belief", [{"probabilities": [0.5, 0.5]}, {"mean": 0.0, "std": 1.0}],
+    ids=["probabilities", "mean-std"],
+)
+def test_discounted_vi_only_checks_its_initial_belief(tmp_path, initial_belief):
+    # discounted-vi values every belief of its grid, so an initial_belief
+    # object is checked, not built, and leaves the value function as it is
+    tables = []
+    for name, extra in (("default", {}), ("given", {"initial_belief": initial_belief})):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, dict(DISCOUNTED_VI, output_dir=str(out), **extra), f"{name}.json")
+        assert main(["discounted-vi", "--config", cfg]) == 0
+        tables.append((out / "value_function.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_discounted_vi_rejects_a_zero_initial_std(tmp_path, capsys):
+    doc = dict(DISCOUNTED_VI, initial_belief={"mean": 0.0, "std": 0.0},
+               output_dir=str(tmp_path / "out"))
+    assert main(["discounted-vi", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: initial_belief.std:" in capsys.readouterr().err
 
 
 def test_occupancy_task(tmp_path):

@@ -74,7 +74,7 @@ def reference_reconstruction(belief, quantizer, m, cost):
         if m0[0, m - 1] <= EPS_MASS:
             return None
         return float(center + m1[0, m - 1] / m0[0, m - 1])
-    restricted = belief.restrict(quantizer.membership)[m - 1]
+    restricted = belief.restrict_cells(quantizer.membership)[m - 1]
     if float(restricted.sum()) <= EPS_MASS:
         return None
     return int(np.argmin(restricted @ cost.table))

@@ -6,7 +6,7 @@ to every distinct cut of a candidate set from the CutWeights of
 _cut_weights, kept per (grid, candidate set); every product reads its
 cells through CutWeights.cells. The cache finds a set by the hash the
 CandidateSet took when built, so equal sets share an entry.
-LinearGaussianSource.restrict reads a cell's window weights from
+GridBelief.restrict reads a cell's window weights from
 _cell_weights, kept per (grid, cell) over their support, and returns
 its product with the density values there, within the belief's
 support. cell_moments and restrict must return the bytes of the
@@ -30,14 +30,10 @@ from hypothesis import strategies as st
 import reference_moments
 from zdq.beliefs import (
     EPS_MASS,
-    TAIL,
-    _PRODUCT_COLUMNS,
     Grid,
     GridBelief,
     _cell_weights,
     _cut_weights,
-    _kernel_cut_moments,
-    _transition_kernel,
     default_grid,
     filter_update,
     node_moment_weights,
@@ -45,7 +41,13 @@ from zdq.beliefs import (
 )
 from zdq.costs import CostModel
 from zdq.quantizers import CandidateSet, IntervalQuantizer, enumerate_interval_candidates
-from zdq.sources import LinearGaussianSource
+from zdq.sources import (
+    TAIL,
+    _PRODUCT_COLUMNS,
+    LinearGaussianSource,
+    _kernel_cut_moments,
+    _transition_kernel,
+)
 
 SOURCE = LinearGaussianSource(0.5, 1.0)
 # a 301-node and an 801-node grid, drawn from in one process: A6's grid
@@ -104,7 +106,7 @@ def test_cached_routes_return_the_uncached_bytes(case):
             reference = window_weights(belief.grid, lo, hi, 0) * belief.values
             # part is the product on the cell's weight support within the
             # belief's support, 0 elsewhere
-            start, part = SOURCE.restrict(belief, q, m)
+            start, part = belief.restrict(q, m)
             first, w = _cell_weights(belief.grid, lo, hi)
             first, stop = max(first, belief.support[0]), min(first + len(w), belief.support[1])
             assert (start, len(part)) == (first, max(stop - first, 0))
@@ -184,7 +186,7 @@ def test_push_output_passes_the_belief_checks(case):
     grid = belief.grid
     for q in cands:
         for m in range(1, q.levels + 1):
-            start, part = SOURCE.restrict(belief, q, m)
+            start, part = belief.restrict(q, m)
             mass = float(part.sum())
             if mass <= EPS_MASS:
                 continue

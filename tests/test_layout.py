@@ -1,17 +1,24 @@
 """Structural check: each source family keeps its operations on its classes.
 
 The per-family operations (draws, invariant and initial beliefs, the
-filter's restriction and push, the stage-cost floor, realized-cost state
-values) are methods of LinearGaussianSource and FiniteChain, and the
-belief-only ones (description, moments, log row) methods of GridBelief
-and SimplexBelief. So no module of the package should ask which family
-it holds. This test walks src/zdq/*.py with ast and fails on every type
+filter's push through the transition kernel, the stage-cost floor,
+realized-cost state values) are methods of LinearGaussianSource and
+FiniteChain, and the belief-only ones (description, moments, the
+restriction to a cell, log row) methods of GridBelief and SimplexBelief.
+So no module of the package should ask which family it holds. This test walks src/zdq/*.py with ast and fails on every type
 probe of those classes outside ALLOWED: an isinstance, issubclass,
 hasattr or getattr call, a comparison with type(...), or a class pattern
 of a match statement, that names one of them, require_noise or
 belief_type.
 
-A second walk fails on every square taken with ** in src/zdq outside
+A second walk fails when beliefs.py reads an attribute of a source
+(model) outside the one function that needs it: belief_type in
+_check_pair, push in filter_update and stationary_std in default_grid,
+or when another of its functions takes a source. The transition kernel,
+its products and everything else that reads the source's parameters
+stay in sources.py.
+
+A third walk fails on every square taken with ** in src/zdq outside
 oracles.py: a square is the product x * x, which IEEE 754 rounds
 correctly, where float ** calls the C library's pow, whose rounding
 differs between libraries.
@@ -105,6 +112,44 @@ def test_no_family_probes_outside_the_allow_list():
     assert offending == []
     # the walker does see probes: config parsing has several
     assert any(where.startswith("config.py:") for where in allowed)
+
+
+# attribute of a source that beliefs.py reads -> the one function that
+# reads it, and the only functions there that take a source
+SOURCE_READS = {
+    "belief_type": "_check_pair",
+    "push": "filter_update",
+    "stationary_std": "default_grid",
+}
+
+
+def _source_reads():
+    """(attribute, function) of every read of model.<attribute> in
+    beliefs.py, and the names of its functions that take a model."""
+    tree = ast.parse((SRC / "beliefs.py").read_text())
+    reads, takers = set(), set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        if "model" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+            takers.add(function.name)
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "model"
+            ):
+                reads.add((node.attr, function.name))
+    return reads, takers
+
+
+def test_beliefs_read_the_source_in_three_places_only():
+    reads, takers = _source_reads()
+    assert reads - set(SOURCE_READS.items()) == set()
+    assert takers - set(SOURCE_READS.values()) == set()
+    # the walker does see reads: filter_update pushes through the source
+    assert ("push", "filter_update") in reads
 
 
 def _squares_by_pow():

@@ -11,7 +11,6 @@ from zdq.quantizers import (
     IntervalQuantizer,
     enumerate_finite_partitions,
     enumerate_interval_candidates,
-    quantizer_from_json,
 )
 
 
@@ -113,14 +112,13 @@ def test_enumerate_finite_partitions_canonical():
     assert len(set(all_assignments)) == len(all_assignments)
 
 
-def test_json_roundtrip():
-    for q in (
-        IntervalQuantizer((-0.5, 1.5)),
-        FinitePartition((1, 2, 2), 2),
-    ):
-        q2 = quantizer_from_json(q.to_json())
-        assert type(q2) is type(q)
-        assert q2.levels == q.levels
+def test_to_json_describes_the_quantizer_in_full():
+    assert IntervalQuantizer((-0.5, 1.5)).to_json() == {
+        "type": "interval", "levels": 3, "thresholds": [-0.5, 1.5],
+    }
+    assert FinitePartition((1, 2, 2), 2).to_json() == {
+        "type": "finite_partition", "levels": 2, "assignment": [1, 2, 2],
+    }
 
 
 def test_stacked_classifier_matches_classify():
