@@ -37,19 +37,22 @@ restriction to the cell (restrict), checks that it carries mass, and
 leaves the push to the source class (sources.py), which holds the
 transition law. A restriction is (start, part), the entries from start
 on that can be nonzero: on a grid, the cell's weight support within the
-belief's support; on a simplex, every state. A grid restriction uses
-per-node window weights, which integrate the same piecewise-linear
-density exactly, so the law of total probability (summing the branch
-posteriors against the branch masses reproduces the one-step
-prediction) holds to rounding. What depends on the grid and the
-quantizers only is built once and kept read-only: the cuts of a
+belief's support; on a simplex, every state.
+
+Every grid integral is a weight vector times the values, from one
+closed form, node_moment_weights: the exact integrals of (x - x_j)^m,
+m = 0, 1, 2, against each node's hat over a window. Order 0 is a cell's
+mass weights (restrict), so the branch posteriors summed against the
+branch masses give the one-step prediction to rounding; the weights of
+x and x^2 (Grid.moment_weights, CutWeights.matrix) follow by the
+binomial expansion about each node (_raw_moment_weights). The cuts of a
 candidate set and the weights up to them (_cut_weights, which finds a
-set by the hash it took when built) and the window weights of a cell
-(_cell_weights), each in a bounded LRU cache. Outside its support a
-grid belief is exactly 0, so what reads only the support is exact, not
-an approximation: mean, std, cell_moments and restrict sum over it.
-This module imports nothing from sources.py; a source names its belief
-class.
+set by the hash it took when built) and a cell's mass weights
+(_cell_weights) are built once per grid, kept read-only in bounded LRU
+caches. Outside its support a grid belief is exactly 0, so what reads
+only the support is exact, not an approximation: mean, std,
+cell_moments and restrict sum over it. This module imports nothing
+from sources.py; a source names its belief class.
 """
 from __future__ import annotations
 
@@ -69,7 +72,6 @@ __all__ = [
     "SMembershipReport",
     "ZeroMassSymbolError",
     "default_grid",
-    "window_weights",
     "filter_update",
     "check_S_membership",
 ]
@@ -122,12 +124,9 @@ class Grid:
         return w
 
     @functools.cached_property
-    def moment_weights(self) -> tuple:
-        """Full-range window weights of degrees 0, 1, 2 (belief-independent)."""
-        out = tuple(window_weights(self, -math.inf, math.inf, k) for k in range(3))
-        for w in out:
-            w.flags.writeable = False
-        return out
+    def moment_weights(self) -> np.ndarray:
+        """Whole-line weights of 1, x and x^2, (3, n_points), read-only."""
+        return _raw_moment_weights(self, node_moment_weights(self, -math.inf, math.inf))
 
 
 def default_grid(
@@ -141,62 +140,22 @@ def default_grid(
     return Grid(-half, half, n_points)
 
 
-def window_weights(grid: Grid, lo, hi, degree: int = 0) -> np.ndarray:
-    """Exact integration weights of x^degree over [lo, hi] for PL densities.
-
-    Returns w such that w . values = integral over [lo, hi] of
-    x^degree * f(x) dx, where f is the piecewise-linear interpolant of
-    values on the grid. Segments cut by the window are integrated over
-    the covered part only, so cell boundaries need not sit on nodes.
-    Summed over the cells of a partition these weights reproduce the
-    trapezoid weights exactly. degree in {0, 1, 2}. lo and hi may be
-    arrays of one shape, which gives every window's weights at once, of
-    that shape plus (n_points,); each row is the one its scalar window
-    gives, bit for bit, and an empty window's row is 0.
-    """
-    if degree not in (0, 1, 2):
-        raise ValueError(f"degree must be 0, 1, or 2, got {degree}")
-    x = grid.nodes
-    d = grid.spacing
-    a = np.maximum(lo, grid.lo)[..., None]
-    b = np.minimum(hi, grid.hi)[..., None]
-    xl = x[:-1]
-    # covered fraction of each segment, in local coordinate u in [0, 1]
-    u0 = np.clip((a - xl) / d, 0.0, 1.0)
-    u1 = np.clip((b - xl) / d, 0.0, 1.0)
-    s1 = u1 - u0
-    s2 = 0.5 * (u1 * u1 - u0 * u0)
-    w_lo = s1 - s2
-    w_hi = s2
-    if degree == 1:
-        s3 = (u1**3 - u0**3) / 3.0
-        w_lo, w_hi = xl * w_lo + d * (s2 - s3), xl * w_hi + d * s3
-    elif degree == 2:
-        s3 = (u1**3 - u0**3) / 3.0
-        s4 = 0.25 * (u1**4 - u0**4)
-        w_lo = xl * xl * w_lo + 2.0 * xl * d * (s2 - s3) + d * d * (s3 - s4)
-        w_hi = xl * xl * w_hi + 2.0 * xl * d * s3 + d * d * s4
-    out = np.zeros(np.broadcast(a, b).shape[:-1] + (grid.n_points,))
-    out[..., :-1] += d * w_lo
-    out[..., 1:] += d * w_hi
-    out[(b <= a)[..., 0]] = 0.0
-    return out
-
-
 def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
-    """Exact integration weights of (x - x_j)^m against node j's hat.
+    """Exact integration weights of (x - x_j)^m against node j's hat,
+    the one closed form of the grid's integrals.
 
     Returns w of shape (3,) + the shape of lo and hi + (n_points,) with
     w[m] . values = sum over nodes j of values_j times the integral over
     [lo, hi] of (x - x_j)^m phi_j(x) dx, m = 0, 1, 2, where phi_j is the
     hat of node j, so that f = sum_j values_j phi_j is the
-    piecewise-linear density. Expanding (x - c)^k about each node gives
-    the moment of order k of f about any center c over [lo, hi] as
+    piecewise-linear density; a window may cut a segment anywhere.
+    Expanding (x - c)^k about each node gives the moment of order k of f
+    about any center c over [lo, hi] as
       sum over m of binom(k, m) w[m] . ((x - c)^(k - m) values),
     x the nodes: every term is nonnegative or of order spacing^m, so a
-    density far from 0 loses no digits to cancellation between
-    terms, as raw moments about 0 do. w[0] is window_weights(grid, lo,
-    hi, 0); rows are broadcast as in window_weights.
+    density far from 0 loses no digits to cancellation between terms,
+    as raw moments about 0 do. Each window of arrays lo and hi gets the
+    row its scalar call gives, bit for bit; an empty window's row is 0.
     """
     d = grid.spacing
     xl = grid.nodes[:-1]
@@ -219,6 +178,16 @@ def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
         w[..., :-1] += d * w_lo
         w[..., 1:] += d * w_hi
         w[(b <= a)[..., 0]] = 0.0
+    return out
+
+
+def _raw_moment_weights(grid: Grid, g) -> np.ndarray:
+    """Weights of 1, x and x^2, read-only, from node_moment_weights g of the
+    same windows: x^k = sum over m of binom(k, m) x_j^(k - m) (x - x_j)^m."""
+    x = grid.nodes
+    g0, g1, g2 = g
+    out = np.stack([g0, x * g0 + g1, x * (x * g0) + 2.0 * (x * g1) + g2])
+    out.flags.writeable = False
     return out
 
 
@@ -398,10 +367,11 @@ class GridBelief:
 
     def restrict(self, quantizer, symbol: int):
         """The density over cell symbol as (start, part): the per-node
-        weights window_weights(grid, lo, hi, 0) * values, bit for bit,
-        are part at nodes start .. start + len(part) - 1 and 0 elsewhere.
+        mass weights node_moment_weights(grid, lo, hi)[0] * values, bit
+        for bit, are part at nodes start .. start + len(part) - 1 and 0
+        elsewhere.
 
-        The cell's window weights are kept per (grid, cell) over their
+        The cell's mass weights are kept per (grid, cell) over their
         support only (_cell_weights). The values are 0 outside the
         belief's support, so part is the product of both over the
         intersection of the two node ranges (empty when it is empty).
@@ -564,7 +534,7 @@ class SMembershipReport:
 
 
 _CUT_SETS = 64  # candidate sets whose CutWeights are kept
-_CELL_WEIGHTS = 256  # cells whose window weights are kept
+_CELL_WEIGHTS = 256  # cells whose mass weights are kept
 
 
 class CutWeights:
@@ -577,8 +547,9 @@ class CutWeights:
     count L. ends (2, 3, K, L) indexes a flat array of cumulative
     moments, order by order and point by point, at the lower and the
     upper cut of every cell, which cells reads. Built on first use:
-      matrix    window_weights of x^k, k = 0, 1, 2 (sources' kernel products);
       local     node_moment_weights of orders 0, 1, 2 (cell_moments);
+      matrix    the weights of 1, x and x^2 derived from local
+                (_raw_moment_weights; the sources' kernel products);
     both (3 P, n_points), from -inf up to every point. All arrays are
     read-only.
     """
@@ -606,11 +577,8 @@ class CutWeights:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        out = np.concatenate(
-            [window_weights(self.grid, -math.inf, self.points, k) for k in range(3)]
-        )
-        out.flags.writeable = False
-        return out
+        n = self.grid.n_points
+        return _raw_moment_weights(self.grid, self.local.reshape(3, -1, n)).reshape(-1, n)
 
     @functools.cached_property
     def local(self) -> np.ndarray:
@@ -628,12 +596,13 @@ def _cut_weights(grid: Grid, candidates) -> CutWeights:
 
 @functools.lru_cache(maxsize=_CELL_WEIGHTS)
 def _cell_weights(grid: Grid, lo: float, hi: float):
-    """window_weights(grid, lo, hi, 0) over its support, for GridBelief.restrict.
+    """The mass weights node_moment_weights(grid, lo, hi)[0] over their
+    support, for GridBelief.restrict.
 
     Returns (start, w): w holds the entries start .. start + len(w) - 1,
     read-only, and every other entry is 0 (w is empty for an empty cell).
     """
-    w = window_weights(grid, lo, hi, 0)
+    w = node_moment_weights(grid, lo, hi)[0]
     nz = np.flatnonzero(w)
     start, stop = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
     w = w[start:stop].copy()  # a copy, so the full array is freed

@@ -18,9 +18,9 @@ the output directory is made. So every config mistake, a source that
 does not fit its task included, exits 2 with its field path and leaves
 no output behind.
 
-Exit codes: 0 success, 1 numerical or budget failure (results.json is
-still written, flagged by its status field), 2 configuration error or a
-bad command line.
+Exit codes: 0 success, 1 numerical, budget or zero-mass failure
+(results.json is still written, flagged by its status field), 2
+configuration error or a bad command line.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from .beliefs import EPS_MASS
+from .beliefs import EPS_MASS, ZeroMassSymbolError
 from .costs import CostModel
 from .config import ConfigError, TASKS, load_config, validate_config
 from .dp import (
@@ -372,7 +372,10 @@ def _run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    code, payload = _RUNNERS[args.task](setup, out_dir)
+    try:
+        code, payload = _RUNNERS[args.task](setup, out_dir)
+    except ZeroMassSymbolError as e:  # a rollout's path left its belief's support
+        code, payload = 1, {"status": "zero_mass_symbol", "error": str(e)}
     elapsed = time.perf_counter() - started
 
     results = {

@@ -74,8 +74,6 @@ class CostModel:
         if self.kind == "quadratic":
             d = np.subtract(x, u, dtype=float)
             return d * d
-        if np.ndim(x) == 0 and np.ndim(u) == 0:
-            return float(self.table[int(x), int(u)])
         return self.table[np.asarray(x, dtype=int), np.asarray(u, dtype=int)]
 
     @property

@@ -50,7 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import EPS_MASS, Grid, GridBelief, SimplexBelief, _check_pair, filter_update
+from .beliefs import (
+    EPS_MASS, Grid, GridBelief, SimplexBelief, ZeroMassSymbolError, _check_pair, filter_update
+)
 from .costs import CostModel, cell_decisions, greedy_decision
 from .dp import EPS_PRUNE, PolicyTree
 from .quantizers import CandidateSet
@@ -273,7 +275,9 @@ class PiecedPolicy(_Policy):
     quantizer at the restart belief (the tracked belief is reset there).
     Beyond the last scheduled segment the final segment's policy keeps
     repeating. The state is every path's node id in the current
-    segment's tree; the segment depends on t only.
+    segment's tree; the segment depends on t only. The restart belief
+    must give mass to every cell the state can reach at a block start,
+    or rollout raises ZeroMassSymbolError (as a point mass soon does).
     """
 
     def __init__(self, schedule: PiecingSchedule, trees):
@@ -331,7 +335,8 @@ class TreeReplayPolicy(PiecedPolicy):
 
     The one-segment pieced policy: at the start of every horizon-length
     block the tracked belief is reset to the tree's root belief, and
-    over a single block it reproduces the designed policy verbatim.
+    over a single block it reproduces the designed policy verbatim. The
+    root belief must give mass to every cell the state can reach then.
     """
 
     def __init__(self, tree: PolicyTree):
@@ -514,7 +519,7 @@ class _BeliefTable:
             stages, _, recon = cell_decisions(belief, CandidateSet((quantizer,)), self.cost)
             self.decide(b, q, stages[0], recon[0])
         if np.isnan(self.recon[b, q, m]):
-            raise ValueError(f"cell {m} carries no mass; reconstruction undefined")
+            raise ZeroMassSymbolError(f"cell {m} carries no mass; reconstruction undefined")
         self.filter_calls += 1
         nxt = self.intern(filter_update(belief, self.model, quantizer, m))
         self.succ[b, q, m] = nxt
@@ -589,7 +594,10 @@ class _Lockstep:
                 table.decide(*decision)
             symbols = table.quantizers.classify(plan.quantizer_ids, xs[:, j])
             keys[:, j] = table.keys(self.ids, plan.quantizer_ids, symbols)
-            self.ids = table.successors(keys[:, j])
+            try:
+                self.ids = table.successors(keys[:, j])
+            except ZeroMassSymbolError as e:
+                raise ZeroMassSymbolError(f"step t={t}: {e}") from e
             self.state = policy.advance(self.state, t, symbols)
         self._settle(t0, keys, u, settled, xs.shape[1])
         self._account(t0, xs, keys, u)
@@ -677,6 +685,8 @@ def rollout(
     As in the dynamic program, key() identifies a belief only within
     one grid or one set of state values, so the beliefs a rollout tracks
     (initial_belief and the policy's reset beliefs) must share one.
+    A path whose state falls in a cell its belief gives no mass raises
+    ZeroMassSymbolError naming the step t and the cell.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -4,7 +4,7 @@ These deliberately do not share code with the dynamic-programming
 solver: partitions are enumerated inline, Bayes updates and per-cell
 costs are written as explicit sums, and quadrature (for the memoryless
 baseline) refines node arrays with interpolated cut points instead of
-the solver's window weights. Only the belief containers are shared.
+the solver's node-moment weights. Only the belief containers are shared.
 
 brute_force_finite    exhaustive search over per-belief partition choices
                       by depth-first recursion over the symbol tree.

@@ -38,8 +38,8 @@ between as its support. The push reads the restriction's columns as a
 run of blocks, one product of at most 64 columns per block added into
 that block's rows; no such product is wide enough for a threaded BLAS
 path, so a push gives the same bytes on any thread count.
-_kernel_cut_moments is the product W K of a candidate set's window
-weights of x^k up to every cut (beliefs.CutWeights.matrix) with the
+_kernel_cut_moments is the product W K of a candidate set's weights of
+1, x and x^2 up to every cut (beliefs.CutWeights.matrix) with the
 kernel, kept per source, grid and candidate set: times a restriction it
 gives the cumulative raw moments of that restriction's prediction at
 every cut, from which stage_floor and last_stage_costs read the
@@ -248,7 +248,7 @@ class LinearGaussianSource:
         candidates[k], m + 1) to cost, of the candidates (any sequence,
         taken as a CandidateSet).
         Their restrictions are the belief times the differences of the
-        order-0 window weights up to their cells' two cuts
+        mass weights (the weights of 1) up to their cells' two cuts
         (CutWeights.matrix), GridBelief.restrict's up to rounding.
         The cached W K (_kernel_cut_moments) times them gives every
         child's raw moments about 0 up to every cut, in blocks of
@@ -365,9 +365,9 @@ def _transition_kernel(model, grid: Grid) -> _BandedKernel:
 
 @functools.lru_cache(maxsize=_CUT_SETS)
 def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
-    """W @ K, read-only: the candidate set's window weights up to every
-    cut (_cut_weights(...).matrix, (3 P, n_points)) times the transition
-    kernel, kept per (model, grid, candidate set).
+    """W @ K, read-only: the candidate set's weights of 1, x and x^2 up
+    to every cut (_cut_weights(...).matrix, (3 P, n_points)) times the
+    transition kernel, kept per (model, grid, candidate set).
 
     Column i holds the raw moments of orders 0..2 of the one-step density
     from node i up to every cut, order by order (the order-0 row at +inf

@@ -1,12 +1,12 @@
 """Reference grid moments that no task runs: GridBelief.cell_moments
-without its cached cut weights, and window_weights as it was before it
-took arrays of windows.
+without its cached cut weights, and window_weights, the weights of x^k
+over one window in raw form, as the package once computed them.
 
 Every cell_moments call finds the distinct cut points, rebuilds their
 node_moment_weights and maps each quantizer's cuts to them. The cached
 route must return the same bytes as cell_moments below, on every belief
-and candidate set, and every window of a broadcast window_weights call
-the bytes of the one-window window_weights below.
+and candidate set, and order 0 of node_moment_weights, which every grid
+restriction reads, the bytes of window_weights of degree 0 below.
 """
 from __future__ import annotations
 

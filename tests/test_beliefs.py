@@ -18,13 +18,17 @@ from zdq.beliefs import (
     GridBelief,
     SimplexBelief,
     ZeroMassSymbolError,
+    _cell_weights,
+    _cut_weights,
+    _raw_moment_weights,
     check_S_membership,
     default_grid,
     filter_update,
-    window_weights,
+    node_moment_weights,
 )
 from zdq.costs import CostModel, cell_decisions
 from zdq.quantizers import (
+    CandidateSet,
     FinitePartition,
     IntervalQuantizer,
     enumerate_finite_partitions,
@@ -71,7 +75,7 @@ def assert_band_drops_only_tiny_entries(model, grid, one_shot):
 
 
 # ---------------------------------------------------------------------------
-# grids and window weights
+# grids and the weights of a window
 
 
 def test_grid_basics():
@@ -93,7 +97,8 @@ def test_default_grid_span(ar_source):
 
 def test_window_weights_full_range_is_trapezoid():
     g = Grid(-1.0, 3.0, 33)
-    w = window_weights(g, -np.inf, np.inf, degree=0)
+    w = g.moment_weights[0]
+    assert w.tobytes() == node_moment_weights(g, -np.inf, np.inf)[0].tobytes()
     assert np.max(np.abs(w - g.trapezoid_weights)) < 1e-15
 
 
@@ -106,25 +111,31 @@ def test_window_weights_exact_on_piecewise_linear():
     lo, hi = -1.37, 0.83  # cuts interior segments
     fine = np.linspace(lo, hi, 400001)
     interp = np.interp(fine, g.nodes, vals)
+    # the weights of x and x^2 are derived from the node-moment weights,
+    # of the window and up to each cut of a candidate set (points -inf,
+    # lo, hi, +inf)
+    raw = _raw_moment_weights(g, node_moment_weights(g, lo, hi))
+    matrix = _cut_weights(g, CandidateSet((IntervalQuantizer((lo, hi)),))).matrix
     for degree in (0, 1, 2):
-        w = window_weights(g, lo, hi, degree)
-        got = float(w @ vals)
         ref = float(trapezoid(interp * fine**degree, fine))
-        assert abs(got - ref) < 5e-9, (degree, got, ref)
+        for w in (raw[degree], matrix[4 * degree + 2] - matrix[4 * degree + 1]):
+            got = float(w @ vals)
+            assert abs(got - ref) < 5e-9, (degree, got, ref)
 
 
 def test_window_weights_splits_boundary_segment():
     # integrating half a segment must not round to whole nodes
     g = Grid(0.0, 1.0, 17)
     vals = np.ones(g.n_points)
-    w = window_weights(g, 0.0, g.spacing / 2, degree=0)
+    w = node_moment_weights(g, 0.0, g.spacing / 2)[0]
     assert abs(w @ vals - g.spacing / 2) < 1e-15
 
 
 def test_window_weights_empty_window():
     g = Grid(0.0, 1.0, 17)
-    w = window_weights(g, 0.7, 0.7, degree=0)
-    assert np.all(w == 0.0)
+    assert np.all(node_moment_weights(g, 0.7, 0.7) == 0.0)
+    assert np.all(node_moment_weights(g, 0.7, 0.2) == 0.0)
+    assert _cell_weights(g, 0.7, 0.7)[1].size == 0
 
 
 # ---------------------------------------------------------------------------

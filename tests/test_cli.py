@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -432,6 +433,46 @@ def test_design_budget_exceeded(tmp_path):
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     assert results["status"] == "budget_exceeded"
     assert results["greedy_upper_bound"] > 0.0
+
+
+TREE_REPLAY = {"type": "tree_replay", "design_horizon": 2}
+PIECED = {"type": "pieced", "horizons": [1, 2, 3], "k_max": 2}
+
+
+@pytest.mark.parametrize(
+    "task, policy, seed",
+    [
+        ("rollout", TREE_REPLAY, 0),
+        ("rollout", TREE_REPLAY, 7),
+        ("rollout", PIECED, 0),
+        ("rollout", PIECED, 7),
+        ("occupancy", TREE_REPLAY, 7),
+    ],
+)
+def test_restart_belief_without_mass_exits_1_with_its_status(tmp_path, task, policy, seed):
+    # the restart belief is a one-node spike at 0.5; once a path's state
+    # has moved on, a block start puts it in a cell the spike gives no mass
+    doc = {
+        "task": task,
+        "source": dict(AR1, init_mean=0.5, init_std=0.0),
+        "quantizers": {"type": "intervals", "levels": 3, "lo": -2.0, "hi": 2.0, "steps": 4},
+        "initial_belief": "model",
+        "policy": policy,
+        "horizon": 6,
+        "seed": seed,
+        "output_dir": str(tmp_path / "out"),
+    }
+    if task == "rollout":
+        doc["n_paths"] = 20
+    else:
+        doc["binning"] = {"type": "grid_features"}
+    assert main([task, "--config", write_config(tmp_path, doc)]) == 1
+    results = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert results["status"] == "zero_mass_symbol"
+    assert re.fullmatch(
+        r"step t=\d+: cell \d+ carries no mass; reconstruction undefined", results["error"]
+    )
+    assert sorted(os.listdir(tmp_path / "out")) == ["results.json"]
 
 
 def test_oracle_check_task(tmp_path, capsys):

@@ -6,16 +6,16 @@ to every distinct cut of a candidate set from the CutWeights of
 _cut_weights, kept per (grid, candidate set); every product reads its
 cells through CutWeights.cells. The cache finds a set by the hash the
 CandidateSet took when built, so equal sets share an entry.
-GridBelief.restrict reads a cell's window weights from
-_cell_weights, kept per (grid, cell) over their support, and returns
-its product with the density values there, within the belief's
-support. cell_moments and restrict must return the bytes of the
-uncached computation: the cell_moments of reference_moments.py, which
-builds its cut points and their node_moment_weights on every call, and
-window_weights times the density values, 0 off the support.
-CutWeights.matrix takes the window weights of all its cuts in one
-broadcast window_weights call, which must give the frozen one-window
-weights row by row;
+GridBelief.restrict reads a cell's mass weights from _cell_weights,
+kept per (grid, cell) over their support, and returns its product with
+the density values there, within the belief's support. cell_moments and
+restrict must return the bytes of the uncached computation: the
+cell_moments of reference_moments.py, which builds its cut points and
+their node_moment_weights on every call, and its frozen window_weights
+of degree 0 times the density values, 0 off the support.
+CutWeights.local takes the node moment weights of all its cuts in one
+broadcast node_moment_weights call, which must give the one-window
+weights row by row, and order 0 the frozen weights of degree 0;
 LinearGaussianSource.push sets its product's tails below TAIL of its
 largest entry to 0 and builds its belief without GridBelief's checks,
 which its output must pass.
@@ -37,7 +37,6 @@ from zdq.beliefs import (
     default_grid,
     filter_update,
     node_moment_weights,
-    window_weights,
 )
 from zdq.costs import CostModel
 from zdq.quantizers import CandidateSet, IntervalQuantizer, enumerate_interval_candidates
@@ -103,7 +102,7 @@ def test_cached_routes_return_the_uncached_bytes(case):
     for q in cands:
         for m in range(1, q.levels + 1):
             lo, hi = q.cell_interval(m)
-            reference = window_weights(belief.grid, lo, hi, 0) * belief.values
+            reference = reference_moments.window_weights(belief.grid, lo, hi, 0) * belief.values
             # part is the product on the cell's weight support within the
             # belief's support, 0 elsewhere
             start, part = belief.restrict(q, m)
@@ -119,7 +118,8 @@ def test_cached_arrays_are_read_only():
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 5)
     _, w = _cell_weights(GRIDS[0], -1.0, 0.5)
     weights = _cut_weights(GRIDS[0], cands)
-    for array in (w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends):
+    for array in (w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends,
+                  GRIDS[0].moment_weights):
         with pytest.raises(ValueError):
             array[...] = 0
 
@@ -249,18 +249,20 @@ def test_push_still_rejects_an_overflowed_kernel():
     ),
     st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)),
 )
-def test_window_weights_broadcast_matches_one_window_calls(grid, his, lo):
+def test_node_moment_weights_broadcast_matches_one_window_calls(grid, his, lo):
     # grid ends and nodes, cuts off the grid, signed zeros and infinities
     for t in (grid.lo, grid.hi, grid.nodes[1]):
         his = his + [t]
-    for k in range(3):
-        rows = window_weights(grid, lo, np.array(his), k)
-        los = window_weights(grid, np.full(len(his), lo), np.array(his), k)
-        assert rows.shape == los.shape == (len(his), grid.n_points)
-        for row, lo_row, hi in zip(rows, los, his):
-            expected = reference_moments.window_weights(grid, lo, hi, k).tobytes()
-            assert row.tobytes() == lo_row.tobytes() == expected
-            assert window_weights(grid, lo, hi, k).tobytes() == expected
+    rows = node_moment_weights(grid, lo, np.array(his))
+    los = node_moment_weights(grid, np.full(len(his), lo), np.array(his))
+    assert rows.shape == los.shape == (3, len(his), grid.n_points)
+    for i, hi in enumerate(his):
+        one = node_moment_weights(grid, lo, hi)
+        assert one.shape == (3, grid.n_points)
+        for m in range(3):
+            assert rows[m, i].tobytes() == los[m, i].tobytes() == one[m].tobytes()
+        # order 0 is the frozen weights of degree 0, bit for bit
+        assert one[0].tobytes() == reference_moments.window_weights(grid, lo, hi, 0).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,13 +274,13 @@ def test_window_weights_broadcast_matches_one_window_calls(grid, his, lo):
 def test_node_moment_weights_give_moments_about_any_center(grid, window, center):
     lo, hi = sorted(window)
     w = node_moment_weights(grid, lo, np.array([hi]))[:, 0]
-    # order 0 is the window weights of degree 0, bit for bit
-    assert w[0].tobytes() == window_weights(grid, lo, hi, 0).tobytes()
+    # order 0 is the frozen weights of degree 0, bit for bit
+    assert w[0].tobytes() == reference_moments.window_weights(grid, lo, hi, 0).tobytes()
     values = np.exp(-0.5 * grid.nodes * grid.nodes) + 0.1
     y = grid.nodes - center
     about = [w[0] @ values, w[0] @ (y * values) + w[1] @ values,
              w[0] @ (y * y * values) + 2.0 * w[1] @ (y * values) + w[2] @ values]
-    raw = [window_weights(grid, lo, hi, k) @ values for k in range(3)]
+    raw = [reference_moments.window_weights(grid, lo, hi, k) @ values for k in range(3)]
     expected = [raw[0], raw[1] - center * raw[0], raw[2] - 2.0 * center * raw[1] + center * center * raw[0]]
     scale = max(1.0, abs(center), grid.hi) ** 2
     assert np.allclose(about, expected, rtol=0.0, atol=1e-12 * scale)

@@ -2,14 +2,14 @@
 and the grid product's rounding against extended precision.
 
 The reference integrates every cell on its own: grid cells with the
-public window_weights, as raw moments about 0, and simplex cells with
-one member_mask row at a time. The batched path must agree with it to
-1e-12 and pick the same quantizer, first in order on exact ties; only
-candidates tied to rounding may swap. A grid belief takes its cell
-moments from one product over its support, and each of order k must lie
-within MOMENT_ERROR (std + spacing)^k of the same sums taken in
-np.longdouble, on filtered beliefs and on narrow, far-off, mixed and
-symmetric ones.
+frozen window_weights of reference_moments.py, as raw moments about 0,
+and simplex cells with one member_mask row at a time. The batched path
+must agree with it to 1e-12 and pick the same quantizer, first in order
+on exact ties; only candidates tied to rounding may swap. A grid belief
+takes its cell moments from one product over its support, and each of
+order k must lie within MOMENT_ERROR (std + spacing)^k of the same sums
+taken in np.longdouble, on filtered beliefs and on narrow, far-off,
+mixed and symmetric ones.
 """
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from zdq.beliefs import (
     SimplexBelief,
     default_grid,
     filter_update,
-    window_weights,
 )
 from zdq.costs import CostModel, cell_decisions
 from zdq.dp import greedy_policy_step, solve_finite_horizon
@@ -48,7 +47,8 @@ def reference_cell(belief, q, m):
     """Raw moments of orders 0..2 of cell m, integrated on its own."""
     if isinstance(belief, GridBelief):
         lo, hi = q.cell_interval(m)
-        return [float(window_weights(belief.grid, lo, hi, k) @ belief.values) for k in range(3)]
+        w = reference_moments.window_weights
+        return [float(w(belief.grid, lo, hi, k) @ belief.values) for k in range(3)]
     r = belief.probabilities * q.member_mask(m)
     return [float(r.sum()), float(r @ belief.states), float(r @ belief.states**2)]
 
