@@ -396,7 +396,7 @@ def _policy(spec, path: str, setup: Setup, grid):
 
     if kind == "greedy":
         _check_keys(spec, {"type"}, path)
-        policy = GreedyPolicy(candidates, setup.cost)
+        policy = GreedyPolicy(candidates)
     elif kind == "fixed":
         _check_keys(spec, {"type", "index"}, path)
         index = _as_int(_require(spec, "index", path), _join(path, "index"), 0)

@@ -8,25 +8,23 @@ with a finite reconstruction set; the optimal reconstruction is then the
 cost-minimizing column index.
 
 cell_decisions is the one way from a belief and a candidate set to
-every stage cost, cell mass and reconstruction. greedy_decision picks
-the candidate of least stage cost, the first argmin of cell_decisions'
-stages. Every cell moment is linear in the belief (the alpha-vector
-view of Smallwood & Sondik 1973), so a grid belief's cell moments come
-from one product of cached cut weights with its values. Both functions
-take a CandidateSet or any sequence of quantizers, and sum a stage
-cost's cells in order (_sum_cells).
+every stage cost, cell mass and reconstruction; a greedy choice is the
+first argmin of its stages. Every cell moment is linear in the belief
+(the alpha-vector view of Smallwood & Sondik 1973), so a grid belief's
+cell moments come from one product of cached cut weights with its
+values. It takes a CandidateSet or any sequence of quantizers, and
+sums a stage cost's cells in order (_sum_cells).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .beliefs import EPS_MASS, SimplexBelief
 from .quantizers import CandidateSet
 
-__all__ = ["CostModel", "cell_decisions", "greedy_decision"]
+__all__ = ["CostModel", "cell_decisions"]
 
 
 @dataclass(frozen=True)
@@ -150,21 +148,3 @@ def _sum_cells(terms) -> np.ndarray:
     for cell in range(1, terms.shape[1]):
         total += terms[:, cell]
     return total
-
-
-class GreedyDecision(NamedTuple):
-    """A greedy choice: candidate k, its stage cost and its
-    reconstructions (L,) (NaN for a massless or padded cell)."""
-
-    k: int
-    stage: float
-    recon: np.ndarray
-
-
-def greedy_decision(belief, candidates, cost: CostModel) -> GreedyDecision:
-    """The candidate of least stage cost, first on ties: the first
-    np.argmin of cell_decisions(belief, candidates, cost)'s stages, with
-    its stage and reconstructions, bit for bit."""
-    stages, _, recon = cell_decisions(belief, candidates, cost)
-    k = int(np.argmin(stages))
-    return GreedyDecision(k, stages[k], recon[k])

@@ -122,7 +122,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beliefs import _check_pair, filter_update
-from .costs import CostModel, cell_decisions, greedy_decision
+from .costs import CostModel, cell_decisions
 from .quantizers import CandidateSet
 
 __all__ = [
@@ -225,11 +225,6 @@ class DPResult:
     tree: PolicyTree
 
 
-class _BudgetSentinel(Exception):
-    def __init__(self, nodes_evaluated: int):
-        self.nodes_evaluated = nodes_evaluated
-
-
 def solve_finite_horizon(
     initial_belief,
     model,
@@ -270,7 +265,14 @@ def solve_finite_horizon(
         state["evals"] += 1
         by_stage[t] += 1
         if state["evals"] > node_budget:
-            raise _BudgetSentinel(state["evals"])
+            bound = exact_policy_value(
+                initial_belief,
+                model,
+                cost,
+                horizon,
+                lambda t, b: greedy_policy_step(b, candidates, cost),
+            )
+            raise NodeBudgetExceeded(state["evals"], node_budget, bound)
 
     def ruled_out(stage: float, future: float, best: float) -> bool:
         # the floor bound (module docstring)
@@ -381,17 +383,7 @@ def solve_finite_horizon(
             out.children[m] = (mass, child)
         return out.node_id
 
-    try:
-        root = emit(searched[search(initial_belief, 0)])
-    except _BudgetSentinel as exc:
-        bound = exact_policy_value(
-            initial_belief,
-            model,
-            cost,
-            horizon,
-            lambda t, b: greedy_policy_step(b, candidates, cost),
-        )
-        raise NodeBudgetExceeded(exc.nodes_evaluated, node_budget, bound) from None
+    root = emit(searched[search(initial_belief, 0)])
 
     discarded = 0.0
     for node in nodes:
@@ -411,8 +403,9 @@ def solve_finite_horizon(
 
 
 def greedy_policy_step(belief, candidates, cost: CostModel):
-    """Quantizer minimizing the immediate stage cost (first on ties)."""
-    return candidates[greedy_decision(belief, candidates, cost).k]
+    """Quantizer minimizing the immediate stage cost (first on ties):
+    the first np.argmin of cell_decisions' stages."""
+    return candidates[int(np.argmin(cell_decisions(belief, candidates, cost)[0]))]
 
 
 def exact_policy_value(

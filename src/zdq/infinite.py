@@ -26,10 +26,12 @@ steps all paths in lockstep over arrays: source states, ids into a
 table of interned beliefs, and the policy's state (tree node ids).
 Policies plan for all paths at once, with their Python work done once
 per distinct belief or per step; their CandidateSet classifies every
-path in one call, and each distinct (belief, quantizer, symbol) is
-filtered and reconstructed once while it stays in the table. The
-table is compacted to the live beliefs whenever it holds _MEMO_CAP of
-them. Path p keeps the seed streams of
+path in one call. The table decides each belief once, with one
+cell_decisions call over the policy's quantizers that gives its stage
+costs (which a greedy policy reads) and reconstructions, and filters
+each distinct (belief, quantizer, symbol) once while the belief stays
+in the table. The table is compacted to the live beliefs whenever it
+holds _MEMO_CAP of them. Path p keeps the seed streams of
 SeedSequence(seed).spawn(n_paths)[p].spawn(2), drawn in blocks of
 steps. The tests check the rollout against a per-path, per-step
 reference loop and the logged path against a decoder that rebuilds it
@@ -42,6 +44,7 @@ invariance of the belief transition kernel can be measured.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -53,7 +56,7 @@ import numpy as np
 from .beliefs import (
     EPS_MASS, Grid, GridBelief, SimplexBelief, ZeroMassSymbolError, _check_pair, filter_update
 )
-from .costs import CostModel, cell_decisions, greedy_decision
+from .costs import CostModel, cell_decisions
 from .dp import EPS_PRUNE, PolicyTree
 from .quantizers import CandidateSet
 from .sources import FiniteChain, _PathStreams
@@ -89,17 +92,34 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PiecingSchedule:
-    """Repetition schedule gluing finite-horizon policies end to end."""
+    """Repetition schedule gluing finite-horizon policies end to end.
+
+    horizons (T_k) and n_reps (n_k) define it; the block lengths, the
+    segment boundaries and the ratios follow from them.
+    """
 
     horizons: tuple  # T_k actually scheduled (k_max entries)
     n_reps: tuple  # n_k repetitions of the T_k-horizon policy
-    block_lengths: tuple  # T'_k = n_k * T_k
-    boundaries: tuple  # N_k = T'_1 + ... + T'_k
-    ratios: tuple  # N_{k-1} / T'_k for k >= 2 (index 0 is for k = 2)
 
     @property
     def k_max(self) -> int:
         return len(self.horizons)
+
+    @functools.cached_property
+    def block_lengths(self) -> tuple:
+        """T'_k = n_k * T_k."""
+        return tuple(n * T for n, T in zip(self.n_reps, self.horizons))
+
+    @functools.cached_property
+    def boundaries(self) -> tuple:
+        """N_k = T'_1 + ... + T'_k."""
+        # Python ints: int64 would wrap around for block lengths near 2**63
+        return tuple(itertools.accumulate(self.block_lengths))
+
+    @functools.cached_property
+    def ratios(self) -> tuple:
+        """N_{k-1} / T'_k for k >= 2 (index 0 is for k = 2)."""
+        return tuple(N / T for N, T in zip(self.boundaries, self.block_lengths[1:]))
 
     def to_json(self) -> dict:
         return {
@@ -137,22 +157,11 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
         Tprev = horizons[k - 2]
         numerator = max(k * Tnext, k * n_reps[-1] * Tprev)
         n_reps.append(-(-numerator // Tk))  # exact ceiling
-    block_lengths = [n * T for n, T in zip(n_reps, horizons)]
-    # Python ints: int64 would wrap around for block lengths near 2**63
-    boundaries = list(itertools.accumulate(block_lengths))
+    schedule = PiecingSchedule(tuple(horizons[:k_max]), tuple(n_reps))
     for k in range(2, k_max + 1):
-        if block_lengths[k - 1] < k * block_lengths[k - 2]:
+        if schedule.block_lengths[k - 1] < k * schedule.block_lengths[k - 2]:
             raise AssertionError("schedule invariant violated")
-    ratios = tuple(
-        boundaries[k - 2] / block_lengths[k - 1] for k in range(2, k_max + 1)
-    )
-    return PiecingSchedule(
-        horizons=tuple(horizons[:k_max]),
-        n_reps=tuple(n_reps),
-        block_lengths=tuple(block_lengths),
-        boundaries=tuple(boundaries),
-        ratios=ratios,
-    )
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +169,11 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
 #
 # A policy acts on all paths of a rollout at once. begin(n_paths) gives
 # the per-path policy state (an array, or None). plan(state, t, ids,
-# beliefs, r) gets every path's belief id (beliefs[id] is the belief) and,
-# for policies with shared_randomness, every path's shared variate r; it
-# returns a Plan whose quantizer_ids index the policy's quantizers, a
-# CandidateSet.
+# table, r) gets every path's belief id into the rollout's belief table
+# (table.beliefs[id] is the belief, table.stages(id) its stage cost under
+# every quantizer) and, for policies with shared_randomness, every path's
+# shared variate r; it returns a Plan whose quantizer_ids index the
+# policy's quantizers, a CandidateSet.
 # advance(state, t, symbols) moves the state along every path's symbol.
 
 
@@ -172,13 +182,11 @@ class Plan(NamedTuple):
 
     reset_belief, when set, replaces every path's tracked belief
     (encoder's and decoder's alike) before encoding; resets depend on t
-    only. decisions hands over the cell_decisions rows the policy already
-    computed, as (belief id, quantizer id, stage cost, reconstructions).
+    only.
     """
 
     quantizer_ids: np.ndarray
     reset_belief: object = None
-    decisions: tuple = ()
 
 
 class _Policy:
@@ -197,32 +205,27 @@ class FixedQuantizerPolicy(_Policy):
     """Applies one quantizer forever."""
 
     def __init__(self, quantizer):
-        self.quantizer = quantizer
         self.quantizers = CandidateSet((quantizer,))
 
-    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
+    def plan(self, state, t: int, ids, table, r) -> Plan:
         return Plan(np.zeros(len(ids), dtype=np.intp))
 
 
 class GreedyPolicy(_Policy):
     """Minimizes the immediate stage cost at every step.
 
-    Each distinct belief of a step is decided once by greedy_decision,
-    and its stage cost and reconstructions go to the rollout with the
-    plan.
+    Each distinct belief of a step takes the first argmin of its stage
+    row in the rollout's table, so ties go to the first candidate.
     """
 
-    def __init__(self, candidates, cost: CostModel):
+    def __init__(self, candidates):
         self.quantizers = CandidateSet.of(candidates)
-        self.cost = cost
 
-    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
-        picks, decisions = np.zeros(len(beliefs), dtype=np.intp), []
+    def plan(self, state, t: int, ids, table, r) -> Plan:
+        picks = np.zeros(len(table.beliefs), dtype=np.intp)
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            k, stage, recon = greedy_decision(beliefs[b], self.quantizers, self.cost)
-            picks[b] = k
-            decisions.append((b, k, stage, recon))
-        return Plan(picks[ids], decisions=tuple(decisions))
+            picks[b] = np.argmin(table.stages(b))
+        return Plan(picks[ids])
 
 
 def _tree_tables(trees):
@@ -317,7 +320,7 @@ class PiecedPolicy(_Policy):
     def begin(self, n_paths: int):
         return np.full(n_paths, self.trees[0].root)
 
-    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
+    def plan(self, state, t: int, ids, table, r) -> Plan:
         k, at_start = self._segment(t)
         qid = self._tables[k][0]
         if at_start:
@@ -340,8 +343,7 @@ class TreeReplayPolicy(PiecedPolicy):
     """
 
     def __init__(self, tree: PolicyTree):
-        T = tree.horizon
-        super().__init__(PiecingSchedule((T,), (1,), (T,), (T,), ()), [tree])
+        super().__init__(PiecingSchedule((tree.horizon,), (1,)), [tree])
 
 
 class RandomizedStationaryPolicy(_Policy):
@@ -373,10 +375,10 @@ class RandomizedStationaryPolicy(_Policy):
             raise ValueError("table rows must sum to 1 within 1e-12")
         self._cum = np.cumsum(self.table, axis=1)
 
-    def plan(self, state, t: int, ids, beliefs, r) -> Plan:
-        bins = np.zeros(len(beliefs), dtype=np.intp)
+    def plan(self, state, t: int, ids, table, r) -> Plan:
+        bins = np.zeros(len(table.beliefs), dtype=np.intp)
         for b in np.flatnonzero(np.bincount(ids)).tolist():
-            bins[b] = self.binning.bin_of(beliefs[b])
+            bins[b] = self.binning.bin_of(table.beliefs[b])
         # the count of row entries <= r is searchsorted(side="right")
         picks = (self._cum[bins[ids]] <= r[:, None]).sum(axis=1)
         return Plan(np.minimum(picks, len(self.quantizers) - 1))
@@ -454,8 +456,11 @@ class _BeliefTable:
     symbol indexes its column and column 0 is unused); for it
       recon.flat[key]   the optimal reconstruction, NaN for a dead cell;
       succ.flat[key]    id of the filtered next belief, -1 until filtered;
-    and stage[b, q] is the stage cost, NaN until decided. Each transition is
-    filtered once while its belief stays in the table; compact() drops
+    and stage[b, q] is the stage cost. The table is the one place a
+    rollout decides: on first need, one cell_decisions call over all the
+    quantizers fills belief b's stage row and reconstructions (stage[b]
+    is NaN until then). Each belief is decided once and each transition
+    filtered once while the belief stays in the table; compact() drops
     every belief but the live ones.
     """
 
@@ -495,9 +500,13 @@ class _BeliefTable:
         self.clears += 1
         return ids
 
-    def decide(self, b: int, q: int, stage: float, recon: np.ndarray) -> None:
-        self.stage[b, q] = stage
-        self.recon[b, q, 1 : 1 + len(recon)] = recon
+    def stages(self, b: int) -> np.ndarray:
+        """Belief b's stage cost under every quantizer, decided on first need."""
+        if np.isnan(self.stage[b, 0]):
+            stages, _, recon = cell_decisions(self.beliefs[b], self.quantizers, self.cost)
+            self.stage[b] = stages
+            self.recon[b, :, 1:] = recon
+        return self.stage[b]
 
     def keys(self, ids, qids, symbols):
         return (ids * len(self.quantizers) + qids) * self.width + symbols
@@ -514,14 +523,11 @@ class _BeliefTable:
     def _fill(self, key: int) -> None:
         bq, m = divmod(key, self.width)
         b, q = divmod(bq, len(self.quantizers))
-        belief, quantizer = self.beliefs[b], self.quantizers[q]
-        if np.isnan(self.stage[b, q]):
-            stages, _, recon = cell_decisions(belief, CandidateSet((quantizer,)), self.cost)
-            self.decide(b, q, stages[0], recon[0])
+        self.stages(b)  # decides belief b on first need
         if np.isnan(self.recon[b, q, m]):
             raise ZeroMassSymbolError(f"cell {m} carries no mass; reconstruction undefined")
         self.filter_calls += 1
-        nxt = self.intern(filter_update(belief, self.model, quantizer, m))
+        nxt = self.intern(filter_update(self.beliefs[b], self.model, self.quantizers[q], m))
         self.succ[b, q, m] = nxt
 
 
@@ -587,11 +593,9 @@ class _Lockstep:
                 settled = j
                 self.ids = table.compact(self.ids)
             r = None if shares is None else shares[:, j]
-            plan = policy.plan(self.state, t, self.ids, table.beliefs, r)
+            plan = policy.plan(self.state, t, self.ids, table, r)
             if plan.reset_belief is not None:
                 self.ids = np.full(len(self.ids), table.intern(plan.reset_belief))
-            for decision in plan.decisions:
-                table.decide(*decision)
             symbols = table.quantizers.classify(plan.quantizer_ids, xs[:, j])
             keys[:, j] = table.keys(self.ids, plan.quantizer_ids, symbols)
             try:
@@ -647,13 +651,14 @@ def rollout(
     per-step variate). So a path's belief is an id into a table of
     interned beliefs, and a step reads every path's next belief id from
     the table's (belief, quantizer, symbol) transitions, filling a
-    missing one with one optimal reconstruction and one filter_update;
-    the results are those of fresh calls, bit for bit. The policy's
-    Python work runs once per distinct belief or per step, never once
-    per path. The source states, the reconstructions, the realized
-    costs and the log are array operations over blocks of steps; each
-    path's total adds its step costs in time order, as a per-path loop
-    would.
+    missing one with one filter_update. The table decides a belief on
+    first need: one cell_decisions call over the policy's quantizers
+    gives its stage costs and reconstructions, bit for bit those of that
+    call. The policy's Python work runs once per distinct belief or per
+    step, never once per path. The source states, the reconstructions,
+    the realized costs and the log are array operations over blocks of
+    steps; each path's total adds its step costs in time order, as a
+    per-path loop would.
 
     Seed streams: path p draws its source from
     SeedSequence(seed, spawn_key=(p, 0)) and its shared variates from

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import zdq.costs
 from zdq.beliefs import EPS_MASS, Grid, GridBelief, SimplexBelief, filter_update
-from zdq.costs import CostModel, _stage_costs_from, cell_decisions, greedy_decision
-from zdq.infinite import _BeliefTable
+from zdq.costs import CostModel, _stage_costs_from, cell_decisions
+from zdq.dp import greedy_policy_step
+from zdq.infinite import GreedyPolicy, _BeliefTable
 from zdq.quantizers import (
     CandidateSet,
     FinitePartition,
@@ -277,37 +278,40 @@ def test_alphabet_mismatch_raises_on_every_path(two_state_chain):
 
 
 # ---------------------------------------------------------------------------
-# greedy_decision: the first argmin of cell_decisions
+# greedy choices: the first argmin of cell_decisions' stages
 
 QUAD = CostModel.quadratic()
 
 
-def assert_greedy_matches(belief, cands):
-    stages, _, recon = cell_decisions(belief, cands, QUAD)
-    decision = greedy_decision(belief, cands, QUAD)
-    # the first candidate on ties, as np.argmin picks it, bit for bit
-    assert decision.k == int(np.argmin(stages))
-    assert decision.stage == stages[decision.k]
-    assert decision.recon.tobytes() == recon[decision.k].tobytes()
-    return decision
+def assert_greedy_matches(belief, cands, cost=QUAD):
+    """The greedy step of the solver and the greedy rollout policy both
+    pick the first argmin of the stages, and the policy's belief table
+    holds the stages and reconstructions of cell_decisions, bit for bit."""
+    stages, _, recon = cell_decisions(belief, cands, cost)
+    k = int(np.argmin(stages))
+    assert greedy_policy_step(belief, cands, cost) is CandidateSet.of(cands)[k]
+    policy = GreedyPolicy(cands)
+    table = _BeliefTable(None, cost, policy.quantizers)
+    ids = np.full(3, table.intern(belief))
+    assert policy.plan(None, 0, ids, table, None).quantizer_ids.tolist() == [k] * 3
+    assert table.stage[0].tobytes() == stages.tobytes()
+    assert table.recon[0, :, 1:].tobytes() == recon.tobytes()
+    return k
 
 
-def test_greedy_decision_keeps_the_first_candidate_on_ties():
+def test_greedy_choice_keeps_the_first_candidate_on_ties():
     invariant = LinearGaussianSource(0.9, 1.0).invariant_distribution()
     # mirror-image three-level candidates whose stages differ by rounding
     # only (1e-15) on the symmetric invariant belief
     assert_greedy_matches(invariant, enumerate_interval_candidates(3, -4.0, 4.0, 21))
     # duplicate candidates tie exactly; the first one wins
     duplicates = [IntervalQuantizer((1.0,)), IntervalQuantizer((0.0,)), IntervalQuantizer((0.0,))]
-    assert assert_greedy_matches(invariant, duplicates).k == 1
+    assert assert_greedy_matches(invariant, duplicates) == 1
 
 
-def test_greedy_decision_on_simplex_beliefs_and_tabular_costs():
+def test_greedy_choice_on_simplex_beliefs_and_tabular_costs():
     belief = SimplexBelief(np.array([0.2, 0.5, 0.3]), states=np.array([-1.0, 0.0, 2.0]))
     cands = enumerate_finite_partitions(3, 2)
     tab = CostModel.bounded_tabular([[0.0, 1.0], [1.0, 0.2], [0.7, 0.0]])
     for cost in (QUAD, tab):
-        stages, _, recon = cell_decisions(belief, cands, cost)
-        k, stage, got = greedy_decision(belief, cands, cost)
-        assert k == int(np.argmin(stages))
-        assert stage == stages[k] and got.tobytes() == recon[k].tobytes()
+        assert_greedy_matches(belief, cands, cost)

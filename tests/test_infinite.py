@@ -6,9 +6,10 @@ import pytest
 
 from reference_filter import sample_one
 import zdq.beliefs
+import zdq.costs
 import zdq.infinite
 from zdq.beliefs import EPS_MASS, GridBelief, SimplexBelief, default_grid, filter_update
-from zdq.costs import CostModel, cell_decisions, greedy_decision
+from zdq.costs import CostModel, cell_decisions
 from zdq.dp import solve_finite_horizon
 from zdq.infinite import (
     DiscountedVINotConverged,
@@ -93,7 +94,7 @@ def test_rollout_matches_dp_value(three_state_chain):
 
 def test_rollout_is_deterministic(three_state_chain):
     cands = enumerate_finite_partitions(3, 2)
-    policy = GreedyPolicy(cands, QUAD)
+    policy = GreedyPolicy(cands)
     a = rollout(policy, three_state_chain, QUAD, horizon=5, n_paths=40, seed=3)
     b = rollout(policy, three_state_chain, QUAD, horizon=5, n_paths=40, seed=3)
     assert np.array_equal(a.path_costs, b.path_costs)
@@ -104,7 +105,7 @@ def test_rollout_is_deterministic(three_state_chain):
 def test_rollout_log_columns(two_state_chain):
     cands = enumerate_finite_partitions(2, 2)
     rr = rollout(
-        GreedyPolicy(cands, QUAD), two_state_chain, QUAD, horizon=7, n_paths=2, seed=1
+        GreedyPolicy(cands), two_state_chain, QUAD, horizon=7, n_paths=2, seed=1
     )
     log = rr.log
     assert len(log.t) == 7
@@ -213,27 +214,63 @@ def _identities(calls, beliefs):
     return [next(i for i, b in enumerate(beliefs) if b is c) for c in calls]
 
 
+def _table(policy, cost, beliefs):
+    """A rollout's belief table holding beliefs, interned in order."""
+    table = zdq.infinite._BeliefTable(None, cost, policy.quantizers)
+    assert [table.intern(b) for b in beliefs] == list(range(len(beliefs)))
+    return table
+
+
+def _counting(monkeypatch, calls):
+    """Records the belief of every cell_decisions call made through
+    zdq.infinite or zdq.costs."""
+
+    def counted(belief, quantizers, cost, decide=cell_decisions):
+        calls.append(belief)
+        return decide(belief, quantizers, cost)
+
+    monkeypatch.setattr(zdq.costs, "cell_decisions", counted)
+    monkeypatch.setattr(zdq.infinite, "cell_decisions", counted)
+
+
 @pytest.mark.parametrize("n_paths", [1, 2000])
 def test_greedy_plan_decides_each_distinct_belief_once(monkeypatch, ar_source, n_paths):
     grid = default_grid(ar_source)
     beliefs = [GridBelief.normal(grid, m, s) for m, s in [(-1.5, 0.4), (0.2, 1.0), (1.1, 0.7), (3.0, 0.5)]]
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 9)
+    policy = GreedyPolicy(cands)
+    table = _table(policy, QUAD, beliefs)
     ids = _path_ids(n_paths)
     calls = []
-
-    def counted(belief, quantizers, cost, decide=zdq.infinite.greedy_decision):
-        calls.append(belief)
-        return decide(belief, quantizers, cost)
-
-    monkeypatch.setattr(zdq.infinite, "greedy_decision", counted)
-    plan = GreedyPolicy(cands, QUAD).plan(None, 0, ids, beliefs, None)
+    _counting(monkeypatch, calls)
+    plan = policy.plan(None, 0, ids, table, None)
     distinct = sorted(set(ids.tolist()))
     assert _identities(calls, beliefs) == distinct
-    assert [d[0] for d in plan.decisions] == distinct
-    own = [greedy_decision(beliefs[b], cands, QUAD).k for b in ids.tolist()]
+    # the table keeps each decided row: planning again decides nothing
+    assert policy.plan(None, 1, ids, table, None).quantizer_ids.tolist() == plan.quantizer_ids.tolist()
+    assert len(calls) == len(distinct)
+    monkeypatch.undo()
+    for b in distinct:
+        stages, _, recon = cell_decisions(beliefs[b], cands, QUAD)
+        assert table.stage[b].tobytes() == stages.tobytes()
+        assert table.recon[b, :, 1:].tobytes() == recon.tobytes()
+    own = [int(np.argmin(cell_decisions(beliefs[b], cands, QUAD)[0])) for b in ids.tolist()]
     assert plan.quantizer_ids.tolist() == own
-    assert own == [int(np.argmin(cell_decisions(beliefs[b], cands, QUAD)[0])) for b in ids.tolist()]
     assert n_paths == 1 or len(set(own)) == 3
+
+
+def test_greedy_chain_rollout_decides_each_belief_once(monkeypatch, caplog, three_state_chain):
+    # a recurring belief is decided on its first step only, not again at
+    # every step it recurs
+    calls = []
+    _counting(monkeypatch, calls)
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
+    horizon = 300
+    rollout(GreedyPolicy(enumerate_finite_partitions(3, 2)), three_state_chain, QUAD,
+            horizon, 50, 5)
+    assert rollout_counters(caplog)["clears"] == 0
+    keys = [b.key() for b in calls]
+    assert len(keys) == len(set(keys)) < horizon
 
 
 @pytest.mark.parametrize("n_paths", [1, 2000])
@@ -251,7 +288,7 @@ def test_randomized_plan_bins_each_distinct_belief_once(monkeypatch, n_paths):
         return bin_of(self, belief)
 
     monkeypatch.setattr(SimplexBinning, "bin_of", counted)
-    picks = policy.plan(None, 0, ids, beliefs, r).quantizer_ids
+    picks = policy.plan(None, 0, ids, _table(policy, QUAD, beliefs), r).quantizer_ids
     assert _identities(calls, beliefs) == sorted(set(ids.tolist()))
     # each path's own draw: the count of its cumulative row entries <= r
     rows = np.cumsum(table, axis=1)
@@ -349,7 +386,7 @@ def test_grid_feature_binning_clips(ar_source):
 def test_occupation_histogram_counts(two_state_chain):
     cands = enumerate_finite_partitions(2, 2)
     rr = rollout(
-        GreedyPolicy(cands, TAB), two_state_chain, TAB, horizon=500, n_paths=1,
+        GreedyPolicy(cands), two_state_chain, TAB, horizon=500, n_paths=1,
         seed=9, initial_belief=two_state_chain.invariant_distribution(),
     )
     hist = occupation_measure(rr.log, SimplexBinning(50))
@@ -392,7 +429,7 @@ def subset_invariance_residual(hist, model, cands) -> float:
 def test_invariance_residual_reads_one_cut_set(family, two_state_chain):
     if family == "grid":
         model, cands = LinearGaussianSource(0.9, 1.0), enumerate_interval_candidates(2, -4.0, 4.0, 21)
-        policy, binning = GreedyPolicy(cands, QUAD), GridFeatureBinning(default_grid(model))
+        policy, binning = GreedyPolicy(cands), GridFeatureBinning(default_grid(model))
     else:
         model, cands = two_state_chain, enumerate_finite_partitions(2, 2)
         binning = SimplexBinning(10)
@@ -413,15 +450,22 @@ LOG_COLUMNS = ("t", "x", "symbol", "u", "stage", "belief_mean", "belief_std",
                "quantizer_id", "probabilities")
 
 
-def decided(policy, belief, quantizer, cost):
-    """(stage cost, reconstructions) of a belief under the quantizer the
-    policy chose, from a fresh call: greedy_decision's for a greedy
-    policy, which hands them to the rollout, else cell_decisions'."""
-    if isinstance(policy, GreedyPolicy):
-        decision = greedy_decision(belief, policy.quantizers, cost)
-        return decision.stage, decision.recon
-    stages, _, recon = cell_decisions(belief, [quantizer], cost)
-    return stages[0], recon[0]
+def decided(policy, belief, cost):
+    """(stage costs, reconstructions) of a belief under every quantizer of
+    the policy, from a fresh call."""
+    stages, _, recon = cell_decisions(belief, policy.quantizers, cost)
+    return stages, recon
+
+
+class OneBelief:
+    """A stand-in for a rollout's belief table that holds one belief and
+    decides it with a fresh call."""
+
+    def __init__(self, policy, belief, cost):
+        self.beliefs, self.policy, self.cost = [belief], policy, cost
+
+    def stages(self, b: int):
+        return decided(self.policy, self.beliefs[b], self.cost)[0]
 
 
 def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belief):
@@ -443,18 +487,18 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
         total = 0.0
         for t in range(horizon):
             r = float(shared_stream.uniform())
-            plan = policy.plan(state, t, np.array([0]), [enc], np.array([r]))
+            plan = policy.plan(state, t, np.array([0]), OneBelief(policy, enc, cost), np.array([r]))
             if plan.reset_belief is not None:
                 enc = dec = plan.reset_belief
             quantizer_id = int(plan.quantizer_ids[0])
             quantizer = policy.quantizers[quantizer_id]
             symbol = quantizer.classify(x)
-            u = decided(policy, dec, quantizer, cost)[1][symbol - 1]
+            u = decided(policy, dec, cost)[1][quantizer_id, symbol - 1]
             value = model.state_values[x] if finite else x
             d = value - u
             total += d * d if cost.kind == "quadratic" else cost.pointwise(x, u)
             if p == 0:
-                rows.append((t, value, symbol, u, decided(policy, enc, quantizer, cost)[0], enc.mean,
+                rows.append((t, value, symbol, u, decided(policy, enc, cost)[0][quantizer_id], enc.mean,
                              enc.std, quantizer_id, enc.probabilities if finite else None))
             if finite:
                 nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
@@ -517,19 +561,19 @@ def _pieced_chain_case(three_state_chain, two_state_chain, ar_source):
 
 
 def _greedy_grid_case(three_state_chain, two_state_chain, ar_source):
-    policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD)
+    policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5))
     return policy, ar_source, QUAD, 40, 5, 8, ar_source.invariant_distribution()
 
 
 def _greedy_grid_a09_case(three_state_chain, two_state_chain, ar_source):
     # every belief is new, so each path-step squares its own difference
     model = LinearGaussianSource(0.9, 1.0)
-    policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 21), QUAD)
+    policy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 21))
     return policy, model, QUAD, 50, 20, 3, model.invariant_distribution()
 
 
 def _tabular_chain_case(three_state_chain, two_state_chain, ar_source):
-    policy = GreedyPolicy(enumerate_finite_partitions(2, 2), TAB)
+    policy = GreedyPolicy(enumerate_finite_partitions(2, 2))
     return policy, two_state_chain, TAB, 50, 20, 4, two_state_chain.invariant_distribution()
 
 
@@ -638,7 +682,7 @@ def test_pruned_symbol_raises(two_state_chain):
     "policy, horizon, n_paths",
     [
         (FixedQuantizerPolicy(IntervalQuantizer((0.0,))), zdq.infinite._MEMO_CAP + 44, 1),
-        (GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD), 80, 5),
+        (GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5)), 80, 5),
     ],
     ids=["ar1-fixed-past-cap", "greedy-grid-5-paths"],
 )
@@ -686,13 +730,14 @@ def decode_from_symbols(policy, model, cost, log, seed, n_paths, initial_belief)
     belief, state = initial_belief, policy.begin(1)
     out = {"quantizer_id": [], "u": [], "belief_mean": [], "probabilities": []}
     for t, symbol in enumerate(log.symbol.tolist()):
-        plan = policy.plan(state, t, np.array([0]), [belief], np.array([shared.uniform()]))
+        table = OneBelief(policy, belief, cost)
+        plan = policy.plan(state, t, np.array([0]), table, np.array([shared.uniform()]))
         if plan.reset_belief is not None:
             belief = plan.reset_belief
         quantizer_id = int(plan.quantizer_ids[0])
         quantizer = policy.quantizers[quantizer_id]
         out["quantizer_id"].append(quantizer_id)
-        out["u"].append(decided(policy, belief, quantizer, cost)[1][symbol - 1])
+        out["u"].append(decided(policy, belief, cost)[1][quantizer_id, symbol - 1])
         out["belief_mean"].append(belief.mean)
         out["probabilities"].append(getattr(belief, "probabilities", None))
         belief = filter_update(belief, model, quantizer, symbol)
@@ -713,7 +758,7 @@ def test_encoder_decoder_stay_synchronized(three_state_chain, two_state_chain, a
     randomized = RandomizedStationaryPolicy(
         SimplexBinning(20), np.tile([0.3, 0.7], (20, 1)), enumerate_finite_partitions(2, 2)
     )
-    greedy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD)
+    greedy = GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5))
     cases = [
         # tree replay resets to the root belief every 2 steps
         (TreeReplayPolicy(tree2), three_state_chain, QUAD, 9, 3, 5, chain_init),
@@ -770,7 +815,7 @@ def test_occupation_measure_matches_reference_loop(two_state_chain, ar_source):
     chain_log = dataclasses.replace(chain_log, probabilities=probs)
     grid = default_grid(ar_source)
     grid_log = rollout(
-        GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5), QUAD),
+        GreedyPolicy(enumerate_interval_candidates(2, -2.0, 2.0, 5)),
         ar_source, QUAD, 60, 1, 4, initial_belief=ar_source.invariant_distribution(),
     ).log
     mean, std = grid_log.belief_mean.copy(), grid_log.belief_std.copy()

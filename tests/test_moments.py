@@ -28,7 +28,7 @@ from zdq.beliefs import (
 )
 from zdq.costs import CostModel, cell_decisions
 from zdq.dp import greedy_policy_step, solve_finite_horizon
-from zdq.infinite import GreedyPolicy
+from zdq.infinite import GreedyPolicy, _BeliefTable
 from zdq.quantizers import (
     CandidateSet,
     FinitePartition,
@@ -179,7 +179,9 @@ def test_duplicate_candidates_pick_the_first():
     costs = cell_decisions(belief, cands, QUAD)[0]
     assert costs[1] == costs[2] and int(np.argmin(costs)) == 1
     assert greedy_policy_step(belief, cands, QUAD) is cands[1]
-    assert GreedyPolicy(cands, QUAD).plan(None, 0, np.array([0]), [belief], None).quantizer_ids[0] == 1
+    policy = GreedyPolicy(cands)
+    table = _BeliefTable(None, QUAD, policy.quantizers)
+    assert policy.plan(None, 0, np.array([table.intern(belief)]), table, None).quantizer_ids[0] == 1
     # cuts at and past the grid end leave the belief unquantized, exactly
     blind = [IntervalQuantizer((grid.hi,)), IntervalQuantizer((20.0,)), IntervalQuantizer(())]
     blind_costs = cell_decisions(belief, blind, QUAD)[0]
