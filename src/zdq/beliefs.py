@@ -13,8 +13,8 @@ key(), mean and std, cell_moments, its restriction to a cell
 description in policy_tree.json (to_json) and its row in a rollout's
 trajectory log (log_row). A grid belief is one immutable buffer: its
 key() bytes, of which values is a read-only view, so a belief the
-dynamic program stores costs one copy of its values, and its mean and
-std are computed once.
+dynamic program stores costs one copy of its values; its mean is taken
+when it is built, and its std once, on first use.
 
 Every cell mass and every moment behind a stage cost comes from one
 method per belief family, cell_moments(candidates), which returns the
@@ -104,6 +104,11 @@ class Grid:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n_points}")
+        # the fields' hash, taken once: grids key the per-grid caches
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.n_points)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -140,15 +145,17 @@ def default_grid(
     return Grid(-half, half, n_points)
 
 
-def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
+def node_moment_weights(grid: Grid, lo, hi, orders: int = 3) -> np.ndarray:
     """Exact integration weights of (x - x_j)^m against node j's hat,
     the one closed form of the grid's integrals.
 
-    Returns w of shape (3,) + the shape of lo and hi + (n_points,) with
-    w[m] . values = sum over nodes j of values_j times the integral over
-    [lo, hi] of (x - x_j)^m phi_j(x) dx, m = 0, 1, 2, where phi_j is the
-    hat of node j, so that f = sum_j values_j phi_j is the
-    piecewise-linear density; a window may cut a segment anywhere.
+    Returns w of shape (orders,) + the shape of lo and hi + (n_points,)
+    with w[m] . values = sum over nodes j of values_j times the integral
+    over [lo, hi] of (x - x_j)^m phi_j(x) dx, m = 0 .. orders - 1 (at
+    most 2), where phi_j is the hat of node j, so that f = sum_j
+    values_j phi_j is the piecewise-linear density; a window may cut a
+    segment anywhere. The orders a caller leaves out are not computed,
+    and those it takes have the same bits as in a call of all three.
     Expanding (x - c)^k about each node gives the moment of order k of f
     about any center c over [lo, hi] as
       sum over m of binom(k, m) w[m] . ((x - c)^(k - m) values),
@@ -165,15 +172,15 @@ def node_moment_weights(grid: Grid, lo, hi) -> np.ndarray:
     u1 = np.clip((b - xl) / d, 0.0, 1.0)
     s1 = u1 - u0
     s2 = 0.5 * (u1 * u1 - u0 * u0)
-    s3 = (u1**3 - u0**3) / 3.0
-    s4 = 0.25 * (u1**4 - u0**4)
     # on a segment x = x_s + d u, so x - x_s = d u and x - x_{s+1} = d (u - 1)
-    pieces = (
-        (s1 - s2, s2),
-        (d * (s2 - s3), d * (s3 - s2)),
-        (d * d * (s3 - s4), d * d * (s4 - 2.0 * s3 + s2)),
-    )
-    out = np.zeros((3,) + np.broadcast(a, b).shape[:-1] + (grid.n_points,))
+    pieces = [(s1 - s2, s2)]
+    if orders > 1:
+        s3 = (u1**3 - u0**3) / 3.0
+        pieces.append((d * (s2 - s3), d * (s3 - s2)))
+    if orders > 2:
+        s4 = 0.25 * (u1**4 - u0**4)
+        pieces.append((d * d * (s3 - s4), d * d * (s4 - 2.0 * s3 + s2)))
+    out = np.zeros((orders,) + np.broadcast(a, b).shape[:-1] + (grid.n_points,))
     for w, (w_lo, w_hi) in zip(out, pieces):
         w[..., :-1] += d * w_lo
         w[..., 1:] += d * w_hi
@@ -211,6 +218,7 @@ class GridBelief:
     grid: Grid
     values: np.ndarray
     support: tuple = field(init=False, repr=False)
+    mean: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -231,9 +239,14 @@ class GridBelief:
 
     def _hold(self, values: np.ndarray, support: tuple) -> None:
         key = values.tobytes()
+        values = np.frombuffer(key)
+        lo, hi = support
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "values", np.frombuffer(key))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "support", support)
+        # the exact first moment of the piecewise-linear density,
+        # consistent with cell masses and stage costs
+        object.__setattr__(self, "mean", float(self.grid.moment_weights[1][lo:hi] @ values[lo:hi]))
 
     @classmethod
     def _normalized(cls, grid: Grid, values: np.ndarray, support: tuple) -> "GridBelief":
@@ -293,13 +306,6 @@ class GridBelief:
         return self._key
 
     @functools.cached_property
-    def mean(self) -> float:
-        """Exact first moment of the piecewise-linear density, consistent
-        with cell masses and stage costs, summed over the support."""
-        lo, hi = self.support
-        return float(self.grid.moment_weights[1][lo:hi] @ self.values[lo:hi])
-
-    @functools.cached_property
     def std(self) -> float:
         lo, hi = self.support
         mean = self.mean
@@ -351,18 +357,23 @@ class GridBelief:
         weights = _cut_weights(grid, CandidateSet.of(candidates))
         center = self.mean
         lo, hi = self.support
-        values = self.values[lo:hi]
-        y = grid.nodes[lo:hi] - center
         columns = np.empty((3, hi - lo))
-        columns[0] = values
-        np.multiply(y, values, out=columns[1])
-        np.multiply(y, columns[1], out=columns[2])
-        g = columns @ weights.local[:, lo:hi].T
+        columns[0] = self.values[lo:hi]
+        y = np.subtract(grid.nodes[lo:hi], center, out=columns[2])
+        np.multiply(y, columns[0], out=columns[1])
+        columns[2] *= columns[1]  # y (y v), in place of y
+        local = weights.local[:, lo:hi]
+        if 3 * (hi - lo) * len(local) <= _SMALL_PRODUCT:
+            g = columns @ local.T
+        else:
+            width = _product_columns(3, hi - lo, len(local))
+            g = np.hstack([columns @ local[j : j + width].T for j in range(0, len(local), width)])
         p = len(weights.points)
-        cumulative = np.empty(3 * p)
-        cumulative[:p] = g[0, :p]
-        np.add(g[1, :p], g[0, p : 2 * p], out=cumulative[p : 2 * p])
-        np.add(g[2, :p], 2.0 * g[1, p : 2 * p] + g[0, 2 * p :], out=cumulative[2 * p :])
+        cumulative = g[:, :p].ravel()  # a copy: C_0 and the first terms of C_1, C_2
+        cumulative[p : 2 * p] += g[0, p : 2 * p]
+        rest = 2.0 * g[1, p : 2 * p]
+        rest += g[0, 2 * p :]
+        cumulative[2 * p :] += rest
         return weights.cells(cumulative), center
 
     def restrict(self, quantizer, symbol: int):
@@ -378,8 +389,16 @@ class GridBelief:
         """
         lo, hi = quantizer.cell_interval(symbol)
         start, w = _cell_weights(self.grid, lo, hi)
-        first = max(start, self.support[0])
-        stop = max(first, min(start + len(w), self.support[1]))
+        # first = max(start, lo), stop = max(first, min(start + len(w), hi))
+        # for the support (lo, hi), without the builtin calls: one runs per
+        # filter step
+        first, stop = self.support
+        if first < start:
+            first = start
+        if stop > start + w.size:
+            stop = start + w.size
+        if stop < first:
+            stop = first
         return first, w[first - start : stop - start] * self.values[first:stop]
 
     def inverse_cdf(self, v) -> np.ndarray:
@@ -535,6 +554,16 @@ class SMembershipReport:
 
 _CUT_SETS = 64  # candidate sets whose CutWeights are kept
 _CELL_WEIGHTS = 256  # cells whose mass weights are kept
+# OpenBLAS multiplies an (m, k) by a (k, n) matrix in its small-matrix
+# kernel, on one thread, while m k n <= 10^6; a larger product takes the
+# blocked GEMM, threaded, whose bytes depend on the thread count
+_SMALL_PRODUCT = 10**6
+
+
+def _product_columns(m: int, k: int, cap: int) -> int:
+    """Columns n, at most cap, of each product of an (m, k) matrix that
+    keeps m k n within _SMALL_PRODUCT (at least 1)."""
+    return max(1, min(cap, _SMALL_PRODUCT // (m * k)))
 
 
 class CutWeights:
@@ -572,8 +601,8 @@ class CutWeights:
         """Moments of every cell, (3, K, L) + trailing axes, from
         cumulative moments at every point, (3 P,) + trailing axes: the
         difference at each cell's two cuts."""
-        lower, upper = self.ends
-        return cumulative.take(upper, axis=0) - cumulative.take(lower, axis=0)
+        lower, upper = cumulative.take(self.ends, axis=0)
+        return upper - lower
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -602,7 +631,7 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
     Returns (start, w): w holds the entries start .. start + len(w) - 1,
     read-only, and every other entry is 0 (w is empty for an empty cell).
     """
-    w = node_moment_weights(grid, lo, hi)[0]
+    w = node_moment_weights(grid, lo, hi, 1)[0]
     nz = np.flatnonzero(w)
     start, stop = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
     w = w[start:stop].copy()  # a copy, so the full array is freed
@@ -632,7 +661,7 @@ def filter_update(belief, model, quantizer, symbol: int):
     """
     _check_pair(belief, model)
     start, part = belief.restrict(quantizer, symbol)
-    mass = float(part.sum())
+    mass = float(np.add.reduce(part))  # part.sum(), one call shorter
     if mass <= EPS_MASS:
         raise ZeroMassSymbolError(
             f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"

@@ -110,13 +110,15 @@ def cell_decisions(belief, candidates, cost: CostModel):
     belief.cell_moments call; np.argmin over stages keeps the
     first-candidate tie rule.
     """
-    candidates = CandidateSet.of(candidates)
     moments, center = belief.cell_moments(candidates)
     m0 = moments[0]
     if cost.kind == "quadratic":
-        live = m0 > EPS_MASS
-        recon = np.where(live, center + moments[1] / np.where(live, m0, 1.0), np.nan)
-        return _stage_costs_from(moments), m0, recon
+        dead, mass = _masked(m0)
+        recon = moments[1] / mass
+        recon += center
+        recon[dead] = np.nan
+        return _stage_costs_from(moments, dead, mass), m0, recon
+    candidates = CandidateSet.of(candidates)
     stages = np.zeros(len(candidates))
     recon = np.full(m0.shape, np.nan)
     for k, q in enumerate(candidates):
@@ -130,13 +132,26 @@ def cell_decisions(belief, candidates, cost: CostModel):
     return stages, m0, recon
 
 
-def _stage_costs_from(moments) -> np.ndarray:
+def _masked(m0):
+    """(dead, mass): the cells of mass m0 not above EPS_MASS, and the
+    mass a cell's moments are divided by, m0 with 1 at the dead cells."""
+    dead = ~(m0 > EPS_MASS)
+    mass = m0.copy()
+    mass[dead] = 1.0
+    return dead, mass
+
+
+def _stage_costs_from(moments, dead=None, mass=None) -> np.ndarray:
     """Quadratic stage cost of every quantizer from its cell moments
-    (m0, m1, m2), as cell_decisions computes it."""
+    (m0, m1, m2), as cell_decisions computes it; dead and mass are
+    _masked(m0), taken here when not given."""
     m0, m1, m2 = moments
-    live = m0 > EPS_MASS
-    var = np.maximum(m2 - m1 * m1 / np.where(live, m0, 1.0), 0.0)
-    return _sum_cells(np.where(live, var, 0.0))
+    if dead is None:
+        dead, mass = _masked(m0)
+    var = m2 - m1 * m1 / mass
+    np.maximum(var, 0.0, out=var)
+    var[dead] = 0.0
+    return _sum_cells(var)
 
 
 def _sum_cells(terms) -> np.ndarray:

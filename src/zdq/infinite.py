@@ -28,14 +28,15 @@ Policies plan for all paths at once, with their Python work done once
 per distinct belief or per step; their CandidateSet classifies every
 path in one call. The table decides each belief once, with one
 cell_decisions call over the policy's quantizers that gives its stage
-costs (which a greedy policy reads) and reconstructions, and filters
-each distinct (belief, quantizer, symbol) once while the belief stays
-in the table. The table is compacted to the live beliefs whenever it
-holds _MEMO_CAP of them. Path p keeps the seed streams of
-SeedSequence(seed).spawn(n_paths)[p].spawn(2), drawn in blocks of
-steps. The tests check the rollout against a per-path, per-step
-reference loop and the logged path against a decoder that rebuilds it
-from the symbols and the shared randomness alone.
+costs and reconstructions, and keeps the first argmin of its stage
+costs as its greedy pick (which a greedy policy reads); it filters each
+distinct (belief, quantizer, symbol) once while the belief stays in the
+table. The table is compacted to
+the live beliefs whenever it holds _MEMO_CAP of them. Path p keeps the
+seed streams of SeedSequence(seed).spawn(n_paths)[p].spawn(2), drawn in
+blocks of steps. The tests check the rollout against a per-path,
+per-step reference loop and the logged path against a decoder that
+rebuilds it from the symbols and the shared randomness alone.
 
 Third, discounted value iteration solves the stationary fixed point on
 a finite belief grid with nearest-neighbor lookups, and occupation
@@ -170,10 +171,11 @@ def piecing_schedule(horizons, k_max: int) -> PiecingSchedule:
 # A policy acts on all paths of a rollout at once. begin(n_paths) gives
 # the per-path policy state (an array, or None). plan(state, t, ids,
 # table, r) gets every path's belief id into the rollout's belief table
-# (table.beliefs[id] is the belief, table.stages(id) its stage cost under
-# every quantizer) and, for policies with shared_randomness, every path's
-# shared variate r; it returns a Plan whose quantizer_ids index the
-# policy's quantizers, a CandidateSet.
+# (table.beliefs[id] is the belief, and table.picks(ids) every path's
+# greedy pick, the first argmin of its belief's stage costs) and, for
+# policies with shared_randomness, every path's shared variate r; it
+# returns a Plan whose quantizer_ids index the policy's quantizers, a
+# CandidateSet.
 # advance(state, t, symbols) moves the state along every path's symbol.
 
 
@@ -214,18 +216,16 @@ class FixedQuantizerPolicy(_Policy):
 class GreedyPolicy(_Policy):
     """Minimizes the immediate stage cost at every step.
 
-    Each distinct belief of a step takes the first argmin of its stage
-    row in the rollout's table, so ties go to the first candidate.
+    Every path takes its belief's pick in the rollout's table: the
+    first argmin of the belief's stage row, taken once when the table
+    decides the belief, so ties go to the first candidate.
     """
 
     def __init__(self, candidates):
         self.quantizers = CandidateSet.of(candidates)
 
     def plan(self, state, t: int, ids, table, r) -> Plan:
-        picks = np.zeros(len(table.beliefs), dtype=np.intp)
-        for b in np.flatnonzero(np.bincount(ids)).tolist():
-            picks[b] = np.argmin(table.stages(b))
-        return Plan(picks[ids])
+        return Plan(table.picks(ids))
 
 
 def _tree_tables(trees):
@@ -450,18 +450,20 @@ _DRAW_BLOCK = 1 << 17
 class _BeliefTable:
     """The interned beliefs of one rollout and the transitions between them.
 
-    beliefs[b] is the belief with id b, one per distinct key(). A
-    transition is the flat key (b * n_quantizers + q) * width + m of
-    belief id b, quantizer id q and symbol m (width = levels + 1, so a
-    symbol indexes its column and column 0 is unused); for it
-      recon.flat[key]   the optimal reconstruction, NaN for a dead cell;
-      succ.flat[key]    id of the filtered next belief, -1 until filtered;
-    and stage[b, q] is the stage cost. The table is the one place a
-    rollout decides: on first need, one cell_decisions call over all the
-    quantizers fills belief b's stage row and reconstructions (stage[b]
-    is NaN until then). Each belief is decided once and each transition
-    filtered once while the belief stays in the table; compact() drops
-    every belief but the live ones.
+    beliefs[b] is the belief with id b, one per distinct key(). For
+    belief id b, quantizer id q and symbol m (column 0 of the symbol
+    axis is unused)
+      recon[b, q, m]   the optimal reconstruction, NaN for a dead cell;
+      succ[b, q, m]    id of the filtered next belief, -1 until filtered;
+    stage[b, q] is the stage cost and pick[b] the first argmin of
+    stage[b], the greedy choice. The flat index of [b, q, m] in recon
+    and succ is the transition's key, (b * n_quantizers + q) * width + m
+    (width = levels + 1). The table is the one place a rollout decides:
+    on first need, one cell_decisions call over all the quantizers fills
+    belief b's stage row, pick and reconstructions (pick[b] is -1 until
+    then). Each belief is decided once and each transition filtered once
+    while the belief stays in the table; compact() drops every belief
+    but the live ones.
     """
 
     def __init__(self, model, cost: CostModel, quantizers):
@@ -469,11 +471,12 @@ class _BeliefTable:
         self.width = 1 + quantizers.levels
         self.beliefs, self.ids = [], {}
         self._alloc(16)
-        self.filter_calls = self.clears = self.peak = 0
+        self.decisions = self.filter_calls = self.clears = self.peak = 0
 
     def _alloc(self, capacity: int) -> None:
         shape = (capacity, len(self.quantizers))
         self.stage = np.full(shape, np.nan)
+        self.pick = np.full(capacity, -1, dtype=np.intp)
         self.recon = np.full(shape + (self.width,), np.nan)
         self.succ = np.full(shape + (self.width,), -1, dtype=np.intp)
 
@@ -484,10 +487,10 @@ class _BeliefTable:
             b = self.ids[key] = len(self.beliefs)
             self.beliefs.append(belief)
             self.peak = max(self.peak, len(self.beliefs))
-            if b == len(self.stage):
-                old = (self.stage, self.recon, self.succ)
+            if b == self.pick.size:
+                old = (self.stage, self.pick, self.recon, self.succ)
                 self._alloc(2 * b)
-                for new, kept in zip((self.stage, self.recon, self.succ), old):
+                for new, kept in zip((self.stage, self.pick, self.recon, self.succ), old):
                     new[:b] = kept
         return b
 
@@ -500,21 +503,26 @@ class _BeliefTable:
         self.clears += 1
         return ids
 
-    def stages(self, b: int) -> np.ndarray:
-        """Belief b's stage cost under every quantizer, decided on first need."""
-        if np.isnan(self.stage[b, 0]):
-            stages, _, recon = cell_decisions(self.beliefs[b], self.quantizers, self.cost)
-            self.stage[b] = stages
-            self.recon[b, :, 1:] = recon
-        return self.stage[b]
+    def _decide(self, b: int) -> None:
+        stages, _, recon = cell_decisions(self.beliefs[b], self.quantizers, self.cost)
+        self.stage[b] = stages
+        self.recon[b, :, 1:] = recon
+        self.pick[b] = stages.argmin()
+        self.decisions += 1
 
-    def keys(self, ids, qids, symbols):
-        return (ids * len(self.quantizers) + qids) * self.width + symbols
+    def picks(self, ids) -> np.ndarray:
+        """The greedy pick of every belief id, deciding the new beliefs."""
+        picks = self.pick[ids]
+        if picks[picks.argmin()] < 0:  # picks.min() < 0, in fewer calls
+            for b in sorted(set(ids[picks < 0].tolist())):
+                self._decide(b)
+            picks = self.pick[ids]
+        return picks
 
     def successors(self, keys):
         """Next belief id of every transition key, filling the missing ones."""
         nxt = self.succ.take(keys)
-        if nxt.min() < 0:
+        if nxt[nxt.argmin()] < 0:  # nxt.min() < 0, in fewer calls
             for key in sorted(set(keys[nxt < 0].tolist())):
                 self._fill(key)
             nxt = self.succ.take(keys)
@@ -523,8 +531,9 @@ class _BeliefTable:
     def _fill(self, key: int) -> None:
         bq, m = divmod(key, self.width)
         b, q = divmod(bq, len(self.quantizers))
-        self.stages(b)  # decides belief b on first need
-        if np.isnan(self.recon[b, q, m]):
+        if self.pick[b] < 0:
+            self._decide(b)
+        if math.isnan(self.recon[b, q, m]):
             raise ZeroMassSymbolError(f"cell {m} carries no mass; reconstruction undefined")
         self.filter_calls += 1
         nxt = self.intern(filter_update(self.beliefs[b], self.model, self.quantizers[q], m))
@@ -583,6 +592,7 @@ class _Lockstep:
         """Steps t0 .. t0 + size - 1, given every path's states xs
         (n_paths, size) and shared variates shares (or None)."""
         table, policy = self.table, self.policy
+        classify, n_quantizers = table.quantizers.classify, len(table.quantizers)
         keys = np.empty(xs.shape, dtype=np.intp)
         u = np.empty(xs.shape)
         settled = 0
@@ -596,10 +606,12 @@ class _Lockstep:
             plan = policy.plan(self.state, t, self.ids, table, r)
             if plan.reset_belief is not None:
                 self.ids = np.full(len(self.ids), table.intern(plan.reset_belief))
-            symbols = table.quantizers.classify(plan.quantizer_ids, xs[:, j])
-            keys[:, j] = table.keys(self.ids, plan.quantizer_ids, symbols)
+            qids = plan.quantizer_ids
+            symbols = classify(qids, xs[:, j])
+            # the transition keys, the flat indices of [ids, qids, symbols]
+            step = keys[:, j] = (self.ids * n_quantizers + qids) * table.width + symbols
             try:
-                self.ids = table.successors(keys[:, j])
+                self.ids = table.successors(step)
             except ZeroMassSymbolError as e:
                 raise ZeroMassSymbolError(f"step t={t}: {e}") from e
             self.state = policy.advance(self.state, t, symbols)
@@ -682,10 +694,10 @@ def rollout(
     a chain for its scan), and its realized costs are taken in one pass,
     so their arrays are bounded by _DRAW_BLOCK too. One INFO log line
     reports deterministic counters: paths, steps, (belief, quantizer)
-    groups stepped, filter calls, table clears and the most beliefs the
-    table held. The tests rebuild the logged path with a decoder that
-    sees only the symbols and the shared seed, and check it against the
-    log bit for bit.
+    groups stepped, decisions (the table's cell_decisions calls), filter
+    calls, table clears and the most beliefs the table held. The tests
+    rebuild the logged path with a decoder that sees only the symbols
+    and the shared seed, and check it against the log bit for bit.
 
     As in the dynamic program, key() identifies a belief only within
     one grid or one set of state values, so the beliefs a rollout tracks
@@ -722,12 +734,13 @@ def rollout(
     table = paths.table
     logger.info(
         "rollout: %(paths)d paths, %(steps)d steps, %(groups)d groups stepped, "
-        "%(filter_calls)d filter calls, %(clears)d memo clears, "
+        "%(decisions)d decisions, %(filter_calls)d filter calls, %(clears)d memo clears, "
         "%(peak_beliefs)d beliefs at most",
         {
             "paths": n_paths,
             "steps": horizon,
             "groups": paths.groups,
+            "decisions": table.decisions,
             "filter_calls": table.filter_calls,
             "clears": table.clears,
             "peak_beliefs": table.peak,

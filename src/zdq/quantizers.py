@@ -46,10 +46,8 @@ class IntervalQuantizer:
             raise ValueError("thresholds must be finite")
         if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError(f"thresholds must be strictly increasing, got {t}")
-
-    @property
-    def levels(self) -> int:
-        return len(self.thresholds) + 1
+        # an attribute, not a field: read on every filter step
+        object.__setattr__(self, "levels", len(t) + 1)
 
     def classify(self, x) -> int:
         """Cell index of the point x; x exactly on a threshold goes to the
@@ -62,7 +60,7 @@ class IntervalQuantizer:
         cuts = np.full((len(candidates), candidates.levels - 1), math.inf)
         for k, q in enumerate(candidates):
             cuts[k, : q.levels - 1] = q.thresholds
-        return lambda ids, x: 1 + (cuts[ids] < x[:, None]).sum(axis=1)
+        return lambda ids, x: 1 + np.add.reduce(cuts[ids] < x[:, None], axis=1)
 
     def cell_interval(self, m: int):
         """Cell m as the interval (lo, hi], with infinities at the ends."""

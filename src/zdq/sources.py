@@ -44,9 +44,14 @@ kernel, kept per source, grid and candidate set: times a restriction it
 gives the cumulative raw moments of that restriction's prediction at
 every cut, from which stage_floor and last_stage_costs read the
 stage-cost floor and the last-stage costs of a belief's children. W K
-multiplies row-major copies of 32 of a block's columns at a time, over
-the block's rows only: on OpenBLAS a product with a column-major block
-took the threaded path in some processes, 100 times slower.
+multiplies row-major copies of a block's columns, over the block's rows
+only, at most 32 columns at a time and fewer where the product would
+pass m k n = 10^6 (beliefs._product_columns); last_stage_costs bounds
+its products the same way. OpenBLAS takes a product past that size out
+of its small-matrix kernel into the blocked GEMM, which is threaded, so
+its bytes depend on the thread count, and slow: on a 2-core Xeon one
+(69, 455) by (455, 32) product took 7.2 ms there against 67 us on one
+thread.
 
 The Gaussian family also has uniform bounds on the transition density
 and its slope (density_bounds). _PathStreams holds one seed stream of
@@ -75,6 +80,7 @@ from .beliefs import (
     SimplexBelief,
     ZeroMassSymbolError,
     _cut_weights,
+    _product_columns,
     default_grid,
 )
 from .costs import _stage_costs_from, cell_decisions
@@ -97,8 +103,8 @@ TAIL = 2.0**-60
 # noise variances a band's squared radius reaches past its peak's squared
 # distance: an entry there is exp(-_BAND_VARIANCES / 2) = TAIL of the peak
 _BAND_VARIANCES = -2.0 * math.log(TAIL)
-# columns per product, narrow enough that no kernel product takes a
-# threaded BLAS path
+# columns per product, at most; beliefs._product_columns narrows a
+# product further until it stays on one BLAS thread
 _KERNEL_COLUMNS = 64  # kernel columns per stored block
 _PRODUCT_COLUMNS = 32  # kernel columns per weight-matrix product
 _CHILD_COLUMNS = 16  # children per product in last_stage_costs
@@ -210,25 +216,27 @@ class LinearGaussianSource:
         node range that its restrict and moments read.
         """
         grid = belief.grid
-        raw = _transition_kernel(self, grid).times(start, part) / mass
+        raw = _transition_kernel(self, grid).times(start, part)
+        raw /= mass
         peak = raw[raw.argmax()]  # NaN if any entry is; faster than max
         lo, hi = 0, len(raw)
         if math.isfinite(peak):
-            kept = raw >= TAIL * peak
-            lo, hi = int(kept.argmax()), hi - int(kept[::-1].argmax())
+            kept = (raw >= TAIL * peak).nonzero()[0]
+            lo, hi = int(kept[0]), int(kept[-1]) + 1
             raw[:lo] = 0.0
             raw[hi:] = 0.0
         z = float(grid.trapezoid_weights @ raw)
         if z <= 0.0:
             raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")
         logger.debug("filter renormalization drift %.3e", z - 1.0)
+        raw /= z
         if sys.float_info.min <= z < math.inf:
             # a finite nonnegative product over a normal mass: raw / z is
             # finite, nonnegative and integrates to 1 up to rounding
-            return GridBelief._normalized(grid, raw / z, (lo, hi))
+            return GridBelief._normalized(grid, raw, (lo, hi))
         # an overflowed kernel (a subnormal noise_std) or a subnormal
         # mass, which loses the precision dividing by it needs
-        return GridBelief(grid, raw / z)
+        return GridBelief(grid, raw)
 
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
         """Least quadratic stage cost over every normalized kernel column
@@ -251,9 +259,11 @@ class LinearGaussianSource:
         mass weights (the weights of 1) up to their cells' two cuts
         (CutWeights.matrix), GridBelief.restrict's up to rounding.
         The cached W K (_kernel_cut_moments) times them gives every
-        child's raw moments about 0 up to every cut, in blocks of
-        _CHILD_COLUMNS children so that each product stays on one BLAS
-        thread, and _least_stage_costs every child's least stage cost
+        child's raw moments about 0 up to every cut, in blocks of at most
+        _CHILD_COLUMNS children, fewer where the product would leave the
+        small-matrix kernel (beliefs._product_columns), so that each
+        product stays on one BLAS thread, and _least_stage_costs every
+        child's least stage cost
         over the candidates, as in stage_floor. Returns (least, scale,
         error): least (K, L), 0 where not kept; scale the largest E[x^2]
         of a kept child; error the bound of dp's module docstring on how
@@ -269,9 +279,9 @@ class LinearGaussianSource:
         product = _kernel_cut_moments(self, grid, candidates)
         lower, upper = weights.slots[:, :-1][kept], weights.slots[:, 1:][kept]
         restricted = (weights.matrix[upper] - weights.matrix[lower]) * belief.values
+        width = _product_columns(*product.shape, _CHILD_COLUMNS)
         cumulative = np.hstack([
-            product @ restricted[j : j + _CHILD_COLUMNS].T
-            for j in range(0, len(restricted), _CHILD_COLUMNS)
+            product @ restricted[j : j + width].T for j in range(0, len(restricted), width)
         ])
         least = np.zeros(kept.shape)
         least[kept] = _least_stage_costs(weights, cumulative)
@@ -348,12 +358,15 @@ class _BandedKernel:
         its rows. No product has more than _KERNEL_COLUMNS columns, so none
         takes a threaded BLAS path."""
         out = np.zeros(self.n_points)
-        stop = start + len(part)
-        for b in range(start // _KERNEL_COLUMNS, -(-stop // _KERNEL_COLUMNS)):
+        c0, stop = start, start + part.size
+        while c0 < stop:
+            # columns c0 .. c1 - 1 of the run are columns c0 - i .. of block b
+            b = c0 // _KERNEL_COLUMNS
             i = b * _KERNEL_COLUMNS
+            c1 = i + _KERNEL_COLUMNS if i + _KERNEL_COLUMNS < stop else stop
             r0, block = self.blocks[b]
-            c0, c1 = max(start, i), min(stop, i + _KERNEL_COLUMNS)
             out[r0 : r0 + len(block)] += block[:, c0 - i : c1 - i] @ part[c0 - start : c1 - start]
+            c0 = c1
         return out
 
 
@@ -373,19 +386,26 @@ def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
     from node i up to every cut, order by order (the order-0 row at +inf
     is its trapezoid integral); W @ K @ r does the same for the
     prediction K r of any restriction r. The product is taken in blocks
-    of _PRODUCT_COLUMNS kernel columns, each over its kernel block's rows
-    only (matrix[:, r0:r1]): narrow products stay on one BLAS thread,
-    and on a 2-core Xeon the threaded 39 x 801 x 801 product took 30 ms,
-    these 26 took 2 ms. Each block is a row-major copy of the kernel
-    block's columns: times a column-major block, OpenBLAS took its
-    threaded path in some processes (about 200 ms against 2 ms).
+    of kernel columns, each a row-major copy of the columns times the
+    weights over its kernel block's rows only (matrix[:, r0:r1]). A block
+    holds at most _PRODUCT_COLUMNS columns, and fewer where 3 P x rows x
+    columns would pass the 10^6 of beliefs._product_columns: a larger
+    product leaves OpenBLAS's small-matrix kernel for its threaded
+    blocked GEMM, whose bytes depend on the thread count. On a 2-core
+    Xeon that took W K of a=0.9, L=2, K=21 from 96-108 ms to 2-8.5 ms;
+    the threaded 39 x 801 x 801 product of design-ar1 took 30 ms, its 26
+    blocks 2 ms.
     """
     matrix = _cut_weights(grid, candidates).matrix
-    out = np.hstack([
-        matrix[:, r0 : r0 + len(block)] @ np.ascontiguousarray(block[:, j : j + _PRODUCT_COLUMNS])
-        for r0, block in _transition_kernel(model, grid).blocks
-        for j in range(0, block.shape[1], _PRODUCT_COLUMNS)
-    ])
+    products = []
+    for r0, block in _transition_kernel(model, grid).blocks:
+        rows = matrix[:, r0 : r0 + len(block)]
+        width = _product_columns(*rows.shape, _PRODUCT_COLUMNS)
+        products += [
+            rows @ np.ascontiguousarray(block[:, j : j + width])
+            for j in range(0, block.shape[1], width)
+        ]
+    out = np.hstack(products)
     out.flags.writeable = False
     return out
 

@@ -195,7 +195,8 @@ def test_reconstruction_zero_mass_raises(two_state_chain):
     quad = CostModel.quadratic()
     assert math.isnan(cell_decisions(b, [sep], quad)[2][0, 1])
     table = _BeliefTable(two_state_chain, quad, CandidateSet((sep,)))
-    key = table.keys(table.intern(b), 0, 2)
+    # the key of (belief, quantizer 0, symbol 2)
+    key = (table.intern(b) * len(table.quantizers) + 0) * table.width + 2
     with pytest.raises(ValueError, match="carries no mass"):
         table.successors(np.array([key]))
 

@@ -214,3 +214,23 @@ def test_policy_tree_serialization(three_state_chain):
     doc = tree.to_json()
     assert doc["horizon"] == 2
     assert doc["nodes"][doc["root"]]["t"] == 0
+
+
+@pytest.mark.parametrize("a, steps", [(0.5, 11), (0.9, 21)], ids=["design-ar1", "a0.9"])
+def test_grid_error_falls_with_the_square_of_the_spacing(a, steps):
+    # the grid's own error: T = 3 designs from the invariant belief on
+    # 201, 401, 801 and 1,601 nodes over the same span, so the spacing
+    # halves each time and each change of the value is a quarter of the
+    # one before; the root keeps its quantizer at every n
+    src = LinearGaussianSource(a, 1.0)
+    cands = enumerate_interval_candidates(2, -2.0, 2.0, steps)
+    values, roots = [], set()
+    for n in (201, 401, 801, 1601):
+        init = GridBelief.normal(default_grid(src, n_points=n), 0.0, src.stationary_std)
+        tree = solve_finite_horizon(init, src, cands, CostModel.quadratic(), 3).tree
+        values.append(tree.value)
+        roots.add(tree.nodes[tree.root].quantizer_id)
+    changes = np.diff(values)
+    ratios = changes[:-1] / changes[1:]
+    assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
+    assert len(roots) == 1

@@ -28,12 +28,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_moments
+import zdq.beliefs
+import zdq.sources
 from zdq.beliefs import (
     EPS_MASS,
+    CutWeights,
     Grid,
     GridBelief,
     _cell_weights,
     _cut_weights,
+    _product_columns,
     default_grid,
     filter_update,
     node_moment_weights,
@@ -205,22 +209,67 @@ def test_push_output_passes_the_belief_checks(case):
 
 @pytest.mark.parametrize("levels, n_cands", [(2, 21), (3, 11)])
 def test_kernel_cut_moments_match_a_row_major_kernel(levels, n_cands):
-    # every _PRODUCT_COLUMNS columns of a kernel block are multiplied as
-    # a row-major copy over the block's rows, which gives the bytes of
-    # the band of a row-major kernel's product
+    # every _PRODUCT_COLUMNS columns of a kernel block, or fewer where
+    # the product would leave OpenBLAS's small-matrix kernel, are
+    # multiplied as a row-major copy over the block's rows, which gives
+    # the bytes of the band of a row-major kernel's product
     source = LinearGaussianSource(0.9, 1.0)
     grid = default_grid(source)
     cands = enumerate_interval_candidates(levels, -2.0, 2.0, n_cands)
     matrix = _cut_weights(grid, cands).matrix
-    width = _PRODUCT_COLUMNS
     products = []
     for r0, block in _transition_kernel(source, grid).blocks:
         rows = np.ascontiguousarray(block)
+        width = _product_columns(len(matrix), len(block), _PRODUCT_COLUMNS)
         for j in range(0, block.shape[1], width):
             products.append(matrix[:, r0 : r0 + len(block)] @ rows[:, j : j + width])
     expected = np.hstack(products)
     assert expected.shape == (matrix.shape[0], grid.n_points)
     assert _kernel_cut_moments(source, grid, cands).tobytes() == expected.tobytes()
+
+
+class _Recorded(np.ndarray):
+    """A view that records the operand shapes of every matmul it joins."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul:
+            _Recorded.products.append((inputs[0].shape, inputs[1].shape))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "a, levels, lo, hi, steps, n_points",
+    [(0.9, 2, -2.0, 2.0, 41, 801), (0.5, 3, -2.0, 2.0, 21, 801), (0.9, 3, -4.0, 4.0, 21, 801),
+     (0.9, 2, -2.0, 2.0, 21, 1601)],
+    ids=["K41", "L3-K210", "L3-wide", "a0.9-1601-nodes"],
+)
+def test_products_stay_in_the_small_matrix_kernel(monkeypatch, a, levels, lo, hi, steps, n_points):
+    # OpenBLAS multiplies (m, k) by (k, n) on one thread while m k n <=
+    # 10^6, and past that in its threaded GEMM, whose bytes depend on the
+    # thread count: every product of a grid belief's cell moments, of W K
+    # and of the last-stage costs stays within the bound, on the largest
+    # candidate sets of the tier-1 tests and the finest grid
+    source = LinearGaussianSource(a, 1.0)
+    grid = default_grid(source, n_points=n_points)
+    cands = enumerate_interval_candidates(levels, lo, hi, steps)
+    real = _cut_weights(grid, cands)
+    recorded = CutWeights(grid, cands)
+    recorded.__dict__.update(local=real.local.view(_Recorded), matrix=real.matrix.view(_Recorded))
+    monkeypatch.setattr(zdq.beliefs, "_cut_weights", lambda grid, candidates: recorded)
+    monkeypatch.setattr(zdq.sources, "_cut_weights", lambda grid, candidates: recorded)
+    monkeypatch.setattr(_Recorded, "products", [])
+    product = zdq.sources._kernel_cut_moments.__wrapped__(source, grid, cands)
+    monkeypatch.setattr(zdq.sources, "_kernel_cut_moments", lambda *args: product.view(_Recorded))
+    belief = GridBelief.normal(grid, 0.3, 0.5 * grid.hi)
+    belief.cell_moments(cands)
+    kept = np.ones((len(cands), cands.levels), dtype=bool)
+    source.last_stage_costs(belief, cands, CostModel.quadratic(), kept)
+    sizes = [m * k * (n[1] if len(n) > 1 else 1) for (m, k), n in _Recorded.products]
+    assert len(sizes) > len(_transition_kernel(source, grid).blocks) + 1
+    assert max(sizes) <= 10**6
 
 
 def test_push_still_rejects_an_overflowed_kernel():

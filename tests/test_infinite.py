@@ -467,6 +467,9 @@ class OneBelief:
     def stages(self, b: int):
         return decided(self.policy, self.beliefs[b], self.cost)[0]
 
+    def picks(self, ids):
+        return np.full(len(ids), np.argmin(self.stages(0)))
+
 
 def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belief):
     """The per-step loop rollout ran before its transition memo.
@@ -663,6 +666,44 @@ def test_rollout_matches_reference_loop(
     if case is _fixed_grid_past_cap_case:
         # grid beliefs do not repeat: the table reached its cap and was cleared
         assert len(filtered) > zdq.infinite._MEMO_CAP and counters["clears"] >= 1
+
+
+REFERENCE_CASES = [
+    _rollout_chain_case, _randomized_case, _multi_word_seed_case, _fixed_grid_past_cap_case,
+    _pieced_chain_case, _greedy_grid_case, _greedy_grid_a09_case, _tabular_chain_case,
+    _long_single_path_case,
+]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda case: case.__name__.strip("_"))
+def test_rollout_counts_its_decisions(
+    monkeypatch, caplog, case, three_state_chain, two_state_chain, ar_source
+):
+    # the INFO line's decisions are the table's cell_decisions calls: one
+    # per distinct belief, unless a compaction dropped a belief that
+    # came back
+    policy, model, cost, horizon, n_paths, seed, init = case(
+        three_state_chain, two_state_chain, ar_source
+    )
+    calls = []
+    _counting(monkeypatch, calls)
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
+    rollout(policy, model, cost, horizon, n_paths, seed, initial_belief=init)
+    counters = rollout_counters(caplog)
+    assert counters["decisions"] == len(calls) > 0
+    if counters["clears"] == 0:
+        assert len(calls) == len({b.key() for b in calls})
+
+
+def test_one_path_greedy_grid_rollout_decides_once_per_step(caplog):
+    # grid beliefs never repeat, so a one-path greedy rollout of T steps
+    # decides each step's new belief, and not the belief after the last
+    model = LinearGaussianSource(0.9, 1.0)
+    policy = GreedyPolicy(enumerate_interval_candidates(2, -4.0, 4.0, 21))
+    caplog.set_level(logging.INFO, logger="zdq.infinite")
+    rollout(policy, model, QUAD, 40, 1, 0, initial_belief=model.invariant_distribution())
+    counters = rollout_counters(caplog)
+    assert counters["decisions"] == counters["filter_calls"] == 40
 
 
 def test_pruned_symbol_raises(two_state_chain):
