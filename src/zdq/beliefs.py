@@ -363,11 +363,10 @@ class GridBelief:
         np.multiply(y, columns[0], out=columns[1])
         columns[2] *= columns[1]  # y (y v), in place of y
         local = weights.local[:, lo:hi]
-        if 3 * (hi - lo) * len(local) <= _SMALL_PRODUCT:
-            g = columns @ local.T
-        else:
-            width = _product_columns(3, hi - lo, len(local))
-            g = np.hstack([columns @ local[j : j + width].T for j in range(0, len(local), width)])
+        width = _product_columns(3, hi - lo, len(local))
+        g = np.empty((3, len(local)))
+        for j in range(0, len(local), width):
+            np.matmul(columns, local[j : j + width].T, out=g[:, j : j + width])
         p = len(weights.points)
         cumulative = g[:, :p].ravel()  # a copy: C_0 and the first terms of C_1, C_2
         cumulative[p : 2 * p] += g[0, p : 2 * p]
@@ -389,16 +388,8 @@ class GridBelief:
         """
         lo, hi = quantizer.cell_interval(symbol)
         start, w = _cell_weights(self.grid, lo, hi)
-        # first = max(start, lo), stop = max(first, min(start + len(w), hi))
-        # for the support (lo, hi), without the builtin calls: one runs per
-        # filter step
-        first, stop = self.support
-        if first < start:
-            first = start
-        if stop > start + w.size:
-            stop = start + w.size
-        if stop < first:
-            stop = first
+        first = max(start, self.support[0])
+        stop = max(first, min(start + len(w), self.support[1]))
         return first, w[first - start : stop - start] * self.values[first:stop]
 
     def inverse_cdf(self, v) -> np.ndarray:
@@ -554,9 +545,12 @@ class SMembershipReport:
 
 _CUT_SETS = 64  # candidate sets whose CutWeights are kept
 _CELL_WEIGHTS = 256  # cells whose mass weights are kept
-# OpenBLAS multiplies an (m, k) by a (k, n) matrix in its small-matrix
-# kernel, on one thread, while m k n <= 10^6; a larger product takes the
-# blocked GEMM, threaded, whose bytes depend on the thread count
+# OpenBLAS 0.3.31 on a 2-core Xeon multiplied an (m, k) by a (k, n)
+# matrix in its small-matrix kernel, on one thread, while m k n <= 10^6,
+# and a larger product in its blocked GEMM, threaded, whose bytes depend
+# on the thread count. A BLAS build without that kernel may thread
+# smaller products; the CI step "Artifacts do not depend on the BLAS
+# thread count" is what checks a runner's build
 _SMALL_PRODUCT = 10**6
 
 
@@ -661,7 +655,7 @@ def filter_update(belief, model, quantizer, symbol: int):
     """
     _check_pair(belief, model)
     start, part = belief.restrict(quantizer, symbol)
-    mass = float(np.add.reduce(part))  # part.sum(), one call shorter
+    mass = float(part.sum())
     if mass <= EPS_MASS:
         raise ZeroMassSymbolError(
             f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"

@@ -113,11 +113,16 @@ def cell_decisions(belief, candidates, cost: CostModel):
     moments, center = belief.cell_moments(candidates)
     m0 = moments[0]
     if cost.kind == "quadratic":
+        # _stage_costs_from(moments), sharing dead and mass with recon
         dead, mass = _masked(m0)
-        recon = moments[1] / mass
+        m1 = moments[1]
+        var = moments[2] - m1 * m1 / mass
+        np.maximum(var, 0.0, out=var)
+        var[dead] = 0.0
+        recon = m1 / mass
         recon += center
         recon[dead] = np.nan
-        return _stage_costs_from(moments, dead, mass), m0, recon
+        return _sum_cells(var), m0, recon
     candidates = CandidateSet.of(candidates)
     stages = np.zeros(len(candidates))
     recon = np.full(m0.shape, np.nan)
@@ -141,13 +146,11 @@ def _masked(m0):
     return dead, mass
 
 
-def _stage_costs_from(moments, dead=None, mass=None) -> np.ndarray:
+def _stage_costs_from(moments) -> np.ndarray:
     """Quadratic stage cost of every quantizer from its cell moments
-    (m0, m1, m2), as cell_decisions computes it; dead and mass are
-    _masked(m0), taken here when not given."""
+    (m0, m1, m2), as cell_decisions computes it."""
     m0, m1, m2 = moments
-    if dead is None:
-        dead, mass = _masked(m0)
+    dead, mass = _masked(m0)
     var = m2 - m1 * m1 / mass
     np.maximum(var, 0.0, out=var)
     var[dead] = 0.0

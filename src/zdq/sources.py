@@ -47,11 +47,11 @@ stage-cost floor and the last-stage costs of a belief's children. W K
 multiplies row-major copies of a block's columns, over the block's rows
 only, at most 32 columns at a time and fewer where the product would
 pass m k n = 10^6 (beliefs._product_columns); last_stage_costs bounds
-its products the same way. OpenBLAS takes a product past that size out
-of its small-matrix kernel into the blocked GEMM, which is threaded, so
-its bytes depend on the thread count, and slow: on a 2-core Xeon one
-(69, 455) by (455, 32) product took 7.2 ms there against 67 us on one
-thread.
+its products the same way. OpenBLAS 0.3.31 on a 2-core Xeon took a
+product past that size out of its small-matrix kernel into the blocked
+GEMM, which is threaded, so its bytes depend on the thread count, and
+slow: one (69, 455) by (455, 32) product took 7.2 ms there against 67
+us on one thread.
 
 The Gaussian family also has uniform bounds on the transition density
 and its slope (density_bounds). _PathStreams holds one seed stream of
@@ -358,15 +358,12 @@ class _BandedKernel:
         its rows. No product has more than _KERNEL_COLUMNS columns, so none
         takes a threaded BLAS path."""
         out = np.zeros(self.n_points)
-        c0, stop = start, start + part.size
-        while c0 < stop:
-            # columns c0 .. c1 - 1 of the run are columns c0 - i .. of block b
-            b = c0 // _KERNEL_COLUMNS
-            i = b * _KERNEL_COLUMNS
-            c1 = i + _KERNEL_COLUMNS if i + _KERNEL_COLUMNS < stop else stop
-            r0, block = self.blocks[b]
-            out[r0 : r0 + len(block)] += block[:, c0 - i : c1 - i] @ part[c0 - start : c1 - start]
-            c0 = c1
+        stop = start + len(part)
+        for i in range(start - start % _KERNEL_COLUMNS, stop, _KERNEL_COLUMNS):
+            r0, block = self.blocks[i // _KERNEL_COLUMNS]
+            c0 = max(start, i)  # each slice's end clips at its block's or the run's
+            product = block[:, c0 - i : stop - i] @ part[c0 - start : i + _KERNEL_COLUMNS - start]
+            out[r0 : r0 + len(block)] += product
         return out
 
 
@@ -389,10 +386,11 @@ def _kernel_cut_moments(model, grid: Grid, candidates) -> np.ndarray:
     of kernel columns, each a row-major copy of the columns times the
     weights over its kernel block's rows only (matrix[:, r0:r1]). A block
     holds at most _PRODUCT_COLUMNS columns, and fewer where 3 P x rows x
-    columns would pass the 10^6 of beliefs._product_columns: a larger
-    product leaves OpenBLAS's small-matrix kernel for its threaded
-    blocked GEMM, whose bytes depend on the thread count. On a 2-core
-    Xeon that took W K of a=0.9, L=2, K=21 from 96-108 ms to 2-8.5 ms;
+    columns would pass the 10^6 of beliefs._product_columns: with
+    OpenBLAS 0.3.31 on a 2-core Xeon, a larger product left the
+    small-matrix kernel for the threaded blocked GEMM, whose bytes depend
+    on the thread count. There the bound took W K of a=0.9, L=2, K=21
+    from 96-108 ms to 2-8.5 ms;
     the threaded 39 x 801 x 801 product of design-ar1 took 30 ms, its 26
     blocks 2 ms.
     """

@@ -243,15 +243,16 @@ class _Recorded(np.ndarray):
 @pytest.mark.parametrize(
     "a, levels, lo, hi, steps, n_points",
     [(0.9, 2, -2.0, 2.0, 41, 801), (0.5, 3, -2.0, 2.0, 21, 801), (0.9, 3, -4.0, 4.0, 21, 801),
-     (0.9, 2, -2.0, 2.0, 21, 1601)],
-    ids=["K41", "L3-K210", "L3-wide", "a0.9-1601-nodes"],
+     (0.9, 2, -2.0, 2.0, 21, 1601), (0.5, 2, -2.0, 2.0, 137, 801)],
+    ids=["K41", "L3-K210", "L3-wide", "a0.9-1601-nodes", "K137"],
 )
 def test_products_stay_in_the_small_matrix_kernel(monkeypatch, a, levels, lo, hi, steps, n_points):
-    # OpenBLAS multiplies (m, k) by (k, n) on one thread while m k n <=
-    # 10^6, and past that in its threaded GEMM, whose bytes depend on the
-    # thread count: every product of a grid belief's cell moments, of W K
+    # OpenBLAS 0.3.31 on a 2-core Xeon multiplied (m, k) by (k, n) on one
+    # thread while m k n <= 10^6, and past that in its threaded GEMM, whose
+    # bytes depend on the thread count: every product of a grid belief's cell moments, of W K
     # and of the last-stage costs stays within the bound, on the largest
-    # candidate sets of the tier-1 tests and the finest grid
+    # candidate sets of the tier-1 tests and the finest grid, and on 139
+    # cut points, where cell_moments splits its product
     source = LinearGaussianSource(a, 1.0)
     grid = default_grid(source, n_points=n_points)
     cands = enumerate_interval_candidates(levels, lo, hi, steps)
