@@ -69,11 +69,9 @@ __all__ = [
     "Grid",
     "GridBelief",
     "SimplexBelief",
-    "SMembershipReport",
     "ZeroMassSymbolError",
     "default_grid",
     "filter_update",
-    "check_S_membership",
 ]
 
 DEFAULT_GRID_POINTS = 801
@@ -277,13 +275,6 @@ class GridBelief:
             raise ValueError(f"std must be > 0, got {std}")
         u = (grid.nodes - mean) / std
         values = np.exp(-0.5 * u * u) / (std * math.sqrt(2.0 * math.pi))
-        return cls.from_unnormalized(grid, values)
-
-    @classmethod
-    def uniform(cls, grid: Grid, lo: float, hi: float) -> "GridBelief":
-        if not (grid.lo <= lo < hi <= grid.hi):
-            raise ValueError("uniform support must lie inside the grid")
-        values = np.where((grid.nodes >= lo) & (grid.nodes <= hi), 1.0, 0.0)
         return cls.from_unnormalized(grid, values)
 
     @classmethod
@@ -532,17 +523,6 @@ class SimplexBelief:
         return (cdf <= np.asarray(v)[:, None]).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class SMembershipReport:
-    """Measured density bounds against the admissible class."""
-
-    max_density: float
-    max_slope: float
-    sup_bound: float
-    slope_bound: float
-    passed: bool
-
-
 _CUT_SETS = 64  # candidate sets whose CutWeights are kept
 _CELL_WEIGHTS = 256  # cells whose mass weights are kept
 # OpenBLAS 0.3.31 on a 2-core Xeon multiplied an (m, k) by a (k, n)
@@ -661,26 +641,3 @@ def filter_update(belief, model, quantizer, symbol: int):
             f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"
         )
     return model.push(belief, start, part, mass)
-
-
-def check_S_membership(belief: GridBelief, bounds, tol: float = 0.0) -> SMembershipReport:
-    """Check the belief against uniform sup/slope bounds.
-
-    The slope is measured by first differences on the grid, so a
-    discretization allowance of order spacing * slope_bound is expected
-    on top of the continuum bounds.
-    """
-    if not isinstance(belief, GridBelief):
-        raise TypeError("S-membership is defined for density beliefs")
-    max_density = float(belief.values.max())
-    max_slope = float(np.abs(np.diff(belief.values)).max() / belief.grid.spacing)
-    passed = (max_density <= bounds.sup_density + tol) and (
-        max_slope <= bounds.slope_bound + tol
-    )
-    return SMembershipReport(
-        max_density=max_density,
-        max_slope=max_slope,
-        sup_bound=bounds.sup_density,
-        slope_bound=bounds.slope_bound,
-        passed=passed,
-    )

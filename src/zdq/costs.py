@@ -74,12 +74,6 @@ class CostModel:
             return d * d
         return self.table[np.asarray(x, dtype=int), np.asarray(u, dtype=int)]
 
-    @property
-    def bound(self) -> float:
-        if self.kind != "bounded_tabular":
-            raise ValueError("only bounded_tabular costs have a finite bound")
-        return float(self.table.max())
-
 
 def _tabular_cells(belief, quantizer, cost: CostModel) -> list:
     """Restricted expected cost of every reconstruction, cell by cell.

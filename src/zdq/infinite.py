@@ -377,8 +377,8 @@ class RandomizedStationaryPolicy(_Policy):
 
     def plan(self, state, t: int, ids, table, r) -> Plan:
         bins = np.zeros(len(table.beliefs), dtype=np.intp)
-        for b in np.flatnonzero(np.bincount(ids)).tolist():
-            bins[b] = self.binning.bin_of(table.beliefs[b])
+        distinct = np.flatnonzero(np.bincount(ids))
+        bins[distinct] = _belief_bins(self.binning, [table.beliefs[b] for b in distinct.tolist()])
         # the count of row entries <= r is searchsorted(side="right")
         picks = (self._cum[bins[ids]] <= r[:, None]).sum(axis=1)
         return Plan(np.minimum(picks, len(self.quantizers) - 1))
@@ -876,20 +876,16 @@ class SimplexBinning:
     def n_total(self) -> int:
         return self.n_bins
 
-    def bin_of(self, belief: SimplexBelief) -> int:
-        if belief.n_states != 2:
-            raise ValueError("simplex binning supports 2-state chains")
-        p0 = float(belief.probabilities[0])
-        return min(int(p0 * self.n_bins), self.n_bins - 1)
-
-    def log_bins(self, log: "TrajectoryLog") -> np.ndarray:
-        """bin_of of every logged belief, as one integer array."""
-        if log.probabilities is None:
+    def bins(self, mean, std, probabilities) -> np.ndarray:
+        """The bin of every belief given by its trajectory-log columns,
+        as one integer array: its first probability times n_bins,
+        truncated, with 1 in the last bin (mean and std are unused)."""
+        if probabilities is None:
             raise ValueError("simplex binning needs a log of simplex beliefs")
-        if log.probabilities.shape[1] != 2:
+        if probabilities.shape[1] != 2:
             raise ValueError("simplex binning supports 2-state chains")
-        # p0 >= 0, so the cast truncates like int()
-        bins = (log.probabilities[:, 0] * self.n_bins).astype(np.int64)
+        # p0 >= 0, so the cast truncates it down
+        bins = (probabilities[:, 0] * self.n_bins).astype(np.int64)
         return np.minimum(bins, self.n_bins - 1)
 
     def representative(self, b: int, histogram: "OccupationHistogram", model) -> SimplexBelief:
@@ -931,21 +927,14 @@ class GridFeatureBinning:
     def n_total(self) -> int:
         return self.n_mean * self.n_std
 
-    def _coords(self, mean: float, std: float):
-        i = int((mean - self.mean_lo) / (self.mean_hi - self.mean_lo) * self.n_mean)
-        j = int(std / self.std_hi * self.n_std)
-        return min(max(i, 0), self.n_mean - 1), min(max(j, 0), self.n_std - 1)
-
-    def bin_of(self, belief) -> int:
-        i, j = self._coords(belief.mean, belief.std)
-        return i * self.n_std + j
-
-    def log_bins(self, log: "TrajectoryLog") -> np.ndarray:
-        """The bin of every logged (mean, std) pair, as _coords gives it."""
-        mean, std = log.belief_mean, log.belief_std
+    def bins(self, mean, std, probabilities) -> np.ndarray:
+        """The bin of every belief given by its trajectory-log columns,
+        as one integer array: its mean's and its std's cells, each
+        clipped to the binned range (probabilities is unused)."""
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
             raise ValueError("logged belief features must be finite")
-        # int() then a clip to [0, n - 1] equals that clip then a cast
+        # a clip to [0, n - 1] then a cast equals a cast, which truncates
+        # toward 0, then that clip
         span = self.mean_hi - self.mean_lo
         i = np.clip((mean - self.mean_lo) / span * self.n_mean, 0, self.n_mean - 1)
         j = np.clip(std / self.std_hi * self.n_std, 0, self.n_std - 1)
@@ -1016,7 +1005,7 @@ def occupation_measure(log: TrajectoryLog, binning) -> OccupationHistogram:
         np.all(probs >= 0.0) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
     ):
         raise ValueError("logged beliefs must be probability vectors")
-    bins = binning.log_bins(log)
+    bins = binning.bins(log.belief_mean, log.belief_std, probs)
     counts = np.zeros((binning.n_total, int(log.quantizer_id.max()) + 1), dtype=np.int64)
     np.add.at(counts, (bins, log.quantizer_id), 1)
     belief_sums = None
@@ -1053,6 +1042,7 @@ def invariance_residual(histogram: OccupationHistogram, model, candidates) -> fl
     steps = histogram.steps
     marginal = counts.sum(axis=1) / steps
     pushed = np.zeros(binning.n_total)
+    successors, weights = [], []
     for b in np.flatnonzero(counts.sum(axis=1)):
         rep = binning.representative(b, histogram, model)
         used = np.flatnonzero(counts[b])
@@ -1063,6 +1053,15 @@ def invariance_residual(histogram: OccupationHistogram, model, candidates) -> fl
             for m, mass in enumerate(row[: quantizer.levels], start=1):
                 if mass <= EPS_MASS:
                     continue
-                nxt = filter_update(rep, model, quantizer, m)
-                pushed[binning.bin_of(nxt)] += weight * mass
+                successors.append(filter_update(rep, model, quantizer, m))
+                weights.append(weight * mass)
+    # adds each weight in turn, in the order the loop found it
+    np.add.at(pushed, _belief_bins(binning, successors), weights)
     return float(np.abs(marginal - pushed).sum())
+
+
+def _belief_bins(binning, beliefs) -> np.ndarray:
+    """The bin of every belief, from its trajectory-log columns
+    (log_row: mean, std, then a simplex belief's probabilities)."""
+    rows = np.array([belief.log_row() for belief in beliefs])
+    return binning.bins(rows[:, 0], rows[:, 1], rows[:, 2:])

@@ -49,11 +49,6 @@ class IntervalQuantizer:
         # an attribute, not a field: read on every filter step
         object.__setattr__(self, "levels", len(t) + 1)
 
-    def classify(self, x) -> int:
-        """Cell index of the point x; x exactly on a threshold goes to the
-        lower cell. A CandidateSet's classify takes arrays."""
-        return int(np.searchsorted(self.thresholds, x, side="left")) + 1
-
     @staticmethod
     def _stacked(candidates):
         # the thresholds below x, as searchsorted(side="left") counts; +inf pads
@@ -104,9 +99,6 @@ class FinitePartition:
     @property
     def n_states(self) -> int:
         return len(self.assignment)
-
-    def classify(self, state) -> int:
-        return self.assignment[int(state)]
 
     @staticmethod
     def _stacked(candidates):
@@ -169,7 +161,9 @@ class CandidateSet(tuple):
     @functools.cached_property
     def classify(self):
         """classify(ids, x): the cell of every x[i] under self[ids[i]], in
-        one array operation, as each candidate's own classify gives it."""
+        one array operation: the count of thresholds below x plus 1 for a
+        threshold quantizer, so a point on a threshold goes to the lower
+        cell, and the state's assignment for a partition."""
         return type(self[0])._stacked(self)
 
 

@@ -7,9 +7,8 @@ row-stochastic transition matrix, whose beliefs are SimplexBeliefs.
 Each class names its belief class (belief_type) and owns every operation
 that depends on the family, with the same names on both:
 
-- draws: sample_next (one step), step_variates (a path's variates, or
-  every rollout path's, in bulk) and state_paths (every path's states
-  from those variates);
+- draws: step_variates (a path's variates, or every rollout path's, in
+  bulk) and state_paths (every path's states from those variates);
 - beliefs: invariant_distribution and initial_belief, on a grid given
   as an argument for the Gaussian family (default: its default grid);
 - the filter's family half, push: the renormalized one-step prediction
@@ -53,13 +52,12 @@ GEMM, which is threaded, so its bytes depend on the thread count, and
 slow: one (69, 455) by (455, 32) product took 7.2 ms there against 67
 us on one thread.
 
-The Gaussian family also has uniform bounds on the transition density
-and its slope (density_bounds). _PathStreams holds one seed stream of
-every rollout path, numpy's SeedSequence children: their PCG64 states
-are uint64 arrays over paths, seeded and drawn from with array
-arithmetic, bit for bit numpy's. A chain's uniforms come from those
-arrays in one pass over all paths; the Gaussian family's normals go
-path by path through one reused Generator.
+_PathStreams holds one seed stream of every rollout path, numpy's
+SeedSequence children: their PCG64 states are uint64 arrays over paths,
+seeded and drawn from with array arithmetic, bit for bit numpy's. A
+chain's uniforms come from those arrays in one pass over all paths; the
+Gaussian family's normals go path by path through one reused
+Generator, built when a stream first draws normals.
 """
 from __future__ import annotations
 
@@ -86,13 +84,7 @@ from .beliefs import (
 from .costs import _stage_costs_from, cell_decisions
 from .quantizers import CandidateSet
 
-__all__ = [
-    "LinearGaussianSource",
-    "FiniteChain",
-    "DensityBounds",
-    "transition_density",
-    "density_bounds",
-]
+__all__ = ["LinearGaussianSource", "FiniteChain"]
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +110,8 @@ class LinearGaussianSource:
     """Scalar AR(1) source with Gaussian innovations.
 
     The initial state is N(init_mean, init_std^2); init_std = 0 encodes a
-    point mass at init_mean. noise_std = 0 is tolerated by the sampler
-    only (deterministic-dynamics tests); every density-based operation
+    point mass at init_mean. noise_std = 0 is a valid source whose paths
+    are deterministic (state_paths), but every density-based operation
     rejects it because the one-step law is then degenerate.
     """
 
@@ -146,7 +138,7 @@ class LinearGaussianSource:
         if self.noise_std == 0.0:
             raise ValueError(
                 "noise_std = 0 has no transition density; "
-                "only sample_next supports the degenerate source"
+                "only state_paths supports the degenerate source"
             )
 
     @property
@@ -157,18 +149,15 @@ class LinearGaussianSource:
             )
         return self.noise_std / math.sqrt(1.0 - self.a * self.a)
 
-    def sample_next(self, x, rng: np.random.Generator):
-        """Draw x_{t+1} given x_t = x, consuming one standard normal of rng."""
-        return self.a * x + self.noise_std * rng.standard_normal()
-
     def step_variates(self, rng, out: np.ndarray) -> np.ndarray:
-        """Fill out with the standard normals of sample_next calls: rng is
-        a Generator and out one path's variates, or a rollout's
+        """Fill out with standard normals, one per step: rng is a
+        Generator and out one path's variates, or a rollout's
         _PathStreams and out (n_paths, steps)."""
         return rng.standard_normal(out=out)
 
     def state_paths(self, x0, v) -> np.ndarray:
-        """States x_1 .. x_steps of every path, as sample_next gives them.
+        """States x_1 .. x_steps of every path: x_{t+1} = a x_t +
+        noise_std v_t.
 
         x0 holds every path's state and v its (n_paths, steps) variates
         from step_variates; the recursion runs step by step on all paths.
@@ -489,24 +478,20 @@ class FiniteChain:
         """Entries state_paths holds per path and step: one per state."""
         return self.n_states
 
-    def sample_next(self, x, rng: np.random.Generator) -> int:
-        """Next state index given state index x, consuming one uniform of
-        rng: the algorithm of Generator.choice(n_states, p=row) on the
-        cached row_cdf, so both consume and return the same."""
-        return int(self.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
-
     def step_variates(self, rng, out: np.ndarray) -> np.ndarray:
-        """Fill out with the uniforms of sample_next calls: rng is a
-        Generator and out one path's variates, or a rollout's _PathStreams
-        and out (n_paths, steps)."""
+        """Fill out with uniforms, one per step: rng is a Generator and
+        out one path's variates, or a rollout's _PathStreams and out
+        (n_paths, steps)."""
         return rng.random(out=out)
 
     def state_paths(self, x0, v) -> np.ndarray:
-        """States x_1 .. x_steps of every path, as sample_next gives them.
+        """States x_1 .. x_steps of every path: the next state of state i
+        at variate v is the count of row_cdf[i] entries <= v, the draw of
+        Generator.choice(n_states, p=transition[i]) at its one uniform.
 
         x0 holds every path's state and v its (n_paths, steps) variates
         from step_variates. Every (path, step, state) is first mapped to
-        its next state, the same row_cdf search as sample_next; the maps
+        its next state by that row_cdf search; the maps
         are then composed along each path by a prefix scan, in
         log2(steps) array operations. Each composition is one take on
         the flat maps: the entry of path p, step j and state i is at
@@ -574,46 +559,6 @@ class FiniteChain:
         floor bound already leaves one candidate at every node one stage
         before the last."""
         return None
-
-
-@dataclass(frozen=True)
-class DensityBounds:
-    """Uniform bounds on a transition density family.
-
-    sup_density bounds the density values, slope_bound its Lipschitz
-    constant in the arrival coordinate; both hold uniformly over the
-    conditioning state.
-    """
-
-    sup_density: float
-    slope_bound: float
-
-
-def transition_density(model: LinearGaussianSource, z: float, x: float) -> float:
-    """One-step transition density value P(x_{t+1} = z | x_t = x)."""
-    model.require_noise()
-    s = model.noise_std
-    u = (z - model.a * x) / s
-    return math.exp(-0.5 * u * u) / (s * _SQRT_2PI)
-
-
-def density_bounds(model: LinearGaussianSource) -> DensityBounds:
-    """Uniform sup and slope bounds for the transition density family.
-
-    By shift invariance the conditioning state drops out, so both are
-    bounds of the N(0, s^2) density f(z) = exp(-z^2 / (2 s^2)) / (s
-    sqrt(2 pi)), s = noise_std. The sup is f(0) = 1 / (s sqrt(2 pi)).
-    The slope is f'(z) = -(z / s^2) f(z), and
-      d/dz |f'(z)| = (1 - z^2 / s^2) f(z) / s^2   (z > 0)
-    vanishes only at z = s, one std from the mean, so the largest |f'|
-    is |f'(s)| = exp(-1/2) / (s^2 sqrt(2 pi)) = 1 / (s^2 sqrt(2 pi e)).
-    """
-    model.require_noise()
-    s = model.noise_std
-    return DensityBounds(
-        sup_density=1.0 / (s * _SQRT_2PI),
-        slope_bound=1.0 / (s * s * math.sqrt(2.0 * math.pi * math.e)),
-    )
 
 
 # SeedSequence's hash constants and PCG64's multiplier, as numpy defines
@@ -686,7 +631,9 @@ class _PathStreams:
     Generator.random's (out >> 11) * 2**-53, bit for bit numpy's.
     standard_normal goes path by path through one reused Generator, whose
     state is set from the arrays and read back, because numpy's normals
-    come from ziggurat tables it does not expose.
+    come from ziggurat tables it does not expose. The Generator is built
+    on the first standard_normal call, so a chain's streams, which draw
+    uniforms only, never import numpy.random.
     """
 
     def __init__(self, seed: int, n_paths: int, j: int):
@@ -724,7 +671,7 @@ class _PathStreams:
         inc = ((q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1)
         self.inc = np.array(inc)
         self.state = np.array(_add(*_mul(*_add(*inc, s_hi, s_lo), _PCG_MULT), *inc))
-        self._generator = np.random.default_rng(0)
+        self._generator = None
 
     def random(self, out: np.ndarray) -> np.ndarray:
         """Fill out, of shape (n_paths, n), with every path's next n
@@ -766,6 +713,8 @@ class _PathStreams:
     def standard_normal(self, out: np.ndarray) -> np.ndarray:
         """Fill out, of shape (n_paths, n), with every path's next n
         Generator.standard_normal() variates, one path at a time."""
+        if self._generator is None:
+            self._generator = np.random.default_rng(0)
         g = self._generator
         incs = [i_hi << 64 | i_lo for i_hi, i_lo in self.inc.T.tolist()]
         for p, (s_hi, s_lo) in enumerate(self.state.T.tolist()):

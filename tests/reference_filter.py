@@ -1,6 +1,8 @@
-"""Reference belief operations that no task runs: the unconditioned
-one-step prediction, the total variation distance, the one-variate
-inverse CDF of a grid belief and a one-draw sampler.
+"""Reference belief and step operations that no task runs: the
+unconditioned one-step prediction, the total variation distance, the
+one-variate inverse CDF of a grid belief, a one-draw sampler, one step
+of a source (sample_next) and one quantizer's cell of one point
+(classify).
 
 The filter tests check filter_update against them, for example the law
 of total probability: the branch posteriors weighted by their cell
@@ -9,7 +11,9 @@ invert_one on every variate, bit for bit, and inverse_cdf of a
 Generator's next variate must be what sample_one draws from it. The segment solve squares as
 the product x * x, the package's one rounding rule for squares; libm
 pow rounds some squares differently, and on another C library would
-move those draws.
+move those draws. A source's state_paths must give the states of
+sample_next calls on the same variates, and CandidateSet.classify the
+cells classify gives, point by point.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ import math
 import numpy as np
 
 from zdq.beliefs import GridBelief, SimplexBelief
-from zdq.sources import _transition_kernel
+from zdq.quantizers import FinitePartition
+from zdq.sources import FiniteChain, _transition_kernel
 
 
 def predict(belief, model):
@@ -60,6 +65,25 @@ def sample_one(belief, rng: np.random.Generator):
         return int(rng.choice(belief.n_states, p=belief.probabilities))
     cum = _cumulative_mass(belief)
     return _solve_segment(belief, cum, rng.uniform(0.0, cum[-1]))
+
+
+def sample_next(model, x, rng: np.random.Generator):
+    """One step of model from state x. A chain draws the next state
+    index given state index x, consuming one uniform of rng: the
+    algorithm of Generator.choice(n_states, p=row) on the cached
+    row_cdf, so both consume and return the same. A Gaussian source
+    draws x_{t+1} given x_t = x, consuming one standard normal of rng."""
+    if isinstance(model, FiniteChain):
+        return int(model.row_cdf[int(x)].searchsorted(rng.random(), side="right"))
+    return model.a * x + model.noise_std * rng.standard_normal()
+
+
+def classify(quantizer, x) -> int:
+    """Cell index of the point x; x exactly on a threshold goes to the
+    lower cell. A partition's cell of state x is its assignment."""
+    if isinstance(quantizer, FinitePartition):
+        return quantizer.assignment[int(x)]
+    return int(np.searchsorted(quantizer.thresholds, x, side="left")) + 1
 
 
 def _cumulative_mass(belief: GridBelief) -> np.ndarray:

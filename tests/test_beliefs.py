@@ -12,6 +12,7 @@ from scipy.integrate import trapezoid
 import reference_moments
 import zdq.beliefs
 from conftest import MOMENT_ERROR
+from reference_density import check_S_membership, density_bounds, uniform_belief
 from reference_filter import invert_one, predict, sample_one, tv_distance
 from zdq.beliefs import (
     Grid,
@@ -21,7 +22,6 @@ from zdq.beliefs import (
     _cell_weights,
     _cut_weights,
     _raw_moment_weights,
-    check_S_membership,
     default_grid,
     filter_update,
     node_moment_weights,
@@ -39,7 +39,6 @@ from zdq.sources import (
     FiniteChain,
     LinearGaussianSource,
     _transition_kernel,
-    density_bounds,
 )
 
 
@@ -291,7 +290,7 @@ def test_simplex_belief_sampling():
         SimplexBelief(np.array([0.3, 0.0, 0.2, 0.5])),
         SimplexBelief(np.array([0.0, 1.0])),
         GridBelief.normal(Grid(-4.0, 4.0, 41), 0.7, 1.1),
-        GridBelief.uniform(Grid(-1.0, 1.0, 21), -0.5, 0.25),
+        uniform_belief(Grid(-1.0, 1.0, 21), -0.5, 0.25),
     ],
     ids=["simplex", "simplex-point", "grid-normal", "grid-uniform"],
 )
@@ -433,7 +432,7 @@ def test_pushed_beliefs_are_trimmed_to_their_support(a, noise, grid, seed):
     inner = rng.integers(0, grid.n_points)
     values[inner : inner + rng.integers(0, 5)] = 0.0  # zeros inside the extent
     built = [belief, GridBelief.point_mass(grid, rng.uniform(grid.lo, grid.hi))]
-    built.append(GridBelief.uniform(grid, grid.lo + 0.3 * span, grid.hi - 0.3 * span))
+    built.append(uniform_belief(grid, grid.lo + 0.3 * span, grid.hi - 0.3 * span))
     if values.any():
         built.append(GridBelief.from_unnormalized(grid, values))
         built.append(GridBelief(grid, built[-1].values))
@@ -607,7 +606,7 @@ def test_tv_distance_grid():
 
 def test_check_s_membership_uniform_passes():
     g = Grid(-5.0, 5.0, 101)
-    b = GridBelief.uniform(g, -5.0, 5.0)
+    b = uniform_belief(g, -5.0, 5.0)
 
     class Bounds:
         sup_density = 0.4

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import zdq.infinite
+import zdq.sources
 from zdq.cli import main
 from zdq.config import ConfigError, validate_config
 
@@ -726,6 +727,56 @@ def test_cli_runs_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, zdq.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _run_artifacts(out) -> tuple:
+    """trajectory.csv bytes and results.json outside the fields that
+    name the run's directory or time it."""
+    results = json.loads((out / "results.json").read_text())
+    for field in ("timing", "config_sha256"):
+        del results[field]
+    del results["config"]["output_dir"]
+    return (out / "trajectory.csv").read_bytes(), results
+
+
+@pytest.mark.parametrize("source", ["chain", "gaussian"])
+def test_only_normal_draws_import_numpy_random(tmp_path, monkeypatch, source):
+    # a chain rollout draws uniforms only, so a fresh interpreter that runs
+    # one never imports numpy.random; a Gaussian rollout does, to draw its
+    # normals, and writes what it writes when every path stream builds its
+    # normal generator up front
+    doc = {
+        "task": "rollout",
+        "seed": 5,
+        "source": CHAIN3 if source == "chain" else AR1,
+        "quantizers": (
+            {"type": "partitions", "levels": 2}
+            if source == "chain"
+            else {"type": "intervals", "levels": 2, "lo": -1, "hi": 1, "steps": 5}
+        ),
+        "horizon": 20,
+        "n_paths": 30,
+        "policy": {"type": "greedy"},
+        "output_dir": str(tmp_path / "fresh"),
+    }
+    cfg = write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(zdq.infinite.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, zdq.cli; code = zdq.cli.main(['rollout', '--config', sys.argv[1]]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code, cfg], env=env, capture_output=True, text=True)
+    assert run.stdout.split() == ["0", str(source == "gaussian")], run.stderr
+    built = zdq.sources._PathStreams.__init__
+
+    def eager(self, *args):
+        built(self, *args)
+        self._generator = np.random.default_rng(0)
+
+    monkeypatch.setattr(zdq.sources._PathStreams, "__init__", eager)
+    assert main(["rollout", "--config", cfg, "--out", str(tmp_path / "eager")]) == 0
+    assert _run_artifacts(tmp_path / "fresh") == _run_artifacts(tmp_path / "eager")
 
 
 def test_bad_log_level_exits_2(tmp_path, capsys):

@@ -39,13 +39,6 @@ def test_cost_model_validation():
         CostModel("quadratic", np.eye(2))
 
 
-def test_cost_bound():
-    tab = CostModel.bounded_tabular([[0.0, 3.0], [1.0, 0.5]])
-    assert tab.bound == 3.0
-    with pytest.raises(ValueError):
-        _ = CostModel.quadratic().bound
-
-
 def test_pointwise():
     quad = CostModel.quadratic()
     assert quad.pointwise(2.0, 0.5) == 2.25
@@ -251,7 +244,7 @@ def test_stage_cost_tabular():
     assert abs(cell_decisions(b, [blind], tab)[0][0] - 0.3) < 1e-15
     sep = FinitePartition((1, 2), 2)
     assert cell_decisions(b, [sep], tab)[0][0] == 0.0
-    assert cell_decisions(b, [blind], tab)[0][0] <= tab.bound
+    assert cell_decisions(b, [blind], tab)[0][0] <= tab.table.max()
 
 
 def test_stage_cost_tabular_needs_simplex():

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from reference_filter import sample_one
+from reference_filter import classify, sample_next, sample_one
 import zdq.beliefs
 import zdq.costs
 import zdq.infinite
@@ -283,17 +283,18 @@ def test_randomized_plan_bins_each_distinct_belief_once(monkeypatch, n_paths):
     r = np.random.default_rng(32).random(n_paths)
     calls = []
 
-    def counted(self, belief, bin_of=SimplexBinning.bin_of):
-        calls.append(belief)
-        return bin_of(self, belief)
+    def counted(self, mean, std, probabilities, bins=SimplexBinning.bins):
+        calls.append(probabilities.tolist())
+        return bins(self, mean, std, probabilities)
 
-    monkeypatch.setattr(SimplexBinning, "bin_of", counted)
+    monkeypatch.setattr(SimplexBinning, "bins", counted)
     picks = policy.plan(None, 0, ids, _table(policy, QUAD, beliefs), r).quantizer_ids
-    assert _identities(calls, beliefs) == sorted(set(ids.tolist()))
+    # one call, with one row per distinct belief, in id order
+    assert calls == [[beliefs[b].probabilities.tolist() for b in sorted(set(ids.tolist()))]]
     # each path's own draw: the count of its cumulative row entries <= r
     rows = np.cumsum(table, axis=1)
     own = [
-        min(int(np.searchsorted(rows[binning.bin_of(beliefs[b])], v, side="right")), 1)
+        min(int(np.searchsorted(rows[bin_of(binning, beliefs[b])], v, side="right")), 1)
         for b, v in zip(ids.tolist(), r.tolist())
     ]
     assert picks.tolist() == own
@@ -328,7 +329,7 @@ def test_vi_converges(two_state_chain):
     assert res.values.shape == (101,)
     assert np.all(res.values >= 0.0)
     # discounted total of a bounded stage cost is bounded by c_max/(1-b)
-    assert res.values.max() <= TAB.bound / (1.0 - 0.9) + 1e-9
+    assert res.values.max() <= TAB.table.max() / (1.0 - 0.9) + 1e-9
 
 
 def test_vi_beta_zero_is_stage_minimum(two_state_chain):
@@ -364,13 +365,20 @@ def test_vi_input_validation(two_state_chain, three_state_chain):
 # occupation measures
 
 
+def bin_of(binning, belief) -> int:
+    """The bin of one belief, from its log_row()."""
+    return int(zdq.infinite._belief_bins(binning, [belief])[0])
+
+
 def test_simplex_binning_edges():
     binning = SimplexBinning(50)
-    assert binning.bin_of(SimplexBelief(np.array([0.0, 1.0]))) == 0
-    assert binning.bin_of(SimplexBelief(np.array([1.0, 0.0]))) == 49
-    assert binning.bin_of(SimplexBelief(np.array([0.5, 0.5]))) == 25
+    probabilities = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    assert binning.bins(None, None, probabilities).tolist() == [0, 49, 25]
+    assert bin_of(binning, SimplexBelief(np.array([1.0, 0.0]))) == 49
     with pytest.raises(ValueError):
-        binning.bin_of(SimplexBelief(np.full(3, 1 / 3)))
+        bin_of(binning, SimplexBelief(np.full(3, 1 / 3)))
+    with pytest.raises(ValueError):
+        binning.bins(np.zeros(3), np.ones(3), None)
 
 
 def test_grid_feature_binning_clips(ar_source):
@@ -378,9 +386,14 @@ def test_grid_feature_binning_clips(ar_source):
 
     binning = GridFeatureBinning(default_grid(ar_source))
     b = GridBelief.normal(default_grid(ar_source), 0.0, 1.0)
-    assert 0 <= binning.bin_of(b) < binning.n_total
-    mean, std = binning.bin_center(binning.bin_of(b))
+    assert 0 <= bin_of(binning, b) < binning.n_total
+    mean, std = binning.bin_center(bin_of(binning, b))
     assert abs(mean) < 1.0 and std > 0.0
+    # features past either end of the binned range go to the end bins
+    edges = binning.bins(np.array([-1e300, 1e300]), np.array([1e300, 0.0]), None)
+    assert edges.tolist() == [binning.n_std - 1, binning.n_total - binning.n_std]
+    with pytest.raises(ValueError):
+        binning.bins(np.array([np.nan]), np.array([1.0]), None)
 
 
 def test_occupation_histogram_counts(two_state_chain):
@@ -421,7 +434,7 @@ def subset_invariance_residual(hist, model, cands) -> float:
             for m, mass in enumerate(row[: cands[k].levels], start=1):
                 if mass > EPS_MASS:
                     nxt = filter_update(rep, model, cands[k], m)
-                    pushed[hist.binning.bin_of(nxt)] += hist.counts[b, k] / hist.steps * mass
+                    pushed[bin_of(hist.binning, nxt)] += hist.counts[b, k] / hist.steps * mass
     return float(np.abs(hist.counts.sum(axis=1) / hist.steps - pushed).sum())
 
 
@@ -495,7 +508,7 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
                 enc = dec = plan.reset_belief
             quantizer_id = int(plan.quantizer_ids[0])
             quantizer = policy.quantizers[quantizer_id]
-            symbol = quantizer.classify(x)
+            symbol = classify(quantizer, x)
             u = decided(policy, dec, cost)[1][quantizer_id, symbol - 1]
             value = model.state_values[x] if finite else x
             d = value - u
@@ -506,7 +519,7 @@ def reference_rollout(policy, model, cost, horizon, n_paths, seed, initial_belie
             if finite:
                 nxt = int(src_stream.choice(model.n_states, p=model.transition[x]))
             else:
-                nxt = model.sample_next(x, src_stream)
+                nxt = sample_next(model, x, src_stream)
             enc = filter_update(enc, model, quantizer, symbol)
             dec = filter_update(dec, model, quantizer, symbol)
             x = nxt
@@ -826,6 +839,16 @@ def test_encoder_decoder_stay_synchronized(three_state_chain, two_state_chain, a
 # occupation measure against the per-step loop
 
 
+def reference_bin(binning, mean: float, std: float, probabilities) -> int:
+    """The bin of one logged belief, by scalar arithmetic, as the
+    binnings computed it before they took arrays."""
+    if isinstance(binning, SimplexBinning):
+        return min(int(float(probabilities[0]) * binning.n_bins), binning.n_bins - 1)
+    i = int((mean - binning.mean_lo) / (binning.mean_hi - binning.mean_lo) * binning.n_mean)
+    j = int(std / binning.std_hi * binning.n_std)
+    return min(max(i, 0), binning.n_mean - 1) * binning.n_std + min(max(j, 0), binning.n_std - 1)
+
+
 def reference_occupation(log, binning):
     """The per-step loop occupation_measure ran before it was vectorized."""
     counts = np.zeros((binning.n_total, int(log.quantizer_id.max()) + 1), dtype=np.int64)
@@ -834,11 +857,10 @@ def reference_occupation(log, binning):
         belief_sums = np.zeros((binning.n_total, log.probabilities.shape[1]))
     for idx in range(len(log.t)):
         if log.probabilities is not None:
-            b = binning.bin_of(SimplexBelief(log.probabilities[idx]))
+            b = reference_bin(binning, None, None, log.probabilities[idx])
             belief_sums[b] += log.probabilities[idx]
         else:
-            b_i, b_j = binning._coords(log.belief_mean[idx], log.belief_std[idx])
-            b = b_i * binning.n_std + b_j
+            b = reference_bin(binning, log.belief_mean[idx], log.belief_std[idx], None)
         counts[b, int(log.quantizer_id[idx])] += 1
     return counts, belief_sums
 

@@ -22,6 +22,12 @@ A third walk fails on every square taken with ** in src/zdq outside
 oracles.py: a square is the product x * x, which IEEE 754 rounds
 correctly, where float ** calls the C library's pow, whose rounding
 differs between libraries.
+
+A fourth walk fails on every name of a module's __all__ that no package
+code reads outside the name's own definition: the package holds what
+its tasks run, and references that only tests call live in tests/.
+__init__.py is not such a module: its __all__ gathers the modules'
+lists and the version.
 """
 import ast
 import pathlib
@@ -44,7 +50,6 @@ ALLOWED = {
     ("config.py", None): "config parsing checks that a config's parts fit its source",
     ("oracles.py", None): "the oracles stay independent of the solver on purpose",
     ("costs.py", "_tabular_cells"): "tabular costs are defined on finite alphabets only",
-    ("beliefs.py", "check_S_membership"): "S-membership is defined for density beliefs",
     ("beliefs.py", "_check_pair"): "the one check that a belief fits its source",
 }
 
@@ -176,5 +181,57 @@ def test_squares_are_products_outside_the_oracles():
     found = _squares_by_pow()
     # the oracles square with ** on purpose: their independence is the point
     assert [w for w in found if not w.startswith("oracles.py:")] == []
-    # the walker does see squares: the oracles have several
+    # the walker does see squares: brute_force_finite's cell cost has one
     assert any(w.startswith("oracles.py:") for w in found)
+
+
+def _definition_spans(tree) -> dict:
+    """name -> (first line, last line) of each module-level def or class."""
+    return {
+        node.name: (node.lineno, node.end_lineno)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def _exported(tree) -> list:
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            and isinstance(node.value, ast.List)
+        ):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
+def _unread_exports():
+    """module:name of every __all__ name that no package code reads
+    (as a name or an attribute) outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    reads = []  # (module, line, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.lineno, node.attr))
+    out = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        spans = _definition_spans(tree)
+        for name in _exported(tree):
+            lo, hi = spans.get(name, (0, -1))
+            if not any(
+                read == name and not (where == module and lo <= line <= hi)
+                for where, line, read in reads
+            ):
+                out.append(f"{module}:{name}")
+    return out
+
+
+def test_every_public_name_is_read_by_the_package():
+    assert _unread_exports() == []
+    # the walker does see exports: every module but cli.py has some
+    assert sum(1 for path in SRC.glob("*.py") if _exported(ast.parse(path.read_text()))) >= 8

@@ -11,12 +11,15 @@ order k must lie within MOMENT_ERROR (std + spacing)^k of the same sums
 taken in np.longdouble, on filtered beliefs and on narrow, far-off,
 mixed and symmetric ones.
 """
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 import reference_moments
+from reference_filter import classify, sample_next
 import zdq.dp
 from conftest import MOMENT_ERROR, random_chain
 from zdq.beliefs import (
@@ -256,8 +259,8 @@ def test_greedy_choices_match_reference_loop_on_a5():
     for _ in range(100):
         quantizer = greedy_policy_step(belief, cands, QUAD)
         assert quantizer is cands[int(np.argmin(reference_stage_costs(belief, cands)))]
-        belief = filter_update(belief, src, quantizer, quantizer.classify(x))
-        x = src.sample_next(x, rng)
+        belief = filter_update(belief, src, quantizer, classify(quantizer, x))
+        x = sample_next(src, x, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +307,18 @@ def greedy_cases(draw):
         values = _normal_values(grid, offset, spread) + _normal_values(grid, -offset, spread)
     assume(grid.trapezoid_weights @ values > 1e-300)
     belief = GridBelief.from_unnormalized(grid, values)
-    # thresholds on a grid symmetric about 0, and each quantizer's mirror
-    # image, so symmetric beliefs meet exact mirror ties
+    # one or two thresholds on 41 points symmetric about 0, one integer
+    # per quantizer, and each quantizer's mirror image, so symmetric
+    # beliefs meet exact mirror ties; one seed shuffles the set
     reach = draw(st.sampled_from([0.25, 0.5, 0.9])) * half
-    threshold = st.integers(-20, 20).map(lambda i: reach * i / 20)
-    thresholds = st.lists(threshold, min_size=1, max_size=2, unique=True).map(sorted)
-    cands = [IntervalQuantizer(tuple(t)) for t in draw(st.lists(thresholds, min_size=1, max_size=12))]
+    cands = []
+    for code in draw(st.lists(st.integers(0, 2 * 41 * 41 - 1), min_size=1, max_size=12)):
+        two, pair = divmod(code, 41 * 41)
+        points = set(divmod(pair, 41)) if two else {pair % 41}
+        cands.append(IntervalQuantizer(tuple(reach * (k - 20) / 20 for k in sorted(points))))
     cands += [IntervalQuantizer(tuple(-x for x in reversed(q.thresholds))) for q in cands]
-    return belief, draw(st.permutations(cands))
+    random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(cands)
+    return belief, cands
 
 
 def moment_errors(belief, candidates):
@@ -343,8 +350,8 @@ def test_grid_cell_moments_round_less_than_their_bound_on_filtered_beliefs(a, le
     for _ in range(60):
         assert max(moment_errors(belief, cands)) <= MOMENT_ERROR
         quantizer = greedy_policy_step(belief, cands, QUAD)
-        belief = filter_update(belief, src, quantizer, quantizer.classify(x))
-        x = src.sample_next(x, rng)
+        belief = filter_update(belief, src, quantizer, classify(quantizer, x))
+        x = sample_next(src, x, rng)
 
 
 @extended

