@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizers import CandidateSet
+from .quantizers import CandidateSet, symmetric_points
 
 __all__ = [
     "Grid",
@@ -108,9 +108,15 @@ class Grid:
     def __hash__(self) -> int:
         return self._hash
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the grid is [-c, c], whose nodes are exact negations of
+        each other: nodes[n - 1 - i] == -nodes[i]."""
+        return self.lo == -self.hi
+
     @functools.cached_property
     def nodes(self) -> np.ndarray:
-        x = np.linspace(self.lo, self.hi, self.n_points)
+        x = symmetric_points(self.lo, self.hi, self.n_points)
         x.flags.writeable = False
         return x
 
@@ -211,6 +217,15 @@ class GridBelief:
     0 and hands the belief the range between; every other constructor
     finds it from the values. mean, std, cell_moments and restrict read
     the values on it only.
+
+    On a grid [-c, c] a belief has a mirror image under x -> -x, its
+    values reversed (mirror). orientation is 1 when the mirror image is
+    the canonical one, the smaller by (first support node, bytes), 0
+    when the belief is its own mirror image and -1 otherwise (always -1
+    on other grids). mean and std are taken in the canonical
+    orientation, so a mirror image's mean is the negated mean bit for
+    bit; filter_update and costs.cell_decisions read the canonical
+    orientation too.
     """
 
     grid: Grid
@@ -239,12 +254,44 @@ class GridBelief:
         key = values.tobytes()
         values = np.frombuffer(key)
         lo, hi = support
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "support", support)
+        grid = self.grid
         # the exact first moment of the piecewise-linear density,
-        # consistent with cell masses and stage costs
-        object.__setattr__(self, "mean", float(self.grid.moment_weights[1][lo:hi] @ values[lo:hi]))
+        # consistent with cell masses and stage costs, taken in the
+        # canonical orientation, so that a mirror image's is its negation
+        orientation, canonical = -1, values
+        if grid.symmetric:
+            n = grid.n_points
+            orientation = _order(lo, n - hi)
+            if orientation >= 0:
+                image = values[::-1].tobytes()
+                orientation = orientation or _order(key, image)
+                if orientation > 0:
+                    canonical, lo, hi = np.frombuffer(image), n - hi, n - lo
+        mean = float(grid.moment_weights[1][lo:hi] @ canonical[lo:hi])
+        self.__dict__.update(
+            _key=key, values=values, support=support, orientation=orientation,
+            mean=-mean if orientation > 0 else mean,
+        )
+
+    def mirror(self) -> "GridBelief":
+        """The mirror image of the belief under x -> -x on its symmetric
+        grid: the values reversed, the mean negated; the belief itself
+        when it is its own mirror image."""
+        if not self.grid.symmetric:
+            raise ValueError("only a belief on a grid [-c, c] has a mirror image")
+        if self.orientation == 0:
+            return self
+        n = self.grid.n_points
+        lo, hi = self.support
+        key = self.values[::-1].tobytes()
+        belief = object.__new__(GridBelief)
+        belief.__dict__.update(
+            grid=self.grid, _key=key, values=np.frombuffer(key), support=(n - hi, n - lo),
+            orientation=-self.orientation, mean=-self.mean,
+        )
+        if "std" in self.__dict__:
+            belief.__dict__["std"] = self.std
+        return belief
 
     @classmethod
     def _normalized(cls, grid: Grid, values: np.ndarray, support: tuple) -> "GridBelief":
@@ -299,8 +346,12 @@ class GridBelief:
     @functools.cached_property
     def std(self) -> float:
         lo, hi = self.support
-        mean = self.mean
-        var = float(self.grid.moment_weights[2][lo:hi] @ self.values[lo:hi]) - mean * mean
+        values, mean = self.values, self.mean
+        if self.orientation > 0:  # the canonical orientation, as the mean
+            n = self.grid.n_points
+            values, lo, hi = np.frombuffer(values[::-1].tobytes()), n - hi, n - lo
+        second = float(self.grid.moment_weights[2][lo:hi] @ values[lo:hi])
+        var = second - mean * mean
         return math.sqrt(max(var, 0.0))
 
     def to_json(self) -> dict:
@@ -344,12 +395,25 @@ class GridBelief:
         about the mean keep m2 - m1^2 / m0 free of cancellation for
         beliefs far from 0.
         """
+        return self._moments(self.values, self.support, self.mean, candidates), self.mean
+
+    def _mirror_moments(self, candidates):
+        """cell_moments of the mirror image (self.mirror()) bit for bit,
+        read off the reversed values without building it."""
+        if self.orientation == 0:
+            return self.cell_moments(candidates)
+        n = self.grid.n_points
+        lo, hi = self.support
+        return self._moments(self.values[::-1], (n - hi, n - lo), -self.mean, candidates), -self.mean
+
+    def _moments(self, values, support, center, candidates) -> np.ndarray:
+        # the (3, K, L) moments of cell_moments, about center, of the
+        # density values, 0 off the node range support
         grid = self.grid
         weights = _cut_weights(grid, CandidateSet.of(candidates))
-        center = self.mean
-        lo, hi = self.support
+        lo, hi = support
         columns = np.empty((3, hi - lo))
-        columns[0] = self.values[lo:hi]
+        columns[0] = values[lo:hi]
         y = np.subtract(grid.nodes[lo:hi], center, out=columns[2])
         np.multiply(y, columns[0], out=columns[1])
         columns[2] *= columns[1]  # y (y v), in place of y
@@ -364,7 +428,7 @@ class GridBelief:
         rest = 2.0 * g[1, p : 2 * p]
         rest += g[0, 2 * p :]
         cumulative[2 * p :] += rest
-        return weights.cells(cumulative), center
+        return weights.cells(cumulative)
 
     def restrict(self, quantizer, symbol: int):
         """The density over cell symbol as (start, part): the per-node
@@ -377,11 +441,22 @@ class GridBelief:
         belief's support, so part is the product of both over the
         intersection of the two node ranges (empty when it is empty).
         """
+        return self._restricted(self.values, self.support, quantizer, symbol)
+
+    def _mirror_restrict(self, quantizer, symbol: int):
+        """restrict of the mirror image (self.mirror()) bit for bit, read
+        off the reversed values without building it."""
+        n = self.grid.n_points
+        lo, hi = self.support
+        return self._restricted(self.values[::-1], (n - hi, n - lo), quantizer, symbol)
+
+    def _restricted(self, values, support, quantizer, symbol: int):
+        # restrict's (start, part) of the density values, 0 off support
         lo, hi = quantizer.cell_interval(symbol)
         start, w = _cell_weights(self.grid, lo, hi)
-        first = max(start, self.support[0])
-        stop = max(first, min(start + len(w), self.support[1]))
-        return first, w[first - start : stop - start] * self.values[first:stop]
+        first = max(start, support[0])
+        stop = max(first, min(start + len(w), support[1]))
+        return first, w[first - start : stop - start] * values[first:stop]
 
     def inverse_cdf(self, v) -> np.ndarray:
         """The draw of the belief at every uniform variate v in [0, 1).
@@ -424,6 +499,9 @@ class SimplexBelief:
 
     probabilities: np.ndarray
     states: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    # a chain's states have no mirror image (GridBelief.orientation)
+    orientation = -1
 
     def __post_init__(self) -> None:
         self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -613,6 +691,11 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
     return start, w
 
 
+def _order(a, b) -> int:
+    """1 if a > b, -1 if a < b, 0 if they are equal."""
+    return (a > b) - (a < b)
+
+
 def _check_pair(belief, model) -> None:
     """Raise TypeError unless belief is of the family model's beliefs are."""
     if not isinstance(belief, model.belief_type):
@@ -629,15 +712,40 @@ def filter_update(belief, model, quantizer, symbol: int):
     entries (start, part) that can be nonzero, and model.push the
     renormalized one-step prediction of it through the source's
     transition law. Returns the next-step belief.
+    On a grid [-c, c] the step reads the canonical orientation: the
+    belief and the cell, or their mirror images (the belief reversed,
+    the cell (-hi, -lo)) when the belief's orientation is 1, or when it
+    is its own mirror image and the mirror cell comes first; the
+    prediction of the mirror images is then mirrored back. The
+    transition law of every source of grid beliefs commutes with x -> -x
+    (LinearGaussianSource.mirror_symmetric), so this is the same step,
+    and a belief's mirror image, filtered through the mirror cell, gives
+    the mirror image of its posterior bit for bit.
     Raises TypeError when belief is not of model's family, and
     ZeroMassSymbolError when the cell mass does not exceed EPS_MASS; the
     caller must not condition on a zero-probability symbol.
     """
     _check_pair(belief, model)
-    start, part = belief.restrict(quantizer, symbol)
+    # the canonical orientation of the belief and the cell
+    flip = belief.orientation > 0 or (
+        belief.orientation == 0 and _mirror_cell_first(quantizer, symbol)
+    )
+    if flip:
+        start, part = belief._mirror_restrict(quantizer.mirror, quantizer.levels + 1 - symbol)
+    else:
+        start, part = belief.restrict(quantizer, symbol)
     mass = float(part.sum())
     if mass <= EPS_MASS:
         raise ZeroMassSymbolError(
             f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"
         )
-    return model.push(belief, start, part, mass)
+    # the push reads only the belief's grid, which its mirror image shares
+    child = model.push(belief, start, part, mass)
+    return child.mirror() if flip else child
+
+
+def _mirror_cell_first(quantizer, symbol: int) -> bool:
+    """Whether the mirror image (-hi, -lo) of cell symbol, (lo, hi),
+    comes before the cell itself."""
+    lo, hi = quantizer.cell_interval(symbol)
+    return (-hi, -lo) < (lo, hi)

@@ -146,6 +146,7 @@ def _run_design(setup, out_dir: str):
         "nodes_evaluated": tree.nodes_evaluated,
         "expansions_by_stage": tree.expansions_by_stage,
         "candidates_pruned": tree.candidates_pruned,
+        "counters": tree.counters,
         "max_discarded_mass": tree.max_discarded_mass,
         "bellman_residual_max": float(residuals.max()) if residuals.size else 0.0,
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import GridBelief, SimplexBelief, default_grid
+from .beliefs import Grid, GridBelief, SimplexBelief, default_grid
 from .costs import CostModel
 from .dp import solve_finite_horizon
 from .infinite import (
@@ -150,6 +150,23 @@ def _as_array(value, path: str) -> np.ndarray:
         raise ConfigError(path, "expected a numeric array") from None
 
 
+@functools.lru_cache(maxsize=32)
+def _built(make, fields: tuple):
+    return make(**dict(fields))
+
+
+def _shared(make, **fields):
+    """make(**fields), one object for all configs with equal fields: the
+    package's caches keyed by sources, grids and candidate sets (the
+    transition kernel, the cut and cell weights) then find a later
+    task's objects by identity, not field by field. Fields that cannot
+    be hashed, such as a chain's arrays, build a new object each time."""
+    try:
+        return _built(make, tuple(fields.items()))
+    except TypeError:
+        return make(**fields)
+
+
 def _build(path: str, make, *args, **kwargs):
     """make(*args, **kwargs), with its ValueError reported at path."""
     try:
@@ -196,7 +213,7 @@ def _source(spec, path: str):
     fields = {key: check(_require(spec, key, path), _join(path, key)) for key in required}
     fields.update((key, check(spec[key], _join(path, key))) for key in optional if key in spec)
     try:
-        return family(**fields)
+        return _shared(family, **fields)
     except ValueError as e:
         # the sources' messages start with the name of the field at fault
         raise ConfigError(_join(path, str(e).split()[0]), str(e)) from None
@@ -271,13 +288,13 @@ def _candidates(spec, path: str, source) -> CandidateSet:
         steps = _as_int(_require(spec, "steps", path), _join(path, "steps"), 1)
         if chain:
             raise ConfigError(_join(path, "type"), "interval candidates need a gaussian source")
-        return _build(path, enumerate_interval_candidates, levels, lo, hi, steps)
+        return _build(path, _shared, enumerate_interval_candidates, levels=levels, lo=lo, hi=hi, steps=steps)
     if kind == "partitions":
         _check_keys(spec, {"type", "levels"}, path)
         levels = _as_int(_require(spec, "levels", path), _join(path, "levels"), 1)
         if not chain:
             raise ConfigError(_join(path, "type"), "partition candidates need a chain source")
-        return enumerate_finite_partitions(source.n_states, levels)
+        return _shared(enumerate_finite_partitions, n_states=source.n_states, levels=levels)
     _check_keys(spec, {"type", "items"}, path)
     items = _as_list(_require(spec, "items", path), _join(path, "items"))
     if not items:
@@ -303,7 +320,8 @@ def _grid(spec, path: str, source):
         )
     if source.noise_std == 0.0:
         raise ConfigError("source.noise_std", "must be > 0 for the grid to span the source")
-    return default_grid(source, **spec)
+    grid = default_grid(source, **spec)
+    return _shared(Grid, lo=grid.lo, hi=grid.hi, n_points=grid.n_points)
 
 
 def _initial_belief(spec, path: str, source, grid):

@@ -102,9 +102,34 @@ def cell_decisions(belief, candidates, cost: CostModel):
     tabular cost the least-cost column index, lowest on ties, with each
     quantizer's cells walked once in order. All three come from one
     belief.cell_moments call; np.argmin over stages keeps the
-    first-candidate tie rule.
+    first-candidate tie rule. A grid belief whose mirror image is its
+    canonical orientation (orientation 1), under a set closed under
+    mirroring, takes the decisions of its mirror image, read off in
+    the mirrored candidates and cells (CandidateMirror) with the
+    reconstructions negated, so that a belief and its mirror image give
+    mirrored decisions bit for bit.
     """
-    moments, center = belief.cell_moments(candidates)
+    candidates = CandidateSet.of(candidates)
+    mirror = candidates.mirror
+    if mirror is None or belief.orientation < 0:
+        return _decisions(belief, belief.cell_moments(candidates), candidates, cost)
+    # the mirror image's decisions, in mirrored candidates and cells
+    stages, masses, recon = _decisions(belief, belief._mirror_moments(candidates), candidates, cost)
+    images = stages[mirror.ids], masses.take(mirror.cells), -recon.take(mirror.cells)
+    if belief.orientation > 0:
+        return images
+    # its own mirror image: of a candidate and its mirror image, the
+    # later one takes the earlier one's decisions, mirrored
+    later = mirror.ids < np.arange(len(candidates))
+    for out, image in zip((stages, masses, recon), images):
+        out[later] = image[later]
+    return stages, masses, recon
+
+
+def _decisions(belief, cell_moments, candidates, cost: CostModel):
+    """cell_decisions of a CandidateSet from the cell moments, (moments,
+    center), of the belief or, under a quadratic cost, its mirror image."""
+    moments, center = cell_moments
     m0 = moments[0]
     if cost.kind == "quadratic":
         # _stage_costs_from(moments), sharing dead and mass with recon
@@ -117,7 +142,6 @@ def cell_decisions(belief, candidates, cost: CostModel):
         recon += center
         recon[dead] = np.nan
         return _sum_cells(var), m0, recon
-    candidates = CandidateSet.of(candidates)
     stages = np.zeros(len(candidates))
     recon = np.full(m0.shape, np.nan)
     for k, q in enumerate(candidates):

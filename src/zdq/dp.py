@@ -106,13 +106,42 @@ below 2e-15 max(1, M2). A source or cost without the product
 (last_stage_costs returns None: a chain, or a tabular cost) takes the
 stage-order loop over every candidate.
 
+Mirror twins. When the source's transition law commutes with x -> -x
+(model.mirror_symmetric: a zero-mean AR(1) source) and the candidate
+set is closed under it (CandidateSet.mirror, the map k -> k̄), a
+belief's mirror image on a grid [-c, c] has the mirror image of every
+quantity the search reads, bit for bit: filter_update and cell_decisions
+read the canonical orientation (beliefs.py, costs.py). So only beliefs
+in their canonical orientation are searched, and the memo holds them
+by their bytes; a belief whose mirror image is canonical is the twin of
+that image's node. A twin is built without a push or a decision: each
+candidate k its searched node visited is valued again as k̄, from the
+mirrored masses and the twins of the children, summed in the twin's
+own cell order, and the tie rule picks the first of the least values in
+the twin's own ids. With two cells the sum is the node's own, so the
+twin takes its value bit for bit; at the last stage every candidate
+tied with the choice is kept for it. No bound drops a tied candidate
+(the floor bound and the last-stage product prune only above the least
+value), so the candidates the search visited hold every one that can
+win at the twin. At a node that is its own mirror image the children of
+mirror cells are twins, and cell_decisions gives mirror candidates the
+same stage bit for bit, so their ties are the tie rule's to decide. A
+node filters each cell once, and the policy path's twins take their
+beliefs, and their leaves where the mirror leaf is built, by reversing.
+
 The search keeps the branches of every node it expands. The returned
 tree holds only the subtree the chosen policy reaches, and leaf beliefs
 are built for that subtree alone. nodes_evaluated counts every expanded
 node, leaves included, and expansions_by_stage splits that count by
 stage t = 0 .. horizon. candidates_pruned counts the candidates whose
 children were not searched: those the floor bound skipped and those the
-last-stage product left out.
+last-stage product left out. The tree's counters split the work
+deterministically: expansions_by_stage, pruned_by_floor and
+pruned_by_product (which sum to candidates_pruned), mirror_twins (nodes
+built as twins), memo_hits (children found without a search: in the
+memo, or filtered already at their node), filter_calls (filter_update
+calls of the search and of the policy path's leaves) and
+branches_dropped (cells of mass at most EPS_PRUNE skipped).
 """
 from __future__ import annotations
 
@@ -184,6 +213,7 @@ class PolicyTree:
     nodes_evaluated: int = 0
     candidates_pruned: int = 0
     expansions_by_stage: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
 
     @property
     def value(self) -> float:
@@ -256,15 +286,21 @@ def solve_finite_horizon(
         # EPS_PRUNE drop removed; a node drops at most levels * EPS_PRUNE
         surviving = max(0.0, 1.0 - horizon * candidates.levels * EPS_PRUNE)
         stage_floor = model.stage_floor(initial_belief, candidates, cost) * surviving / horizon
+    # twins: a source and a set that commute with x -> -x (module docstring)
+    mirror = candidates.mirror if model.mirror_symmetric else None
     searched: list[PolicyNode] = []
     memo: dict = {}
-    state = {"evals": 0, "pruned": 0}
+    twins: dict = {}  # searched node id -> its mirror image's, both ways
+    options: dict = {}  # searched node id -> [(k, stage, children)] a twin replays
+    counts = dict.fromkeys(
+        ("pruned_by_floor", "pruned_by_product", "mirror_twins", "memo_hits",
+         "filter_calls", "branches_dropped"), 0)
     by_stage = [0] * (horizon + 1)
 
     def expand(t: int) -> None:
-        state["evals"] += 1
         by_stage[t] += 1
-        if state["evals"] > node_budget:
+        evals = sum(by_stage)
+        if evals > node_budget:
             bound = exact_policy_value(
                 initial_belief,
                 model,
@@ -272,21 +308,49 @@ def solve_finite_horizon(
                 horizon,
                 lambda t, b: greedy_policy_step(b, candidates, cost),
             )
-            raise NodeBudgetExceeded(state["evals"], node_budget, bound)
+            raise NodeBudgetExceeded(evals, node_budget, bound)
+
+    def filtered(belief, quantizer, m: int):
+        counts["filter_calls"] += 1
+        return filter_update(belief, model, quantizer, m)
 
     def ruled_out(stage: float, future: float, best: float) -> bool:
         # the floor bound (module docstring)
         return stage / horizon + future > best + PRUNE_MARGIN * max(best, 1.0)
 
-    def branch(belief, k: int, mass_row: list, t: int):
+    def leaf_branches(masses, k: int) -> dict:
+        # the branches of candidate k at a t = horizon - 1 node: leaves
+        return {m: (mass, None) for m, mass in enumerate(masses[k][: candidates[k].levels].tolist(), 1)
+                if mass > EPS_PRUNE}
+
+    def child(belief, quantizer, m: int, t: int, cells: dict) -> int:
+        # the child of cell m at a node at t. Under a mirror map, cells
+        # maps the node's cells filtered so far to their children: a cell
+        # shared by candidates is filtered once, and at a node that is its
+        # own mirror image the mirror cell's child is the twin of the cell's
+        if mirror is not None:
+            lo, hi = cell = quantizer.cell_interval(m)
+            child_id = cells.get(cell)
+            if child_id is None and belief.orientation == 0 and (-hi, -lo) in cells:
+                child_id = cells[cell] = twin(cells[(-hi, -lo)])
+            if child_id is not None:
+                counts["memo_hits"] += 1
+                return child_id
+        child_id = search(filtered(belief, quantizer, m), t + 1)
+        if mirror is not None:
+            cells[cell] = child_id
+        return child_id
+
+    def branch(belief, k: int, mass_row: list, t: int, cells: dict):
         # continuation value and children of candidate k at a node at t
         quantizer = candidates[k]
         continuation = 0.0
         children = {}
         for m, mass in enumerate(mass_row[: quantizer.levels], start=1):
             if mass <= EPS_PRUNE:
+                counts["branches_dropped"] += 1
                 continue
-            child_id = search(filter_update(belief, model, quantizer, m), t + 1)
+            child_id = child(belief, quantizer, m, t, cells)
             children[m] = (mass, child_id)
             continuation += mass * searched[child_id].value
         return continuation, children
@@ -308,14 +372,19 @@ def solve_finite_horizon(
         slack = max(PRUNE_MARGIN * max(1.0, scale), 2.0 * error)
         cut = min(horizon * best + 0.5 * slack, approx.min() + slack)
         kept = [k for k, a in zip(head, approx.tolist()) if a <= cut]
-        state["pruned"] += len(head) - len(kept)
+        counts["pruned_by_product"] += len(head) - len(kept)
         return kept + rest[len(head) :]
 
     def search(belief, t: int) -> int:
-        # nodes at t < horizon; leaves are built on the policy path only
+        # nodes at t < horizon; leaves are built on the policy path only.
+        # Only canonical beliefs are searched: a belief whose mirror
+        # image is canonical is the twin of its mirror image's node
+        if mirror is not None and belief.orientation > 0:
+            return twin(search(belief.mirror(), t))
         key = (t, belief.key())
         hit = memo.get(key)
         if hit is not None:
+            counts["memo_hits"] += 1
             return hit
         expand(t)
         node = PolicyNode(len(searched), t, belief, None, None, 0.0, 0.0)
@@ -327,41 +396,102 @@ def solve_finite_horizon(
             values = stages / horizon
             qid = int(np.argmin(values))
             node.value = float(values[qid])
-            node.children = {
-                m: (mass, None)
-                for m, mass in enumerate(masses[qid][: candidates[qid].levels].tolist(), 1)
-                if mass > EPS_PRUNE
-            }
+            node.children = leaf_branches(masses, qid)
+            counts["branches_dropped"] += candidates[qid].levels - len(node.children)
+            if mirror is not None:
+                # every candidate tied with the choice, for a twin's tie rule
+                visited = [(k, float(stages[k]), leaf_branches(masses, k))
+                           for k in np.flatnonzero(values == values[qid]).tolist()]
         else:
             future = (horizon - t - 1) * stage_floor
             stages_list, masses_list = stages.tolist(), masses.tolist()
             order = sorted(range(len(candidates)), key=stages_list.__getitem__)
             qid, rest = order[0], order[1:]
-            continuation, node.children = branch(belief, qid, masses_list[qid], t)
+            cells: dict = {}
+            continuation, node.children = branch(belief, qid, masses_list[qid], t, cells)
             node.value = stages_list[qid] / horizon + continuation
+            visited = [(qid, stages_list[qid], node.children)]
             if t + 2 == horizon:
                 rest = contenders(belief, stages, masses, rest, future, node.value)
             for rank, k in enumerate(rest):
                 stage = stages_list[k]
                 if ruled_out(stage, future, node.value):
-                    state["pruned"] += len(rest) - rank
+                    counts["pruned_by_floor"] += len(rest) - rank
                     break
-                continuation, children = branch(belief, k, masses_list[k], t)
+                continuation, children = branch(belief, k, masses_list[k], t, cells)
+                visited.append((k, stage, children))
                 value = stage / horizon + continuation
                 # first in enumeration order among equal values
                 if value < node.value or (value == node.value and k < qid):
                     qid, node.value, node.children = k, value, children
+        if mirror is not None:
+            options[node.node_id] = visited
         node.quantizer_id = qid
         node.quantizer = candidates[qid]
         node.stage = float(stages[qid])
         return node.node_id
 
+    def twin(node_id: int) -> int:
+        # the node of the searched node's mirror image, built without a
+        # search: every candidate the search visited is valued again, as
+        # its mirror image, in the twin's own cells, ids and tie rule
+        got = twins.get(node_id)
+        if got is not None:
+            return got
+        node = searched[node_id]
+        if node.belief.orientation == 0:
+            return node_id  # its own mirror image
+        out = PolicyNode(len(searched), node.t, None, None, None, 0.0, 0.0)
+        searched.append(out)
+        twins[node_id], twins[out.node_id] = out.node_id, node_id
+        counts["mirror_twins"] += 1
+        best = None
+        for k, stage, children in options[node_id]:
+            j = int(mirror.ids[k])
+            levels = candidates[j].levels
+            continuation = 0.0
+            images = {}
+            for m in range(1, levels + 1):
+                if levels + 1 - m not in children:
+                    continue
+                mass, child_id = children[levels + 1 - m]
+                if child_id is not None:
+                    child_id = twin(child_id)
+                    continuation += mass * searched[child_id].value
+                images[m] = (mass, child_id)
+            value = stage / horizon + continuation
+            if best is None or value < best[0] or (value == best[0] and j < best[1]):
+                best = (value, j, stage, images)
+        out.value, out.quantizer_id, out.stage, out.children = best
+        out.quantizer = candidates[out.quantizer_id]
+        return out.node_id
+
     nodes: list[PolicyNode] = []
     emitted: dict = {}
+    leaves: dict = {}  # (searched node id, cell) -> the leaf filtered through it
+
+    def leaf(node: PolicyNode, m: int):
+        # a policy-path leaf; under a mirror map, the mirror image of its
+        # twin's leaf, or of the mirror cell's at a node that is its own
+        # mirror image, when that one is built
+        if mirror is None:
+            return filtered(node.belief, node.quantizer, m)
+        lo, hi = cell = node.quantizer.cell_interval(m)
+        got = leaves.get((node.node_id, cell))
+        if got is None:
+            image = leaves.get((twins.get(node.node_id), (-hi, -lo)))
+            if image is None and node.belief.orientation == 0:
+                image = leaves.get((node.node_id, (-hi, -lo)))
+            got = filtered(node.belief, node.quantizer, m) if image is None else image.mirror()
+            leaves[(node.node_id, cell)] = got
+        return got
 
     def emit(node: PolicyNode) -> int:
         # copy the policy subtree of the search into nodes, sharing
-        # repeated beliefs the way the search did
+        # repeated beliefs the way the search did; a twin's belief is the
+        # mirror image of its searched node's
+        if node.belief is None:
+            node.belief = searched[twins[node.node_id]].belief.mirror()
         key = (node.t, node.belief.key())
         hit = emitted.get(key)
         if hit is not None:
@@ -371,13 +501,13 @@ def solve_finite_horizon(
         emitted[key] = out.node_id
         for m, (mass, child_id) in node.children.items():
             if child_id is None:
-                leaf = filter_update(node.belief, model, node.quantizer, m)
-                child = emitted.get((horizon, leaf.key()))
+                belief = leaf(node, m)
+                child = emitted.get((horizon, belief.key()))
                 if child is None:
                     expand(horizon)
                     child = len(nodes)
-                    nodes.append(PolicyNode(child, horizon, leaf, None, None, 0.0, 0.0))
-                    emitted[(horizon, leaf.key())] = child
+                    nodes.append(PolicyNode(child, horizon, belief, None, None, 0.0, 0.0))
+                    emitted[(horizon, belief.key())] = child
             else:
                 child = emit(searched[child_id])
             out.children[m] = (mass, child)
@@ -388,16 +518,17 @@ def solve_finite_horizon(
     discarded = 0.0
     for node in nodes:
         if node.t < horizon:
-            kept = sum(p for p, _ in node.children.values())
-            discarded = max(discarded, 1.0 - kept)
+            kept_mass = sum(p for p, _ in node.children.values())
+            discarded = max(discarded, 1.0 - kept_mass)
     tree = PolicyTree(
         horizon=horizon,
         nodes=nodes,
         root=root,
         max_discarded_mass=discarded,
-        nodes_evaluated=state["evals"],
-        candidates_pruned=state["pruned"],
+        nodes_evaluated=sum(by_stage),
+        candidates_pruned=counts["pruned_by_floor"] + counts["pruned_by_product"],
         expansions_by_stage=by_stage,
+        counters={"expansions_by_stage": list(by_stage), **counts},
     )
     return DPResult(value=tree.value, tree=tree)
 

@@ -7,9 +7,12 @@ quantizers are plain partitions of the state set, with a cached 0/1
 membership matrix (one row per cell).
 
 The enumerations return a CandidateSet, the ordered set a design
-chooses from. It carries its level count, a batch classifier and a hash
+chooses from. It carries its level count, a batch classifier, a hash
 taken once, which the caches keyed by a set, in beliefs.py and
-sources.py, read.
+sources.py, read, and its mirror map under x -> -x (CandidateMirror),
+None unless every candidate's mirror image is in the set. Points on an
+interval [-c, c] (symmetric_points) are exact negations of each other,
+so an enumeration on such an interval is closed under mirroring.
 
 Quantizers know their cells only; the mass and the moments of every
 cell come from the belief's own cell_moments method (through
@@ -28,6 +31,7 @@ __all__ = [
     "IntervalQuantizer",
     "FinitePartition",
     "CandidateSet",
+    "CandidateMirror",
     "enumerate_interval_candidates",
     "enumerate_finite_partitions",
 ]
@@ -56,6 +60,18 @@ class IntervalQuantizer:
         for k, q in enumerate(candidates):
             cuts[k, : q.levels - 1] = q.thresholds
         return lambda ids, x: 1 + np.add.reduce(cuts[ids] < x[:, None], axis=1)
+
+    @staticmethod
+    def _mirror_keys(candidates):
+        # each candidate's thresholds and its mirror image's
+        return [(q.thresholds, q.mirror.thresholds) for q in candidates]
+
+    @functools.cached_property
+    def mirror(self) -> "IntervalQuantizer":
+        """The mirror image under x -> -x: the thresholds negated, in
+        reverse order, so that its cell levels + 1 - m is (-hi, -lo) for
+        cell m = (lo, hi)."""
+        return IntervalQuantizer(tuple(-t for t in reversed(self.thresholds)))
 
     def cell_interval(self, m: int):
         """Cell m as the interval (lo, hi], with infinities at the ends."""
@@ -104,6 +120,11 @@ class FinitePartition:
     def _stacked(candidates):
         cells = np.array([q.assignment for q in candidates], dtype=np.intp)
         return lambda ids, states: cells[ids, states]
+
+    @staticmethod
+    def _mirror_keys(candidates):
+        # a chain's states have no mirror image
+        return None
 
     @functools.cached_property
     def membership(self) -> np.ndarray:
@@ -166,12 +187,81 @@ class CandidateSet(tuple):
         cell, and the state's assignment for a partition."""
         return type(self[0])._stacked(self)
 
+    @functools.cached_property
+    def mirror(self):
+        """The set's CandidateMirror, or None when the set is not closed
+        under exact negation of the thresholds (and for partitions)."""
+        keys = type(self[0])._mirror_keys(self)
+        if keys is None:
+            return None
+        return CandidateMirror.of(self, keys)
+
+
+class CandidateMirror:
+    """The mirror map k -> k̄ of a candidate set closed under x -> -x.
+
+    Candidate k̄ has the thresholds of candidate k negated, in reverse
+    order, so its cell m is the mirror image of cell levels + 1 - m of
+    candidate k. The j-th copy of a quantizer in the set maps to the
+    j-th copy of its mirror image, so the map is an involution. ids (K,)
+    holds k̄ for every k. cells (K, L) holds, for cell m - 1 of candidate
+    k, the flat index into a (K, L) array of the mirrored cell:
+    k̄ L + levels - m, and for a padded cell its own slot in row k̄. So
+    a (K, L) array a of a belief's cells gives the array of its mirror
+    image's cells as a.take(cells), up to the sign of odd moments.
+    Both arrays are read-only.
+    """
+
+    def __init__(self, ids, cells):
+        self.ids, self.cells = ids, cells
+        for a in (ids, cells):
+            a.flags.writeable = False
+
+    @classmethod
+    def of(cls, candidates, keys):
+        """The map of candidates from (thresholds, mirrored thresholds)
+        per candidate; None when some quantizer's copies and its mirror
+        image's copies differ in number."""
+        copies = {}
+        for k, (key, _) in enumerate(keys):
+            copies.setdefault(key, []).append(k)
+        seen = {}
+        ids = []
+        for key, image in keys:
+            j = seen.get(key, 0)
+            seen[key] = j + 1
+            twins = copies.get(image, ())
+            if len(twins) != len(copies[key]):
+                return None
+            ids.append(twins[j])
+        ids = np.array(ids, dtype=np.intp)
+        levels = candidates.levels
+        cells = np.empty((len(candidates), levels), dtype=np.intp)
+        for k, q in enumerate(candidates):
+            cells[k] = ids[k] * levels + np.arange(levels)
+            cells[k, : q.levels] = cells[k, q.levels - 1 :: -1]
+        return cls(ids, cells)
+
+
+def symmetric_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), except that on an interval [-c, c] the
+    points are exact negations of each other: the upper half is the
+    lower half negated, and an odd n has 0 in the middle."""
+    x = np.linspace(lo, hi, n)
+    if lo == -hi and n > 1:
+        half = n // 2
+        x[n - half :] = -x[half - 1 :: -1]
+        if n % 2:
+            x[half] = 0.0
+    return x
+
 
 def enumerate_interval_candidates(levels: int, lo: float, hi: float, steps: int):
     """All threshold quantizers with levels cells on a uniform candidate grid.
 
     Thresholds are chosen as (levels - 1)-subsets of the steps-point grid
-    on [lo, hi], enumerated lexicographically. levels = 1 yields the
+    on [lo, hi] (symmetric_points, so on [-c, c] the set is closed under
+    mirroring), enumerated lexicographically. levels = 1 yields the
     single cell-free quantizer.
     """
     if levels < 1:
@@ -184,7 +274,7 @@ def enumerate_interval_candidates(levels: int, lo: float, hi: float, steps: int)
         return CandidateSet((IntervalQuantizer(()),))
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    points = np.linspace(lo, hi, steps)
+    points = symmetric_points(lo, hi, steps)
     return CandidateSet(
         IntervalQuantizer(combo)
         for combo in itertools.combinations(points.tolist(), levels - 1)

@@ -61,6 +61,7 @@ Generator, built when a stream first draws normals.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
@@ -122,6 +123,10 @@ class LinearGaussianSource:
 
     belief_type = GridBelief
     scan_width = 1
+    # the transition law commutes with x -> -x: the kernel on a grid
+    # [-c, c] is centrosymmetric, so the dynamic program may take a
+    # belief's mirror image's value from the belief's
+    mirror_symmetric = True
 
     def __post_init__(self) -> None:
         for name in ("a", "noise_std", "init_mean", "init_std"):
@@ -305,32 +310,43 @@ class _BandedKernel:
     entries at least 2^-60 of the column's largest. The band's ends come
     in closed form from searchsorted, its radius widened by one part in
     10^12 so that rounding at the threshold keeps an entry rather than
-    drops it. The columns are held in blocks of _KERNEL_COLUMNS:
+    drops it. The columns are held in blocks of at most _KERNEL_COLUMNS:
     blocks[b] is (r0, block), block the rows r0 .. r0 + len(block) - 1
-    of columns b _KERNEL_COLUMNS onward, the union of their bands, dense,
-    column-major and read-only. Each block is built in place by the
-    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) / norm,
-    so every kept entry is the one-shot formula's bit for bit; the
-    dense kernel is never built.
+    of columns starts[b] onward, the union of their bands, dense,
+    column-major and read-only. The blocks are laid out as a mirror
+    image: a middle block of 63 or 64 columns about the centre (all
+    columns on a grid of fewer), then blocks of _KERNEL_COLUMNS outward,
+    and what is left at each end. Each block is built in place by the
+    elementwise formula u = (x_j - a x_i) / s, exp((-0.5 * u) * u) /
+    norm, so every kept entry is the one-shot formula's bit for bit; the
+    dense kernel is never built. On a grid [-c, c], whose nodes are exact
+    negations of each other, the formula gives K[n - 1 - j, n - 1 - i] ==
+    K[j, i] bit for bit, and the bands' ends mirror too, so only the
+    blocks up to the middle one are built by the formula: each block past
+    it is the one it mirrors, reversed in both axes.
     """
 
     def __init__(self, model, grid: Grid):
         model.require_noise()
         s = model.noise_std
         x = grid.nodes
+        n = grid.n_points
         ax = model.a * x
         norm = s * _SQRT_2PI
-        right = np.minimum(np.searchsorted(x, ax), grid.n_points - 1)
+        right = np.minimum(np.searchsorted(x, ax), n - 1)
         left = np.maximum(right - 1, 0)
         d = np.minimum(np.abs(ax - x[right]), np.abs(ax - x[left]))
         radius = np.sqrt(d * d + _BAND_VARIANCES * (s * s)) * (1.0 + 1e-12)
         first = np.searchsorted(x, ax - radius, side="left")
         stop = np.searchsorted(x, ax + radius, side="right")
+        middle = max(0, (n - _KERNEL_COLUMNS + 1) // 2)
+        edges = sorted({0, *range(middle, 0, -_KERNEL_COLUMNS)})
+        edges += [n - e for e in reversed(edges)]
+        built = len(edges) // 2 if grid.symmetric else len(edges) - 1
         blocks = []
-        for i in range(0, grid.n_points, _KERNEL_COLUMNS):
-            cols = slice(i, i + _KERNEL_COLUMNS)
-            r0, r1 = int(first[cols].min()), int(stop[cols].max())
-            u = np.subtract(x[None, r0:r1], ax[cols, None])
+        for i, j in zip(edges[:built], edges[1 : built + 1]):
+            r0, r1 = int(first[i:j].min()), int(stop[i:j].max())
+            u = np.subtract(x[None, r0:r1], ax[i:j, None])
             np.divide(u, s, out=u)
             h = np.multiply(-0.5, u)
             np.multiply(h, u, out=u)
@@ -338,7 +354,12 @@ class _BandedKernel:
             np.divide(u, norm, out=u)
             u.flags.writeable = False
             blocks.append((r0, u.T))
-        self.n_points = grid.n_points
+        for r0, block in reversed(blocks[: len(edges) - 1 - built]):
+            image = np.ascontiguousarray(block.T[::-1, ::-1])
+            image.flags.writeable = False
+            blocks.append((n - r0 - len(block), image.T))
+        self.n_points = n
+        self.starts = edges[:-1]
         self.blocks = tuple(blocks)
 
     def times(self, start: int, part: np.ndarray) -> np.ndarray:
@@ -348,10 +369,12 @@ class _BandedKernel:
         takes a threaded BLAS path."""
         out = np.zeros(self.n_points)
         stop = start + len(part)
-        for i in range(start - start % _KERNEL_COLUMNS, stop, _KERNEL_COLUMNS):
-            r0, block = self.blocks[i // _KERNEL_COLUMNS]
-            c0 = max(start, i)  # each slice's end clips at its block's or the run's
-            product = block[:, c0 - i : stop - i] @ part[c0 - start : i + _KERNEL_COLUMNS - start]
+        b = bisect.bisect_right(self.starts, start) - 1
+        for c0, (r0, block) in zip(self.starts[b:], self.blocks[b:]):
+            if c0 >= stop:
+                break
+            lo = max(start, c0)  # each slice's end clips at its block's or the run's
+            product = block[:, lo - c0 : stop - c0] @ part[lo - start : c0 + block.shape[1] - start]
             out[r0 : r0 + len(block)] += product
         return out
 
@@ -413,6 +436,8 @@ class FiniteChain:
     state_values: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     belief_type = SimplexBelief
+    # no state permutation is taken for a mirror (LinearGaussianSource)
+    mirror_symmetric = False
 
     def __post_init__(self) -> None:
         P = np.array(self.transition, dtype=float)

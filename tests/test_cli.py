@@ -785,3 +785,68 @@ def test_bad_log_level_exits_2(tmp_path, capsys):
         main(["schedule", "--config", cfg, "--log-level", "LOUD"])
     assert exc.value.code == 2
     assert "--log-level" in capsys.readouterr().err
+
+
+DESIGN_AR1 = {
+    "task": "design",
+    "source": AR1,
+    "quantizers": {"type": "intervals", "levels": 2, "lo": -2.0, "hi": 2.0, "steps": 11},
+    "initial_belief": "invariant",
+    "horizon": 3,
+}
+
+
+def test_design_counters_repeat_and_add_up(tmp_path, capsys):
+    # deterministic counters outside timing: equal on a rerun and at
+    # DEBUG, whose diagnostics change no artifact
+    cfg = write_config(tmp_path, dict(DESIGN_AR1, output_dir=str(tmp_path / "out")))
+    runs = []
+    for flag in ([], [], ["--log-level", "DEBUG"]):
+        assert main(["design", "--config", cfg, *flag]) == 0
+        runs.append({name: (tmp_path / "out" / name).read_bytes() for name in ("policy_tree.json", "policy_tree.csv")})
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        del results["timing"]
+        runs[-1]["results.json"] = results
+    assert "DEBUG zdq" in capsys.readouterr().err
+    assert runs[0] == runs[1] == runs[2]
+    results = runs[0]["results.json"]
+    counters = results["counters"]
+    assert set(counters) == {
+        "expansions_by_stage", "pruned_by_floor", "pruned_by_product", "mirror_twins",
+        "memo_hits", "filter_calls", "branches_dropped",
+    }
+    assert counters["pruned_by_floor"] + counters["pruned_by_product"] == results["candidates_pruned"]
+    assert sum(counters["expansions_by_stage"]) == results["nodes_evaluated"]
+    assert counters["expansions_by_stage"] == results["expansions_by_stage"]
+    assert counters["mirror_twins"] > 0
+
+
+def test_a_second_task_finds_its_objects_by_identity(tmp_path, monkeypatch):
+    # equal configs get the same source, grid and candidate set, so the
+    # per-grid caches of a second in-process task compare nothing field
+    # by field, and the task writes the same artifacts
+    from zdq.beliefs import Grid
+    from zdq.quantizers import IntervalQuantizer
+    from zdq.sources import LinearGaussianSource
+
+    doc = json.loads(open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
+                                       "occupancy-ar1.json")).read())
+    doc["horizon"] = 60
+    cfg = write_config(tmp_path, doc)
+    outs = []
+    for run in range(2):
+        out = tmp_path / f"out{run}"
+        calls = []
+        for cls in (Grid, IntervalQuantizer, LinearGaussianSource):
+            equal = cls.__eq__
+            monkeypatch.setattr(cls, "__eq__", lambda a, b, equal=equal: calls.append(a) or equal(a, b))
+        assert main(["occupancy", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+        monkeypatch.undo()
+        outs.append((out / "histogram.json").read_bytes())
+        results = json.loads((out / "results.json").read_text())
+        for key in ("timing", "config_sha256"):
+            del results[key]
+        del results["config"]["output_dir"]
+        outs.append(results)
+    assert calls == []
+    assert outs[0] == outs[2] and outs[1] == outs[3]

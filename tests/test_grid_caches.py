@@ -190,7 +190,12 @@ def test_push_output_passes_the_belief_checks(case):
     grid = belief.grid
     for q in cands:
         for m in range(1, q.levels + 1):
-            start, part = belief.restrict(q, m)
+            # the filter reads the belief and the cell, or on this grid
+            # [-c, c] their mirror images, whichever is canonical
+            lo, hi = q.cell_interval(m)
+            flip = belief.orientation > 0 or (belief.orientation == 0 and (-hi, -lo) < (lo, hi))
+            source, cell = (belief.mirror(), (q.mirror, q.levels + 1 - m)) if flip else (belief, (q, m))
+            start, part = source.restrict(*cell)
             mass = float(part.sum())
             if mass <= EPS_MASS:
                 continue
@@ -198,13 +203,17 @@ def test_push_output_passes_the_belief_checks(case):
             # the checked constructor on the same values passes and keeps them
             assert GridBelief(grid, got.values).values.tobytes() == got.values.tobytes()
             # and they are the bytes of the product, its tails below TAIL of
-            # its largest set to 0, built through the checks
+            # its largest set to 0, built through the checks, and mirrored
+            # back when the filter read the mirror images
             raw = _transition_kernel(SOURCE, grid).times(start, part) / mass
             above = np.flatnonzero(raw >= TAIL * raw.max())
             raw[: above[0]] = raw[above[-1] + 1 :] = 0.0
             expected = GridBelief(grid, raw / float(grid.trapezoid_weights @ raw))
+            support = (above[0], above[-1] + 1)
+            if flip:
+                expected, support = expected.mirror(), (grid.n_points - support[1], grid.n_points - support[0])
             assert got.values.tobytes() == expected.values.tobytes()
-            assert got.support == expected.support == (above[0], above[-1] + 1)
+            assert got.support == expected.support == support
 
 
 @pytest.mark.parametrize("levels, n_cands", [(2, 21), (3, 11)])

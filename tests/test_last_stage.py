@@ -193,7 +193,7 @@ def test_deep_ar1_design_keeps_its_value_and_expansions():
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 21)
     result = solve_finite_horizon(src.invariant_distribution(), src, cands, QUAD, 4)
     assert abs(result.value - 1.067733242689243) <= 1e-12
-    assert list(result.tree.expansions_by_stage) == [1, 42, 1012, 2124, 16]
+    assert list(result.tree.expansions_by_stage) == [1, 21, 506, 1062, 16]
 
 
 def test_mirror_partitions_keep_the_first_on_a_tie():
