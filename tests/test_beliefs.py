@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -47,11 +48,15 @@ def std_normal_belief(n_points=801, span=8.0):
     return GridBelief.normal(grid, 0.0, 1.0)
 
 
+@functools.lru_cache(maxsize=32)
 def one_shot_kernel(model, grid):
-    """The dense transition kernel K[j, i], by the elementwise formula."""
+    """The dense transition kernel K[j, i], by the elementwise formula;
+    read-only, kept per (model, grid)."""
     x, s = grid.nodes, model.noise_std
     u = (x[:, None] - model.a * x[None, :]) / s
-    return np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
+    kernel = np.exp(-0.5 * u * u) / (s * math.sqrt(2.0 * math.pi))
+    kernel.flags.writeable = False
+    return kernel
 
 
 def kernel_blocks(kernel):
@@ -338,21 +343,29 @@ def test_grid_inverse_cdf_matches_scalar_inversion(values, lo, width, seed):
 )
 def test_transition_kernel_matches_one_shot_formula(a, grid):
     # the kernel holds each column's band, in blocks of columns: every
-    # stored entry is the one-shot formula's, every dropped entry at most
-    # 2^-60 of its column's largest, and each block is column-major and
-    # read-only
+    # entry of every block is the one-shot formula's, every dropped entry
+    # at most 2^-60 of its column's largest; each stored block is
+    # column-major and read-only, and each mirrored one a read-only view
+    # of its stored image
     model = LinearGaussianSource(a, 1.0)
     grid = default_grid(model) if grid is None else grid
     one_shot = one_shot_kernel(model, grid)
-    for rows, cols, block in kernel_blocks(_transition_kernel(model, grid)):
+    kernel = _transition_kernel(model, grid)
+    for b, (rows, cols, block) in enumerate(kernel_blocks(kernel)):
         assert np.array_equal(block, one_shot[rows, cols])
-        assert block.flags.f_contiguous and not block.flags.writeable
+        assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0.0
+        if b < kernel.stored:
+            assert block.flags.f_contiguous
+        else:
+            assert np.shares_memory(block, kernel.blocks[-1 - b][1])
     assert_band_drops_only_tiny_entries(model, grid, one_shot)
 
 
-@settings(max_examples=200, deadline=None)
+# no example database: target() would send every example through
+# hypothesis's Pareto-front bookkeeping, which cost more than the checks
+@settings(max_examples=200, deadline=None, database=None)
 @given(
     st.sampled_from([-0.7, 0.0, 0.5, 0.9, 0.99]),
     st.sampled_from([0.3, 1.0, 2.5]),
@@ -364,13 +377,16 @@ def test_transition_kernel_matches_one_shot_formula(a, grid):
             st.floats(0.5, 40.0),
             st.integers(3, 200),
         ),
+        st.builds(lambda c, n: Grid(-c, c, n), st.floats(0.5, 20.0), st.integers(130, 400)),
     ),
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
 def test_banded_push_matches_the_dense_product(a, noise, grid, seed, blind):
     # the push's banded product against the dense kernel's, over random
-    # restrictions (start, part) and the full-width blind cell
+    # restrictions (start, part) and the full-width blind cell; default
+    # grids and grids [-c, c] are symmetric, so the push reads mirrored
+    # blocks there
     model = LinearGaussianSource(a, noise)
     grid = default_grid(model) if grid is None else grid
     n = grid.n_points
@@ -386,6 +402,31 @@ def test_banded_push_matches_the_dense_product(a, noise, grid, seed, blind):
     deviation, scale = float(np.max(np.abs(got - dense))), float(dense.max())
     target(deviation / scale if scale else 0.0, label="deviation over the dense result's largest entry")
     assert deviation <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["right-of-middle", "straddling-middle", "to-last-node", "blind"],
+)
+def test_banded_push_reads_mirrored_blocks(where):
+    # on the a = 0.9 default grid the blocks past the middle one are
+    # mirrored views: a part wholly right of the middle block, one across
+    # it, one ending at the last node and the blind cell
+    model = LinearGaussianSource(0.9, 1.0)
+    grid = default_grid(model)
+    n = grid.n_points
+    kernel = _transition_kernel(model, grid)
+    start, stop = {
+        "right-of-middle": (kernel.starts[kernel.stored] + 10, n - 30),
+        "straddling-middle": (kernel.starts[kernel.stored - 1] - 50, kernel.starts[kernel.stored] + 70),
+        "to-last-node": (n - 150, n),
+        "blind": (0, n),
+    }[where]
+    assert kernel.stored < len(kernel.blocks) and start >= 0 and stop <= n
+    part = np.random.default_rng(start).random(stop - start)
+    dense = one_shot_kernel(model, grid)[:, start:stop] @ part
+    got = kernel.times(start, part)
+    assert float(np.max(np.abs(got - dense))) <= 1e-13 * float(dense.max())
 
 
 def test_band_covers_the_default_grid_at_a_zero():
