@@ -354,6 +354,14 @@ class GridBelief:
         var = second - mean * mean
         return math.sqrt(max(var, 0.0))
 
+    def expect(self, f: np.ndarray) -> float:
+        """The trapezoid rule of the belief times f, a function given by
+        its values at the nodes: the sum over the support of w_j values_j
+        f_j, w the trapezoid weights, which the cells' mass weights of
+        restrict add up to."""
+        lo, hi = self.support
+        return float((self.grid.trapezoid_weights[lo:hi] * self.values[lo:hi]) @ f[lo:hi])
+
     def to_json(self) -> dict:
         """Description of the belief in policy_tree.json."""
         return {
@@ -541,6 +549,10 @@ class SimplexBelief:
         mean = self.mean
         var = float(self.probabilities @ (self.states * self.states)) - mean * mean
         return math.sqrt(max(var, 0.0))
+
+    def expect(self, f: np.ndarray) -> float:
+        """The expectation of f, given by its value at every state."""
+        return float(self.probabilities @ f)
 
     def to_json(self) -> dict:
         """Description of the belief in policy_tree.json, in full."""

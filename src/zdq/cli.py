@@ -124,6 +124,7 @@ def _run_design(setup, out_dir: str):
             "nodes_evaluated": e.nodes_evaluated,
             "node_budget": e.budget,
             "greedy_upper_bound": e.greedy_bound,
+            "lower_bound": e.lower_bound,
         }
     tree = res.tree
     _atomic_write(

@@ -16,95 +16,128 @@ mass is reported). Ties pick the first candidate in enumeration order.
 Repeated beliefs are shared by exact byte equality of the belief vector;
 no tolerance-based merging is done.
 
-The search is an exact branch and bound. Every belief after the first
+The search is an exact branch and bound. At a node at t < horizon - 1
+it searches the candidate of least stage cost first, then visits the
+others in stable order of stage cost and skips each one whose lower
+bound exceeds the best value found so far by more than the margin:
+
+    lower(k) > best + PRUNE_MARGIN * max(best, 1).
+
+Each lower(k) is at most candidate k's value up to the margins below,
+so a skipped candidate's value is above the least one, never equal to
+it, and the value of every node, and the chosen quantizer under the tie
+rule, are those of the exhaustive search bit for bit. At t = horizon - 1
+the continuation is 0 and the choice is the first argmin of the batched
+stage costs.
+
+Bounds. Every bound rests on one fact. Every belief after the first
 stage is a convex combination of prediction columns: the transition
-rows of a chain, or the transition-kernel columns of a linear-Gaussian
-source normalized to integral 1. For a fixed quantizer the stage cost is
-a sum over cells of a minimum of linear functionals of the belief
-(quadratic: the mass-weighted conditional variance, min over u of
-m2 - 2 u m1 + u^2 m0; tabular: the least restricted column cost), so it
-is concave, and so is its minimum over the candidates. Its least value
-over the combinations therefore sits at a column, and that least value,
-the floor (the source's stage_floor), bounds the stage cost of every
-later stage from below (Smallwood & Sondik 1973 use the same concavity
-for partially observed control). At a node at stage t < horizon - 1
-the candidates are visited in stable order of stage cost, and the loop
-stops at the first one with
+rows of a chain, or the transition-kernel columns K_i of a
+linear-Gaussian source, each of trapezoid integral c_i (w the trapezoid
+weights), normalized. For a fixed quantizer the stage cost is a sum over
+cells of a minimum of linear functionals of the belief (quadratic: the
+mass-weighted conditional variance, min over u of m2 - 2 u m1 + u^2 m0;
+tabular: the least restricted column cost), so it is concave, and so is
+its minimum over the candidates (Smallwood & Sondik 1973 use the same
+concavity for partially observed control). lower(k) is the larger of two
+bounds, taken alike for every source:
+  - the column bound. Let l_i be the least stage cost over the
+    candidates of normalized column i (the source's column_costs, kept
+    per source, grid and candidate set; stage_floor is its least entry).
+    The child of cell m of a node of belief b is sum_i r_i K_i / sum_i
+    r_i c_i, r the belief restricted to the cell, whose parts over the
+    cells add up to w_i b_i, and its mass sum_i r_i is at least sum_i r_i
+    c_i / M, M = max(1, max c). By concavity the child's least stage cost
+    is at least the same mixture of the l_i, so whatever quantizer the
+    node picks, the next stage costs at least b.expect(f_1), f_1 = l
+    c / M, in expectation. The source's pull, the transposed push f ->
+    K^T (w f) (P f on a chain), whose pull of 1 is c, moves a bound one
+    stage on: for f >= 0 the branch masses times child.expect(f) add up
+    to at least b.expect(pull(f)) / M, so f_{s+1} = pull(f_s) / M bounds
+    the stage s + 1 steps on, and
 
-    stage / horizon + (horizon - t - 1) * floor_share
-        > best value so far + PRUNE_MARGIN * max(best value, 1)
+        column(k) = stage(k) / horizon
+                    + b.expect(f_1 + ... + f_{horizon-t-1}) surviving / horizon.
 
-because no later candidate can then reach the best value. floor_share is
-floor / horizon times 1 - horizon * levels * EPS_PRUNE: a node drops at
-most levels * EPS_PRUNE of its mass by the EPS_PRUNE branch rule, so at
-least that share of the mass survives along every path. PRUNE_MARGIN
-covers the rest: rounding in the floor (about 1e-16 relative), and the
-EPS_MASS rule, which counts a cell of mass <= EPS_MASS as 0 and so may
-lower a later stage cost below the concave bound by at most EPS_MASS
-times the cell's conditional variance (EPS_MASS * diameter^2 / 4 of the
-support, or the largest table entry) per cell; with EPS_MASS = 1e-12
-that is covered up to levels * diameter^2 / 4 of about 10^6 times
-max(best value, 1).
-Pruned candidates could not have won, so the value of every node, and
-the chosen quantizer under the tie rule, are those of the exhaustive
-search bit for bit. At t = horizon - 1 the continuation is 0 and the
-choice is the first argmin of the batched stage costs.
+    This is the cost if a genie told encoder and decoder the previous
+    state before each later stage: the cost-minimizing form of QMDP
+    (Littman, Cassandra & Kaelbling 1995) and of Hauskrecht's (2000)
+    fast informed bound. The floor, the least l, is its worst case.
+    The f_s are built once per solve, from the pull of 1 and
+    horizon - 2 more pulls over the kernel's bands;
+  - the lookahead. A child pays at least its least stage cost at its
+    own stage, and that cost is a minimum of functions linear in the
+    parent's restricted density (the alpha vectors of Smallwood &
+    Sondik). So the source's last_stage_costs gives the least stage cost
+    L'(k, m) of every kept child, of mass p(k, m) > EPS_PRUNE, from one
+    product, without building it, within half the slack of the least
+    stage cost of the child filter_update builds:
 
-At t = horizon - 2 the children are last-stage nodes, whose value is
-their least stage cost over horizon, and that cost is a minimum of
-functions linear in the parent's restricted density (the alpha vectors
-of Smallwood & Sondik). So the source's last_stage_costs gives the
-least stage cost L'(k, m) of every kept child, of mass p(k, m) >
-EPS_PRUNE, from one product, without building it, and with the exact
-stage s(k)
+        ahead(k) = (stage(k) + sum over kept m of p(k, m) L'(k, m) - slack / 2) / horizon
+                   + b.expect(f_2 + ... + f_{horizon-t-1}) surviving / horizon,
+        slack = max(PRUNE_MARGIN * max(1, M2), 2 E),
 
-    A(k) = s(k) + sum over kept m of p(k, m) L'(k, m)
-
-is horizon times candidate k's value up to the error of L'. The
-stage-order loop above searches the candidate of least stage exactly,
-as before. Of the other candidates, those the floor bound cannot rule
-out against its value v are costed in one product, and the loop, with
-its floor bound and tie rule unchanged, visits of them only those with
-
-    A(k) <= min(horizon * v + slack / 2, min over them of A + slack),
-    slack = max(PRUNE_MARGIN * max(1, M2), 2 E),
-
-and searches their children exactly. M2 is the largest E[x^2] of a kept
-child costed, and E the source's bound on |L'(k, m) - L(k, m)|, with L
-the least stage cost of the child built by filter_update. Where the
-floor bound already rules out every other candidate, nothing is costed.
-
-Half the slack is at least E, which bounds |A(k) - horizon * value(k)|
-(the masses sum to at most 1), and v is a value some candidate reaches,
-so every candidate left out has a value above the least one, never
-equal to it, and the node's value and choice stay bit for bit. E sums
-two terms over a child's <= levels cells:
-  - rounding: the product's cumulative moments about 0 come from two
-    sums of n terms each (n grid nodes), whose magnitudes add up to at
-    most 1, sqrt(M2) and M2 for orders 0, 1, 2 (order 1 by
-    Cauchy-Schwarz), so each is off by at most e = 2 n u (u = 2^-53) in
-    those units. The filter rounds less, and so do the built child's
-    cell moments: GridBelief.cell_moments takes each as the difference
-    of two sums of at most n terms about the child's mean, and
-    tests/test_moments.py measures their order-k error below
-    16 u (std + spacing)^k against sums in extended precision, where e
-    is 2 n u. A cell's term m2 - m1^2 / m0 of mean mu is then off by at
-    most about 2 e (sqrt(M2) + |mu|)^2 <= 8 e X^2, X the largest |grid
-    node|, because M2 <= X^2;
-  - EPS_MASS: a cell counts only above mass EPS_MASS; where the product
-    and the child's cell moments disagree on it, its mass is within e
-    of EPS_MASS and its term is at most its raw second moment,
-    (EPS_MASS + e) X^2.
-So E = levels (9 e + EPS_MASS) X^2, about 2.6e-12 levels X^2 on an
-801-node grid, and the margin term sets the slack while levels X^2
-stays below about 1.9e5 max(1, M2). On a default grid (8 stationary
-stds) every child's E[x^2] is at least noise_std^2, so X^2 / M2 <=
-64 / (1 - a^2): for two levels the margin term covers 2 E up to
-a = 0.9996. Wider or finer grids, or a closer to 1, can take 2 E.
-Measured on the a = 0.5, 0.9 and 0.99 default grids, |L' - L| stayed
-below 2e-15 max(1, M2). A source or cost without the product
-(last_stage_costs returns None: a chain, or a tabular cost) takes the
-stage-order loop over every candidate.
+    the later stages bounded as in the column bound. M2 is the largest
+    E[x^2] of a kept child costed, and E the source's bound on |L'(k, m)
+    - L(k, m)|, L the least stage cost of the built child. At t =
+    horizon - 2, ahead(k) is candidate k's value less at most half the
+    slack over horizon. One product per node costs, after the first
+    candidate's search, the candidates whose column bound does not
+    already rule them out against its value; where the column bound
+    rules out every other candidate, nothing is costed. A source or cost
+    without the product (last_stage_costs returns None: a chain, or a
+    tabular cost) takes the column bound alone.
+Margins. The bounds hold exactly up to these, and PRUNE_MARGIN covers
+what surviving does not:
+  - M: discretization can take a column's integral c_i past 1, which
+    the division by M = max(1, max c) allows for;
+  - the tail trim: the push sets the tails of a child below TAIL =
+    2^-60 of its peak to 0, so a child is below the concave mixture by
+    less than 2^-60 of its peak per entry, about n 2^-60 of its mass;
+  - EPS_PRUNE: a node drops at most levels * EPS_PRUNE of its mass by the
+    branch rule, and a dropped branch's share of any f_s is at most its
+    mass times max l (pull(f) / M is at most max f), so drops lower the
+    bound's terms by at most horizon * levels * EPS_PRUNE * max l in all.
+    surviving = 1 - horizon * levels * EPS_PRUNE takes that share of the
+    bound off, and PRUNE_MARGIN covers the rest while horizon * levels
+    * max l stays under 10^3 max(best, 1); max l is at most the largest
+    variance of a normalized column, noise_std^2 on a grid;
+  - EPS_MASS: a cell of mass <= EPS_MASS counts as 0 and so may lower a
+    later stage cost below the concave bound by at most EPS_MASS times
+    the cell's conditional variance (EPS_MASS * diameter^2 / 4 of the
+    support, or the largest table entry) per cell; with EPS_MASS =
+    1e-12 PRUNE_MARGIN covers that up to levels * diameter^2 / 4 of
+    about 10^6 times max(best, 1);
+  - rounding: l, the pulls and the expectations round at about 1e-16
+    relative, raw moments about 0 relative to the squared grid range;
+  - the product: half the slack is at least E, which bounds |A(k) -
+    horizon * value(k)| for A(k) = stage(k) + sum over kept m of p(k, m)
+    L'(k, m) (the masses sum to at most 1). E sums two terms over a
+    child's <= levels cells:
+      - rounding: the product's cumulative moments about 0 come from two
+        sums of n terms each (n grid nodes), whose magnitudes add up to
+        at most 1, sqrt(M2) and M2 for orders 0, 1, 2 (order 1 by
+        Cauchy-Schwarz), so each is off by at most e = 2 n u (u = 2^-53)
+        in those units. The filter rounds less, and so do the built
+        child's cell moments: GridBelief.cell_moments takes each as the
+        difference of two sums of at most n terms about the child's
+        mean, and tests/test_moments.py measures their order-k error
+        below 16 u (std + spacing)^k against sums in extended precision,
+        where e is 2 n u. A cell's term m2 - m1^2 / m0 of mean mu is then
+        off by at most about 2 e (sqrt(M2) + |mu|)^2 <= 8 e X^2, X the
+        largest |grid node|, because M2 <= X^2;
+      - EPS_MASS: a cell counts only above mass EPS_MASS; where the
+        product and the child's cell moments disagree on it, its mass is
+        within e of EPS_MASS and its term is at most its raw second
+        moment, (EPS_MASS + e) X^2.
+    So E = levels (9 e + EPS_MASS) X^2, about 2.6e-12 levels X^2 on an
+    801-node grid, and the margin term sets the slack while levels X^2
+    stays below about 1.9e5 max(1, M2). On a default grid (8 stationary
+    stds) every child's E[x^2] is at least noise_std^2, so X^2 / M2 <=
+    64 / (1 - a^2): for two levels the margin term covers 2 E up to a =
+    0.9996. Wider or finer grids, or a closer to 1, can take 2 E.
+    Measured on the a = 0.5, 0.9 and 0.99 default grids, |L' - L| stayed
+    below 2e-15 max(1, M2).
 
 Mirror twins. When the source's transition law commutes with x -> -x
 (model.mirror_symmetric: a zero-mean AR(1) source) and the candidate
@@ -121,8 +154,8 @@ own cell order, and the tie rule picks the first of the least values in
 the twin's own ids. With two cells the sum is the node's own, so the
 twin takes its value bit for bit; at the last stage every candidate
 tied with the choice is kept for it. No bound drops a tied candidate
-(the floor bound and the last-stage product prune only above the least
-value), so the candidates the search visited hold every one that can
+(the bounds prune only above the least value plus the margin), so the
+candidates the search visited hold every one that can
 win at the twin. At a node that is its own mirror image the children of
 mirror cells are twins, and cell_decisions gives mirror candidates the
 same stage bit for bit, so their ties are the tie rule's to decide. A
@@ -134,18 +167,21 @@ tree holds only the subtree the chosen policy reaches, and leaf beliefs
 are built for that subtree alone. nodes_evaluated counts every expanded
 node, leaves included, and expansions_by_stage splits that count by
 stage t = 0 .. horizon. candidates_pruned counts the candidates whose
-children were not searched: those the floor bound skipped and those the
-last-stage product left out. The tree's counters split the work
-deterministically: expansions_by_stage, pruned_by_floor and
-pruned_by_product (which sum to candidates_pruned), mirror_twins (nodes
+children were not searched. The tree's counters split the work
+deterministically: expansions_by_stage, pruned_by_floor (candidates the
+column bound, which took the floor's place, ruled out) and
+pruned_by_product (those only the lookahead ruled out), which sum to
+candidates_pruned, mirror_twins (nodes
 built as twins), memo_hits (children found without a search: in the
 memo, or filtered already at their node), filter_calls (filter_update
 calls of the search and of the policy path's leaves) and
-branches_dropped (cells of mass at most EPS_PRUNE skipped).
+branches_dropped (cells of mass at most EPS_PRUNE skipped); lower_bound
+is the least column bound over the candidates at the root, a lower
+bound on the value that NodeBudgetExceeded reports too.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,18 +210,73 @@ class NodeBudgetExceeded(RuntimeError):
     """The reachable belief tree outgrew the configured node budget.
 
     greedy_bound is an upper bound on the optimal value obtained by
-    evaluating the stage-greedy policy exactly, so callers still get a
-    certified number.
+    evaluating the stage-greedy policy exactly, and lower_bound the least
+    over the candidates of the root's column bound (module docstring), so
+    callers still get a certified interval on the optimum.
     """
 
-    def __init__(self, nodes_evaluated: int, budget: int, greedy_bound: float):
+    def __init__(self, nodes_evaluated: int, budget: int, greedy_bound: float,
+                 lower_bound: float):
         super().__init__(
             f"node budget exceeded: {nodes_evaluated} > {budget}; "
-            f"greedy upper bound {greedy_bound:.6g}"
+            f"optimum in [{lower_bound:.6g}, {greedy_bound:.6g}]"
         )
         self.nodes_evaluated = nodes_evaluated
         self.budget = budget
         self.greedy_bound = greedy_bound
+        self.lower_bound = lower_bound
+
+
+class _LowerBounds:
+    """Lower bounds on the value of every candidate at a node, from the
+    terms of one solve (module docstring, "Bounds").
+
+    first is f_1 and beyond[r] is f_2 + ... + f_r, functions at the
+    prediction columns' nodes (or states) whose expectation under a
+    node's belief bounds the expected stage costs of the later stages.
+    """
+
+    def __init__(self, model, belief, candidates: CandidateSet, cost: CostModel, horizon: int):
+        self.model, self.candidates, self.cost, self.horizon = model, candidates, cost, horizon
+        # the mass along a path that no EPS_PRUNE drop removed, over horizon
+        self.share = max(0.0, 1.0 - horizon * candidates.levels * EPS_PRUNE) / horizon
+        self.beyond = [None, None]
+        if horizon > 1:
+            costs = model.column_costs(belief, candidates, cost)
+            # the columns' integrals c, and M = max(1, max c)
+            integrals = model.pull(belief, np.ones_like(costs))
+            scale = max(1.0, float(integrals.max()))
+            f = self.first = costs * integrals / scale
+            for r in range(2, horizon):
+                f = model.pull(belief, f) / scale
+                self.beyond.append(f if r == 2 else self.beyond[-1] + f)
+
+    def column(self, belief, t: int, stages) -> np.ndarray:
+        """(K,): stage / horizon plus the column term of the
+        horizon - t - 1 later stages."""
+        later = self.horizon - t - 1
+        term = 0.0
+        if later:
+            term = belief.expect(self.first)
+            if later > 1:
+                term += belief.expect(self.beyond[later])
+        return stages / self.horizon + term * self.share
+
+    def lookahead(self, belief, t: int, stages, masses, head: list):
+        """(K,): the lookahead bound of the candidates in head, -inf
+        elsewhere; None where the source has no last-stage product."""
+        costed = np.zeros(masses.shape, dtype=bool)
+        costed[head] = masses[head] > EPS_PRUNE
+        product = self.model.last_stage_costs(belief, self.candidates, self.cost, costed)
+        if product is None:
+            return None
+        least, scale, error = product
+        slack = max(PRUNE_MARGIN * max(1.0, scale), 2.0 * error)
+        later = self.horizon - t - 2
+        term = belief.expect(self.beyond[later + 1]) * self.share if later else 0.0
+        out = np.full(len(stages), -math.inf)
+        out[head] = (stages[head] + (masses[head] * least[head]).sum(axis=1) - 0.5 * slack) / self.horizon + term
+        return out
 
 
 @dataclass
@@ -267,8 +358,8 @@ def solve_finite_horizon(
 
     candidates is the ordered quantizer set searched at every belief
     node, a CandidateSet or any sequence of quantizers. The search
-    prunes candidates by the stage-cost floor and, at t = horizon - 2,
-    by the last-stage product (module docstring). The returned tree
+    prunes candidates by their column bound and lookahead (module
+    docstring). The returned tree
     holds the beliefs the chosen policy reaches, with the chosen
     quantizer, node value, stage cost and symbol branches (with
     probabilities) at each; values satisfy the recursion in the module
@@ -281,11 +372,8 @@ def solve_finite_horizon(
     candidates = CandidateSet.of(candidates)
     _check_pair(initial_belief, model)
 
-    if horizon > 1:
-        # every later stage pays at least the floor on the mass that no
-        # EPS_PRUNE drop removed; a node drops at most levels * EPS_PRUNE
-        surviving = max(0.0, 1.0 - horizon * candidates.levels * EPS_PRUNE)
-        stage_floor = model.stage_floor(initial_belief, candidates, cost) * surviving / horizon
+    bounds = _LowerBounds(model, initial_belief, candidates, cost, horizon)
+    lower_bound = None  # the root's, set before the root is expanded
     # twins: a source and a set that commute with x -> -x (module docstring)
     mirror = candidates.mirror if model.mirror_symmetric else None
     searched: list[PolicyNode] = []
@@ -308,15 +396,11 @@ def solve_finite_horizon(
                 horizon,
                 lambda t, b: greedy_policy_step(b, candidates, cost),
             )
-            raise NodeBudgetExceeded(evals, node_budget, bound)
+            raise NodeBudgetExceeded(evals, node_budget, bound, lower_bound)
 
     def filtered(belief, quantizer, m: int):
         counts["filter_calls"] += 1
         return filter_update(belief, model, quantizer, m)
-
-    def ruled_out(stage: float, future: float, best: float) -> bool:
-        # the floor bound (module docstring)
-        return stage / horizon + future > best + PRUNE_MARGIN * max(best, 1.0)
 
     def leaf_branches(masses, k: int) -> dict:
         # the branches of candidate k at a t = horizon - 1 node: leaves
@@ -355,42 +439,27 @@ def solve_finite_horizon(
             continuation += mass * searched[child_id].value
         return continuation, children
 
-    def contenders(belief, stages, masses, rest: list, future: float, best: float) -> list:
-        # rest (stage order) without the candidates whose last-stage
-        # product value cannot reach best (module docstring); those the
-        # floor bound rules out against best are left for the loop
-        head = list(itertools.takewhile(lambda k: not ruled_out(stages[k], future, best), rest))
-        if not head:
-            return rest
-        costed = np.zeros_like(masses, dtype=bool)
-        costed[head] = masses[head] > EPS_PRUNE
-        product = model.last_stage_costs(belief, candidates, cost, costed)
-        if product is None:
-            return rest
-        least, scale, error = product
-        approx = stages[head] + (masses[head] * least[head]).sum(axis=1)
-        slack = max(PRUNE_MARGIN * max(1.0, scale), 2.0 * error)
-        cut = min(horizon * best + 0.5 * slack, approx.min() + slack)
-        kept = [k for k, a in zip(head, approx.tolist()) if a <= cut]
-        counts["pruned_by_product"] += len(head) - len(kept)
-        return kept + rest[len(head) :]
-
     def search(belief, t: int) -> int:
         # nodes at t < horizon; leaves are built on the policy path only.
         # Only canonical beliefs are searched: a belief whose mirror
         # image is canonical is the twin of its mirror image's node
         if mirror is not None and belief.orientation > 0:
             return twin(search(belief.mirror(), t))
+        nonlocal lower_bound
         key = (t, belief.key())
         hit = memo.get(key)
         if hit is not None:
             counts["memo_hits"] += 1
             return hit
+        stages, masses, _ = cell_decisions(belief, candidates, cost)
+        if t + 1 < horizon or not searched:
+            column = bounds.column(belief, t, stages)
+            if not searched:
+                lower_bound = float(column.min())
         expand(t)
         node = PolicyNode(len(searched), t, belief, None, None, 0.0, 0.0)
         searched.append(node)
         memo[key] = node.node_id
-        stages, masses, _ = cell_decisions(belief, candidates, cost)
         if t + 1 == horizon:
             # leaves have value 0, so the value is the stage share alone
             values = stages / horizon
@@ -403,7 +472,6 @@ def solve_finite_horizon(
                 visited = [(k, float(stages[k]), leaf_branches(masses, k))
                            for k in np.flatnonzero(values == values[qid]).tolist()]
         else:
-            future = (horizon - t - 1) * stage_floor
             stages_list, masses_list = stages.tolist(), masses.tolist()
             order = sorted(range(len(candidates)), key=stages_list.__getitem__)
             qid, rest = order[0], order[1:]
@@ -411,13 +479,19 @@ def solve_finite_horizon(
             continuation, node.children = branch(belief, qid, masses_list[qid], t, cells)
             node.value = stages_list[qid] / horizon + continuation
             visited = [(qid, stages_list[qid], node.children)]
-            if t + 2 == horizon:
-                rest = contenders(belief, stages, masses, rest, future, node.value)
-            for rank, k in enumerate(rest):
+            # one lower bound per candidate: the column bound, raised by
+            # the lookahead where the column bound leaves the candidate in
+            by_column = column.tolist()
+            cut = node.value + PRUNE_MARGIN * max(node.value, 1.0)
+            head = [k for k in rest if by_column[k] <= cut]
+            ahead = bounds.lookahead(belief, t, stages, masses, head) if head else None
+            lower = by_column if ahead is None else np.maximum(column, ahead).tolist()
+            for k in rest:
+                cut = node.value + PRUNE_MARGIN * max(node.value, 1.0)
+                if lower[k] > cut:
+                    counts["pruned_by_floor" if by_column[k] > cut else "pruned_by_product"] += 1
+                    continue
                 stage = stages_list[k]
-                if ruled_out(stage, future, node.value):
-                    counts["pruned_by_floor"] += len(rest) - rank
-                    break
                 continuation, children = branch(belief, k, masses_list[k], t, cells)
                 visited.append((k, stage, children))
                 value = stage / horizon + continuation
@@ -528,7 +602,7 @@ def solve_finite_horizon(
         nodes_evaluated=sum(by_stage),
         candidates_pruned=counts["pruned_by_floor"] + counts["pruned_by_product"],
         expansions_by_stage=by_stage,
-        counters={"expansions_by_stage": list(by_stage), **counts},
+        counters={"expansions_by_stage": list(by_stage), **counts, "lower_bound": lower_bound},
     )
     return DPResult(value=tree.value, tree=tree)
 

@@ -16,16 +16,18 @@ that depends on the family, with the same names on both:
   method), through the kernel columns or transition rows start ..
   start + len(part) - 1, run by beliefs.filter_update after its shared
   checks;
-- stage_floor, the least stage cost at the prediction columns that
-  bounds the dynamic program's later stages, and last_stage_costs, the
-  least stage cost of every child of a belief from one product, with
-  which the dynamic program ranks candidates one stage before the last
-  (None on a chain);
+- the dynamic program's lower bounds (dp's module docstring):
+  column_costs, the least stage cost at every prediction column (a
+  kernel column or a transition row; stage_floor is its least entry),
+  pull, the transposed push, which takes a function of the next state
+  to its expectation one step after every node or state, and
+  last_stage_costs, the least stage cost of every child of a belief
+  from one product (None on a chain);
 - real_values, the real numbers realized costs are taken at, and
   scan_width, the entries state_paths holds per path and step.
 
 The Gaussian family's transition kernel and its products live here,
-beside push, stage_floor and last_stage_costs, which read them. The
+beside push, column_costs, pull and last_stage_costs, which read them. The
 kernel is banded (_BandedKernel, cached per source and grid by
 _transition_kernel): it keeps each column's entries of at least TAIL =
 2^-60 of the column's largest, in column-major blocks of 64 columns
@@ -37,13 +39,14 @@ least TAIL of its largest, to 0, and the belief keeps the node range
 between as its support. The push reads the restriction's columns as a
 run of blocks, one product of at most 64 columns per block added into
 that block's rows; no such product is wide enough for a threaded BLAS
-path, so a push gives the same bytes on any thread count.
+path, so a push gives the same bytes on any thread count. pull reads the
+same blocks transposed, a vector of a block's rows times its columns.
 _kernel_cut_moments is the product W K of a candidate set's weights of
 1, x and x^2 up to every cut (beliefs.CutWeights.matrix) with the
 kernel, kept per source, grid and candidate set: times a restriction it
 gives the cumulative raw moments of that restriction's prediction at
-every cut, from which stage_floor and last_stage_costs read the
-stage-cost floor and the last-stage costs of a belief's children. W K
+every cut, from which column_costs and last_stage_costs read the least
+stage costs of the kernel columns and of a belief's children. W K
 multiplies row-major copies of a block's columns, over the block's rows
 only, at most 32 columns at a time and fewer where the product would
 pass m k n = 10^6 (beliefs._product_columns); last_stage_costs bounds
@@ -233,15 +236,28 @@ class LinearGaussianSource:
         # mass, which loses the precision dividing by it needs
         return GridBelief(grid, raw)
 
+    def column_costs(self, belief: GridBelief, candidates, cost) -> np.ndarray:
+        """(n_points,), read-only: the least quadratic stage cost over the
+        candidates of every normalized kernel column on the belief's grid,
+        read off the cached W K (_kernel_cut_moments) by _least_stage_costs
+        and kept per source, grid and candidate set (_column_costs; a grid
+        belief has no tabular cost); candidates is any sequence, taken as
+        a CandidateSet."""
+        return _column_costs(self, belief.grid, CandidateSet.of(candidates))
+
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
-        """Least quadratic stage cost over every normalized kernel column
-        on the belief's grid, read off the cached W K (_kernel_cut_moments)
-        by _least_stage_costs (a grid belief has no tabular cost);
-        candidates is any sequence, taken as a CandidateSet."""
-        candidates = CandidateSet.of(candidates)
-        weights = _cut_weights(belief.grid, candidates)
-        product = _kernel_cut_moments(self, belief.grid, candidates)
-        return float(_least_stage_costs(weights, product).min())
+        """The least of column_costs: the least stage cost at any
+        prediction column."""
+        return float(self.column_costs(belief, candidates, cost).min())
+
+    def pull(self, belief: GridBelief, f: np.ndarray) -> np.ndarray:
+        """The transposed push: at every node i, the expectation of f one
+        step after x = x_i, K^T (w f), w the trapezoid weights; f holds a
+        function's values at the nodes of the belief's grid. The pull of
+        1 is every kernel column's integral. K^T is taken over the bands
+        (_BandedKernel.transposed)."""
+        grid = belief.grid
+        return _transition_kernel(self, grid).transposed(grid.trapezoid_weights * f)
 
     def last_stage_costs(self, belief: GridBelief, candidates, cost, kept):
         """Least quadratic stage cost of every kept child of the belief,
@@ -285,6 +301,15 @@ class LinearGaussianSource:
         e = 2.0 * grid.n_points * 2.0**-53
         error = candidates.levels * (9.0 * e + EPS_MASS) * x * x
         return least, scale, error
+
+
+@functools.lru_cache(maxsize=_CUT_SETS)
+def _column_costs(model, grid: Grid, candidates) -> np.ndarray:
+    """LinearGaussianSource.column_costs, kept per (model, grid,
+    candidate set), read-only."""
+    out = _least_stage_costs(_cut_weights(grid, candidates), _kernel_cut_moments(model, grid, candidates))
+    out.flags.writeable = False
+    return out
 
 
 def _least_stage_costs(weights, cumulative) -> np.ndarray:
@@ -394,6 +419,24 @@ class _BandedKernel:
             image = self.blocks[-1 - b][1]
             c1 = c0 + block.shape[1]
             rows[::-1] += image[:, c1 - hi : c1 - lo] @ flipped[stop - hi : stop - lo]
+        return out
+
+    def transposed(self, g: np.ndarray) -> np.ndarray:
+        """K^T g over the bands: each block's columns are its band rows
+        of g times the block. A mirrored block is read through its stored
+        image, as the image's rows of g reversed times the image, written
+        to its columns reversed. g is reversed by one copy per call: a
+        product with a reversed view of a (651, 64) block's rows took 20
+        against 5 us on a 2-core Xeon."""
+        out = np.empty(self.n_points)
+        flipped = g[::-1].copy() if self.stored < len(self.blocks) else None
+        for b, (c0, (r0, block)) in enumerate(zip(self.starts, self.blocks)):
+            columns = out[c0 : c0 + block.shape[1]]
+            if b < self.stored:
+                columns[:] = g[r0 : r0 + len(block)] @ block
+            else:
+                r0, image = self.blocks[-1 - b]
+                columns[::-1] = flipped[r0 : r0 + len(image)] @ image
         return out
 
 
@@ -588,12 +631,23 @@ class FiniteChain:
         logger.debug("filter renormalization drift %.3e", z - 1.0)
         return SimplexBelief(post / z, states=belief.states)
 
-    def stage_floor(self, belief: SimplexBelief, candidates, cost) -> float:
-        """Least stage cost over the transition rows as beliefs."""
-        return min(
-            float(cell_decisions(SimplexBelief(row, states=belief.states), candidates, cost)[0].min())
+    def column_costs(self, belief: SimplexBelief, candidates, cost) -> np.ndarray:
+        """(n_states,): the least stage cost over the candidates of every
+        transition row as a belief."""
+        return np.array([
+            cell_decisions(SimplexBelief(row, states=belief.states), candidates, cost)[0].min()
             for row in self.transition
-        )
+        ])
+
+    def stage_floor(self, belief: SimplexBelief, candidates, cost) -> float:
+        """The least of column_costs: the least stage cost at any
+        transition row."""
+        return float(self.column_costs(belief, candidates, cost).min())
+
+    def pull(self, belief: SimplexBelief, f: np.ndarray) -> np.ndarray:
+        """The transposed push: P f, the expectation of f, given by its
+        value at every state, one step after each state."""
+        return self.transition @ f
 
     def last_stage_costs(self, belief: SimplexBelief, candidates, cost, kept):
         """None: a chain has no last-stage product, so the dynamic

@@ -434,6 +434,7 @@ def test_design_budget_exceeded(tmp_path):
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     assert results["status"] == "budget_exceeded"
     assert results["greedy_upper_bound"] > 0.0
+    assert 0.0 < results["lower_bound"] <= results["greedy_upper_bound"]
 
 
 TREE_REPLAY = {"type": "tree_replay", "design_horizon": 2}
@@ -813,22 +814,32 @@ def test_design_counters_repeat_and_add_up(tmp_path, capsys):
     counters = results["counters"]
     assert set(counters) == {
         "expansions_by_stage", "pruned_by_floor", "pruned_by_product", "mirror_twins",
-        "memo_hits", "filter_calls", "branches_dropped",
+        "memo_hits", "filter_calls", "branches_dropped", "lower_bound",
     }
     assert counters["pruned_by_floor"] + counters["pruned_by_product"] == results["candidates_pruned"]
     assert sum(counters["expansions_by_stage"]) == results["nodes_evaluated"]
     assert counters["expansions_by_stage"] == results["expansions_by_stage"]
     assert counters["mirror_twins"] > 0
+    assert 0.0 < counters["lower_bound"] <= results["value"]
 
 
 def test_a_second_task_finds_its_objects_by_identity(tmp_path, monkeypatch):
     # equal configs get the same source, grid and candidate set, so the
     # per-grid caches of a second in-process task compare nothing field
     # by field, and the task writes the same artifacts
-    from zdq.beliefs import Grid
+    from zdq.beliefs import Grid, _cell_weights, _cut_weights
     from zdq.quantizers import IntervalQuantizer
-    from zdq.sources import LinearGaussianSource
+    from zdq.sources import (
+        LinearGaussianSource,
+        _column_costs,
+        _kernel_cut_moments,
+        _transition_kernel,
+    )
 
+    # earlier tests leave equal but distinct grids in the per-grid
+    # caches, which a lookup would compare field by field
+    for cache in (_cut_weights, _cell_weights, _transition_kernel, _kernel_cut_moments, _column_costs):
+        cache.cache_clear()
     doc = json.loads(open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
                                        "occupancy-ar1.json")).read())
     doc["horizon"] = 60

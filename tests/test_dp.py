@@ -120,8 +120,10 @@ def test_node_budget(three_state_chain):
     err = exc.value
     assert err.budget == 4
     assert err.nodes_evaluated > 4
-    # certified fallback bound is valid
+    # certified fallback bounds are valid
     assert err.greedy_bound >= full.value - 1e-12
+    assert err.lower_bound == full.tree.counters["lower_bound"]
+    assert 0.0 < err.lower_bound <= full.value <= err.greedy_bound
 
 
 def test_memoization_reuses_repeated_beliefs():

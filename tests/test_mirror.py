@@ -203,7 +203,7 @@ def test_design_ar1_searches_each_twin_pair_once():
     src = LinearGaussianSource(0.5, 1.0)
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 11)
     tree = solve_finite_horizon(src.invariant_distribution(), src, cands, QUAD, 3).tree
-    assert tree.expansions_by_stage == [1, 3, 6, 8]
+    assert tree.expansions_by_stage == [1, 1, 2, 8]
     counters = tree.counters
     assert counters["mirror_twins"] > 0 and counters["filter_calls"] < 26
     # a set on [-4, 2] has no mirror map: every belief is searched
