@@ -42,8 +42,8 @@ its minimum over the candidates (Smallwood & Sondik 1973 use the same
 concavity for partially observed control). lower(k) is the larger of two
 bounds, taken alike for every source:
   - the column bound. Let l_i be the least stage cost over the
-    candidates of normalized column i (the source's column_costs, kept
-    per source, grid and candidate set; stage_floor is its least entry).
+    candidates of normalized column i (the source's column_costs, read
+    once per solve; stage_floor is its least entry).
     The child of cell m of a node of belief b is sum_i r_i K_i / sum_i
     r_i c_i, r the belief restricted to the cell, whose parts over the
     cells add up to w_i b_i, and its mass sum_i r_i is at least sum_i r_i
@@ -231,35 +231,33 @@ class _LowerBounds:
     """Lower bounds on the value of every candidate at a node, from the
     terms of one solve (module docstring, "Bounds").
 
-    first is f_1 and beyond[r] is f_2 + ... + f_r, functions at the
-    prediction columns' nodes (or states) whose expectation under a
-    node's belief bounds the expected stage costs of the later stages.
+    totals[r] is f_1 + ... + f_r and beyond[r] is f_2 + ... + f_r,
+    functions at the prediction columns' nodes (or states) whose
+    expectation under a node's belief bounds the expected stage costs of
+    the r stages after it, and of the r - 1 stages after its children.
     """
 
     def __init__(self, model, belief, candidates: CandidateSet, cost: CostModel, horizon: int):
         self.model, self.candidates, self.cost, self.horizon = model, candidates, cost, horizon
         # the mass along a path that no EPS_PRUNE drop removed, over horizon
         self.share = max(0.0, 1.0 - horizon * candidates.levels * EPS_PRUNE) / horizon
-        self.beyond = [None, None]
+        self.totals, self.beyond = {}, {}
         if horizon > 1:
             costs = model.column_costs(belief, candidates, cost)
             # the columns' integrals c, and M = max(1, max c)
             integrals = model.pull(belief, np.ones_like(costs))
             scale = max(1.0, float(integrals.max()))
-            f = self.first = costs * integrals / scale
+            f = self.totals[1] = costs * integrals / scale
             for r in range(2, horizon):
                 f = model.pull(belief, f) / scale
-                self.beyond.append(f if r == 2 else self.beyond[-1] + f)
+                self.totals[r] = self.totals[r - 1] + f
+                self.beyond[r] = self.beyond[r - 1] + f if r > 2 else f
 
     def column(self, belief, t: int, stages) -> np.ndarray:
         """(K,): stage / horizon plus the column term of the
         horizon - t - 1 later stages."""
         later = self.horizon - t - 1
-        term = 0.0
-        if later:
-            term = belief.expect(self.first)
-            if later > 1:
-                term += belief.expect(self.beyond[later])
+        term = belief.expect(self.totals[later]) if later else 0.0
         return stages / self.horizon + term * self.share
 
     def lookahead(self, belief, t: int, stages, masses, head: list):
@@ -272,8 +270,8 @@ class _LowerBounds:
             return None
         least, scale, error = product
         slack = max(PRUNE_MARGIN * max(1.0, scale), 2.0 * error)
-        later = self.horizon - t - 2
-        term = belief.expect(self.beyond[later + 1]) * self.share if later else 0.0
+        later = self.horizon - t - 1
+        term = belief.expect(self.beyond[later]) * self.share if later > 1 else 0.0
         out = np.full(len(stages), -math.inf)
         out[head] = (stages[head] + (masses[head] * least[head]).sum(axis=1) - 0.5 * slack) / self.horizon + term
         return out

@@ -237,13 +237,14 @@ class LinearGaussianSource:
         return GridBelief(grid, raw)
 
     def column_costs(self, belief: GridBelief, candidates, cost) -> np.ndarray:
-        """(n_points,), read-only: the least quadratic stage cost over the
+        """(n_points,): the least quadratic stage cost over the
         candidates of every normalized kernel column on the belief's grid,
         read off the cached W K (_kernel_cut_moments) by _least_stage_costs
-        and kept per source, grid and candidate set (_column_costs; a grid
-        belief has no tabular cost); candidates is any sequence, taken as
-        a CandidateSet."""
-        return _column_costs(self, belief.grid, CandidateSet.of(candidates))
+        (a grid belief has no tabular cost); candidates is any sequence,
+        taken as a CandidateSet."""
+        candidates = CandidateSet.of(candidates)
+        grid = belief.grid
+        return _least_stage_costs(_cut_weights(grid, candidates), _kernel_cut_moments(self, grid, candidates))
 
     def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
         """The least of column_costs: the least stage cost at any
@@ -275,7 +276,7 @@ class LinearGaussianSource:
         small-matrix kernel (beliefs._product_columns), so that each
         product stays on one BLAS thread, and _least_stage_costs every
         child's least stage cost
-        over the candidates, as in stage_floor. Returns (least, scale,
+        over the candidates, as in column_costs. Returns (least, scale,
         error): least (K, L), 0 where not kept; scale the largest E[x^2]
         of a kept child; error the bound of dp's module docstring on how
         far least is from the cost of the child filter_update builds,
@@ -301,15 +302,6 @@ class LinearGaussianSource:
         e = 2.0 * grid.n_points * 2.0**-53
         error = candidates.levels * (9.0 * e + EPS_MASS) * x * x
         return least, scale, error
-
-
-@functools.lru_cache(maxsize=_CUT_SETS)
-def _column_costs(model, grid: Grid, candidates) -> np.ndarray:
-    """LinearGaussianSource.column_costs, kept per (model, grid,
-    candidate set), read-only."""
-    out = _least_stage_costs(_cut_weights(grid, candidates), _kernel_cut_moments(model, grid, candidates))
-    out.flags.writeable = False
-    return out
 
 
 def _least_stage_costs(weights, cumulative) -> np.ndarray:

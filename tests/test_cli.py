@@ -829,16 +829,11 @@ def test_a_second_task_finds_its_objects_by_identity(tmp_path, monkeypatch):
     # by field, and the task writes the same artifacts
     from zdq.beliefs import Grid, _cell_weights, _cut_weights
     from zdq.quantizers import IntervalQuantizer
-    from zdq.sources import (
-        LinearGaussianSource,
-        _column_costs,
-        _kernel_cut_moments,
-        _transition_kernel,
-    )
+    from zdq.sources import LinearGaussianSource, _kernel_cut_moments, _transition_kernel
 
     # earlier tests leave equal but distinct grids in the per-grid
     # caches, which a lookup would compare field by field
-    for cache in (_cut_weights, _cell_weights, _transition_kernel, _kernel_cut_moments, _column_costs):
+    for cache in (_cut_weights, _cell_weights, _transition_kernel, _kernel_cut_moments):
         cache.cache_clear()
     doc = json.loads(open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
                                        "occupancy-ar1.json")).read())
