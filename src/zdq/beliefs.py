@@ -208,8 +208,10 @@ class GridBelief:
 
     The belief holds one buffer: the bytes of its values, which key()
     returns, and values is a read-only view of them. It copies the array
-    it is built from, so the caller may go on to change that array.
-    == is identity; two beliefs compare by value through key().
+    it is built from, so the caller may go on to change that array; a
+    mirror image (mirror) views its twin's buffer until its key() is
+    first read. == is identity; two beliefs compare by value through
+    key().
 
     support = (lo, hi) is the node range outside which the values are 0:
     the extent of the nonzero values. The filter's push (sources.py)
@@ -225,7 +227,9 @@ class GridBelief:
     on other grids). mean and std are taken in the canonical
     orientation, so a mirror image's mean is the negated mean bit for
     bit; filter_update and costs.cell_decisions read the canonical
-    orientation too.
+    orientation too, through a reversed view of the values when it is
+    the mirror image's (_canonical), and a dot product reads a
+    contiguous copy of such a view (_contiguous).
     """
 
     grid: Grid
@@ -250,57 +254,73 @@ class GridBelief:
         nz = np.flatnonzero(values)
         self._hold(values, (int(nz[0]), int(nz[-1]) + 1))
 
-    def _hold(self, values: np.ndarray, support: tuple) -> None:
-        key = values.tobytes()
-        values = np.frombuffer(key)
-        lo, hi = support
+    def _hold(self, values: np.ndarray, support: tuple, mirror: bool = False) -> None:
+        # hold the contiguous values, 0 off the node range support, or
+        # with mirror their mirror image, as one buffer, the key
         grid = self.grid
+        lo, hi = support
+        n = grid.n_points
+        own = values
+        if mirror:
+            own, lo, hi = values[::-1], n - hi, n - lo
+        key = own.tobytes()
+        own = np.frombuffer(key)
+        orientation = -1
+        if grid.symmetric:
+            orientation = _order(lo, n - hi) or _order(key, own[::-1].tobytes())
         # the exact first moment of the piecewise-linear density,
         # consistent with cell masses and stage costs, taken in the
-        # canonical orientation, so that a mirror image's is its negation
-        orientation, canonical = -1, values
-        if grid.symmetric:
-            n = grid.n_points
-            orientation = _order(lo, n - hi)
-            if orientation >= 0:
-                image = values[::-1].tobytes()
-                orientation = orientation or _order(key, image)
-                if orientation > 0:
-                    canonical, lo, hi = np.frombuffer(image), n - hi, n - lo
-        mean = float(grid.moment_weights[1][lo:hi] @ canonical[lo:hi])
+        # canonical orientation, so that a mirror image's is its negation;
+        # with mirror, values are that image
+        if orientation > 0:
+            c_lo, c_hi = n - hi, n - lo
+            x = values[c_lo:c_hi] if mirror else own[::-1][c_lo:c_hi]
+            mean = -float(grid.moment_weights[1][c_lo:c_hi] @ _contiguous(x))
+        else:
+            mean = float(grid.moment_weights[1][lo:hi] @ own[lo:hi])
         self.__dict__.update(
-            _key=key, values=values, support=support, orientation=orientation,
-            mean=-mean if orientation > 0 else mean,
+            _key=key, values=own, support=(lo, hi), orientation=orientation, mean=mean
         )
 
     def mirror(self) -> "GridBelief":
         """The mirror image of the belief under x -> -x on its symmetric
         grid: the values reversed, the mean negated; the belief itself
-        when it is its own mirror image."""
+        when it is its own mirror image.
+
+        It builds no array: its values are a reversed view of the
+        belief's buffer, and its key() bytes are taken on first use,
+        when its values move to that buffer of their own."""
         if not self.grid.symmetric:
             raise ValueError("only a belief on a grid [-c, c] has a mirror image")
         if self.orientation == 0:
             return self
         n = self.grid.n_points
         lo, hi = self.support
-        key = self.values[::-1].tobytes()
         belief = object.__new__(GridBelief)
         belief.__dict__.update(
-            grid=self.grid, _key=key, values=np.frombuffer(key), support=(n - hi, n - lo),
+            grid=self.grid, values=self.values[::-1], support=(n - hi, n - lo),
             orientation=-self.orientation, mean=-self.mean,
         )
         if "std" in self.__dict__:
             belief.__dict__["std"] = self.std
         return belief
 
+    @functools.cached_property
+    def _key(self) -> bytes:
+        # a mirror image's key: its values' bytes, which it then views
+        key = self.values.tobytes()
+        self.__dict__["values"] = np.frombuffer(key)
+        return key
+
     @classmethod
-    def _normalized(cls, grid: Grid, values: np.ndarray, support: tuple) -> "GridBelief":
+    def _normalized(cls, grid: Grid, values: np.ndarray, support: tuple, mirror: bool = False) -> "GridBelief":
         """A belief of float values that pass __post_init__'s checks by
-        construction, 0 outside the node range support = (lo, hi), built
-        without running the checks again."""
+        construction, 0 outside the node range support = (lo, hi), or
+        with mirror their mirror image, built without running the checks
+        again."""
         belief = object.__new__(cls)
         object.__setattr__(belief, "grid", grid)
-        belief._hold(values, support)
+        belief._hold(values, support, mirror)
         return belief
 
     @classmethod
@@ -345,14 +365,21 @@ class GridBelief:
 
     @functools.cached_property
     def std(self) -> float:
-        lo, hi = self.support
-        values, mean = self.values, self.mean
-        if self.orientation > 0:  # the canonical orientation, as the mean
-            n = self.grid.n_points
-            values, lo, hi = np.frombuffer(values[::-1].tobytes()), n - hi, n - lo
-        second = float(self.grid.moment_weights[2][lo:hi] @ values[lo:hi])
+        # in the canonical orientation, as the mean
+        values, (lo, hi), mean = self._canonical()
+        second = float(self.grid.moment_weights[2][lo:hi] @ _contiguous(values[lo:hi]))
         var = second - mean * mean
         return math.sqrt(max(var, 0.0))
+
+    def _canonical(self):
+        """(values, support, mean) in the canonical orientation: the
+        belief's own, or when its orientation is 1 its mirror image's, a
+        reversed view of its values."""
+        if self.orientation > 0:
+            n = self.grid.n_points
+            lo, hi = self.support
+            return self.values[::-1], (n - hi, n - lo), -self.mean
+        return self.values, self.support, self.mean
 
     def expect(self, f: np.ndarray) -> float:
         """The trapezoid rule of the belief times f, a function given by
@@ -403,22 +430,21 @@ class GridBelief:
         about the mean keep m2 - m1^2 / m0 free of cancellation for
         beliefs far from 0.
         """
-        return self._moments(self.values, self.support, self.mean, candidates), self.mean
+        moments = self._moments(self.values, self.support, self.mean, CandidateSet.of(candidates))
+        return moments, self.mean
 
-    def _mirror_moments(self, candidates):
-        """cell_moments of the mirror image (self.mirror()) bit for bit,
-        read off the reversed values without building it."""
-        if self.orientation == 0:
-            return self.cell_moments(candidates)
-        n = self.grid.n_points
-        lo, hi = self.support
-        return self._moments(self.values[::-1], (n - hi, n - lo), -self.mean, candidates), -self.mean
+    def _canonical_moments(self, candidates):
+        """cell_moments of a CandidateSet in the canonical orientation: the
+        belief's own, or its mirror image's (self.mirror()) bit for bit,
+        read off the canonical values without building it."""
+        values, support, mean = self._canonical()
+        return self._moments(values, support, mean, candidates), mean
 
     def _moments(self, values, support, center, candidates) -> np.ndarray:
         # the (3, K, L) moments of cell_moments, about center, of the
-        # density values, 0 off the node range support
+        # density values, 0 off the node range support, for a CandidateSet
         grid = self.grid
-        weights = _cut_weights(grid, CandidateSet.of(candidates))
+        weights = _cut_weights(grid, candidates)
         lo, hi = support
         columns = np.empty((3, hi - lo))
         columns[0] = values[lo:hi]
@@ -426,17 +452,21 @@ class GridBelief:
         np.multiply(y, columns[0], out=columns[1])
         columns[2] *= columns[1]  # y (y v), in place of y
         local = weights.local[:, lo:hi]
-        width = _product_columns(3, hi - lo, len(local))
-        g = np.empty((3, len(local)))
-        for j in range(0, len(local), width):
-            np.matmul(columns, local[j : j + width].T, out=g[:, j : j + width])
+        if 3 * (hi - lo) * len(local) <= _SMALL_PRODUCT:  # _product_columns' one product
+            g = columns @ local.T
+        else:
+            width = _product_columns(3, hi - lo, len(local))
+            g = np.hstack([columns @ local[j : j + width].T for j in range(0, len(local), width)])
+        # C_0, C_1 and C_2 at every point, in place in the first P
+        # entries of g's rows, then every cell's difference at its cuts
         p = len(weights.points)
-        cumulative = g[:, :p].ravel()  # a copy: C_0 and the first terms of C_1, C_2
-        cumulative[p : 2 * p] += g[0, p : 2 * p]
-        rest = 2.0 * g[1, p : 2 * p]
+        g[1, :p] += g[0, p : 2 * p]
+        rest = g[1, p : 2 * p]
+        rest *= 2.0
         rest += g[0, 2 * p :]
-        cumulative[2 * p :] += rest
-        return weights.cells(cumulative)
+        g[2, :p] += rest
+        lower, upper = g.take(weights.product_ends)
+        return upper - lower
 
     def restrict(self, quantizer, symbol: int):
         """The density over cell symbol as (start, part): the per-node
@@ -451,12 +481,12 @@ class GridBelief:
         """
         return self._restricted(self.values, self.support, quantizer, symbol)
 
-    def _mirror_restrict(self, quantizer, symbol: int):
-        """restrict of the mirror image (self.mirror()) bit for bit, read
-        off the reversed values without building it."""
-        n = self.grid.n_points
-        lo, hi = self.support
-        return self._restricted(self.values[::-1], (n - hi, n - lo), quantizer, symbol)
+    def _canonical_restrict(self, quantizer, symbol: int):
+        """restrict in the canonical orientation: the belief's own, or its
+        mirror image's (self.mirror()) bit for bit, read off the canonical
+        values without building it."""
+        values, support, _ = self._canonical()
+        return self._restricted(values, support, quantizer, symbol)
 
     def _restricted(self, values, support, quantizer, symbol: int):
         # restrict's (start, part) of the density values, 0 off support
@@ -639,7 +669,9 @@ class CutWeights:
     k's cut i: -inf, its thresholds, then +inf up to the largest level
     count L. ends (2, 3, K, L) indexes a flat array of cumulative
     moments, order by order and point by point, at the lower and the
-    upper cut of every cell, which cells reads. Built on first use:
+    upper cut of every cell, which cells reads; product_ends indexes the
+    same moments in the (3, 3 P) product of GridBelief._moments, whose
+    row of order m holds them in its first P entries. Built on first use:
       local     node_moment_weights of orders 0, 1, 2 (cell_moments);
       matrix    the weights of 1, x and x^2 derived from local
                 (_raw_moment_weights; the sources' kernel products);
@@ -656,9 +688,11 @@ class CutWeights:
         slots[:, 0] = 0
         for k, q in enumerate(candidates):
             slots[k, 1 : q.levels] = [slot[t] for t in q.thresholds]
-        flat = len(self.points) * np.arange(3)[:, None, None] + slots
+        orders = len(self.points) * np.arange(3)[:, None, None]
+        flat = orders + slots
         self.slots, self.ends = slots, np.stack([flat[..., :-1], flat[..., 1:]])
-        for a in (self.points, self.slots, self.ends):
+        self.product_ends = self.ends + 2 * orders
+        for a in (self.points, self.slots, self.ends, self.product_ends):
             a.flags.writeable = False
 
     def cells(self, cumulative) -> np.ndarray:
@@ -703,6 +737,12 @@ def _cell_weights(grid: Grid, lo: float, hi: float):
     return start, w
 
 
+def _contiguous(x: np.ndarray) -> np.ndarray:
+    """x, or a contiguous copy of a reversed view: numpy's dot product
+    of a reversed view does not call BLAS, and rounds otherwise."""
+    return x if x.strides[0] > 0 else x.copy()
+
+
 def _order(a, b) -> int:
     """1 if a > b, -1 if a < b, 0 if they are equal."""
     return (a > b) - (a < b)
@@ -743,17 +783,20 @@ def filter_update(belief, model, quantizer, symbol: int):
         belief.orientation == 0 and _mirror_cell_first(quantizer, symbol)
     )
     if flip:
-        start, part = belief._mirror_restrict(quantizer.mirror, quantizer.levels + 1 - symbol)
+        start, part = belief._canonical_restrict(quantizer.mirror, quantizer.levels + 1 - symbol)
     else:
         start, part = belief.restrict(quantizer, symbol)
-    mass = float(part.sum())
+    mass = float(np.add.reduce(part))  # part.sum(), in fewer calls
     if mass <= EPS_MASS:
         raise ZeroMassSymbolError(
             f"zero-probability symbol {symbol}: cell mass {mass} <= {EPS_MASS}"
         )
-    # the push reads only the belief's grid, which its mirror image shares
-    child = model.push(belief, start, part, mass)
-    return child.mirror() if flip else child
+    # the push reads only the belief's grid, which its mirror image
+    # shares; after a canonical step it builds the mirror image of the
+    # prediction, with no second belief
+    if flip:
+        return model.push(belief, start, part, mass, mirror=True)
+    return model.push(belief, start, part, mass)
 
 
 def _mirror_cell_first(quantizer, symbol: int) -> bool:

@@ -6,12 +6,18 @@ config echo, the tolerances in force, a content hash of the inputs, and
 the task summary; plus per-task files (policy tree, trajectory CSV,
 value function table, schedule table, occupation histogram). Wall-clock
 times live under the separate "timing" key so that stripping it leaves
-a byte-reproducible document for a fixed config and seed.
+a byte-reproducible document for a fixed config and seed: the seconds
+of the whole run (total_seconds) and of its three phases, building
+(build_seconds: reading and validating the config, which builds every
+object the task runs), running the task (run_seconds: the solve or the
+simulation) and writing its files other than results.json
+(write_seconds).
 
 Diagnostics go to stderr through the zdq loggers at --log-level, a
 standard level name; without it the zdq logger keeps its level, WARNING
 unless an in-process caller set another. At INFO a rollout reports its
-deterministic counters. The level changes no artifact.
+deterministic counters, and every run one line per phase with its
+seconds. The level changes no artifact.
 
 The config is parsed in full, every object the task runs built, before
 the output directory is made. So every config mistake, a source that
@@ -60,6 +66,8 @@ from .sources import FiniteChain
 
 _ORACLE_GAP_TOL = 1e-12
 
+logger = logging.getLogger(__name__)
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -94,20 +102,21 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# task runners: each takes the parsed config, returns (exit_code, payload)
-# and writes its CSVs
+# task runners: each takes the parsed config and returns (exit_code,
+# payload, files), files mapping each file name the task writes besides
+# results.json to a function that renders its text
 
 
-def _run_design(setup, out_dir: str):
+def _run_design(setup):
     cfg = setup.config
     try:
         res = solve_finite_horizon(
@@ -125,19 +134,18 @@ def _run_design(setup, out_dir: str):
             "node_budget": e.budget,
             "greedy_upper_bound": e.greedy_bound,
             "lower_bound": e.lower_bound,
-        }
+        }, {}
     tree = res.tree
-    _atomic_write(
-        os.path.join(out_dir, "policy_tree.json"), _canonical_json(tree.to_json())
-    )
-    _write_csv(
-        os.path.join(out_dir, "policy_tree.csv"),
-        ["t", "node", "quantizer", "value"],
-        [
-            [n.t, n.node_id, "" if n.quantizer is None else n.quantizer.describe(), n.value]
-            for n in tree.nodes
-        ],
-    )
+    files = {
+        "policy_tree.json": lambda: _canonical_json(tree.to_json()),
+        "policy_tree.csv": lambda: _csv(
+            ["t", "node", "quantizer", "value"],
+            [
+                [n.t, n.node_id, "" if n.quantizer is None else n.quantizer.describe(), n.value]
+                for n in tree.nodes
+            ],
+        ),
+    }
     residuals = np.asarray(bellman_residuals(tree))
     return 0, {
         "status": "ok",
@@ -150,10 +158,16 @@ def _run_design(setup, out_dir: str):
         "counters": tree.counters,
         "max_discarded_mass": tree.max_discarded_mass,
         "bellman_residual_max": float(residuals.max()) if residuals.size else 0.0,
-    }
+    }, files
 
 
-def _run_rollout(setup, out_dir: str):
+def _trajectory_csv(log) -> str:
+    buf = io.StringIO()
+    log.to_csv(buf)
+    return buf.getvalue()
+
+
+def _run_rollout(setup):
     cfg = setup.config
     res = rollout(
         setup.policy(),
@@ -164,9 +178,6 @@ def _run_rollout(setup, out_dir: str):
         seed=cfg["seed"],
         initial_belief=setup.initial_belief,
     )
-    buf = io.StringIO()
-    res.log.to_csv(buf)
-    _atomic_write(os.path.join(out_dir, "trajectory.csv"), buf.getvalue())
     return 0, {
         "status": "ok",
         "mean_cost": res.mean_cost,
@@ -176,7 +187,7 @@ def _run_rollout(setup, out_dir: str):
         "path_cost_min": float(res.path_costs.min()),
         "path_cost_max": float(res.path_costs.max()),
         "cesaro_tail": float(res.cesaro[-1]),
-    }
+    }, {"trajectory.csv": lambda: _trajectory_csv(res.log)}
 
 
 def _default_oracle_instance():
@@ -185,7 +196,7 @@ def _default_oracle_instance():
     return FiniteChain(transition, initial)
 
 
-def _run_oracle_check(setup, out_dir: str):
+def _run_oracle_check(setup):
     cfg = setup.config
     chain = _default_oracle_instance()
     horizon = cfg.get("horizon", 3)
@@ -206,10 +217,10 @@ def _run_oracle_check(setup, out_dir: str):
         "gap_tolerance": _ORACLE_GAP_TOL,
         "horizon": horizon,
         "levels": levels,
-    }
+    }, {}
 
 
-def _run_discounted_vi(setup, out_dir: str):
+def _run_discounted_vi(setup):
     cfg = setup.config
     try:
         res = discounted_value_iteration(
@@ -226,16 +237,11 @@ def _run_discounted_vi(setup, out_dir: str):
             "status": "not_converged",
             "residual": e.residual,
             "max_iter": cfg["max_iter"],
-        }
+        }, {}
     rows = [
         (float(b.probabilities[0]), float(v), int(p))
         for b, v, p in zip(res.beliefs, res.values, res.policy_ids)
     ]
-    _write_csv(
-        os.path.join(out_dir, "value_function.csv"),
-        ["p0", "value", "policy_id"],
-        rows,
-    )
     return 0, {
         "status": "ok",
         "residual": res.residual,
@@ -244,10 +250,10 @@ def _run_discounted_vi(setup, out_dir: str):
         "grid_points": cfg["grid_points"],
         "value_min": float(res.values.min()),
         "value_max": float(res.values.max()),
-    }
+    }, {"value_function.csv": lambda: _csv(["p0", "value", "policy_id"], rows)}
 
 
-def _run_schedule(setup, out_dir: str):
+def _run_schedule(setup):
     sched = setup.schedule
     rows = []
     for k in range(sched.k_max):
@@ -262,15 +268,11 @@ def _run_schedule(setup, out_dir: str):
                 ratio,
             )
         )
-    _write_csv(
-        os.path.join(out_dir, "schedule.csv"),
-        ["k", "horizon", "n_reps", "block_length", "boundary", "prior_time_ratio"],
-        rows,
-    )
-    return 0, {"status": "ok", **sched.to_json()}
+    header = ["k", "horizon", "n_reps", "block_length", "boundary", "prior_time_ratio"]
+    return 0, {"status": "ok", **sched.to_json()}, {"schedule.csv": lambda: _csv(header, rows)}
 
 
-def _run_occupancy(setup, out_dir: str):
+def _run_occupancy(setup):
     policy = setup.policy()
     res = rollout(
         policy,
@@ -283,16 +285,13 @@ def _run_occupancy(setup, out_dir: str):
     )
     hist = occupation_measure(res.log, setup.binning)
     residual = invariance_residual(hist, setup.source, policy.quantizers)
-    _atomic_write(
-        os.path.join(out_dir, "histogram.json"), _canonical_json(hist.to_json())
-    )
     return 0, {
         "status": "ok",
         "invariance_residual": residual,
         "mean_stage_cost": hist.mean_stage_cost,
         "steps": hist.steps,
         "occupied_bins": int((hist.counts.sum(axis=1) > 0).sum()),
-    }
+    }, {"histogram.json": lambda: _canonical_json(hist.to_json())}
 
 
 _RUNNERS = {
@@ -374,11 +373,18 @@ def _run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    built = time.perf_counter()
+    logger.info("build: %.6f s", built - started)
     try:
-        code, payload = _RUNNERS[args.task](setup, out_dir)
+        code, payload, files = _RUNNERS[args.task](setup)
     except ZeroMassSymbolError as e:  # a rollout's path left its belief's support
-        code, payload = 1, {"status": "zero_mass_symbol", "error": str(e)}
-    elapsed = time.perf_counter() - started
+        code, payload, files = 1, {"status": "zero_mass_symbol", "error": str(e)}, {}
+    ran = time.perf_counter()
+    logger.info("run: %.6f s", ran - built)
+    for name, render in files.items():
+        _atomic_write(os.path.join(out_dir, name), render())
+    written = time.perf_counter()
+    logger.info("write: %.6f s", written - ran)
 
     results = {
         "task": args.task,
@@ -389,7 +395,12 @@ def _run(args) -> int:
             "eps_mass": EPS_MASS,
         },
         **payload,
-        "timing": {"total_seconds": elapsed},
+        "timing": {
+            "total_seconds": written - started,
+            "build_seconds": built - started,
+            "run_seconds": ran - built,
+            "write_seconds": written - ran,
+        },
     }
     _atomic_write(os.path.join(out_dir, "results.json"), _canonical_json(results))
     return code

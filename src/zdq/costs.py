@@ -114,8 +114,8 @@ def cell_decisions(belief, candidates, cost: CostModel):
     if mirror is None or belief.orientation < 0:
         return _decisions(belief, belief.cell_moments(candidates), candidates, cost)
     # the mirror image's decisions, in mirrored candidates and cells
-    stages, masses, recon = _decisions(belief, belief._mirror_moments(candidates), candidates, cost)
-    images = stages[mirror.ids], masses.take(mirror.cells), -recon.take(mirror.cells)
+    stages, masses, recon = _decisions(belief, belief._canonical_moments(candidates), candidates, cost)
+    images = stages.take(mirror.ids), masses.take(mirror.cells), -recon.take(mirror.cells)
     if belief.orientation > 0:
         return images
     # its own mirror image: of a candidate and its mirror image, the
@@ -137,10 +137,10 @@ def _decisions(belief, cell_moments, candidates, cost: CostModel):
         m1 = moments[1]
         var = moments[2] - m1 * m1 / mass
         np.maximum(var, 0.0, out=var)
-        var[dead] = 0.0
+        np.putmask(var, dead, 0.0)
         recon = m1 / mass
         recon += center
-        recon[dead] = np.nan
+        np.putmask(recon, dead, np.nan)
         return _sum_cells(var), m0, recon
     stages = np.zeros(len(candidates))
     recon = np.full(m0.shape, np.nan)
@@ -160,7 +160,7 @@ def _masked(m0):
     mass a cell's moments are divided by, m0 with 1 at the dead cells."""
     dead = ~(m0 > EPS_MASS)
     mass = m0.copy()
-    mass[dead] = 1.0
+    np.putmask(mass, dead, 1.0)
     return dead, mass
 
 
@@ -171,7 +171,7 @@ def _stage_costs_from(moments) -> np.ndarray:
     dead, mass = _masked(m0)
     var = m2 - m1 * m1 / mass
     np.maximum(var, 0.0, out=var)
-    var[dead] = 0.0
+    np.putmask(var, dead, 0.0)
     return _sum_cells(var)
 
 
@@ -180,7 +180,9 @@ def _sum_cells(terms) -> np.ndarray:
     .sum(axis=1) does the same for up to 7 cells or strided cells, but
     adds 8 or more contiguous cells pairwise, so a (K, L) array and its
     (K, L, C) blocks would round apart."""
-    total = terms[:, 0].copy()
-    for cell in range(1, terms.shape[1]):
+    if terms.shape[1] == 1:
+        return terms[:, 0].copy()
+    total = terms[:, 0] + terms[:, 1]
+    for cell in range(2, terms.shape[1]):
         total += terms[:, cell]
     return total

@@ -43,7 +43,7 @@ concavity for partially observed control). lower(k) is the larger of two
 bounds, taken alike for every source:
   - the column bound. Let l_i be the least stage cost over the
     candidates of normalized column i (the source's column_costs, read
-    once per solve; stage_floor is its least entry).
+    once per solve).
     The child of cell m of a node of belief b is sum_i r_i K_i / sum_i
     r_i c_i, r the belief restricted to the cell, whose parts over the
     cells add up to w_i b_i, and its mass sum_i r_i is at least sum_i r_i

@@ -470,6 +470,7 @@ class _BeliefTable:
         self.model, self.cost, self.quantizers = model, cost, quantizers
         self.width = 1 + quantizers.levels
         self.beliefs, self.ids = [], {}
+        self.undecided = set()  # the ids whose pick is -1
         self._alloc(16)
         self.decisions = self.filter_calls = self.clears = self.peak = 0
 
@@ -486,7 +487,8 @@ class _BeliefTable:
         if b is None:
             b = self.ids[key] = len(self.beliefs)
             self.beliefs.append(belief)
-            self.peak = max(self.peak, len(self.beliefs))
+            self.undecided.add(b)
+            self.peak = max(self.peak, b + 1)
             if b == self.pick.size:
                 old = (self.stage, self.pick, self.recon, self.succ)
                 self._alloc(2 * b)
@@ -495,11 +497,15 @@ class _BeliefTable:
         return b
 
     def compact(self, ids: np.ndarray) -> np.ndarray:
-        """Keep only the beliefs in ids; returns ids renumbered."""
+        """Keep only the beliefs in ids, undecided; returns ids renumbered.
+        The arrays keep their capacity, their rows in use reset."""
         live, ids = np.unique(ids, return_inverse=True)
+        used = len(self.beliefs)
         self.beliefs = [self.beliefs[b] for b in live.tolist()]
         self.ids = {belief.key(): b for b, belief in enumerate(self.beliefs)}
-        self._alloc(max(16, 2 * len(self.beliefs)))
+        self.undecided = set(range(len(self.beliefs)))
+        for array, unset in ((self.stage, np.nan), (self.pick, -1), (self.recon, np.nan), (self.succ, -1)):
+            array[:used] = unset
         self.clears += 1
         return ids
 
@@ -508,16 +514,15 @@ class _BeliefTable:
         self.stage[b] = stages
         self.recon[b, :, 1:] = recon
         self.pick[b] = stages.argmin()
+        self.undecided.discard(b)
         self.decisions += 1
 
     def picks(self, ids) -> np.ndarray:
         """The greedy pick of every belief id, deciding the new beliefs."""
-        picks = self.pick[ids]
-        if picks[picks.argmin()] < 0:  # picks.min() < 0, in fewer calls
-            for b in sorted(set(ids[picks < 0].tolist())):
+        if self.undecided:
+            for b in sorted(self.undecided.intersection(ids.tolist())):
                 self._decide(b)
-            picks = self.pick[ids]
-        return picks
+        return self.pick.take(ids)
 
     def successors(self, keys):
         """Next belief id of every transition key, filling the missing ones."""
@@ -531,13 +536,12 @@ class _BeliefTable:
     def _fill(self, key: int) -> None:
         bq, m = divmod(key, self.width)
         b, q = divmod(bq, len(self.quantizers))
-        if self.pick[b] < 0:
+        if b in self.undecided:
             self._decide(b)
         if math.isnan(self.recon[b, q, m]):
             raise ZeroMassSymbolError(f"cell {m} carries no mass; reconstruction undefined")
         self.filter_calls += 1
-        nxt = self.intern(filter_update(self.beliefs[b], self.model, self.quantizers[q], m))
-        self.succ[b, q, m] = nxt
+        self.succ[b, q, m] = self.intern(filter_update(self.beliefs[b], self.model, self.quantizers[q], m))
 
 
 class _PathLog:
@@ -592,7 +596,7 @@ class _Lockstep:
         """Steps t0 .. t0 + size - 1, given every path's states xs
         (n_paths, size) and shared variates shares (or None)."""
         table, policy = self.table, self.policy
-        classify, n_quantizers = table.quantizers.classify, len(table.quantizers)
+        classify = table.quantizers.classify
         keys = np.empty(xs.shape, dtype=np.intp)
         u = np.empty(xs.shape)
         settled = 0
@@ -609,7 +613,7 @@ class _Lockstep:
             qids = plan.quantizer_ids
             symbols = classify(qids, xs[:, j])
             # the transition keys, the flat indices of [ids, qids, symbols]
-            step = keys[:, j] = (self.ids * n_quantizers + qids) * table.width + symbols
+            step = keys[:, j] = np.ravel_multi_index((self.ids, qids, symbols), table.succ.shape)
             try:
                 self.ids = table.successors(step)
             except ZeroMassSymbolError as e:

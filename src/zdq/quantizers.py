@@ -59,7 +59,7 @@ class IntervalQuantizer:
         cuts = np.full((len(candidates), candidates.levels - 1), math.inf)
         for k, q in enumerate(candidates):
             cuts[k, : q.levels - 1] = q.thresholds
-        return lambda ids, x: 1 + np.add.reduce(cuts[ids] < x[:, None], axis=1)
+        return lambda ids, x: 1 + np.add.reduce(cuts.take(ids, axis=0) < x[:, None], axis=1)
 
     @staticmethod
     def _mirror_keys(candidates):

@@ -18,7 +18,7 @@ that depends on the family, with the same names on both:
   checks;
 - the dynamic program's lower bounds (dp's module docstring):
   column_costs, the least stage cost at every prediction column (a
-  kernel column or a transition row; stage_floor is its least entry),
+  kernel column or a transition row),
   pull, the transposed push, which takes a function of the next state
   to its expectation one step after every node or state, and
   last_stage_costs, the least stage cost of every child of a belief
@@ -94,6 +94,7 @@ __all__ = ["LinearGaussianSource", "FiniteChain"]
 logger = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LEAST_NORMAL = sys.float_info.min
 # the least entry, relative to the largest, that a kernel column's band
 # and a pushed belief's support keep
 TAIL = 2.0**-60
@@ -141,6 +142,11 @@ class LinearGaussianSource:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.init_std < 0.0:
             raise ValueError(f"init_std must be >= 0, got {self.init_std}")
+        # the fields' hash, taken once: sources key the per-source caches
+        object.__setattr__(self, "_hash", hash((self.a, self.noise_std, self.init_mean, self.init_std)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def require_noise(self) -> None:
         # density-based paths need a nondegenerate one-step law
@@ -199,10 +205,13 @@ class LinearGaussianSource:
             return GridBelief.point_mass(grid, self.init_mean)
         return GridBelief.normal(grid, self.init_mean, self.init_std)
 
-    def push(self, belief: GridBelief, start: int, part: np.ndarray, mass: float) -> GridBelief:
+    def push(
+        self, belief: GridBelief, start: int, part: np.ndarray, mass: float, mirror: bool = False
+    ) -> GridBelief:
         """The restriction (start, part) over its mass, pushed through the
         transition kernel on the belief's grid, trimmed to its support and
-        renormalized to integral 1.
+        renormalized to integral 1; with mirror, that belief's mirror image
+        (beliefs.filter_update's step in the canonical orientation).
 
         The kernel holds each column's band in blocks of columns, so the
         columns the restriction reads, start .. start + len(part) - 1,
@@ -227,14 +236,16 @@ class LinearGaussianSource:
         if z <= 0.0:
             raise ZeroMassSymbolError(f"zero-probability symbol: predicted mass {z}")
         logger.debug("filter renormalization drift %.3e", z - 1.0)
-        raw /= z
-        if sys.float_info.min <= z < math.inf:
+        if _LEAST_NORMAL <= z < math.inf:
             # a finite nonnegative product over a normal mass: raw / z is
-            # finite, nonnegative and integrates to 1 up to rounding
-            return GridBelief._normalized(grid, raw, (lo, hi))
+            # finite, nonnegative and integrates to 1 up to rounding, and
+            # 0 off the support
+            raw[lo:hi] /= z
+            return GridBelief._normalized(grid, raw, (lo, hi), mirror)
         # an overflowed kernel (a subnormal noise_std) or a subnormal
         # mass, which loses the precision dividing by it needs
-        return GridBelief(grid, raw)
+        raw /= z
+        return GridBelief(grid, raw[::-1] if mirror else raw)
 
     def column_costs(self, belief: GridBelief, candidates, cost) -> np.ndarray:
         """(n_points,): the least quadratic stage cost over the
@@ -245,11 +256,6 @@ class LinearGaussianSource:
         candidates = CandidateSet.of(candidates)
         grid = belief.grid
         return _least_stage_costs(_cut_weights(grid, candidates), _kernel_cut_moments(self, grid, candidates))
-
-    def stage_floor(self, belief: GridBelief, candidates, cost) -> float:
-        """The least of column_costs: the least stage cost at any
-        prediction column."""
-        return float(self.column_costs(belief, candidates, cost).min())
 
     def pull(self, belief: GridBelief, f: np.ndarray) -> np.ndarray:
         """The transposed push: at every node i, the expectation of f one
@@ -383,35 +389,47 @@ class _BandedKernel:
         self.starts = edges[:-1]
         self.blocks = tuple(blocks)
         self.stored = built
+        # what times reads of block b: its columns c0 .. c1 - 1, its rows
+        # r0 .. r1 - 1, the stored block a product reads (a mirrored
+        # block's image) and whether it is mirrored
+        self._runs = tuple(
+            (c0, c0 + block.shape[1], r0, r0 + len(block), *(
+                (block, False) if b < built else (blocks[-1 - b][1], True)
+            ))
+            for b, (c0, (r0, block)) in enumerate(zip(self.starts, blocks))
+        )
 
     def times(self, start: int, part: np.ndarray) -> np.ndarray:
         """K[:, start : start + len(part)] @ part over the bands: block by
-        block, in increasing column order, each block's product added into
-        its rows. A mirrored block is read as its stored image times the
-        reversed part, added into its rows reversed, so every product
-        reads a column-major block with positive strides (numpy's matmul
-        on the reversed view took 40 against 6.7 us for a (500, 64) block
-        on a 2-core Xeon, and rounds otherwise). No product has more than
+        block, in increasing column order, each block's product written
+        into its rows of a row of zeros of its own, then those rows
+        summed in block order (a sum over the first axis adds them one
+        after another, so each entry is 0 plus its blocks' products in
+        order, as adding each product into one array gives). A mirrored
+        block is read as its stored image times the reversed part,
+        written into its rows reversed, so every product reads a
+        column-major block with positive strides (numpy's matmul on the
+        reversed view took 40 against 6.7 us for a (500, 64) block on a
+        2-core Xeon, and rounds otherwise). No product has more than
         _KERNEL_COLUMNS columns, so none takes a threaded BLAS path."""
-        out = np.zeros(self.n_points)
         stop = start + len(part)
         first = bisect.bisect_right(self.starts, start) - 1
+        runs = self._runs[first : bisect.bisect_left(self.starts, stop)]
+        products = np.zeros((len(runs), self.n_points))
         flipped = None
-        for b, c0 in enumerate(self.starts[first:], first):
-            if c0 >= stop:
-                break
-            r0, block = self.blocks[b]
-            lo, hi = max(start, c0), min(stop, c0 + block.shape[1])
-            rows = out[r0 : r0 + len(block)]
-            if b < self.stored:
-                rows += block[:, lo - c0 : hi - c0] @ part[lo - start : hi - start]
+        for rows, (c0, c1, r0, r1, block, mirrored) in zip(products, runs):
+            lo, hi = max(start, c0), min(stop, c1)
+            if not mirrored:
+                if hi - lo < c1 - c0:
+                    block = block[:, lo - c0 : hi - c0]
+                block.dot(part[lo - start : hi - start], out=rows[r0:r1])
                 continue
             if flipped is None:
                 flipped = part[::-1].copy()
-            image = self.blocks[-1 - b][1]
-            c1 = c0 + block.shape[1]
-            rows[::-1] += image[:, c1 - hi : c1 - lo] @ flipped[stop - hi : stop - lo]
-        return out
+            if hi - lo < c1 - c0:
+                block = block[:, c1 - hi : c1 - lo]
+            rows[r0:r1][::-1] = block @ flipped[stop - hi : stop - lo]
+        return np.add.reduce(products, axis=0)
 
     def transposed(self, g: np.ndarray) -> np.ndarray:
         """K^T g over the bands: each block's columns are its band rows
@@ -630,11 +648,6 @@ class FiniteChain:
             cell_decisions(SimplexBelief(row, states=belief.states), candidates, cost)[0].min()
             for row in self.transition
         ])
-
-    def stage_floor(self, belief: SimplexBelief, candidates, cost) -> float:
-        """The least of column_costs: the least stage cost at any
-        transition row."""
-        return float(self.column_costs(belief, candidates, cost).min())
 
     def pull(self, belief: SimplexBelief, f: np.ndarray) -> np.ndarray:
         """The transposed push: P f, the expectation of f, given by its

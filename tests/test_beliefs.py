@@ -230,6 +230,28 @@ def test_grid_belief_holds_one_read_only_buffer(ar_source):
             b.values[0] = 0.0
 
 
+def test_mirror_image_shares_its_twins_buffer(ar_source):
+    # mirror() builds no array: the image's values are a reversed view of
+    # its twin's buffer until its key() is first read, which copies them
+    # into a buffer of its own that its values then view. The image of
+    # the image has the belief's key, and a belief that is not its own
+    # mirror image has a key other than its image's
+    grid = default_grid(ar_source)
+    prior = GridBelief.normal(grid, 0.3, 1.2)
+    posterior = filter_update(prior, ar_source, IntervalQuantizer((0.0,)), 2)
+    for b in (prior, posterior, GridBelief.normal(grid, -0.3, 1.2)):
+        image = b.mirror()
+        assert np.shares_memory(image.values, b.values)
+        assert image.values.tobytes() == b.values[::-1].tobytes()
+        assert image.mirror().key() == b.key()
+        assert b.orientation != 0 and image.orientation == -b.orientation
+        key = image.key()
+        assert key != b.key() and image.values.base is key
+        assert not np.shares_memory(image.values, b.values)
+    centred = GridBelief.normal(grid, 0.0, 1.0)
+    assert centred.orientation == 0 and centred.mirror() is centred
+
+
 def test_grid_belief_caches_mean_and_std():
     for b in (std_normal_belief(), GridBelief.normal(Grid(-3.0, 9.0, 301), 4.0, 0.7)):
         mean = float(b.grid.moment_weights[1] @ b.values)
@@ -402,6 +424,49 @@ def test_banded_push_matches_the_dense_product(a, noise, grid, seed, blind):
     deviation, scale = float(np.max(np.abs(got - dense))), float(dense.max())
     target(deviation / scale if scale else 0.0, label="deviation over the dense result's largest entry")
     assert deviation <= 1e-13 * scale
+
+
+def accumulated_push(kernel, start, part):
+    """K[:, start : start + len(part)] @ part block by block, each block's
+    product (through its stored image, reversed, for a mirrored block)
+    added into one array in increasing block order."""
+    out = np.zeros(kernel.n_points)
+    stop = start + len(part)
+    flipped = part[::-1].copy()
+    for b, (c0, (r0, block)) in enumerate(zip(kernel.starts, kernel.blocks)):
+        c1 = c0 + block.shape[1]
+        lo, hi = max(start, c0), min(stop, c1)
+        if lo >= hi:
+            continue
+        rows = out[r0 : r0 + len(block)]
+        if b < kernel.stored:
+            rows += block[:, lo - c0 : hi - c0] @ part[lo - start : hi - start]
+        else:
+            image = kernel.blocks[-1 - b][1]
+            rows[::-1] += image[:, c1 - hi : c1 - lo] @ flipped[stop - hi : stop - lo]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([-0.7, 0.0, 0.5, 0.9, 0.99]),
+    st.sampled_from([0.3, 1.0, 2.5]),
+    st.sampled_from([None, Grid(-4.0, 2.0, 300), Grid(-6.0, 6.0, 1600)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_banded_push_sums_block_products_in_order(a, noise, grid, seed):
+    # the push writes each block's product into its rows of a row of
+    # zeros of its own and sums the rows in block order: the bytes of
+    # adding every product into one array in block order
+    model = LinearGaussianSource(a, noise)
+    grid = default_grid(model) if grid is None else grid
+    n = grid.n_points
+    kernel = _transition_kernel(model, grid)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        start = int(rng.integers(0, n))
+        part = rng.random(int(rng.integers(1, n - start + 1))) * 10.0 ** rng.integers(-200, 200)
+        assert kernel.times(start, part).tobytes() == accumulated_push(kernel, start, part).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -692,7 +757,7 @@ def test_set_methods_take_a_list(ar_source, three_state_chain):
     for method, given, extra in [
         (grid_belief.cell_moments, cands, ()),
         (simplex.cell_moments, partitions, ()),
-        (lambda c: ar_source.stage_floor(grid_belief, c, quad), cands, ()),
+        (lambda c: ar_source.column_costs(grid_belief, c, quad).min(), cands, ()),
         (lambda c, k: ar_source.last_stage_costs(grid_belief, c, quad, k), cands, (kept,)),
     ]:
         assert _bits(method(list(given), *extra)) == _bits(method(given, *extra))

@@ -288,7 +288,7 @@ def test_chain_floor_bounds_every_posterior(seed, n, tabular):
     cost = CostModel.bounded_tabular(rng.random((n, 3))) if tabular else QUAD
     cands = enumerate_finite_partitions(n, 2)
     belief = SimplexBelief(rng.dirichlet(np.ones(n)), states=chain.state_values)
-    floor = chain.stage_floor(belief, cands, cost)
+    floor = float(chain.column_costs(belief, cands, cost).min())
     scale = float(cost.table.max()) if tabular else float(np.ptp(chain.state_values)) ** 2 / 4
     for q in cands:
         for m in range(1, q.levels + 1):
@@ -313,7 +313,7 @@ def test_grid_floor_bounds_every_posterior(a, noise, n_points, mean, std, cuts):
     grid = default_grid(src, n_points=n_points)
     belief = GridBelief.normal(grid, mean * src.stationary_std, std * src.stationary_std)
     cands = CandidateSet([IntervalQuantizer((c,)) for c in cuts] + [IntervalQuantizer(tuple(sorted(cuts)))])
-    floor = src.stage_floor(belief, cands, QUAD)
+    floor = float(src.column_costs(belief, cands, QUAD).min())
     allowance = _dead_cell_allowance(len(cuts) + 1, grid.hi - grid.lo)
     for q in cands:
         for m in range(1, q.levels + 1):
@@ -352,7 +352,7 @@ def test_column_moments_match_per_column_beliefs(a, noise, n_points, cuts):
     # raw moments about 0 lose digits in proportion to the squared range
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, grid.hi**2)
     assert np.max(np.abs(least - ref.min(axis=0))) <= 1e-12 * max(1.0, grid.hi**2)
-    assert src.stage_floor(GridBelief.normal(grid, 0.0, 1.0), cands, QUAD) == least.min()
+    assert src.column_costs(GridBelief.normal(grid, 0.0, 1.0), cands, QUAD).min() == least.min()
 
 
 @settings(max_examples=20, deadline=None)

@@ -706,6 +706,7 @@ def test_log_level_reports_counters_and_leaves_results(tmp_path, capsys):
     log = logging.getLogger("zdq")
     handlers, level_before = list(log.handlers), log.level
     # repeated in-process runs add no second handler: one INFO line each
+    # for the counters and for each phase, whose seconds go under timing
     runs = ((None, 0), ("WARNING", 0), ("info", 1), ("DEBUG", 1), ("INFO", 1), ("ERROR", 0))
     for level, lines in runs:
         flag = [] if level is None else ["--log-level", level]
@@ -714,7 +715,11 @@ def test_log_level_reports_counters_and_leaves_results(tmp_path, capsys):
         counters = [line for line in err if line.startswith("INFO zdq.infinite: rollout: 40 paths")]
         assert len(counters) == lines, (level, err)
         got = json.loads((tmp_path / "out" / "results.json").read_text())
-        del got["timing"]
+        timing = got.pop("timing")
+        for phase in ("build", "run", "write"):
+            phase_lines = [line for line in err if line.startswith(f"INFO zdq.cli: {phase}: ")]
+            assert len(phase_lines) == lines, (level, phase, err)
+            assert 0.0 <= timing[f"{phase}_seconds"] <= timing["total_seconds"]
         results.add(json.dumps(got, sort_keys=True))
         # each run puts the zdq logger's handlers and level back
         assert (log.handlers, log.level) == (handlers, level_before)

@@ -122,7 +122,7 @@ def test_cached_arrays_are_read_only():
     cands = enumerate_interval_candidates(2, -2.0, 2.0, 5)
     _, w = _cell_weights(GRIDS[0], -1.0, 0.5)
     weights = _cut_weights(GRIDS[0], cands)
-    for array in (w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends,
+    for array in (w, weights.matrix, weights.local, weights.points, weights.slots, weights.ends, weights.product_ends,
                   GRIDS[0].moment_weights):
         with pytest.raises(ValueError):
             array[...] = 0
@@ -179,7 +179,7 @@ def test_cache_lookups_hash_no_quantizer(monkeypatch):
     hashed = []
     monkeypatch.setattr(IntervalQuantizer, "__hash__", lambda q: hashed.append(q) or 0)
     belief.cell_moments(cands)
-    SOURCE.stage_floor(belief, cands, CostModel.quadratic())
+    SOURCE.column_costs(belief, cands, CostModel.quadratic()).min()
     assert hashed == []
 
 
